@@ -9,7 +9,7 @@
 //
 // Usage:
 //
-//	lgserve [-scale 0.2] [-addr 127.0.0.1:8080] [-static]
+//	lgserve [-scale 0.2] [-scenario baseline] [-addr 127.0.0.1:8080] [-static]
 //	        [-churn-epochs 12] [-churn-interval 1m] [-epoch-interval 200ms]
 //	        [-max-inflight 256] [-max-age 0] [-drain 10s] [-workers 0]
 //
@@ -27,7 +27,10 @@
 //
 // In both modes SIGINT/SIGTERM shut the server down gracefully:
 // in-flight requests get up to -drain to finish before the listener
-// closes.
+// closes. A world that cannot be built (an unknown scenario, the
+// baseline scenario's 16-bit alias space exhausted at -scale >= 4) is
+// fatal: lgserve logs the build error and exits non-zero instead of
+// answering 503 forever.
 package main
 
 import (
@@ -39,6 +42,7 @@ import (
 	"net/http"
 	"os/signal"
 	"sort"
+	"strings"
 	"syscall"
 	"time"
 
@@ -53,6 +57,8 @@ func main() {
 	log.SetPrefix("lgserve: ")
 
 	scale := flag.Float64("scale", 0.2, "world scale")
+	scenario := flag.String("scenario", "baseline", "world scenario (one of: "+
+		strings.Join(topology.ScenarioNames(), ", ")+")")
 	seed := flag.Int64("seed", 20130501, "generation seed")
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address")
 	static := flag.Bool("static", false, "serve the frozen-world looking glasses instead of the gateway")
@@ -68,6 +74,7 @@ func main() {
 	cfg := topology.DefaultConfig()
 	cfg.Scale = *scale
 	cfg.Seed = *seed
+	cfg.Scenario = *scenario
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()

@@ -3,10 +3,12 @@ package core
 import (
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/netip"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -57,6 +59,29 @@ func (b *fakeLGBackend) NeighborRoutes(addr netip.Addr) ([]bgp.Prefix, error) {
 }
 func (b *fakeLGBackend) Lookup(p bgp.Prefix) ([]lg.PathInfo, error) { return b.lookup(p) }
 
+// bodyCloseNotifier is a transport that calls fn each time the client
+// closes a response body, i.e. has finished reading that response.
+type bodyCloseNotifier func()
+
+func (fn bodyCloseNotifier) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err == nil {
+		resp.Body = notifyingBody{resp.Body, fn}
+	}
+	return resp, err
+}
+
+type notifyingBody struct {
+	io.ReadCloser
+	closed func()
+}
+
+func (b notifyingBody) Close() error {
+	err := b.ReadCloser.Close()
+	b.closed()
+	return err
+}
+
 // TestRunActiveFirstErrorCancelsSiblings pins the failure semantics of
 // the parallel LG survey: the first error cancels the in-flight sibling
 // surveys, and every survey's partial observations still reach the
@@ -65,7 +90,8 @@ func (b *fakeLGBackend) Lookup(p bgp.Prefix) ([]lg.PathInfo, error) { return b.l
 // Three IXPs run concurrently:
 //   - DE-CIX succeeds completely;
 //   - MSK-IX collects one observation, then fails — but only after
-//     DE-CIX finished, so the success path is deterministic;
+//     DE-CIX has read its last response, so the success path is
+//     deterministic;
 //   - ECIX's LG hangs until its request context is cancelled.
 func TestRunActiveFirstErrorCancelsSiblings(t *testing.T) {
 	mkAddr := func(last byte) netip.Addr { return netip.AddrFrom4([4]byte{172, 16, 0, last}) }
@@ -84,11 +110,20 @@ func TestRunActiveFirstErrorCancelsSiblings(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// DE-CIX: two members, one prefix each, both lookups succeed. After
-	// the second lookup the survey is complete; okDone releases MSK-IX's
-	// failing lookup.
+	// DE-CIX: two members, one prefix each, both lookups succeed. Once
+	// the client has read the second lookup's response the survey makes
+	// no further request, so nothing of it is left to cancel; okDone
+	// then releases MSK-IX's failing lookup. (Releasing it when the
+	// server answers is too early: the cancellation can abort the
+	// response read and drop member 200's observation.)
 	okDone := make(chan struct{})
 	var okLookups atomic.Int32
+	var okDoneOnce sync.Once
+	okHTTP := &http.Client{Transport: bodyCloseNotifier(func() {
+		if okLookups.Load() == 2 {
+			okDoneOnce.Do(func() { close(okDone) })
+		}
+	})}
 	okB := &fakeLGBackend{
 		asn: 6695,
 		members: []lg.PeerSummary{
@@ -105,15 +140,17 @@ func TestRunActiveFirstErrorCancelsSiblings(t *testing.T) {
 		if p == pfx("10.0.1.0/24") {
 			setter = 200
 		}
-		if okLookups.Add(1) == 2 {
-			defer close(okDone)
-		}
+		okLookups.Add(1)
 		return []lg.PathInfo{{Path: []bgp.ASN{setter}, NextHop: mkAddr(99),
 			Communities: bgp.Communities{bgp.MakeCommunity(6695, 6695)}, Best: true}}, nil
 	}
 
 	// MSK-IX: the lookup for member 100's prefix (sorted first) yields
-	// an observation; the second lookup fails once DE-CIX is done.
+	// an observation; the second lookup fails once DE-CIX is done and
+	// ECIX's request is in flight (slowEntered), so there is something
+	// to cancel.
+	slowEntered := make(chan struct{})
+	var slowEnteredOnce sync.Once
 	failB := &fakeLGBackend{
 		asn: 8631,
 		members: []lg.PeerSummary{
@@ -131,6 +168,7 @@ func TestRunActiveFirstErrorCancelsSiblings(t *testing.T) {
 				Communities: bgp.Communities{bgp.MakeCommunity(8631, 8631)}, Best: true}}, nil
 		}
 		<-okDone
+		<-slowEntered
 		return nil, fmt.Errorf("route server unreachable")
 	}
 
@@ -145,6 +183,7 @@ func TestRunActiveFirstErrorCancelsSiblings(t *testing.T) {
 	// from hanging the test; it fails the assertion instead.
 	var slowCancelled atomic.Bool
 	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		slowEnteredOnce.Do(func() { close(slowEntered) })
 		select {
 		case <-r.Context().Done():
 			slowCancelled.Store(true)
@@ -155,7 +194,7 @@ func TestRunActiveFirstErrorCancelsSiblings(t *testing.T) {
 	defer slow.Close()
 
 	lgs := map[string]IXPLGs{
-		"DE-CIX": {RS: &lg.Client{BaseURL: ts.URL + "/decix"}},
+		"DE-CIX": {RS: &lg.Client{BaseURL: ts.URL + "/decix", HTTPClient: okHTTP}},
 		"MSK-IX": {RS: &lg.Client{BaseURL: ts.URL + "/mskix"}},
 		"ECIX":   {RS: &lg.Client{BaseURL: slow.URL}},
 	}

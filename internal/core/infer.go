@@ -1,7 +1,6 @@
 package core
 
 import (
-	"hash/fnv"
 	"sort"
 
 	"mlpeering/internal/bgp"
@@ -78,6 +77,21 @@ type Result struct {
 	// Links maps every inferred link to the IXPs it was inferred at
 	// (multi-IXP links are the overlap discussed with Table 2).
 	Links map[topology.LinkKey][]string
+
+	linkIndex *LinkIndex // BuildIndex memo; nil until a consumer asks for it
+}
+
+// BuildIndex returns r's link index, deriving it on first call. The
+// first call writes the memo, so it belongs before r is shared between
+// goroutines: the serving tier makes it inside NewSnapshot's
+// construction window, and MeshState.Snapshot hands the memo on to the
+// next Result when no link changed. The batch pipeline never calls it.
+func (r *Result) BuildIndex() *LinkIndex {
+	if r.linkIndex == nil {
+		//mlplint:frozen idempotent memo: derived from the already-complete Links/PerIXP alone, filled before publication by serve.NewSnapshot (prefill rule), identical content whoever fills it
+		r.linkIndex = newLinkIndex(r)
+	}
+	return r.linkIndex
 }
 
 // TotalLinks returns the number of distinct links.
@@ -85,6 +99,9 @@ func (r *Result) TotalLinks() int { return len(r.Links) }
 
 // MultiIXPLinks returns how many links appear at more than one IXP.
 func (r *Result) MultiIXPLinks() int {
+	if r.linkIndex != nil {
+		return r.linkIndex.MultiIXP
+	}
 	n := 0
 	for _, ixps := range r.Links {
 		if len(ixps) > 1 {
@@ -179,27 +196,10 @@ func InferLinks(dict *Dictionary, obs ObservationSource) *Result {
 // equivalence tests pin the incremental pipeline to the re-mine
 // fallback with it.
 func (r *Result) AppendMesh(dst []byte) []byte {
-	keys := make([]topology.LinkKey, 0, len(r.Links))
-	for k := range r.Links {
-		keys = append(keys, k)
+	if r.linkIndex != nil {
+		return appendMeshLinks(dst, r.linkIndex.Links)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].A != keys[j].A {
-			return keys[i].A < keys[j].A
-		}
-		return keys[i].B < keys[j].B
-	})
-	for _, k := range keys {
-		dst = append(dst,
-			byte(k.A>>24), byte(k.A>>16), byte(k.A>>8), byte(k.A),
-			byte(k.B>>24), byte(k.B>>16), byte(k.B>>8), byte(k.B))
-		for _, name := range r.Links[k] {
-			dst = append(dst, name...)
-			dst = append(dst, 0)
-		}
-		dst = append(dst, 0xFF)
-	}
-	return dst
+	return appendMeshLinks(dst, sortedLinks(r.Links))
 }
 
 // Fingerprint returns a 64-bit FNV-1a hash of the canonical mesh
@@ -207,11 +207,13 @@ func (r *Result) AppendMesh(dst []byte) []byte {
 // describe the same mesh fingerprint equal. The serving tier keys
 // HTTP ETags and stale-read detection on it, so the value must be a
 // pure function of the inferred link set and its IXP attribution —
-// never of wall-clock state.
+// never of wall-clock state. An indexed Result (BuildIndex) answers
+// from the index's sorted array instead of sorting again.
 func (r *Result) Fingerprint() uint64 {
-	h := fnv.New64a()
-	h.Write(r.AppendMesh(nil))
-	return h.Sum64()
+	if r.linkIndex != nil {
+		return r.linkIndex.Fingerprint
+	}
+	return fingerprintLinks(sortedLinks(r.Links))
 }
 
 // SumPerIXPLinks adds up the per-IXP link counts (larger than

@@ -111,6 +111,12 @@ type meshIXP struct {
 	covered int
 	links   map[topology.LinkKey]bool
 	events  []meshEvent
+
+	// snap is the IXPInference the last Snapshot materialized; stale
+	// records that a setter joined, left or changed filter since, i.e.
+	// that snap no longer describes this state.
+	snap  *IXPInference
+	stale bool
 }
 
 // MeshState is the delta-maintained §4.1 reciprocity mesh over every
@@ -143,6 +149,11 @@ type MeshState struct {
 	// drained dirty list) and the IXP -> work index map.
 	works   []meshWork
 	workIdx map[string]int
+
+	// snap is the Result the last Snapshot returned; linksStale records
+	// that a link attribution was added or removed since.
+	snap       *Result
+	linksStale bool
 }
 
 // meshWork is one Apply work item: one IXP's dirty setters in drained
@@ -281,6 +292,7 @@ func (ms *MeshState) dropSetter(mi *meshIXP, slot int, s *meshSetter) {
 	s.covered = false
 	s.filter = ixp.ExportFilter{}
 	mi.covered--
+	mi.stale = true
 }
 
 // joinSetter covers a setter (fresh or rejoining): both allow
@@ -288,6 +300,7 @@ func (ms *MeshState) dropSetter(mi *meshIXP, slot int, s *meshSetter) {
 // co-members' bits for this slot may be stale from filter changes while
 // the slot was uncovered.
 func (ms *MeshState) joinSetter(mi *meshIXP, slot int, s *meshSetter, f ixp.ExportFilter) {
+	mi.stale = true
 	s.covered = true
 	s.filter = f
 	s.allow.grow(len(mi.setters))
@@ -321,6 +334,7 @@ func (ms *MeshState) refilterSetter(mi *meshIXP, slot int, s *meshSetter, f ixp.
 		s.filter = f
 		return
 	}
+	mi.stale = true
 	s.filter = f
 	if old.Mode != f.Mode {
 		for j, o := range mi.setters {
@@ -397,6 +411,7 @@ func (ms *MeshState) removeLink(mi *meshIXP, a, b bgp.ASN) {
 // any event mutated its attribution, so it always records presence at
 // the last close.
 func (ms *MeshState) commitAdd(mi *meshIXP, key topology.LinkKey) {
+	ms.linksStale = true
 	names := ms.links[key]
 	if len(names) == 0 {
 		if _, seen := ms.changed[key]; !seen {
@@ -414,6 +429,7 @@ func (ms *MeshState) commitAdd(mi *meshIXP, key topology.LinkKey) {
 // commitRemove withdraws mi's attribution of a link, dropping the link
 // entirely when no IXP attributes it anymore.
 func (ms *MeshState) commitRemove(mi *meshIXP, key topology.LinkKey) {
+	ms.linksStale = true
 	names := ms.links[key]
 	i := sort.SearchStrings(names, mi.entry.Name)
 	names = slices.Delete(names, i, i+1)
@@ -460,28 +476,44 @@ func (ms *MeshState) CloseStability() float64 {
 // InferLinks over the same observation store: cloned link/attribution
 // maps, per-IXP filters and sources. The Members slices alias the
 // mesh's cached member lists; like every Result, snapshots are
-// read-only views. The clone fans out on up to workers goroutines —
-// one task per IXP plus one for the global link map, each writing
-// disjoint freshly-allocated state.
+// read-only views — which is what lets consecutive snapshots share
+// structure: an IXP no setter joined, left or re-filtered at since the
+// last call keeps its *IXPInference, an unchanged link set keeps its
+// Links map and link index, and when nothing changed at all the
+// previous *Result itself is returned, so whatever its consumers
+// memoized on it (CoveredMembers, BuildIndex) rides along. What did
+// change is cloned on up to workers goroutines — one task per IXP plus
+// one for the global link map, each writing disjoint freshly-allocated
+// state.
 //
 //mlplint:frozen
 func (ms *MeshState) Snapshot(workers int) *Result {
-	res := &Result{
-		PerIXP: make(map[string]*IXPInference, len(ms.dict.Entries)),
-		Links:  make(map[topology.LinkKey][]string, len(ms.links)),
+	prev := ms.snap
+	shareLinks := prev != nil && !ms.linksStale
+	if shareLinks && !slices.ContainsFunc(ms.dict.Entries, func(e *IXPEntry) bool { return ms.byName[e.Name].stale }) {
+		return prev
 	}
-	infs := make([]*IXPInference, len(ms.dict.Entries))
+	res := &Result{PerIXP: make(map[string]*IXPInference, len(ms.dict.Entries))}
+	if shareLinks {
+		res.Links, res.linkIndex = prev.Links, prev.linkIndex
+	} else {
+		res.Links = make(map[topology.LinkKey][]string, len(ms.links))
+	}
 	par.Run(workers, len(ms.dict.Entries)+1, func(t int) {
 		if t == 0 {
-			for k, names := range ms.links {
-				res.Links[k] = slices.Clone(names)
+			if !shareLinks {
+				for k, names := range ms.links {
+					res.Links[k] = slices.Clone(names)
+				}
 			}
 			return
 		}
-		e := ms.dict.Entries[t-1]
-		mi := ms.byName[e.Name]
+		mi := ms.byName[ms.dict.Entries[t-1].Name]
+		if mi.snap != nil && !mi.stale {
+			return
+		}
 		x := &IXPInference{
-			Name:    e.Name,
+			Name:    mi.entry.Name,
 			Members: mi.members,
 			Filters: make(map[bgp.ASN]ixp.ExportFilter, mi.covered),
 			Sources: make(map[bgp.ASN]DataSource, mi.covered),
@@ -496,10 +528,11 @@ func (ms *MeshState) Snapshot(workers int) *Result {
 				x.Sources[s.asn] = ObsPassive
 			}
 		}
-		infs[t-1] = x
+		mi.snap, mi.stale = x, false
 	})
-	for i, e := range ms.dict.Entries {
-		res.PerIXP[e.Name] = infs[i]
+	for _, e := range ms.dict.Entries {
+		res.PerIXP[e.Name] = ms.byName[e.Name].snap
 	}
+	ms.snap, ms.linksStale = res, false
 	return res
 }

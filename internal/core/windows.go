@@ -87,8 +87,10 @@ type WindowOptions struct {
 	// Result even in incremental streaming mode — the serving tier's
 	// epoch producer consumes windows through Stream but publishes the
 	// materialized mesh. No effect when Stream is nil (results are
-	// always materialized then). The Result is freshly built per close
-	// and safe to retain beyond the callback.
+	// always materialized then). The Result is immutable and safe to
+	// retain beyond the callback; whatever no churn touched since the
+	// previous close is shared with that window's Result (see
+	// MeshState.Snapshot), down to the same pointer for an idle window.
 	Materialize bool
 	// Ctx, when non-nil, cancels the replay: the run returns ctx.Err()
 	// at the next window-close boundary after cancellation. Committed

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"maps"
+	"slices"
 	"testing"
 	"time"
 
@@ -11,6 +13,7 @@ import (
 	"mlpeering/internal/mrt"
 	"mlpeering/internal/paths"
 	"mlpeering/internal/relation"
+	"mlpeering/internal/topology"
 )
 
 func upd(ts time.Time, peer bgp.ASN, path []bgp.ASN, cs bgp.Communities, nlri, withdrawn []bgp.Prefix) *mrt.BGP4MPMessage {
@@ -421,6 +424,12 @@ func TestWindowedShadowInferLinks(t *testing.T) {
 				if pw.MeshLinks != full.TotalLinks() {
 					t.Fatalf("window %d: MeshLinks %d, full inference %d", shadowCalls-1, pw.MeshLinks, full.TotalLinks())
 				}
+				// Snapshots share whatever no churn touched with the
+				// previous window's Result; the shared parts must still
+				// describe this window, field for field.
+				if diff := diffResults(pw.Result, full); diff != "" {
+					t.Fatalf("window %d: snapshot diverges from full InferLinks: %s", shadowCalls-1, diff)
+				}
 				if pw.P2PRels != countP2P(m.rel) {
 					t.Fatalf("window %d: P2PRels %d, full tally %d", shadowCalls-1, pw.P2PRels, countP2P(m.rel))
 				}
@@ -719,5 +728,183 @@ func TestResultFingerprint(t *testing.T) {
 	}
 	if bytes.Equal(w0.AppendMesh(nil), w1.AppendMesh(nil)) == (w0.Fingerprint() != w1.Fingerprint()) {
 		t.Fatalf("fingerprint equality diverges from mesh encoding equality")
+	}
+}
+
+// diffResults compares two Results structurally — per-IXP members,
+// filters, sources, covered lists and link sets, and the attributed
+// link map — returning the first difference, "" when equal.
+func diffResults(got, want *Result) string {
+	if len(got.PerIXP) != len(want.PerIXP) {
+		return fmt.Sprintf("%d IXPs, want %d", len(got.PerIXP), len(want.PerIXP))
+	}
+	for name, w := range want.PerIXP {
+		g := got.PerIXP[name]
+		if g == nil {
+			return name + ": missing"
+		}
+		if !slices.Equal(g.Members, w.Members) || !slices.Equal(g.CoveredMembers(), w.CoveredMembers()) {
+			return fmt.Sprintf("%s: members %v covered %v, want %v / %v", name, g.Members, g.CoveredMembers(), w.Members, w.CoveredMembers())
+		}
+		for m, wf := range w.Filters {
+			if gf, ok := g.Filters[m]; !ok || !gf.Equal(wf) || g.Sources[m] != w.Sources[m] {
+				return fmt.Sprintf("%s: setter %d filter/source differs", name, m)
+			}
+		}
+		if !maps.Equal(g.Links, w.Links) {
+			return fmt.Sprintf("%s: %d links, want %d", name, len(g.Links), len(w.Links))
+		}
+	}
+	if !maps.EqualFunc(got.Links, want.Links, slices.Equal[[]string]) {
+		return "attributed link maps differ"
+	}
+	return ""
+}
+
+// TestSnapshotSharesUnchangedStructure pins what consecutive
+// MeshState.Snapshot calls share: an idle window returns the previous
+// *Result itself (memos included), a window that churned one IXP
+// rebuilds that IXP's inference and keeps the other's pointer, and a
+// Result whose link set moved gets a fresh link map and no inherited
+// index.
+func TestSnapshotSharesUnchangedStructure(t *testing.T) {
+	d := testDict(t)
+	t0 := time.Date(2013, 5, 1, 2, 0, 0, 0, time.UTC)
+	w := 10 * time.Minute
+	p1 := bgp.MustPrefix("10.1.0.0/24")
+	p2 := bgp.MustPrefix("10.2.0.0/24")
+	p3 := bgp.MustPrefix("10.3.0.0/24")
+	p5 := bgp.MustPrefix("10.5.0.0/24")
+	all := comms(t, "6695:6695")
+	msk := comms(t, "8631:8631")
+
+	updates := []*mrt.BGP4MPMessage{
+		upd(t0.Add(-4*time.Minute), 100, []bgp.ASN{100, 200}, all, []bgp.Prefix{p1}, nil),
+		upd(t0.Add(-3*time.Minute), 100, []bgp.ASN{100, 300}, all, []bgp.Prefix{p2}, nil),
+		upd(t0.Add(-2*time.Minute), 100, []bgp.ASN{100, 400}, msk, []bgp.Prefix{p3}, nil),
+		upd(t0.Add(-time.Minute), 100, []bgp.ASN{100, 500}, msk, []bgp.Prefix{p5}, nil),
+		// Window 0: base only. Window 1: idle.
+		// Window 2: DE-CIX filter edit (200 excludes 300); MSK-IX untouched.
+		upd(t0.Add(2*w+time.Minute), 100, []bgp.ASN{100, 200}, comms(t, "6695:6695 0:300"), []bgp.Prefix{p1}, nil),
+		// Window 3: an announcement that re-derives 400's filter to the
+		// same policy: a dirty setter, nothing to rebuild.
+		upd(t0.Add(3*w+time.Minute), 100, []bgp.ASN{100, 400}, msk, []bgp.Prefix{bgp.MustPrefix("10.6.0.0/24")}, nil),
+		// Windows 4, 5: idle.
+	}
+
+	var results []*Result
+	opts := WindowOptions{Start: t0, Window: w, Count: 6, Materialize: true}
+	opts.Stream = func(pw *PassiveWindow) { results = append(results, pw.Result) }
+	opts.shadow = func(m *windowMiner, pw *PassiveWindow) {
+		if diff := diffResults(pw.Result, InferLinks(m.dict, m.obs)); diff != "" {
+			t.Fatalf("window %d: %s", len(results), diff)
+		}
+		// The consumer's prefill, as serve.NewSnapshot does it.
+		pw.Result.BuildIndex()
+	}
+	if _, err := RunPassiveWindows(nil, updates, d, opts); err != nil {
+		t.Fatal(err)
+	}
+	r := results
+	if r[0].TotalLinks() != 2 {
+		t.Fatalf("base mesh has %d links, want 2 (200-300 at DE-CIX, 400-500 at MSK-IX)", r[0].TotalLinks())
+	}
+	if r[1] != r[0] {
+		t.Error("idle window 1 did not return window 0's *Result")
+	}
+	if r[1].linkIndex == nil {
+		t.Error("the shared Result lost its index memo")
+	}
+	if r[2] == r[1] {
+		t.Fatal("churned window 2 returned the previous *Result")
+	}
+	if r[2].PerIXP["DE-CIX"] == r[1].PerIXP["DE-CIX"] {
+		t.Error("DE-CIX churned in window 2 but kept its *IXPInference")
+	}
+	if r[2].PerIXP["MSK-IX"] != r[1].PerIXP["MSK-IX"] {
+		t.Error("MSK-IX was untouched in window 2 but its *IXPInference was rebuilt")
+	}
+	if r[2].TotalLinks() != 1 || r[2].Fingerprint() == r[1].Fingerprint() {
+		t.Errorf("window 2 should have lost the 200-300 link: %d links", r[2].TotalLinks())
+	}
+	if r[3] != r[2] {
+		t.Error("window 3 re-derived an equal filter, yet did not return window 2's *Result")
+	}
+	if r[5] != r[3] || r[4] != r[3] {
+		t.Error("idle windows 4, 5 did not return window 3's *Result")
+	}
+	// The old Result is a retained immutable view: still the base mesh.
+	if r[0].TotalLinks() != 2 || len(r[0].linkIndex.Links) != 2 {
+		t.Error("window 0's Result drifted after later windows")
+	}
+}
+
+// TestLinkIndexMatchesScan checks the CSR rows against a full scan of
+// the link map, for every AS and IXP of a multi-IXP result.
+func TestLinkIndexMatchesScan(t *testing.T) {
+	d := testDict(t)
+	obs := NewObservations()
+	for i, m := range []bgp.ASN{100, 200, 300, 8359} {
+		obs.Add("DE-CIX", m, bgp.MustPrefix(fmt.Sprintf("10.%d.0.0/24", i)), comms(t, "6695:6695"), ObsPassive)
+	}
+	for i, m := range []bgp.ASN{100, 400, 500} {
+		obs.Add("MSK-IX", m, bgp.MustPrefix(fmt.Sprintf("11.%d.0.0/24", i)), comms(t, "8631:8631"), ObsPassive)
+	}
+	res := InferLinks(d, obs)
+	fp, mesh := res.Fingerprint(), res.AppendMesh(nil)
+	if res.linkIndex != nil {
+		t.Fatal("Fingerprint/AppendMesh built the index; only BuildIndex may")
+	}
+	x := res.BuildIndex()
+	if x != res.BuildIndex() || x != res.linkIndex {
+		t.Fatal("BuildIndex is not memoized")
+	}
+	if x.Fingerprint != fp || res.Fingerprint() != fp || !bytes.Equal(res.AppendMesh(nil), mesh) {
+		t.Fatal("indexed fingerprint/mesh encoding differs from the unindexed one")
+	}
+	if len(x.Links) != len(res.Links) || len(x.Links) != 9 {
+		t.Fatalf("index has %d links, result %d, want 9", len(x.Links), len(res.Links))
+	}
+	for i := 1; i < len(x.Links); i++ {
+		a, b := x.Links[i-1].Key, x.Links[i].Key
+		if a.A > b.A || a.A == b.A && a.B >= b.B {
+			t.Fatalf("links not ascending at %d: %v then %v", i, a, b)
+		}
+	}
+	gather := func(rows []uint32) []topology.LinkKey {
+		out := []topology.LinkKey{}
+		for _, i := range rows {
+			out = append(out, x.Links[i].Key)
+		}
+		return out
+	}
+	for _, asn := range []bgp.ASN{100, 200, 300, 400, 500, 8359, 600, 1} {
+		want := []topology.LinkKey{}
+		for _, l := range x.Links { // already ascending
+			if l.Key.A == asn || l.Key.B == asn {
+				want = append(want, l.Key)
+			}
+		}
+		if got := gather(x.ASLinks(asn)); !slices.Equal(got, want) {
+			t.Errorf("AS %d: rows %v, scan %v", asn, got, want)
+		}
+	}
+	for name, inf := range res.PerIXP {
+		rows, ok := x.IXPLinks(name)
+		if !ok {
+			t.Fatalf("IXP %s missing from the index", name)
+		}
+		got := gather(rows)
+		if len(got) != len(inf.Links) {
+			t.Errorf("IXP %s: %d rows, %d links", name, len(got), len(inf.Links))
+		}
+		for i, k := range got {
+			if !inf.Links[k] || i > 0 && (got[i-1].A > k.A || got[i-1].A == k.A && got[i-1].B >= k.B) {
+				t.Errorf("IXP %s: row %d (%v) not an ascending link of the IXP", name, i, k)
+			}
+		}
+	}
+	if _, ok := x.IXPLinks("NO-SUCH"); ok {
+		t.Error("IXPLinks found an IXP the result does not have")
 	}
 }

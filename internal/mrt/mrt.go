@@ -154,6 +154,12 @@ func UnmarshalPeerIndexTable(b []byte) (*PeerIndexTable, error) {
 	b = b[nameLen:]
 	count := int(get16(b))
 	b = b[2:]
+	// A peer entry is at least 11 bytes (type, BGP ID, IPv4 address,
+	// 2-byte ASN): refuse a count the body cannot hold before it sizes
+	// an allocation.
+	if err := need(b, 11*count, "peer entries"); err != nil {
+		return nil, err
+	}
 	t.Peers = make([]Peer, 0, count)
 	for i := 0; i < count; i++ {
 		if err := need(b, 5, "peer entry"); err != nil {
@@ -285,17 +291,30 @@ func UnmarshalRIBRecordArena(b []byte, v6 bool, arena *DumpArena) (*RIBRecord, e
 	}
 	r.Sequence = get32(b)
 	b = b[4:]
-	pfxs, err := bgp.DecodePrefixes(b[:1+int(b[0]+7)/8], v6)
+	// The prefix is a bit-length byte plus that many bits of address.
+	// The length is computed in int: in uint8, b[0]+7 wraps for
+	// lengths above 248 and the slice below would then run past a
+	// short body.
+	plen := 1 + (int(b[0])+7)/8
+	if err := need(b, plen, "RIB prefix"); err != nil {
+		return nil, err
+	}
+	pfxs, err := bgp.DecodePrefixes(b[:plen], v6)
 	if err != nil {
 		return nil, err
 	}
 	r.Prefix = pfxs[0]
-	b = b[1+(int(pfxs[0].Bits())+7)/8:]
+	b = b[plen:]
 	if err := need(b, 2, "RIB entry count"); err != nil {
 		return nil, err
 	}
 	count := int(get16(b))
 	b = b[2:]
+	// Every entry has an 8-byte header, so a count the body cannot hold
+	// is refused before it sizes an allocation.
+	if err := need(b, 8*count, "RIB entries"); err != nil {
+		return nil, err
+	}
 	var attrArena *bgp.AttrArena
 	if arena != nil {
 		r.Entries = arena.entrySlice(count)

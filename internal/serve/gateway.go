@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -40,9 +41,11 @@ type Config struct {
 // Gateway serves epoch-pinned inference snapshots. The read path is
 // lock-free: a request pins the current snapshot with one atomic
 // pointer load, bumps one atomic in-flight counter, and writes bytes
-// that were precomputed at publish — no mutex, no RWMutex, no map
-// writes. Publication is a single atomic pointer swap (RCU): readers
-// that loaded the old snapshot finish against it unperturbed.
+// that were either precomputed at publish (epoch, stats, mesh, ixps)
+// or append-encoded off the snapshot's link index in O(answer) (link,
+// as, ixp) — no mutex, no RWMutex, no map writes. Publication is a
+// single atomic pointer swap (RCU): readers that loaded the old
+// snapshot finish against it unperturbed.
 type Gateway struct {
 	cfg Config
 
@@ -52,7 +55,7 @@ type Gateway struct {
 	ready     chan struct{}
 	readyOnce sync.Once
 
-	cacheControl string
+	hdrCacheControl []string
 
 	// testHold, when non-nil, parks every admitted data request until
 	// the channel closes — the saturation and drain tests use it to
@@ -66,7 +69,7 @@ func New(cfg Config) *Gateway {
 	if cfg.MaxAge > 0 {
 		cc = fmt.Sprintf("public, max-age=%d, must-revalidate", int(cfg.MaxAge.Seconds()))
 	}
-	return &Gateway{cfg: cfg, ready: make(chan struct{}), cacheControl: cc}
+	return &Gateway{cfg: cfg, ready: make(chan struct{}), hdrCacheControl: []string{cc}}
 }
 
 // Current returns the currently-published snapshot (nil before the
@@ -119,7 +122,7 @@ func (g *Gateway) serveHTTP(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		w.WriteHeader(http.StatusOK)
 		if r.Method != http.MethodHead {
-			fmt.Fprintln(w, "ok")
+			io.WriteString(w, "ok\n")
 		}
 		return
 	}
@@ -146,61 +149,128 @@ func (g *Gateway) serveHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "no snapshot committed yet", http.StatusServiceUnavailable)
 		return
 	}
+	g.serveSnapshot(w, r, s)
+}
 
-	var body []byte
-	switch {
-	case r.URL.Path == "/v1/epoch":
-		body = s.epochJSON
-	case r.URL.Path == "/v1/stats":
-		body = s.statsJSON
-	case r.URL.Path == "/v1/mesh":
-		body = s.meshJSON
-	case r.URL.Path == "/v1/ixps":
-		body = s.ixpsJSON
-	case strings.HasPrefix(r.URL.Path, "/v1/ixp/"):
-		name := strings.TrimPrefix(r.URL.Path, "/v1/ixp/")
-		b, ok := RenderIXP(s.Epoch, s.Result, name)
-		if !ok {
+var hdrJSON = []string{"application/json"}
+
+// The data endpoints.
+const (
+	epEpoch = iota
+	epStats
+	epMesh
+	epIXPs
+	epIXP
+	epLink
+	epAS
+)
+
+// serveSnapshot answers one admitted data request from snapshot s in
+// three steps: resolve the query (404/400 for what the snapshot cannot
+// answer), settle the conditional — a matching If-None-Match is a 304
+// before anything is rendered — and only then produce the body: cached
+// bytes for the whole-snapshot endpoints, an O(answer) append-encode
+// off the link index for the point queries.
+//
+//mlplint:allocfree
+func (g *Gateway) serveSnapshot(w http.ResponseWriter, r *http.Request, s *Snapshot) {
+	var (
+		ep   int
+		a, b bgp.ASN
+		name string
+		rows []uint32
+	)
+	switch path := r.URL.Path; {
+	case path == "/v1/epoch":
+		ep = epEpoch
+	case path == "/v1/stats":
+		ep = epStats
+	case path == "/v1/mesh":
+		ep = epMesh
+	case path == "/v1/ixps":
+		ep = epIXPs
+	case strings.HasPrefix(path, "/v1/ixp/"):
+		ep, name = epIXP, path[len("/v1/ixp/"):]
+		var ok bool
+		if rows, ok = s.index.IXPLinks(name); !ok {
 			http.Error(w, "unknown IXP", http.StatusNotFound)
 			return
 		}
-		body = b
-	case r.URL.Path == "/v1/link":
-		a, errA := parseASN(r.URL.Query().Get("a"))
-		b, errB := parseASN(r.URL.Query().Get("b"))
-		if errA != nil || errB != nil {
+	case path == "/v1/link":
+		ep = epLink
+		var ok bool
+		if a, b, ok = parseLinkQuery(r.URL.RawQuery); !ok {
 			http.Error(w, "need numeric a= and b= ASN query parameters", http.StatusBadRequest)
 			return
 		}
-		body = RenderLink(s.Epoch, s.Result, a, b)
-	case strings.HasPrefix(r.URL.Path, "/v1/as/"):
-		asn, err := parseASN(strings.TrimPrefix(r.URL.Path, "/v1/as/"))
-		if err != nil {
+	case strings.HasPrefix(path, "/v1/as/"):
+		ep = epAS
+		var err error
+		if a, err = parseASN(path[len("/v1/as/"):]); err != nil {
 			http.Error(w, "bad ASN", http.StatusBadRequest)
 			return
 		}
-		body = RenderAS(s.Epoch, s.Result, asn)
 	default:
 		http.Error(w, "not found", http.StatusNotFound)
 		return
 	}
 
+	// The validators are the same for every response of an epoch, so
+	// their header values are built once per snapshot and shared (keys
+	// spelled canonically, as Header.Set would store them).
 	h := w.Header()
-	h.Set("ETag", s.ETag)
-	h.Set("Cache-Control", g.cacheControl)
-	h.Set("Last-Modified", s.Committed.UTC().Format(http.TimeFormat))
-	h.Set("X-MLP-Epoch", strconv.FormatUint(s.Epoch, 10))
+	h["Etag"] = s.hdrETag
+	h["Cache-Control"] = g.hdrCacheControl
+	h["Last-Modified"] = s.hdrLastModified
+	h["X-Mlp-Epoch"] = s.hdrEpoch
 
 	if etagMatch(r.Header.Get("If-None-Match"), s.ETag) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
 
-	h.Set("Content-Type", "application/json")
-	h.Set("Content-Length", strconv.Itoa(len(body)))
+	// A body is head+body+tail; only /v1/mesh, whose link array is
+	// shared between epochs, has more than the middle part.
+	var head, body []byte
+	tail := ""
+	switch ep {
+	case epEpoch:
+		body = s.epochJSON
+	case epStats:
+		body = s.statsJSON
+	case epMesh:
+		head, body, tail = s.meshHead, s.index.Encoded, "}"
+	case epIXPs:
+		body = s.ixpsJSON
+	case epIXP:
+		inf := s.Result.PerIXP[name]
+		//mlplint:allocfree the response body: one buffer per request, sized so the encoder never regrows it
+		body = make([]byte, 0, ixpBodySize(name, inf, rows))
+		body = appendIXP(body, s.Epoch, s.index, name, inf, rows)
+	case epLink:
+		//mlplint:allocfree the response body: one small buffer per request
+		body = make([]byte, 0, 128)
+		body = appendLinkLookup(body, s.Epoch, s.Result, a, b)
+	case epAS:
+		rows = s.index.ASLinks(a)
+		//mlplint:allocfree the response body: one buffer per request, sized from the AS's degree
+		body = make([]byte, 0, asBodySize(rows))
+		body = appendAS(body, s.Epoch, s.index, a, rows)
+	}
+
+	h["Content-Type"] = hdrJSON
+	// The length differs per response: its one-element value slice is
+	// the read path's only allocation besides the body (allocgate.base).
+	h.Set("Content-Length", strconv.Itoa(len(head)+len(body)+len(tail)))
 	w.WriteHeader(http.StatusOK)
 	if r.Method != http.MethodHead {
+		if len(head) > 0 {
+			w.Write(head)
+		}
 		w.Write(body)
+		if tail != "" {
+			io.WriteString(w, tail)
+		}
 	}
 }
 
@@ -213,10 +283,40 @@ func parseASN(s string) (bgp.ASN, error) {
 	return bgp.ASN(n), nil
 }
 
+// parseLinkQuery reads the a= and b= ASNs of a /v1/link query straight
+// off the raw query string — no url.Values map per request. The first
+// occurrence of each key counts, as with url.Values.Get; a missing or
+// non-decimal value (ASNs never need percent-escapes) fails.
+//
+//mlplint:allocfree
+func parseLinkQuery(raw string) (a, b bgp.ASN, ok bool) {
+	var haveA, haveB bool
+	for raw != "" {
+		var pair string
+		pair, raw, _ = strings.Cut(raw, "&")
+		key, val, _ := strings.Cut(pair, "=")
+		var err error
+		switch {
+		case key == "a" && !haveA:
+			a, err = parseASN(val)
+			haveA = true
+		case key == "b" && !haveB:
+			b, err = parseASN(val)
+			haveB = true
+		}
+		if err != nil {
+			return 0, 0, false
+		}
+	}
+	return a, b, haveA && haveB
+}
+
 // etagMatch reports whether an If-None-Match header matches the
 // snapshot's strong ETag: `*` matches anything, otherwise any tag in
 // the comma-separated list equal to the current tag matches (a weak
 // `W/` prefix is stripped first — weak comparison suffices for GET).
+//
+//mlplint:allocfree
 func etagMatch(inm, etag string) bool {
 	if inm == "" {
 		return false
@@ -224,10 +324,10 @@ func etagMatch(inm, etag string) bool {
 	if strings.TrimSpace(inm) == "*" {
 		return true
 	}
-	for _, cand := range strings.Split(inm, ",") {
-		cand = strings.TrimSpace(cand)
-		cand = strings.TrimPrefix(cand, "W/")
-		if cand == etag {
+	for inm != "" {
+		var cand string
+		cand, inm, _ = strings.Cut(inm, ",")
+		if strings.TrimPrefix(strings.TrimSpace(cand), "W/") == etag {
 			return true
 		}
 	}

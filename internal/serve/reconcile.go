@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"time"
 
 	"mlpeering/internal/core"
@@ -13,32 +14,21 @@ import (
 // loop, publishing every committed window as the next epoch snapshot.
 // Like an always-converging reconciler it never stops on its own —
 // when the trace's horizon is exhausted it replays again, epochs
-// numbering monotonically across cycles — and returns only when ctx
-// is cancelled (returning nil) or the world cannot be built and
-// retries keep failing ctx away.
+// numbering monotonically across cycles — and returns nil when ctx is
+// cancelled. A world that cannot be built is returned as an error at
+// once: the build is a pure function of the configuration (16-bit
+// alias exhaustion at baseline Scale >= 4, say), so the same error
+// would come back on every retry and the gateway would sit at 503
+// forever.
 func (g *Gateway) Run(ctx context.Context) error {
 	logf := g.cfg.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
 
-	var ct *experiments.ChurnTrace
-	backoff := time.Second
-	for {
-		var err error
-		ct, err = experiments.BuildChurnTrace(g.cfg.Topology, g.cfg.Churn)
-		if err == nil {
-			break
-		}
-		logf("serve: build churn trace: %v (retrying in %v)", err, backoff)
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(backoff):
-		}
-		if backoff *= 2; backoff > 30*time.Second {
-			backoff = 30 * time.Second
-		}
+	ct, err := experiments.BuildChurnTrace(g.cfg.Topology, g.cfg.Churn)
+	if err != nil {
+		return fmt.Errorf("serve: build churn trace: %w", err)
 	}
 	logf("serve: world ready: scenario=%s epochs=%d interval=%v", ct.Scenario, ct.Epochs, ct.Interval)
 

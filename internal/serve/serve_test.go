@@ -8,7 +8,9 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -477,13 +479,50 @@ func TestGatewayEndToEndEpochs(t *testing.T) {
 	}
 }
 
+// TestRunFailsFastOnBuildError pins the reconciler's failure
+// semantics: a world that cannot be built is a deterministic error, so
+// Run returns it at once — no backoff loop, no snapshot, the gateway
+// never reports ready — and lgserve turns that into a non-zero exit.
+func TestRunFailsFastOnBuildError(t *testing.T) {
+	cfg := topology.TestConfig()
+	cfg.Scenario = "no-such-scenario"
+	g := New(Config{Topology: cfg, Churn: churn.DefaultConfig(1)})
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- g.Run(ctx) }()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "no-such-scenario") {
+			t.Fatalf("Run returned %v, want the scenario error", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run is still retrying a deterministic build error after 10s")
+	}
+	select {
+	case <-g.Ready():
+		t.Fatal("gateway reported ready without a world")
+	default:
+	}
+	if rr := get(t, g.Handler(), "/v1/epoch", nil); rr.Code != http.StatusServiceUnavailable {
+		t.Fatalf("GET /v1/epoch without a world = %d, want 503", rr.Code)
+	}
+}
+
 // TestGatewayConcurrentEpochSwap is the race-job test: readers hammer
-// the handler while a writer republishes snapshots, asserting every
-// response is internally consistent (epoch header matches the body's
-// epoch) and per-goroutine epochs never move backwards.
+// every data endpoint — the cached bodies, the index-backed point
+// queries, conditional revalidations — while a writer republishes the
+// windows of a churned replay over and over, so snapshots sharing a
+// Result (and its memos) with their predecessor swap in under the
+// readers. Every response must be internally consistent (epoch header
+// matches the body's epoch) and per-goroutine epochs never move
+// backwards.
 func TestGatewayConcurrentEpochSwap(t *testing.T) {
-	_, res := testResult(t)
-	g := testGateway(t, res)
+	var windows []core.PassiveWindow
+	churnedWindows(t, func(pw *core.PassiveWindow) { windows = append(windows, *pw) })
+	committed := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
+	g := New(Config{MaxInFlight: 64})
+	g.publish(NewSnapshot(1, "test-world", &windows[0], committed))
 	h := g.Handler()
 
 	stop := make(chan struct{})
@@ -499,11 +538,15 @@ func TestGatewayConcurrentEpochSwap(t *testing.T) {
 			default:
 			}
 			epoch++
-			committed := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC).Add(time.Duration(epoch) * time.Second)
-			g.publish(NewSnapshot(epoch, "test-world", testWindow(res, int(epoch)), committed))
+			pw := &windows[int(epoch-1)%len(windows)]
+			g.publish(NewSnapshot(epoch, "test-world", pw, committed.Add(time.Duration(epoch)*time.Second)))
 		}
 	}()
 
+	paths := []string{
+		"/v1/epoch", "/v1/as/200", "/v1/link?a=200&b=300", "/v1/mesh", "/v1/ixp/DE-CIX",
+		"/v1/stats", "/v1/as/4200000000", "/v1/ixps", "/v1/ixp/" + url.PathEscape(hostileName),
+	}
 	var readers sync.WaitGroup
 	errs := make(chan error, 8)
 	for r := 0; r < 8; r++ {
@@ -511,12 +554,19 @@ func TestGatewayConcurrentEpochSwap(t *testing.T) {
 		go func() {
 			defer readers.Done()
 			var last uint64
-			for i := 0; i < 400; i++ {
-				rr := get(t, h, "/v1/epoch", nil)
-				if rr.Code != http.StatusOK {
-					errs <- fmt.Errorf("status %d", rr.Code)
+			var etag string
+			for i := 0; i < 450; i++ {
+				path := paths[(i+r)%len(paths)]
+				var hdr map[string]string
+				if i%3 == 2 {
+					hdr = map[string]string{"If-None-Match": etag}
+				}
+				rr := get(t, h, path, hdr)
+				if rr.Code != http.StatusOK && !(rr.Code == http.StatusNotModified && hdr != nil) {
+					errs <- fmt.Errorf("%s: status %d", path, rr.Code)
 					return
 				}
+				etag = rr.Header().Get("ETag")
 				e, err := strconv.ParseUint(rr.Header().Get("X-MLP-Epoch"), 10, 64)
 				if err != nil {
 					errs <- err
@@ -527,15 +577,22 @@ func TestGatewayConcurrentEpochSwap(t *testing.T) {
 					return
 				}
 				last = e
+				if rr.Code == http.StatusNotModified {
+					if rr.Body.Len() != 0 {
+						errs <- fmt.Errorf("%s: 304 carried a body", path)
+						return
+					}
+					continue
+				}
 				var body struct {
 					Epoch uint64 `json:"epoch"`
 				}
 				if err := json.Unmarshal(rr.Body.Bytes(), &body); err != nil {
-					errs <- err
+					errs <- fmt.Errorf("%s: %v", path, err)
 					return
 				}
 				if body.Epoch != e {
-					errs <- fmt.Errorf("torn snapshot: header epoch %d, body epoch %d", e, body.Epoch)
+					errs <- fmt.Errorf("%s: torn snapshot: header epoch %d, body epoch %d", path, e, body.Epoch)
 					return
 				}
 			}

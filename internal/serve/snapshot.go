@@ -14,12 +14,12 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
+	"net/http"
+	"strconv"
 	"time"
 
 	"mlpeering/internal/bgp"
 	"mlpeering/internal/core"
-	"mlpeering/internal/topology"
 )
 
 // WindowStats is the committed window's counter block, republished per
@@ -69,23 +69,42 @@ type Snapshot struct {
 	// Result is the materialized inference the query endpoints read.
 	Result *core.Result
 
-	// Precomputed canonical renders of the whole-snapshot endpoints,
-	// built once at publish so the read path only writes cached bytes.
-	epochJSON, statsJSON, meshJSON, ixpsJSON []byte
+	// index is Result's link index: the sorted link array every body
+	// is encoded from, the per-AS and per-IXP adjacency rows the point
+	// queries read, and the encoded link array of /v1/mesh.
+	index *core.LinkIndex
+
+	// Precomputed at publish so the read path only writes cached bytes:
+	// the whole-snapshot bodies (meshHead is completed by index.Encoded
+	// and a closing brace) and the per-epoch header values.
+	epochJSON, statsJSON, ixpsJSON, meshHead []byte
+	hdrETag, hdrEpoch, hdrLastModified       []string
 }
 
 // NewSnapshot derives the immutable epoch snapshot of one committed
 // window. pw.Result must be materialized (WindowOptions.Materialize);
 // committed is the wall-clock commit instant the caller observed.
-// All sorted renders are precomputed here, inside the sanctioned
-// construction window, so publication needs no further writes.
+//
+// This is the prefill window: every memo the read path relies on — the
+// Result's link index, the index's encoded link array, every per-IXP
+// CoveredMembers list — is filled here, before publication, so serving
+// never writes. A memo that is already there is left alone, which is
+// how a Result (or an IXPInference) shared with the previous epoch
+// publishes without being sorted or encoded again.
 //
 //mlplint:frozen
 func NewSnapshot(epoch uint64, scenario string, pw *core.PassiveWindow, committed time.Time) *Snapshot {
 	res := pw.Result
+	idx := res.BuildIndex()
+	if idx.Encoded == nil {
+		idx.Encoded = appendLinkArray(make([]byte, 0, 48*len(idx.Links)+2), idx.Links)
+	}
+	for _, name := range idx.IXPs {
+		res.PerIXP[name].CoveredMembers()
+	}
 	s := &Snapshot{
 		Epoch:       epoch,
-		Fingerprint: res.Fingerprint(),
+		Fingerprint: idx.Fingerprint,
 		WindowStart: pw.Start,
 		WindowEnd:   pw.End,
 		Committed:   committed,
@@ -103,33 +122,17 @@ func NewSnapshot(epoch uint64, scenario string, pw *core.PassiveWindow, committe
 			Stability:     pw.Stability,
 			CloseTimeNS:   pw.CloseTime.Nanoseconds(),
 		},
+		index:           idx,
+		hdrEpoch:        []string{strconv.FormatUint(epoch, 10)},
+		hdrLastModified: []string{committed.UTC().Format(http.TimeFormat)},
 	}
 	s.ETag = fmt.Sprintf("%q", fmt.Sprintf("e%d-%016x", epoch, s.Fingerprint))
+	s.hdrETag = []string{s.ETag}
 	s.epochJSON = renderEpochMeta(s)
 	s.statsJSON = renderStats(s)
-	s.meshJSON = RenderMesh(epoch, s.Fingerprint, res)
-	s.ixpsJSON = RenderIXPList(epoch, res)
-	// Prefill every per-IXP CoveredMembers memo while still inside the
-	// construction window, so no dynamic render performs the (waived,
-	// idempotent) first-read fill after publication.
-	for _, name := range sortedIXPNames(res) {
-		res.PerIXP[name].CoveredMembers()
-	}
+	s.meshHead = appendMeshHead(nil, epoch, s.Fingerprint)
+	s.ixpsJSON = appendIXPList(nil, epoch, res, idx)
 	return s
-}
-
-// linkDTO is one inferred link with its IXP attribution.
-type linkDTO struct {
-	A    bgp.ASN  `json:"a"`
-	B    bgp.ASN  `json:"b"`
-	IXPs []string `json:"ixps"`
-}
-
-// meshDTO is the /v1/mesh payload.
-type meshDTO struct {
-	Epoch       uint64    `json:"epoch"`
-	Fingerprint string    `json:"fingerprint"`
-	Links       []linkDTO `json:"links"`
 }
 
 // epochDTO is the /v1/epoch payload.
@@ -150,51 +153,11 @@ type statsDTO struct {
 	Stats       WindowStats `json:"stats"`
 }
 
-// ixpSummaryDTO is one row of the /v1/ixps payload.
-type ixpSummaryDTO struct {
-	Name    string `json:"name"`
-	Members int    `json:"members"`
-	Covered int    `json:"covered"`
-	Passive int    `json:"passive"`
-	Active  int    `json:"active"`
-	Links   int    `json:"links"`
-}
-
-// ixpListDTO is the /v1/ixps payload.
-type ixpListDTO struct {
-	Epoch uint64          `json:"epoch"`
-	IXPs  []ixpSummaryDTO `json:"ixps"`
-}
-
-// ixpDTO is the /v1/ixp/<name> payload.
-type ixpDTO struct {
-	Epoch   uint64    `json:"epoch"`
-	Name    string    `json:"name"`
-	Members int       `json:"members"`
-	Covered []bgp.ASN `json:"covered"`
-	Passive int       `json:"passive"`
-	Active  int       `json:"active"`
-	Links   []linkDTO `json:"links"`
-}
-
-// linkLookupDTO is the /v1/link payload.
-type linkLookupDTO struct {
-	Epoch   uint64   `json:"epoch"`
-	A       bgp.ASN  `json:"a"`
-	B       bgp.ASN  `json:"b"`
-	Present bool     `json:"present"`
-	IXPs    []string `json:"ixps"`
-}
-
-// asDTO is the /v1/as/<asn> payload.
-type asDTO struct {
-	Epoch uint64    `json:"epoch"`
-	ASN   bgp.ASN   `json:"asn"`
-	Links []linkDTO `json:"links"`
-}
-
-// mustJSON marshals a render DTO; the DTOs contain no unmarshalable
-// types, so a failure is a programming error.
+// mustJSON marshals one of the two constant-size per-epoch bodies
+// (epoch, stats), whose time and float spellings are encoding/json's to
+// define; everything mesh-shaped goes through the append encoder. The
+// DTOs contain no unmarshalable types, so a failure is a programming
+// error.
 func mustJSON(v any) []byte {
 	b, err := json.Marshal(v)
 	if err != nil {
@@ -207,117 +170,51 @@ func mustJSON(v any) []byte {
 // used in payloads and ETags.
 func FingerprintHex(fp uint64) string { return fmt.Sprintf("%016x", fp) }
 
-// sortedLinkKeys extracts a result's link keys in ascending (A, B)
-// order — every render that walks the Links map goes through it so
-// bodies are byte-identical for the same (epoch, query).
-func sortedLinkKeys(links map[topology.LinkKey][]string) []topology.LinkKey {
-	keys := make([]topology.LinkKey, 0, len(links))
-	for k := range links {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].A != keys[j].A {
-			return keys[i].A < keys[j].A
-		}
-		return keys[i].B < keys[j].B
-	})
-	return keys
-}
-
-// sortedIXPNames extracts the per-IXP map keys ascending.
-func sortedIXPNames(r *core.Result) []string {
-	names := make([]string, 0, len(r.PerIXP))
-	for name := range r.PerIXP {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
+// The exported renders below are pure functions of (epoch, result,
+// query) producing exactly the bytes the gateway serves for them — the
+// conformance tests and the benchmark's byte check call them. They go
+// through the Result's link index, building it if the Result has never
+// been published (core.Result.BuildIndex: a first call on a Result
+// other goroutines already read is the caller's race to avoid).
 
 // RenderMesh renders the full inferred mesh: every link ascending with
-// its sorted IXP attribution. The render is a pure function of
-// (epoch, fingerprint, result), so gateway responses are byte-equal to
-// a direct render of the same core.Result — the conformance tests pin
-// that.
+// its sorted IXP attribution. It encodes the link array afresh, so a
+// byte check against /v1/mesh also checks the snapshot's cached copy.
 func RenderMesh(epoch uint64, fingerprint uint64, r *core.Result) []byte {
-	dto := meshDTO{Epoch: epoch, Fingerprint: FingerprintHex(fingerprint), Links: make([]linkDTO, 0, len(r.Links))}
-	for _, k := range sortedLinkKeys(r.Links) {
-		dto.Links = append(dto.Links, linkDTO{A: k.A, B: k.B, IXPs: r.Links[k]})
-	}
-	return mustJSON(dto)
+	links := r.BuildIndex().Links
+	b := appendMeshHead(make([]byte, 0, 64+48*len(links)), epoch, fingerprint)
+	return append(appendLinkArray(b, links), '}')
 }
 
 // RenderIXPList renders the per-IXP coverage summary, sorted by name.
 func RenderIXPList(epoch uint64, r *core.Result) []byte {
-	dto := ixpListDTO{Epoch: epoch, IXPs: make([]ixpSummaryDTO, 0, len(r.PerIXP))}
-	for _, name := range sortedIXPNames(r) {
-		x := r.PerIXP[name]
-		dto.IXPs = append(dto.IXPs, ixpSummaryDTO{
-			Name:    name,
-			Members: len(x.Members),
-			Covered: len(x.CoveredMembers()),
-			Passive: x.PassiveCount(),
-			Active:  x.ActiveCount(),
-			Links:   len(x.Links),
-		})
-	}
-	return mustJSON(dto)
+	return appendIXPList(nil, epoch, r, r.BuildIndex())
 }
 
 // RenderIXP renders one IXP's inference; ok is false when the
 // dictionary has no such IXP.
 func RenderIXP(epoch uint64, r *core.Result, name string) ([]byte, bool) {
-	x, ok := r.PerIXP[name]
+	idx := r.BuildIndex()
+	rows, ok := idx.IXPLinks(name)
 	if !ok {
 		return nil, false
 	}
-	dto := ixpDTO{
-		Epoch:   epoch,
-		Name:    name,
-		Members: len(x.Members),
-		Covered: x.CoveredMembers(),
-		Passive: x.PassiveCount(),
-		Active:  x.ActiveCount(),
-		Links:   make([]linkDTO, 0, len(x.Links)),
-	}
-	keys := make([]topology.LinkKey, 0, len(x.Links))
-	for k := range x.Links {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].A != keys[j].A {
-			return keys[i].A < keys[j].A
-		}
-		return keys[i].B < keys[j].B
-	})
-	for _, k := range keys {
-		dto.Links = append(dto.Links, linkDTO{A: k.A, B: k.B, IXPs: []string{name}})
-	}
-	return mustJSON(dto), true
+	inf := r.PerIXP[name]
+	return appendIXP(make([]byte, 0, ixpBodySize(name, inf, rows)), epoch, idx, name, inf, rows), true
 }
 
 // RenderLink renders one link lookup (the relationship query): whether
 // the pair peers multilaterally and at which IXPs.
 func RenderLink(epoch uint64, r *core.Result, a, b bgp.ASN) []byte {
-	key := topology.MakeLinkKey(a, b)
-	ixps, present := r.Links[key]
-	dto := linkLookupDTO{Epoch: epoch, A: key.A, B: key.B, Present: present, IXPs: ixps}
-	if dto.IXPs == nil {
-		dto.IXPs = []string{}
-	}
-	return mustJSON(dto)
+	return appendLinkLookup(nil, epoch, r, a, b)
 }
 
 // RenderAS renders every inferred link one AS participates in (the
 // route/neighbor view of the mesh), ascending by peer.
 func RenderAS(epoch uint64, r *core.Result, asn bgp.ASN) []byte {
-	dto := asDTO{Epoch: epoch, ASN: asn, Links: []linkDTO{}}
-	for _, k := range sortedLinkKeys(r.Links) {
-		if k.A == asn || k.B == asn {
-			dto.Links = append(dto.Links, linkDTO{A: k.A, B: k.B, IXPs: r.Links[k]})
-		}
-	}
-	return mustJSON(dto)
+	idx := r.BuildIndex()
+	rows := idx.ASLinks(asn)
+	return appendAS(make([]byte, 0, asBodySize(rows)), epoch, idx, asn, rows)
 }
 
 func renderEpochMeta(s *Snapshot) []byte {

@@ -9,34 +9,85 @@
 #        ./scripts/lint.sh -frozen-coverage-only
 #
 # -frozen-coverage-only runs just the serving-tier frozen-annotation
-# coverage check (the CI lint job's dedicated step).
+# and memo-write coverage check (the CI lint job's dedicated step).
 set -u
 
 cd "$(dirname "$0")/.."
 
 # The gateway publishes Snapshot by atomic pointer swap and readers
-# never synchronize, so its immutability must stay machine-checked:
-# both the type and its builder have to carry //mlplint:frozen for the
-# frozen analyzer to have jurisdiction. Deleting either annotation
-# would silently disarm that check — so their presence is a gate.
+# never synchronize, so its immutability — and that of the core.Result
+# and core.LinkIndex it shares between epochs — must stay
+# machine-checked: the types and their builders have to carry
+# //mlplint:frozen for the frozen analyzer to have jurisdiction.
+# Deleting an annotation would silently disarm that check — so their
+# presence is a gate.
+#
+# The read-side memos are the one sanctioned exception to "never
+# written after the builder returns", so where they are written is
+# gated too: Result.linkIndex only in Result.BuildIndex (under a
+# reasoned //mlplint:frozen waiver on the line above) and in the
+# MeshState.Snapshot builder that hands it on; LinkIndex.Encoded only in
+# serve.NewSnapshot, the prefill window. A write anywhere else — or the
+# waiver gone — fails.
 frozen_coverage() {
-  local ok=0
-  for decl in 'type Snapshot struct' 'func NewSnapshot('; do
+  local ok=0 file decl
+  while IFS='|' read -r file decl; do
     if ! awk -v decl="$decl" '
         /^\/\/mlplint:frozen/ { armed = 1; next }
         index($0, decl) == 1  { if (armed) found = 1 }
         !/^\/\// && !/^$/     { armed = 0 }
         END { exit found ? 0 : 1 }
-      ' internal/serve/snapshot.go; then
-      echo "frozen coverage: internal/serve/snapshot.go: \`$decl\` lost its //mlplint:frozen annotation" >&2
+      ' "$file"; then
+      echo "frozen coverage: $file: \`$decl\` lost its //mlplint:frozen annotation" >&2
       ok=1
     fi
-  done
+  done <<'DECLS'
+internal/serve/snapshot.go|type Snapshot struct
+internal/serve/snapshot.go|func NewSnapshot(
+internal/core/infer.go|type Result struct
+internal/core/linkindex.go|type LinkIndex struct
+internal/core/linkindex.go|func newLinkIndex(
+internal/core/meshstate.go|func (ms *MeshState) Snapshot(
+DECLS
+
+  # Memo write sites: field|functions allowed to assign it.
+  local field allowed
+  while IFS='|' read -r field allowed; do
+    if ! find internal cmd -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -print0 |
+      xargs -0 awk -v field="$field" -v allowed="$allowed" '
+        FNR == 1                  { fn = ""; builder = 0; armed = 0; prev = "" }
+        /^\/\/mlplint:frozen[ \t]*$/ { armed = 1 }
+        /^func /                  {
+          fn = $0; sub(/^func (\([^)]*\) )?/, "", fn); sub(/[^A-Za-z0-9_].*/, "", fn)
+          builder = armed
+        }
+        !/^\/\// && !/^$/         { armed = 0 }
+        $0 ~ "\\." field "[ \t]*(,[^=;(){}]*)?=[^=]" {
+          n++
+          if (index("," allowed ",", "," fn ",") == 0) {
+            printf "frozen coverage: %s:%d: memo field .%s written in %s, outside its builder/prefill window (%s)\n", FILENAME, FNR, field, fn, allowed > "/dev/stderr"
+            bad = 1
+          } else if (!builder && prev !~ /\/\/mlplint:frozen [^ ]/) {
+            printf "frozen coverage: %s:%d: memo write to .%s lost its //mlplint:frozen <reason> waiver\n", FILENAME, FNR, field > "/dev/stderr"
+            bad = 1
+          }
+        }
+        { prev = $0 }
+        END {
+          if (!n) { printf "frozen coverage: no write to memo field .%s found; update scripts/lint.sh if it was renamed\n", field > "/dev/stderr"; bad = 1 }
+          exit bad
+        }'; then
+      ok=1
+    fi
+  done <<'MEMOS'
+linkIndex|BuildIndex,Snapshot
+Encoded|NewSnapshot
+MEMOS
   return "$ok"
 }
 
 if [ "${1:-}" = "-frozen-coverage-only" ]; then
-  echo "==> frozen coverage (serving-tier snapshot types)"
+  echo "==> frozen coverage (serving-tier snapshot types and memos)"
   frozen_coverage || { echo "lint: FAILED" >&2; exit 1; }
   echo "lint: OK"
   exit 0
@@ -66,7 +117,7 @@ go vet "${pkgs[@]}" || failed=1
 echo "==> mlplint (invariant analyzers)"
 go run ./cmd/mlplint "${pkgs[@]}" || failed=1
 
-echo "==> frozen coverage (serving-tier snapshot types)"
+echo "==> frozen coverage (serving-tier snapshot types and memos)"
 frozen_coverage || failed=1
 
 echo "==> allocgate (hot-path escape analysis)"
