@@ -563,6 +563,42 @@ func BenchmarkChurnEpoch(b *testing.B) {
 	}
 }
 
+func BenchmarkChurnTraceBuild(b *testing.B) {
+	// The update-trace build at paper scale (Scale 1, 4,721 ASes): the
+	// feeder snapshot plus 12 one-minute churn epochs of Engine.Apply,
+	// UpdateStream.WriteEpoch and the ground-truth mesh — set-up of three
+	// of the four repo benchmark workloads and lgserve's cold start.
+	// The world is rebuilt untimed each iteration (Run mutates it).
+	// WriteEpoch walks visible-dests trees through the pooled parallel
+	// subset walk, not dirty-dests (both summed over the 12 epochs).
+	ccfg := churn.DefaultConfig(20130501)
+	ccfg.Epochs, ccfg.Interval = 12, time.Minute
+	var dirty, visible int
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		topo, err := topology.Generate(topology.DefaultConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		eng := propagate.NewEngine(topo, 0)
+		col := collector.New("rrc-churn", eng, nil, 4)
+		runner := churn.NewRunner(eng, ccfg)
+		var buf bytes.Buffer
+		b.StartTimer()
+		trace, err := runner.Run(&buf, col, pipeline.Timestamp.Add(2*time.Hour))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, ep := range trace.Epochs {
+			dirty += ep.DirtyDests
+			visible += ep.VisibleDests
+		}
+	}
+	b.ReportMetric(float64(dirty)/float64(b.N), "dirty-dests/op")
+	b.ReportMetric(float64(visible)/float64(b.N), "visible-dests/op")
+}
+
 func BenchmarkWindowedInference(b *testing.B) {
 	// Windowed inference under churn over scaled-world@Scale-10 (33
 	// IXPs, ~16k ASes) with minute-scale windows: the delta-maintained

@@ -27,8 +27,8 @@
 //
 // In both modes SIGINT/SIGTERM shut the server down gracefully:
 // in-flight requests get up to -drain to finish before the listener
-// closes. A world that cannot be built (an unknown scenario, the
-// baseline scenario's 16-bit alias space exhausted at -scale >= 4) is
+// closes. A world that cannot be built (an unknown scenario, a baseline
+// -scale >= 4 whose exchanges would overflow the 16-bit alias table) is
 // fatal: lgserve logs the build error and exits non-zero instead of
 // answering 503 forever.
 package main

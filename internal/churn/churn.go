@@ -453,9 +453,12 @@ type EpochStats struct {
 	Epoch      int
 	Ops        int
 	DirtyDests int
-	Announced  int // prefix announcements emitted
-	Withdrawn  int // prefix withdrawals emitted
-	TruthLinks int // ground-truth reciprocal ML links after the epoch
+	// VisibleDests is the part of DirtyDests the update stream walked:
+	// the destinations a collector feeder could see change.
+	VisibleDests int
+	Announced    int // prefix announcements emitted
+	Withdrawn    int // prefix withdrawals emitted
+	TruthLinks   int // ground-truth reciprocal ML links after the epoch
 }
 
 // Trace is the outcome of a full churn run: per-epoch stats and the
@@ -492,7 +495,7 @@ func (r *Runner) Run(w io.Writer, col *collector.Collector, start time.Time) (*T
 		}
 		truth := r.topo.AllGroundTruthReciprocalLinks()
 		tr.Epochs = append(tr.Epochs, EpochStats{
-			Epoch: k, Ops: d.Ops(), DirtyDests: len(dirty),
+			Epoch: k, Ops: d.Ops(), DirtyDests: len(dirty), VisibleDests: stream.Visible(),
 			Announced: ann, Withdrawn: wd, TruthLinks: len(truth),
 		})
 		tr.Truth = append(tr.Truth, truth)

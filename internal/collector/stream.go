@@ -13,12 +13,20 @@ import (
 // UpdateStream turns epochal world mutation into a true announce +
 // withdraw BGP4MP trace: it snapshots every feeder's exported route per
 // destination, and after each epoch's Engine.Apply diffs the dirty
-// destinations against the snapshot, emitting withdrawals for routes
-// and prefixes that disappeared and announcements for routes that
-// appeared or changed — the message mix real collectors archive, unlike
-// the announce-only re-broadcast churn of WriteUpdates.
+// destinations its feeders can see change against the snapshot,
+// emitting withdrawals for routes and prefixes that disappeared and
+// announcements for routes that appeared or changed — the message mix
+// real collectors archive, unlike the announce-only re-broadcast churn
+// of WriteUpdates.
 type UpdateStream struct {
 	col *Collector
+
+	// The feeders whose exported route churn can change. A peer-style
+	// feeder exports customer routes only, and customer-class hops
+	// depend on transit edges alone, which no delta touches: only
+	// full-table feeders are vantages.
+	vantages *propagate.Vantages
+	visible  int // destinations the last WriteEpoch walked
 
 	// Per destination: the prefix list announced at snapshot time and,
 	// per feeder, a fingerprint of the route as exported to the
@@ -37,6 +45,13 @@ func NewUpdateStream(col *Collector) *UpdateStream {
 		prefixes: make(map[bgp.ASN][]bgp.Prefix),
 		routes:   make(map[bgp.ASN][]string),
 	}
+	var full []bgp.ASN
+	for _, f := range col.feeders {
+		if f.Kind == topology.FeedFull {
+			full = append(full, f.ASN)
+		}
+	}
+	s.vantages = col.engine.NewVantages(full)
 	topo := col.engine.Topology()
 	var arena propagate.RouteArena
 	col.engine.ForEachTree(col.workers, func(tr *propagate.Tree) {
@@ -96,13 +111,26 @@ func routeFingerprint(r *propagate.VantageRoute, feederStrips bool) string {
 	return string(b)
 }
 
-// WriteEpoch diffs the dirty destinations (as returned by Engine.Apply)
-// against the snapshot and writes the resulting withdraw/announce
-// messages, updating the snapshot as it goes. Messages are timestamped
-// monotonically within [ts, ts+window) so an epoch's churn lands inside
-// its inference window in file order. It returns the number of
-// announced and withdrawn prefixes.
+// WriteEpoch diffs the dirty destinations (as returned by the Engine.Apply
+// that just ran) against the snapshot and writes the resulting
+// withdraw/announce messages, updating the snapshot as it goes. Only the
+// destinations that can look different from a feeder are walked
+// (propagate.Vantages.Visible); the rest of dirty changed somewhere no
+// feeder sees, so their snapshot rows already hold. Messages are
+// timestamped monotonically within [ts, ts+window) so an epoch's churn
+// lands inside its inference window in file order. It returns the
+// number of announced and withdrawn prefixes.
 func (s *UpdateStream) WriteEpoch(w io.Writer, ts time.Time, window time.Duration, dirty []bgp.ASN) (announced, withdrawn int, err error) {
+	return s.writeEpoch(w, ts, window, s.vantages.Visible(dirty))
+}
+
+// Visible returns how many destinations the last WriteEpoch walked: the
+// part of its dirty set that a feeder could see change.
+func (s *UpdateStream) Visible() int { return s.visible }
+
+// writeEpoch diffs exactly dests against the snapshot.
+func (s *UpdateStream) writeEpoch(w io.Writer, ts time.Time, window time.Duration, dests []bgp.ASN) (announced, withdrawn int, err error) {
+	s.visible = len(dests)
 	mw := mrt.NewWriter(w)
 	topo := s.col.engine.Topology()
 	maxOff := int(window/time.Second) - 1
@@ -119,12 +147,15 @@ func (s *UpdateStream) WriteEpoch(w io.Writer, ts time.Time, window time.Duratio
 		return ts.Add(time.Duration(off) * time.Second)
 	}
 	var arena propagate.RouteArena
-	for _, dest := range dirty {
+	s.col.engine.ForEachTreeOf(s.col.workers, dests, func(tr *propagate.Tree) {
+		if err != nil {
+			return
+		}
+		dest := tr.Dest()
 		oldPs := s.prefixes[dest]
 		oldFps := s.routes[dest]
 		newPs := topo.ASes[dest].Prefixes
 
-		tr := s.col.engine.Tree(dest)
 		arena.Reset()
 		// The diff pass already reconstructs every feeder's new route:
 		// collect the fingerprints as it goes and refresh the snapshot
@@ -132,7 +163,7 @@ func (s *UpdateStream) WriteEpoch(w io.Writer, ts time.Time, window time.Duratio
 		// time through capture.
 		var newFps []string
 		any := false
-		if tr != nil && len(newPs) > 0 {
+		if len(newPs) > 0 {
 			newFps = make([]string, len(s.col.feeders))
 		}
 		for i, f := range s.col.feeders {
@@ -155,8 +186,8 @@ func (s *UpdateStream) WriteEpoch(w io.Writer, ts time.Time, window time.Duratio
 			switch {
 			case oldFp != "" && newFp == "":
 				// Route gone: withdraw everything previously announced.
-				if err := s.writeWithdraw(mw, f, oldPs, stamp); err != nil {
-					return announced, withdrawn, err
+				if err = s.writeWithdraw(mw, f, oldPs, stamp); err != nil {
+					return
 				}
 				withdrawn += len(oldPs)
 			case newFp != "" && (oldFp == "" || oldFp != newFp):
@@ -164,26 +195,26 @@ func (s *UpdateStream) WriteEpoch(w io.Writer, ts time.Time, window time.Duratio
 				// prefixes (an UPDATE implicitly replaces the old
 				// route), and withdraw prefixes that left the set.
 				if gone := prefixesOnlyIn(oldPs, newPs); len(gone) > 0 && oldFp != "" {
-					if err := s.writeWithdraw(mw, f, gone, stamp); err != nil {
-						return announced, withdrawn, err
+					if err = s.writeWithdraw(mw, f, gone, stamp); err != nil {
+						return
 					}
 					withdrawn += len(gone)
 				}
-				if err := s.writeAnnounce(mw, f, route, newPs, stamp); err != nil {
-					return announced, withdrawn, err
+				if err = s.writeAnnounce(mw, f, route, newPs, stamp); err != nil {
+					return
 				}
 				announced += len(newPs)
 			case newFp != "" && oldFp == newFp:
 				// Same route; only the prefix set may have moved.
 				if gone := prefixesOnlyIn(oldPs, newPs); len(gone) > 0 {
-					if err := s.writeWithdraw(mw, f, gone, stamp); err != nil {
-						return announced, withdrawn, err
+					if err = s.writeWithdraw(mw, f, gone, stamp); err != nil {
+						return
 					}
 					withdrawn += len(gone)
 				}
 				if added := prefixesOnlyIn(newPs, oldPs); len(added) > 0 {
-					if err := s.writeAnnounce(mw, f, route, added, stamp); err != nil {
-						return announced, withdrawn, err
+					if err = s.writeAnnounce(mw, f, route, added, stamp); err != nil {
+						return
 					}
 					announced += len(added)
 				}
@@ -197,6 +228,9 @@ func (s *UpdateStream) WriteEpoch(w io.Writer, ts time.Time, window time.Duratio
 			delete(s.prefixes, dest)
 			delete(s.routes, dest)
 		}
+	})
+	if err != nil {
+		return announced, withdrawn, err
 	}
 	return announced, withdrawn, mw.Flush()
 }

@@ -153,6 +153,10 @@ func (e *Engine) Apply(d *Delta) ([]bgp.ASN, error) {
 	seeds := make([]int32, 0, 8)       // cone roots
 	point := make([]int32, 0, 4)       // dirty without cone expansion (prefix moves)
 	touchedIXP := make(map[int16]bool) // ixps to rebuild
+	// The seeds again as (cone root, receiver) pairs, retained for
+	// Vantages.Visible: a seed says whose cone holds the dirty trees, a
+	// pair also says at which node the change enters them.
+	var pairs []conePair
 
 	seedASN := func(a bgp.ASN) error {
 		i, ok := e.idx[a]
@@ -178,6 +182,8 @@ func (e *Engine) Apply(d *Delta) ([]bgp.ASN, error) {
 		if err := seedASN(op.B); err != nil {
 			return nil, err
 		}
+		ai, bi := e.idx[op.A], e.idx[op.B]
+		pairs = append(pairs, conePair{root: ai, recv: bi}, conePair{root: bi, recv: ai})
 	}
 	for _, op := range d.Members {
 		xi, ok := e.ixpsByName[op.IXP]
@@ -223,6 +229,7 @@ func (e *Engine) Apply(d *Delta) ([]bgp.ASN, error) {
 		// structure and drop the whole cache so the engine stays
 		// consistent with whatever the topology now holds.
 		e.rebuildAll()
+		e.change = changeSet{unknown: true}
 		return nil, err
 	}
 
@@ -255,12 +262,29 @@ func (e *Engine) Apply(d *Delta) ([]bgp.ASN, error) {
 		for es, ei := range st.members {
 			if ei != mi && st.allowedBit(int32(es), s) {
 				seeds = append(seeds, ei)
+				pairs = append(pairs, conePair{root: ei, recv: mi})
+			}
+		}
+	}
+	// Export side, for Visible only (mi's cone is already seeded): every
+	// member mi may export to. The communities mi attaches ride these
+	// edges, so an edge that stays allowed still carries a change.
+	pairAllowedFrom := func(st *ixpState, mi int32) {
+		s := st.slotOf[mi]
+		if s < 0 {
+			return
+		}
+		for vs, vi := range st.members {
+			if st.allowedBit(s, int32(vs)) {
+				pairs = append(pairs, conePair{root: mi, recv: vi})
 			}
 		}
 	}
 	for _, r := range memberOps {
 		seedAllowedInto(oldIXP[r.xi], r.mi) // leave: pairs that existed
 		seedAllowedInto(e.ixps[r.xi], r.mi) // join: pairs created
+		pairAllowedFrom(oldIXP[r.xi], r.mi)
+		pairAllowedFrom(e.ixps[r.xi], r.mi)
 	}
 	for _, r := range filterOps {
 		// A filter edit keeps membership (and member slots) intact:
@@ -282,34 +306,21 @@ func (e *Engine) Apply(d *Delta) ([]bgp.ASN, error) {
 			}
 			if ob != nb {
 				seeds = append(seeds, ei)
+				pairs = append(pairs, conePair{root: ei, recv: r.mi})
 			}
 		}
+		pairAllowedFrom(oldSt, r.mi)
+		pairAllowedFrom(newSt, r.mi)
 	}
 
 	// Dirty set: the union of the seeds' customer cones (down-CSR BFS)
 	// plus the point-dirty destinations.
 	dirty := make([]bool, n)
-	queue := make([]int32, 0, len(seeds))
-	for _, s := range seeds {
-		if !dirty[s] {
-			dirty[s] = true
-			queue = append(queue, s)
-		}
-	}
-	downOff, downAdj := e.down.off, e.down.adj
-	for len(queue) > 0 {
-		u := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		for _, c := range downAdj[downOff[u]:downOff[u+1]] {
-			if !dirty[c] {
-				dirty[c] = true
-				queue = append(queue, c)
-			}
-		}
-	}
+	e.down.closure(dirty, seeds)
 	for _, i := range point {
 		dirty[i] = true
 	}
+	e.change = changeSet{pairs: pairs, point: point}
 
 	// Invalidate dirty cached trees and collect the dirty ASN list.
 	for si := range e.shards {

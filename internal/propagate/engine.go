@@ -23,6 +23,7 @@ import (
 
 	"mlpeering/internal/bgp"
 	"mlpeering/internal/ixp"
+	"mlpeering/internal/par"
 	"mlpeering/internal/topology"
 )
 
@@ -78,6 +79,28 @@ type csr struct {
 }
 
 func (c *csr) row(i int32) []int32 { return c.adj[c.off[i]:c.off[i+1]] }
+
+// closure marks roots and everything reachable from them over c in
+// mark, which may already carry marks.
+func (c *csr) closure(mark []bool, roots []int32) {
+	stack := make([]int32, 0, len(roots))
+	for _, r := range roots {
+		if !mark[r] {
+			mark[r] = true
+			stack = append(stack, r)
+		}
+	}
+	for len(stack) > 0 {
+		u := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, v := range c.row(u) {
+			if !mark[v] {
+				mark[v] = true
+				stack = append(stack, v)
+			}
+		}
+	}
+}
 
 // ixpState is one IXP's route-server configuration in dense,
 // member-slot-indexed form. A "slot" is a member's position in the
@@ -163,6 +186,10 @@ type Engine struct {
 
 	scratchPool sync.Pool
 	treePool    sync.Pool
+
+	// change is what the most recent Apply mutated, for Vantages.Visible.
+	// Written only by Apply, which holds exclusive access by contract.
+	change changeSet
 
 	// Grow-only slabs for cached-tree planes: cached trees are never
 	// pooled, so carving their hop/exporter-offset storage from shared
@@ -518,48 +545,43 @@ func (e *Engine) Tree(dest bgp.ASN) *Tree {
 // valid for the duration of the call: its buffers are recycled for
 // later destinations, so fn must copy out anything it wants to keep.
 func (e *Engine) ForEachTree(workers int, fn func(*Tree)) {
+	e.ForEachTreeOf(workers, e.asns, fn)
+}
+
+// ForEachTreeOf is ForEachTree restricted to dests: fn sees their trees
+// in the order listed, under the same contract. Unknown ASNs are
+// skipped.
+func (e *Engine) ForEachTreeOf(workers int, dests []bgp.ASN, fn func(*Tree)) {
 	if workers <= 0 {
 		workers = 4
 	}
-	dests := e.asns
-	out := make([]*Tree, len(dests))
-	var next int
-	var nextMu sync.Mutex
 	// Compute in windows so memory stays bounded while fn consumes
 	// trees in deterministic destination order.
 	const window = 256
-	for start := 0; start < len(dests); start += window {
-		end := start + window
-		if end > len(dests) {
-			end = len(dests)
+	var out [window]*Tree
+	for len(dests) > 0 {
+		batch := dests
+		if len(batch) > window {
+			batch = batch[:window]
 		}
-		next = start
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				s := e.scratchPool.Get().(*scratch)
-				defer e.scratchPool.Put(s)
-				for {
-					nextMu.Lock()
-					i := next
-					if i >= end {
-						nextMu.Unlock()
-						return
-					}
-					next++
-					nextMu.Unlock()
-					t := e.treePool.Get().(*Tree)
-					e.compute(int32(i), t, s)
-					out[i] = t
-				}
-			}()
-		}
-		wg.Wait()
-		for i := start; i < end; i++ {
-			fn(out[i])
-			e.treePool.Put(out[i])
+		dests = dests[len(batch):]
+		par.Run(workers, len(batch), func(i int) {
+			di, ok := e.idx[batch[i]]
+			if !ok {
+				return
+			}
+			s := e.scratchPool.Get().(*scratch)
+			t := e.treePool.Get().(*Tree)
+			e.compute(di, t, s)
+			e.scratchPool.Put(s)
+			out[i] = t
+		})
+		for i, t := range out[:len(batch)] {
+			if t == nil {
+				continue
+			}
+			fn(t)
+			e.treePool.Put(t)
 			out[i] = nil
 		}
 	}

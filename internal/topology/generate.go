@@ -27,8 +27,28 @@ func Generate(cfg Config) (*Topology, error) {
 // baseline stage list reproduces the paper's world; scenarios splice
 // additional stages in between (see scenarios.go).
 
-func (b *Builder) allocateASes() {
+// maxMemberTarget bounds one exchange's membership target. Every 32-bit
+// member named in an IXP's community filters takes one of its scheme's
+// 16-bit private-ASN alias slots, and once the 16-bit pool is spent more
+// than half of a large exchange's members hold 32-bit ASNs (53-59%
+// measured at baseline Scale 3-3.8). Twice the slot count rejects every
+// target seen exhausting the table (2124 and up, six seeds) while
+// baseline Scale 3.5 (2009) still builds.
+const maxMemberTarget = 2 * int(bgp.LastPrivate16-bgp.FirstPrivate16+1)
+
+func (b *Builder) allocateASes() error {
 	cfg := b.Cfg
+	// The profile list is final here (scaled-world rewrites it one stage
+	// earlier), and nothing has been built yet: reject a world that would
+	// only fail at member-data encoding, after everything else was paid.
+	for _, p := range cfg.Profiles {
+		if m := cfg.memberTarget(p); m > maxMemberTarget {
+			return fmt.Errorf("%s would have %d members at scale %v, more than its community scheme's "+
+				"16-bit alias table can name (limit %d): lower the scale, or use the scaled-world "+
+				"scenario, which caps each exchange and grows the number of exchanges instead",
+				p.Name, m, cfg.Scale, maxMemberTarget)
+		}
+	}
 	n := cfg.NumASes
 	if n == 0 {
 		// Pool sized so that IXP membership targets are satisfiable
@@ -156,6 +176,7 @@ func (b *Builder) allocateASes() {
 	for i, asn := range b.Order {
 		b.orderIDs[i] = b.byASN[asn]
 	}
+	return nil
 }
 
 func (b *Builder) buildHierarchy() {

@@ -177,11 +177,5 @@ func (t *Topology) MovePrefix(p bgp.Prefix, from, to bgp.ASN) error {
 // all IXPs: the per-epoch "best recoverable mesh" the churn experiments
 // score windowed inference against.
 func (t *Topology) AllGroundTruthReciprocalLinks() map[LinkKey]bool {
-	links := make(map[LinkKey]bool)
-	for _, x := range t.IXPs {
-		for k := range t.GroundTruthReciprocalLinks(x.Name) {
-			links[k] = true
-		}
-	}
-	return links
+	return t.reciprocalLinks(t.IXPs)
 }

@@ -94,7 +94,7 @@ func Scenarios() []*Scenario {
 // member data is encoded last.
 func baselineStages() []Stage {
 	return []Stage{
-		stage("allocate-ases", (*Builder).allocateASes),
+		{Name: "allocate-ases", Apply: (*Builder).allocateASes},
 		stage("hierarchy", (*Builder).buildHierarchy),
 		stage("siblings", (*Builder).addSiblings),
 		stage("private-peering", (*Builder).addPrivatePeering),

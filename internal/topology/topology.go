@@ -187,12 +187,39 @@ func (t *Topology) GroundTruthReciprocalLinks(ixpName string) map[LinkKey]bool {
 	if x == nil {
 		return nil
 	}
+	return t.reciprocalLinks([]*ixp.Info{x})
+}
+
+// reciprocalLinks returns every pair of RS members with RouteFlows in
+// both directions at one of the given IXPs. Each member's filters are
+// looked up once instead of per ordered pair; a member missing either
+// filter cannot be in a reciprocal pair at all.
+func (t *Topology) reciprocalLinks(ixps []*ixp.Info) map[LinkKey]bool {
+	type policy struct {
+		asn      bgp.ASN
+		exp, imp ixp.ExportFilter
+	}
 	links := make(map[LinkKey]bool)
-	members := x.SortedRSMembers()
-	for i, a := range members {
-		for _, b := range members[i+1:] {
-			if t.RouteFlows(ixpName, a, b) && t.RouteFlows(ixpName, b, a) {
-				links[MakeLinkKey(a, b)] = true
+	var pol []policy
+	for _, x := range ixps {
+		exports, imports := t.ExportFilters[x.Name], t.ImportFilters[x.Name]
+		pol = pol[:0]
+		for _, m := range x.RSMembers {
+			exp, hasExp := exports[m]
+			imp, hasImp := imports[m]
+			if hasExp && hasImp {
+				pol = append(pol, policy{asn: m, exp: exp, imp: imp})
+			}
+		}
+		for i := range pol {
+			a := &pol[i]
+			for j := i + 1; j < len(pol); j++ {
+				b := &pol[j]
+				if a.asn != b.asn &&
+					a.exp.Allows(b.asn) && b.imp.Allows(a.asn) &&
+					b.exp.Allows(a.asn) && a.imp.Allows(b.asn) {
+					links[MakeLinkKey(a.asn, b.asn)] = true
+				}
 			}
 		}
 	}

@@ -1,9 +1,13 @@
 package topology
 
 import (
+	"maps"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"mlpeering/internal/bgp"
+	"mlpeering/internal/ixp"
 	"mlpeering/internal/peeringdb"
 )
 
@@ -362,5 +366,113 @@ func TestGenerateRejectsBadScale(t *testing.T) {
 	cfg.Scale = 0
 	if _, err := Generate(cfg); err == nil {
 		t.Fatal("zero scale must error")
+	}
+}
+
+// TestGenerateRejectsAliasOverflowScale pins the scale cliff: a scale
+// whose per-IXP member target cannot fit the scheme's 16-bit alias
+// table is refused before anything is built, with an error that names
+// the scenario to use instead; scales that do build still build.
+func TestGenerateRejectsAliasOverflowScale(t *testing.T) {
+	for _, c := range []struct {
+		scenario string
+		scale    float64
+		ok       bool
+	}{
+		{"baseline", 1, true},
+		{"baseline", 3, true},
+		{"baseline", 4, false},
+		{"baseline", 5, false},
+		{"scaled-world", 10, true},
+	} {
+		cfg := DefaultConfig()
+		cfg.Scenario, cfg.Scale = c.scenario, c.scale
+		_, err := Generate(cfg)
+		switch {
+		case c.ok && err != nil:
+			t.Errorf("%s at scale %v: %v", c.scenario, c.scale, err)
+		case !c.ok && err == nil:
+			t.Errorf("%s at scale %v built; want a config-time rejection", c.scenario, c.scale)
+		case !c.ok:
+			msg := err.Error()
+			if !strings.Contains(msg, "scaled-world") || !strings.Contains(msg, "stage allocate-ases") {
+				t.Errorf("%s at scale %v: error %q must come from the first stage and name scaled-world",
+					c.scenario, c.scale, msg)
+			}
+		}
+	}
+}
+
+// TestReciprocalLinksMatchRouteFlows pins the hoisted-filter truth mesh
+// to its definition — RouteFlows in both directions, evaluated pair by
+// pair — on a world churned through the mutation helpers: leaves, a
+// restrictive join, one-sided filter edits and a member left without an
+// import filter.
+func TestReciprocalLinksMatchRouteFlows(t *testing.T) {
+	topo := testTopo(t)
+	rng := rand.New(rand.NewSource(11))
+	for _, info := range topo.IXPs {
+		rs := info.SortedRSMembers()
+		if len(rs) < 8 {
+			continue
+		}
+		if err := topo.LeaveRouteServer(info.Name, rs[rng.Intn(len(rs))]); err != nil {
+			t.Fatal(err)
+		}
+		rs = info.SortedRSMembers()
+		// One-sided edits: m stops exporting to a few members that still
+		// export to it, so those pairs flow one way only.
+		for i := 0; i < 3; i++ {
+			m := rs[rng.Intn(len(rs))]
+			var block []bgp.ASN
+			for j := 0; j < 4; j++ {
+				if v := rs[rng.Intn(len(rs))]; v != m {
+					block = append(block, v)
+				}
+			}
+			if err := topo.SetRSFilters(info.Name, m, ixp.NewExportFilter(ixp.ModeAllExcept, block...), ixp.OpenFilter(), nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, m := range info.SortedMembers() {
+			if !info.IsRSMember(m) {
+				only := ixp.NewExportFilter(ixp.ModeNoneExcept, rs[0], rs[1])
+				if err := topo.JoinRouteServer(info.Name, m, only, only, nil); err != nil {
+					t.Fatal(err)
+				}
+				break
+			}
+		}
+		delete(topo.ImportFilters[info.Name], rs[len(rs)-1])
+	}
+
+	all := make(map[LinkKey]bool)
+	for _, info := range topo.IXPs {
+		want := make(map[LinkKey]bool)
+		members := info.SortedRSMembers()
+		oneWay := 0
+		for i, a := range members {
+			for _, b := range members[i+1:] {
+				ab, ba := topo.RouteFlows(info.Name, a, b), topo.RouteFlows(info.Name, b, a)
+				if ab && ba {
+					want[MakeLinkKey(a, b)] = true
+					all[MakeLinkKey(a, b)] = true
+				} else if ab || ba {
+					oneWay++
+				}
+			}
+		}
+		if len(members) >= 8 && oneWay == 0 {
+			t.Errorf("%s: no one-way pair; the churn exercised nothing", info.Name)
+		}
+		if got := topo.GroundTruthReciprocalLinks(info.Name); !maps.Equal(got, want) {
+			t.Errorf("%s: %d reciprocal links, per-pair RouteFlows gives %d", info.Name, len(got), len(want))
+		}
+	}
+	if got := topo.AllGroundTruthReciprocalLinks(); !maps.Equal(got, all) {
+		t.Errorf("all IXPs: %d reciprocal links, per-pair RouteFlows gives %d", len(got), len(all))
+	}
+	if topo.GroundTruthReciprocalLinks("NO-SUCH-IXP") != nil {
+		t.Error("unknown IXP must give nil")
 	}
 }
