@@ -116,6 +116,17 @@ type worker struct {
 	lastEpoch uint64
 }
 
+func newWorker(id int, client *http.Client, base string) *worker {
+	return &worker{
+		id:       id,
+		client:   client,
+		base:     base,
+		statuses: make(map[int]int),
+		epochs:   make(map[uint64]struct{}),
+		etags:    make(map[string]string),
+	}
+}
+
 func (w *worker) do(seq int64) {
 	path := paths[(seq+int64(w.id))%int64(len(paths))]
 	req, err := http.NewRequest(http.MethodGet, w.base+path, nil)
@@ -218,14 +229,7 @@ func main() {
 
 	start := time.Now()
 	for i := 0; i < *concurrency; i++ {
-		w := &worker{
-			id:       i,
-			client:   client,
-			base:     *base,
-			statuses: make(map[int]int),
-			epochs:   make(map[uint64]struct{}),
-			etags:    make(map[string]string),
-		}
+		w := newWorker(i, client, *base)
 		workers[i] = w
 		wg.Add(1)
 		go func() {

@@ -2,7 +2,6 @@ package bgp
 
 import (
 	"fmt"
-	"io"
 	"net/netip"
 )
 
@@ -306,32 +305,4 @@ func DecodeUpdate(b []byte, as4 bool) (*Update, error) {
 		}
 	}
 	return u, nil
-}
-
-// ReadMessage reads one length-delimited message from r and decodes it.
-func ReadMessage(r io.Reader, as4 bool) (Message, error) {
-	hdr := make([]byte, HeaderLen)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return nil, err
-	}
-	length := int(hdr[16])<<8 | int(hdr[17])
-	if length < HeaderLen || length > MaxMsgLen {
-		return nil, fmt.Errorf("bgp: message length %d out of range", length)
-	}
-	buf := make([]byte, length)
-	copy(buf, hdr)
-	if _, err := io.ReadFull(r, buf[HeaderLen:]); err != nil {
-		return nil, fmt.Errorf("bgp: reading message body: %w", err)
-	}
-	return Decode(buf, as4)
-}
-
-// WriteMessage encodes m and writes it to w.
-func WriteMessage(w io.Writer, m Message) error {
-	buf, err := Encode(m)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(buf)
-	return err
 }

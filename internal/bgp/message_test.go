@@ -300,32 +300,6 @@ func TestDecodeErrors(t *testing.T) {
 	}
 }
 
-func TestReadWriteMessageStream(t *testing.T) {
-	var buf bytes.Buffer
-	msgs := []Message{
-		&Open{ASN: 6695, HoldTime: 90, RouterID: netip.MustParseAddr("80.81.192.0"), AS4: true},
-		Keepalive{},
-		&Update{Attrs: testAttrs(), NLRI: []Prefix{MustPrefix("10.1.0.0/16")}},
-	}
-	for _, m := range msgs {
-		if err := WriteMessage(&buf, m); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := range msgs {
-		m, err := ReadMessage(&buf, true)
-		if err != nil {
-			t.Fatalf("msg %d: %v", i, err)
-		}
-		if m.Type() != msgs[i].Type() {
-			t.Fatalf("msg %d: type %d, want %d", i, m.Type(), msgs[i].Type())
-		}
-	}
-	if _, err := ReadMessage(&buf, true); err == nil {
-		t.Fatal("expected EOF")
-	}
-}
-
 func TestUpdateWireRoundTripProperty(t *testing.T) {
 	f := func(asns []uint32, comms []uint32, seed uint32) bool {
 		if len(asns) == 0 {

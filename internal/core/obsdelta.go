@@ -626,9 +626,9 @@ func (m *windowMiner) moveContributions(g *windowGroup, resolved bool, setter bg
 // to the maintained reciprocity mesh per-IXP, and read the window's
 // counters off the maintained state. Every phase is worker-count
 // invariant, so the derived window is bit-identical to a sequential
-// close. When retain is false (streaming replay) the mesh is not
-// snapshotted, so the close allocates O(churn), not O(mesh).
-func (m *windowMiner) closeWindow(w *PassiveWindow, retain bool) {
+// close. The mesh is not snapshotted here, so the close allocates
+// O(churn), not O(mesh); w.Materialize does that on demand.
+func (m *windowMiner) closeWindow(w *PassiveWindow) {
 	m.flushObs()
 	m.rel.Commit()
 	// Re-pinpoint the live rels-dependent shapes, compacting dead ones
@@ -667,9 +667,7 @@ func (m *windowMiner) closeWindow(w *PassiveWindow, retain bool) {
 	m.mesh.Apply(m.obs, m.workers)
 	w.MeshLinks = m.mesh.TotalLinks()
 	w.Stability = m.mesh.CloseStability()
-	if retain {
-		w.Result = m.mesh.Snapshot(m.workers)
-	}
+	w.Result, w.miner = nil, m
 	m.epoch++
 	m.sweepDeadShapes()
 }

@@ -25,13 +25,15 @@ const (
 	WindowsIncremental WindowsMode = iota
 	// WindowsRemine re-mines the entire live table at every window
 	// close — the pre-incremental cost profile (sort, hygiene, batch
-	// relation inference and community mining over every live route) —
-	// kept as the equivalence fallback: both modes produce
-	// byte-identical per-window meshes. Note both modes share the
-	// canonical order-independent observation reduction (see
-	// prefixDelta.winner); where feeders disagree on a (setter, prefix)
-	// community set, the smallest canonical set wins, where the PR 4
-	// miner kept the last set in sorted row order.
+	// relation inference and community mining over every live route).
+	// It is the reference implementation the equivalence tests and the
+	// benchmark's traced run compare the incremental path against, not a
+	// mode any command selects: both produce byte-identical per-window
+	// meshes. Note both modes share the canonical order-independent
+	// observation reduction (see prefixDelta.winner); where feeders
+	// disagree on a (setter, prefix) community set, the smallest
+	// canonical set wins, where the PR 4 miner kept the last set in
+	// sorted row order.
 	WindowsRemine
 )
 
@@ -45,18 +47,6 @@ func (m WindowsMode) String() string {
 	}
 }
 
-// ParseWindowsMode parses a -windows-mode flag value.
-func ParseWindowsMode(s string) (WindowsMode, error) {
-	switch s {
-	case "incremental":
-		return WindowsIncremental, nil
-	case "remine":
-		return WindowsRemine, nil
-	default:
-		return 0, fmt.Errorf("core: unknown windows mode %q (want incremental or remine)", s)
-	}
-}
-
 // WindowOptions parameterizes RunPassiveWindows.
 type WindowOptions struct {
 	// Start is the first window's opening time; updates before it are
@@ -67,7 +57,8 @@ type WindowOptions struct {
 	// Count is the number of windows to emit. Windows past the last
 	// update still run (over the then-static live table).
 	Count int
-	// Mode selects incremental (default) or re-mine derivation.
+	// Mode selects incremental (default) derivation or the re-mine
+	// oracle.
 	Mode WindowsMode
 	// Workers caps the worker pool the incremental miner fans out on at
 	// window close (sharded delta flush, per-IXP mesh re-checks, the
@@ -75,31 +66,19 @@ type WindowOptions struct {
 	// forces the sequential path. Results are bit-identical for any
 	// value. Remine mode ignores it.
 	Workers int
-	// Stream, when non-nil, receives each window at close instead of
-	// accumulating it in PassiveWindowsResult.Windows — the long-horizon
-	// replay mode. In incremental mode a streamed window carries the
-	// maintained counters (MeshLinks, Stability, CloseTime, ...) but,
-	// unless Materialize is set, no materialized Result: the mesh is
-	// not snapshotted, so a close allocates O(churn), not O(mesh). The
-	// pointer is only valid for the duration of the callback.
+	// Stream is the window consumer: every closed window is handed to it
+	// once, in order. The window carries the maintained counters
+	// (MeshLinks, Stability, CloseTime, ...); a consumer that wants the
+	// mesh itself calls pw.Materialize() inside the callback, and one
+	// that does not pays O(churn) per close, not O(mesh). The pointer is
+	// only valid for the duration of the callback. Nil means the default
+	// consumer, which materializes every window and appends it to
+	// PassiveWindowsResult.Windows.
 	Stream func(*PassiveWindow)
-	// Materialize forces each streamed window to carry its snapshotted
-	// Result even in incremental streaming mode — the serving tier's
-	// epoch producer consumes windows through Stream but publishes the
-	// materialized mesh. No effect when Stream is nil (results are
-	// always materialized then). The Result is immutable and safe to
-	// retain beyond the callback; whatever no churn touched since the
-	// previous close is shared with that window's Result (see
-	// MeshState.Snapshot), down to the same pointer for an idle window.
-	Materialize bool
 	// Ctx, when non-nil, cancels the replay: the run returns ctx.Err()
 	// at the next window-close boundary after cancellation. Committed
 	// windows already handed to Stream stay valid.
 	Ctx context.Context
-
-	// shadow, when set (tests only), receives the incremental miner
-	// after every window close for full-InferLinks shadow checks.
-	shadow func(*windowMiner, *PassiveWindow)
 }
 
 // PassiveWindow is one window's inference outcome over the routes live
@@ -122,32 +101,54 @@ type PassiveWindow struct {
 	// incremental mode both are delta-maintained counters.
 	RelLinks, P2PRels int
 	// MeshLinks is the distinct inferred ML link count — equal to
-	// Result.TotalLinks(), but available even when Result is not
-	// materialized (streaming mode).
+	// Result.TotalLinks(), but available without materializing.
 	MeshLinks int
 	// Stability is the Jaccard similarity between this window's and the
 	// previous window's link sets (1 for the first window).
 	Stability float64
-	// CloseTime is the wall-clock cost of deriving this window at close.
+	// CloseTime is the wall-clock cost of deriving this window at close,
+	// including Materialize once it has been called.
 	CloseTime time.Duration
 	// Result is the multilateral-peering inference over the window's
-	// live view. Nil in streaming incremental mode; use the maintained
-	// counters instead.
+	// live view. In incremental mode it is nil until Materialize is
+	// called; the maintained counters above need no Result.
 	Result *Result
+
+	// miner is the incremental miner that closed this window, whose mesh
+	// Materialize snapshots; nil in remine mode, where the derivation
+	// itself produces Result.
+	miner *windowMiner
 }
 
-// Links returns the window's inferred ML link set.
-func (w *PassiveWindow) Links() map[topology.LinkKey][]string { return w.Result.Links }
+// Materialize returns the window's Result, snapshotting the maintained
+// mesh on the first call (exactly one MeshState.Snapshot per window) and
+// returning the same pointer on every later one. The snapshot's cost is
+// added to CloseTime, so a consumer that materializes before reading
+// CloseTime sees the whole cost of producing the window. It must be
+// called inside the WindowOptions.Stream callback the window was handed
+// to: afterwards the miner has moved on. The Result is immutable and
+// safe to retain beyond the callback; whatever no churn touched since
+// the previously materialized window is shared with that window's Result
+// (see MeshState.Snapshot), down to the same pointer for an idle window.
+func (w *PassiveWindow) Materialize() *Result {
+	if w.Result == nil && w.miner != nil {
+		//mlplint:clock close-duration telemetry only; never feeds inference or window boundaries
+		t0 := time.Now()
+		w.Result = w.miner.mesh.Snapshot(w.miner.workers)
+		w.CloseTime += time.Since(t0)
+	}
+	return w.Result
+}
 
 // PassiveWindowsResult is the windowed passive run: one inference per
 // time window plus the stability of the inferred mesh across windows.
 type PassiveWindowsResult struct {
-	// Windows holds each window's outcome; empty in streaming mode
-	// (WindowOptions.Stream consumed them at close).
+	// Windows holds each window's outcome, materialized, when the default
+	// consumer ran; empty when WindowOptions.Stream consumed them.
 	Windows []PassiveWindow
 	// Stability[i] is the Jaccard similarity between window i's and
-	// window i-1's inferred link sets (Stability[0] == 1). Populated in
-	// streaming mode too: it is O(1) per window.
+	// window i-1's inferred link sets (Stability[0] == 1). Populated
+	// whoever consumes the windows: it is O(1) per window.
 	Stability []float64
 }
 
@@ -179,7 +180,8 @@ type liveRoute struct {
 // the refcounted observation store and the incremental relation oracle,
 // so a window close costs O(changes), not O(live table); remine mode
 // rebuilds everything per window and is pinned byte-identical by the
-// equivalence tests.
+// equivalence tests. Either way each closed window is handed to one
+// consumer, opts.Stream, which asks for the mesh with pw.Materialize().
 func RunPassiveWindows(dumps []*mrt.Dump, updates []*mrt.BGP4MPMessage, dict *Dictionary, opts WindowOptions) (*PassiveWindowsResult, error) {
 	if opts.Window <= 0 {
 		return nil, fmt.Errorf("core: non-positive window %v", opts.Window)
@@ -265,6 +267,14 @@ func RunPassiveWindows(dumps []*mrt.Dump, updates []*mrt.BGP4MPMessage, dict *Di
 	}
 
 	res := &PassiveWindowsResult{}
+	consume := opts.Stream
+	if consume == nil {
+		consume = func(pw *PassiveWindow) {
+			pw.Materialize()
+			pw.miner = nil // a retained window must not pin the mining state
+			res.Windows = append(res.Windows, *pw)
+		}
+	}
 	cur := PassiveWindow{Start: opts.Start, End: opts.Start.Add(opts.Window)}
 
 	// prevRemineLinks carries the previous window's link set for the
@@ -277,10 +287,7 @@ func RunPassiveWindows(dumps []*mrt.Dump, updates []*mrt.BGP4MPMessage, dict *Di
 		t0 := time.Now()
 		cur.LiveRoutes = len(live)
 		if miner != nil {
-			miner.closeWindow(&cur, opts.Stream == nil || opts.Materialize || opts.shadow != nil)
-			if opts.shadow != nil {
-				opts.shadow(miner, &cur)
-			}
+			miner.closeWindow(&cur)
 		} else {
 			remineLiveTable(store, live, dict, &cur)
 			cur.MeshLinks = cur.Result.TotalLinks()
@@ -292,11 +299,7 @@ func RunPassiveWindows(dumps []*mrt.Dump, updates []*mrt.BGP4MPMessage, dict *Di
 		}
 		cur.CloseTime = time.Since(t0)
 		res.Stability = append(res.Stability, cur.Stability)
-		if opts.Stream != nil {
-			opts.Stream(&cur)
-		} else {
-			res.Windows = append(res.Windows, cur)
-		}
+		consume(&cur)
 		winIdx++
 		cur = PassiveWindow{Start: cur.End, End: cur.End.Add(opts.Window)}
 	}

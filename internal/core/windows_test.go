@@ -287,8 +287,8 @@ func TestWindowFlapRestoresObservationState(t *testing.T) {
 	}
 	before := snapshot()
 	var w1 PassiveWindow
-	m.closeWindow(&w1, true)
-	if w1.Result.TotalLinks() != 1 {
+	m.closeWindow(&w1)
+	if w1.Materialize().TotalLinks() != 1 {
 		t.Fatalf("pre-flap links = %d, want 1", w1.Result.TotalLinks())
 	}
 
@@ -302,9 +302,9 @@ func TestWindowFlapRestoresObservationState(t *testing.T) {
 		t.Fatalf("flap did not restore miner state:\nbefore %s\nafter  %s", before, got)
 	}
 	var w2 PassiveWindow
-	m.closeWindow(&w2, true)
+	m.closeWindow(&w2)
 	var a, b []byte
-	if a, b = w1.Result.AppendMesh(nil), w2.Result.AppendMesh(nil); !bytes.Equal(a, b) {
+	if a, b = w1.Result.AppendMesh(nil), w2.Materialize().AppendMesh(nil); !bytes.Equal(a, b) {
 		t.Fatal("flap changed the inferred mesh")
 	}
 
@@ -312,8 +312,8 @@ func TestWindowFlapRestoresObservationState(t *testing.T) {
 	m.apply(m.group(id1, all, ck), p1, -1)
 	m.apply(m.group(id2, all, ck), p2, -1)
 	var w3 PassiveWindow
-	m.closeWindow(&w3, true)
-	if w3.Result.TotalLinks() != 0 || len(m.obs.Setters("DE-CIX")) != 0 {
+	m.closeWindow(&w3)
+	if w3.Materialize().TotalLinks() != 0 || len(m.obs.Setters("DE-CIX")) != 0 {
 		t.Fatalf("withdrawn world still covered: %d links, setters %v",
 			w3.Result.TotalLinks(), m.obs.Setters("DE-CIX"))
 	}
@@ -412,10 +412,11 @@ func TestWindowedShadowInferLinks(t *testing.T) {
 			var meshLinks []int
 			var a, b []byte
 			opts := WindowOptions{Start: t0, Window: w, Count: 5, Mode: WindowsIncremental, Workers: workers}
-			opts.shadow = func(m *windowMiner, pw *PassiveWindow) {
+			opts.Stream = func(pw *PassiveWindow) {
 				shadowCalls++
+				m := pw.miner
 				full := InferLinks(m.dict, m.obs)
-				a = pw.Result.AppendMesh(a[:0])
+				a = pw.Materialize().AppendMesh(a[:0])
 				b = full.AppendMesh(b[:0])
 				if !bytes.Equal(a, b) {
 					t.Fatalf("window %d: mesh snapshot diverges from full InferLinks (%d vs %d links)",
@@ -518,7 +519,7 @@ func TestFlapStormShapeSweep(t *testing.T) {
 
 	m.apply(m.group(id1, all, ck), p1, 1)
 	var pw PassiveWindow
-	m.closeWindow(&pw, true)
+	m.closeWindow(&pw)
 	baseline := m.shapeCount()
 
 	// Storm: distinct comms shapes on the same path, announced then
@@ -539,7 +540,7 @@ func TestFlapStormShapeSweep(t *testing.T) {
 	flapComms := comms(t, "6695:6695 0:1000")
 	flapKey := commsKey(flapComms)
 	flapG := m.group(id1, flapComms, flapKey)
-	m.closeWindow(&pw, true)
+	m.closeWindow(&pw)
 	m.apply(m.group(id1, flapComms, flapKey), p1, 1)
 	if m.group(id1, flapComms, flapKey) != flapG {
 		t.Fatal("shape flapping back within grace lost its identity")
@@ -548,7 +549,7 @@ func TestFlapStormShapeSweep(t *testing.T) {
 
 	// Enough idle closes for every storm shape to age past the grace.
 	for i := 0; i < deadShapeGrace+2; i++ {
-		m.closeWindow(&pw, true)
+		m.closeWindow(&pw)
 	}
 	if got := m.shapeCount(); got != baseline {
 		t.Fatalf("post-storm shape count = %d, want baseline %d", got, baseline)
@@ -569,9 +570,9 @@ func TestFlapStormShapeSweep(t *testing.T) {
 	}
 }
 
-// TestWindowedStreamingMatchesRetained pins streaming mode to the
-// retained run: the same per-window counters arrive through the Stream
-// callback, with no materialized Result.
+// TestWindowedStreamingMatchesRetained pins a consumer that never calls
+// Materialize to the retained run: the same per-window counters arrive
+// through the Stream callback, with no materialized Result.
 func TestWindowedStreamingMatchesRetained(t *testing.T) {
 	d := testDict(t)
 	t0 := time.Date(2013, 5, 1, 2, 0, 0, 0, time.UTC)
@@ -590,7 +591,7 @@ func TestWindowedStreamingMatchesRetained(t *testing.T) {
 	var got []row
 	opts := WindowOptions{Start: t0, Window: w, Count: 4, Stream: func(pw *PassiveWindow) {
 		if pw.Result != nil {
-			t.Fatal("streaming window materialized a Result")
+			t.Fatal("a window nobody materialized carries a Result")
 		}
 		got = append(got, row{pw.LiveRoutes, pw.RelLinks, pw.P2PRels, pw.MeshLinks, pw.Stability})
 	}}
@@ -627,33 +628,52 @@ func TestRunPassiveWindowsValidation(t *testing.T) {
 	}
 }
 
-// TestStreamMaterializeAndCancel pins the serving-tier replay knobs:
-// streaming with Materialize carries a freshly snapshotted Result per
-// window whose fingerprint matches the retained-mode run, and a
-// cancelled Ctx stops the replay at the next close boundary instead of
-// committing further windows.
+// TestStreamMaterializeAndCancel pins the one window contract: a
+// consumer asks for the mesh with pw.Materialize() inside the callback
+// and gets one snapshot per window — the same pointer on a second call,
+// the previous window's pointer for an idle window, a fingerprint equal
+// to the default retaining consumer's, and a Result that still describes
+// its window after the run has ended; a consumer that never asks sees no
+// Result; and a cancelled Ctx stops the replay at the next close
+// boundary instead of committing further windows.
 func TestStreamMaterializeAndCancel(t *testing.T) {
 	d := testDict(t)
 	t0 := time.Date(2013, 5, 1, 2, 0, 0, 0, time.UTC)
 	w := 10 * time.Minute
 	updates := flapTrace(t, t0, w)
-	opts := WindowOptions{Start: t0, Window: w, Count: 4}
+	// Windows 4 and 5 lie past the trace's last update: idle.
+	opts := WindowOptions{Start: t0, Window: w, Count: 6}
 
 	retained, err := RunPassiveWindows(nil, updates, d, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if retained.Windows[0].miner != nil {
+		t.Fatal("a retained window pins the mining state")
+	}
 
 	var fps []uint64
+	var links []int
 	var results []*Result
 	sopts := opts
-	sopts.Materialize = true
 	sopts.Stream = func(pw *PassiveWindow) {
-		if pw.Result == nil {
-			t.Fatal("materialized streaming window carried no Result")
+		if pw.Result != nil {
+			t.Fatal("window carried a Result before Materialize was called")
 		}
-		fps = append(fps, pw.Result.Fingerprint())
-		results = append(results, pw.Result) // must stay valid after the callback
+		bare := pw.CloseTime
+		res := pw.Materialize()
+		if res == nil || res != pw.Result {
+			t.Fatal("Materialize did not set the window's Result")
+		}
+		if pw.CloseTime < bare {
+			t.Fatal("Materialize shrank CloseTime")
+		}
+		if pw.Materialize() != res {
+			t.Fatal("a second Materialize in one callback returned a different Result")
+		}
+		fps = append(fps, res.Fingerprint())
+		links = append(links, res.TotalLinks())
+		results = append(results, res) // must stay valid after the callback
 	}
 	if _, err := RunPassiveWindows(nil, updates, d, sopts); err != nil {
 		t.Fatal(err)
@@ -666,17 +686,26 @@ func TestStreamMaterializeAndCancel(t *testing.T) {
 			t.Fatalf("window %d: streamed fingerprint %x, retained %x", i, fps[i], want)
 		}
 		// The retained pointer must still describe the window it was
-		// snapshotted at, not the latest mesh.
-		if got := results[i].TotalLinks(); got != retained.Windows[i].Result.TotalLinks() {
+		// snapshotted at, not the latest mesh, now that the run is over.
+		if got := results[i].TotalLinks(); got != links[i] || got != retained.Windows[i].Result.TotalLinks() {
 			t.Fatalf("window %d: retained snapshot drifted to %d links", i, got)
 		}
+		if results[i].Fingerprint() != fps[i] {
+			t.Fatalf("window %d: retained snapshot's fingerprint drifted", i)
+		}
+	}
+	if results[5] != results[4] || results[4] != results[3] {
+		t.Fatal("an idle window's Materialize did not return the previous window's *Result")
+	}
+	if results[1] == results[0] {
+		t.Fatal("a churned window's Materialize returned the previous window's *Result")
 	}
 
-	// Without Materialize the streamed windows stay unsnapshotted.
+	// A consumer that never calls Materialize sees no Result.
 	plain := opts
 	plain.Stream = func(pw *PassiveWindow) {
 		if pw.Result != nil {
-			t.Fatal("plain streaming window materialized a Result")
+			t.Fatal("a window nobody materialized carries a Result")
 		}
 	}
 	if _, err := RunPassiveWindows(nil, updates, d, plain); err != nil {
@@ -793,14 +822,15 @@ func TestSnapshotSharesUnchangedStructure(t *testing.T) {
 	}
 
 	var results []*Result
-	opts := WindowOptions{Start: t0, Window: w, Count: 6, Materialize: true}
-	opts.Stream = func(pw *PassiveWindow) { results = append(results, pw.Result) }
-	opts.shadow = func(m *windowMiner, pw *PassiveWindow) {
-		if diff := diffResults(pw.Result, InferLinks(m.dict, m.obs)); diff != "" {
+	opts := WindowOptions{Start: t0, Window: w, Count: 6}
+	opts.Stream = func(pw *PassiveWindow) {
+		res := pw.Materialize()
+		if diff := diffResults(res, InferLinks(pw.miner.dict, pw.miner.obs)); diff != "" {
 			t.Fatalf("window %d: %s", len(results), diff)
 		}
 		// The consumer's prefill, as serve.NewSnapshot does it.
-		pw.Result.BuildIndex()
+		res.BuildIndex()
+		results = append(results, res)
 	}
 	if _, err := RunPassiveWindows(nil, updates, d, opts); err != nil {
 		t.Fatal(err)

@@ -116,9 +116,10 @@ func (ct *ChurnTrace) Windows(mode core.WindowsMode, workers int) (*core.Passive
 	})
 }
 
-// StreamWindows replays the trace in streaming mode: each window is
-// handed to fn at close and not retained — in incremental mode the mesh
-// is never snapshotted, so memory stays bounded by the live state
+// StreamWindows replays the trace handing each window to fn at close and
+// retaining none. It never materializes: in incremental mode the mesh is
+// not snapshotted unless fn itself calls pw.Materialize(), so CloseTime
+// is the bare O(churn) close and memory stays bounded by the live state
 // regardless of horizon length (the long-horizon replay mode). count
 // overrides the number of windows when positive (windows past the last
 // update replay over the then-static live table), letting a fixed trace
@@ -141,23 +142,28 @@ func (ct *ChurnTrace) StreamWindows(mode core.WindowsMode, count, workers int, f
 // ReplayWindows replays the trace through the incremental windowed
 // pipeline handing each window to fn at close, like StreamWindows, but
 // with the per-window Result materialized — the serving tier's epoch
-// producer: each callback carries a freshly snapshotted mesh that is
-// safe to retain after the callback returns (the *PassiveWindow itself
-// is not). ctx cancels the replay at the next window-close boundary;
-// count overrides the number of windows when positive.
+// producer. Materialization happens before fn is entered, one
+// MeshState.Snapshot per window, so pw.CloseTime as fn reads it covers
+// close plus snapshot and a caller may back-date the close from fn's
+// entry by it. pw.Result is safe to retain after the callback returns
+// (the *PassiveWindow itself is not). ctx cancels the replay at the next
+// window-close boundary; count overrides the number of windows when
+// positive.
 func (ct *ChurnTrace) ReplayWindows(ctx context.Context, count, workers int, fn func(*core.PassiveWindow)) error {
 	if count <= 0 {
 		count = ct.Epochs
 	}
 	_, err := core.RunPassiveWindows(ct.Dumps, ct.Updates, ct.Dict, core.WindowOptions{
-		Start:       ct.Start,
-		Window:      ct.Interval,
-		Count:       count,
-		Mode:        core.WindowsIncremental,
-		Workers:     workers,
-		Stream:      fn,
-		Materialize: true,
-		Ctx:         ctx,
+		Start:   ct.Start,
+		Window:  ct.Interval,
+		Count:   count,
+		Mode:    core.WindowsIncremental,
+		Workers: workers,
+		Stream: func(pw *core.PassiveWindow) {
+			pw.Materialize()
+			fn(pw)
+		},
+		Ctx: ctx,
 	})
 	return err
 }
@@ -165,7 +171,7 @@ func (ct *ChurnTrace) ReplayWindows(ctx context.Context, count, workers int, fn 
 // RunChurn builds a churn trace and re-runs passive inference per epoch
 // window in the given mode (core.WindowsIncremental maintains the
 // observation store under announce/withdraw deltas; core.WindowsRemine
-// re-mines per window).
+// is the re-mine oracle the equivalence tests compare it against).
 func RunChurn(cfg topology.Config, ccfg churn.Config, mode core.WindowsMode, workers int) (*ChurnResult, error) {
 	ct, err := BuildChurnTrace(cfg, ccfg)
 	if err != nil {

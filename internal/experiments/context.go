@@ -7,7 +7,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"mlpeering/internal/bgp"
 	"mlpeering/internal/core"
@@ -150,22 +149,6 @@ func IncidentCount(set map[topology.LinkKey]bool) map[bgp.ASN]int {
 		deg[link.B]++
 	}
 	return deg
-}
-
-// AllRSMembers returns every RS member across IXPs, ascending.
-func (c *Context) AllRSMembers() []bgp.ASN {
-	seen := make(map[bgp.ASN]bool)
-	for _, info := range c.World.Topo.IXPs {
-		for _, m := range info.RSMembers {
-			seen[m] = true
-		}
-	}
-	out := make([]bgp.ASN, 0, len(seen))
-	for m := range seen {
-		out = append(out, m)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // ixpOrder returns IXPs in the canonical (paper Table 2) order.

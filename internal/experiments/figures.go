@@ -6,7 +6,6 @@ import (
 
 	"mlpeering/internal/bgp"
 	"mlpeering/internal/metrics"
-	"mlpeering/internal/topology"
 )
 
 // Figure1Result reproduces the session-scaling comparison of Fig. 1:
@@ -324,9 +323,4 @@ func (r *Figure8Result) Render() *metrics.Table {
 		"mean all-paths %.3f vs best-path %.3f (best-path LGs hide less-preferred routes)",
 		r.MeanAllPaths, r.MeanBestPath))
 	return t
-}
-
-// linkSetContains is a helper for tests.
-func linkSetContains(set map[topology.LinkKey]bool, a, b bgp.ASN) bool {
-	return set[topology.MakeLinkKey(a, b)]
 }

@@ -48,16 +48,6 @@ func (r *RSRIB) PrefixesFrom(member bgp.ASN) []bgp.Prefix {
 	return out
 }
 
-// AdvertiserCount returns, for every prefix, how many members advertise
-// it (the Fig. 5 distribution).
-func (r *RSRIB) AdvertiserCount() map[bgp.Prefix]int {
-	out := make(map[bgp.Prefix]int, len(r.Entries))
-	for p, es := range r.Entries {
-		out[p] = len(es)
-	}
-	return out
-}
-
 // Members returns the connected members observed in the RIB (ascending).
 func (r *RSRIB) Members() []bgp.ASN {
 	seen := make(map[bgp.ASN]bool)

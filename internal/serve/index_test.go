@@ -200,7 +200,11 @@ func churnedWindows(t *testing.T, fn func(*core.PassiveWindow)) {
 		// Windows 5-7: idle.
 	}
 	_, err = core.RunPassiveWindows(nil, updates, dict, core.WindowOptions{
-		Start: t0, Window: w, Count: 8, Stream: fn, Materialize: true,
+		Start: t0, Window: w, Count: 8,
+		Stream: func(pw *core.PassiveWindow) {
+			pw.Materialize()
+			fn(pw)
+		},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -82,7 +82,8 @@ type Snapshot struct {
 }
 
 // NewSnapshot derives the immutable epoch snapshot of one committed
-// window. pw.Result must be materialized (WindowOptions.Materialize);
+// window. pw.Result must be materialized (pw.Materialize, which
+// ChurnTrace.ReplayWindows calls before handing the window over);
 // committed is the wall-clock commit instant the caller observed.
 //
 // This is the prefill window: every memo the read path relies on — the

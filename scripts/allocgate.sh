@@ -18,9 +18,8 @@
 # but not in the checked-in baseline is a new heap allocation on an
 # annotated hot path and fails; a baseline escape that disappeared is
 # an improvement, reported with a nudge to tighten the baseline via
-# -update. ALLOW_MISSING_BASE=1 downgrades a missing baseline file to
-# a skip-with-note so the gate can land in the same PR that
-# introduces it.
+# -update. The baseline is checked in, so a missing one fails: a gate
+# that cannot run is a bug, not a skip.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -94,11 +93,6 @@ if [ "${1:-}" = "-update" ]; then
 fi
 
 if [ ! -f "$BASEFILE" ]; then
-    if [ "${ALLOW_MISSING_BASE:-0}" = "1" ]; then
-        echo "skip: $BASEFILE missing (new gate, no baseline yet); current escapes:"
-        sed 's/^/      /' "$tmp/cur"
-        exit 0
-    fi
     echo "FAIL: $BASEFILE missing; generate it with $0 -update" >&2
     exit 1
 fi

@@ -1,15 +1,17 @@
 #!/usr/bin/env bash
 # lint.sh — run the full lint stack locally, mirroring the CI lint
 # job: gofmt, go vet, mlplint (the in-repo invariant multichecker),
-# allocgate (compiler escape analysis vs the //mlplint:allocfree
-# annotations), and staticcheck (pinned; skipped with a warning when
+# the orphaned-package check, allocgate (compiler escape analysis vs
+# the //mlplint:allocfree annotations), and staticcheck (pinned; skipped with a warning when
 # the binary is unavailable, e.g. offline).
 #
 # Usage: ./scripts/lint.sh [packages...]   (default ./...)
 #        ./scripts/lint.sh -frozen-coverage-only
+#        ./scripts/lint.sh -orphans-only
 #
 # -frozen-coverage-only runs just the serving-tier frozen-annotation
-# and memo-write coverage check (the CI lint job's dedicated step).
+# and memo-write coverage check, -orphans-only just the orphaned
+# internal-package check (the CI lint job's dedicated steps).
 set -u
 
 cd "$(dirname "$0")/.."
@@ -86,6 +88,34 @@ MEMOS
   return "$ok"
 }
 
+# A package under internal/ that no other package of the module imports
+# is dead weight the compiler cannot see: it builds, its tests pass, and
+# nothing reaches it. Imports from another package's tests count (a
+# test-support package is in use); a package's own external test
+# importing it does not. `go list ./...` never descends into testdata
+# directories, so the analyzers' fixture packages are not candidates.
+orphan_packages() {
+  local module imports orphans
+  module="$(go list -m)" || return 1
+  imports="$(go list -f '{{.ImportPath}}{{range .Imports}} {{.}}{{end}}{{range .TestImports}} {{.}}{{end}}{{range .XTestImports}} {{.}}{{end}}' ./...)" || return 1
+  orphans="$(echo "$imports" | awk -v prefix="$module/internal/" '
+      { pkgs[$1] = 1; for (i = 2; i <= NF; i++) if ($i != $1) used[$i] = 1 }
+      END { for (p in pkgs) if (index(p, prefix) == 1 && !(p in used)) print p }
+    ' | sort)"
+  if [ -n "$orphans" ]; then
+    echo "orphan packages: imported by no other package of $module (delete them or wire them in):" >&2
+    echo "$orphans" | sed 's/^/      /' >&2
+    return 1
+  fi
+}
+
+if [ "${1:-}" = "-orphans-only" ]; then
+  echo "==> orphan packages (every internal/ package has an importer)"
+  orphan_packages || { echo "lint: FAILED" >&2; exit 1; }
+  echo "lint: OK"
+  exit 0
+fi
+
 if [ "${1:-}" = "-frozen-coverage-only" ]; then
   echo "==> frozen coverage (serving-tier snapshot types and memos)"
   frozen_coverage || { echo "lint: FAILED" >&2; exit 1; }
@@ -119,6 +149,9 @@ go run ./cmd/mlplint "${pkgs[@]}" || failed=1
 
 echo "==> frozen coverage (serving-tier snapshot types and memos)"
 frozen_coverage || failed=1
+
+echo "==> orphan packages (every internal/ package has an importer)"
+orphan_packages || failed=1
 
 echo "==> allocgate (hot-path escape analysis)"
 ./scripts/allocgate.sh || failed=1

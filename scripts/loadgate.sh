@@ -16,11 +16,10 @@
 #     neither: backpressure rejections are fast by construction
 #   - zero requests recorded (a vacuous run must not pass)
 #
-# ALLOW_MISSING_BASE=1 downgrades a missing summary file to a
-# skip-with-note, mirroring benchgate.sh, so re-runs of partial
-# workflows and the PR introducing the gate don't hard-fail on an
-# absent artifact. Uses only awk so CI needs no extra tooling; the
-# summary is cmd/lgload's indented JSON, one "key": value per line.
+# A missing summary fails: the step before the gate writes it, so its
+# absence means the load run never happened. Uses only awk so CI needs
+# no extra tooling; the summary is cmd/lgload's indented JSON, one
+# "key": value per line.
 set -euo pipefail
 
 if [ "$#" -lt 1 ]; then
@@ -32,10 +31,6 @@ summary="$1"
 max_p99_ms="${2:-500}"
 
 if [ ! -f "$summary" ]; then
-    if [ "${ALLOW_MISSING_BASE:-0}" = "1" ]; then
-        echo "skip: $summary missing (no load summary produced; gate introduced this PR?)"
-        exit 0
-    fi
     echo "FAIL: $summary missing" >&2
     exit 1
 fi
