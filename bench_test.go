@@ -779,3 +779,64 @@ func BenchmarkFullPipeline(b *testing.B) {
 		w.Close()
 	}
 }
+
+// BenchmarkFullPipelinePaper is the one-shot pipeline on the paper's
+// world (baseline, Scale 1) with the pass split into its layers:
+// build-ms/op is BuildWorld (generation, the one propagation sweep, the
+// MRT codec round trip), then batch passive mining, the LG survey and
+// link inference. Run with -cpu to see the GOMAXPROCS-wide sweep scale.
+func BenchmarkFullPipelinePaper(b *testing.B) {
+	ctx := context.Background()
+	var build, passive, active, infer time.Duration
+	for i := 0; i < b.N; i++ {
+		t0 := time.Now()
+		w, err := pipeline.BuildWorld(topology.DefaultConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		build += time.Since(t0)
+		if err := w.StartLGs(); err != nil {
+			b.Fatal(err)
+		}
+		dict, err := w.Dictionary()
+		if err != nil {
+			b.Fatal(err)
+		}
+
+		t0 = time.Now()
+		pas, err := core.RunPassive(w.Dumps, w.Updates, dict)
+		if err != nil {
+			b.Fatal(err)
+		}
+		passive += time.Since(t0)
+
+		hints := make(map[bgp.ASN][]bgp.Prefix)
+		for p, origin := range pas.PrefixOrigins {
+			hints[origin] = append(hints[origin], p)
+		}
+		t0 = time.Now()
+		act, err := core.RunActive(ctx, dict, w.LGEndpoints(0), pas.Obs, hints, core.DefaultActiveConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		active += time.Since(t0)
+
+		merged := core.NewObservations()
+		merged.Merge(pas.Obs)
+		merged.Merge(act.Obs)
+		t0 = time.Now()
+		res := core.InferLinks(dict, merged)
+		infer += time.Since(t0)
+
+		// The paper world's golden outputs (bench/batch.go checks the same).
+		if res.TotalLinks() != 186187 || act.TotalQueries() != 4504 {
+			b.Fatalf("%d links / %d LG queries, golden is 186187 / 4504", res.TotalLinks(), act.TotalQueries())
+		}
+		w.Close()
+	}
+	perOp := func(d time.Duration) float64 { return float64(d) / 1e6 / float64(b.N) }
+	b.ReportMetric(perOp(build), "build-ms/op")
+	b.ReportMetric(perOp(passive), "passive-ms/op")
+	b.ReportMetric(perOp(active), "active-ms/op")
+	b.ReportMetric(perOp(infer), "infer-links-ms/op")
+}

@@ -14,6 +14,7 @@ import (
 
 	"mlpeering/internal/bgp"
 	"mlpeering/internal/mrt"
+	"mlpeering/internal/par"
 	"mlpeering/internal/propagate"
 	"mlpeering/internal/topology"
 )
@@ -42,20 +43,20 @@ type attrSlot struct {
 }
 
 // New builds a collector over the engine's topology. If feeders is nil
-// the topology's feeder set is used.
+// the topology's feeder set is used. workers sizes the tree sweeps the
+// collector drives itself (WriteRIB, NewUpdateStream, WriteEpoch) and
+// follows par.Workers: 0 means GOMAXPROCS; the bytes written do not
+// depend on it.
 func New(name string, engine *propagate.Engine, feeders []topology.Feeder, workers int) *Collector {
 	if feeders == nil {
 		feeders = engine.Topology().Feeders
-	}
-	if workers <= 0 {
-		workers = 4
 	}
 	c := &Collector{
 		Name:    name,
 		engine:  engine,
 		feeders: feeders,
 		addrs:   make(map[bgp.ASN]netip.Addr, len(feeders)),
-		workers: workers,
+		workers: par.Workers(workers),
 	}
 	c.strips = make([]bool, len(feeders))
 	topo := engine.Topology()
@@ -86,90 +87,119 @@ func exports(f topology.Feeder, class propagate.Class) bool {
 	return class >= propagate.ClassCustomer
 }
 
-// WriteRIB writes a full TABLE_DUMP_V2 RIB dump of all feeders' views.
-func (c *Collector) WriteRIB(w io.Writer, ts time.Time) error {
-	mw := mrt.NewWriter(w)
-	topo := c.engine.Topology()
+// RIBWriter writes a TABLE_DUMP_V2 RIB dump of all feeders' views one
+// destination tree at a time: the per-tree consumer of an
+// Engine.ForEachTree sweep, which fixes the record order. The first
+// write error sticks: later trees are dropped and Close reports it.
+type RIBWriter struct {
+	c         *Collector
+	mw        *mrt.Writer
+	ts        time.Time
+	peerIndex map[bgp.ASN]uint16
+	seq       uint32
+	err       error
+	// Entry and attribute buffers are reused across destinations: each
+	// record is marshaled before the next tree is consumed.
+	entries []mrt.RIBEntry
+	slots   []attrSlot
+	rec     mrt.RIBRecord
+	// Routes are reconstructed into an arena rewound per destination,
+	// for the same reason.
+	arena propagate.RouteArena
+}
 
+// NewRIBWriter starts a RIB dump on w: the peer index table goes out
+// now, one record per prefix of every tree handed to Add follows.
+func (c *Collector) NewRIBWriter(w io.Writer, ts time.Time) *RIBWriter {
+	rw := &RIBWriter{
+		c:         c,
+		mw:        mrt.NewWriter(w),
+		ts:        ts,
+		peerIndex: make(map[bgp.ASN]uint16, len(c.feeders)),
+		entries:   make([]mrt.RIBEntry, 0, len(c.feeders)),
+		slots:     make([]attrSlot, len(c.feeders)),
+	}
 	idx := &mrt.PeerIndexTable{
-		CollectorID: netip.AddrFrom4([4]byte{198, 51, 100, 1}),
+		CollectorID: collectorAddr,
 		ViewName:    c.Name,
 	}
-	peerIndex := make(map[bgp.ASN]uint16, len(c.feeders))
 	for i, f := range c.feeders {
-		peerIndex[f.ASN] = uint16(i)
+		rw.peerIndex[f.ASN] = uint16(i)
 		idx.Peers = append(idx.Peers, mrt.Peer{
 			BGPID: c.addrs[f.ASN],
 			Addr:  c.addrs[f.ASN],
 			ASN:   f.ASN,
 		})
 	}
-	if err := mw.WritePeerIndexTable(ts, idx); err != nil {
-		return err
-	}
+	rw.err = rw.mw.WritePeerIndexTable(ts, idx)
+	return rw
+}
 
-	seq := uint32(0)
-	var writeErr error
-	// Entry and attribute buffers are reused across destinations: each
-	// record is marshaled before the next tree is consumed, so the slots
-	// only need to live until WriteRIB returns.
-	entries := make([]mrt.RIBEntry, 0, len(c.feeders))
-	slots := make([]attrSlot, len(c.feeders))
-	var rec mrt.RIBRecord
-	// Routes are reconstructed into an arena rewound per destination:
-	// every record is marshaled before the next tree is consumed, so the
-	// arena-backed paths only need to live that long.
-	var arena propagate.RouteArena
-	c.engine.ForEachTree(c.workers, func(tr *propagate.Tree) {
-		if writeErr != nil {
-			return
-		}
-		dest := topo.ASes[tr.Dest()]
-		if len(dest.Prefixes) == 0 {
-			return
-		}
-		entries = entries[:0]
-		arena.Reset()
-		for i, f := range c.feeders {
-			route := tr.RouteFromArena(f.ASN, &arena)
-			if route == nil || !exports(f, route.Class) {
-				continue
-			}
-			sl := &slots[len(entries)]
-			sl.seg[0] = bgp.PathSegment{ASNs: route.Path}
-			sl.attrs = bgp.PathAttrs{
-				Origin:  bgp.OriginIGP,
-				ASPath:  sl.seg[:],
-				NextHop: c.addrs[f.ASN],
-			}
-			// The feeder's own export may strip communities; the route's
-			// Communities field already accounts for stripping on
-			// interior hops.
-			if !c.strips[i] {
-				sl.attrs.Communities = route.Communities
-			}
-			entries = append(entries, mrt.RIBEntry{
-				PeerIndex:  peerIndex[f.ASN],
-				Originated: ts,
-				Attrs:      &sl.attrs,
-			})
-		}
-		if len(entries) == 0 {
-			return
-		}
-		for _, p := range dest.Prefixes {
-			rec = mrt.RIBRecord{Sequence: seq, Prefix: p, Entries: entries}
-			seq++
-			if err := mw.WriteRIB(ts, &rec); err != nil {
-				writeErr = err
-				return
-			}
-		}
-	})
-	if writeErr != nil {
-		return writeErr
+// Add writes the feeders' routes toward tr's destination, one record
+// per prefix. It keeps nothing of tr.
+func (rw *RIBWriter) Add(tr *propagate.Tree) {
+	if rw.err != nil {
+		return
 	}
-	return mw.Flush()
+	c := rw.c
+	dest := c.engine.Topology().ASes[tr.Dest()]
+	if len(dest.Prefixes) == 0 {
+		return
+	}
+	entries := rw.entries[:0]
+	rw.arena.Reset()
+	for i, f := range c.feeders {
+		route := tr.RouteFromArena(f.ASN, &rw.arena)
+		if route == nil || !exports(f, route.Class) {
+			continue
+		}
+		sl := &rw.slots[len(entries)]
+		sl.seg[0] = bgp.PathSegment{ASNs: route.Path}
+		sl.attrs = bgp.PathAttrs{
+			Origin:  bgp.OriginIGP,
+			ASPath:  sl.seg[:],
+			NextHop: c.addrs[f.ASN],
+		}
+		// The feeder's own export may strip communities; the route's
+		// Communities field already accounts for stripping on
+		// interior hops.
+		if !c.strips[i] {
+			sl.attrs.Communities = route.Communities
+		}
+		entries = append(entries, mrt.RIBEntry{
+			PeerIndex:  rw.peerIndex[f.ASN],
+			Originated: rw.ts,
+			Attrs:      &sl.attrs,
+		})
+	}
+	if len(entries) == 0 {
+		return
+	}
+	for _, p := range dest.Prefixes {
+		rw.rec = mrt.RIBRecord{Sequence: rw.seq, Prefix: p, Entries: entries}
+		rw.seq++
+		if err := rw.mw.WriteRIB(rw.ts, &rw.rec); err != nil {
+			rw.err = err
+			return
+		}
+	}
+}
+
+// Close flushes the dump and returns the first error of the whole
+// write. It does not close the underlying writer.
+func (rw *RIBWriter) Close() error {
+	if rw.err != nil {
+		return rw.err
+	}
+	return rw.mw.Flush()
+}
+
+// WriteRIB writes a full TABLE_DUMP_V2 RIB dump of all feeders' views:
+// a RIBWriter as the only consumer of its own sweep.
+func (c *Collector) WriteRIB(w io.Writer, ts time.Time) error {
+	rw := c.NewRIBWriter(w, ts)
+	c.engine.ForEachTree(c.workers, rw.Add)
+	return rw.Close()
 }
 
 // routeAttrs converts a vantage route into BGP path attributes as the

@@ -336,16 +336,6 @@ type deadShape struct {
 	epoch int
 }
 
-// identShape is the memoized IXP attribution of one comms shape: the
-// entry (nil when no unique attribution) and the scheme-relevant subset
-// with its canonical key. relComms is shared read-only across every
-// group carrying the shape.
-type identShape struct {
-	entry    *IXPEntry
-	relComms bgp.Communities
-	relKey   string
-}
-
 // obsOp is one deferred observation delta: the group carries the
 // derived (IXP, setter, relevant-comms) state, so the op only records
 // the prefix and sign. Ops are queued per setter shard during the
@@ -385,14 +375,10 @@ type windowMiner struct {
 	groups   map[paths.ID]map[string]*windowGroup
 	relsDeps []*windowGroup // groups whose setter depends on the oracle
 
-	// ident memoizes IXP attribution per comms shape. Attribution (and
-	// the derived relevant-community subset/key) depends only on the
-	// community set and the static dictionary snapshot, while groups are
-	// keyed per (path, comms) — many paths carry the same comms shape, so
-	// the memo turns the dominant IdentifyIXP cost of group creation into
-	// a map hit. Entries are never swept: the map is bounded by distinct
-	// comms shapes seen, far fewer than shapes × paths.
-	ident map[string]identShape
+	// attr memoizes IXP attribution per comms shape: groups are keyed
+	// per (path, comms) and many paths carry the same comms shape, so
+	// the dominant IdentifyIXP cost of group creation becomes a map hit.
+	attr *attributor
 
 	obs  *DeltaObservations
 	rel  *relation.Incremental // nil in remine mode
@@ -418,7 +404,7 @@ func newWindowMiner(dict *Dictionary, store *paths.Store, rel *relation.Incremen
 		store:    store,
 		workers:  par.Workers(workers),
 		groups:   make(map[paths.ID]map[string]*windowGroup),
-		ident:    make(map[string]identShape),
+		attr:     newAttributor(dict),
 		obs:      NewDeltaObservations(),
 		rel:      rel,
 		pathLive: make(map[paths.ID]int),
@@ -468,23 +454,14 @@ func (m *windowMiner) group(path paths.ID, comms bgp.Communities, ckey string) *
 	g.bogon = hasBogon(p)
 	g.cycle = hasCycle(p)
 	if len(comms) > 0 {
-		id, seen := m.ident[ckey]
-		if !seen {
-			if entry, ok := m.dict.IdentifyIXP(comms); ok {
-				id.entry = entry
-				id.relComms = entry.Scheme.RelevantCommunities(comms)
-				id.relKey = id.relComms.Dedup().String()
-			}
-			m.ident[ckey] = id
-		}
-		if id.entry != nil {
-			g.entry = id.entry
-			g.relComms = id.relComms
-			g.relKey = id.relKey
+		if at := m.attr.of(comms); at.entry != nil {
+			g.entry = at.entry
+			g.relComms = at.relComms
+			g.relKey = at.relKey
 			if g.mineable() {
 				positions := 0
 				for _, a := range p {
-					if id.entry.IsMember(a) {
+					if at.entry.IsMember(a) {
 						positions++
 					}
 				}

@@ -149,26 +149,78 @@ func RunPassive(dumps []*mrt.Dump, updates []*mrt.BGP4MPMessage, dict *Dictionar
 	// setter disambiguation of case 3.
 	res.Rels = relation.Infer(res.Paths)
 
-	// Community mining.
+	// Community mining. Attribution is per community shape, not per
+	// row: collector archives repeat a few hundred distinct sets over
+	// hundreds of thousands of rows (§4.3: a member tags all its
+	// announcements alike). The memo dies with this call.
+	attr := newAttributor(dict)
 	for i := 0; i < recs.Len(); i++ {
 		if !keptRow[i] || len(recs.Comms[i]) == 0 {
 			continue
 		}
-		entry, ok := dict.IdentifyIXP(recs.Comms[i])
-		if !ok {
-			if anySchemeRelevant(dict, recs.Comms[i]) {
+		at := attr.of(recs.Comms[i])
+		if at.entry == nil {
+			if at.unresolved {
 				res.IXPUnresolved++
 			}
 			continue
 		}
-		setter, ok := PinpointSetter(recs.Path(i), entry, res.Rels)
+		setter, ok := PinpointSetter(recs.Path(i), at.entry, res.Rels)
 		if !ok {
 			res.SetterUnresolved++
 			continue
 		}
-		res.Obs.Add(entry.Name, setter, recs.Prefix[i], entry.Scheme.RelevantCommunities(recs.Comms[i]), ObsPassive)
+		res.Obs.Add(at.entry.Name, setter, recs.Prefix[i], at.relComms, ObsPassive)
 	}
 	return res, nil
+}
+
+// attribution is everything §4.2 derives from a community set alone,
+// whatever path and prefix carry it.
+type attribution struct {
+	// entry is the unique IXP whose scheme the set speaks, nil if none
+	// (no candidate, or conflicting ones).
+	entry *IXPEntry
+	// relComms is entry's scheme-relevant subset and relKey its
+	// canonical key; shared read-only by every user of the shape.
+	relComms bgp.Communities
+	relKey   string
+	// unresolved: entry is nil although some scheme finds the set
+	// relevant (what PassiveResult.IXPUnresolved counts, per row).
+	unresolved bool
+}
+
+// attributor memoizes attribution by community set as announced (the
+// appendCommsKey encoding: two announce orders of one set are two
+// shapes with one answer) over one run and one dictionary snapshot. It
+// is the only caller of IdentifyIXP on the mining paths, batch and
+// incremental. The map is bounded by the distinct shapes seen.
+type attributor struct {
+	dict *Dictionary
+	memo map[string]attribution
+	key  []byte // probe scratch: a hit allocates nothing
+}
+
+func newAttributor(dict *Dictionary) *attributor {
+	return &attributor{dict: dict, memo: make(map[string]attribution)}
+}
+
+// of returns the attribution of cs, computing it on first sight.
+func (a *attributor) of(cs bgp.Communities) attribution {
+	a.key = appendCommsKey(a.key[:0], cs)
+	if at, ok := a.memo[string(a.key)]; ok {
+		return at
+	}
+	var at attribution
+	if entry, ok := a.dict.IdentifyIXP(cs); ok {
+		at.entry = entry
+		at.relComms = entry.Scheme.RelevantCommunities(cs)
+		at.relKey = at.relComms.Dedup().String()
+	} else {
+		at.unresolved = anySchemeRelevant(a.dict, cs)
+	}
+	a.memo[string(a.key)] = at
+	return at
 }
 
 // PinpointSetter identifies which AS on the path applied the RS
@@ -225,13 +277,27 @@ func hasBogon(path []bgp.ASN) bool {
 	return false
 }
 
+// hasCycle reports a repeated AS. Paths arrive prepending-collapsed, so
+// any repeat is a non-adjacent one. Real paths are a handful of hops:
+// the pairwise scan allocates nothing; only an absurdly long path from
+// a hostile archive takes the set, keeping the check linear.
 func hasCycle(path []bgp.ASN) bool {
-	seen := make(map[bgp.ASN]bool, len(path))
-	for _, a := range path {
-		if seen[a] {
-			return true
+	if len(path) > 64 {
+		seen := make(map[bgp.ASN]bool, len(path))
+		for _, a := range path {
+			if seen[a] {
+				return true
+			}
+			seen[a] = true
 		}
-		seen[a] = true
+		return false
+	}
+	for i := 1; i < len(path); i++ {
+		for _, b := range path[:i] {
+			if b == path[i] {
+				return true
+			}
+		}
 	}
 	return false
 }

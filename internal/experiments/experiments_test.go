@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"mlpeering/internal/bgp"
 	"mlpeering/internal/peeringdb"
 	"mlpeering/internal/topology"
 )
@@ -265,6 +266,53 @@ func TestFigure13Repellers(t *testing.T) {
 	// The Google-analog: the top repeller should be a content network.
 	if as := c.World.Topo.ASes[r.TopRepeller]; as != nil && !as.Content {
 		t.Logf("note: top repeller %s is not a content AS (allowed, but unusual)", r.TopRepeller)
+	}
+}
+
+func TestTopRepellerTieGoesToLowestASN(t *testing.T) {
+	counts := map[bgp.ASN]int{1331: 6, 1191: 6, 64: 5, 70000: 6, 9: 1}
+	for i := 0; i < 50; i++ { // map order differs between ranges
+		if top, blocks := topRepeller(counts); top != 1191 || blocks != 6 {
+			t.Fatalf("topRepeller = AS%d x%d, want AS1191 x6", top, blocks)
+		}
+	}
+	if top, blocks := topRepeller(nil); top != 0 || blocks != 0 {
+		t.Fatalf("topRepeller(nil) = AS%d x%d", top, blocks)
+	}
+}
+
+// TestFigure13StableAcrossRuns repeats Figure 13 on the Scale-0.12
+// world, where the top block count is tied between two ASes: every run
+// names the same AS, the lowest tied one, with its own blocker count.
+func TestFigure13StableAcrossRuns(t *testing.T) {
+	cfg := topology.DefaultConfig()
+	cfg.Scale = 0.12
+	c, err := NewContext(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	first := c.Figure13()
+	tied := 0
+	for as, n := range first.BlockCounts {
+		if n == first.TopRepellerBlocks {
+			tied++
+			if as < first.TopRepeller {
+				t.Fatalf("AS%d ties the top repeller AS%d at %d blocks and is lower", as, first.TopRepeller, n)
+			}
+		}
+	}
+	if tied < 2 {
+		t.Logf("no tie at the top in this world (%d AS at %d blocks): the repeat check is vacuous", tied, first.TopRepellerBlocks)
+	}
+	for i := 1; i < 10; i++ {
+		r := c.Figure13()
+		if r.TopRepeller != first.TopRepeller || r.TopRepellerBlocks != first.TopRepellerBlocks ||
+			r.TopRepellerSources != first.TopRepellerSources {
+			t.Fatalf("run %d: top repeller AS%d x%d by %d, first run AS%d x%d by %d", i,
+				r.TopRepeller, r.TopRepellerBlocks, r.TopRepellerSources,
+				first.TopRepeller, first.TopRepellerBlocks, first.TopRepellerSources)
+		}
 	}
 }
 

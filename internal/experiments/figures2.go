@@ -332,16 +332,24 @@ func (c *Context) Figure13() *Figure13Result {
 	for blocked, count := range res.BlockCounts {
 		sc := c.World.PDB.Scope(blocked)
 		byScope[sc] = append(byScope[sc], count)
-		if count > res.TopRepellerBlocks {
-			res.TopRepeller = blocked
-			res.TopRepellerBlocks = count
-			res.TopRepellerSources = len(blockers[blocked])
-		}
 	}
+	res.TopRepeller, res.TopRepellerBlocks = topRepeller(res.BlockCounts)
+	res.TopRepellerSources = len(blockers[res.TopRepeller])
 	for sc, counts := range byScope {
 		res.ByScope[sc] = metrics.NewDistributionInts(counts)
 	}
 	return res
+}
+
+// topRepeller returns the most-blocked AS and its count; a tie goes to
+// the lowest ASN, so the answer does not depend on map order.
+func topRepeller(blockCounts map[bgp.ASN]int) (top bgp.ASN, blocks int) {
+	for blocked, count := range blockCounts {
+		if count > blocks || (count == blocks && blocked < top) {
+			top, blocks = blocked, count
+		}
+	}
+	return top, blocks
 }
 
 // Render formats Figure 13.

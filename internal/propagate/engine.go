@@ -541,20 +541,22 @@ func (e *Engine) Tree(dest bgp.ASN) *Tree {
 
 // ForEachTree computes the tree of every destination in ascending ASN
 // order using workers goroutines, invoking fn sequentially (fn needs no
-// locking). Trees are not cached, and the *Tree passed to fn is only
-// valid for the duration of the call: its buffers are recycled for
-// later destinations, so fn must copy out anything it wants to keep.
+// locking). workers follows par.Workers: 0 means GOMAXPROCS, anything
+// below one is sequential; what fn sees does not depend on it. Trees
+// are not cached, and the *Tree passed to fn is only valid for the
+// duration of the call: its buffers are recycled for later
+// destinations, so fn must copy out anything it wants to keep. A caller
+// with several per-tree consumers feeds them all from one fn (see
+// pipeline.BuildWorld): the sweep is the cost, not the consuming.
 func (e *Engine) ForEachTree(workers int, fn func(*Tree)) {
 	e.ForEachTreeOf(workers, e.asns, fn)
 }
 
 // ForEachTreeOf is ForEachTree restricted to dests: fn sees their trees
-// in the order listed, under the same contract. Unknown ASNs are
-// skipped.
+// in the order listed, under the same contract (workers included).
+// Unknown ASNs are skipped.
 func (e *Engine) ForEachTreeOf(workers int, dests []bgp.ASN, fn func(*Tree)) {
-	if workers <= 0 {
-		workers = 4
-	}
+	workers = par.Workers(workers)
 	// Compute in windows so memory stays bounded while fn consumes
 	// trees in deterministic destination order.
 	const window = 256

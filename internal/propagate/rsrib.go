@@ -64,47 +64,71 @@ func (r *RSRIB) Members() []bgp.ASN {
 	return out
 }
 
-// BuildRSRIBs computes the route server RIBs of every IXP in one pass
-// over all destination trees.
-func BuildRSRIBs(e *Engine, workers int) map[string]*RSRIB {
-	out := make(map[string]*RSRIB, len(e.ixps))
-	for _, st := range e.ixps {
-		out[st.info.Name] = &RSRIB{IXP: st.info, Entries: make(map[bgp.Prefix][]RSEntry)}
-	}
+// RSRIBBuilder accumulates the route server RIBs of every IXP from
+// destination trees: the per-tree consumer of an Engine.ForEachTree
+// sweep. Trees must arrive in ascending destination order (the sweep's
+// order), which fixes the append order of RSRIB.Entries.
+type RSRIBBuilder struct {
+	e   *Engine
+	out map[string]*RSRIB
 	// RSEntry.Path references the reconstructed route's path for the
 	// RIBs' whole lifetime, so routes come from a never-reset arena the
 	// entries keep alive: slab allocation without a copy.
-	var arena RouteArena
-	e.ForEachTree(workers, func(tr *Tree) {
-		dest := e.topo.ASes[tr.Dest()]
-		if len(dest.Prefixes) == 0 {
-			return
+	arena RouteArena
+}
+
+// NewRSRIBBuilder returns a builder holding one empty RIB per IXP.
+func NewRSRIBBuilder(e *Engine) *RSRIBBuilder {
+	b := &RSRIBBuilder{e: e, out: make(map[string]*RSRIB, len(e.ixps))}
+	for _, st := range e.ixps {
+		b.out[st.info.Name] = &RSRIB{IXP: st.info, Entries: make(map[bgp.Prefix][]RSEntry)}
+	}
+	return b
+}
+
+// Add records what every route server hears about tr's destination. It
+// keeps nothing of tr itself.
+func (b *RSRIBBuilder) Add(tr *Tree) {
+	e := b.e
+	dest := e.topo.ASes[tr.Dest()]
+	if len(dest.Prefixes) == 0 {
+		return
+	}
+	for _, st := range e.ixps {
+		exps := tr.Exporters(st.info.Name)
+		if len(exps) == 0 {
+			continue
 		}
-		for _, st := range e.ixps {
-			rib := out[st.info.Name]
-			exps := tr.Exporters(st.info.Name)
-			if len(exps) == 0 {
+		rib := b.out[st.info.Name]
+		for _, m := range exps {
+			mi := e.idx[m]
+			var comms bgp.Communities
+			if !st.info.StripsCommunities {
+				comms = st.comms[st.slotOf[mi]]
+			}
+			route := tr.RouteFromArena(m, &b.arena)
+			if route == nil {
 				continue
 			}
-			for _, m := range exps {
-				mi := e.idx[m]
-				var comms bgp.Communities
-				if !st.info.StripsCommunities {
-					comms = st.comms[st.slotOf[mi]]
-				}
-				route := tr.RouteFromArena(m, &arena)
-				if route == nil {
-					continue
-				}
-				for _, p := range dest.Prefixes {
-					rib.Entries[p] = append(rib.Entries[p], RSEntry{
-						Member:      m,
-						Path:        route.Path,
-						Communities: comms,
-					})
-				}
+			for _, p := range dest.Prefixes {
+				rib.Entries[p] = append(rib.Entries[p], RSEntry{
+					Member:      m,
+					Path:        route.Path,
+					Communities: comms,
+				})
 			}
 		}
-	})
-	return out
+	}
+}
+
+// RIBs returns the RIBs built so far, keyed by IXP name.
+func (b *RSRIBBuilder) RIBs() map[string]*RSRIB { return b.out }
+
+// BuildRSRIBs computes the route server RIBs of every IXP in one pass
+// over all destination trees: an RSRIBBuilder as the only consumer of
+// its own sweep. workers follows Engine.ForEachTree.
+func BuildRSRIBs(e *Engine, workers int) map[string]*RSRIB {
+	b := NewRSRIBBuilder(e)
+	e.ForEachTree(workers, b.Add)
+	return b.RIBs()
 }
