@@ -11,6 +11,7 @@ package mlpeering_test
 import (
 	"bytes"
 	"context"
+	"maps"
 	"net/netip"
 	"os"
 	"runtime"
@@ -27,6 +28,7 @@ import (
 	"mlpeering/internal/mrt"
 	"mlpeering/internal/pipeline"
 	"mlpeering/internal/propagate"
+	"mlpeering/internal/serve"
 	"mlpeering/internal/topology"
 )
 
@@ -597,6 +599,59 @@ func BenchmarkChurnTraceBuild(b *testing.B) {
 	}
 	b.ReportMetric(float64(dirty)/float64(b.N), "dirty-dests/op")
 	b.ReportMetric(float64(visible)/float64(b.N), "visible-dests/op")
+}
+
+func BenchmarkChurnedPublish(b *testing.B) {
+	// Update-in to queryable-epoch-out on the paper world (Scale 1): one
+	// replay cycle of the 12 x 1-minute churn trace, every window closed,
+	// materialized and published as a serve.Snapshot the way the gateway's
+	// reconciler does it. The three columns are the stages of a churned
+	// window's publish (window 0, the base-RIB load, is left out): the
+	// bare incremental close, MeshState.Snapshot, and NewSnapshot — which
+	// patches the previous epoch's link index and encoded link array. A
+	// publish that fell back to re-sorting and re-encoding the whole mesh
+	// reads ~15 ms in snapshot-ms/op instead of ~2. Each window's chained
+	// fingerprint is checked, untimed, against a detached copy of its
+	// Result that only a from-scratch walk has touched.
+	ccfg := churn.DefaultConfig(20130501)
+	ccfg.Epochs, ccfg.Interval = 12, time.Minute
+	ct, err := experiments.BuildChurnTrace(topology.DefaultConfig(), ccfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var closeT, materializeT, snapshotT time.Duration
+	churned := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := 0
+		err := ct.StreamWindows(core.WindowsIncremental, ct.Epochs, 0, func(pw *core.PassiveWindow) {
+			bare := pw.CloseTime
+			res := pw.Materialize()
+			t0 := time.Now()
+			snap := serve.NewSnapshot(uint64(k+1), ct.Scenario, pw, t0)
+			if k > 0 {
+				closeT += bare
+				materializeT += pw.CloseTime - bare
+				snapshotT += time.Since(t0)
+				churned++
+			}
+			b.StopTimer()
+			detached := &core.Result{PerIXP: res.PerIXP, Links: maps.Clone(res.Links)}
+			if fp := detached.Fingerprint(); fp != snap.Fingerprint {
+				b.Fatalf("window %d: published fingerprint %016x, from-scratch rebuild %016x", k, snap.Fingerprint, fp)
+			}
+			b.StartTimer()
+			k++
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	ms := func(d time.Duration) float64 { return float64(d) / 1e6 / float64(churned) }
+	b.ReportMetric(ms(closeT), "close-ms/op")
+	b.ReportMetric(ms(materializeT), "materialize-ms/op")
+	b.ReportMetric(ms(snapshotT), "snapshot-ms/op")
 }
 
 func BenchmarkWindowedInference(b *testing.B) {

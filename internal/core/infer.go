@@ -79,17 +79,36 @@ type Result struct {
 	Links map[topology.LinkKey][]string
 
 	linkIndex *LinkIndex // BuildIndex memo; nil until a consumer asks for it
+	// patch, when set, is how BuildIndex derives the memo: from an
+	// indexed predecessor and the links that moved since. Cleared once
+	// consumed, so a Result never keeps its predecessor's index alive.
+	patch *indexPatch
 }
 
-// BuildIndex returns r's link index, deriving it on first call. The
-// first call writes the memo, so it belongs before r is shared between
-// goroutines: the serving tier makes it inside NewSnapshot's
+// BuildIndex returns r's link index, deriving it on first call — by
+// patching the previous window's index when r came out of a MeshState
+// whose previous Result was indexed, from scratch otherwise. enc, when
+// non-nil, also fills the index's Encoded link array (see LinkEncoder);
+// an index built without one gets it on the first call that passes one.
+// The first call writes the memo, so it belongs before r is shared
+// between goroutines: the serving tier makes it inside NewSnapshot's
 // construction window, and MeshState.Snapshot hands the memo on to the
 // next Result when no link changed. The batch pipeline never calls it.
-func (r *Result) BuildIndex() *LinkIndex {
-	if r.linkIndex == nil {
+func (r *Result) BuildIndex(enc LinkEncoder) *LinkIndex {
+	switch {
+	case r.linkIndex != nil:
+		if enc != nil && r.linkIndex.Encoded == nil {
+			//mlplint:frozen idempotent memo: a pure function of the already-complete Links, filled before publication by serve.NewSnapshot (prefill rule)
+			r.linkIndex.encode(enc)
+		}
+	case r.patch != nil:
+		//mlplint:frozen idempotent memo: derived from the predecessor's read-only index and the already-complete Links, filled before publication by serve.NewSnapshot (prefill rule), content identical to newLinkIndex's
+		r.linkIndex = patchLinkIndex(r.patch.base, r.patch.keys, r.Links, enc)
+		//mlplint:frozen the consumed patch is dropped with the memo it produced, so epochs never chain through their indexes
+		r.patch = nil
+	default:
 		//mlplint:frozen idempotent memo: derived from the already-complete Links/PerIXP alone, filled before publication by serve.NewSnapshot (prefill rule), identical content whoever fills it
-		r.linkIndex = newLinkIndex(r)
+		r.linkIndex = newLinkIndex(r, enc)
 	}
 	return r.linkIndex
 }

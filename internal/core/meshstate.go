@@ -16,6 +16,7 @@
 package core
 
 import (
+	"maps"
 	"math/bits"
 	"slices"
 	"sort"
@@ -131,7 +132,9 @@ type MeshState struct {
 	byName map[string]*meshIXP
 
 	// links maps every live link to its sorted IXP attribution list;
-	// multi counts the links attributed to more than one IXP.
+	// multi counts the links attributed to more than one IXP. The lists
+	// are copy-on-write — commitAdd/commitRemove replace a list, never
+	// edit one in place — so Snapshot hands them to a Result as they are.
 	links map[topology.LinkKey][]string
 	multi int
 
@@ -150,10 +153,13 @@ type MeshState struct {
 	works   []meshWork
 	workIdx map[string]int
 
-	// snap is the Result the last Snapshot returned; linksStale records
-	// that a link attribution was added or removed since.
-	snap       *Result
-	linksStale bool
+	// snap is the Result the last Snapshot returned; moved is the set of
+	// links whose attribution was added to or removed from since — what
+	// the next Result's index patches into snap's (empty: share it). It
+	// accumulates across windows nobody materialized and is not kept at
+	// all before the first Snapshot, when there is nothing to patch.
+	snap  *Result
+	moved map[topology.LinkKey]struct{}
 }
 
 // meshWork is one Apply work item: one IXP's dirty setters in drained
@@ -173,6 +179,7 @@ func NewMeshState(dict *Dictionary) *MeshState {
 		byName:    make(map[string]*meshIXP, len(dict.Entries)),
 		links:     make(map[topology.LinkKey][]string),
 		changed:   make(map[topology.LinkKey]bool),
+		moved:     make(map[topology.LinkKey]struct{}),
 		dirtySeen: make(map[DirtySetter]struct{}),
 		workIdx:   make(map[string]int),
 	}
@@ -409,9 +416,10 @@ func (ms *MeshState) removeLink(mi *meshIXP, a, b bgp.ASN) {
 // first-touch changed entry is order-independent: whatever order the
 // per-link events replay in, the first touch of a key happens before
 // any event mutated its attribution, so it always records presence at
-// the last close.
+// the last close. The list is replaced, not edited: the previous one may
+// be shared with a published Result.
 func (ms *MeshState) commitAdd(mi *meshIXP, key topology.LinkKey) {
-	ms.linksStale = true
+	ms.markMoved(key)
 	names := ms.links[key]
 	if len(names) == 0 {
 		if _, seen := ms.changed[key]; !seen {
@@ -419,31 +427,41 @@ func (ms *MeshState) commitAdd(mi *meshIXP, key topology.LinkKey) {
 		}
 	}
 	i := sort.SearchStrings(names, mi.entry.Name)
-	names = slices.Insert(names, i, mi.entry.Name)
-	ms.links[key] = names
-	if len(names) == 2 {
+	grown := make([]string, len(names)+1)
+	copy(grown, names[:i])
+	grown[i] = mi.entry.Name
+	copy(grown[i+1:], names[i:])
+	ms.links[key] = grown
+	if len(grown) == 2 {
 		ms.multi++
 	}
 }
 
 // commitRemove withdraws mi's attribution of a link, dropping the link
-// entirely when no IXP attributes it anymore.
+// entirely when no IXP attributes it anymore. Copy-on-write like
+// commitAdd.
 func (ms *MeshState) commitRemove(mi *meshIXP, key topology.LinkKey) {
-	ms.linksStale = true
+	ms.markMoved(key)
 	names := ms.links[key]
-	i := sort.SearchStrings(names, mi.entry.Name)
-	names = slices.Delete(names, i, i+1)
-	switch len(names) {
-	case 0:
+	if len(names) == 1 {
 		delete(ms.links, key)
 		if _, seen := ms.changed[key]; !seen {
 			ms.changed[key] = true // present at the last close
 		}
-	case 1:
+		return
+	}
+	i := sort.SearchStrings(names, mi.entry.Name)
+	ms.links[key] = slices.Delete(slices.Clone(names), i, i+1)
+	if len(names) == 2 {
 		ms.multi--
-		ms.links[key] = names
-	default:
-		ms.links[key] = names
+	}
+}
+
+// markMoved records that key's attribution differs from what the last
+// Snapshot materialized.
+func (ms *MeshState) markMoved(key topology.LinkKey) {
+	if ms.snap != nil {
+		ms.moved[key] = struct{}{}
 	}
 }
 
@@ -473,38 +491,46 @@ func (ms *MeshState) CloseStability() float64 {
 }
 
 // Snapshot materializes the maintained mesh as a Result equivalent to
-// InferLinks over the same observation store: cloned link/attribution
-// maps, per-IXP filters and sources. The Members slices alias the
-// mesh's cached member lists; like every Result, snapshots are
-// read-only views — which is what lets consecutive snapshots share
-// structure: an IXP no setter joined, left or re-filtered at since the
-// last call keeps its *IXPInference, an unchanged link set keeps its
-// Links map and link index, and when nothing changed at all the
-// previous *Result itself is returned, so whatever its consumers
-// memoized on it (CoveredMembers, BuildIndex) rides along. What did
-// change is cloned on up to workers goroutines — one task per IXP plus
-// one for the global link map, each writing disjoint freshly-allocated
-// state.
+// InferLinks over the same observation store: the link map (a shallow
+// clone — the attribution lists are copy-on-write and shared), per-IXP
+// filters and sources. The Members slices alias the mesh's cached
+// member lists; like every Result, snapshots are read-only views —
+// which is what lets consecutive snapshots share structure: an IXP no
+// setter joined, left or re-filtered at since the last call keeps its
+// *IXPInference, an unchanged link set keeps its Links map and link
+// index, and when nothing changed at all the previous *Result itself is
+// returned, so whatever its consumers memoized on it (CoveredMembers,
+// BuildIndex) rides along. A link set that did change carries the
+// sorted keys that moved and the previous Result's index, so BuildIndex
+// patches that index instead of sorting the mesh again. What changed is
+// rebuilt on up to workers goroutines — one task per IXP plus one for
+// the global link map, each writing disjoint freshly-allocated state.
 //
 //mlplint:frozen
 func (ms *MeshState) Snapshot(workers int) *Result {
 	prev := ms.snap
-	shareLinks := prev != nil && !ms.linksStale
+	shareLinks := prev != nil && len(ms.moved) == 0
 	if shareLinks && !slices.ContainsFunc(ms.dict.Entries, func(e *IXPEntry) bool { return ms.byName[e.Name].stale }) {
 		return prev
 	}
 	res := &Result{PerIXP: make(map[string]*IXPInference, len(ms.dict.Entries))}
 	if shareLinks {
-		res.Links, res.linkIndex = prev.Links, prev.linkIndex
-	} else {
-		res.Links = make(map[topology.LinkKey][]string, len(ms.links))
+		res.Links, res.linkIndex, res.patch = prev.Links, prev.linkIndex, prev.patch
+	} else if prev != nil && prev.linkIndex != nil {
+		keys := make([]topology.LinkKey, 0, len(ms.moved))
+		//mlplint:ordered sorted right below
+		for k := range ms.moved {
+			keys = append(keys, k)
+		}
+		slices.SortFunc(keys, compareLinkKeys)
+		res.patch = &indexPatch{base: prev.linkIndex, keys: keys}
 	}
+	clear(ms.moved)
 	par.Run(workers, len(ms.dict.Entries)+1, func(t int) {
 		if t == 0 {
 			if !shareLinks {
-				for k, names := range ms.links {
-					res.Links[k] = slices.Clone(names)
-				}
+				//mlplint:shared task 0 alone writes res.Links; every other task writes its own IXP's state
+				res.Links = maps.Clone(ms.links)
 			}
 			return
 		}
@@ -517,10 +543,7 @@ func (ms *MeshState) Snapshot(workers int) *Result {
 			Members: mi.members,
 			Filters: make(map[bgp.ASN]ixp.ExportFilter, mi.covered),
 			Sources: make(map[bgp.ASN]DataSource, mi.covered),
-			Links:   make(map[topology.LinkKey]bool, len(mi.links)),
-		}
-		for k := range mi.links {
-			x.Links[k] = true
+			Links:   maps.Clone(mi.links),
 		}
 		for _, s := range mi.setters {
 			if s.covered {
@@ -533,6 +556,6 @@ func (ms *MeshState) Snapshot(workers int) *Result {
 	for _, e := range ms.dict.Entries {
 		res.PerIXP[e.Name] = ms.byName[e.Name].snap
 	}
-	ms.snap, ms.linksStale = res, false
+	ms.snap = res
 	return res
 }

@@ -389,6 +389,11 @@ type windowMiner struct {
 	epoch     int // window closes so far
 	deadQueue []deadShape
 
+	// stalePins records that a shape re-entered relsDeps since the last
+	// close with a setter pinned against an older oracle, so the close
+	// must re-pinpoint even when the oracle did not move.
+	stalePins bool
+
 	dropBogon, dropCycle int
 }
 
@@ -506,6 +511,7 @@ func (m *windowMiner) apply(g *windowGroup, prefix bgp.Prefix, delta int) {
 	if wasDead && g.refs > 0 && g.relsDep && !g.registered {
 		g.registered = true
 		m.relsDeps = append(m.relsDeps, g)
+		m.stalePins = true
 	}
 	if !wasDead && g.refs == 0 {
 		g.deadEpoch = m.epoch
@@ -607,13 +613,18 @@ func (m *windowMiner) moveContributions(g *windowGroup, resolved bool, setter bg
 // O(churn), not O(mesh); w.Materialize does that on demand.
 func (m *windowMiner) closeWindow(w *PassiveWindow) {
 	m.flushObs()
-	m.rel.Commit()
+	repin := m.rel.Commit() || m.stalePins
+	m.stalePins = false
 	// Re-pinpoint the live rels-dependent shapes, compacting dead ones
 	// out of the list so per-window cost tracks the live shape set, not
 	// the trace's all-time one (withdrawn shapes re-register in apply
 	// if they come back). Pinpointing only reads the committed oracle,
 	// so the answers are computed on the pool; the observation moves
-	// mutate the store and commit sequentially in list order.
+	// mutate the store and commit sequentially in list order. When the
+	// oracle did not move there is nothing to correct — every listed
+	// shape was pinned against this very oracle, at the last close or at
+	// its creation inside the window — unless a compacted shape came
+	// back with an older pin (stalePins).
 	live := m.relsDeps[:0]
 	for _, g := range m.relsDeps {
 		if g.refs == 0 {
@@ -626,16 +637,18 @@ func (m *windowMiner) closeWindow(w *PassiveWindow) {
 		m.relsDeps[i] = nil
 	}
 	m.relsDeps = live
-	if cap(m.pinScratch) < len(live) {
-		m.pinScratch = make([]pinResult, len(live))
-	}
-	pins := m.pinScratch[:len(live)]
-	par.Run(m.workers, len(live), func(i int) {
-		g := live[i]
-		pins[i].setter, pins[i].ok = PinpointSetter(m.store.Path(g.path), g.entry, m.rel)
-	})
-	for i, g := range live {
-		m.moveContributions(g, pins[i].ok, pins[i].setter)
+	if repin {
+		if cap(m.pinScratch) < len(live) {
+			m.pinScratch = make([]pinResult, len(live))
+		}
+		pins := m.pinScratch[:len(live)]
+		par.Run(m.workers, len(live), func(i int) {
+			g := live[i]
+			pins[i].setter, pins[i].ok = PinpointSetter(m.store.Path(g.path), g.entry, m.rel)
+		})
+		for i, g := range live {
+			m.moveContributions(g, pins[i].ok, pins[i].setter)
+		}
 	}
 	w.Dropped.Bogon = m.dropBogon
 	w.Dropped.Cycle = m.dropCycle
@@ -644,8 +657,8 @@ func (m *windowMiner) closeWindow(w *PassiveWindow) {
 	m.mesh.Apply(m.obs, m.workers)
 	w.MeshLinks = m.mesh.TotalLinks()
 	w.Stability = m.mesh.CloseStability()
-	w.Result, w.miner = nil, m
 	m.epoch++
+	w.Result, w.miner, w.epoch = nil, m, m.epoch
 	m.sweepDeadShapes()
 }
 

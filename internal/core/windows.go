@@ -115,9 +115,11 @@ type PassiveWindow struct {
 	Result *Result
 
 	// miner is the incremental miner that closed this window, whose mesh
-	// Materialize snapshots; nil in remine mode, where the derivation
-	// itself produces Result.
+	// Materialize snapshots, and epoch that miner's close count when it
+	// did; nil in remine mode, where the derivation itself produces
+	// Result.
 	miner *windowMiner
+	epoch int
 }
 
 // Materialize returns the window's Result, snapshotting the maintained
@@ -126,12 +128,18 @@ type PassiveWindow struct {
 // added to CloseTime, so a consumer that materializes before reading
 // CloseTime sees the whole cost of producing the window. It must be
 // called inside the WindowOptions.Stream callback the window was handed
-// to: afterwards the miner has moved on. The Result is immutable and
-// safe to retain beyond the callback; whatever no churn touched since
-// the previously materialized window is shared with that window's Result
-// (see MeshState.Snapshot), down to the same pointer for an idle window.
+// to: afterwards the miner has moved on, and a first call then panics
+// rather than pass a later window's mesh off as this one's (and make it
+// the base the next window's index is patched from). The Result is
+// immutable and safe to retain beyond the callback; whatever no churn
+// touched since the previously materialized window is shared with that
+// window's Result (see MeshState.Snapshot), down to the same pointer for
+// an idle window.
 func (w *PassiveWindow) Materialize() *Result {
 	if w.Result == nil && w.miner != nil {
+		if w.miner.epoch != w.epoch {
+			panic(fmt.Sprintf("core: PassiveWindow.Materialize on the window closed at epoch %d after the miner moved on to epoch %d: call inside the Stream callback", w.epoch, w.miner.epoch))
+		}
 		//mlplint:clock close-duration telemetry only; never feeds inference or window boundaries
 		t0 := time.Now()
 		w.Result = w.miner.mesh.Snapshot(w.miner.workers)

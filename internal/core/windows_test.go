@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"maps"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -740,6 +741,41 @@ func TestStreamMaterializeAndCancel(t *testing.T) {
 	}
 }
 
+// TestLateMaterializePanics pins the failure mode of the contract above:
+// a window first materialized after the miner closed a later one would
+// snapshot that later mesh under this window's name — and become the
+// base the next index is patched from — so it panics, naming the
+// contract. A window materialized in time keeps answering afterwards.
+func TestLateMaterializePanics(t *testing.T) {
+	d := testDict(t)
+	t0 := time.Date(2013, 5, 1, 2, 0, 0, 0, time.UTC)
+	w := 10 * time.Minute
+	var unasked, asked PassiveWindow
+	opts := WindowOptions{Start: t0, Window: w, Count: 3, Stream: func(pw *PassiveWindow) {
+		switch pw.Start {
+		case t0:
+			unasked = *pw
+		case t0.Add(w):
+			pw.Materialize()
+			asked = *pw
+		}
+	}}
+	if _, err := RunPassiveWindows(nil, flapTrace(t, t0, w), d, opts); err != nil {
+		t.Fatal(err)
+	}
+	if res := asked.Result; res == nil || asked.Materialize() != res {
+		t.Fatal("a window materialized inside its callback lost its Result afterwards")
+	}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "call inside the Stream callback") {
+			t.Fatalf("late Materialize: recovered %q, want a panic naming the contract", msg)
+		}
+	}()
+	unasked.Materialize()
+	t.Fatal("late Materialize returned instead of panicking")
+}
+
 // TestResultFingerprint pins the fingerprint contract: equal meshes
 // fingerprint equal, different meshes differ, and the value tracks the
 // canonical AppendMesh encoding.
@@ -829,7 +865,7 @@ func TestSnapshotSharesUnchangedStructure(t *testing.T) {
 			t.Fatalf("window %d: %s", len(results), diff)
 		}
 		// The consumer's prefill, as serve.NewSnapshot does it.
-		res.BuildIndex()
+		res.BuildIndex(nil)
 		results = append(results, res)
 	}
 	if _, err := RunPassiveWindows(nil, updates, d, opts); err != nil {
@@ -885,8 +921,8 @@ func TestLinkIndexMatchesScan(t *testing.T) {
 	if res.linkIndex != nil {
 		t.Fatal("Fingerprint/AppendMesh built the index; only BuildIndex may")
 	}
-	x := res.BuildIndex()
-	if x != res.BuildIndex() || x != res.linkIndex {
+	x := res.BuildIndex(nil)
+	if x != res.BuildIndex(nil) || x != res.linkIndex {
 		t.Fatal("BuildIndex is not memoized")
 	}
 	if x.Fingerprint != fp || res.Fingerprint() != fp || !bytes.Equal(res.AppendMesh(nil), mesh) {

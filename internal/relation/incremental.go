@@ -5,12 +5,17 @@
 // aggregates — adjacency, transit-neighbor counts, per-pair orientation
 // votes — as refcounted counters, and re-derives only what the window's
 // deltas invalidated at Commit: the greedy clique (cheap, O(ASes log
-// ASes)) and the vote contributions of paths whose hops changed transit
-// degree or clique membership. Relationship labels are resolved on
-// demand from the maintained counters through the same resolveRel the
-// batch Infer uses, so an Incremental that saw AddPath for exactly the
-// live path set answers every query identically to a fresh Infer over
-// that set.
+// ASes)), the vote contributions of the paths whose peak moved — a
+// path's votes are a pure function of (path, peak), so one cached int
+// per live path stands in for its vote list, and a hop changing transit
+// degree or clique membership re-votes a path only when it actually
+// moves the peak, which below the top of the hierarchy it almost never
+// does — and the labels of the links incident to those hops, whose
+// degree-ratio refinement reads endpoint degrees. Relationship labels
+// are resolved on demand from the maintained counters through the same
+// resolveRel the batch Infer uses, so an Incremental that saw AddPath
+// for exactly the live path set answers every query identically to a
+// fresh Infer over that set.
 //
 // The counters are split across a fixed number of shards — link-keyed
 // state (adjacency, votes, touched set, p2p labels) by link-key hash,
@@ -22,11 +27,12 @@
 // pure hash, and each shard replays its ops in the sequentially
 // determined order, so the committed state is bit-identical for any
 // worker count — the same discipline as the generator's parallel
-// stages. Pure per-path re-votes fan out the same way and merge through
-// ordered buckets.
+// stages. The pure per-path peak recomputation fans out the same way;
+// the few paths whose peak moved merge through ordered buckets.
 package relation
 
 import (
+	"cmp"
 	"slices"
 
 	"mlpeering/internal/bgp"
@@ -58,10 +64,24 @@ type transitPair struct {
 	mid, nbr bgp.ASN
 }
 
-// voteEdge is one cached vote a path contributed: customer side of key.
-type voteEdge struct {
-	key      topology.LinkKey
-	customer bgp.ASN
+// noPeak marks a path that contributes no votes: not live, or shorter
+// than two hops.
+const noPeak = -1
+
+// votedPath is the per-path vote cache, indexed by path ID: the peak
+// the path's committed votes were emitted around (noPeak when it has
+// none), and whether the current Commit already queued it for a peak
+// recomputation.
+type votedPath struct {
+	peak   int32
+	queued bool
+}
+
+// movedPeak is one path whose recomputed peak differs from the cached
+// one.
+type movedPeak struct {
+	id   paths.ID
+	peak int32
 }
 
 // pathDelta is one queued AddPath/RemovePath transition.
@@ -213,9 +233,10 @@ func (sh *asShard) applyOps() {
 // Incremental is a delta-maintained relationship inference over the
 // distinct paths of an interned store. AddPath/RemovePath queue
 // structural deltas; Commit nets and applies them, re-derives the
-// clique and re-votes invalidated paths on up to Workers goroutines.
-// Queries are only valid after a Commit with no later Add/Remove, and
-// answer from the last committed state. Not safe for concurrent use.
+// clique and re-votes the paths whose peak moved on up to Workers
+// goroutines. Queries are only valid after a Commit with no later
+// Add/Remove, and answer from the last committed state. Not safe for
+// concurrent use.
 type Incremental struct {
 	store *paths.Store
 
@@ -226,29 +247,33 @@ type Incremental struct {
 	links [relShardCount]linkShard
 	byAS  [relShardCount]asShard
 
-	pathVotes map[paths.ID][]voteEdge // cached contribution of each voted path
-	queue     []pathDelta             // transitions since the last Commit
+	voted []votedPath // per-path vote cache, indexed by path ID
+	queue []pathDelta // transitions since the last Commit
 
 	clique    []bgp.ASN
 	cliqueSet map[bgp.ASN]bool
 
+	// revoted counts the already-voted paths whose peak the last Commit
+	// moved (fresh adds and removals not included).
+	revoted int
+
 	// Commit scratch.
-	net           map[paths.ID]int
-	netOrder      []paths.ID
-	revoteScratch map[paths.ID]bool
-	revoteIDs     []paths.ID
-	voteScratch   [][]voteEdge
-	candScratch   []bgp.ASN
+	net         map[paths.ID]int
+	netOrder    []paths.ID
+	movedAS     map[bgp.ASN]bool
+	cands       []paths.ID
+	peakScratch []int32
+	moved       []movedPeak
+	candScratch []bgp.ASN
 }
 
 // NewIncremental returns an empty incremental inference over store.
 func NewIncremental(store *paths.Store) *Incremental {
 	inc := &Incremental{
-		store:         store,
-		pathVotes:     make(map[paths.ID][]voteEdge),
-		cliqueSet:     make(map[bgp.ASN]bool),
-		net:           make(map[paths.ID]int),
-		revoteScratch: make(map[paths.ID]bool),
+		store:     store,
+		cliqueSet: make(map[bgp.ASN]bool),
+		net:       make(map[paths.ID]int),
+		movedAS:   make(map[bgp.ASN]bool),
 	}
 	for s := range inc.links {
 		inc.links[s] = linkShard{
@@ -290,19 +315,53 @@ func (inc *Incremental) RemovePath(id paths.ID) {
 	inc.queue = append(inc.queue, pathDelta{id: id, delta: -1})
 }
 
+// enqueue lists a path for this Commit's peak recomputation, once.
+func (inc *Incremental) enqueue(id paths.ID) {
+	if v := &inc.voted[id]; !v.queued {
+		v.queued = true
+		inc.cands = append(inc.cands, id)
+	}
+}
+
+// bucketVotes queues delta times the votes of a path peaking at peak
+// into the link shards' vote buckets.
+func (inc *Incremental) bucketVotes(path []bgp.ASN, peak int32, delta int) {
+	if peak == noPeak {
+		return
+	}
+	emitVotesAround(path, int(peak), func(customer, provider bgp.ASN) {
+		key := topology.MakeLinkKey(customer, provider)
+		sh := &inc.links[linkShardOf(key)]
+		sh.voteOps = append(sh.voteOps, voteOp{key: key, customer: customer, delta: delta})
+	})
+}
+
+// peakChunk is how many candidate paths one pool task recomputes: large
+// enough that the shared task counter is not the bottleneck.
+const peakChunk = 256
+
 // Commit applies the queued path transitions and re-derives everything
-// they invalidated, in five ordered phases: (1) net the queue — a path
-// that flapped in and out contributes nothing; (2) bucket structural
-// micro-ops per shard in queue order and apply every shard's bucket
-// concurrently; (3) re-derive the clique from the merged degrees
-// (sequential — its greedy scan is inherently ordered); (4) re-vote
-// invalidated paths — pure per-path vote computation fans out over the
-// sorted id list, the resulting vote moves bucket sequentially and
-// apply concurrently per link shard; (5) relabel the touched links per
-// shard. Sequential phases fix every order the parallel phases replay,
-// so the committed state is identical for any worker count. After
-// Commit, queries answer exactly as a batch Infer over the live set.
-func (inc *Incremental) Commit() {
+// they invalidated, reporting whether the oracle's answers can have
+// changed (false: nothing was queued, or every queued transition netted
+// out — the committed state is untouched). Five ordered phases: (1) net
+// the queue — a path that flapped in and out contributes nothing; (2)
+// bucket structural micro-ops per shard in queue order and apply every
+// shard's bucket concurrently; (3) re-derive the clique from the merged
+// degrees (sequential — its greedy scan is inherently ordered); (4)
+// recompute the peak of every path that could have moved it — pending
+// adds and live paths through an AS whose degree or clique membership
+// changed — as a pure per-path computation on the pool, then bucket vote
+// moves for exactly the paths whose peak differs from the cached one,
+// in ascending id order; (5) apply the vote moves and relabel the
+// touched links per shard — those whose votes moved plus those incident
+// to a changed AS. Sequential phases fix every order the parallel phases
+// replay, so the committed state is identical for any worker count.
+// After Commit, queries answer exactly as a batch Infer over the live
+// set.
+func (inc *Incremental) Commit() (changed bool) {
+	if len(inc.queue) == 0 {
+		return false
+	}
 	workers := par.Workers(inc.Workers)
 
 	// Phase 1: net the queued transitions per path id, keeping
@@ -315,17 +374,16 @@ func (inc *Incremental) Commit() {
 	}
 	inc.queue = inc.queue[:0]
 
-	revote := inc.revoteScratch
-	clear(revote)
-
 	// Phase 2a: bucket structural micro-ops by shard, in netted queue
-	// order. Removed paths also queue the subtraction of their cached
-	// vote contribution.
+	// order. A removed path also queues the subtraction of the votes it
+	// cast around its cached peak; an added one waits for phase 4.
+	inc.cands = inc.cands[:0]
 	for _, id := range inc.netOrder {
 		delta := inc.net[id]
 		if delta == 0 {
 			continue
 		}
+		changed = true
 		path := dedupAdjacent(inc.store.Path(id))
 		for i := 0; i+1 < len(path); i++ {
 			key := topology.MakeLinkKey(path[i], path[i+1])
@@ -343,17 +401,20 @@ func (inc *Incremental) Commit() {
 			sh.byASOps = append(sh.byASOps, byASOp{asn: a, id: id, add: delta > 0})
 		}
 		if delta > 0 {
-			revote[id] = true
-		} else {
-			for _, e := range inc.pathVotes[id] {
-				sh := &inc.links[linkShardOf(e.key)]
-				sh.voteOps = append(sh.voteOps, voteOp{key: e.key, customer: e.customer, delta: -1})
+			for int(id) >= len(inc.voted) {
+				inc.voted = append(inc.voted, votedPath{peak: noPeak})
 			}
-			delete(inc.pathVotes, id)
+			inc.enqueue(id)
+		} else {
+			inc.bucketVotes(path, inc.voted[id].peak, -1)
+			inc.voted[id].peak = noPeak
 		}
 	}
 	clear(inc.net)
 	inc.netOrder = inc.netOrder[:0]
+	if !changed {
+		return false
+	}
 
 	// Phase 2b: apply every shard's structural bucket concurrently.
 	// Shards are disjoint and each replays its own deterministic order.
@@ -385,88 +446,98 @@ func (inc *Incremental) Commit() {
 		newSet[a] = true
 	}
 
-	// Phase 4a: build the revote set — pending adds, live paths through
-	// an AS whose degree actually changed, and live paths through a
-	// clique-membership flip — then sort it into a total order.
-	invalidate := func(a bgp.ASN) {
-		for id := range inc.byAS[asShardOf(a)].pathsByAS[a] {
-			revote[id] = true
-		}
-	}
+	// Phase 4a: collect the ASes whose peak-relevant inputs moved — a
+	// transit degree that actually changed, a clique-membership flip —
+	// and queue every live path through one of them beside the pending
+	// adds. The queue order is arbitrary: it only feeds the pure
+	// per-path computation below.
+	movedAS := inc.movedAS
+	clear(movedAS)
 	for s := range inc.byAS {
 		sh := &inc.byAS[s]
 		for a, old := range sh.touchedDeg {
 			if sh.degree[a] != old {
-				invalidate(a)
+				movedAS[a] = true
 			}
 		}
 		clear(sh.touchedDeg)
 	}
 	for _, a := range inc.clique {
 		if !newSet[a] {
-			invalidate(a)
+			movedAS[a] = true
 		}
 	}
 	for _, a := range newClique {
 		if !inc.cliqueSet[a] {
-			invalidate(a)
+			movedAS[a] = true
 		}
 	}
 	inc.clique, inc.cliqueSet = newClique, newSet
-
-	ids := inc.revoteIDs[:0]
-	for id := range revote {
-		ids = append(ids, id)
+	for a := range movedAS {
+		//mlplint:ordered candidates feed a pure per-path computation; the paths that moved are sorted by id before anything is bucketed
+		for id := range inc.byAS[asShardOf(a)].pathsByAS[a] {
+			inc.enqueue(id)
+		}
 	}
-	slices.Sort(ids)
-	inc.revoteIDs = ids[:0]
 
-	// Phase 4b: recompute every revoted path's vote edges — a pure
-	// function of the path, the new clique and the settled degrees —
-	// on the pool.
-	if cap(inc.voteScratch) < len(ids) {
-		inc.voteScratch = make([][]voteEdge, len(ids))
+	// Phase 4b: recompute every candidate's peak — a pure function of
+	// the path, the new clique and the settled degrees — on the pool.
+	ids := inc.cands
+	if cap(inc.peakScratch) < len(ids) {
+		inc.peakScratch = make([]int32, len(ids))
 	}
-	edgesOf := inc.voteScratch[:len(ids)]
-	par.Run(workers, len(ids), func(i int) {
-		path := dedupAdjacent(inc.store.Path(ids[i]))
-		var edges []voteEdge
-		emitPathVotes(path, inc.cliqueSet, inc.degreeOf, func(customer, provider bgp.ASN) {
-			edges = append(edges, voteEdge{key: topology.MakeLinkKey(customer, provider), customer: customer})
-		})
-		edgesOf[i] = edges
+	peaks := inc.peakScratch[:len(ids)]
+	par.Run(workers, (len(ids)+peakChunk-1)/peakChunk, func(c int) {
+		for i := c * peakChunk; i < min(len(ids), (c+1)*peakChunk); i++ {
+			peaks[i] = noPeak
+			if path := dedupAdjacent(inc.store.Path(ids[i])); len(path) >= 2 {
+				peaks[i] = int32(pathPeak(path, inc.cliqueSet, inc.degreeOf))
+			}
+		}
 	})
 
-	// Phase 4c: bucket the vote moves sequentially in sorted-id order —
-	// old contribution out, new contribution in — and apply per shard.
+	// Phase 4c: keep the candidates whose peak moved, and bucket their
+	// vote moves sequentially in ascending id order — the votes around
+	// the old peak out, the votes around the new one in. A candidate
+	// whose peak held contributes byte-identical votes and is skipped.
+	moved := inc.moved[:0]
 	for i, id := range ids {
-		for _, e := range inc.pathVotes[id] {
-			sh := &inc.links[linkShardOf(e.key)]
-			sh.voteOps = append(sh.voteOps, voteOp{key: e.key, customer: e.customer, delta: -1})
+		inc.voted[id].queued = false
+		if peaks[i] != inc.voted[id].peak {
+			moved = append(moved, movedPeak{id: id, peak: peaks[i]})
 		}
-		edges := edgesOf[i]
-		for _, e := range edges {
-			sh := &inc.links[linkShardOf(e.key)]
-			sh.voteOps = append(sh.voteOps, voteOp{key: e.key, customer: e.customer, delta: 1})
-		}
-		if len(edges) > 0 {
-			inc.pathVotes[id] = edges
-		} else {
-			delete(inc.pathVotes, id)
-		}
-		edgesOf[i] = nil
 	}
+	slices.SortFunc(moved, func(a, b movedPeak) int { return cmp.Compare(a.id, b.id) })
+	inc.revoted = 0
+	for _, m := range moved {
+		v := &inc.voted[m.id]
+		if v.peak != noPeak {
+			inc.revoted++
+		}
+		path := dedupAdjacent(inc.store.Path(m.id))
+		inc.bucketVotes(path, v.peak, -1)
+		inc.bucketVotes(path, m.peak, 1)
+		v.peak = m.peak
+	}
+	inc.moved = moved[:0]
 
 	// Phase 5: apply the vote moves and reconcile the p2p labels per
-	// link shard. Every link whose label inputs moved — vote deltas
-	// directly, endpoint degree or clique flips through the re-vote of
-	// every live path containing the flipped AS — is in the shard's
-	// touched set; relabel exactly those. Links never touched kept
-	// their votes, degrees and clique context, so their label is
+	// link shard. A link's label reads its votes, its endpoints' clique
+	// membership and — in resolveRel's degree-ratio refinement — their
+	// transit degrees, so the links to relabel are those a vote move
+	// touched plus every link incident to a moved AS. Links outside
+	// both sets kept all of their label's inputs, so their label is
 	// unchanged by construction.
 	par.Run(workers, relShardCount, func(s int) {
 		sh := &inc.links[s]
 		sh.applyVotes()
+		if len(movedAS) > 0 {
+			for key := range sh.adj {
+				if movedAS[key.A] || movedAS[key.B] {
+					sh.touched[key] = true
+				}
+			}
+		}
 		for key := range sh.touched {
 			if sh.adj[key] > 0 && resolveRel(key, sh.votes[key], inc.cliqueSet, inc.degreeOf) == RelP2P {
 				sh.p2p[key] = true
@@ -476,6 +547,7 @@ func (inc *Incremental) Commit() {
 		}
 		clear(sh.touched)
 	})
+	return true
 }
 
 // Relationship returns the pair's relationship from a's perspective,

@@ -2,6 +2,7 @@ package relation
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mlpeering/internal/bgp"
@@ -229,4 +230,107 @@ func TestInferenceIterators(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestCommitRevotesOnlyMovedPeaks pins the filtered re-vote on a
+// directed trace. A large non-clique AS (50) sits under a clique member
+// on a dozen live paths; growing its transit degree makes every one of
+// them a candidate, yet none moves its peak, so no live path is
+// re-voted. Growing 60's degree from 10 to 12 crosses resolveRel's
+// degree-10 refinement bound: the 50-60 link flips c2p -> p2p although
+// not one of its votes moved — the relabel comes from the explicit
+// incident-link pass, not from a re-vote. A last step does move a peak,
+// showing the counter counts. Every step equals a batch Infer.
+func TestCommitRevotesOnlyMovedPeaks(t *testing.T) {
+	store := paths.NewStore()
+	inc := NewIncremental(store)
+	live := make(map[paths.ID]bool)
+	step := 0
+	commit := func(pp ...[]bgp.ASN) {
+		t.Helper()
+		for _, p := range pp {
+			id := store.Intern(p)
+			live[id] = true
+			inc.AddPath(id)
+		}
+		if !inc.Commit() {
+			t.Fatalf("step %d: Commit reported the oracle unchanged after adding paths", step)
+		}
+		assertOracleEquivalence(t, step, store, live, inc)
+		step++
+	}
+
+	var base [][]bgp.ASN
+	for i := bgp.ASN(0); i < 12; i++ {
+		base = append(base, []bgp.ASN{2000 + i, 10, 50, 5000 + i})
+	}
+	for i := bgp.ASN(0); i < 9; i++ {
+		base = append(base, []bgp.ASN{2050 + i, 10, 50, 60, 8000 + i})
+	}
+	for i := bgp.ASN(0); i < 14; i++ {
+		base = append(base, []bgp.ASN{2100 + i, 11, 6000 + i}, []bgp.ASN{2200 + i, 12, 7000 + i})
+	}
+	base = append(base, []bgp.ASN{2300, 10, 11, 7100}, []bgp.ASN{2301, 11, 12, 7101}, []bgp.ASN{2302, 10, 12, 7102})
+	commit(base...)
+	clique := inc.Clique()
+	if len(clique) != 3 {
+		t.Fatalf("clique %v, want the three cores", clique)
+	}
+	if d := inc.degreeOf(60); d != 10 {
+		t.Fatalf("AS 60 starts at transit degree %d, want 10 (the refinement bound)", d)
+	}
+	if r := inc.Relationship(60, 50); r != RelC2P {
+		t.Fatalf("60 -> 50 starts as %v, want c2p", r)
+	}
+
+	// 50's degree moves; 21 live paths cross it, all peaking at core 10.
+	before := inc.degreeOf(50)
+	commit([]bgp.ASN{2400, 50, 5100})
+	if inc.degreeOf(50) != before+2 {
+		t.Fatalf("AS 50's degree went %d -> %d, want +2", before, inc.degreeOf(50))
+	}
+	if inc.revoted != 0 {
+		t.Fatalf("a degree move under a clique peak re-voted %d live paths, want 0", inc.revoted)
+	}
+
+	// 60's degree crosses the bound: the label flips, no vote moves.
+	p2p := inc.P2PCount()
+	commit([]bgp.ASN{2500, 60, 8100})
+	if inc.revoted != 0 {
+		t.Fatalf("crossing the refinement bound re-voted %d live paths, want 0", inc.revoted)
+	}
+	if r := inc.Relationship(60, 50); r != RelP2P {
+		t.Fatalf("60 -> 50 is %v after 60's degree rose to %d, want p2p by refinement", r, inc.degreeOf(60))
+	}
+	if inc.P2PCount() != p2p+1 {
+		t.Fatalf("P2PCount went %d -> %d, want exactly the refined link", p2p, inc.P2PCount())
+	}
+	if !slices.Equal(inc.Clique(), clique) {
+		t.Fatalf("clique moved to %v", inc.Clique())
+	}
+
+	// A clique-free path peaks at 50 until 60 outgrows it.
+	commit([]bgp.ASN{2600, 50, 60, 8200})
+	if inc.revoted != 0 {
+		t.Fatalf("adding a path re-voted %d live paths", inc.revoted)
+	}
+	commit([]bgp.ASN{2700, 60, 8300}, []bgp.ASN{2701, 60, 8301}, []bgp.ASN{2702, 60, 8302})
+	if inc.degreeOf(60) <= inc.degreeOf(50) {
+		t.Fatalf("AS 60 (degree %d) did not outgrow AS 50 (%d)", inc.degreeOf(60), inc.degreeOf(50))
+	}
+	if inc.revoted != 1 {
+		t.Fatalf("moving one path's peak re-voted %d live paths, want 1", inc.revoted)
+	}
+
+	// Nothing queued, and a flap that nets out: the oracle did not move.
+	if inc.Commit() {
+		t.Fatal("an empty Commit reported a change")
+	}
+	id := store.Intern([]bgp.ASN{2400, 50, 5100})
+	inc.RemovePath(id)
+	inc.AddPath(id)
+	if inc.Commit() {
+		t.Fatal("a flap that netted out reported a change")
+	}
+	assertOracleEquivalence(t, step, store, live, inc)
 }

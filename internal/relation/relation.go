@@ -347,15 +347,22 @@ func pathPeak(path []bgp.ASN, cliqueSet map[bgp.ASN]bool, degree func(bgp.ASN) i
 }
 
 // emitPathVotes generates one path's c2p votes around its peak. The
-// path must already be prepending-collapsed. Collector-side first means
-// traffic flows origin -> collector: links between the peak and the
-// collector flow down (the collector-side AS is the customer), links on
-// the origin side are announced customer -> provider left-ward.
+// path must already be prepending-collapsed.
 func emitPathVotes(path []bgp.ASN, cliqueSet map[bgp.ASN]bool, degree func(bgp.ASN) int, emit func(customer, provider bgp.ASN)) {
 	if len(path) < 2 {
 		return
 	}
-	peak := pathPeak(path, cliqueSet, degree)
+	emitVotesAround(path, pathPeak(path, cliqueSet, degree), emit)
+}
+
+// emitVotesAround generates the c2p votes of a path peaking at hop
+// peak: a path's votes are a pure function of (path, peak), which is
+// what lets the incremental oracle cache one int per path instead of
+// its vote list. Collector-side first means traffic flows origin ->
+// collector: links between the peak and the collector flow down (the
+// collector-side AS is the customer), links on the origin side are
+// announced customer -> provider left-ward.
+func emitVotesAround(path []bgp.ASN, peak int, emit func(customer, provider bgp.ASN)) {
 	for i := 0; i < peak; i++ {
 		// path[i] is nearer the collector: it heard the route from
 		// path[i+1], so path[i] is a customer of path[i+1].

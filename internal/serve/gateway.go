@@ -336,8 +336,7 @@ func etagMatch(inm, etag string) bool {
 
 // WaitShutdown blocks until ctx is cancelled, then gracefully shuts
 // srv down, giving in-flight requests up to drain to finish. It is
-// the shared termination path of cmd/lgserve in both gateway and
-// static mode. Returns the shutdown error, if any.
+// cmd/lgserve's termination path. Returns the shutdown error, if any.
 func WaitShutdown(ctx context.Context, srv *http.Server, drain time.Duration) error {
 	<-ctx.Done()
 	sctx, cancel := context.WithTimeout(context.Background(), drain)

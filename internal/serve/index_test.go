@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"net/http"
 	"net/url"
 	"sort"
@@ -216,8 +217,13 @@ func churnedWindows(t *testing.T, fn func(*core.PassiveWindow)) {
 // the link index — /v1/as for every AS, /v1/ixp for every IXP, the
 // mesh, the IXP list and link lookups — equals the full-scan +
 // encoding/json oracle byte for byte, as does the exported Render* of
-// the same query. One of the IXP names needs every kind of JSON
-// escape.
+// the same query. The epochs form one chain: from the second on, each
+// snapshot's index and encoded link array are patched out of the
+// previous epoch's (core.Result.BuildIndex), so every body — and the
+// fingerprint in the ETag — is also held against the same query on a
+// detached copy of the Result, which nothing but a from-scratch index
+// build has ever touched. One of the IXP names needs every kind of
+// JSON escape.
 func TestIndexedBodiesMatchScanOracle(t *testing.T) {
 	asns := []bgp.ASN{100, 200, 300, 400, 500, 600, 700, 8359, 1, 4200000000}
 	g := New(Config{})
@@ -236,9 +242,18 @@ func TestIndexedBodiesMatchScanOracle(t *testing.T) {
 		prev = res
 		fps = append(fps, res.Fingerprint())
 		multi = append(multi, res.MultiIXPLinks())
-		g.publish(NewSnapshot(epoch, "test-world", pw, time.Date(2026, 8, 8, 12, 0, int(epoch), 0, time.UTC)))
+		snap := NewSnapshot(epoch, "test-world", pw, time.Date(2026, 8, 8, 12, 0, int(epoch), 0, time.UTC))
+		g.publish(snap)
 
-		check := func(path, want string, direct []byte) {
+		// fresh is the same mesh outside the chain: its fingerprint comes
+		// from the unindexed hash walk, its renders from an index built
+		// from scratch.
+		fresh := &core.Result{PerIXP: res.PerIXP, Links: maps.Clone(res.Links)}
+		if fp := fresh.Fingerprint(); fp != snap.Fingerprint {
+			t.Fatalf("epoch %d: chained fingerprint %016x, detached rebuild %016x", epoch, snap.Fingerprint, fp)
+		}
+
+		check := func(path, want string, direct ...[]byte) {
 			t.Helper()
 			rr := get(t, h, path, nil)
 			if rr.Code != http.StatusOK {
@@ -247,24 +262,27 @@ func TestIndexedBodiesMatchScanOracle(t *testing.T) {
 			if got := rr.Body.String(); got != want {
 				t.Errorf("epoch %d: %s differs from the scan oracle:\n http:   %s\n oracle: %s", epoch, path, got, want)
 			}
-			if string(direct) != want {
-				t.Errorf("epoch %d: direct render of %s differs from the scan oracle:\n direct: %s\n oracle: %s", epoch, path, direct, want)
+			for i, d := range direct {
+				if string(d) != want {
+					t.Errorf("epoch %d: direct render %d of %s (0 chained, 1 detached) differs from the scan oracle:\n direct: %s\n oracle: %s", epoch, i, path, d, want)
+				}
 			}
 			if cl := rr.Header().Get("Content-Length"); cl != fmt.Sprint(len(want)) {
 				t.Errorf("epoch %d: %s Content-Length %s, body %d", epoch, path, cl, len(want))
 			}
 		}
-		check("/v1/mesh", oracleMesh(t, epoch, res), RenderMesh(epoch, res.Fingerprint(), res))
-		check("/v1/ixps", oracleIXPList(t, epoch, res), RenderIXPList(epoch, res))
+		check("/v1/mesh", oracleMesh(t, epoch, res), RenderMesh(epoch, res.Fingerprint(), res), RenderMesh(epoch, snap.Fingerprint, fresh))
+		check("/v1/ixps", oracleIXPList(t, epoch, res), RenderIXPList(epoch, res), RenderIXPList(epoch, fresh))
 		for _, asn := range asns {
-			check(fmt.Sprintf("/v1/as/%d", uint32(asn)), oracleAS(t, epoch, res, asn), RenderAS(epoch, res, asn))
+			check(fmt.Sprintf("/v1/as/%d", uint32(asn)), oracleAS(t, epoch, res, asn), RenderAS(epoch, res, asn), RenderAS(epoch, fresh, asn))
 		}
 		for name := range res.PerIXP {
 			direct, ok := RenderIXP(epoch, res, name)
-			if !ok {
+			detached, ok2 := RenderIXP(epoch, fresh, name)
+			if !ok || !ok2 {
 				t.Fatalf("epoch %d: RenderIXP(%q) not ok", epoch, name)
 			}
-			check("/v1/ixp/"+url.PathEscape(name), oracleIXP(t, epoch, res, name), direct)
+			check("/v1/ixp/"+url.PathEscape(name), oracleIXP(t, epoch, res, name), direct, detached)
 		}
 		for _, pair := range [][2]bgp.ASN{{100, 200}, {300, 200}, {100, 400}, {600, 700}, {1, 2}} {
 			check(fmt.Sprintf("/v1/link?b=%d&a=%d", uint32(pair[1]), uint32(pair[0])),

@@ -96,10 +96,7 @@ type Snapshot struct {
 //mlplint:frozen
 func NewSnapshot(epoch uint64, scenario string, pw *core.PassiveWindow, committed time.Time) *Snapshot {
 	res := pw.Result
-	idx := res.BuildIndex()
-	if idx.Encoded == nil {
-		idx.Encoded = appendLinkArray(make([]byte, 0, 48*len(idx.Links)+2), idx.Links)
-	}
+	idx := res.BuildIndex(appendLink)
 	for _, name := range idx.IXPs {
 		res.PerIXP[name].CoveredMembers()
 	}
@@ -182,20 +179,20 @@ func FingerprintHex(fp uint64) string { return fmt.Sprintf("%016x", fp) }
 // its sorted IXP attribution. It encodes the link array afresh, so a
 // byte check against /v1/mesh also checks the snapshot's cached copy.
 func RenderMesh(epoch uint64, fingerprint uint64, r *core.Result) []byte {
-	links := r.BuildIndex().Links
+	links := r.BuildIndex(nil).Links
 	b := appendMeshHead(make([]byte, 0, 64+48*len(links)), epoch, fingerprint)
 	return append(appendLinkArray(b, links), '}')
 }
 
 // RenderIXPList renders the per-IXP coverage summary, sorted by name.
 func RenderIXPList(epoch uint64, r *core.Result) []byte {
-	return appendIXPList(nil, epoch, r, r.BuildIndex())
+	return appendIXPList(nil, epoch, r, r.BuildIndex(nil))
 }
 
 // RenderIXP renders one IXP's inference; ok is false when the
 // dictionary has no such IXP.
 func RenderIXP(epoch uint64, r *core.Result, name string) ([]byte, bool) {
-	idx := r.BuildIndex()
+	idx := r.BuildIndex(nil)
 	rows, ok := idx.IXPLinks(name)
 	if !ok {
 		return nil, false
@@ -213,7 +210,7 @@ func RenderLink(epoch uint64, r *core.Result, a, b bgp.ASN) []byte {
 // RenderAS renders every inferred link one AS participates in (the
 // route/neighbor view of the mesh), ascending by peer.
 func RenderAS(epoch uint64, r *core.Result, asn bgp.ASN) []byte {
-	idx := r.BuildIndex()
+	idx := r.BuildIndex(nil)
 	rows := idx.ASLinks(asn)
 	return appendAS(make([]byte, 0, asBodySize(rows)), epoch, idx, asn, rows)
 }

@@ -26,11 +26,14 @@ cd "$(dirname "$0")/.."
 #
 # The read-side memos are the one sanctioned exception to "never
 # written after the builder returns", so where they are written is
-# gated too: Result.linkIndex only in Result.BuildIndex (under a
-# reasoned //mlplint:frozen waiver on the line above) and in the
-# MeshState.Snapshot builder that hands it on; LinkIndex.Encoded only in
-# serve.NewSnapshot, the prefill window. A write anywhere else — or the
-# waiver gone — fails.
+# gated too: Result.linkIndex and Result.patch (the predecessor index
+# and moved keys the memo is patched from) only in Result.BuildIndex
+# (under a reasoned //mlplint:frozen waiver on the line above) and in
+# the MeshState.Snapshot builder that hands them on; LinkIndex.Encoded
+# only in the index builders of internal/core/linkindex.go — the patch
+# and the three encoding helpers the patch and the from-scratch build
+# share — which BuildIndex runs inside serve.NewSnapshot's prefill
+# window. A write anywhere else — or the waiver gone — fails.
 frozen_coverage() {
   local ok=0 file decl
   while IFS='|' read -r file decl; do
@@ -49,6 +52,7 @@ internal/serve/snapshot.go|func NewSnapshot(
 internal/core/infer.go|type Result struct
 internal/core/linkindex.go|type LinkIndex struct
 internal/core/linkindex.go|func newLinkIndex(
+internal/core/linkindex.go|func patchLinkIndex(
 internal/core/meshstate.go|func (ms *MeshState) Snapshot(
 DECLS
 
@@ -83,7 +87,8 @@ DECLS
     fi
   done <<'MEMOS'
 linkIndex|BuildIndex,Snapshot
-Encoded|NewSnapshot
+patch|BuildIndex,Snapshot
+Encoded|patchLinkIndex,encode,encodeLink,closeEncoded
 MEMOS
   return "$ok"
 }
