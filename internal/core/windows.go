@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
+	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"mlpeering/internal/bgp"
@@ -79,6 +81,16 @@ type WindowOptions struct {
 	// at the next window-close boundary after cancellation. Committed
 	// windows already handed to Stream stay valid.
 	Ctx context.Context
+	// Loop replays the trace in cycles of Count windows until Ctx is
+	// done. Each cycle ends by rewinding the live table: every slot the
+	// cycle's updates touched gets back the route it held when the
+	// cycle began, in sorted (peer, prefix) order. The updates from Start
+	// are then replayed again. Every cycle's windows therefore equal a
+	// fresh run's, counters and meshes alike, but the base dumps are
+	// loaded once and a cycle's first window costs only what the cycle
+	// changed. Loop needs Ctx, Stream and incremental mode, and keeps no
+	// per-window state: PassiveWindowsResult.Stability stays empty.
+	Loop bool
 }
 
 // PassiveWindow is one window's inference outcome over the routes live
@@ -94,6 +106,10 @@ type PassiveWindow struct {
 
 	// LiveRoutes is the (feeder, prefix) table size at window close.
 	LiveRoutes int
+	// Rewound counts the live slots a looped replay restored to open
+	// this window. It is nonzero only on the first window of a cycle
+	// after the first one (see WindowOptions.Loop).
+	Rewound int
 	// Dropped tallies hygiene-filtered live routes.
 	Dropped DropStats
 	// RelLinks and P2PRels describe the window's AS-relationship
@@ -166,6 +182,21 @@ type liveKey struct {
 	prefix bgp.Prefix
 }
 
+// compareLiveKeys orders slots by (peer, prefix).
+func compareLiveKeys(a, b liveKey) int {
+	if a.peer != b.peer {
+		return cmp.Compare(a.peer, b.peer)
+	}
+	return bgp.ComparePrefixes(a.prefix, b.prefix)
+}
+
+// undoSlot is a looped replay's record of one slot as the cycle found
+// it: the route it held, or had false when it held none.
+type undoSlot struct {
+	route liveRoute
+	had   bool
+}
+
 // liveRoute is the route occupying a slot. ckey is the canonical
 // encoding of comms, computed once per UPDATE so grouped mining never
 // re-encodes on withdrawal.
@@ -190,12 +221,17 @@ type liveRoute struct {
 // rebuilds everything per window and is pinned byte-identical by the
 // equivalence tests. Either way each closed window is handed to one
 // consumer, opts.Stream, which asks for the mesh with pw.Materialize().
+// With opts.Loop the run cycles until opts.Ctx is done, rewinding the
+// live table instead of reloading the dumps at each wrap.
 func RunPassiveWindows(dumps []*mrt.Dump, updates []*mrt.BGP4MPMessage, dict *Dictionary, opts WindowOptions) (*PassiveWindowsResult, error) {
 	if opts.Window <= 0 {
 		return nil, fmt.Errorf("core: non-positive window %v", opts.Window)
 	}
 	if opts.Count <= 0 {
 		return nil, fmt.Errorf("core: non-positive window count %d", opts.Count)
+	}
+	if opts.Loop && (opts.Ctx == nil || opts.Stream == nil || opts.Mode != WindowsIncremental) {
+		return nil, errors.New("core: a looped replay needs Ctx, Stream and incremental mode")
 	}
 
 	store := paths.NewStore()
@@ -306,10 +342,51 @@ func RunPassiveWindows(dumps []*mrt.Dump, updates []*mrt.BGP4MPMessage, dict *Di
 			cur.Stability = 1
 		}
 		cur.CloseTime = time.Since(t0)
-		res.Stability = append(res.Stability, cur.Stability)
+		if !opts.Loop {
+			res.Stability = append(res.Stability, cur.Stability)
+		}
 		consume(&cur)
 		winIdx++
 		cur = PassiveWindow{Start: cur.End, End: cur.End.Add(opts.Window)}
+	}
+
+	// undo is a looped replay's rewind log: each slot the current cycle
+	// touched, as the cycle found it (nil when not looping).
+	var undo map[liveKey]undoSlot
+	touch := func(k liveKey) {
+		if undo == nil {
+			return
+		}
+		if _, ok := undo[k]; !ok {
+			r, had := live[k]
+			undo[k] = undoSlot{r, had}
+		}
+	}
+	// rewind restores every logged slot that moved, in sorted order so
+	// the miner sees the same delta sequence on every run, empties the
+	// log and returns the number of slots restored.
+	rewind := func() int {
+		keys := make([]liveKey, 0, len(undo))
+		for k := range undo {
+			keys = append(keys, k)
+		}
+		slices.SortFunc(keys, compareLiveKeys)
+		restored := 0
+		for _, k := range keys {
+			was := undo[k]
+			now, has := live[k]
+			switch {
+			case !was.had && has:
+				del(k)
+			case was.had && (!has || now.path != was.route.path || now.ckey != was.route.ckey):
+				set(k, was.route)
+			default:
+				continue
+			}
+			restored++
+		}
+		clear(undo)
+		return restored
 	}
 
 	apply := func(u *mrt.BGP4MPMessage, count bool) {
@@ -318,7 +395,9 @@ func RunPassiveWindows(dumps []*mrt.Dump, updates []*mrt.BGP4MPMessage, dict *Di
 			return
 		}
 		for _, p := range upd.Withdrawn {
-			del(liveKey{u.PeerASN, p})
+			k := liveKey{u.PeerASN, p}
+			touch(k)
+			del(k)
 		}
 		if count {
 			cur.Withdrawn += len(upd.Withdrawn)
@@ -332,7 +411,9 @@ func RunPassiveWindows(dumps []*mrt.Dump, updates []*mrt.BGP4MPMessage, dict *Di
 		id := store.InternASPath(upd.Attrs.ASPath)
 		r := intern(id, upd.Attrs.Communities)
 		for _, p := range upd.NLRI {
-			set(liveKey{u.PeerASN, p}, r)
+			k := liveKey{u.PeerASN, p}
+			touch(k)
+			set(k, r)
 		}
 		if count {
 			cur.Announced += len(upd.NLRI)
@@ -351,30 +432,47 @@ func RunPassiveWindows(dumps []*mrt.Dump, updates []*mrt.BGP4MPMessage, dict *Di
 		return nil, err
 	}
 
-	for _, u := range updates {
-		// Pre-window updates adjust the base table without counting.
-		if u.Timestamp.Before(opts.Start) {
-			apply(u, false)
-			continue
+	// The updates before the first one at or after Start belong to the
+	// base; a looped replay folds them in once and rewinds to here.
+	first := 0
+	for first < len(updates) && updates[first].Timestamp.Before(opts.Start) {
+		apply(updates[first], false)
+		first++
+	}
+	if opts.Loop {
+		undo = make(map[liveKey]undoSlot)
+	}
+
+	for {
+		for _, u := range updates[first:] {
+			// Pre-window updates adjust the base table without counting.
+			if u.Timestamp.Before(opts.Start) {
+				apply(u, false)
+				continue
+			}
+			for winIdx < opts.Count && !u.Timestamp.Before(cur.End) {
+				if err := cancelled(); err != nil {
+					return nil, err
+				}
+				closeWindow()
+			}
+			if winIdx >= opts.Count {
+				break
+			}
+			apply(u, true)
 		}
-		for winIdx < opts.Count && !u.Timestamp.Before(cur.End) {
+		for winIdx < opts.Count {
 			if err := cancelled(); err != nil {
 				return nil, err
 			}
 			closeWindow()
 		}
-		if winIdx >= opts.Count {
-			break
+		if !opts.Loop {
+			return res, nil
 		}
-		apply(u, true)
+		winIdx = 0
+		cur = PassiveWindow{Start: opts.Start, End: opts.Start.Add(opts.Window), Rewound: rewind()}
 	}
-	for winIdx < opts.Count {
-		if err := cancelled(); err != nil {
-			return nil, err
-		}
-		closeWindow()
-	}
-	return res, nil
 }
 
 // remineLiveTable runs hygiene + community mining + link inference over
@@ -387,12 +485,7 @@ func remineLiveTable(store *paths.Store, live map[liveKey]liveRoute, dict *Dicti
 	for k := range live {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].peer != keys[j].peer {
-			return keys[i].peer < keys[j].peer
-		}
-		return bgp.ComparePrefixes(keys[i].prefix, keys[j].prefix) < 0
-	})
+	slices.SortFunc(keys, compareLiveKeys)
 
 	m := newWindowMiner(dict, store, nil, 1)
 	var kept []paths.ID

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"maps"
 	"slices"
@@ -626,6 +627,72 @@ func TestRunPassiveWindowsValidation(t *testing.T) {
 	}
 	if _, err := RunPassiveWindows(nil, nil, d, WindowOptions{Window: time.Minute, Count: 0}); err == nil {
 		t.Fatal("zero count accepted")
+	}
+	ctx, stream := context.Background(), func(*PassiveWindow) {}
+	for name, opts := range map[string]WindowOptions{
+		"without Ctx":    {Stream: stream},
+		"without Stream": {Ctx: ctx},
+		"in remine mode": {Ctx: ctx, Stream: stream, Mode: WindowsRemine},
+	} {
+		opts.Window, opts.Count, opts.Loop = time.Minute, 1, true
+		if _, err := RunPassiveWindows(nil, nil, d, opts); err == nil {
+			t.Fatalf("a looped replay %s accepted", name)
+		}
+	}
+}
+
+// TestLoopedReplayRewinds pins the wrap on a trace whose cycle opens a
+// slot that was empty (p3) and re-filters another (p1), while p2 and p4
+// leave and come back as they were: every window of four looped cycles
+// matches the same window of a fresh run, mesh, counters and stability
+// alike, and each wrap restores exactly the two slots that moved.
+func TestLoopedReplayRewinds(t *testing.T) {
+	d := testDict(t)
+	t0 := time.Date(2013, 5, 1, 2, 0, 0, 0, time.UTC)
+	w := 10 * time.Minute
+	updates := flapTrace(t, t0, w)
+	const count, cycles = 4, 4
+
+	type window struct {
+		counters string
+		mesh     []byte
+	}
+	digest := func(pw *PassiveWindow) window {
+		return window{
+			fmt.Sprintf("[%v %v) %d %d %d %d %+v %d %d %d %v", pw.Start, pw.End, pw.Announced, pw.Withdrawn,
+				pw.WithdrawnOnlyUpdates, pw.LiveRoutes, pw.Dropped, pw.RelLinks, pw.P2PRels, pw.MeshLinks, pw.Stability),
+			pw.Materialize().AppendMesh(nil),
+		}
+	}
+	var fresh []window
+	_, err := RunPassiveWindows(nil, updates, d, WindowOptions{Start: t0, Window: w, Count: count,
+		Stream: func(pw *PassiveWindow) { fresh = append(fresh, digest(pw)) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	n := 0
+	res, err := RunPassiveWindows(nil, updates, d, WindowOptions{Start: t0, Window: w, Count: count, Ctx: ctx, Loop: true,
+		Stream: func(pw *PassiveWindow) {
+			k := n % count
+			got := digest(pw)
+			if got.counters != fresh[k].counters || !bytes.Equal(got.mesh, fresh[k].mesh) {
+				t.Errorf("window %d (position %d):\n looped %s %x\n fresh  %s %x", n, k, got.counters, got.mesh, fresh[k].counters, fresh[k].mesh)
+			}
+			if want := map[bool]int{true: 2}[k == 0 && n > 0]; pw.Rewound != want {
+				t.Errorf("window %d: %d slots rewound, want %d", n, pw.Rewound, want)
+			}
+			if n++; n == cycles*count {
+				cancel()
+			}
+		}})
+	if !errors.Is(err, context.Canceled) || res != nil {
+		t.Fatalf("looped replay returned (%v, %v), want context.Canceled", res, err)
+	}
+	if n != cycles*count {
+		t.Fatalf("looped replay closed %d windows, want %d", n, cycles*count)
 	}
 }
 

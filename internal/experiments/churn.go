@@ -147,10 +147,23 @@ func (ct *ChurnTrace) StreamWindows(mode core.WindowsMode, count, workers int, f
 // close plus snapshot and a caller may back-date the close from fn's
 // entry by it. pw.Result is safe to retain after the callback returns
 // (the *PassiveWindow itself is not). ctx cancels the replay at the next
-// window-close boundary; count overrides the number of windows when
-// positive.
+// window-close boundary.
+//
+// A positive count replays that many windows from a fresh base load and
+// returns. A count of 0 replays the trace in cycles of ct.Epochs windows
+// until ctx is done, and returns ctx.Err(). The cycles wrap by rewinding
+// (core.WindowOptions.Loop): the base dumps are loaded once, and after
+// that the replay reads only ct.Updates and ct.Dict, so a caller that
+// drops ct lets the dumps and the ground truth go. The wrap contract:
+//   - the epochs a caller numbers keep rising; nothing here resets them;
+//   - the first window of every cycle is the first window again: the
+//     same mesh, so the same fingerprint, and the same counters, with
+//     Stability 1 and Rewound the number of slots the wrap restored;
+//   - every later window of a cycle equals the same window of the first
+//     cycle.
 func (ct *ChurnTrace) ReplayWindows(ctx context.Context, count, workers int, fn func(*core.PassiveWindow)) error {
-	if count <= 0 {
+	loop := count <= 0
+	if loop {
 		count = ct.Epochs
 	}
 	_, err := core.RunPassiveWindows(ct.Dumps, ct.Updates, ct.Dict, core.WindowOptions{
@@ -163,7 +176,8 @@ func (ct *ChurnTrace) ReplayWindows(ctx context.Context, count, workers int, fn 
 			pw.Materialize()
 			fn(pw)
 		},
-		Ctx: ctx,
+		Ctx:  ctx,
+		Loop: loop,
 	})
 	return err
 }

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"context"
+	"crypto/rand"
+	"encoding/hex"
 	"fmt"
 	"io"
 	"net/http"
@@ -49,6 +51,10 @@ type Config struct {
 type Gateway struct {
 	cfg Config
 
+	// boot is the gateway's boot nonce, in every ETag it serves and in
+	// X-MLP-Boot: a tag taken from an earlier process never matches.
+	boot string
+
 	cur      atomic.Pointer[Snapshot]
 	inflight atomic.Int64
 
@@ -63,13 +69,16 @@ type Gateway struct {
 	testHold <-chan struct{}
 }
 
-// New builds a gateway; Run starts its reconciler.
+// New builds a gateway with a fresh boot nonce; Run starts its
+// reconciler.
 func New(cfg Config) *Gateway {
 	cc := "public, no-cache"
 	if cfg.MaxAge > 0 {
 		cc = fmt.Sprintf("public, max-age=%d, must-revalidate", int(cfg.MaxAge.Seconds()))
 	}
-	return &Gateway{cfg: cfg, ready: make(chan struct{}), hdrCacheControl: []string{cc}}
+	var nonce [8]byte
+	rand.Read(nonce[:]) // never fails: crypto/rand aborts the process instead
+	return &Gateway{cfg: cfg, boot: hex.EncodeToString(nonce[:]), ready: make(chan struct{}), hdrCacheControl: []string{cc}}
 }
 
 // Current returns the currently-published snapshot (nil before the
@@ -223,6 +232,9 @@ func (g *Gateway) serveSnapshot(w http.ResponseWriter, r *http.Request, s *Snaps
 	h["Cache-Control"] = g.hdrCacheControl
 	h["Last-Modified"] = s.hdrLastModified
 	h["X-Mlp-Epoch"] = s.hdrEpoch
+	if s.hdrBoot != nil {
+		h["X-Mlp-Boot"] = s.hdrBoot
+	}
 
 	if etagMatch(r.Header.Get("If-None-Match"), s.ETag) {
 		w.WriteHeader(http.StatusNotModified)
@@ -230,8 +242,11 @@ func (g *Gateway) serveSnapshot(w http.ResponseWriter, r *http.Request, s *Snaps
 	}
 
 	// A body is head+body+tail; only /v1/mesh, whose link array is
-	// shared between epochs, has more than the middle part.
+	// shared between epochs, has more than the middle part. The point
+	// queries encode into a pooled buffer (buf), returned after the
+	// write.
 	var head, body []byte
+	var buf *[]byte
 	tail := ""
 	switch ep {
 	case epEpoch:
@@ -243,24 +258,21 @@ func (g *Gateway) serveSnapshot(w http.ResponseWriter, r *http.Request, s *Snaps
 	case epIXPs:
 		body = s.ixpsJSON
 	case epIXP:
-		inf := s.Result.PerIXP[name]
-		//mlplint:allocfree the response body: one buffer per request, sized so the encoder never regrows it
-		body = make([]byte, 0, ixpBodySize(name, inf, rows))
-		body = appendIXP(body, s.Epoch, s.index, name, inf, rows)
+		buf = bodyPool.Get().(*[]byte)
+		body = appendIXP((*buf)[:0], s.Epoch, s.index, name, s.Result.PerIXP[name], rows)
 	case epLink:
-		//mlplint:allocfree the response body: one small buffer per request
-		body = make([]byte, 0, 128)
-		body = appendLinkLookup(body, s.Epoch, s.Result, a, b)
+		buf = bodyPool.Get().(*[]byte)
+		body = appendLinkLookup((*buf)[:0], s.Epoch, s.Result, a, b)
 	case epAS:
 		rows = s.index.ASLinks(a)
-		//mlplint:allocfree the response body: one buffer per request, sized from the AS's degree
-		body = make([]byte, 0, asBodySize(rows))
-		body = appendAS(body, s.Epoch, s.index, a, rows)
+		buf = bodyPool.Get().(*[]byte)
+		body = appendAS((*buf)[:0], s.Epoch, s.index, a, rows)
 	}
 
 	h["Content-Type"] = hdrJSON
 	// The length differs per response: its one-element value slice is
-	// the read path's only allocation besides the body (allocgate.base).
+	// the read path's only allocation once the body pool is warm
+	// (allocgate.base).
 	h.Set("Content-Length", strconv.Itoa(len(head)+len(body)+len(tail)))
 	w.WriteHeader(http.StatusOK)
 	if r.Method != http.MethodHead {
@@ -272,7 +284,17 @@ func (g *Gateway) serveSnapshot(w http.ResponseWriter, r *http.Request, s *Snaps
 			io.WriteString(w, tail)
 		}
 	}
+	if buf != nil {
+		*buf = body[:0] // keep what the encoder grew it to
+		bodyPool.Put(buf)
+	}
 }
+
+// bodyPool recycles the point queries' body buffers. A /v1/ixp body is
+// 10 KB to 1 MB, so a fresh buffer per request is what would drive the
+// collector under bulk load; a pooled one grows to the largest body it
+// has held and stays there.
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // parseASN parses a decimal AS number.
 func parseASN(s string) (bgp.ASN, error) {

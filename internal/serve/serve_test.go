@@ -85,7 +85,7 @@ func testGateway(t *testing.T, res *core.Result) *Gateway {
 	t.Helper()
 	g := New(Config{MaxInFlight: 64, MaxAge: 0})
 	committed := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
-	g.publish(NewSnapshot(1, "test-world", testWindow(res, 0), committed))
+	g.publish(newSnapshot(g.boot, 1, "test-world", testWindow(res, 0), committed))
 	return g
 }
 
@@ -187,7 +187,7 @@ func TestGatewayConformance(t *testing.T) {
 
 	t.Run("etag changes across epochs", func(t *testing.T) {
 		committed := time.Date(2026, 8, 8, 12, 0, 1, 0, time.UTC)
-		g.publish(NewSnapshot(2, "test-world", testWindow(res, 1), committed))
+		g.publish(newSnapshot(g.boot, 2, "test-world", testWindow(res, 1), committed))
 		rr := get(t, h, "/v1/mesh", map[string]string{"If-None-Match": etag})
 		if rr.Code != http.StatusOK {
 			t.Fatalf("stale-tag revalidation after epoch bump = %d, want 200", rr.Code)
@@ -411,8 +411,9 @@ func TestGracefulShutdownDrains(t *testing.T) {
 }
 
 // TestGatewayEndToEndEpochs runs the real reconciler over a small
-// churning world and checks epochs commit, advance monotonically past
-// one replay cycle, and the loop exits cleanly on cancellation.
+// churning world and checks epochs commit, advance strictly past one
+// replay cycle, wrap back to epoch 1's mesh, and that the loop exits
+// cleanly on cancellation.
 func TestGatewayEndToEndEpochs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end reconciler test skipped in -short")
@@ -420,10 +421,11 @@ func TestGatewayEndToEndEpochs(t *testing.T) {
 	ccfg := churn.DefaultConfig(20130501)
 	ccfg.Epochs = 3
 	g := New(Config{
-		Topology: topology.TestConfig(),
-		Churn:    ccfg,
-		Workers:  2,
-		Logf:     t.Logf,
+		Topology:      topology.TestConfig(),
+		Churn:         ccfg,
+		Workers:       2,
+		EpochInterval: 100 * time.Millisecond,
+		Logf:          t.Logf,
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
@@ -435,20 +437,27 @@ func TestGatewayEndToEndEpochs(t *testing.T) {
 	case <-ctx.Done():
 		t.Fatal("no snapshot committed before timeout")
 	}
+	first := g.Current()
+	if first.Epoch != 1 {
+		t.Fatalf("first snapshot seen at Ready is epoch %d", first.Epoch)
+	}
 
+	// Revalidate until a cycle start past the first cycle shows up: a
+	// 304 is the same epoch, a 200 must carry a strictly higher one.
 	h := g.Handler()
-	var last uint64
-	var firstETag string
-	// Watch commits until the epoch counter passes one replay cycle,
-	// proving the reconciler loops instead of stopping at the horizon.
+	E := uint64(ccfg.Epochs)
+	last, etag := first.Epoch, first.ETag
 	deadline := time.After(90 * time.Second)
-	for last <= uint64(ccfg.Epochs) {
+	for last <= E || last%E != 1 {
 		select {
 		case <-deadline:
-			t.Fatalf("epoch stuck at %d (want > %d)", last, ccfg.Epochs)
-		case <-time.After(10 * time.Millisecond):
+			t.Fatalf("epoch stuck at %d (want a cycle start past %d)", last, E)
+		case <-time.After(5 * time.Millisecond):
 		}
-		rr := get(t, h, "/v1/epoch", nil)
+		rr := get(t, h, "/v1/epoch", map[string]string{"If-None-Match": etag})
+		if rr.Code == http.StatusNotModified {
+			continue
+		}
 		if rr.Code != http.StatusOK {
 			t.Fatalf("GET /v1/epoch = %d", rr.Code)
 		}
@@ -456,16 +465,19 @@ func TestGatewayEndToEndEpochs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("bad X-MLP-Epoch: %v", err)
 		}
-		if e < last {
-			t.Fatalf("epoch went backwards: %d after %d", e, last)
+		if e <= last {
+			t.Fatalf("a fresh /v1/epoch body at epoch %d after epoch %d", e, last)
 		}
-		if firstETag == "" {
-			firstETag = rr.Header().Get("ETag")
+		last, etag = e, rr.Header().Get("ETag")
+		if last > E && last%E == 1 {
+			var body struct{ Fingerprint string }
+			if err := json.Unmarshal(rr.Body.Bytes(), &body); err != nil {
+				t.Fatal(err)
+			}
+			if want := FingerprintHex(first.Fingerprint); body.Fingerprint != want {
+				t.Fatalf("epoch %d opens a cycle with fingerprint %s, epoch 1's is %s", last, body.Fingerprint, want)
+			}
 		}
-		last = e
-	}
-	if cur := get(t, h, "/v1/epoch", nil); cur.Header().Get("ETag") == firstETag {
-		t.Fatalf("ETag never changed across %d epochs", last)
 	}
 
 	cancel()

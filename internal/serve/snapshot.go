@@ -52,10 +52,14 @@ type Snapshot struct {
 	// the ETag is keyed on.
 	Fingerprint uint64
 	// ETag is the strong entity tag served with every response:
-	// `"e<epoch>-<fingerprint-hex>"`. The epoch component keeps tags
-	// distinct across epochs even when churn left the mesh unchanged,
-	// so conditional revalidation can never resurrect a stale stats
-	// body.
+	// `"e<epoch>-<fingerprint-hex>-<boot>"`, where boot is the publishing
+	// gateway's boot nonce (New draws it; a snapshot built outside a
+	// gateway has none and no `-<boot>`). The epoch component keeps tags
+	// distinct across epochs even when churn left the mesh unchanged, so
+	// conditional revalidation can never resurrect a stale stats body.
+	// The boot component does the same across gateways: a restarted
+	// process numbers its epochs from 1 again over the same seeded
+	// meshes.
 	ETag string
 	// WindowStart / WindowEnd bound the inference window in simulated
 	// trace time.
@@ -79,12 +83,21 @@ type Snapshot struct {
 	// and a closing brace) and the per-epoch header values.
 	epochJSON, statsJSON, ixpsJSON, meshHead []byte
 	hdrETag, hdrEpoch, hdrLastModified       []string
+	hdrBoot                                  []string // X-MLP-Boot; nil without a boot nonce
 }
 
 // NewSnapshot derives the immutable epoch snapshot of one committed
-// window. pw.Result must be materialized (pw.Materialize, which
-// ChurnTrace.ReplayWindows calls before handing the window over);
-// committed is the wall-clock commit instant the caller observed.
+// window outside a gateway: its ETag carries no boot nonce. pw.Result
+// must be materialized (pw.Materialize, which ChurnTrace.ReplayWindows
+// calls before handing the window over); committed is the wall-clock
+// commit instant the caller observed.
+//
+//mlplint:frozen
+func NewSnapshot(epoch uint64, scenario string, pw *core.PassiveWindow, committed time.Time) *Snapshot {
+	return newSnapshot("", epoch, scenario, pw, committed)
+}
+
+// newSnapshot is NewSnapshot for the gateway whose boot nonce is boot.
 //
 // This is the prefill window: every memo the read path relies on — the
 // Result's link index, the index's encoded link array, every per-IXP
@@ -94,7 +107,7 @@ type Snapshot struct {
 // publishes without being sorted or encoded again.
 //
 //mlplint:frozen
-func NewSnapshot(epoch uint64, scenario string, pw *core.PassiveWindow, committed time.Time) *Snapshot {
+func newSnapshot(boot string, epoch uint64, scenario string, pw *core.PassiveWindow, committed time.Time) *Snapshot {
 	res := pw.Result
 	idx := res.BuildIndex(appendLink)
 	for _, name := range idx.IXPs {
@@ -124,7 +137,12 @@ func NewSnapshot(epoch uint64, scenario string, pw *core.PassiveWindow, committe
 		hdrEpoch:        []string{strconv.FormatUint(epoch, 10)},
 		hdrLastModified: []string{committed.UTC().Format(http.TimeFormat)},
 	}
-	s.ETag = fmt.Sprintf("%q", fmt.Sprintf("e%d-%016x", epoch, s.Fingerprint))
+	tag := fmt.Sprintf("e%d-%016x", epoch, s.Fingerprint)
+	if boot != "" {
+		tag += "-" + boot
+		s.hdrBoot = []string{boot}
+	}
+	s.ETag = strconv.Quote(tag)
 	s.hdrETag = []string{s.ETag}
 	s.epochJSON = renderEpochMeta(s)
 	s.statsJSON = renderStats(s)

@@ -49,6 +49,7 @@ frozen_coverage() {
   done <<'DECLS'
 internal/serve/snapshot.go|type Snapshot struct
 internal/serve/snapshot.go|func NewSnapshot(
+internal/serve/snapshot.go|func newSnapshot(
 internal/core/infer.go|type Result struct
 internal/core/linkindex.go|type LinkIndex struct
 internal/core/linkindex.go|func newLinkIndex(
