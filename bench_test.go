@@ -682,8 +682,6 @@ func BenchmarkWindowedInference(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				// Workers=0 resolves to GOMAXPROCS, so `go test -cpu=1,4,8`
-				// produces the close-time scaling table directly.
 				res, err := ct.Windows(bc.mode, 0)
 				if err != nil {
 					b.Fatal(err)

@@ -9,7 +9,7 @@
 //
 //	lgserve [-scale 0.2] [-scenario baseline] [-addr 127.0.0.1:8080]
 //	        [-churn-epochs 12] [-churn-interval 1m] [-epoch-interval 200ms]
-//	        [-max-inflight 256] [-max-age 0] [-drain 10s] [-workers 0]
+//	        [-max-inflight 256] [-max-age 0] [-drain 10s]
 //
 // Query examples:
 //
@@ -57,7 +57,6 @@ func main() {
 	maxInFlight := flag.Int("max-inflight", 256, "in-flight request cap before 429 (0 = unbounded)")
 	maxAge := flag.Duration("max-age", 0, "Cache-Control max-age (0 = no-cache, always revalidate)")
 	drain := flag.Duration("drain", 10*time.Second, "graceful shutdown drain timeout")
-	workers := flag.Int("workers", 0, "window-close worker pool size (0 = GOMAXPROCS)")
 	flag.Parse()
 
 	cfg := topology.DefaultConfig()
@@ -80,7 +79,6 @@ func main() {
 	g := serve.New(serve.Config{
 		Topology:      cfg,
 		Churn:         ccfg,
-		Workers:       *workers,
 		MaxInFlight:   *maxInFlight,
 		MaxAge:        *maxAge,
 		EpochInterval: *epochInterval,

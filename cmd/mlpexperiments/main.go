@@ -36,7 +36,6 @@ func main() {
 	churnInterval := flag.Duration("churn-interval", 10*time.Minute, "churn mode: epoch and inference-window duration")
 	churnStream := flag.Bool("churn-stream", false, "churn mode: stream windows instead of retaining them (long-horizon replay; prints per-window close stats and a summary)")
 	churnWindows := flag.Int("churn-windows", 0, "churn mode with -churn-stream: total windows to replay (0 = one per epoch; extras replay over the final live table)")
-	churnWorkers := flag.Int("churn-workers", 0, "churn mode: worker goroutines for window closes (0 = all cores, 1 = sequential; output is identical)")
 	cpuProfile := flag.String("cpuprofile", "", "churn mode: write a CPU profile covering only the windowed replay (world and trace build excluded) to this file")
 	memProfile := flag.String("memprofile", "", "churn mode: write a post-replay heap profile to this file")
 	flag.Parse()
@@ -53,8 +52,7 @@ func main() {
 		ccfg.Interval = *churnInterval
 		start := time.Now()
 		// The trace is built before the profile starts, so -cpuprofile
-		// captures exactly the windowed replay: the parallel close path
-		// under measurement, not world generation.
+		// captures exactly the windowed replay, not world generation.
 		ct, err := experiments.BuildChurnTrace(cfg, ccfg)
 		if err != nil {
 			log.Fatal(err)
@@ -63,9 +61,9 @@ func main() {
 			time.Since(start).Round(time.Millisecond), *scale, ct.Scenario, ct.Epochs, ct.Interval)
 		stopCPU := startCPUProfile(*cpuProfile)
 		if *churnStream {
-			runChurnStream(ct, *churnWindows, *churnWorkers)
+			runChurnStream(ct, *churnWindows)
 		} else {
-			res, err := ct.Run(core.WindowsIncremental, *churnWorkers)
+			res, err := ct.Run(core.WindowsIncremental)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -134,14 +132,14 @@ func writeMemProfile(file string) {
 // far past the mutation epochs at flat memory. Per-window close stats go
 // to stdout; a summary of first/second-half close times and the post-GC
 // heap follows.
-func runChurnStream(ct *experiments.ChurnTrace, windows, workers int) {
+func runChurnStream(ct *experiments.ChurnTrace, windows int) {
 	total := windows
 	if total <= 0 {
 		total = ct.Epochs
 	}
 	var closes []time.Duration
 	var ms runtime.MemStats
-	err := ct.StreamWindows(core.WindowsIncremental, windows, workers, func(w *core.PassiveWindow) {
+	err := ct.StreamWindows(core.WindowsIncremental, windows, 0, func(w *core.PassiveWindow) {
 		closes = append(closes, w.CloseTime)
 		fmt.Fprintf(os.Stdout, "window %3d: live %6d rels %5d p2p %5d mesh %4d stability %.3f close %v\n",
 			len(closes)-1, w.LiveRoutes, w.RelLinks, w.P2PRels, w.MeshLinks, w.Stability,

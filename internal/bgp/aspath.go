@@ -236,38 +236,60 @@ func ParseASPath(s string) (ASPath, error) {
 	return path, nil
 }
 
+// maxSegLen is the most ASNs one AS_PATH segment carries: its count
+// is a single octet.
+const maxSegLen = 255
+
 // wireLen returns the serialized length of the path without encoding
-// it, so callers can emit the attribute header before the body.
-func (p ASPath) wireLen(as4 bool) int {
+// it, so callers can emit the attribute header before the body. An
+// AS_SEQUENCE longer than maxSegLen goes out as consecutive segments
+// (RFC 4271 §9.2.2.1); an AS_SET that long cannot be split without
+// changing its meaning, so it is an error.
+func (p ASPath) wireLen(as4 bool) (int, error) {
 	size := 2
 	if as4 {
 		size = 4
 	}
 	n := 0
 	for _, seg := range p {
-		n += 2 + size*len(seg.ASNs)
+		segs := 1
+		if len(seg.ASNs) > maxSegLen {
+			if seg.Set {
+				return 0, fmt.Errorf("bgp: AS_SET of %d ASNs exceeds the %d one segment carries", len(seg.ASNs), maxSegLen)
+			}
+			segs = (len(seg.ASNs) + maxSegLen - 1) / maxSegLen
+		}
+		n += 2*segs + size*len(seg.ASNs)
 	}
-	return n
+	return n, nil
 }
 
-// appendWire serializes the path. If as4 is true ASNs are encoded as 4
-// octets (RFC 6793), otherwise as 2 octets with 32-bit ASNs replaced by
-// AS_TRANS.
+// appendWire serializes the path, whose wireLen must have succeeded. If
+// as4 is true ASNs are encoded as 4 octets (RFC 6793), otherwise as 2
+// octets with 32-bit ASNs replaced by AS_TRANS.
 func (p ASPath) appendWire(dst []byte, as4 bool) []byte {
 	for _, seg := range p {
 		t := byte(segSequence)
 		if seg.Set {
 			t = segSet
 		}
-		dst = append(dst, t, byte(len(seg.ASNs)))
-		for _, a := range seg.ASNs {
-			if as4 {
-				dst = append(dst, byte(a>>24), byte(a>>16), byte(a>>8), byte(a))
-			} else {
-				if a.Is32Bit() {
-					a = ASTrans
+		asns := seg.ASNs
+		for {
+			run := asns[:min(len(asns), maxSegLen)]
+			asns = asns[len(run):]
+			dst = append(dst, t, byte(len(run)))
+			for _, a := range run {
+				if as4 {
+					dst = append(dst, byte(a>>24), byte(a>>16), byte(a>>8), byte(a))
+				} else {
+					if a.Is32Bit() {
+						a = ASTrans
+					}
+					dst = append(dst, byte(a>>8), byte(a))
 				}
-				dst = append(dst, byte(a>>8), byte(a))
+			}
+			if len(asns) == 0 {
+				break
 			}
 		}
 	}

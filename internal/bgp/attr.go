@@ -86,6 +86,12 @@ func (a *PathAttrs) Clone() *PathAttrs {
 	return &out
 }
 
+// maxAttrLen is the largest attribute body the two-octet extended
+// length field describes.
+const maxAttrLen = 0xFFFF
+
+// appendAttrHeader appends an attribute header; length must be at most
+// maxAttrLen (AppendWire checks every variable length up front).
 func appendAttrHeader(dst []byte, flags, typ byte, length int) []byte {
 	if length > 255 {
 		return append(dst, flags|flagExtLen, typ, byte(length>>8), byte(length))
@@ -94,14 +100,31 @@ func appendAttrHeader(dst []byte, flags, typ byte, length int) []byte {
 }
 
 // AppendWire serializes the attributes in type order. as4 selects 4-byte
-// AS path encoding (both speakers negotiated the AS4 capability).
+// AS path encoding (both speakers negotiated the AS4 capability). An
+// attribute whose body the length field cannot describe — an AS_SET of
+// more than 255 ASNs, or any body over 65,535 bytes — is an error, and
+// dst comes back unchanged.
 func (a *PathAttrs) AppendWire(dst []byte, as4 bool) ([]byte, error) {
+	pathLen, err := a.ASPath.wireLen(as4)
+	if err != nil {
+		return dst, err
+	}
+	if pathLen > maxAttrLen || 4*len(a.Communities) > maxAttrLen {
+		return dst, fmt.Errorf("bgp: AS_PATH (%d bytes) or COMMUNITIES (%d bytes) exceeds the %d-byte attribute limit",
+			pathLen, 4*len(a.Communities), maxAttrLen)
+	}
+	for _, u := range a.Unknown {
+		if len(u.Data) > maxAttrLen {
+			return dst, fmt.Errorf("bgp: attribute type %d of %d bytes exceeds the %d-byte limit", u.Type, len(u.Data), maxAttrLen)
+		}
+	}
+
 	// ORIGIN (well-known mandatory)
 	dst = appendAttrHeader(dst, flagTransitive, AttrOrigin, 1)
 	dst = append(dst, a.Origin)
 
 	// AS_PATH (well-known mandatory)
-	dst = appendAttrHeader(dst, flagTransitive, AttrASPath, a.ASPath.wireLen(as4))
+	dst = appendAttrHeader(dst, flagTransitive, AttrASPath, pathLen)
 	dst = a.ASPath.appendWire(dst, as4)
 
 	// NEXT_HOP (well-known mandatory for IPv4 unicast)

@@ -3,6 +3,8 @@ package bgp
 import (
 	"bytes"
 	"net/netip"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -376,5 +378,83 @@ func TestEncodeUpdateAS2ASTrans(t *testing.T) {
 	flat := m.(*Update).Attrs.ASPath.Flatten()
 	if flat[1] != ASTrans {
 		t.Fatalf("expected AS_TRANS, got %v", flat)
+	}
+}
+
+// TestAttrsWireLengthLimits pins the encoder at the edges of its one-
+// and two-octet length fields: an AS_SEQUENCE longer than one segment
+// holds goes out as several segments and decodes to the same hops; an
+// AS_SET that long, and any attribute body over 65,535 bytes, is an
+// encode error instead of a length that wraps and decodes as garbage.
+func TestAttrsWireLengthLimits(t *testing.T) {
+	hops := func(n int) []ASN {
+		out := make([]ASN, n)
+		for i := range out {
+			out[i] = ASN(64512 + i%1000)
+		}
+		return out
+	}
+	longText := func(n int) ASPath {
+		parts := make([]string, n)
+		for i, a := range hops(n) {
+			parts[i] = a.String()
+		}
+		p, err := ParseASPath(strings.Join(parts, " "))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	comms := func(n int) Communities {
+		out := make(Communities, n)
+		for i := range out {
+			out[i] = MakeCommunity(6695, ASN(i))
+		}
+		return out
+	}
+	for _, c := range []struct {
+		name     string
+		attrs    PathAttrs
+		segments int // decoded AS_PATH segments; 0 means an encode error
+	}{
+		{"sequence of 255", PathAttrs{ASPath: NewASPath(hops(255)...)}, 1},
+		{"sequence of 300 from text", PathAttrs{ASPath: longText(300)}, 2},
+		{"sequence of 510", PathAttrs{ASPath: NewASPath(hops(510)...)}, 2},
+		{"sequence then set", PathAttrs{ASPath: ASPath{{ASNs: hops(256)}, {Set: true, ASNs: hops(3)}}}, 3},
+		{"set of 255", PathAttrs{ASPath: ASPath{{Set: true, ASNs: hops(255)}}}, 1},
+		{"set of 256", PathAttrs{ASPath: ASPath{{Set: true, ASNs: hops(256)}}}, 0},
+		{"AS_PATH over 65,535 bytes", PathAttrs{ASPath: NewASPath(hops(16384)...)}, 0},
+		{"16,383 communities", PathAttrs{ASPath: NewASPath(1), Communities: comms(16383)}, 1},
+		{"16,384 communities", PathAttrs{ASPath: NewASPath(1), Communities: comms(16384)}, 0},
+		{"unknown attribute over 65,535 bytes", PathAttrs{ASPath: NewASPath(1),
+			Unknown: []RawAttr{{Flags: flagOptional | flagTransitive, Type: 99, Data: make([]byte, 65536)}}}, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			prefix := []byte{0xAB}
+			wire, err := c.attrs.AppendWire(prefix, true)
+			if c.segments == 0 {
+				if err == nil {
+					t.Fatal("encoded without error")
+				}
+				if !bytes.Equal(wire, prefix) {
+					t.Fatalf("a failed encode left %d bytes behind", len(wire)-len(prefix))
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, err := DecodeAttrs(wire[len(prefix):], true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(out.ASPath) != c.segments || !slices.Equal(out.ASPath.Flatten(), c.attrs.ASPath.Flatten()) {
+				t.Fatalf("AS_PATH decoded as %d segments, %d hops; want %d segments, %d hops",
+					len(out.ASPath), len(out.ASPath.Flatten()), c.segments, len(c.attrs.ASPath.Flatten()))
+			}
+			if !out.Communities.Equal(c.attrs.Communities) {
+				t.Fatalf("communities: %d decoded, %d encoded", len(out.Communities), len(c.attrs.Communities))
+			}
+		})
 	}
 }

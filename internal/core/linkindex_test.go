@@ -68,12 +68,6 @@ func diffLinkIndex(got, want *LinkIndex) string {
 // checked again three materializations later against a deep copy taken
 // when it was built: copy-on-write must really copy.
 func TestPatchedIndexEqualsRebuilt(t *testing.T) {
-	for _, workers := range []int{1, 2, 8} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) { patchedIndexSweep(t, workers) })
-	}
-}
-
-func patchedIndexSweep(t *testing.T, workers int) {
 	d := testDict(t)
 	ms := NewMeshState(d)
 	rng := rand.New(rand.NewSource(20130501))
@@ -83,17 +77,14 @@ func patchedIndexSweep(t *testing.T, workers int) {
 		asns[i] = bgp.ASN(100 + 7*i)
 	}
 
-	// toggle flips one (link, IXP) attribution the way Apply's ordered
-	// commit does.
+	// toggle flips one (link, IXP) attribution the way Apply does.
 	toggle := func(key topology.LinkKey, name string) {
 		mi := ms.byName[name]
 		mi.stale = true
 		if mi.links[key] {
-			delete(mi.links, key)
-			ms.commitRemove(mi, key)
+			ms.removeLink(mi, key.A, key.B)
 		} else {
-			mi.links[key] = true
-			ms.commitAdd(mi, key)
+			ms.addLink(mi, key.A, key.B)
 		}
 	}
 	randomKey := func() topology.LinkKey {
@@ -115,7 +106,7 @@ func patchedIndexSweep(t *testing.T, workers int) {
 	// materialize snapshots the mesh, indexes the Result unless told not
 	// to, and checks the index against the from-scratch oracle.
 	materialize := func(step string, index bool) {
-		res := ms.Snapshot(workers)
+		res := ms.Snapshot()
 		if !maps.EqualFunc(res.Links, ms.links, slices.Equal[[]string]) {
 			t.Fatalf("%s: snapshot's link map differs from the mesh's", step)
 		}
@@ -222,13 +213,13 @@ func patchedIndexSweep(t *testing.T, workers int) {
 func TestBuildIndexEncodesWithoutEncodedBase(t *testing.T) {
 	ms := NewMeshState(testDict(t))
 	add := func(a, b bgp.ASN, name string) {
-		mi, key := ms.byName[name], topology.MakeLinkKey(a, b)
-		mi.links[key], mi.stale = true, true
-		ms.commitAdd(mi, key)
+		mi := ms.byName[name]
+		mi.stale = true
+		ms.addLink(mi, a, b)
 	}
 	add(100, 200, "DE-CIX")
 	add(100, 400, "MSK-IX")
-	first := ms.Snapshot(1)
+	first := ms.Snapshot()
 	x := first.BuildIndex(nil)
 	if x.Encoded != nil {
 		t.Fatalf("an index built without an encoder carries %q", x.Encoded)
@@ -236,7 +227,7 @@ func TestBuildIndexEncodesWithoutEncodedBase(t *testing.T) {
 
 	add(100, 200, "MSK-IX")
 	add(600, 700, "ECIX")
-	second := ms.Snapshot(1)
+	second := ms.Snapshot()
 	if second.patch == nil || second.patch.base != x {
 		t.Fatal("the second Result does not patch the first one's index")
 	}

@@ -23,7 +23,6 @@ import (
 
 	"mlpeering/internal/bgp"
 	"mlpeering/internal/ixp"
-	"mlpeering/internal/par"
 	"mlpeering/internal/topology"
 )
 
@@ -91,19 +90,9 @@ type meshSetter struct {
 	links meshBits
 }
 
-// meshEvent is one link transition recorded by an IXP's per-IXP update
-// pass, replayed into the global counters by the ordered commit.
-type meshEvent struct {
-	key topology.LinkKey
-	add bool
-}
-
 // meshIXP is one IXP's maintained mesh: slot-indexed setters (slots are
 // assigned on first coverage and never freed — bounded by the members
 // ever covered, not by trace length) and the live per-IXP link set.
-// events buffers the link transitions of the current Apply pass; it is
-// only touched by the single worker owning the IXP's work item and by
-// the sequential commit.
 type meshIXP struct {
 	entry   *IXPEntry
 	members []bgp.ASN // entry.Members(), cached once per run
@@ -111,7 +100,6 @@ type meshIXP struct {
 	setters []*meshSetter
 	covered int
 	links   map[topology.LinkKey]bool
-	events  []meshEvent
 
 	// snap is the IXPInference the last Snapshot materialized; stale
 	// records that a setter joined, left or changed filter since, i.e.
@@ -124,9 +112,8 @@ type meshIXP struct {
 // IXP of a dictionary. Apply consumes the dirty (IXP, setter) set a
 // DeltaObservations tracked since the last window close and updates
 // filters, allow bitsets, links and the running counters; Snapshot
-// materializes the equivalent of InferLinks over the same store. Apply
-// and Snapshot fan out per IXP on a worker pool internally; the struct
-// itself is not safe for concurrent use.
+// materializes the equivalent of InferLinks over the same store. Not
+// safe for concurrent use.
 type MeshState struct {
 	dict   *Dictionary
 	byName map[string]*meshIXP
@@ -148,11 +135,6 @@ type MeshState struct {
 	dirty     []DirtySetter
 	dirtySeen map[DirtySetter]struct{}
 
-	// Apply scratch: per-IXP work items (first-seen order over the
-	// drained dirty list) and the IXP -> work index map.
-	works   []meshWork
-	workIdx map[string]int
-
 	// snap is the Result the last Snapshot returned; moved is the set of
 	// links whose attribution was added to or removed from since — what
 	// the next Result's index patches into snap's (empty: share it). It
@@ -160,16 +142,6 @@ type MeshState struct {
 	// all before the first Snapshot, when there is nothing to patch.
 	snap  *Result
 	moved map[topology.LinkKey]struct{}
-}
-
-// meshWork is one Apply work item: one IXP's dirty setters in drained
-// order. Work items touch disjoint per-IXP state, so the pool runs them
-// concurrently; their recorded link events commit sequentially in
-// work-item order, which is deterministic and worker-count-invariant
-// because it derives from the drained dirty list alone.
-type meshWork struct {
-	mi      *meshIXP
-	setters []bgp.ASN
 }
 
 // NewMeshState returns an empty mesh over the dictionary's IXPs.
@@ -181,7 +153,6 @@ func NewMeshState(dict *Dictionary) *MeshState {
 		changed:   make(map[topology.LinkKey]bool),
 		moved:     make(map[topology.LinkKey]struct{}),
 		dirtySeen: make(map[DirtySetter]struct{}),
-		workIdx:   make(map[string]int),
 	}
 	for _, e := range dict.Entries {
 		ms.byName[e.Name] = &meshIXP{
@@ -202,20 +173,14 @@ func (ms *MeshState) TotalLinks() int { return len(ms.links) }
 func (ms *MeshState) MultiIXPLinks() int { return ms.multi }
 
 // Apply drains the store's dirty setters and re-derives exactly their
-// coverage, filter and reciprocity links. Everything else is untouched:
-// the cost is O(churned setters × their flipped allow relations). The
-// drained set is partitioned into per-IXP work items that run on up to
-// workers goroutines — per-IXP mesh state is disjoint and the store is
-// read-only during the pass — and the recorded link transitions commit
-// into the global attribution/stability counters sequentially in
-// work-item order, so the outcome is identical for any worker count.
-// Steady-state applies reuse the drained dirty list, the work items and
-// each IXP's slot state, so a window close stays allocation-light.
+// coverage, filter and reciprocity links, in drained order. Everything
+// else is untouched: the cost is O(churned setters × their flipped
+// allow relations). Steady-state applies reuse the drained dirty list
+// and each IXP's slot state, so a window close stays allocation-light.
 //
 //mlplint:allocfree
-func (ms *MeshState) Apply(obs *DeltaObservations, workers int) {
+func (ms *MeshState) Apply(obs *DeltaObservations) {
 	ms.dirty = obs.DrainDirty(ms.dirty[:0])
-	ms.works = ms.works[:0]
 	for _, d := range ms.dirty {
 		if _, dup := ms.dirtySeen[d]; dup {
 			continue
@@ -225,42 +190,15 @@ func (ms *MeshState) Apply(obs *DeltaObservations, workers int) {
 		if mi == nil || !mi.entry.IsMember(d.Setter) {
 			continue // a stray observation outside known connectivity
 		}
-		idx, ok := ms.workIdx[d.IXP]
-		if !ok {
-			idx = len(ms.works)
-			ms.workIdx[d.IXP] = idx
-			ms.works = append(ms.works, meshWork{mi: mi})
-		}
-		ms.works[idx].setters = append(ms.works[idx].setters, d.Setter)
+		ms.updateSetter(obs, mi, d.Setter)
 	}
 	clear(ms.dirtySeen)
-	clear(ms.workIdx)
-	//mlplint:allocfree one pooled closure per Apply fans out the per-IXP work items
-	par.Run(workers, len(ms.works), func(i int) {
-		w := &ms.works[i]
-		for _, setter := range w.setters {
-			ms.updateSetter(obs, w.mi, setter)
-		}
-	})
-	for i := range ms.works {
-		w := &ms.works[i]
-		for _, ev := range w.mi.events {
-			if ev.add {
-				ms.commitAdd(w.mi, ev.key)
-			} else {
-				ms.commitRemove(w.mi, ev.key)
-			}
-		}
-		w.mi.events = w.mi.events[:0]
-		w.mi = nil
-	}
 }
 
 // updateSetter re-derives one (IXP, setter): departed, joined, or
 // re-filtered. The outcome is order-independent across the dirty set:
 // a pair of dirty setters is rechecked by whichever side is processed
-// last with both filters final. It touches only mi's state plus the
-// read-only store, so distinct IXPs update concurrently.
+// last with both filters final.
 func (ms *MeshState) updateSetter(obs *DeltaObservations, mi *meshIXP, setter bgp.ASN) {
 	f, ok := obs.Filter(mi.entry.Name, setter, mi.entry.Scheme)
 	slot, haveSlot := mi.slotOf[setter]
@@ -395,30 +333,15 @@ func (ms *MeshState) recheckPair(mi *meshIXP, slot int, s *meshSetter, j int, o 
 	}
 }
 
-// addLink brings a link up at mi: the per-IXP link set changes
-// immediately (only the worker owning mi reads it), the global
-// attribution update is buffered for the ordered commit.
+// addLink brings a link up at mi: it enters the per-IXP link set and
+// mi's IXP joins its sorted attribution list, maintaining the
+// multi-IXP counter and the stability deltas. The first-touch changed
+// entry happens before any event mutated the key's attribution, so it
+// always records presence at the last close. The list is replaced, not
+// edited: the previous one may be shared with a published Result.
 func (ms *MeshState) addLink(mi *meshIXP, a, b bgp.ASN) {
 	key := topology.MakeLinkKey(a, b)
 	mi.links[key] = true
-	mi.events = append(mi.events, meshEvent{key: key, add: true})
-}
-
-// removeLink takes a link down at mi, buffering the global withdrawal.
-func (ms *MeshState) removeLink(mi *meshIXP, a, b bgp.ASN) {
-	key := topology.MakeLinkKey(a, b)
-	delete(mi.links, key)
-	mi.events = append(mi.events, meshEvent{key: key, add: false})
-}
-
-// commitAdd attributes a live link to mi's IXP, maintaining the sorted
-// attribution list, the multi-IXP counter and the stability deltas. The
-// first-touch changed entry is order-independent: whatever order the
-// per-link events replay in, the first touch of a key happens before
-// any event mutated its attribution, so it always records presence at
-// the last close. The list is replaced, not edited: the previous one may
-// be shared with a published Result.
-func (ms *MeshState) commitAdd(mi *meshIXP, key topology.LinkKey) {
 	ms.markMoved(key)
 	names := ms.links[key]
 	if len(names) == 0 {
@@ -437,10 +360,12 @@ func (ms *MeshState) commitAdd(mi *meshIXP, key topology.LinkKey) {
 	}
 }
 
-// commitRemove withdraws mi's attribution of a link, dropping the link
-// entirely when no IXP attributes it anymore. Copy-on-write like
-// commitAdd.
-func (ms *MeshState) commitRemove(mi *meshIXP, key topology.LinkKey) {
+// removeLink takes a link down at mi and withdraws mi's attribution,
+// dropping the link entirely when no IXP attributes it anymore.
+// Copy-on-write like addLink.
+func (ms *MeshState) removeLink(mi *meshIXP, a, b bgp.ASN) {
+	key := topology.MakeLinkKey(a, b)
+	delete(mi.links, key)
 	ms.markMoved(key)
 	names := ms.links[key]
 	if len(names) == 1 {
@@ -502,12 +427,10 @@ func (ms *MeshState) CloseStability() float64 {
 // returned, so whatever its consumers memoized on it (CoveredMembers,
 // BuildIndex) rides along. A link set that did change carries the
 // sorted keys that moved and the previous Result's index, so BuildIndex
-// patches that index instead of sorting the mesh again. What changed is
-// rebuilt on up to workers goroutines — one task per IXP plus one for
-// the global link map, each writing disjoint freshly-allocated state.
+// patches that index instead of sorting the mesh again.
 //
 //mlplint:frozen
-func (ms *MeshState) Snapshot(workers int) *Result {
+func (ms *MeshState) Snapshot() *Result {
 	prev := ms.snap
 	shareLinks := prev != nil && len(ms.moved) == 0
 	if shareLinks && !slices.ContainsFunc(ms.dict.Entries, func(e *IXPEntry) bool { return ms.byName[e.Name].stale }) {
@@ -526,36 +449,36 @@ func (ms *MeshState) Snapshot(workers int) *Result {
 		res.patch = &indexPatch{base: prev.linkIndex, keys: keys}
 	}
 	clear(ms.moved)
-	par.Run(workers, len(ms.dict.Entries)+1, func(t int) {
-		if t == 0 {
-			if !shareLinks {
-				//mlplint:shared task 0 alone writes res.Links; every other task writes its own IXP's state
-				res.Links = maps.Clone(ms.links)
-			}
-			return
-		}
-		mi := ms.byName[ms.dict.Entries[t-1].Name]
-		if mi.snap != nil && !mi.stale {
-			return
-		}
-		x := &IXPInference{
-			Name:    mi.entry.Name,
-			Members: mi.members,
-			Filters: make(map[bgp.ASN]ixp.ExportFilter, mi.covered),
-			Sources: make(map[bgp.ASN]DataSource, mi.covered),
-			Links:   maps.Clone(mi.links),
-		}
-		for _, s := range mi.setters {
-			if s.covered {
-				x.Filters[s.asn] = s.filter
-				x.Sources[s.asn] = ObsPassive
-			}
-		}
-		mi.snap, mi.stale = x, false
-	})
+	if !shareLinks {
+		res.Links = maps.Clone(ms.links)
+	}
 	for _, e := range ms.dict.Entries {
-		res.PerIXP[e.Name] = ms.byName[e.Name].snap
+		mi := ms.byName[e.Name]
+		if mi.snap == nil || mi.stale {
+			mi.snap, mi.stale = mi.inference(), false
+		}
+		res.PerIXP[e.Name] = mi.snap
 	}
 	ms.snap = res
 	return res
+}
+
+// inference materializes mi's current state as an IXPInference.
+//
+//mlplint:frozen
+func (mi *meshIXP) inference() *IXPInference {
+	x := &IXPInference{
+		Name:    mi.entry.Name,
+		Members: mi.members,
+		Filters: make(map[bgp.ASN]ixp.ExportFilter, mi.covered),
+		Sources: make(map[bgp.ASN]DataSource, mi.covered),
+		Links:   maps.Clone(mi.links),
+	}
+	for _, s := range mi.setters {
+		if s.covered {
+			x.Filters[s.asn] = s.filter
+			x.Sources[s.asn] = ObsPassive
+		}
+	}
+	return x
 }

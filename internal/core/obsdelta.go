@@ -15,7 +15,6 @@ import (
 
 	"mlpeering/internal/bgp"
 	"mlpeering/internal/ixp"
-	"mlpeering/internal/par"
 	"mlpeering/internal/paths"
 	"mlpeering/internal/relation"
 	"mlpeering/internal/topology"
@@ -80,90 +79,49 @@ type DirtySetter struct {
 	Setter bgp.ASN
 }
 
-// obsShardCount is the fixed shard fan-out of DeltaObservations. It is
-// independent of the worker count on purpose: shard assignment (and so
-// per-shard op order and the merged dirty-list order) never changes
-// with WindowOptions.Workers, which is half of the worker-count
-// invariance argument. 32 shards keep the per-shard maps small enough
-// that an 8-worker pool stays busy without pathological imbalance.
-const obsShardCount = 32
-
-// obsShardOf hashes a setter to its shard. Deltas for one setter always
-// land in one shard, so applying each shard's op queue in order
-// reproduces the sequential per-setter op order exactly.
-func obsShardOf(setter bgp.ASN) int {
-	return int(uint32(setter) * 0x9E3779B1 >> 27)
-}
-
-// obsShard is one shard of the store: its own per-IXP setter tables and
-// its own dirty list. Shards never share state, so a worker pool can
-// apply per-shard op queues concurrently.
-type obsShard struct {
-	byIXP     map[string]*ixpDelta
-	dirtyList []DirtySetter
-}
-
 // DeltaObservations is a reference-counted observation store: the
 // C_{a,p} of §4.1 step 3 maintained under announce (+1) and withdraw
 // (-1) deltas. It implements ObservationSource, so InferLinks derives
 // the per-window mesh from it directly; with dirty tracking enabled it
-// additionally records which (IXP, setter) pairs changed, so MeshState
-// re-derives only those at window close. State is sharded by setter
-// hash: deltas for different shards may be applied concurrently, and
-// DrainDirty merges the per-shard dirty lists in fixed shard order, so
-// the merged order is deterministic and worker-count-invariant.
+// additionally records which (IXP, setter) pairs changed, in dirtying
+// order, so MeshState re-derives only those at window close.
 type DeltaObservations struct {
-	shards     [obsShardCount]obsShard
+	byIXP      map[string]*ixpDelta
+	dirtyList  []DirtySetter
 	trackDirty bool
 }
 
 // NewDeltaObservations returns an empty store.
 func NewDeltaObservations() *DeltaObservations {
-	o := &DeltaObservations{}
-	for i := range o.shards {
-		o.shards[i].byIXP = make(map[string]*ixpDelta)
-	}
-	return o
+	return &DeltaObservations{byIXP: make(map[string]*ixpDelta)}
 }
 
 // TrackDirty turns on dirty-setter tracking (used by the incremental
 // mesh; the remine fallback skips the bookkeeping).
 func (o *DeltaObservations) TrackDirty() { o.trackDirty = true }
 
-// DrainDirty appends the setters dirtied since the last drain to dst
-// and resets the tracking, merging the per-shard lists in shard order
-// (within a shard, dirtying order). A setter pruned and re-created
-// between drains may appear twice; consumers must dedup.
+// DrainDirty appends the setters dirtied since the last drain to dst,
+// in dirtying order, and resets the tracking. A setter pruned and
+// re-created between drains may appear twice; consumers must dedup.
 func (o *DeltaObservations) DrainDirty(dst []DirtySetter) []DirtySetter {
-	for i := range o.shards {
-		sh := &o.shards[i]
-		dst = append(dst, sh.dirtyList...)
-		for _, d := range sh.dirtyList {
-			if x := sh.byIXP[d.IXP]; x != nil {
-				if s := x.setters[d.Setter]; s != nil {
-					s.dirty = false
-				}
+	dst = append(dst, o.dirtyList...)
+	for _, d := range o.dirtyList {
+		if x := o.byIXP[d.IXP]; x != nil {
+			if s := x.setters[d.Setter]; s != nil {
+				s.dirty = false
 			}
 		}
-		sh.dirtyList = sh.dirtyList[:0]
 	}
+	o.dirtyList = o.dirtyList[:0]
 	return dst
 }
 
 // add applies one counted observation delta.
 func (o *DeltaObservations) add(ixpName string, setter bgp.ASN, prefix bgp.Prefix, key string, cs bgp.Communities, delta int) {
-	o.addShard(obsShardOf(setter), ixpName, setter, prefix, key, cs, delta)
-}
-
-// addShard is add with the setter's shard already resolved (the flush
-// path computes it once at enqueue). Callers applying ops concurrently
-// must partition them by shard.
-func (o *DeltaObservations) addShard(shard int, ixpName string, setter bgp.ASN, prefix bgp.Prefix, key string, cs bgp.Communities, delta int) {
-	sh := &o.shards[shard]
-	x := sh.byIXP[ixpName]
+	x := o.byIXP[ixpName]
 	if x == nil {
 		x = &ixpDelta{setters: make(map[bgp.ASN]*setterDelta)}
-		sh.byIXP[ixpName] = x
+		o.byIXP[ixpName] = x
 	}
 	s := x.setters[setter]
 	if s == nil {
@@ -176,7 +134,7 @@ func (o *DeltaObservations) addShard(shard int, ixpName string, setter bgp.ASN, 
 	}
 	if o.trackDirty && !s.dirty {
 		s.dirty = true
-		sh.dirtyList = append(sh.dirtyList, DirtySetter{IXP: ixpName, Setter: setter})
+		o.dirtyList = append(o.dirtyList, DirtySetter{IXP: ixpName, Setter: setter})
 	}
 	p := s.prefixes[prefix]
 	if p == nil {
@@ -229,19 +187,16 @@ func (o *DeltaObservations) addShard(shard int, ixpName string, setter bgp.ASN, 
 	}
 }
 
-// Setters returns the covered RS members of an IXP in ascending order,
-// unioned across the shards (the final sort erases shard order).
+// Setters returns the covered RS members of an IXP in ascending order.
 func (o *DeltaObservations) Setters(ixpName string) []bgp.ASN {
+	x := o.byIXP[ixpName]
+	if x == nil {
+		return nil
+	}
 	var out []bgp.ASN
-	for i := range o.shards {
-		x := o.shards[i].byIXP[ixpName]
-		if x == nil {
-			continue
-		}
-		for setter, s := range x.setters {
-			if s.active > 0 {
-				out = append(out, setter)
-			}
+	for setter, s := range x.setters {
+		if s.active > 0 {
+			out = append(out, setter)
 		}
 	}
 	sortASNs(out)
@@ -255,7 +210,7 @@ func (o *DeltaObservations) Setters(ixpName string) []bgp.ASN {
 // add, so the vote scan is over the distinct community sets (almost
 // always one), not the setter's prefixes.
 func (o *DeltaObservations) Filter(ixpName string, setter bgp.ASN, scheme ixp.Scheme) (ixp.ExportFilter, bool) {
-	x := o.shards[obsShardOf(setter)].byIXP[ixpName]
+	x := o.byIXP[ixpName]
 	if x == nil {
 		return ixp.ExportFilter{}, false
 	}
@@ -275,7 +230,7 @@ func (o *DeltaObservations) Filter(ixpName string, setter bgp.ASN, scheme ixp.Sc
 // Source reports passive coverage: the windowed pipeline only ever
 // mines collector data.
 func (o *DeltaObservations) Source(ixpName string, setter bgp.ASN) DataSource {
-	if x := o.shards[obsShardOf(setter)].byIXP[ixpName]; x != nil {
+	if x := o.byIXP[ixpName]; x != nil {
 		if s := x.setters[setter]; s != nil && s.active > 0 {
 			return ObsPassive
 		}
@@ -336,38 +291,9 @@ type deadShape struct {
 	epoch int
 }
 
-// obsOp is one deferred observation delta: the group carries the
-// derived (IXP, setter, relevant-comms) state, so the op only records
-// the prefix and sign. Ops are queued per setter shard during the
-// window and flushed on the worker pool at close; a group's setter only
-// moves at close (moveContributions, after the flush), so the shard
-// recorded at enqueue time is still the setter's shard at flush time.
-type obsOp struct {
-	g      *windowGroup
-	prefix bgp.Prefix
-	delta  int
-}
-
-// pinResult is one re-pinpointed rels-dependent group's answer,
-// computed concurrently at close and committed sequentially.
-type pinResult struct {
-	setter bgp.ASN
-	ok     bool
-}
-
 type windowMiner struct {
 	dict  *Dictionary
 	store *paths.Store
-
-	// workers sizes the close-time worker pool (resolved, >= 1). The
-	// derived state is bit-identical for any value.
-	workers int
-
-	// obsQueue defers the window's observation deltas per setter shard
-	// (incremental mode only; the remine fallback applies synchronously).
-	obsQueue [obsShardCount][]obsOp
-
-	pinScratch []pinResult
 
 	// groups is keyed (path, canonical comms encoding); the two-level
 	// shape lets callers probe with a scratch []byte key (string(b) map
@@ -401,13 +327,11 @@ type windowMiner struct {
 // the caller owns relation maintenance, setter resolution and mesh
 // derivation (the remine fallback); otherwise the miner maintains the
 // reciprocity mesh incrementally through a MeshState fed by the
-// observation store's dirty-setter tracking, running its close-time
-// phases on a pool of workers goroutines.
-func newWindowMiner(dict *Dictionary, store *paths.Store, rel *relation.Incremental, workers int) *windowMiner {
+// observation store's dirty-setter tracking.
+func newWindowMiner(dict *Dictionary, store *paths.Store, rel *relation.Incremental) *windowMiner {
 	m := &windowMiner{
 		dict:     dict,
 		store:    store,
-		workers:  par.Workers(workers),
 		groups:   make(map[paths.ID]map[string]*windowGroup),
 		attr:     newAttributor(dict),
 		obs:      NewDeltaObservations(),
@@ -415,7 +339,6 @@ func newWindowMiner(dict *Dictionary, store *paths.Store, rel *relation.Incremen
 		pathLive: make(map[paths.ID]int),
 	}
 	if rel != nil {
-		rel.Workers = m.workers
 		m.obs.TrackDirty()
 		m.mesh = NewMeshState(dict)
 	}
@@ -548,38 +471,8 @@ func (m *windowMiner) apply(g *windowGroup, prefix bgp.Prefix, delta int) {
 		}
 	}
 	if g.mineable() && g.resolved {
-		if m.rel != nil {
-			// Incremental mode: defer the delta into the setter's shard
-			// queue; the close flushes all shards on the worker pool.
-			// Per-setter op order is preserved (one setter, one shard),
-			// and nothing reads the store until the flush completed.
-			s := obsShardOf(g.setter)
-			m.obsQueue[s] = append(m.obsQueue[s], obsOp{g: g, prefix: prefix, delta: delta})
-		} else {
-			m.obs.add(g.entry.Name, g.setter, prefix, g.relKey, g.relComms, delta)
-		}
+		m.obs.add(g.entry.Name, g.setter, prefix, g.relKey, g.relComms, delta)
 	}
-}
-
-// flushObs applies the window's queued observation deltas, one worker
-// per shard. Each shard's queue is applied in enqueue (stream) order
-// and shards share no state, so the resulting store is byte-identical
-// to applying the whole stream sequentially.
-//
-//mlplint:allocfree
-func (m *windowMiner) flushObs() {
-	//mlplint:allocfree one pooled closure per window close fans out the shard flush
-	par.Run(m.workers, obsShardCount, func(s int) {
-		ops := m.obsQueue[s]
-		for _, op := range ops {
-			g := op.g
-			m.obs.addShard(s, g.entry.Name, g.setter, op.prefix, g.relKey, g.relComms, op.delta)
-		}
-		for i := range ops {
-			ops[i] = obsOp{}
-		}
-		m.obsQueue[s] = ops[:0]
-	})
 }
 
 // moveContributions shifts all of g's live observation counts from its
@@ -602,29 +495,25 @@ func (m *windowMiner) moveContributions(g *windowGroup, resolved bool, setter bg
 }
 
 // closeWindow derives one window's inference outcome from the
-// maintained state: flush the deferred observation deltas shard-wise on
-// the worker pool, commit the relation oracle (itself parallel over its
-// shards), re-pinpoint the relationship-dependent groups against it
-// (concurrent pure reads, sequential moves), apply the dirtied setters
-// to the maintained reciprocity mesh per-IXP, and read the window's
-// counters off the maintained state. Every phase is worker-count
-// invariant, so the derived window is bit-identical to a sequential
-// close. The mesh is not snapshotted here, so the close allocates
-// O(churn), not O(mesh); w.Materialize does that on demand.
+// maintained state: commit the relation oracle, re-pinpoint the
+// relationship-dependent groups against it, apply the dirtied setters
+// to the maintained reciprocity mesh, and read the window's counters
+// off the maintained state. The mesh is not snapshotted here, so the
+// close allocates O(churn), not O(mesh); w.Materialize does that on
+// demand.
 func (m *windowMiner) closeWindow(w *PassiveWindow) {
-	m.flushObs()
-	repin := m.rel.Commit() || m.stalePins
+	m.rel.Commit()
+	stale := m.stalePins
 	m.stalePins = false
 	// Re-pinpoint the live rels-dependent shapes, compacting dead ones
 	// out of the list so per-window cost tracks the live shape set, not
 	// the trace's all-time one (withdrawn shapes re-register in apply
-	// if they come back). Pinpointing only reads the committed oracle,
-	// so the answers are computed on the pool; the observation moves
-	// mutate the store and commit sequentially in list order. When the
-	// oracle did not move there is nothing to correct — every listed
-	// shape was pinned against this very oracle, at the last close or at
-	// its creation inside the window — unless a compacted shape came
-	// back with an older pin (stalePins).
+	// if they come back). Every listed shape was pinned against the
+	// previous oracle, at the last close or at its creation inside the
+	// window, and PinpointSetter reads only the p2p labels of adjacent
+	// hops: a pin moves only where the Commit flipped one of those
+	// labels — unless a compacted shape came back with an older pin
+	// (stalePins), which re-pins every shape.
 	live := m.relsDeps[:0]
 	for _, g := range m.relsDeps {
 		if g.refs == 0 {
@@ -637,29 +526,37 @@ func (m *windowMiner) closeWindow(w *PassiveWindow) {
 		m.relsDeps[i] = nil
 	}
 	m.relsDeps = live
-	if repin {
-		if cap(m.pinScratch) < len(live) {
-			m.pinScratch = make([]pinResult, len(live))
-		}
-		pins := m.pinScratch[:len(live)]
-		par.Run(m.workers, len(live), func(i int) {
-			g := live[i]
-			pins[i].setter, pins[i].ok = PinpointSetter(m.store.Path(g.path), g.entry, m.rel)
-		})
-		for i, g := range live {
-			m.moveContributions(g, pins[i].ok, pins[i].setter)
+	if stale || m.rel.P2PFlips() > 0 {
+		for _, g := range live {
+			if !stale && !m.p2pFlippedOn(g.path) {
+				continue
+			}
+			setter, ok := PinpointSetter(m.store.Path(g.path), g.entry, m.rel)
+			m.moveContributions(g, ok, setter)
 		}
 	}
 	w.Dropped.Bogon = m.dropBogon
 	w.Dropped.Cycle = m.dropCycle
 	w.RelLinks = m.rel.LinkCount()
 	w.P2PRels = m.rel.P2PCount()
-	m.mesh.Apply(m.obs, m.workers)
+	m.mesh.Apply(m.obs)
 	w.MeshLinks = m.mesh.TotalLinks()
 	w.Stability = m.mesh.CloseStability()
 	m.epoch++
 	w.Result, w.miner, w.epoch = nil, m, m.epoch
 	m.sweepDeadShapes()
+}
+
+// p2pFlippedOn reports whether the last Commit flipped the p2p label
+// of a pair of adjacent hops on the path.
+func (m *windowMiner) p2pFlippedOn(id paths.ID) bool {
+	p := m.store.Path(id)
+	for i := 0; i+1 < len(p); i++ {
+		if m.rel.P2PFlipped(p[i], p[i+1]) {
+			return true
+		}
+	}
+	return false
 }
 
 // sweepDeadShapes compacts shapes whose refcount has been zero for at

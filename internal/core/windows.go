@@ -62,12 +62,6 @@ type WindowOptions struct {
 	// Mode selects incremental (default) derivation or the re-mine
 	// oracle.
 	Mode WindowsMode
-	// Workers caps the worker pool the incremental miner fans out on at
-	// window close (sharded delta flush, per-IXP mesh re-checks, the
-	// relation oracle's Commit, snapshotting). 0 means GOMAXPROCS; 1
-	// forces the sequential path. Results are bit-identical for any
-	// value. Remine mode ignores it.
-	Workers int
 	// Stream is the window consumer: every closed window is handed to it
 	// once, in order. The window carries the maintained counters
 	// (MeshLinks, Stability, CloseTime, ...); a consumer that wants the
@@ -158,7 +152,7 @@ func (w *PassiveWindow) Materialize() *Result {
 		}
 		//mlplint:clock close-duration telemetry only; never feeds inference or window boundaries
 		t0 := time.Now()
-		w.Result = w.miner.mesh.Snapshot(w.miner.workers)
+		w.Result = w.miner.mesh.Snapshot()
 		w.CloseTime += time.Since(t0)
 	}
 	return w.Result
@@ -238,7 +232,7 @@ func RunPassiveWindows(dumps []*mrt.Dump, updates []*mrt.BGP4MPMessage, dict *Di
 	live := make(map[liveKey]liveRoute)
 	var miner *windowMiner
 	if opts.Mode == WindowsIncremental {
-		miner = newWindowMiner(dict, store, relation.NewIncremental(store), opts.Workers)
+		miner = newWindowMiner(dict, store, relation.NewIncremental(store))
 	}
 
 	// intern resolves an announced (path, communities) to its canonical
@@ -487,7 +481,7 @@ func remineLiveTable(store *paths.Store, live map[liveKey]liveRoute, dict *Dicti
 	}
 	slices.SortFunc(keys, compareLiveKeys)
 
-	m := newWindowMiner(dict, store, nil, 1)
+	m := newWindowMiner(dict, store, nil)
 	var kept []paths.ID
 	for _, k := range keys {
 		r := live[k]

@@ -266,7 +266,7 @@ func TestWindowedModesEquivalent(t *testing.T) {
 func TestWindowFlapRestoresObservationState(t *testing.T) {
 	d := testDict(t)
 	store := paths.NewStore()
-	m := newWindowMiner(d, store, relation.NewIncremental(store), 1)
+	m := newWindowMiner(d, store, relation.NewIncremental(store))
 
 	all := comms(t, "6695:6695")
 	ck := commsKey(all)
@@ -279,11 +279,8 @@ func TestWindowFlapRestoresObservationState(t *testing.T) {
 	m.apply(m.group(id2, all, ck), p2, 1)
 
 	snapshot := func() string {
-		// The miner defers observation deltas until close; flush so the
-		// snapshot sees the settled store.
-		m.flushObs()
 		return fmt.Sprintf("obs=%#v pathLive=%v drops=%d/%d refs=%d/%d",
-			m.obs.shards[obsShardOf(200)].byIXP["DE-CIX"].setters[200].prefixes[p1],
+			m.obs.byIXP["DE-CIX"].setters[200].prefixes[p1],
 			m.pathLive, m.dropBogon, m.dropCycle,
 			m.group(id1, all, ck).refs, m.group(id2, all, ck).refs)
 	}
@@ -408,99 +405,44 @@ func TestWindowedShadowInferLinks(t *testing.T) {
 		upd(t0.Add(4*w+time.Minute), 100, nil, nil, nil, []bgp.Prefix{p3}),
 	}
 
-	for _, workers := range []int{1, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			shadowCalls := 0
-			var meshLinks []int
-			var a, b []byte
-			opts := WindowOptions{Start: t0, Window: w, Count: 5, Mode: WindowsIncremental, Workers: workers}
-			opts.Stream = func(pw *PassiveWindow) {
-				shadowCalls++
-				m := pw.miner
-				full := InferLinks(m.dict, m.obs)
-				a = pw.Materialize().AppendMesh(a[:0])
-				b = full.AppendMesh(b[:0])
-				if !bytes.Equal(a, b) {
-					t.Fatalf("window %d: mesh snapshot diverges from full InferLinks (%d vs %d links)",
-						shadowCalls-1, pw.Result.TotalLinks(), full.TotalLinks())
-				}
-				if pw.MeshLinks != full.TotalLinks() {
-					t.Fatalf("window %d: MeshLinks %d, full inference %d", shadowCalls-1, pw.MeshLinks, full.TotalLinks())
-				}
-				// Snapshots share whatever no churn touched with the
-				// previous window's Result; the shared parts must still
-				// describe this window, field for field.
-				if diff := diffResults(pw.Result, full); diff != "" {
-					t.Fatalf("window %d: snapshot diverges from full InferLinks: %s", shadowCalls-1, diff)
-				}
-				if pw.P2PRels != countP2P(m.rel) {
-					t.Fatalf("window %d: P2PRels %d, full tally %d", shadowCalls-1, pw.P2PRels, countP2P(m.rel))
-				}
-				meshLinks = append(meshLinks, pw.MeshLinks)
-			}
-			if _, err := RunPassiveWindows(nil, updates, d, opts); err != nil {
-				t.Fatal(err)
-			}
-			if shadowCalls != 5 {
-				t.Fatalf("shadow ran %d times, want 5", shadowCalls)
-			}
-			// The schedule must actually move the mesh: the filter edit kills
-			// the 200--300 link, the revert restores it.
-			if meshLinks[0] == 0 || meshLinks[1] >= meshLinks[0] || meshLinks[3] <= meshLinks[2] {
-				t.Fatalf("schedule too weak to exercise the mesh: links per window %v", meshLinks)
-			}
-		})
-	}
-}
-
-// TestWindowedWorkerSweep pins the tentpole's worker-count invariance:
-// the same mixed announce/withdraw/RS-leave-rejoin/filter-edit schedule
-// run with Workers ∈ {2, 4, 8} must produce byte-identical per-window
-// meshes and identical counters and stability to the sequential
-// Workers=1 run. It runs under -race too, so the sweep also exercises
-// the close-time pool for data races.
-func TestWindowedWorkerSweep(t *testing.T) {
-	d := testDict(t)
-	t0 := time.Date(2013, 5, 1, 2, 0, 0, 0, time.UTC)
-	w := 10 * time.Minute
-	updates := flapTrace(t, t0, w)
-
-	run := func(workers int) *PassiveWindowsResult {
-		res, err := RunPassiveWindows(nil, updates, d, WindowOptions{
-			Start: t0, Window: w, Count: 4, Mode: WindowsIncremental, Workers: workers,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	seq := run(1)
-	if seq.Windows[0].RelLinks == 0 || seq.Windows[0].Dropped.Bogon == 0 {
-		t.Fatal("trace too weak to exercise the pipeline")
-	}
+	shadowCalls := 0
+	var meshLinks []int
 	var a, b []byte
-	for _, workers := range []int{2, 4, 8} {
-		par := run(workers)
-		if len(par.Windows) != len(seq.Windows) {
-			t.Fatalf("workers=%d: window counts diverge: %d vs %d", workers, len(par.Windows), len(seq.Windows))
+	opts := WindowOptions{Start: t0, Window: w, Count: 5, Mode: WindowsIncremental}
+	opts.Stream = func(pw *PassiveWindow) {
+		shadowCalls++
+		m := pw.miner
+		full := InferLinks(m.dict, m.obs)
+		a = pw.Materialize().AppendMesh(a[:0])
+		b = full.AppendMesh(b[:0])
+		if !bytes.Equal(a, b) {
+			t.Fatalf("window %d: mesh snapshot diverges from full InferLinks (%d vs %d links)",
+				shadowCalls-1, pw.Result.TotalLinks(), full.TotalLinks())
 		}
-		for i := range seq.Windows {
-			ws, wp := &seq.Windows[i], &par.Windows[i]
-			a = ws.Result.AppendMesh(a[:0])
-			b = wp.Result.AppendMesh(b[:0])
-			if !bytes.Equal(a, b) {
-				t.Fatalf("workers=%d window %d: mesh diverges from sequential", workers, i)
-			}
-			if ws.LiveRoutes != wp.LiveRoutes || ws.Dropped != wp.Dropped ||
-				ws.RelLinks != wp.RelLinks || ws.P2PRels != wp.P2PRels ||
-				ws.MeshLinks != wp.MeshLinks || ws.Stability != wp.Stability ||
-				ws.Announced != wp.Announced || ws.Withdrawn != wp.Withdrawn {
-				t.Fatalf("workers=%d window %d: counters diverge:\nseq %+v\npar %+v", workers, i, ws, wp)
-			}
-			if seq.Stability[i] != par.Stability[i] {
-				t.Fatalf("workers=%d window %d: stability diverges: %v vs %v", workers, i, seq.Stability[i], par.Stability[i])
-			}
+		if pw.MeshLinks != full.TotalLinks() {
+			t.Fatalf("window %d: MeshLinks %d, full inference %d", shadowCalls-1, pw.MeshLinks, full.TotalLinks())
 		}
+		// Snapshots share whatever no churn touched with the previous
+		// window's Result; the shared parts must still describe this
+		// window, field for field.
+		if diff := diffResults(pw.Result, full); diff != "" {
+			t.Fatalf("window %d: snapshot diverges from full InferLinks: %s", shadowCalls-1, diff)
+		}
+		if pw.P2PRels != countP2P(m.rel) {
+			t.Fatalf("window %d: P2PRels %d, full tally %d", shadowCalls-1, pw.P2PRels, countP2P(m.rel))
+		}
+		meshLinks = append(meshLinks, pw.MeshLinks)
+	}
+	if _, err := RunPassiveWindows(nil, updates, d, opts); err != nil {
+		t.Fatal(err)
+	}
+	if shadowCalls != 5 {
+		t.Fatalf("shadow ran %d times, want 5", shadowCalls)
+	}
+	// The schedule must actually move the mesh: the filter edit kills
+	// the 200--300 link, the revert restores it.
+	if meshLinks[0] == 0 || meshLinks[1] >= meshLinks[0] || meshLinks[3] <= meshLinks[2] {
+		t.Fatalf("schedule too weak to exercise the mesh: links per window %v", meshLinks)
 	}
 }
 
@@ -512,7 +454,7 @@ func TestWindowedWorkerSweep(t *testing.T) {
 func TestFlapStormShapeSweep(t *testing.T) {
 	d := testDict(t)
 	store := paths.NewStore()
-	m := newWindowMiner(d, store, relation.NewIncremental(store), 4)
+	m := newWindowMiner(d, store, relation.NewIncremental(store))
 
 	all := comms(t, "6695:6695")
 	ck := commsKey(all)

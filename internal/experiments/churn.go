@@ -104,15 +104,14 @@ func BuildChurnTrace(cfg topology.Config, ccfg churn.Config) (*ChurnTrace, error
 }
 
 // Windows replays the trace through the windowed passive pipeline in
-// the given mode. workers sizes the close-time worker pool (0 means
-// GOMAXPROCS); results are bit-identical for any value.
+// the given mode. Window closes are sequential: workers is ignored, and
+// kept only because the benchmark harness still passes it.
 func (ct *ChurnTrace) Windows(mode core.WindowsMode, workers int) (*core.PassiveWindowsResult, error) {
 	return core.RunPassiveWindows(ct.Dumps, ct.Updates, ct.Dict, core.WindowOptions{
-		Start:   ct.Start,
-		Window:  ct.Interval,
-		Count:   ct.Epochs,
-		Mode:    mode,
-		Workers: workers,
+		Start:  ct.Start,
+		Window: ct.Interval,
+		Count:  ct.Epochs,
+		Mode:   mode,
 	})
 }
 
@@ -123,18 +122,17 @@ func (ct *ChurnTrace) Windows(mode core.WindowsMode, workers int) (*core.Passive
 // regardless of horizon length (the long-horizon replay mode). count
 // overrides the number of windows when positive (windows past the last
 // update replay over the then-static live table), letting a fixed trace
-// drive an arbitrarily long horizon.
+// drive an arbitrarily long horizon. workers is ignored, as in Windows.
 func (ct *ChurnTrace) StreamWindows(mode core.WindowsMode, count, workers int, fn func(*core.PassiveWindow)) error {
 	if count <= 0 {
 		count = ct.Epochs
 	}
 	_, err := core.RunPassiveWindows(ct.Dumps, ct.Updates, ct.Dict, core.WindowOptions{
-		Start:   ct.Start,
-		Window:  ct.Interval,
-		Count:   count,
-		Mode:    mode,
-		Workers: workers,
-		Stream:  fn,
+		Start:  ct.Start,
+		Window: ct.Interval,
+		Count:  count,
+		Mode:   mode,
+		Stream: fn,
 	})
 	return err
 }
@@ -161,17 +159,18 @@ func (ct *ChurnTrace) StreamWindows(mode core.WindowsMode, count, workers int, f
 //     Stability 1 and Rewound the number of slots the wrap restored;
 //   - every later window of a cycle equals the same window of the first
 //     cycle.
+//
+// workers is ignored, as in Windows.
 func (ct *ChurnTrace) ReplayWindows(ctx context.Context, count, workers int, fn func(*core.PassiveWindow)) error {
 	loop := count <= 0
 	if loop {
 		count = ct.Epochs
 	}
 	_, err := core.RunPassiveWindows(ct.Dumps, ct.Updates, ct.Dict, core.WindowOptions{
-		Start:   ct.Start,
-		Window:  ct.Interval,
-		Count:   count,
-		Mode:    core.WindowsIncremental,
-		Workers: workers,
+		Start:  ct.Start,
+		Window: ct.Interval,
+		Count:  count,
+		Mode:   core.WindowsIncremental,
 		Stream: func(pw *core.PassiveWindow) {
 			pw.Materialize()
 			fn(pw)
@@ -183,10 +182,9 @@ func (ct *ChurnTrace) ReplayWindows(ctx context.Context, count, workers int, fn 
 }
 
 // Run derives the churn experiment table from the trace in the given
-// mode, fanning window closes out on workers goroutines (0 means
-// GOMAXPROCS).
-func (ct *ChurnTrace) Run(mode core.WindowsMode, workers int) (*ChurnResult, error) {
-	windows, err := ct.Windows(mode, workers)
+// mode.
+func (ct *ChurnTrace) Run(mode core.WindowsMode) (*ChurnResult, error) {
+	windows, err := ct.Windows(mode, 0)
 	if err != nil {
 		return nil, err
 	}

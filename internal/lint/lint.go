@@ -1,9 +1,9 @@
 // Package lint hosts mlplint's determinism-and-concurrency analyzers.
 //
-// The repo's perf story rests on one invariant: window closes and
-// world generation are byte-identical for any worker count. The
-// dynamic side of that contract is the race-enabled Workers-1/2/4/8
-// equivalence sweeps; this package is the static side. Each analyzer
+// The repo's perf story rests on one invariant: world generation and
+// propagation are byte-identical for any worker count. The dynamic
+// side of that contract is the race-enabled worker-count equivalence
+// sweeps; this package is the static side. Each analyzer
 // encodes one way the invariant has historically been (or could be)
 // broken at the source level:
 //

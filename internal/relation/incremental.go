@@ -16,19 +16,6 @@
 // resolveRel the batch Infer uses, so an Incremental that saw AddPath
 // for exactly the live path set answers every query identically to a
 // fresh Infer over that set.
-//
-// The counters are split across a fixed number of shards — link-keyed
-// state (adjacency, votes, touched set, p2p labels) by link-key hash,
-// AS-keyed state (transit pairs, degrees, path index) by ASN hash — so
-// Commit can fan its work out on a pool: AddPath/RemovePath only queue
-// the transition, and Commit nets the queue, buckets the resulting
-// micro-ops per shard in queue order, and applies every shard's bucket
-// concurrently. The shard count is a constant, shard assignment is a
-// pure hash, and each shard replays its ops in the sequentially
-// determined order, so the committed state is bit-identical for any
-// worker count — the same discipline as the generator's parallel
-// stages. The pure per-path peak recomputation fans out the same way;
-// the few paths whose peak moved merge through ordered buckets.
 package relation
 
 import (
@@ -36,27 +23,9 @@ import (
 	"slices"
 
 	"mlpeering/internal/bgp"
-	"mlpeering/internal/par"
 	"mlpeering/internal/paths"
 	"mlpeering/internal/topology"
 )
-
-// relShardCount fixes how many shards split the link- and AS-keyed
-// state. It is a constant independent of the worker count, so shard
-// assignment — and with it every per-shard op order — never varies
-// with parallelism.
-const relShardCount = 32
-
-// linkShardOf hashes an unordered pair key to its shard.
-func linkShardOf(key topology.LinkKey) int {
-	h := uint32(key.A)*0x9E3779B1 ^ uint32(key.B)*0x85EBCA6B
-	return int(h >> 27)
-}
-
-// asShardOf hashes an AS to its shard.
-func asShardOf(a bgp.ASN) int {
-	return int(uint32(a) * 0x9E3779B1 >> 27)
-}
 
 // transitPair identifies one (interior AS, neighbor) adjacency used for
 // transit-degree accounting.
@@ -70,11 +39,14 @@ const noPeak = -1
 
 // votedPath is the per-path vote cache, indexed by path ID: the peak
 // the path's committed votes were emitted around (noPeak when it has
-// none), and whether the current Commit already queued it for a peak
+// none), the AS at that hop, whether it is the path's only clique hop,
+// and whether the current Commit already queued the path for a peak
 // recomputation.
 type votedPath struct {
-	peak   int32
-	queued bool
+	peak       int32
+	peakAS     bgp.ASN
+	soleClique bool
+	queued     bool
 }
 
 // movedPeak is one path whose recomputed peak differs from the cached
@@ -90,162 +62,26 @@ type pathDelta struct {
 	delta int
 }
 
-// adjOp is one refcount move of a link's adjacency counter.
-type adjOp struct {
-	key   topology.LinkKey
-	delta int
-}
-
-// voteOp is one orientation-vote move for a link.
-type voteOp struct {
-	key      topology.LinkKey
-	customer bgp.ASN
-	delta    int
-}
-
-// transOp is one refcount move of a (mid, nbr) transit pair; mid's
-// degree moves with the pair's 0↔1 transitions.
-type transOp struct {
-	mid, nbr bgp.ASN
-	delta    int
-}
-
-// byASOp is one membership move of the hop -> live-paths index.
-type byASOp struct {
-	asn bgp.ASN
-	id  paths.ID
-	add bool
-}
-
-// linkShard owns every link whose key hashes to it: the adjacency
-// refcounts, the orientation votes, the set of links touched since the
-// last reconcile and the p2p label set. ops buffers are filled
-// sequentially in deterministic order and drained by the shard's owner
-// during a parallel phase.
-type linkShard struct {
-	adj     map[topology.LinkKey]int // refcount: paths containing the edge
-	votes   map[topology.LinkKey]*vote
-	touched map[topology.LinkKey]bool
-	p2p     map[topology.LinkKey]bool
-
-	adjOps  []adjOp
-	voteOps []voteOp
-}
-
-// applyAdj replays the buffered adjacency refcount moves in order.
-//
-//mlplint:allocfree
-func (sh *linkShard) applyAdj() {
-	for _, op := range sh.adjOps {
-		if c := sh.adj[op.key] + op.delta; c == 0 {
-			delete(sh.adj, op.key)
-		} else {
-			sh.adj[op.key] = c
-		}
-	}
-	sh.adjOps = sh.adjOps[:0]
-}
-
-// applyVotes replays the buffered vote moves in order, marking every
-// moved link touched so the reconcile pass relabels it.
-//
-//mlplint:allocfree
-func (sh *linkShard) applyVotes() {
-	for _, op := range sh.voteOps {
-		v := sh.votes[op.key]
-		if v == nil {
-			//mlplint:allocfree one vote record per link lifetime; steady-state moves hit the cached record
-			v = &vote{}
-			sh.votes[op.key] = v
-		}
-		v.add(op.key, op.customer, op.delta)
-		if v.empty() {
-			delete(sh.votes, op.key)
-		}
-		sh.touched[op.key] = true
-	}
-	sh.voteOps = sh.voteOps[:0]
-}
-
-// asShard owns every AS whose number hashes to it: transit-pair
-// refcounts, the derived transit degrees, the pre-delta degree recorded
-// at first touch per Commit, and the hop -> live-paths invalidation
-// index.
-type asShard struct {
-	transit    map[transitPair]int // refcount: paths where mid transits for nbr
-	degree     map[bgp.ASN]int     // distinct transit neighbors (len of live pairs)
-	touchedDeg map[bgp.ASN]int     // AS -> degree at first touch since last Commit
-	pathsByAS  map[bgp.ASN]map[paths.ID]bool
-
-	transOps []transOp
-	byASOps  []byASOp
-}
-
-// touchDegree records a's pre-delta degree the first time it moves
-// inside a Commit cycle, so Commit can tell real changes from churn
-// that cancelled out.
-func (sh *asShard) touchDegree(a bgp.ASN) {
-	if _, ok := sh.touchedDeg[a]; !ok {
-		sh.touchedDeg[a] = sh.degree[a]
-	}
-}
-
-// applyOps replays the buffered transit and path-index moves in order.
-//
-//mlplint:allocfree
-func (sh *asShard) applyOps() {
-	for _, op := range sh.transOps {
-		p := transitPair{op.mid, op.nbr}
-		if op.delta > 0 {
-			sh.transit[p]++
-			if sh.transit[p] == 1 {
-				sh.touchDegree(op.mid)
-				sh.degree[op.mid]++
-			}
-		} else if sh.transit[p]--; sh.transit[p] == 0 {
-			delete(sh.transit, p)
-			sh.touchDegree(op.mid)
-			if sh.degree[op.mid]--; sh.degree[op.mid] == 0 {
-				delete(sh.degree, op.mid)
-			}
-		}
-	}
-	sh.transOps = sh.transOps[:0]
-	for _, op := range sh.byASOps {
-		m := sh.pathsByAS[op.asn]
-		if op.add {
-			if m == nil {
-				//mlplint:allocfree one index map per AS first touched; steady-state moves reuse it
-				m = make(map[paths.ID]bool)
-				sh.pathsByAS[op.asn] = m
-			}
-			m[op.id] = true
-		} else if m != nil {
-			delete(m, op.id)
-			if len(m) == 0 {
-				delete(sh.pathsByAS, op.asn)
-			}
-		}
-	}
-	sh.byASOps = sh.byASOps[:0]
-}
-
 // Incremental is a delta-maintained relationship inference over the
 // distinct paths of an interned store. AddPath/RemovePath queue
 // structural deltas; Commit nets and applies them, re-derives the
-// clique and re-votes the paths whose peak moved on up to Workers
-// goroutines. Queries are only valid after a Commit with no later
-// Add/Remove, and answer from the last committed state. Not safe for
-// concurrent use.
+// clique and re-votes the paths whose peak moved. Queries are only
+// valid after a Commit with no later Add/Remove, and answer from the
+// last committed state. Not safe for concurrent use.
 type Incremental struct {
 	store *paths.Store
 
-	// Workers caps the Commit worker pool; 0 means GOMAXPROCS. The
-	// committed state is bit-identical for any value.
-	Workers int
+	adj     map[topology.LinkKey]int // refcount: paths containing the edge
+	votes   map[topology.LinkKey]*vote
+	touched map[topology.LinkKey]bool // links to relabel at the end of Commit
+	p2p     map[topology.LinkKey]bool
+	flipped map[topology.LinkKey]bool // links whose p2p label the last Commit flipped
 
-	links [relShardCount]linkShard
-	byAS  [relShardCount]asShard
+	transit    map[transitPair]int           // refcount: paths where mid transits for nbr
+	degree     map[bgp.ASN]int               // distinct transit neighbors (len of live pairs)
+	touchedDeg map[bgp.ASN]int               // AS -> degree at first touch since last Commit
+	pathsByAS  map[bgp.ASN]map[paths.ID]bool // live paths through each AS
+	byPeak     map[bgp.ASN]map[paths.ID]bool // live paths by their peak hop
 
 	voted []votedPath // per-path vote cache, indexed by path ID
 	queue []pathDelta // transitions since the last Commit
@@ -258,48 +94,86 @@ type Incremental struct {
 	revoted int
 
 	// Commit scratch.
-	net         map[paths.ID]int
-	netOrder    []paths.ID
-	movedAS     map[bgp.ASN]bool
-	cands       []paths.ID
-	peakScratch []int32
-	moved       []movedPeak
-	candScratch []bgp.ASN
+	net       map[paths.ID]int
+	netOrder  []paths.ID
+	movedAS   map[bgp.ASN]rank // moved AS -> its rank before the move
+	relabelAS map[bgp.ASN]bool
+	cands     []paths.ID
+	moved     []movedPeak
 }
 
 // NewIncremental returns an empty incremental inference over store.
 func NewIncremental(store *paths.Store) *Incremental {
-	inc := &Incremental{
-		store:     store,
-		cliqueSet: make(map[bgp.ASN]bool),
-		net:       make(map[paths.ID]int),
-		movedAS:   make(map[bgp.ASN]bool),
+	return &Incremental{
+		store:      store,
+		adj:        make(map[topology.LinkKey]int),
+		votes:      make(map[topology.LinkKey]*vote),
+		touched:    make(map[topology.LinkKey]bool),
+		p2p:        make(map[topology.LinkKey]bool),
+		flipped:    make(map[topology.LinkKey]bool),
+		transit:    make(map[transitPair]int),
+		degree:     make(map[bgp.ASN]int),
+		touchedDeg: make(map[bgp.ASN]int),
+		pathsByAS:  make(map[bgp.ASN]map[paths.ID]bool),
+		byPeak:     make(map[bgp.ASN]map[paths.ID]bool),
+		cliqueSet:  make(map[bgp.ASN]bool),
+		net:        make(map[paths.ID]int),
+		movedAS:    make(map[bgp.ASN]rank),
+		relabelAS:  make(map[bgp.ASN]bool),
 	}
-	for s := range inc.links {
-		inc.links[s] = linkShard{
-			adj:     make(map[topology.LinkKey]int),
-			votes:   make(map[topology.LinkKey]*vote),
-			touched: make(map[topology.LinkKey]bool),
-			p2p:     make(map[topology.LinkKey]bool),
-		}
-		inc.byAS[s] = asShard{
-			transit:    make(map[transitPair]int),
-			degree:     make(map[bgp.ASN]int),
-			touchedDeg: make(map[bgp.ASN]int),
-			pathsByAS:  make(map[bgp.ASN]map[paths.ID]bool),
-		}
-	}
-	return inc
 }
 
-// degreeOf reads an AS's transit degree across the shards.
-func (inc *Incremental) degreeOf(a bgp.ASN) int {
-	return inc.byAS[asShardOf(a)].degree[a]
+// degreeOf reads an AS's transit degree.
+func (inc *Incremental) degreeOf(a bgp.ASN) int { return inc.degree[a] }
+
+// rank orders the hops of a path for its peak: clique members above
+// the rest, then higher transit degree (see pathPeak).
+type rank struct {
+	clique bool
+	degree int
 }
 
-// adjCount reads a link's adjacency refcount across the shards.
-func (inc *Incremental) adjCount(key topology.LinkKey) int {
-	return inc.links[linkShardOf(key)].adj[key]
+// above reports whether r ranks strictly above o.
+func (r rank) above(o rank) bool {
+	if r.clique != o.clique {
+		return r.clique
+	}
+	return r.degree > o.degree
+}
+
+// rankOf is a's current rank.
+func (inc *Incremental) rankOf(a bgp.ASN) rank { return rank{inc.cliqueSet[a], inc.degree[a]} }
+
+// setPeak caches path id's peak, moving the path between the byPeak
+// sets.
+func (inc *Incremental) setPeak(id paths.ID, path []bgp.ASN, peak int32) {
+	v := &inc.voted[id]
+	if v.peak != noPeak {
+		unindexPath(inc.byPeak, v.peakAS, id)
+	}
+	if v.peak = peak; peak != noPeak {
+		v.peakAS = path[peak]
+		indexPath(inc.byPeak, v.peakAS, id)
+	}
+}
+
+// indexPath and unindexPath maintain an AS -> path set index.
+func indexPath(idx map[bgp.ASN]map[paths.ID]bool, a bgp.ASN, id paths.ID) {
+	m := idx[a]
+	if m == nil {
+		m = make(map[paths.ID]bool)
+		idx[a] = m
+	}
+	m[id] = true
+}
+
+func unindexPath(idx map[bgp.ASN]map[paths.ID]bool, a bgp.ASN, id paths.ID) {
+	if m := idx[a]; m != nil {
+		delete(m, id)
+		if len(m) == 0 {
+			delete(idx, a)
+		}
+	}
 }
 
 // AddPath registers one distinct path as live. The transition is only
@@ -323,49 +197,81 @@ func (inc *Incremental) enqueue(id paths.ID) {
 	}
 }
 
-// bucketVotes queues delta times the votes of a path peaking at peak
-// into the link shards' vote buckets.
-func (inc *Incremental) bucketVotes(path []bgp.ASN, peak int32, delta int) {
+// addVotes moves delta times the votes of a path peaking at peak,
+// marking every moved link touched so the end of Commit relabels it.
+func (inc *Incremental) addVotes(path []bgp.ASN, peak int32, delta int) {
 	if peak == noPeak {
 		return
 	}
 	emitVotesAround(path, int(peak), func(customer, provider bgp.ASN) {
 		key := topology.MakeLinkKey(customer, provider)
-		sh := &inc.links[linkShardOf(key)]
-		sh.voteOps = append(sh.voteOps, voteOp{key: key, customer: customer, delta: delta})
+		v := inc.votes[key]
+		if v == nil {
+			v = &vote{}
+			inc.votes[key] = v
+		}
+		v.add(key, customer, delta)
+		if v.empty() {
+			delete(inc.votes, key)
+		}
+		inc.touched[key] = true
 	})
 }
 
-// peakChunk is how many candidate paths one pool task recomputes: large
-// enough that the shared task counter is not the bottleneck.
-const peakChunk = 256
+// touchDegree records a's pre-delta degree the first time it moves
+// inside a Commit cycle, so Commit can tell real changes from churn
+// that cancelled out.
+func (inc *Incremental) touchDegree(a bgp.ASN) {
+	if _, ok := inc.touchedDeg[a]; !ok {
+		inc.touchedDeg[a] = inc.degree[a]
+	}
+}
+
+// addTransit moves the (mid, nbr) transit-pair refcount by delta; mid's
+// degree moves with the pair's 0↔1 transitions.
+func (inc *Incremental) addTransit(mid, nbr bgp.ASN, delta int) {
+	p := transitPair{mid, nbr}
+	c := inc.transit[p] + delta
+	if c == 0 {
+		delete(inc.transit, p)
+	} else {
+		inc.transit[p] = c
+	}
+	if c != max(delta, 0) {
+		return // the pair was live before and after
+	}
+	inc.touchDegree(mid)
+	if d := inc.degree[mid] + delta; d == 0 {
+		delete(inc.degree, mid)
+	} else {
+		inc.degree[mid] = d
+	}
+}
 
 // Commit applies the queued path transitions and re-derives everything
 // they invalidated, reporting whether the oracle's answers can have
 // changed (false: nothing was queued, or every queued transition netted
-// out — the committed state is untouched). Five ordered phases: (1) net
-// the queue — a path that flapped in and out contributes nothing; (2)
-// bucket structural micro-ops per shard in queue order and apply every
-// shard's bucket concurrently; (3) re-derive the clique from the merged
-// degrees (sequential — its greedy scan is inherently ordered); (4)
-// recompute the peak of every path that could have moved it — pending
-// adds and live paths through an AS whose degree or clique membership
-// changed — as a pure per-path computation on the pool, then bucket vote
-// moves for exactly the paths whose peak differs from the cached one,
-// in ascending id order; (5) apply the vote moves and relabel the
-// touched links per shard — those whose votes moved plus those incident
-// to a changed AS. Sequential phases fix every order the parallel phases
-// replay, so the committed state is identical for any worker count.
-// After Commit, queries answer exactly as a batch Infer over the live
-// set.
+// out — the committed state is untouched). Four ordered phases: (1) net
+// the queue — a path that flapped in and out contributes nothing — and
+// apply each netted path's adjacency, transit and path-index moves; (2)
+// re-derive the clique from the degrees; (3) recompute the peak of
+// every path whose peak a changed degree or clique membership can have
+// moved — pending adds, paths through an AS that flipped or rose, and
+// the peaks a fallen AS held — and move the votes of exactly the paths
+// whose peak differs from the cached one, in ascending id order; (4)
+// relabel the touched links — those whose votes moved plus those
+// incident to an AS whose move their label can see. After Commit,
+// queries answer exactly as a batch Infer over the live set.
 func (inc *Incremental) Commit() (changed bool) {
+	clear(inc.flipped)
 	if len(inc.queue) == 0 {
 		return false
 	}
-	workers := par.Workers(inc.Workers)
 
 	// Phase 1: net the queued transitions per path id, keeping
-	// first-touch order for deterministic bucketing.
+	// first-touch order, then apply them in that order. A removed path
+	// also takes back the votes it cast around its cached peak; an added
+	// one waits for phase 3.
 	for _, d := range inc.queue {
 		if _, ok := inc.net[d.id]; !ok {
 			inc.netOrder = append(inc.netOrder, d.id)
@@ -373,10 +279,6 @@ func (inc *Incremental) Commit() (changed bool) {
 		inc.net[d.id] += d.delta
 	}
 	inc.queue = inc.queue[:0]
-
-	// Phase 2a: bucket structural micro-ops by shard, in netted queue
-	// order. A removed path also queues the subtraction of the votes it
-	// cast around its cached peak; an added one waits for phase 4.
 	inc.cands = inc.cands[:0]
 	for _, id := range inc.netOrder {
 		delta := inc.net[id]
@@ -387,18 +289,22 @@ func (inc *Incremental) Commit() (changed bool) {
 		path := dedupAdjacent(inc.store.Path(id))
 		for i := 0; i+1 < len(path); i++ {
 			key := topology.MakeLinkKey(path[i], path[i+1])
-			sh := &inc.links[linkShardOf(key)]
-			sh.adjOps = append(sh.adjOps, adjOp{key: key, delta: delta})
+			if c := inc.adj[key] + delta; c == 0 {
+				delete(inc.adj, key)
+			} else {
+				inc.adj[key] = c
+			}
 		}
 		for i := 1; i+1 < len(path); i++ {
-			sh := &inc.byAS[asShardOf(path[i])]
-			sh.transOps = append(sh.transOps,
-				transOp{mid: path[i], nbr: path[i-1], delta: delta},
-				transOp{mid: path[i], nbr: path[i+1], delta: delta})
+			inc.addTransit(path[i], path[i-1], delta)
+			inc.addTransit(path[i], path[i+1], delta)
 		}
 		for _, a := range path {
-			sh := &inc.byAS[asShardOf(a)]
-			sh.byASOps = append(sh.byASOps, byASOp{asn: a, id: id, add: delta > 0})
+			if delta > 0 {
+				indexPath(inc.pathsByAS, a, id)
+			} else {
+				unindexPath(inc.pathsByAS, a, id)
+			}
 		}
 		if delta > 0 {
 			for int(id) >= len(inc.voted) {
@@ -406,8 +312,8 @@ func (inc *Incremental) Commit() (changed bool) {
 			}
 			inc.enqueue(id)
 		} else {
-			inc.bucketVotes(path, inc.voted[id].peak, -1)
-			inc.voted[id].peak = noPeak
+			inc.addVotes(path, inc.voted[id].peak, -1)
+			inc.setPeak(id, path, noPeak)
 		}
 	}
 	clear(inc.net)
@@ -416,95 +322,89 @@ func (inc *Incremental) Commit() (changed bool) {
 		return false
 	}
 
-	// Phase 2b: apply every shard's structural bucket concurrently.
-	// Shards are disjoint and each replays its own deterministic order.
-	par.Run(workers, 2*relShardCount, func(t int) {
-		if t < relShardCount {
-			inc.links[t].applyAdj()
-			inc.links[t].applyVotes()
-		} else {
-			inc.byAS[t-relShardCount].applyOps()
-		}
+	// Phase 2: re-derive the clique.
+	newClique := greedyClique(inc.degree, func(a, b bgp.ASN) bool {
+		return inc.adj[topology.MakeLinkKey(a, b)] > 0
 	})
-
-	// Phase 3: re-derive the clique from the merged candidate set. The
-	// greedy scan totally orders candidates by (degree desc, ASN asc),
-	// so the shard collection order is irrelevant.
-	cands := inc.candScratch[:0]
-	for s := range inc.byAS {
-		//mlplint:ordered greedyCliqueFrom totally orders candidates by (degree desc, ASN asc)
-		for a := range inc.byAS[s].degree {
-			cands = append(cands, a)
-		}
-	}
-	newClique := greedyCliqueFrom(cands, inc.degreeOf, func(a, b bgp.ASN) bool {
-		return inc.adjCount(topology.MakeLinkKey(a, b)) > 0
-	})
-	inc.candScratch = cands[:0]
 	newSet := make(map[bgp.ASN]bool, len(newClique))
 	for _, a := range newClique {
 		newSet[a] = true
 	}
 
-	// Phase 4a: collect the ASes whose peak-relevant inputs moved — a
+	// Phase 3a: collect the ASes whose peak-relevant inputs moved — a
 	// transit degree that actually changed, a clique-membership flip —
-	// and queue every live path through one of them beside the pending
-	// adds. The queue order is arbitrary: it only feeds the pure
-	// per-path computation below.
+	// with their rank before the move, and queue the live paths whose
+	// peak one of them can move beside the pending adds. A hop's rank is
+	// its clique membership, then its transit degree; the peak is the
+	// first hop of the highest rank, and hops that did not move kept
+	// theirs. The queue order is arbitrary: the paths whose peak moved
+	// are sorted by id before any vote moves.
 	movedAS := inc.movedAS
 	clear(movedAS)
-	for s := range inc.byAS {
-		sh := &inc.byAS[s]
-		for a, old := range sh.touchedDeg {
-			if sh.degree[a] != old {
-				movedAS[a] = true
-			}
+	for a, old := range inc.touchedDeg {
+		if inc.degree[a] != old {
+			movedAS[a] = rank{inc.cliqueSet[a], old}
 		}
-		clear(sh.touchedDeg)
 	}
+	clear(inc.touchedDeg)
 	for _, a := range inc.clique {
-		if !newSet[a] {
-			movedAS[a] = true
+		if _, ok := movedAS[a]; !ok && !newSet[a] {
+			movedAS[a] = rank{true, inc.degree[a]}
 		}
 	}
 	for _, a := range newClique {
-		if !inc.cliqueSet[a] {
-			movedAS[a] = true
+		if _, ok := movedAS[a]; !ok && !inc.cliqueSet[a] {
+			movedAS[a] = rank{false, inc.degree[a]}
 		}
 	}
 	inc.clique, inc.cliqueSet = newClique, newSet
-	for a := range movedAS {
-		//mlplint:ordered candidates feed a pure per-path computation; the paths that moved are sorted by id before anything is bucketed
-		for id := range inc.byAS[asShardOf(a)].pathsByAS[a] {
-			inc.enqueue(id)
-		}
-	}
-
-	// Phase 4b: recompute every candidate's peak — a pure function of
-	// the path, the new clique and the settled degrees — on the pool.
-	ids := inc.cands
-	if cap(inc.peakScratch) < len(ids) {
-		inc.peakScratch = make([]int32, len(ids))
-	}
-	peaks := inc.peakScratch[:len(ids)]
-	par.Run(workers, (len(ids)+peakChunk-1)/peakChunk, func(c int) {
-		for i := c * peakChunk; i < min(len(ids), (c+1)*peakChunk); i++ {
-			peaks[i] = noPeak
-			if path := dedupAdjacent(inc.store.Path(ids[i])); len(path) >= 2 {
-				peaks[i] = int32(pathPeak(path, inc.cliqueSet, inc.degreeOf))
+	//mlplint:ordered candidates feed a pure per-path computation; the paths that moved are sorted by id before any vote moves
+	for a, old := range movedAS {
+		ra := inc.rankOf(a)
+		switch {
+		case old.clique != ra.clique:
+			// A flip queues every path through a, which also keeps the
+			// cached sole-clique-hop flags true.
+			for id := range inc.pathsByAS[a] {
+				inc.enqueue(id)
+			}
+		case old.above(ra):
+			// A fallen hop stays below every peak it did not hold, and a
+			// path's only clique hop outranks the others whatever its
+			// degree.
+			for id := range inc.byPeak[a] {
+				if !ra.clique || !inc.voted[id].soleClique {
+					inc.enqueue(id)
+				}
+			}
+		default:
+			// A risen hop can take the peaks it now reaches. A peak hop
+			// that fell queues its own paths above.
+			for id := range inc.pathsByAS[a] {
+				if v := inc.voted[id]; !v.queued && v.peak != noPeak && v.peakAS != a && !inc.rankOf(v.peakAS).above(ra) {
+					inc.enqueue(id)
+				}
 			}
 		}
-	})
+	}
 
-	// Phase 4c: keep the candidates whose peak moved, and bucket their
-	// vote moves sequentially in ascending id order — the votes around
-	// the old peak out, the votes around the new one in. A candidate
-	// whose peak held contributes byte-identical votes and is skipped.
+	// Phase 3b: recompute every candidate's peak — a pure function of
+	// the path, the new clique and the settled degrees — keep those that
+	// moved, and move their votes in ascending id order: the votes
+	// around the old peak out, the votes around the new one in. A
+	// candidate whose peak held contributes byte-identical votes and is
+	// skipped.
 	moved := inc.moved[:0]
-	for i, id := range ids {
-		inc.voted[id].queued = false
-		if peaks[i] != inc.voted[id].peak {
-			moved = append(moved, movedPeak{id: id, peak: peaks[i]})
+	for _, id := range inc.cands {
+		v := &inc.voted[id]
+		v.queued = false
+		peak := int32(noPeak)
+		if path := dedupAdjacent(inc.store.Path(id)); len(path) >= 2 {
+			q, n := pathPeak(path, inc.cliqueSet, inc.degreeOf)
+			peak, v.soleClique = int32(q), n == 1
+		}
+		if peak != v.peak {
+			moved = append(moved, movedPeak{id: id, peak: peak})
 		}
 	}
 	slices.SortFunc(moved, func(a, b movedPeak) int { return cmp.Compare(a.id, b.id) })
@@ -515,38 +415,47 @@ func (inc *Incremental) Commit() (changed bool) {
 			inc.revoted++
 		}
 		path := dedupAdjacent(inc.store.Path(m.id))
-		inc.bucketVotes(path, v.peak, -1)
-		inc.bucketVotes(path, m.peak, 1)
-		v.peak = m.peak
+		inc.addVotes(path, v.peak, -1)
+		inc.addVotes(path, m.peak, 1)
+		inc.setPeak(m.id, path, m.peak)
 	}
 	inc.moved = moved[:0]
 
-	// Phase 5: apply the vote moves and reconcile the p2p labels per
-	// link shard. A link's label reads its votes, its endpoints' clique
-	// membership and — in resolveRel's degree-ratio refinement — their
-	// transit degrees, so the links to relabel are those a vote move
-	// touched plus every link incident to a moved AS. Links outside
-	// both sets kept all of their label's inputs, so their label is
-	// unchanged by construction.
-	par.Run(workers, relShardCount, func(s int) {
-		sh := &inc.links[s]
-		sh.applyVotes()
-		if len(movedAS) > 0 {
-			for key := range sh.adj {
-				if movedAS[key.A] || movedAS[key.B] {
-					sh.touched[key] = true
-				}
+	// Phase 4: reconcile the p2p labels. A link's label reads its votes,
+	// its endpoints' clique membership and — in resolveRel's
+	// degree-ratio refinement — their transit degrees, so the links to
+	// relabel are those a vote move touched plus every link incident to
+	// a moved AS whose move the label can see: a clique flip, or a
+	// degree the refinement reads before or after the move. Links
+	// outside both sets kept all of their label's inputs, so their label
+	// is unchanged by construction.
+	relabel := inc.relabelAS
+	clear(relabel)
+	for a, old := range movedAS {
+		if r := inc.rankOf(a); r.clique != old.clique || refinable(old.clique, old.degree) || refinable(r.clique, r.degree) {
+			relabel[a] = true
+		}
+	}
+	if len(relabel) > 0 {
+		for key := range inc.adj {
+			if relabel[key.A] || relabel[key.B] {
+				inc.touched[key] = true
 			}
 		}
-		for key := range sh.touched {
-			if sh.adj[key] > 0 && resolveRel(key, sh.votes[key], inc.cliqueSet, inc.degreeOf) == RelP2P {
-				sh.p2p[key] = true
-			} else {
-				delete(sh.p2p, key)
-			}
+	}
+	for key := range inc.touched {
+		p2p := inc.adj[key] > 0 && resolveRel(key, inc.votes[key], inc.cliqueSet, inc.degreeOf) == RelP2P
+		if p2p == inc.p2p[key] {
+			continue
 		}
-		clear(sh.touched)
-	})
+		inc.flipped[key] = true
+		if p2p {
+			inc.p2p[key] = true
+		} else {
+			delete(inc.p2p, key)
+		}
+	}
+	clear(inc.touched)
 	return true
 }
 
@@ -554,11 +463,10 @@ func (inc *Incremental) Commit() (changed bool) {
 // resolved on demand from the maintained counters.
 func (inc *Incremental) Relationship(a, b bgp.ASN) Rel {
 	key := topology.MakeLinkKey(a, b)
-	sh := &inc.links[linkShardOf(key)]
-	if sh.adj[key] == 0 {
+	if inc.adj[key] == 0 {
 		return RelUnknown
 	}
-	r := resolveRel(key, sh.votes[key], inc.cliqueSet, inc.degreeOf)
+	r := resolveRel(key, inc.votes[key], inc.cliqueSet, inc.degreeOf)
 	if a == key.A {
 		return r
 	}
@@ -573,35 +481,27 @@ func (inc *Incremental) Relationship(a, b bgp.ASN) Rel {
 }
 
 // LinkCount returns the number of inferred links (adjacent pairs).
-func (inc *Incremental) LinkCount() int {
-	n := 0
-	for s := range inc.links {
-		n += len(inc.links[s].adj)
-	}
-	return n
-}
+func (inc *Incremental) LinkCount() int { return len(inc.adj) }
 
 // P2PCount returns the number of p2p-labelled links, maintained as a
 // delta counter: Commit relabels only the links its deltas touched.
 // Like every query, it is only valid after a Commit with no later
 // AddPath/RemovePath.
-func (inc *Incremental) P2PCount() int {
-	n := 0
-	for s := range inc.links {
-		n += len(inc.links[s].p2p)
-	}
-	return n
-}
+func (inc *Incremental) P2PCount() int { return len(inc.p2p) }
+
+// P2PFlipped reports whether the last Commit flipped the pair's p2p
+// label.
+func (inc *Incremental) P2PFlipped(a, b bgp.ASN) bool { return inc.flipped[topology.MakeLinkKey(a, b)] }
+
+// P2PFlips counts the pairs whose p2p label the last Commit flipped.
+func (inc *Incremental) P2PFlips() int { return len(inc.flipped) }
 
 // ForEachLink calls fn for every inferred link until fn returns false,
 // resolving each label on demand. Iteration order is undefined.
 func (inc *Incremental) ForEachLink(fn func(topology.LinkKey, Rel) bool) {
-	for s := range inc.links {
-		sh := &inc.links[s]
-		for key := range sh.adj {
-			if !fn(key, resolveRel(key, sh.votes[key], inc.cliqueSet, inc.degreeOf)) {
-				return
-			}
+	for key := range inc.adj {
+		if !fn(key, resolveRel(key, inc.votes[key], inc.cliqueSet, inc.degreeOf)) {
+			return
 		}
 	}
 }
@@ -609,38 +509,4 @@ func (inc *Incremental) ForEachLink(fn func(topology.LinkKey, Rel) bool) {
 // Clique returns the current transit-free clique.
 func (inc *Incremental) Clique() []bgp.ASN {
 	return append([]bgp.ASN(nil), inc.clique...)
-}
-
-// voteCount, transitCount, degreeCount and touchedCount sum the sharded
-// maps; they exist for the drain assertions in tests.
-func (inc *Incremental) voteCount() int {
-	n := 0
-	for s := range inc.links {
-		n += len(inc.links[s].votes)
-	}
-	return n
-}
-
-func (inc *Incremental) transitCount() int {
-	n := 0
-	for s := range inc.byAS {
-		n += len(inc.byAS[s].transit)
-	}
-	return n
-}
-
-func (inc *Incremental) degreeCount() int {
-	n := 0
-	for s := range inc.byAS {
-		n += len(inc.byAS[s].degree)
-	}
-	return n
-}
-
-func (inc *Incremental) touchedCount() int {
-	n := 0
-	for s := range inc.links {
-		n += len(inc.links[s].touched)
-	}
-	return n
 }

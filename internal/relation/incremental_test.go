@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"maps"
 	"math/rand"
 	"slices"
 	"testing"
@@ -122,8 +123,24 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 				inc.AddPath(id)
 			}
 		}
+		before := maps.Clone(inc.p2p)
 		inc.Commit()
 		assertOracleEquivalence(t, step, store, live, inc)
+		// P2PFlipped names exactly the pairs whose p2p label moved.
+		flips := 0
+		union := maps.Clone(before)
+		maps.Copy(union, inc.p2p)
+		for key := range union {
+			if got, want := inc.P2PFlipped(key.B, key.A), before[key] != inc.p2p[key]; got != want {
+				t.Fatalf("step %d: P2PFlipped(%v) = %v, want %v", step, key, got, want)
+			}
+			if before[key] != inc.p2p[key] {
+				flips++
+			}
+		}
+		if inc.P2PFlips() != flips {
+			t.Fatalf("step %d: P2PFlips %d, want %d", step, inc.P2PFlips(), flips)
+		}
 	}
 
 	// Drain to empty: the oracle must unwind cleanly.
@@ -133,13 +150,13 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 	}
 	inc.Commit()
 	assertOracleEquivalence(t, 999, store, live, inc)
-	if inc.LinkCount() != 0 || inc.voteCount() != 0 || inc.transitCount() != 0 || inc.degreeCount() != 0 {
+	if inc.LinkCount() != 0 || len(inc.votes) != 0 || len(inc.transit) != 0 || len(inc.degree) != 0 {
 		t.Fatalf("drained oracle retains state: %d links, %d votes, %d transit, %d degrees",
-			inc.LinkCount(), inc.voteCount(), inc.transitCount(), inc.degreeCount())
+			inc.LinkCount(), len(inc.votes), len(inc.transit), len(inc.degree))
 	}
-	if inc.P2PCount() != 0 || inc.touchedCount() != 0 {
+	if inc.P2PCount() != 0 || len(inc.touched) != 0 {
 		t.Fatalf("drained oracle retains p2p state: %d p2p, %d touched",
-			inc.P2PCount(), inc.touchedCount())
+			inc.P2PCount(), len(inc.touched))
 	}
 }
 

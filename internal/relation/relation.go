@@ -8,6 +8,8 @@
 package relation
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"mlpeering/internal/bgp"
@@ -281,30 +283,26 @@ func (v *vote) add(key topology.LinkKey, customer bgp.ASN, n int) {
 
 func (v *vote) empty() bool { return v.ab == 0 && v.ba == 0 }
 
-// greedyClique grows the transit-free clique from a degree map; it
-// wraps greedyCliqueFrom for the batch pass, which holds its degrees in
-// a plain map.
+// greedyClique grows the transit-free clique from the highest transit
+// degrees: ASes sorted by (degree desc, ASN asc), each admitted when
+// adjacent to every member already chosen, scanning until the clique
+// reaches cliqueScan members. The sort is a total order, so the result
+// does not depend on the map's iteration order.
 func greedyClique(degree map[bgp.ASN]int, adjacent func(a, b bgp.ASN) bool) []bgp.ASN {
-	cands := make([]bgp.ASN, 0, len(degree))
-	//mlplint:ordered greedyCliqueFrom totally orders candidates by (degree desc, ASN asc)
-	for a := range degree {
-		cands = append(cands, a)
+	type ranked struct {
+		asn bgp.ASN
+		deg int
 	}
-	return greedyCliqueFrom(cands, func(a bgp.ASN) int { return degree[a] }, adjacent)
-}
-
-// greedyCliqueFrom grows the transit-free clique from the highest
-// transit degrees: candidates sorted in place by (degree desc, ASN
-// asc), each admitted when adjacent to every member already chosen,
-// scanning until the clique reaches cliqueScan members. The sort is a
-// total order, so the result is deterministic for any candidate
-// collection order.
-func greedyCliqueFrom(cands []bgp.ASN, degree func(bgp.ASN) int, adjacent func(a, b bgp.ASN) bool) []bgp.ASN {
-	sort.Slice(cands, func(i, j int) bool {
-		if degree(cands[i]) != degree(cands[j]) {
-			return degree(cands[i]) > degree(cands[j])
+	cands := make([]ranked, 0, len(degree))
+	//mlplint:ordered sorted by (degree desc, ASN asc) right below
+	for a, d := range degree {
+		cands = append(cands, ranked{a, d})
+	}
+	slices.SortFunc(cands, func(x, y ranked) int {
+		if x.deg != y.deg {
+			return cmp.Compare(y.deg, x.deg)
 		}
-		return cands[i] < cands[j]
+		return cmp.Compare(x.asn, y.asn)
 	})
 	const cliqueScan = 24
 	var clique []bgp.ASN
@@ -314,36 +312,42 @@ func greedyCliqueFrom(cands []bgp.ASN, degree func(bgp.ASN) int, adjacent func(a
 		}
 		ok := true
 		for _, member := range clique {
-			if !adjacent(cand, member) {
+			if !adjacent(cand.asn, member) {
 				ok = false
 				break
 			}
 		}
 		if ok {
-			clique = append(clique, cand)
+			clique = append(clique, cand.asn)
 		}
 	}
 	return clique
 }
 
-// pathPeak locates the path's "peak": the first clique member, or
-// failing that the hop with the highest transit degree (first wins
-// ties).
-func pathPeak(path []bgp.ASN, cliqueSet map[bgp.ASN]bool, degree func(bgp.ASN) int) int {
-	peak := 0
+// pathPeak locates the path's "peak": the first hop of the highest
+// rank, where clique members rank above the rest and then a higher
+// transit degree ranks higher. It also counts the path's clique hops.
+func pathPeak(path []bgp.ASN, cliqueSet map[bgp.ASN]bool, degree func(bgp.ASN) int) (peak, cliqueHops int) {
+	peakClique, peakDeg := cliqueSet[path[0]], degree(path[0])
+	if peakClique {
+		cliqueHops = 1
+	}
 	for i := 1; i < len(path); i++ {
-		if cliqueSet[path[i]] && !cliqueSet[path[peak]] {
-			peak = i
+		c := cliqueSet[path[i]]
+		if c {
+			cliqueHops++
+		}
+		if c != peakClique {
+			if c {
+				peak, peakClique, peakDeg = i, true, degree(path[i])
+			}
 			continue
 		}
-		if cliqueSet[path[peak]] && !cliqueSet[path[i]] {
-			continue
-		}
-		if degree(path[i]) > degree(path[peak]) {
-			peak = i
+		if d := degree(path[i]); d > peakDeg {
+			peak, peakDeg = i, d
 		}
 	}
-	return peak
+	return peak, cliqueHops
 }
 
 // emitPathVotes generates one path's c2p votes around its peak. The
@@ -352,7 +356,8 @@ func emitPathVotes(path []bgp.ASN, cliqueSet map[bgp.ASN]bool, degree func(bgp.A
 	if len(path) < 2 {
 		return
 	}
-	emitVotesAround(path, pathPeak(path, cliqueSet, degree), emit)
+	peak, _ := pathPeak(path, cliqueSet, degree)
+	emitVotesAround(path, peak, emit)
 }
 
 // emitVotesAround generates the c2p votes of a path peaking at hop
@@ -404,11 +409,16 @@ func resolveRel(key topology.LinkKey, v *vote, cliqueSet map[bgp.ASN]bool, degre
 		rel = RelP2C
 	}
 	da, db := degree(key.A), degree(key.B)
-	if da > 10 && db > 10 && ratio(da, db) < 3 && !aClique && !bClique {
+	if refinable(aClique, da) && refinable(bClique, db) && ratio(da, db) < 3 {
 		return RelP2P
 	}
 	return rel
 }
+
+// refinable reports whether an endpoint takes part in resolveRel's
+// degree-ratio refinement: outside the clique, with more than ten
+// transit neighbors.
+func refinable(clique bool, degree int) bool { return !clique && degree > 10 }
 
 func ratio(a, b int) int {
 	if a < b {

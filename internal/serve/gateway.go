@@ -23,8 +23,6 @@ type Config struct {
 	// Topology / Churn configure the world the reconciler churns.
 	Topology topology.Config
 	Churn    churn.Config
-	// Workers sizes the window-close worker pool (0: GOMAXPROCS).
-	Workers int
 	// MaxInFlight bounds concurrently-served requests; requests over
 	// the cap are rejected 429 + Retry-After. 0 disables the cap.
 	MaxInFlight int

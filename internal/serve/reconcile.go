@@ -66,7 +66,7 @@ func (g *Gateway) replay(ctx context.Context, ct *experiments.ChurnTrace) error 
 			pw.Result.TotalLinks(), FingerprintHex(g.cur.Load().Fingerprint))
 	}
 
-	if err := ct.ReplayWindows(ctx, 0, g.cfg.Workers, commit); ctx.Err() == nil {
+	if err := ct.ReplayWindows(ctx, 0, 0, commit); ctx.Err() == nil {
 		return err
 	}
 	return nil

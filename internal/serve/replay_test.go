@@ -122,15 +122,14 @@ func distinctSlots(updates []*mrt.BGP4MPMessage) int {
 }
 
 // assertLoopedMatchesFresh replays ct three times round in one looped
-// ReplayWindows call on each worker count and holds every window
-// against the same position of one fresh, counted replay. Each wrap
-// must restore some slots, no more than the trace names and fewer than
-// the live table holds.
-func assertLoopedMatchesFresh(t *testing.T, ct *experiments.ChurnTrace, workers ...int) {
+// ReplayWindows call and holds every window against the same position
+// of one fresh, counted replay. Each wrap must restore some slots, no
+// more than the trace names and fewer than the live table holds.
+func assertLoopedMatchesFresh(t *testing.T, ct *experiments.ChurnTrace) {
 	t.Helper()
 	var fresh []windowDigest
 	var q replaySample
-	err := ct.ReplayWindows(context.Background(), ct.Epochs, 1, func(pw *core.PassiveWindow) {
+	err := ct.ReplayWindows(context.Background(), ct.Epochs, 0, func(pw *core.PassiveWindow) {
 		if fresh == nil {
 			q = sampleQueries(pw.Result)
 		}
@@ -145,39 +144,37 @@ func assertLoopedMatchesFresh(t *testing.T, ct *experiments.ChurnTrace, workers 
 	slots := distinctSlots(ct.Updates)
 
 	const cycles = 3
-	for _, w := range workers {
-		ctx, cancel := context.WithCancel(context.Background())
-		n := 0
-		err := ct.ReplayWindows(ctx, 0, w, func(pw *core.PassiveWindow) {
-			defer func() { n++ }()
-			if n == cycles*ct.Epochs {
-				t.Errorf("workers %d: window %d closed after cancellation", w, n)
-				return
-			}
-			k := n % ct.Epochs
-			if d := digestWindow(pw, q).diff(fresh[k]); d != "" {
-				t.Errorf("workers %d: window %d (cycle %d, position %d): %s", w, n, n/ct.Epochs, k, d)
-			}
-			switch {
-			case k != 0 || n == 0:
-				if pw.Rewound != 0 {
-					t.Errorf("workers %d: window %d: %d slots rewound inside a cycle", w, n, pw.Rewound)
-				}
-			case pw.Rewound == 0 || pw.Rewound > slots || pw.Rewound >= pw.LiveRoutes:
-				t.Errorf("workers %d: wrap at window %d rewound %d slots; want 1..%d (the slots the trace names) and < %d live routes",
-					w, n, pw.Rewound, slots, pw.LiveRoutes)
-			}
-			if n == cycles*ct.Epochs-1 {
-				cancel()
-			}
-		})
-		cancel()
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers %d: looped replay returned %v, want context.Canceled", w, err)
+	ctx, cancel := context.WithCancel(context.Background())
+	n := 0
+	err = ct.ReplayWindows(ctx, 0, 0, func(pw *core.PassiveWindow) {
+		defer func() { n++ }()
+		if n == cycles*ct.Epochs {
+			t.Errorf("window %d closed after cancellation", n)
+			return
 		}
-		if n != cycles*ct.Epochs {
-			t.Fatalf("workers %d: looped replay closed %d windows, want %d", w, n, cycles*ct.Epochs)
+		k := n % ct.Epochs
+		if d := digestWindow(pw, q).diff(fresh[k]); d != "" {
+			t.Errorf("window %d (cycle %d, position %d): %s", n, n/ct.Epochs, k, d)
 		}
+		switch {
+		case k != 0 || n == 0:
+			if pw.Rewound != 0 {
+				t.Errorf("window %d: %d slots rewound inside a cycle", n, pw.Rewound)
+			}
+		case pw.Rewound == 0 || pw.Rewound > slots || pw.Rewound >= pw.LiveRoutes:
+			t.Errorf("wrap at window %d rewound %d slots; want 1..%d (the slots the trace names) and < %d live routes",
+				n, pw.Rewound, slots, pw.LiveRoutes)
+		}
+		if n == cycles*ct.Epochs-1 {
+			cancel()
+		}
+	})
+	cancel()
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("looped replay returned %v, want context.Canceled", err)
+	}
+	if n != cycles*ct.Epochs {
+		t.Fatalf("looped replay closed %d windows, want %d", n, cycles*ct.Epochs)
 	}
 }
 
@@ -190,9 +187,9 @@ func buildTrace(t *testing.T, cfg topology.Config, ccfg churn.Config) *experimen
 	return ct
 }
 
-// TestLoopedReplayMatchesFreshCycles pins the rewind: on every scenario
-// and worker count, each window of three looped cycles equals the same
-// window of a fresh replay, counters, fingerprint and bodies alike.
+// TestLoopedReplayMatchesFreshCycles pins the rewind: on every scenario,
+// each window of three looped cycles equals the same window of a fresh
+// replay, counters, fingerprint and bodies alike.
 func TestLoopedReplayMatchesFreshCycles(t *testing.T) {
 	for _, tc := range []struct {
 		scenario string
@@ -206,7 +203,7 @@ func TestLoopedReplayMatchesFreshCycles(t *testing.T) {
 			cfg.Scenario, cfg.Scale = tc.scenario, tc.scale
 			ccfg := churn.DefaultConfig(20130501)
 			ccfg.Epochs = 4
-			assertLoopedMatchesFresh(t, buildTrace(t, cfg, ccfg), 1, 2, 8)
+			assertLoopedMatchesFresh(t, buildTrace(t, cfg, ccfg))
 		})
 	}
 }
@@ -221,7 +218,7 @@ func TestLoopedReplayMatchesFreshPaperScale(t *testing.T) {
 	cfg.Scale = 1
 	ccfg := churn.DefaultConfig(20130501)
 	ccfg.Epochs, ccfg.Interval = 12, time.Minute
-	assertLoopedMatchesFresh(t, buildTrace(t, cfg, ccfg), 0)
+	assertLoopedMatchesFresh(t, buildTrace(t, cfg, ccfg))
 }
 
 // TestLoopedReplayHeapBounded publishes 1,000 looped windows the way
@@ -284,7 +281,7 @@ func TestReplayReleasesDumpsAndTruth(t *testing.T) {
 	traces <- ct
 	ct = nil
 
-	g := New(Config{Workers: 1, EpochInterval: 5 * time.Millisecond})
+	g := New(Config{EpochInterval: 5 * time.Millisecond})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	done := make(chan error, 1)
@@ -333,7 +330,7 @@ func TestReplayWrapContract(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var g *Gateway
-	g = New(Config{Workers: 1, Logf: func(format string, args ...any) {
+	g = New(Config{Logf: func(format string, args ...any) {
 		if !strings.HasPrefix(format, "serve: epoch ") {
 			return
 		}

@@ -423,7 +423,6 @@ func TestGatewayEndToEndEpochs(t *testing.T) {
 	g := New(Config{
 		Topology:      topology.TestConfig(),
 		Churn:         ccfg,
-		Workers:       2,
 		EpochInterval: 100 * time.Millisecond,
 		Logf:          t.Logf,
 	})
