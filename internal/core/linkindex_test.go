@@ -67,7 +67,13 @@ func diffLinkIndex(got, want *LinkIndex) string {
 // land before the first and after the last position, and every Result is
 // checked again three materializations later against a deep copy taken
 // when it was built: copy-on-write must really copy.
+//
+// The mesh closes on one goroutine; the subtest is named for that.
 func TestPatchedIndexEqualsRebuilt(t *testing.T) {
+	t.Run("workers=1", patchedIndexSweep)
+}
+
+func patchedIndexSweep(t *testing.T) {
 	d := testDict(t)
 	ms := NewMeshState(d)
 	rng := rand.New(rand.NewSource(20130501))

@@ -363,7 +363,13 @@ func TestWindowedRSLeaveRejoin(t *testing.T) {
 // schedule: at every close, the delta-maintained mesh snapshot must be
 // byte-identical to a from-scratch InferLinks over the same observation
 // store, and the maintained counters must match the full derivation.
+//
+// The window closes on one goroutine; the subtest is named for that.
 func TestWindowedShadowInferLinks(t *testing.T) {
+	t.Run("workers=1", windowedShadowInferLinks)
+}
+
+func windowedShadowInferLinks(t *testing.T) {
 	d := testDict(t)
 	t0 := time.Date(2013, 5, 1, 2, 0, 0, 0, time.UTC)
 	w := 10 * time.Minute
