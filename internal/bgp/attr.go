@@ -91,8 +91,11 @@ func (a *PathAttrs) Clone() *PathAttrs {
 const maxAttrLen = 0xFFFF
 
 // appendAttrHeader appends an attribute header; length must be at most
-// maxAttrLen (AppendWire checks every variable length up front).
+// maxAttrLen (AppendWire checks every variable length up front). The
+// extended-length flag follows length whatever flags says: a decoded
+// unknown attribute may carry it on a short body.
 func appendAttrHeader(dst []byte, flags, typ byte, length int) []byte {
+	flags &^= flagExtLen
 	if length > 255 {
 		return append(dst, flags|flagExtLen, typ, byte(length>>8), byte(length))
 	}
@@ -102,9 +105,16 @@ func appendAttrHeader(dst []byte, flags, typ byte, length int) []byte {
 // AppendWire serializes the attributes in type order. as4 selects 4-byte
 // AS path encoding (both speakers negotiated the AS4 capability). An
 // attribute whose body the length field cannot describe — an AS_SET of
-// more than 255 ASNs, or any body over 65,535 bytes — is an error, and
-// dst comes back unchanged.
+// more than 255 ASNs, or any body over 65,535 bytes — is an error, as
+// is a value DecodeAttrs would reject (an ORIGIN over 2, an AGGREGATOR
+// address that is not IPv4), and dst comes back unchanged.
 func (a *PathAttrs) AppendWire(dst []byte, as4 bool) ([]byte, error) {
+	if a.Origin > OriginIncomplete {
+		return dst, fmt.Errorf("bgp: ORIGIN value %d", a.Origin)
+	}
+	if a.Aggregator != nil && !a.Aggregator.Addr.Is4() {
+		return dst, fmt.Errorf("bgp: AGGREGATOR address %v is not IPv4", a.Aggregator.Addr)
+	}
 	pathLen, err := a.ASPath.wireLen(as4)
 	if err != nil {
 		return dst, err

@@ -89,6 +89,9 @@ func (u *Update) AppendBody(dst []byte) ([]byte, error) {
 	return u.appendBody(dst, true)
 }
 
+// appendBody encodes the body with as4 selecting the AS_PATH width. The
+// withdrawn-routes and path-attribute sections each carry a two-octet
+// length, so a section over 65,535 bytes is an error, not a wrap.
 func (u *Update) appendBody(dst []byte, as4 bool) ([]byte, error) {
 	var wd []byte
 	for _, p := range u.Withdrawn {
@@ -96,6 +99,9 @@ func (u *Update) appendBody(dst []byte, as4 bool) ([]byte, error) {
 			return nil, fmt.Errorf("bgp: IPv6 withdrawn route %s requires MP_UNREACH_NLRI", p)
 		}
 		wd = p.AppendWire(wd)
+	}
+	if len(wd) > 0xFFFF {
+		return nil, fmt.Errorf("bgp: withdrawn routes of %d bytes exceed the 65535-byte section limit", len(wd))
 	}
 	dst = append(dst, byte(len(wd)>>8), byte(len(wd)))
 	dst = append(dst, wd...)
@@ -107,6 +113,9 @@ func (u *Update) appendBody(dst []byte, as4 bool) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
+	}
+	if len(attrs) > 0xFFFF {
+		return nil, fmt.Errorf("bgp: path attributes of %d bytes exceed the 65535-byte section limit", len(attrs))
 	}
 	dst = append(dst, byte(len(attrs)>>8), byte(len(attrs)))
 	dst = append(dst, attrs...)
@@ -148,11 +157,24 @@ func (Keepalive) AppendBody(dst []byte) ([]byte, error) { return dst, nil }
 // Encode serializes a complete message including the 19-byte header with
 // the all-ones marker.
 func Encode(m Message) ([]byte, error) {
+	return frame(m.Type(), m.AppendBody)
+}
+
+// EncodeUpdateAS2 serializes an UPDATE using legacy 2-octet AS encoding,
+// substituting AS_TRANS for 32-bit ASNs. Used by tests exercising the
+// RFC 6793 reconciliation path.
+func EncodeUpdateAS2(u *Update) ([]byte, error) {
+	return frame(MsgUpdate, func(dst []byte) ([]byte, error) { return u.appendBody(dst, false) })
+}
+
+// frame appends a body after the marker and fills in the header,
+// rejecting a message longer than MaxMsgLen.
+func frame(typ byte, appendBody func([]byte) ([]byte, error)) ([]byte, error) {
 	buf := make([]byte, HeaderLen, 64)
 	for i := 0; i < 16; i++ {
 		buf[i] = 0xFF
 	}
-	buf, err := m.AppendBody(buf)
+	buf, err := appendBody(buf)
 	if err != nil {
 		return nil, err
 	}
@@ -161,25 +183,7 @@ func Encode(m Message) ([]byte, error) {
 	}
 	buf[16] = byte(len(buf) >> 8)
 	buf[17] = byte(len(buf))
-	buf[18] = m.Type()
-	return buf, nil
-}
-
-// EncodeUpdateAS2 serializes an UPDATE using legacy 2-octet AS encoding,
-// substituting AS_TRANS for 32-bit ASNs. Used by tests exercising the
-// RFC 6793 reconciliation path.
-func EncodeUpdateAS2(u *Update) ([]byte, error) {
-	buf := make([]byte, HeaderLen, 64)
-	for i := 0; i < 16; i++ {
-		buf[i] = 0xFF
-	}
-	buf, err := u.appendBody(buf, false)
-	if err != nil {
-		return nil, err
-	}
-	buf[16] = byte(len(buf) >> 8)
-	buf[17] = byte(len(buf))
-	buf[18] = MsgUpdate
+	buf[18] = typ
 	return buf, nil
 }
 

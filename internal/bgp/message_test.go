@@ -2,6 +2,7 @@ package bgp
 
 import (
 	"bytes"
+	"fmt"
 	"net/netip"
 	"slices"
 	"strings"
@@ -456,5 +457,99 @@ func TestAttrsWireLengthLimits(t *testing.T) {
 				t.Fatalf("communities: %d decoded, %d encoded", len(out.Communities), len(c.attrs.Communities))
 			}
 		})
+	}
+}
+
+// TestUpdateSectionLengthLimits pins UPDATE's two-octet lengths: a
+// withdrawn-routes or path-attribute section over 65,535 bytes is a
+// body encode error, even when every attribute in it fits its own
+// length field, and a message over MaxMsgLen is an error from both
+// Encode and EncodeUpdateAS2 rather than a header length that wraps.
+func TestUpdateSectionLengthLimits(t *testing.T) {
+	slash24s := func(n int) []Prefix {
+		out := make([]Prefix, n)
+		for i := range out {
+			out[i] = MustPrefix(fmt.Sprintf("10.%d.%d.0/24", i>>8, i&0xFF))
+		}
+		return out
+	}
+	// ORIGIN (4 bytes), an empty AS_PATH (3) and COMMUNITIES (4 + 4
+	// per community): 16,381 communities make a 65,535-byte section.
+	comms := make(Communities, 16382)
+	for _, c := range []struct {
+		name string
+		u    *Update
+		ok   bool
+	}{
+		{"withdrawn section of 65,532 bytes", &Update{Withdrawn: slash24s(16383)}, true},
+		{"withdrawn section of 65,536 bytes", &Update{Withdrawn: slash24s(16384)}, false},
+		{"attribute section of 65,535 bytes", &Update{Attrs: &PathAttrs{Communities: comms[:16381]}}, true},
+		{"attribute section of 65,539 bytes", &Update{Attrs: &PathAttrs{Communities: comms}}, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			for _, as4 := range []bool{true, false} {
+				body, err := c.u.appendBody(nil, as4)
+				if !c.ok {
+					if err == nil {
+						t.Fatalf("as4=%v: a %d-byte body encoded without error", as4, len(body))
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("as4=%v: %v", as4, err)
+				}
+				got, err := DecodeUpdate(body, as4)
+				if err != nil {
+					t.Fatalf("as4=%v: %v", as4, err)
+				}
+				if len(got.Withdrawn) != len(c.u.Withdrawn) {
+					t.Fatalf("as4=%v: %d withdrawn routes decoded, want %d", as4, len(got.Withdrawn), len(c.u.Withdrawn))
+				}
+			}
+		})
+	}
+
+	// 19 header + 4 section-length bytes + 4 bytes per /24: 1,018
+	// routes make a 4,095-byte message, 1,019 a 4,099-byte one.
+	for _, n := range []int{1018, 1019, 20000} {
+		u := &Update{NLRI: slash24s(n)}
+		for name, encode := range map[string]func(*Update) ([]byte, error){
+			"Encode":          func(u *Update) ([]byte, error) { return Encode(u) },
+			"EncodeUpdateAS2": EncodeUpdateAS2,
+		} {
+			wire, err := encode(u)
+			if n > 1018 {
+				if err == nil {
+					t.Fatalf("%s: %d routes encoded to a %d-byte message over MaxMsgLen", name, n, len(wire))
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s: %d routes: %v", name, n, err)
+			}
+			m, err := Decode(wire, name == "Encode")
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if got := len(m.(*Update).NLRI); got != n {
+				t.Fatalf("%s: %d routes decoded, want %d", name, got, n)
+			}
+		}
+	}
+}
+
+// TestAttrsRejectUndecodableValues: attribute values DecodeAttrs would
+// reject are encode errors that leave dst unchanged, not bytes no
+// speaker can read back.
+func TestAttrsRejectUndecodableValues(t *testing.T) {
+	for name, a := range map[string]*PathAttrs{
+		"ORIGIN 3":              {Origin: 3},
+		"AGGREGATOR without IP": {Aggregator: &Aggregator{ASN: 6695}},
+		"AGGREGATOR over IPv6":  {Aggregator: &Aggregator{ASN: 6695, Addr: netip.MustParseAddr("2001:db8::1")}},
+	} {
+		prefix := []byte{0xAB}
+		if wire, err := a.AppendWire(prefix, true); err == nil || !bytes.Equal(wire, prefix) {
+			t.Fatalf("%s: %d bytes written, err %v; want an error and dst unchanged", name, len(wire)-len(prefix), err)
+		}
 	}
 }

@@ -32,6 +32,9 @@ type Collector struct {
 	addrs   map[bgp.ASN]netip.Addr
 	strips  []bool // per feeder: feeder's own export strips communities
 	workers int
+	// sweep holds every feeder: the vantages of each sweep whose trees
+	// reach a RIBWriter or an UpdateStream.
+	sweep *propagate.Vantages
 }
 
 // attrSlot is a reusable per-feeder attribute buffer for RIB dumps: the
@@ -60,7 +63,9 @@ func New(name string, engine *propagate.Engine, feeders []topology.Feeder, worke
 	}
 	c.strips = make([]bool, len(feeders))
 	topo := engine.Topology()
+	asns := make([]bgp.ASN, len(feeders))
 	for i, f := range feeders {
+		asns[i] = f.ASN
 		// Feeder session addresses live in 192.0.2.0/24-style space,
 		// expanded to /16 for large feeder sets.
 		c.addrs[f.ASN] = netip.AddrFrom4([4]byte{192, 0, byte(2 + i/250), byte(1 + i%250)})
@@ -68,11 +73,17 @@ func New(name string, engine *propagate.Engine, feeders []topology.Feeder, worke
 			c.strips[i] = as.StripsCommunities
 		}
 	}
+	c.sweep = engine.NewVantages(asns)
 	return c
 }
 
 // Feeders returns the collector's peer set.
 func (c *Collector) Feeders() []topology.Feeder { return c.feeders }
+
+// Vantages returns the collector's feeders as a sweep vantage set: a
+// sweep whose trees reach the collector's RIBWriter must compute at
+// least what they can see.
+func (c *Collector) Vantages() *propagate.Vantages { return c.sweep }
 
 // Engine returns the propagation engine the collector observes.
 func (c *Collector) Engine() *propagate.Engine { return c.engine }
@@ -89,8 +100,10 @@ func exports(f topology.Feeder, class propagate.Class) bool {
 
 // RIBWriter writes a TABLE_DUMP_V2 RIB dump of all feeders' views one
 // destination tree at a time: the per-tree consumer of an
-// Engine.ForEachTree sweep, which fixes the record order. The first
-// write error sticks: later trees are dropped and Close reports it.
+// Engine.ForEachTree sweep, which fixes the record order. The sweep's
+// vantages must include every feeder (Collector.Vantages): a swept tree
+// carries only the routes its vantages can see. The first write error
+// sticks: later trees are dropped and Close reports it.
 type RIBWriter struct {
 	c         *Collector
 	mw        *mrt.Writer
@@ -198,7 +211,7 @@ func (rw *RIBWriter) Close() error {
 // a RIBWriter as the only consumer of its own sweep.
 func (c *Collector) WriteRIB(w io.Writer, ts time.Time) error {
 	rw := c.NewRIBWriter(w, ts)
-	c.engine.ForEachTree(c.workers, rw.Add)
+	c.engine.ForEachTree(c.sweep, c.workers, rw.Add)
 	return rw.Close()
 }
 

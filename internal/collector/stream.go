@@ -54,7 +54,7 @@ func NewUpdateStream(col *Collector) *UpdateStream {
 	s.vantages = col.engine.NewVantages(full)
 	topo := col.engine.Topology()
 	var arena propagate.RouteArena
-	col.engine.ForEachTree(col.workers, func(tr *propagate.Tree) {
+	col.engine.ForEachTree(col.sweep, col.workers, func(tr *propagate.Tree) {
 		dest := tr.Dest()
 		if len(topo.ASes[dest].Prefixes) == 0 {
 			return
@@ -147,7 +147,7 @@ func (s *UpdateStream) writeEpoch(w io.Writer, ts time.Time, window time.Duratio
 		return ts.Add(time.Duration(off) * time.Second)
 	}
 	var arena propagate.RouteArena
-	s.col.engine.ForEachTreeOf(s.col.workers, dests, func(tr *propagate.Tree) {
+	s.col.engine.ForEachTreeOf(s.col.sweep, s.col.workers, dests, func(tr *propagate.Tree) {
 		if err != nil {
 			return
 		}

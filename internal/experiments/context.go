@@ -101,7 +101,8 @@ func (c *Context) TracerouteLinks() map[topology.LinkKey]bool {
 			vantages = append(vantages, asn)
 		}
 	}
-	c.World.Engine.ForEachTree(4, func(tr *propagate.Tree) {
+	eng := c.World.Engine
+	eng.ForEachTree(eng.NewVantages(vantages), 4, func(tr *propagate.Tree) {
 		for _, v := range vantages {
 			r := tr.RouteFrom(v)
 			if r == nil {

@@ -354,12 +354,17 @@ func MarshalBGP4MP(m *BGP4MPMessage) ([]byte, error) {
 }
 
 // AppendBGP4MP appends the encoded body to b and returns the extended
-// slice, reusing b's capacity.
+// slice, reusing b's capacity. The two-octet BGP4MP_MESSAGE subtype
+// cannot carry a 4-octet peer or local ASN: that is an error, not a
+// truncation.
 func AppendBGP4MP(b []byte, m *BGP4MPMessage) ([]byte, error) {
 	if m.AS4 {
 		b = put32(b, uint32(m.PeerASN))
 		b = put32(b, uint32(m.LocalASN))
 	} else {
+		if m.PeerASN.Is32Bit() || m.LocalASN.Is32Bit() {
+			return nil, fmt.Errorf("mrt: peer AS %s / local AS %s: a 4-octet ASN needs the BGP4MP_MESSAGE_AS4 subtype", m.PeerASN, m.LocalASN)
+		}
 		b = put16(b, uint16(m.PeerASN))
 		b = put16(b, uint16(m.LocalASN))
 	}

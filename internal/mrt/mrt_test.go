@@ -5,6 +5,7 @@ import (
 	"net/netip"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -160,8 +161,7 @@ func TestBGP4MPRoundTrip(t *testing.T) {
 }
 
 func TestBGP4MPLegacy2Byte(t *testing.T) {
-	// Legacy subtype truncates 32-bit ASNs; the encoder writes the low
-	// 16 bits, which is what old collectors did before AS4 support.
+	// The legacy subtype carries two-octet ASNs.
 	in := &BGP4MPMessage{
 		PeerASN:  6695,
 		LocalASN: 6447,
@@ -178,6 +178,29 @@ func TestBGP4MPLegacy2Byte(t *testing.T) {
 	}
 	if out.PeerASN != 6695 || out.AS4 {
 		t.Fatalf("%+v", out)
+	}
+}
+
+// TestBGP4MPLegacyRejects4OctetASN: a 4-octet peer or local ASN in the
+// two-octet subtype is an encode error naming BGP4MP_MESSAGE_AS4, not a
+// silent truncation to its low 16 bits; the writer passes it through.
+func TestBGP4MPLegacyRejects4OctetASN(t *testing.T) {
+	for _, in := range []*BGP4MPMessage{
+		{PeerASN: 196615, LocalASN: 6447, Message: bgp.Keepalive{}},
+		{PeerASN: 6695, LocalASN: 4200000001, Message: bgp.Keepalive{}},
+	} {
+		body, err := MarshalBGP4MP(in)
+		if err == nil || !strings.Contains(err.Error(), "BGP4MP_MESSAGE_AS4") {
+			t.Fatalf("peer %s, local %s: %d bytes, err %v; want an error naming BGP4MP_MESSAGE_AS4", in.PeerASN, in.LocalASN, len(body), err)
+		}
+		var buf bytes.Buffer
+		if err := NewWriter(&buf).WriteBGP4MP(time.Unix(1368000000, 0), in); err == nil {
+			t.Fatalf("peer %s, local %s: Writer.WriteBGP4MP accepted the record", in.PeerASN, in.LocalASN)
+		}
+		in.AS4 = true
+		if _, err := MarshalBGP4MP(in); err != nil {
+			t.Fatalf("the AS4 subtype rejects peer %s, local %s: %v", in.PeerASN, in.LocalASN, err)
+		}
 	}
 }
 

@@ -141,8 +141,11 @@ func buildWorld(cfg topology.Config, tapRIB func(io.Writer) io.Writer) (*World, 
 			sink = tapRIB(sink)
 		}
 		rsribs := propagate.NewRSRIBBuilder(w.Engine)
-		rib := collector.New("rrc-synth", w.Engine, nil, 0).NewRIBWriter(sink, Timestamp)
-		w.Engine.ForEachTree(0, func(tr *propagate.Tree) {
+		col := collector.New("rrc-synth", w.Engine, nil, 0)
+		rib := col.NewRIBWriter(sink, Timestamp)
+		// The RS RIBs read only exporters, which every sweep computes:
+		// the feeders are all the vantages this sweep needs.
+		w.Engine.ForEachTree(col.Vantages(), 0, func(tr *propagate.Tree) {
 			rsribs.Add(tr)
 			rib.Add(tr)
 		})

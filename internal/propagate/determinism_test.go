@@ -266,44 +266,51 @@ func diffSnapshots(t *testing.T, what string, a, b snapshot) {
 	}
 }
 
-// TestComputeMatchesReference checks, over a full generated world, that
-// the optimized engine produces hop tables and exporter lists
-// byte-identical to the naive reference for every destination — via
-// Tree and via ForEachTree at several worker counts.
+// TestComputeMatchesReference checks, over the generated world of every
+// scenario, that the optimized engine produces hop tables and exporter
+// lists byte-identical to the naive reference for every destination —
+// via Tree and via ForEachTree at several worker counts. The sweep has
+// every AS as a vantage, so it computes full trees too.
 func TestComputeMatchesReference(t *testing.T) {
-	topo, err := topology.Generate(topology.TestConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := newRefEngine(topo)
-	e := NewEngine(topo, 0)
+	for _, name := range topology.ScenarioNames() {
+		t.Run(name, func(t *testing.T) {
+			cfg := topology.TestConfig()
+			cfg.Scenario = name
+			topo, err := topology.Generate(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := newRefEngine(topo)
+			e := NewEngine(topo, 0)
 
-	want := make(map[bgp.ASN]snapshot, len(topo.Order))
-	for _, dest := range topo.Order {
-		hops, exps := ref.compute(dest)
-		for len(exps) < len(e.ixps) {
-			exps = append(exps, nil)
-		}
-		want[dest] = snapshot{dest: dest, hops: hops, exporters: exps}
-	}
+			want := make(map[bgp.ASN]snapshot, len(topo.Order))
+			for _, dest := range topo.Order {
+				hops, exps := ref.compute(dest)
+				for len(exps) < len(e.ixps) {
+					exps = append(exps, nil)
+				}
+				want[dest] = snapshot{dest: dest, hops: hops, exporters: exps}
+			}
 
-	// Via Tree (cached path).
-	for _, dest := range topo.Order {
-		diffSnapshots(t, "Tree", want[dest], snapshotTree(e.Tree(dest)))
-	}
+			// Via Tree (cached path).
+			for _, dest := range topo.Order {
+				diffSnapshots(t, "Tree", want[dest], snapshotTree(e.Tree(dest)))
+			}
 
-	// Via ForEachTree at several worker counts. Snapshots must be taken
-	// inside fn: the tree is recycled afterward.
-	for _, workers := range []int{1, 3, 8} {
-		e2 := NewEngine(topo, 0)
-		count := 0
-		e2.ForEachTree(workers, func(tr *Tree) {
-			diffSnapshots(t, "ForEachTree", want[tr.Dest()], snapshotTree(tr))
-			count++
+			// Via ForEachTree at several worker counts. Snapshots must be
+			// taken inside fn: the tree is recycled afterward.
+			for _, workers := range []int{1, 3, 8} {
+				e2 := NewEngine(topo, 0)
+				count := 0
+				e2.ForEachTree(e2.NewVantages(topo.Order), workers, func(tr *Tree) {
+					diffSnapshots(t, "ForEachTree", want[tr.Dest()], snapshotTree(tr))
+					count++
+				})
+				if count != len(topo.Order) {
+					t.Fatalf("ForEachTree(%d) visited %d of %d destinations", workers, count, len(topo.Order))
+				}
+			}
 		})
-		if count != len(topo.Order) {
-			t.Fatalf("ForEachTree(%d) visited %d of %d destinations", workers, count, len(topo.Order))
-		}
 	}
 }
 

@@ -527,7 +527,7 @@ func (e *Engine) Tree(dest bgp.ASN) *Tree {
 
 	t := e.newTree() // cached trees live arbitrarily long: never pooled
 	s := e.scratchPool.Get().(*scratch)
-	e.compute(di, t, s)
+	e.compute(di, t, s, &e.down, nil)
 	e.scratchPool.Put(s)
 
 	c.tr = t
@@ -548,14 +548,25 @@ func (e *Engine) Tree(dest bgp.ASN) *Tree {
 // destinations, so fn must copy out anything it wants to keep. A caller
 // with several per-tree consumers feeds them all from one fn (see
 // pipeline.BuildWorld): the sweep is the cost, not the consuming.
-func (e *Engine) ForEachTree(workers int, fn func(*Tree)) {
-	e.ForEachTreeOf(workers, e.asns, fn)
+//
+// A sweep computes what its vantages can see. Customer-, peer- and
+// origin-class hops are exact everywhere, so every route-server
+// exporter and its route are too; provider-class hops are computed
+// only inside v's closure (the vantages and their provider/sibling
+// ancestors), which is all a vantage's route or Adj-RIB-In can reach.
+// Reading a route the sweep did not compute panics (see
+// Tree.RouteFrom); v must name every AS fn reads routes from.
+func (e *Engine) ForEachTree(v *Vantages, workers int, fn func(*Tree)) {
+	e.ForEachTreeOf(v, workers, e.asns, fn)
 }
 
 // ForEachTreeOf is ForEachTree restricted to dests: fn sees their trees
-// in the order listed, under the same contract (workers included).
-// Unknown ASNs are skipped.
-func (e *Engine) ForEachTreeOf(workers int, dests []bgp.ASN, fn func(*Tree)) {
+// in the order listed, under the same contract (vantages and workers
+// included). Unknown ASNs are skipped.
+func (e *Engine) ForEachTreeOf(v *Vantages, workers int, dests []bgp.ASN, fn func(*Tree)) {
+	if v.e != e {
+		panic("propagate: ForEachTree with another engine's Vantages")
+	}
 	workers = par.Workers(workers)
 	// Compute in windows so memory stays bounded while fn consumes
 	// trees in deterministic destination order.
@@ -574,7 +585,7 @@ func (e *Engine) ForEachTreeOf(workers int, dests []bgp.ASN, fn func(*Tree)) {
 			}
 			s := e.scratchPool.Get().(*scratch)
 			t := e.treePool.Get().(*Tree)
-			e.compute(di, t, s)
+			e.compute(di, t, s, &v.down, v.above)
 			e.scratchPool.Put(s)
 			out[i] = t
 		})
@@ -590,7 +601,10 @@ func (e *Engine) ForEachTreeOf(workers int, dests []bgp.ASN, fn func(*Tree)) {
 }
 
 // compute fills t with the routing tree toward the destination at index
-// di, using s as working memory. Every phase resolves ties by lowest
+// di, using s as working memory. Phase 3 relaxes down, the engine's
+// down adjacency or a Vantages' restriction of it to the closure above,
+// which t keeps (nil for a full tree) so its accessors can tell an
+// uncomputed hop from a missing route. Every phase resolves ties by lowest
 // next-hop index, so the result is independent of visit order and no
 // frontier or bucket ever needs sorting. Relaxations compare packed
 // preference scores (see scoreClassShift): cand > scores[v] is exactly
@@ -602,10 +616,11 @@ func (e *Engine) ForEachTreeOf(workers int, dests []bgp.ASN, fn func(*Tree)) {
 //
 //mlplint:frozen
 //mlplint:allocfree
-func (e *Engine) compute(di int32, t *Tree, s *scratch) {
+func (e *Engine) compute(di int32, t *Tree, s *scratch, down *csr, above []bool) {
 	n := len(e.asns)
 	t.dest = e.asns[di]
 	t.destIdx = di
+	t.above = above
 	if cap(t.hops) < n {
 		//mlplint:allocfree grow-only: fires once when the topology outgrew the tree
 		t.hops = make([]hop, n)
@@ -722,16 +737,18 @@ func (e *Engine) compute(di int32, t *Tree, s *scratch) {
 
 	// Phase 3: everything propagates down customer (and sibling) edges,
 	// processed in distance buckets. The initial fill walks indexes
-	// ascending so each bucket starts sorted; relaxations only ever push
-	// into strictly later buckets, and a node's final via is again the
-	// minimum-index parent, so processing order is immaterial.
-	downOff, downAdj := e.down.off, e.down.adj
+	// ascending so each bucket starts sorted, and skips nodes with no
+	// down edge, which relax nothing (tested first: in a sweep's
+	// restricted adjacency almost every row is empty). Relaxations only
+	// ever push into strictly later buckets, and a node's final via is
+	// again the minimum-index parent, so processing order is immaterial.
+	downOff, downAdj := down.off, down.adj
 	buckets := s.buckets
 	for i := range buckets {
 		buckets[i] = buckets[i][:0]
 	}
 	for i := int32(0); i < int32(n); i++ {
-		if hops[i].class != ClassNone {
+		if downOff[i] != downOff[i+1] && hops[i].class != ClassNone {
 			d := int(hops[i].dist)
 			for len(buckets) <= d {
 				buckets = append(buckets, nil)

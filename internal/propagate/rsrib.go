@@ -67,7 +67,9 @@ func (r *RSRIB) Members() []bgp.ASN {
 // RSRIBBuilder accumulates the route server RIBs of every IXP from
 // destination trees: the per-tree consumer of an Engine.ForEachTree
 // sweep. Trees must arrive in ascending destination order (the sweep's
-// order), which fixes the append order of RSRIB.Entries.
+// order), which fixes the append order of RSRIB.Entries. It reads only
+// exporters, whose customer- or origin-class routes every sweep
+// computes, so any Vantages will do, the empty set included.
 type RSRIBBuilder struct {
 	e   *Engine
 	out map[string]*RSRIB
@@ -126,9 +128,10 @@ func (b *RSRIBBuilder) RIBs() map[string]*RSRIB { return b.out }
 
 // BuildRSRIBs computes the route server RIBs of every IXP in one pass
 // over all destination trees: an RSRIBBuilder as the only consumer of
-// its own sweep. workers follows Engine.ForEachTree.
+// its own sweep, which has no vantages and so no downward phase.
+// workers follows Engine.ForEachTree.
 func BuildRSRIBs(e *Engine, workers int) map[string]*RSRIB {
 	b := NewRSRIBBuilder(e)
-	e.ForEachTree(workers, b.Add)
+	e.ForEachTree(e.NewVantages(nil), workers, b.Add)
 	return b.RIBs()
 }

@@ -1,6 +1,7 @@
 package propagate
 
 import (
+	"fmt"
 	"slices"
 
 	"mlpeering/internal/bgp"
@@ -8,10 +9,11 @@ import (
 
 // Tree is the routing tree toward one destination AS.
 //
-// Trees returned by Engine.Tree are immutable and safe for concurrent
-// use. Trees passed to Engine.ForEachTree are recycled after the
-// callback returns; see that method's contract. Either way a tree is
-// only ever (re)filled inside Engine.compute, the annotated builder.
+// Trees returned by Engine.Tree are immutable, complete and safe for
+// concurrent use. Trees passed to Engine.ForEachTree are recycled after
+// the callback returns and carry only what the sweep's vantages can
+// see; see that method's contract. Either way a tree is only ever
+// (re)filled inside Engine.compute, the annotated builder.
 //
 //mlplint:frozen
 type Tree struct {
@@ -24,6 +26,26 @@ type Tree struct {
 	// customer/origin route toward dest at IXP xi.
 	expFlat []int32
 	expOff  []int32
+	// above is the sweep's vantage closure (Vantages.above), or nil for
+	// a full tree: outside it, a hop without a customer-, peer- or
+	// origin-class route was never computed.
+	above []bool
+}
+
+// hopAt returns AS index i's hop. A swept tree did not compute the
+// provider-class hops outside its vantage closure, so asking for one
+// there is a contract violation rather than "no route": it panics.
+func (t *Tree) hopAt(i int32) hop {
+	h := t.hops[i]
+	if h.class == ClassNone && t.above != nil && !t.above[i] {
+		t.notComputed(i)
+	}
+	return h
+}
+
+// notComputed panics for AS index i, outside the tree's sweep closure.
+func (t *Tree) notComputed(i int32) {
+	panic(fmt.Sprintf("propagate: tree toward %s swept without AS %s among its vantages: its route was not computed (Engine.ForEachTree computes what its vantages can see)", t.dest, t.e.asns[i]))
 }
 
 // Dest returns the destination AS.
@@ -35,23 +57,28 @@ func (t *Tree) exportersAt(xi int16) []int32 {
 }
 
 // Class returns how asn reaches the destination (ClassNone if it
-// cannot).
+// cannot). On a swept tree it panics for an AS whose route the sweep
+// did not compute (see Engine.ForEachTree).
 func (t *Tree) Class(asn bgp.ASN) Class {
 	i, ok := t.e.idx[asn]
 	if !ok {
 		return ClassNone
 	}
-	return t.hops[i].class
+	return t.hopAt(i).class
 }
 
 // Dist returns the AS-hop distance from asn to the destination; ok is
-// false when there is no route.
+// false when there is no route. It panics like Class.
 func (t *Tree) Dist(asn bgp.ASN) (int, bool) {
 	i, ok := t.e.idx[asn]
-	if !ok || t.hops[i].class == ClassNone {
+	if !ok {
 		return 0, false
 	}
-	return int(t.hops[i].dist), true
+	h := t.hopAt(i)
+	if h.class == ClassNone {
+		return 0, false
+	}
+	return int(h.dist), true
 }
 
 // Exporters returns the RS members exporting a route toward the
@@ -93,7 +120,7 @@ type VantageRoute struct {
 
 // PathFrom returns the best AS path from vantage to the destination
 // (vantage first), or nil when the vantage has no route. Non-transparent
-// route servers appear in the path.
+// route servers appear in the path. It panics like RouteFrom.
 func (t *Tree) PathFrom(vantage bgp.ASN) []bgp.ASN {
 	r := t.RouteFrom(vantage)
 	if r == nil {
@@ -102,7 +129,10 @@ func (t *Tree) PathFrom(vantage bgp.ASN) []bgp.ASN {
 	return r.Path
 }
 
-// RouteFrom returns the best route at the vantage AS, or nil.
+// RouteFrom returns the best route at the vantage AS, or nil. On a
+// swept tree it panics for a vantage outside the sweep's closure that
+// has no customer-, peer- or origin-class route: the sweep did not
+// compute that hop (see Engine.ForEachTree).
 func (t *Tree) RouteFrom(vantage bgp.ASN) *VantageRoute {
 	return t.RouteFromArena(vantage, nil)
 }
@@ -111,10 +141,10 @@ func (t *Tree) RouteFrom(vantage bgp.ASN) *VantageRoute {
 // slab-allocating the route and its path from arena when it is non-nil.
 // An arena route is valid only until the arena's next Reset, and its
 // Communities are shared with the engine rather than cloned: callers
-// must treat the whole route as read-only.
+// must treat the whole route as read-only. It panics like RouteFrom.
 func (t *Tree) RouteFromArena(vantage bgp.ASN, arena *RouteArena) *VantageRoute {
 	vi, ok := t.e.idx[vantage]
-	if !ok || t.hops[vi].class == ClassNone {
+	if !ok || t.hopAt(vi).class == ClassNone {
 		return nil
 	}
 	return t.reconstruct(vi, arena)
@@ -191,7 +221,9 @@ func (t *Tree) reconstruct(vi int32, arena *RouteArena) *VantageRoute {
 // AvailableRoutesFrom enumerates every route the vantage AS has in its
 // Adj-RIB-In toward the destination, best first: the view an all-paths
 // looking glass prints. Alternatives whose path would traverse the
-// vantage itself are suppressed (BGP loop prevention).
+// vantage itself are suppressed (BGP loop prevention). On a swept tree
+// it panics for any vantage outside the sweep's closure: its provider
+// routes, and so its alternatives, were not computed.
 func (t *Tree) AvailableRoutesFrom(vantage bgp.ASN) []*VantageRoute {
 	return t.AvailableRoutesFromArena(vantage, nil, nil)
 }
@@ -201,11 +233,15 @@ func (t *Tree) AvailableRoutesFrom(vantage bgp.ASN) []*VantageRoute {
 // the result appended to buf (which may be nil). Arena routes are valid
 // only until the arena's next Reset and share the engine's community
 // slices instead of cloning them: callers must treat them as read-only.
+// It panics like AvailableRoutesFrom.
 func (t *Tree) AvailableRoutesFromArena(vantage bgp.ASN, arena *RouteArena, buf []*VantageRoute) []*VantageRoute {
 	e := t.e
 	vi, ok := e.idx[vantage]
 	if !ok {
 		return nil
+	}
+	if t.above != nil && !t.above[vi] {
+		t.notComputed(vi)
 	}
 	out := buf[:0]
 

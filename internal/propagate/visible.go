@@ -18,6 +18,9 @@
 // vantage is recv or below it. Hence a dirty destination in cone(root)
 // is visible only when recv is a vantage or a provider/sibling ancestor
 // of one.
+//
+// The same closure bounds what a sweep has to compute at all: phase 3 of
+// a swept tree runs over it alone (Engine.ForEachTree).
 package propagate
 
 import "mlpeering/internal/bgp"
@@ -39,21 +42,33 @@ type changeSet struct {
 	unknown bool
 }
 
-// Vantages is a set of observer ASes prepared for Visible queries: the
-// vantages closed upward over provider and sibling edges. Churn deltas
-// never touch transit edges, so one Vantages stays valid across every
-// Apply on its engine.
+// Vantages is a set of observer ASes prepared for two uses: Visible
+// queries, and sweeps (Engine.ForEachTree) that compute only what the
+// vantages can see. Both rest on the vantages closed upward over
+// provider and sibling edges: a vantage's route, and every alternative
+// in its Adj-RIB-In, reaches a provider-class hop only through
+// provider-class hops, i.e. only inside that closure. Churn deltas never
+// touch transit edges, so one Vantages stays valid across every Apply
+// on its engine.
 type Vantages struct {
 	e *Engine
 	// above[i]: AS index i is a vantage or a provider/sibling ancestor
 	// of one — exactly the nodes whose route changes can reach a vantage.
 	above []bool
+	// down is the engine's down adjacency restricted to above: a sweep's
+	// phase 3 relaxes only these edges. No edge enters above from
+	// outside it, because up and down are transposes and above is closed
+	// over up, so every hop inside above comes out as in a full tree.
+	down csr
 }
 
 // NewVantages prepares the observer set asns (unknown ASNs are ignored)
-// with one closure over the up adjacency.
+// with one closure over the up adjacency and one pass over the down
+// adjacency. An empty set sweeps trees whose only exact routes are
+// customer-, peer- and origin-class: all a route-server RIB reads.
 func (e *Engine) NewVantages(asns []bgp.ASN) *Vantages {
-	v := &Vantages{e: e, above: make([]bool, len(e.asns))}
+	n := len(e.asns)
+	v := &Vantages{e: e, above: make([]bool, n), down: csr{off: make([]int32, n+1)}}
 	roots := make([]int32, 0, len(asns))
 	for _, a := range asns {
 		if i, ok := e.idx[a]; ok {
@@ -61,6 +76,16 @@ func (e *Engine) NewVantages(asns []bgp.ASN) *Vantages {
 		}
 	}
 	e.up.closure(v.above, roots)
+	for u := range n {
+		if v.above[u] {
+			for _, c := range e.down.row(int32(u)) {
+				if v.above[c] {
+					v.down.adj = append(v.down.adj, c)
+				}
+			}
+		}
+		v.down.off[u+1] = int32(len(v.down.adj))
+	}
 	return v
 }
 

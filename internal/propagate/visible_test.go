@@ -16,7 +16,7 @@ func routesAt(topo *topology.Topology) map[bgp.ASN][]string {
 	e := NewEngine(topo, 0)
 	out := make(map[bgp.ASN][]string, len(topo.Order))
 	var arena RouteArena
-	e.ForEachTree(4, func(tr *Tree) {
+	e.ForEachTree(e.NewVantages(topo.Order), 4, func(tr *Tree) {
 		fps := make([]string, len(topo.Order))
 		for i, v := range topo.Order {
 			arena.Reset()
@@ -158,13 +158,15 @@ func TestVisibleEdgeCases(t *testing.T) {
 // subsets (spanning more than one compute window), the empty subset and
 // unknown ASNs give the same callback sequence — the listed known
 // destinations, in order, each with the tree Engine.Tree computes — at
-// workers 1, 2 and 8.
+// workers 1, 2 and 8. Every AS is a vantage, so the swept hop tables are
+// the full ones.
 func TestForEachTreeOfSubsets(t *testing.T) {
 	topo, err := topology.Generate(topology.TestConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	e := NewEngine(topo, 0)
+	all := e.NewVantages(topo.Order)
 	rng := rand.New(rand.NewSource(5))
 	pick := func(keep float64) []bgp.ASN {
 		var out []bgp.ASN
@@ -199,7 +201,7 @@ func TestForEachTreeOfSubsets(t *testing.T) {
 		}
 		for _, workers := range []int{1, 2, 8} {
 			var got []bgp.ASN
-			e.ForEachTreeOf(workers, dests, func(tr *Tree) {
+			e.ForEachTreeOf(all, workers, dests, func(tr *Tree) {
 				got = append(got, tr.Dest())
 				diffSnapshots(t, name, snapshotTree(e.Tree(tr.Dest())), snapshotTree(tr))
 			})

@@ -71,6 +71,15 @@ func TestInferHandlesPrependingAndShortPaths(t *testing.T) {
 	}
 }
 
+// feederVantages is the sweep vantage set of the world's feeders.
+func feederVantages(e *propagate.Engine) *propagate.Vantages {
+	var asns []bgp.ASN
+	for _, f := range e.Topology().Feeders {
+		asns = append(asns, f.ASN)
+	}
+	return e.NewVantages(asns)
+}
+
 func TestInferAgainstGroundTruth(t *testing.T) {
 	topo, err := topology.Generate(topology.TestConfig())
 	if err != nil {
@@ -80,7 +89,7 @@ func TestInferAgainstGroundTruth(t *testing.T) {
 
 	// Public view: every feeder's exported best paths.
 	var paths [][]bgp.ASN
-	e.ForEachTree(4, func(tr *propagate.Tree) {
+	e.ForEachTree(feederVantages(e), 4, func(tr *propagate.Tree) {
 		for _, f := range topo.Feeders {
 			r := tr.RouteFrom(f.ASN)
 			if r == nil {
@@ -148,7 +157,7 @@ func TestCliqueRecovery(t *testing.T) {
 	}
 	e := propagate.NewEngine(topo, 0)
 	var paths [][]bgp.ASN
-	e.ForEachTree(4, func(tr *propagate.Tree) {
+	e.ForEachTree(feederVantages(e), 4, func(tr *propagate.Tree) {
 		for _, f := range topo.Feeders {
 			if r := tr.RouteFrom(f.ASN); r != nil {
 				paths = append(paths, r.Path)
