@@ -404,20 +404,22 @@ func BenchmarkTopologyGenerate(b *testing.B) {
 func BenchmarkTopologyGenerateScaled(b *testing.B) {
 	// The 10-100x scaling target's unit of account: the scaled-world
 	// scenario at Scale 10 (33 IXPs, ~16k ASes, ~6.3k IXP members),
-	// sequential versus the per-IXP worker pool. Both produce the
-	// bit-identical world (TestParallelGenerationBitIdentical).
+	// sequential versus the per-IXP worker pool, which is GOMAXPROCS
+	// wide. Both produce the bit-identical world
+	// (TestParallelGenerationBitIdentical).
 	for _, bc := range []struct {
-		name    string
-		workers int
+		name       string
+		gomaxprocs int
 	}{
 		{"sequential", 1},
-		{"parallel", 0},
+		{"parallel", runtime.GOMAXPROCS(0)},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
+			prev := runtime.GOMAXPROCS(bc.gomaxprocs)
+			b.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 			cfg := topology.DefaultConfig()
 			cfg.Scenario = "scaled-world"
 			cfg.Scale = 10
-			cfg.Workers = bc.workers
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				topo, err := topology.Generate(cfg)
@@ -472,7 +474,7 @@ func BenchmarkPassiveInference(b *testing.B) {
 func BenchmarkPropagationTree(b *testing.B) {
 	c := fixture(b)
 	topo := c.World.Topo
-	engine := propagate.NewEngine(topo, 1) // cache size 1: recompute each time
+	engine := propagate.NewEngine(topo, 0)
 	dests := topo.Order
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -512,11 +514,10 @@ func BenchmarkAvailableRoutes(b *testing.B) {
 
 func BenchmarkChurnEpoch(b *testing.B) {
 	// One route-churn epoch over scaled-world@Scale-10 (33 IXPs, ~16k
-	// ASes): mutate the world, then serve a fixed warm destination
-	// sample. "incremental" patches the engine with Engine.Apply and
-	// recomputes only invalidated trees; "full-rebuild" discards the
-	// engine and rebuilds with NewEngine every epoch — the baseline the
-	// incremental path must beat.
+	// ASes): mutate the world, then compute a fixed destination sample.
+	// "incremental" patches the engine with Engine.Apply; "full-rebuild"
+	// discards the engine and rebuilds with NewEngine every epoch — the
+	// baseline the incremental path must beat.
 	cfg := topology.DefaultConfig()
 	cfg.Scenario = "scaled-world"
 	cfg.Scale = 10
@@ -532,13 +533,10 @@ func BenchmarkChurnEpoch(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			eng := propagate.NewEngine(topo, len(topo.Order))
+			eng := propagate.NewEngine(topo, 0)
 			var warm []bgp.ASN
 			for i := 0; i < len(topo.Order); i += 32 {
 				warm = append(warm, topo.Order[i])
-			}
-			for _, d := range warm {
-				eng.Tree(d)
 			}
 			runner := churn.NewRunner(eng, churn.DefaultConfig(20130501))
 			b.ReportAllocs()
@@ -553,7 +551,7 @@ func BenchmarkChurnEpoch(b *testing.B) {
 					if err := delta.ApplyToTopology(topo); err != nil {
 						b.Fatal(err)
 					}
-					eng = propagate.NewEngine(topo, len(topo.Order))
+					eng = propagate.NewEngine(topo, 0)
 				}
 				for _, d := range warm {
 					if eng.Tree(d) == nil {

@@ -30,7 +30,6 @@ func main() {
 	seed := flag.Int64("seed", 20130501, "generation seed")
 	scenario := flag.String("scenario", "baseline", "world scenario (one of: "+
 		strings.Join(topology.ScenarioNames(), ", ")+")")
-	workers := flag.Int("workers", 0, "worker goroutines for per-IXP generation stages (0 = all cores, 1 = sequential; output is identical)")
 	churnMode := flag.Bool("churn", false, "run the route-churn dynamics workload (windowed inference) instead of the paper tables")
 	churnEpochs := flag.Int("churn-epochs", 6, "churn mode: number of mutation epochs / inference windows")
 	churnInterval := flag.Duration("churn-interval", 10*time.Minute, "churn mode: epoch and inference-window duration")
@@ -44,7 +43,6 @@ func main() {
 	cfg.Scale = *scale
 	cfg.Seed = *seed
 	cfg.Scenario = *scenario
-	cfg.Workers = *workers
 
 	if *churnMode {
 		ccfg := churn.DefaultConfig(*seed + 11)

@@ -19,7 +19,6 @@ import (
 	"mlpeering/internal/collector"
 	"mlpeering/internal/irr"
 	"mlpeering/internal/pipeline"
-	"mlpeering/internal/propagate"
 	"mlpeering/internal/topology"
 )
 
@@ -31,7 +30,6 @@ func main() {
 	scale := flag.Float64("scale", 1.0, "world scale (1.0 = paper scale; scaled-world grows IXP count with it)")
 	seed := flag.Int64("seed", 20130501, "generation seed")
 	scenario := flag.String("scenario", "baseline", "world scenario (see -list-scenarios)")
-	workers := flag.Int("workers", 0, "worker goroutines for per-IXP generation stages (0 = all cores, 1 = sequential; output is identical)")
 	list := flag.Bool("list-scenarios", false, "list registered world scenarios and exit")
 	flag.Parse()
 
@@ -46,23 +44,23 @@ func main() {
 	cfg.Scale = *scale
 	cfg.Seed = *seed
 	cfg.Scenario = *scenario
-	cfg.Workers = *workers
 
 	start := time.Now()
-	topo, err := topology.Generate(cfg)
+	w, err := pipeline.BuildWorld(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer w.Close()
+	topo := w.Topo
 	st := topo.Stats()
-	log.Printf("generated %q world: %d ASes (%d tier-1, %d transit, %d stub), %d IXPs, %d prefixes in %v",
+	log.Printf("built %q world: %d ASes (%d tier-1, %d transit, %d stub), %d IXPs, %d prefixes in %v",
 		*scenario, st.ASes, st.Tier1s, st.Transits, st.Stubs, st.IXPs, st.Prefixes, time.Since(start).Round(time.Millisecond))
 
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		log.Fatal(err)
 	}
 
-	engine := propagate.NewEngine(topo, 0)
-	col := collector.New("rrc-synth", engine, nil, 8)
+	col := collector.New("rrc-synth", w.Engine, nil, 8)
 	ribPath := filepath.Join(*out, "rib.mrt")
 	if err := col.WriteRIBFile(ribPath, pipeline.Timestamp); err != nil {
 		log.Fatal(err)
@@ -77,25 +75,18 @@ func main() {
 	log.Printf("wrote %s", updPath)
 
 	irrPath := filepath.Join(*out, "irr.rpsl")
-	reg := irr.Build(topo, cfg.IRRRegistrationFrac, cfg.Seed+1)
 	f, err := os.Create(irrPath)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := irr.WriteObjects(f, reg.Objects()); err != nil {
+	if err := irr.WriteObjects(f, w.IRR.Objects()); err != nil {
 		log.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("wrote %s (%d objects)", irrPath, reg.Len())
+	log.Printf("wrote %s (%d objects)", irrPath, w.IRR.Len())
 
-	// PeeringDB snapshot via the pipeline's builder.
-	w, err := pipeline.BuildWorld(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer w.Close()
 	pdbPath := filepath.Join(*out, "peeringdb.json")
 	if err := w.PDB.SaveFile(pdbPath); err != nil {
 		log.Fatal(err)

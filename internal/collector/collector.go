@@ -33,7 +33,7 @@ type Collector struct {
 	strips  []bool // per feeder: feeder's own export strips communities
 	workers int
 	// sweep holds every feeder: the vantages of each sweep whose trees
-	// reach a RIBWriter or an UpdateStream.
+	// reach a RIBWriter, an UpdateStream or WriteUpdates.
 	sweep *propagate.Vantages
 }
 
@@ -289,9 +289,7 @@ func (c *Collector) WriteUpdates(w io.Writer, ts time.Time, opts UpdateOptions) 
 	for i := 0; i < opts.Churn; i++ {
 		f := c.feeders[rng.Intn(len(c.feeders))]
 		d := dests[rng.Intn(len(dests))]
-		tr := c.engine.Tree(d)
-		arena.Reset()
-		route := tr.RouteFromArena(f.ASN, &arena)
+		route := c.routeFrom(f.ASN, d, &arena)
 		if route == nil || !exports(f, route.Class) {
 			continue
 		}
@@ -311,9 +309,7 @@ func (c *Collector) WriteUpdates(w io.Writer, ts time.Time, opts UpdateOptions) 
 		for i := 0; i < n; i++ {
 			f := c.feeders[rng.Intn(len(c.feeders))]
 			d := dests[rng.Intn(len(dests))]
-			tr := c.engine.Tree(d)
-			arena.Reset()
-			route := tr.RouteFromArena(f.ASN, &arena)
+			route := c.routeFrom(f.ASN, d, &arena)
 			if route == nil {
 				continue
 			}
@@ -359,6 +355,19 @@ func (c *Collector) WriteUpdates(w io.Writer, ts time.Time, opts UpdateOptions) 
 		return err
 	}
 	return mw.Flush()
+}
+
+// routeFrom returns feeder's best route toward dest, or nil, from a
+// one-tree sweep over the collector's feeders. The route is
+// reconstructed into arena, rewound first, so it outlives the swept
+// tree but not the arena's next Reset.
+func (c *Collector) routeFrom(feeder, dest bgp.ASN, arena *propagate.RouteArena) *propagate.VantageRoute {
+	var route *propagate.VantageRoute
+	arena.Reset()
+	c.engine.ForEachTreeOf(c.sweep, 1, []bgp.ASN{dest}, func(tr *propagate.Tree) {
+		route = tr.RouteFromArena(feeder, arena)
+	})
+	return route
 }
 
 // WriteRIBFile writes the RIB dump to path.

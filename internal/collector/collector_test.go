@@ -2,6 +2,8 @@ package collector
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 	"time"
 
@@ -305,5 +307,23 @@ func TestBuildRSRIBs(t *testing.T) {
 	// Multi-member prefixes must exist (Fig. 5's 48.4%).
 	if multi == 0 {
 		t.Fatalf("no multi-advertiser prefixes across %d prefixes", total)
+	}
+}
+
+// TestWriteUpdatesGolden pins the update trace's bytes at test scale:
+// each drawn route comes from a one-tree sweep over the feeders, and it
+// must be the route a full tree gives.
+func TestWriteUpdatesGolden(t *testing.T) {
+	c := New("rrc-test", testEngine(t), nil, 2)
+	ts := time.Date(2013, 5, 1, 1, 0, 0, 0, time.UTC)
+	opts := UpdateOptions{Churn: 200, TransientPaths: 12, PoisonedPaths: 8, BogonPaths: 6, Seed: 20130503}
+	var buf bytes.Buffer
+	if err := c.WriteUpdates(&buf, ts, opts); err != nil {
+		t.Fatal(err)
+	}
+	const want = "e9b370c434f1d413bb6818fbc1ba9ab5e73ea1753ad795d5c6bcc806b0207feb"
+	sum := sha256.Sum256(buf.Bytes())
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Errorf("WriteUpdates (%d bytes) sha256 %s, want %s", buf.Len(), got, want)
 	}
 }

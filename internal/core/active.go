@@ -41,8 +41,6 @@ type ActiveConfig struct {
 	// SortByMultiplicity enables the §4.3 optimization of querying
 	// prefixes advertised by many members first.
 	SortByMultiplicity bool
-	// Parallel runs per-IXP surveys concurrently.
-	Parallel bool
 }
 
 // DefaultActiveConfig returns the paper's settings.
@@ -52,7 +50,6 @@ func DefaultActiveConfig() ActiveConfig {
 		MaxPrefixesPerMember: 100,
 		SkipPassiveCovered:   true,
 		SortByMultiplicity:   true,
-		Parallel:             true,
 	}
 }
 
@@ -79,7 +76,8 @@ func (r *ActiveResult) TotalQueries() int {
 
 // RunActive surveys every IXP's looking glasses per §4.1/§4.3.
 // prefixHints maps origin ASes to prefixes they are known to originate
-// (from passive data); it steers third-party member LG queries.
+// (from passive data); it steers third-party member LG queries. Each
+// IXP's survey runs on its own goroutine.
 //
 // The first survey error cancels the in-flight sibling surveys and is
 // returned once they drain; whatever observations each survey collected
@@ -142,11 +140,7 @@ func RunActive(ctx context.Context, dict *Dictionary, lgs map[string]IXPLGs,
 			continue
 		}
 		wg.Add(1)
-		if cfg.Parallel {
-			go run(entry, endpoints)
-		} else {
-			run(entry, endpoints)
-		}
+		go run(entry, endpoints)
 	}
 	wg.Wait()
 	return res, firstErr

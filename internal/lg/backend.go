@@ -141,6 +141,7 @@ func (b *RSBackend) Lookup(prefix bgp.Prefix) ([]PathInfo, error) {
 type ASBackend struct {
 	engine   *propagate.Engine
 	asn      bgp.ASN
+	sweep    *propagate.Vantages // the AS itself: all a Lookup reads
 	owners   map[bgp.Prefix]bgp.ASN
 	allPaths bool
 	routerID netip.Addr
@@ -158,7 +159,14 @@ type ASBackend struct {
 func NewASBackend(engine *propagate.Engine, asn bgp.ASN, owners map[bgp.Prefix]bgp.ASN, allPaths bool) *ASBackend {
 	// Router ID derived from the ASN for determinism.
 	id := netip.AddrFrom4([4]byte{10, byte(asn >> 16), byte(asn >> 8), byte(asn)})
-	return &ASBackend{engine: engine, asn: asn, owners: owners, allPaths: allPaths, routerID: id}
+	return &ASBackend{
+		engine:   engine,
+		asn:      asn,
+		sweep:    engine.NewVantages([]bgp.ASN{asn}),
+		owners:   owners,
+		allPaths: allPaths,
+		routerID: id,
+	}
 }
 
 // RouterID implements Backend.
@@ -180,19 +188,26 @@ func (b *ASBackend) NeighborRoutes(addr netip.Addr) ([]bgp.Prefix, error) {
 	return nil, fmt.Errorf("lg: %% Command not supported on this looking glass")
 }
 
-// Lookup implements Backend. The returned PathInfos alias the backend's
-// route arena and are valid until the next Lookup on this backend.
+// Lookup implements Backend. It sweeps the prefix owner's tree over
+// the LG's own AS. The returned PathInfos alias the backend's route
+// arena and are valid until the next Lookup on this backend.
 func (b *ASBackend) Lookup(prefix bgp.Prefix) ([]PathInfo, error) {
 	owner, ok := b.owners[prefix]
 	if !ok {
 		return nil, nil
 	}
-	tr := b.engine.Tree(owner)
-	if tr == nil {
-		return nil, nil
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
+	var out []PathInfo
+	b.engine.ForEachTreeOf(b.sweep, 1, []bgp.ASN{owner}, func(tr *propagate.Tree) {
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		out = b.pathsLocked(tr)
+	})
+	return out, nil
+}
+
+// pathsLocked renders the LG's routes in tr into the backend's arena.
+// Caller holds b.mu.
+func (b *ASBackend) pathsLocked(tr *propagate.Tree) []PathInfo {
 	b.arena.Reset()
 	topo := b.engine.Topology()
 	var routes []*propagate.VantageRoute
@@ -227,5 +242,5 @@ func (b *ASBackend) Lookup(prefix bgp.Prefix) ([]PathInfo, error) {
 			Best:        i == 0,
 		})
 	}
-	return out, nil
+	return out
 }

@@ -3,8 +3,11 @@ package lg
 import (
 	"context"
 	"fmt"
+	"maps"
 	"net/http/httptest"
 	"net/netip"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -355,5 +358,70 @@ func TestConcurrentLookupsOneBackend(t *testing.T) {
 		if err := <-errs; err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestASBackendMatchesFullTree pins the one-tree sweep behind
+// ASBackend.Lookup to the complete tree: for every AS looking glass of
+// the test world, in both display modes, and a sample of prefixes, the
+// answer equals the one rendered from Engine.Tree.
+func TestASBackendMatchesFullTree(t *testing.T) {
+	topo, e, _ := testWorld(t)
+	owners := topo.PrefixOwners()
+	prefixes := make([]bgp.Prefix, 0, len(owners))
+	for p := range owners {
+		prefixes = append(prefixes, p)
+	}
+	slices.SortFunc(prefixes, bgp.ComparePrefixes)
+	var sample []bgp.Prefix
+	for i := 0; i < len(prefixes); i += 9 {
+		sample = append(sample, prefixes[i])
+	}
+	hosts := slices.Clone(topo.ValidationLGs)
+	for _, name := range slices.Sorted(maps.Keys(topo.MemberLGs)) {
+		hosts = append(hosts, topo.MemberLGs[name]...)
+	}
+	render := func(ps []PathInfo) string {
+		var sb strings.Builder
+		for _, p := range ps {
+			fmt.Fprintf(&sb, "%v nh=%v comms=%v best=%v\n", p.Path, p.NextHop, p.Communities, p.Best)
+		}
+		return sb.String()
+	}
+	checked := 0
+	for _, h := range hosts {
+		for _, allPaths := range []bool{false, true} {
+			b := NewASBackend(e, h.ASN, owners, allPaths)
+			for _, p := range sample {
+				got, err := b.Lookup(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tr := e.Tree(owners[p])
+				var routes []*propagate.VantageRoute
+				if allPaths {
+					routes = tr.AvailableRoutesFrom(h.ASN)
+				} else if r := tr.RouteFrom(h.ASN); r != nil {
+					routes = append(routes, r)
+				}
+				want := make([]PathInfo, 0, len(routes))
+				for i, r := range routes {
+					nh := b.RouterID()
+					if info := topo.IXPByName(r.ViaIXP); info != nil {
+						if a, ok := info.MemberAddr(r.RSSetter); ok {
+							nh = a
+						}
+					}
+					want = append(want, PathInfo{Path: r.Path[1:], NextHop: nh, Communities: r.Communities, Best: i == 0})
+				}
+				if g, w := render(got), render(want); g != w {
+					t.Fatalf("AS%s allPaths=%v %s:\n got %s\nwant %s", h.ASN, allPaths, p, g, w)
+				}
+				checked += len(want)
+			}
+		}
+	}
+	if len(hosts) == 0 || checked == 0 {
+		t.Fatalf("vacuous: %d hosts, %d paths checked", len(hosts), checked)
 	}
 }

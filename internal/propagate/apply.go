@@ -2,9 +2,9 @@
 // route-churn events (bilateral session flaps, route-server membership
 // and filter churn, prefix-origin moves) and Engine.Apply patches the
 // engine in place — rebuilding only the peer adjacency and the mutated
-// IXPs' route-server state, and invalidating only the cached trees whose
-// destination is reachable through a mutated edge or IXP — instead of
-// discarding everything with a fresh NewEngine per epoch.
+// IXPs' route-server state, and reporting only the destinations whose
+// trees a mutated edge or IXP can reach — instead of discarding
+// everything with a fresh NewEngine per epoch.
 //
 // The dirty-set rule exploits the Gao-Rexford structure of the trees:
 // a bilateral or route-server edge at node u carries routes toward a
@@ -137,13 +137,12 @@ func (d *Delta) ApplyToTopology(topo *topology.Topology) error {
 }
 
 // Apply lands d on the engine's topology and patches the engine
-// incrementally: the peer CSR is rebuilt only when sessions flapped,
-// route-server state only for the IXPs the delta touched, and cached
-// trees are invalidated only when their destination lies in the dirty
-// set. The returned slice lists every destination whose announced routes
-// may have changed (ascending ASN): the exact set a collector diff needs
-// to re-examine. Trees for destinations outside it — cached or
-// recomputed — are byte-identical to a freshly built engine's.
+// incrementally: the peer CSR is rebuilt only when sessions flapped and
+// route-server state only for the IXPs the delta touched. The returned
+// slice lists every destination whose announced routes may have changed
+// (ascending ASN): the exact set a collector diff (UpdateStream) needs
+// to re-examine. Trees for destinations outside it are byte-identical
+// before and after.
 //
 // Apply requires exclusive access: no Tree/ForEachTree call may run
 // concurrently, and Trees obtained before Apply for dirty destinations
@@ -226,8 +225,8 @@ func (e *Engine) Apply(d *Delta) ([]bgp.ASN, error) {
 
 	if err := d.ApplyToTopology(e.topo); err != nil {
 		// The delta may have landed partially; rebuild every derived
-		// structure and drop the whole cache so the engine stays
-		// consistent with whatever the topology now holds.
+		// structure so the engine stays consistent with whatever the
+		// topology now holds.
 		e.rebuildAll()
 		e.change = changeSet{unknown: true}
 		return nil, err
@@ -240,9 +239,7 @@ func (e *Engine) Apply(d *Delta) ([]bgp.ASN, error) {
 		e.peers = e.buildCSR(func(as *topology.AS) ([]bgp.ASN, []bgp.ASN) { return as.Peers, nil })
 	}
 	for xi := range touchedIXP {
-		st := e.buildIXPState(e.ixps[xi].info)
-		e.totalMembers += len(st.members) - len(e.ixps[xi].members)
-		e.ixps[xi] = st
+		e.ixps[xi] = e.buildIXPState(e.ixps[xi].info)
 	}
 
 	// Import-side seeds, tightened by the allowed-pair bitsets: member
@@ -322,18 +319,6 @@ func (e *Engine) Apply(d *Delta) ([]bgp.ASN, error) {
 	}
 	e.change = changeSet{pairs: pairs, point: point}
 
-	// Invalidate dirty cached trees and collect the dirty ASN list.
-	for si := range e.shards {
-		sh := &e.shards[si]
-		sh.mu.Lock()
-		for key, ent := range sh.entries {
-			if dirty[ent.tr.destIdx] {
-				sh.removeLocked(ent)
-				delete(sh.entries, key)
-			}
-		}
-		sh.mu.Unlock()
-	}
 	out := make([]bgp.ASN, 0, 64)
 	for i := 0; i < n; i++ {
 		if dirty[i] {
@@ -344,41 +329,16 @@ func (e *Engine) Apply(d *Delta) ([]bgp.ASN, error) {
 	return out, nil
 }
 
-// rebuildAll re-derives every topology-dependent structure and empties
-// the tree cache: the recovery path when a delta failed mid-application
-// and the precise extent of the mutation is unknown.
+// rebuildAll re-derives every topology-dependent structure: the
+// recovery path when a delta failed mid-application and the precise
+// extent of the mutation is unknown.
 func (e *Engine) rebuildAll() {
 	e.peers = e.buildCSR(func(as *topology.AS) ([]bgp.ASN, []bgp.ASN) { return as.Peers, nil })
 	e.up = e.buildCSR(func(as *topology.AS) ([]bgp.ASN, []bgp.ASN) { return as.Providers, as.Siblings })
 	e.down = e.buildCSR(func(as *topology.AS) ([]bgp.ASN, []bgp.ASN) { return as.Customers, as.Siblings })
-	e.totalMembers = 0
 	for xi := range e.ixps {
 		e.ixps[xi] = e.buildIXPState(e.ixps[xi].info)
-		e.totalMembers += len(e.ixps[xi].members)
 	}
-	for si := range e.shards {
-		sh := &e.shards[si]
-		sh.mu.Lock()
-		sh.entries = make(map[bgp.ASN]*lruEntry)
-		sh.head, sh.tail = nil, nil
-		sh.mu.Unlock()
-	}
-}
-
-// removeLocked unlinks ent from the shard's LRU list. Caller holds
-// sh.mu and deletes the map entry itself.
-func (sh *cacheShard) removeLocked(ent *lruEntry) {
-	if ent.prev != nil {
-		ent.prev.next = ent.next
-	} else {
-		sh.head = ent.next
-	}
-	if ent.next != nil {
-		ent.next.prev = ent.prev
-	} else {
-		sh.tail = ent.prev
-	}
-	ent.prev, ent.next = nil, nil
 }
 
 // AppendState appends a canonical byte encoding of the tree — the

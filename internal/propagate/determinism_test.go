@@ -1,6 +1,7 @@
 package propagate
 
 import (
+	"bytes"
 	"sort"
 	"sync"
 	"testing"
@@ -292,7 +293,7 @@ func TestComputeMatchesReference(t *testing.T) {
 				want[dest] = snapshot{dest: dest, hops: hops, exporters: exps}
 			}
 
-			// Via Tree (cached path).
+			// Via Tree (the full, uncached tree).
 			for _, dest := range topo.Order {
 				diffSnapshots(t, "Tree", want[dest], snapshotTree(e.Tree(dest)))
 			}
@@ -330,25 +331,26 @@ func TestComputeMatchesReferenceSmallWorld(t *testing.T) {
 	}
 }
 
-// TestTreeSingleflight checks that concurrent Tree calls for one
-// destination share a single computation and result.
-func TestTreeSingleflight(t *testing.T) {
+// TestTreeConcurrent checks that concurrent uncached Tree calls for one
+// destination, which share the engine's scratch pool, each compute the
+// same tree (run it under -race).
+func TestTreeConcurrent(t *testing.T) {
 	topo := buildWorld()
 	e := NewEngine(topo, 0)
 	const goroutines = 16
-	trees := make([]*Tree, goroutines)
+	states := make([][]byte, goroutines)
 	var wg sync.WaitGroup
 	wg.Add(goroutines)
 	for g := 0; g < goroutines; g++ {
 		go func(g int) {
 			defer wg.Done()
-			trees[g] = e.Tree(1001)
+			states[g] = e.Tree(1001).AppendState(nil)
 		}(g)
 	}
 	wg.Wait()
 	for g := 1; g < goroutines; g++ {
-		if trees[g] != trees[0] {
-			t.Fatalf("goroutine %d got a different tree pointer", g)
+		if !bytes.Equal(states[g], states[0]) {
+			t.Fatalf("goroutine %d computed a different tree", g)
 		}
 	}
 }

@@ -14,6 +14,12 @@
 // server filter pairs are precomputed into bitsets, and per-destination
 // working memory comes from reusable scratch arenas, so computing one
 // tree performs no sorting and near-zero allocation.
+//
+// Trees are swept, not kept: every reader walks the destinations it
+// needs through ForEachTree or ForEachTreeOf, over the vantages whose
+// routes it reads, and a sweep computes only what those vantages can
+// see. Engine.Tree computes one complete, uncached tree: the reference
+// the sweeps are tested against.
 package propagate
 
 import (
@@ -163,8 +169,8 @@ const (
 	noRouteScore = uint64(0xFFFF) << scoreDistShift
 )
 
-// Engine computes and caches routing trees for a fixed topology.
-// It is safe for concurrent use.
+// Engine computes routing trees for a fixed topology and keeps none of
+// them (see the package doc). It is safe for concurrent use.
 type Engine struct {
 	topo *topology.Topology
 
@@ -177,12 +183,8 @@ type Engine struct {
 	strips  []bool
 	prefBil []bool
 
-	ixps         []*ixpState
-	ixpsByName   map[string]int16
-	totalMembers int // sum of RS member counts, sizes exporter arrays
-
-	shards    []cacheShard
-	shardMask uint32
+	ixps       []*ixpState
+	ixpsByName map[string]int16
 
 	scratchPool sync.Pool
 	treePool    sync.Pool
@@ -190,50 +192,11 @@ type Engine struct {
 	// change is what the most recent Apply mutated, for Vantages.Visible.
 	// Written only by Apply, which holds exclusive access by contract.
 	change changeSet
-
-	// Grow-only slabs for cached-tree planes: cached trees are never
-	// pooled, so carving their hop/exporter-offset storage from shared
-	// blocks is safe and removes two allocations per tree. Fully
-	// consumed blocks are referenced only by the trees carved from
-	// them, so dropping the trees still releases the memory.
-	slabMu sync.Mutex
-	//mlplint:guardedby slabMu
-	hopSlab []hop
-	//mlplint:guardedby slabMu
-	expOffSlab []int32
 }
 
-// cacheShard is one stripe of the tree cache: an LRU keyed by
-// destination plus a singleflight table so concurrent Tree calls for the
-// same destination compute it once.
-type cacheShard struct {
-	mu       sync.Mutex
-	capacity int
-	//mlplint:guardedby mu
-	entries map[bgp.ASN]*lruEntry
-	head    *lruEntry // most recently used; guarded by mu
-	tail    *lruEntry // least recently used; guarded by mu
-	//mlplint:guardedby mu
-	inflight map[bgp.ASN]*inflightTree
-}
-
-type lruEntry struct {
-	key        bgp.ASN
-	tr         *Tree
-	prev, next *lruEntry
-}
-
-type inflightTree struct {
-	wg sync.WaitGroup
-	tr *Tree
-}
-
-// NewEngine builds an engine over topo. cacheCap bounds the number of
-// routing trees kept in memory (0 means a generous default).
-func NewEngine(topo *topology.Topology, cacheCap int) *Engine {
-	if cacheCap <= 0 {
-		cacheCap = 4096
-	}
+// NewEngine builds an engine over topo. The second argument is
+// ignored: the engine caches no trees.
+func NewEngine(topo *topology.Topology, _ int) *Engine {
 	n := len(topo.Order)
 	e := &Engine{
 		topo:       topo,
@@ -269,31 +232,12 @@ func NewEngine(topo *topology.Topology, cacheCap int) *Engine {
 		st := e.buildIXPState(info)
 		e.ixpsByName[info.Name] = int16(len(e.ixps))
 		e.ixps = append(e.ixps, st)
-		e.totalMembers += len(st.members)
-	}
-
-	// Shard the cache only when it is big enough for striping to matter;
-	// small caps keep strict single-shard LRU semantics.
-	shardCount := 1
-	if cacheCap >= 256 {
-		shardCount = 8
-	}
-	perShard := (cacheCap + shardCount - 1) / shardCount
-	e.shards = make([]cacheShard, shardCount)
-	e.shardMask = uint32(shardCount - 1)
-	for i := range e.shards {
-		e.shards[i].capacity = perShard
-		e.shards[i].entries = make(map[bgp.ASN]*lruEntry)
-		e.shards[i].inflight = make(map[bgp.ASN]*inflightTree)
 	}
 
 	e.scratchPool.New = func() any {
 		return &scratch{inNext: make([]bool, n), scores: make([]uint64, n)}
 	}
-	// Pool trees are transient (recycled per ForEachTree window), so
-	// they use plain allocation; the grow-only slabs are reserved for
-	// cached trees, which live until invalidated.
-	e.treePool.New = func() any { return e.newTreePlain() }
+	e.treePool.New = func() any { return e.newTree() }
 	return e
 }
 
@@ -386,9 +330,8 @@ func (e *Engine) buildIXPState(info *ixp.Info) *ixpState {
 	return st
 }
 
-// newTreePlain allocates a tree with its own backing arrays, for the
-// recycled ForEachTree pool.
-func (e *Engine) newTreePlain() *Tree {
+// newTree allocates a tree with its own backing arrays.
+func (e *Engine) newTree() *Tree {
 	return &Tree{
 		e:      e,
 		hops:   make([]hop, len(e.asns)),
@@ -396,156 +339,33 @@ func (e *Engine) newTreePlain() *Tree {
 	}
 }
 
-// newTree allocates a tree for this topology, carving the hop and
-// exporter-offset planes from the engine's grow-only slabs: cached
-// trees live until evicted and are never pooled, so slab storage is
-// safe, and one block allocation serves many trees.
-func (e *Engine) newTree() *Tree {
-	n := len(e.asns)
-	nx := len(e.ixps) + 1
-	e.slabMu.Lock()
-	if len(e.hopSlab) < n {
-		block := 16 * n
-		if block < 1<<14 {
-			block = 1 << 14
-		}
-		e.hopSlab = make([]hop, block)
-	}
-	hops := e.hopSlab[:n:n]
-	e.hopSlab = e.hopSlab[n:]
-	if len(e.expOffSlab) < nx {
-		block := 64 * nx
-		if block < 1<<12 {
-			block = 1 << 12
-		}
-		e.expOffSlab = make([]int32, block)
-	}
-	expOff := e.expOffSlab[:nx:nx]
-	e.expOffSlab = e.expOffSlab[nx:]
-	e.slabMu.Unlock()
-	return &Tree{e: e, hops: hops, expOff: expOff}
-}
-
 // Topology returns the engine's world.
 func (e *Engine) Topology() *topology.Topology { return e.topo }
 
-func (e *Engine) shard(dest bgp.ASN) *cacheShard {
-	h := uint32(dest) * 0x9E3779B1 // Fibonacci hashing spreads dense ASN ranges
-	return &e.shards[(h>>16)&e.shardMask]
-}
-
-// lookupLocked returns the cached tree for key and marks it most
-// recently used. Caller holds sh.mu.
-func (sh *cacheShard) lookupLocked(key bgp.ASN) *Tree {
-	ent, ok := sh.entries[key]
-	if !ok {
-		return nil
-	}
-	sh.moveToFrontLocked(ent)
-	return ent.tr
-}
-
-func (sh *cacheShard) moveToFrontLocked(ent *lruEntry) {
-	if sh.head == ent {
-		return
-	}
-	// Unlink.
-	if ent.prev != nil {
-		ent.prev.next = ent.next
-	}
-	if ent.next != nil {
-		ent.next.prev = ent.prev
-	}
-	if sh.tail == ent {
-		sh.tail = ent.prev
-	}
-	// Push front.
-	ent.prev = nil
-	ent.next = sh.head
-	if sh.head != nil {
-		sh.head.prev = ent
-	}
-	sh.head = ent
-	if sh.tail == nil {
-		sh.tail = ent
-	}
-}
-
-// insertLocked adds a computed tree, evicting the least recently used
-// entry when the shard is full. Caller holds sh.mu.
-func (sh *cacheShard) insertLocked(key bgp.ASN, tr *Tree) {
-	if ent, ok := sh.entries[key]; ok {
-		ent.tr = tr
-		sh.moveToFrontLocked(ent)
-		return
-	}
-	if len(sh.entries) >= sh.capacity && sh.tail != nil {
-		ev := sh.tail
-		delete(sh.entries, ev.key)
-		sh.tail = ev.prev
-		if sh.tail != nil {
-			sh.tail.next = nil
-		} else {
-			sh.head = nil
-		}
-	}
-	ent := &lruEntry{key: key, tr: tr}
-	sh.entries[key] = ent
-	ent.next = sh.head
-	if sh.head != nil {
-		sh.head.prev = ent
-	}
-	sh.head = ent
-	if sh.tail == nil {
-		sh.tail = ent
-	}
-}
-
-// Tree returns the routing tree toward dest, computing and caching it
-// on first use. Concurrent callers asking for the same destination
-// share one computation. It returns nil for an unknown destination.
+// Tree computes the complete routing tree toward dest, or returns nil
+// for an unknown destination. Nothing is cached: every call computes a
+// fresh tree, which the caller owns. It is the full-tree reference the
+// sweeps are tested against; a reader that needs only some vantages'
+// routes sweeps them instead (ForEachTreeOf).
 func (e *Engine) Tree(dest bgp.ASN) *Tree {
 	di, ok := e.idx[dest]
 	if !ok {
 		return nil
 	}
-	sh := e.shard(dest)
-	sh.mu.Lock()
-	if tr := sh.lookupLocked(dest); tr != nil {
-		sh.mu.Unlock()
-		return tr
-	}
-	if c, ok := sh.inflight[dest]; ok {
-		sh.mu.Unlock()
-		c.wg.Wait()
-		return c.tr
-	}
-	c := &inflightTree{}
-	c.wg.Add(1)
-	sh.inflight[dest] = c
-	sh.mu.Unlock()
-
-	t := e.newTree() // cached trees live arbitrarily long: never pooled
+	t := e.newTree()
 	s := e.scratchPool.Get().(*scratch)
 	e.compute(di, t, s, &e.down, nil)
 	e.scratchPool.Put(s)
-
-	c.tr = t
-	sh.mu.Lock()
-	delete(sh.inflight, dest)
-	sh.insertLocked(dest, t)
-	sh.mu.Unlock()
-	c.wg.Done()
 	return t
 }
 
 // ForEachTree computes the tree of every destination in ascending ASN
 // order using workers goroutines, invoking fn sequentially (fn needs no
 // locking). workers follows par.Workers: 0 means GOMAXPROCS, anything
-// below one is sequential; what fn sees does not depend on it. Trees
-// are not cached, and the *Tree passed to fn is only valid for the
-// duration of the call: its buffers are recycled for later
-// destinations, so fn must copy out anything it wants to keep. A caller
+// below one is sequential; what fn sees does not depend on it. The
+// *Tree passed to fn is only valid for the duration of the call: its
+// buffers are recycled for later destinations, so fn must copy out
+// anything it wants to keep. A caller
 // with several per-tree consumers feeds them all from one fn (see
 // pipeline.BuildWorld): the sweep is the cost, not the consuming.
 //
@@ -619,7 +439,6 @@ func (e *Engine) ForEachTreeOf(v *Vantages, workers int, dests []bgp.ASN, fn fun
 func (e *Engine) compute(di int32, t *Tree, s *scratch, down *csr, above []bool) {
 	n := len(e.asns)
 	t.dest = e.asns[di]
-	t.destIdx = di
 	t.above = above
 	if cap(t.hops) < n {
 		//mlplint:allocfree grow-only: fires once when the topology outgrew the tree

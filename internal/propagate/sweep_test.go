@@ -34,7 +34,7 @@ func eachScenario(t *testing.T, f func(t *testing.T, topo *topology.Topology)) {
 // outside it.
 func TestUpDownTranspose(t *testing.T) {
 	eachScenario(t, func(t *testing.T, topo *topology.Topology) {
-		e := NewEngine(topo, 1)
+		e := NewEngine(topo, 0)
 		n := int32(len(e.asns))
 		rows := make([][]int32, n)
 		for u := range n {
@@ -77,7 +77,7 @@ func panicsNotComputed(t *testing.T, f func()) (panicked bool) {
 // AvailableRoutesFrom outside the closure.
 func TestSweepMatchesFullTree(t *testing.T) {
 	eachScenario(t, func(t *testing.T, topo *topology.Topology) {
-		full := NewEngine(topo, 1)
+		full := NewEngine(topo, 0)
 		e := NewEngine(topo, 0)
 		var asns []bgp.ASN
 		for _, f := range topo.Feeders {

@@ -9,18 +9,17 @@ import (
 
 // Tree is the routing tree toward one destination AS.
 //
-// Trees returned by Engine.Tree are immutable, complete and safe for
-// concurrent use. Trees passed to Engine.ForEachTree are recycled after
-// the callback returns and carry only what the sweep's vantages can
-// see; see that method's contract. Either way a tree is only ever
-// (re)filled inside Engine.compute, the annotated builder.
+// Trees returned by Engine.Tree are complete, owned by the caller and
+// safe for concurrent reads. Trees passed to Engine.ForEachTree are
+// recycled after the callback returns and carry only what the sweep's
+// vantages can see; see that method's contract. Either way a tree is
+// only ever (re)filled inside Engine.compute, the annotated builder.
 //
 //mlplint:frozen
 type Tree struct {
-	e       *Engine
-	dest    bgp.ASN
-	destIdx int32
-	hops    []hop
+	e    *Engine
+	dest bgp.ASN
+	hops []hop
 	// Exporters per IXP, flattened: expFlat[expOff[xi]:expOff[xi+1]]
 	// lists the RS members (by AS index, ascending) exporting a
 	// customer/origin route toward dest at IXP xi.

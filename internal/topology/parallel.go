@@ -2,11 +2,9 @@ package topology
 
 import (
 	"math/rand"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"mlpeering/internal/ixp"
+	"mlpeering/internal/par"
 )
 
 // This file is the parallel per-IXP stage runner. Per-IXP generation
@@ -24,51 +22,16 @@ import (
 // computes run on one goroutine or many — pinned by the scenario
 // fingerprint tests.
 
-// workerCount resolves Config.Workers: 0 means GOMAXPROCS, anything
-// below one clamps to sequential.
-func (b *Builder) workerCount() int {
-	w := b.Cfg.Workers
-	if w == 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// fanOut runs n per-IXP computes on the worker pool and applies their
-// commits in index order. name(i) keys the (stage, IXP) random stream,
-// so a stage's draws for one IXP do not depend on how many other IXPs
-// exist or which worker picked the task up.
+// fanOut runs n per-IXP computes on the shared worker pool
+// (GOMAXPROCS wide) and applies their commits in index order. name(i)
+// keys the (stage, IXP) random stream, so a stage's draws for one IXP
+// do not depend on how many other IXPs exist or which worker picked the
+// task up.
 func (b *Builder) fanOut(stage string, n int, name func(int) string, compute func(rng *rand.Rand, i int) func()) {
 	commits := make([]func(), n)
-	workers := b.workerCount()
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			commits[i] = compute(b.StageIXPRNG(stage, name(i)), i)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= n {
-						return
-					}
-					commits[i] = compute(b.StageIXPRNG(stage, name(i)), i)
-				}
-			}()
-		}
-		wg.Wait()
-	}
+	par.Run(par.Workers(0), n, func(i int) {
+		commits[i] = compute(b.StageIXPRNG(stage, name(i)), i)
+	})
 	for _, c := range commits {
 		if c != nil {
 			c()

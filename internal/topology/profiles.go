@@ -174,11 +174,6 @@ type Config struct {
 	// accurate aut-num/as-set in the IRR (drives LINX-style discovery
 	// and §4.4 reciprocity validation).
 	IRRRegistrationFrac float64
-
-	// Workers bounds the goroutines running per-IXP generation stages:
-	// 0 uses GOMAXPROCS, 1 forces sequential execution. The generated
-	// world is bit-identical for every value.
-	Workers int
 }
 
 // DefaultConfig is full paper scale.

@@ -3,6 +3,7 @@ package topology
 import (
 	"fmt"
 	"hash/fnv"
+	"runtime"
 	"testing"
 )
 
@@ -183,13 +184,16 @@ func TestScenarioDeterminism(t *testing.T) {
 // contract: for every scenario, the world built on a worker pool is
 // bit-identical to sequential execution — and both match the pinned
 // fingerprint, so parallelism can never silently re-seed the world.
+// The pool is GOMAXPROCS wide, so the test varies GOMAXPROCS.
 func TestParallelGenerationBitIdentical(t *testing.T) {
+	prev := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 	for _, c := range testScaleGoldens {
 		t.Run(c.scenario, func(t *testing.T) {
 			for _, workers := range []int{1, 3, 8} {
+				runtime.GOMAXPROCS(workers)
 				cfg := TestConfig()
 				cfg.Scenario = c.scenario
-				cfg.Workers = workers
 				topo, err := Generate(cfg)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
