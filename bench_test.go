@@ -845,9 +845,6 @@ func BenchmarkFullPipelinePaper(b *testing.B) {
 			b.Fatal(err)
 		}
 		build += time.Since(t0)
-		if err := w.StartLGs(); err != nil {
-			b.Fatal(err)
-		}
 		dict, err := w.Dictionary()
 		if err != nil {
 			b.Fatal(err)

@@ -1,6 +1,10 @@
-// Active survey: drive the §4.1 looking-glass algorithm against real
-// HTTP looking glasses (served from the generated world) with the §4.3
-// cost optimizations, and account every query like equations (1)/(2).
+// Active survey: drive the §4.1 looking-glass algorithm against the
+// generated world's HTTP looking glasses with the §4.3 cost
+// optimizations, and account every query like equations (1)/(2). The
+// survey's clients reach the LG server through an in-process transport;
+// the example also serves the same looking glasses on a loopback
+// listener and asks one of them over the socket, as a browser or curl
+// would.
 package main
 
 import (
@@ -11,6 +15,7 @@ import (
 
 	"mlpeering/internal/bgp"
 	"mlpeering/internal/core"
+	"mlpeering/internal/lg"
 	"mlpeering/internal/pipeline"
 	"mlpeering/internal/topology"
 )
@@ -27,6 +32,12 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("looking glasses served at %s\n", world.BaseURL())
+	overSocket := &lg.Client{BaseURL: world.BaseURL() + "/rs/DE-CIX"}
+	peers, err := overSocket.Summary(context.Background())
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("%s/rs/DE-CIX lists %d route-server peers\n", world.BaseURL(), len(peers))
 
 	dict, err := world.Dictionary()
 	if err != nil {

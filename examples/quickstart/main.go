@@ -1,6 +1,7 @@
 // Quickstart: generate a small synthetic Internet with 13 IXPs, run the
 // full multilateral-peering inference pipeline (passive MRT mining plus
-// the active looking-glass survey over HTTP), and print what it found.
+// the active looking-glass survey, HTTP requests served in process
+// without a socket), and print what it found.
 package main
 
 import (

@@ -268,3 +268,29 @@ func diffWireAttrs(t *testing.T, as4 bool, got, want *PathAttrs) {
 		}
 	}
 }
+
+// FuzzParseCommunities: a community list from looking-glass text parses
+// or errors without a panic, and what parses reads back the same after
+// Communities.String, the form the LG server prints. The seed corpus in
+// testdata/fuzz/FuzzParseCommunities holds the forms the parser must
+// accept (well-known names in any case, "local-as", leading zeros, the
+// numeric spelling of a well-known value, tab and newline separators)
+// and halves it must reject (signs, overflow, a missing colon).
+func FuzzParseCommunities(f *testing.F) {
+	f.Add("6695:6695 0:5410")
+	f.Add("no-export 65000:9 65000:10")
+	f.Fuzz(func(t *testing.T, text string) {
+		cs, err := ParseCommunities(text)
+		if err != nil {
+			return
+		}
+		out := cs.String()
+		back, err := ParseCommunities(out)
+		if err != nil {
+			t.Fatalf("%q parsed to %v, whose text %q does not parse: %v", text, cs, out, err)
+		}
+		if !slices.Equal(back, cs) {
+			t.Fatalf("%q parsed to %v, which reads back as %v", text, cs, back)
+		}
+	})
+}

@@ -1,10 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"mlpeering/internal/bgp"
@@ -189,7 +190,7 @@ func surveyRSLG(ctx context.Context, entry *IXPEntry, client *lg.Client,
 	// members (equation 2).
 	need := make(map[bgp.ASN]int)
 	advertisers := make(map[bgp.Prefix][]bgp.ASN)
-	sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
+	slices.Sort(members)
 	for _, m := range members {
 		if cfg.SkipPassiveCovered && passive != nil && passive.Covered(entry.Name, m) {
 			// Equation (2): no queries for this member, but its
@@ -218,15 +219,19 @@ func surveyRSLG(ctx context.Context, entry *IXPEntry, client *lg.Client,
 
 	// Step 3: prefix queries, most-advertised first (§4.3) so one query
 	// covers several members.
-	order := make([]bgp.Prefix, 0, len(advertisers))
-	for p := range advertisers {
-		order = append(order, p)
+	type ranked struct {
+		p bgp.Prefix
+		n int
 	}
-	sort.Slice(order, func(i, j int) bool {
-		if cfg.SortByMultiplicity && len(advertisers[order[i]]) != len(advertisers[order[j]]) {
-			return len(advertisers[order[i]]) > len(advertisers[order[j]])
+	order := make([]ranked, 0, len(advertisers))
+	for p, as := range advertisers {
+		order = append(order, ranked{p, len(as)})
+	}
+	slices.SortFunc(order, func(a, b ranked) int {
+		if cfg.SortByMultiplicity && a.n != b.n {
+			return cmp.Compare(b.n, a.n)
 		}
-		return bgp.ComparePrefixes(order[i], order[j]) < 0
+		return bgp.ComparePrefixes(a.p, b.p)
 	})
 
 	pending := 0
@@ -235,7 +240,8 @@ func surveyRSLG(ctx context.Context, entry *IXPEntry, client *lg.Client,
 			pending++
 		}
 	}
-	for _, p := range order {
+	for _, r := range order {
+		p := r.p
 		if pending == 0 {
 			break
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"mlpeering/internal/bgp"
@@ -116,21 +117,77 @@ func (o *Observations) Filter(ixpName string, setter bgp.ASN, scheme ixp.Scheme)
 	if len(pm) == 0 {
 		return ixp.ExportFilter{}, false
 	}
-	// Count votes by canonical community-set representation.
-	votes := make(map[string]int)
-	repr := make(map[string]bgp.Communities)
-	for _, cs := range pm {
-		key := cs.Dedup().String()
-		votes[key]++
-		repr[key] = cs
+	var t voteTally
+	t.count(pm)
+	return ixp.FilterFromCommunities(t.winner(), scheme), true
+}
+
+// voteTally counts one setter's per-prefix community sets by class: two
+// sets are one class when they carry the same values, whatever their
+// order and multiplicity. Classes are keyed on the appendCommsKey
+// encoding of the Dedup'd set, built in scratch buffers a tally reuses
+// across prefixes and setters, so counting formats nothing.
+type voteTally struct {
+	classes map[string]*voteClass
+	set     bgp.Communities // scratch: the Dedup'd set
+	key     []byte          // scratch: its class key
+}
+
+// voteClass is one class of a tally: its votes and a member set.
+type voteClass struct {
+	repr  bgp.Communities
+	votes int
+}
+
+// count resets the tally to the votes of pm.
+func (t *voteTally) count(pm map[bgp.Prefix]bgp.Communities) {
+	if t.classes == nil {
+		t.classes = make(map[string]*voteClass)
 	}
-	bestKey, bestVotes := "", -1
-	for k, v := range votes {
-		if v > bestVotes || (v == bestVotes && k < bestKey) {
-			bestKey, bestVotes = k, v
+	clear(t.classes)
+	for _, cs := range pm {
+		key := t.classKey(cs)
+		if c := t.classes[string(key)]; c != nil {
+			c.votes++
+			continue
+		}
+		t.classes[string(key)] = &voteClass{repr: cs, votes: 1}
+	}
+}
+
+// classKey returns cs's class key in the tally's scratch buffer, valid
+// until the next call.
+func (t *voteTally) classKey(cs bgp.Communities) []byte {
+	t.set = append(t.set[:0], cs...)
+	slices.Sort(t.set)
+	t.set = slices.Compact(t.set)
+	t.key = appendCommsKey(t.key[:0], t.set)
+	return t.key
+}
+
+// winner returns a member of the most voted class. Ties go to the class
+// whose Dedup'd set is smallest as text, which is not its value order
+// ("no-export" sorts after "65535:65535" as text, before it as a value;
+// so does "65000:9" against "65000:10"): only tied classes are
+// formatted. Text is a total order over classes, so the winner does not
+// depend on map order.
+func (t *voteTally) winner() bgp.Communities {
+	var best *voteClass
+	bestText, formatted := "", false
+	for _, c := range t.classes {
+		switch {
+		case best == nil || c.votes > best.votes:
+			best, formatted = c, false
+		case c.votes == best.votes:
+			if !formatted {
+				bestText, formatted = best.repr.Dedup().String(), true
+			}
+			if text := c.repr.Dedup().String(); text < bestText {
+				best, bestText = c, text
+			}
 		}
 	}
-	return ixp.FilterFromCommunities(repr[bestKey], scheme), true
+	return best.repr
 }
 
 // ConsistencyStats reports, per the §4.3 measurement, how many covered
@@ -146,29 +203,23 @@ type ConsistencyStats struct {
 func (o *Observations) Consistency(ixpName string) ConsistencyStats {
 	var st ConsistencyStats
 	var deviantSum float64
+	var t voteTally
 	for _, setter := range o.Setters(ixpName) {
 		pm := o.data[ixpName][setter]
 		if len(pm) == 0 {
 			continue
 		}
 		st.Setters++
-		votes := make(map[string]int)
-		total := 0
-		for _, cs := range pm {
-			votes[cs.Dedup().String()]++
-			total++
-		}
-		if len(votes) <= 1 {
+		t.count(pm)
+		if len(t.classes) <= 1 {
 			continue
 		}
 		st.InconsistentSetters++
-		max := 0
-		for _, v := range votes {
-			if v > max {
-				max = v
-			}
+		top := 0
+		for _, c := range t.classes {
+			top = max(top, c.votes)
 		}
-		deviantSum += float64(total-max) / float64(total)
+		deviantSum += float64(len(pm)-top) / float64(len(pm))
 	}
 	if st.InconsistentSetters > 0 {
 		st.DeviantPrefixFrac = deviantSum / float64(st.InconsistentSetters)

@@ -14,7 +14,7 @@ import (
 	"mlpeering/internal/topology"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/replay_golden.txt from the current code")
+var updateGolden = flag.Bool("update", false, "rewrite the golden files under testdata from the current code")
 
 const replayGoldenFile = "testdata/replay_golden.txt"
 
@@ -54,17 +54,23 @@ func replayGolden(t *testing.T) string {
 // counters fails here. Regenerate with `go test ./internal/experiments
 // -run TestReplayGolden -update` only when the output is meant to move.
 func TestReplayGolden(t *testing.T) {
-	got := replayGolden(t)
+	checkGolden(t, replayGoldenFile, replayGolden(t))
+}
+
+// checkGolden compares got with the golden file at path line by line,
+// or rewrites the file under -update.
+func checkGolden(t *testing.T, path, got string) {
+	t.Helper()
 	if *updateGolden {
-		if err := os.MkdirAll(filepath.Dir(replayGoldenFile), 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(replayGoldenFile, []byte(got), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	want, err := os.ReadFile(replayGoldenFile)
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("%v (run with -update to create it)", err)
 	}
@@ -79,7 +85,7 @@ func TestReplayGolden(t *testing.T) {
 				w = wl[i]
 			}
 			if g != w {
-				t.Errorf("line %d:\n got  %q\n want %q", i+1, g, w)
+				t.Errorf("%s line %d:\n got  %q\n want %q", path, i+1, g, w)
 			}
 		}
 	}

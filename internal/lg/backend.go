@@ -8,7 +8,7 @@ package lg
 import (
 	"fmt"
 	"net/netip"
-	"sort"
+	"slices"
 	"sync"
 
 	"mlpeering/internal/bgp"
@@ -72,10 +72,8 @@ func NewRSBackend(rib *propagate.RSRIB, hidden []bgp.ASN) *RSBackend {
 			b.perMember[e.Member] = append(b.perMember[e.Member], p)
 		}
 	}
-	for m := range b.perMember {
-		sort.Slice(b.perMember[m], func(i, j int) bool {
-			return bgp.ComparePrefixes(b.perMember[m][i], b.perMember[m][j]) < 0
-		})
+	for _, ps := range b.perMember {
+		slices.SortFunc(ps, bgp.ComparePrefixes)
 	}
 	for _, m := range rib.Members() {
 		if b.hidden[m] {

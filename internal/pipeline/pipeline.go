@@ -1,8 +1,12 @@
 // Package pipeline assembles the full measurement world end to end:
 // synthetic topology → propagation → collector MRT archives, route
-// server RIBs, looking glasses served over real HTTP, IRR and PeeringDB
-// registries — and then drives the paper's inference algorithm over
-// those data sources exactly as an operator would over the real ones.
+// server RIBs, looking glasses answering HTTP requests, IRR and
+// PeeringDB registries — and then drives the paper's inference
+// algorithm over those data sources exactly as an operator would over
+// the real ones. The looking-glass clients speak HTTP and parse the
+// router text a real LG prints, but their requests reach the LG server
+// through an in-process transport, not a socket; StartLGs adds a
+// loopback listener for callers that want one.
 package pipeline
 
 import (
@@ -44,6 +48,7 @@ type World struct {
 	Updates []*mrt.BGP4MPMessage
 
 	lgServer *lg.Server
+	lgHTTP   *http.Client // every LG client's: lgServer's in-process transport
 	httpSrv  *http.Server
 	baseURL  string
 
@@ -274,9 +279,12 @@ func (w *World) buildLGServer() {
 		mountAS(h)
 	}
 	w.lgServer = srv
+	w.lgHTTP = &http.Client{Transport: srv.Transport()}
 }
 
-// StartLGs serves all looking glasses on a loopback HTTP listener.
+// StartLGs also serves all looking glasses on a loopback HTTP listener,
+// for callers that want a real socket (BaseURL names it). The World's
+// own clients never use it: they reach the same server in process.
 func (w *World) StartLGs() error {
 	if w.httpSrv != nil {
 		return nil
@@ -294,7 +302,7 @@ func (w *World) StartLGs() error {
 // BaseURL returns the LG server's base URL (after StartLGs).
 func (w *World) BaseURL() string { return w.baseURL }
 
-// Close shuts down the LG server.
+// Close shuts down the loopback listener StartLGs started, if any.
 func (w *World) Close() error {
 	if w.httpSrv == nil {
 		return nil
@@ -304,10 +312,15 @@ func (w *World) Close() error {
 	return err
 }
 
-// lgClient builds a client with the standard (disabled-in-tests) rate
-// limit.
+// lgHost is the host part of every World LG client's URL. The
+// in-process transport never resolves it (.invalid is reserved to
+// resolve nowhere); it only names the server in error messages.
+const lgHost = "http://lg.invalid"
+
+// lgClient builds a client of the in-process LG server with the
+// standard (disabled-in-tests) rate limit.
 func (w *World) lgClient(path string, limiter *lg.RateLimiter) *lg.Client {
-	return &lg.Client{BaseURL: w.baseURL + "/" + path, Limiter: limiter}
+	return &lg.Client{BaseURL: lgHost + "/" + path, HTTPClient: w.lgHTTP, Limiter: limiter}
 }
 
 // LGEndpoints assembles the per-IXP looking-glass clients for the
@@ -373,9 +386,6 @@ type Run struct {
 // RunInference executes the full pipeline: passive mining of the MRT
 // archives, the active LG survey, merge, and link inference.
 func (w *World) RunInference(ctx context.Context, activeCfg core.ActiveConfig) (*Run, error) {
-	if err := w.StartLGs(); err != nil {
-		return nil, err
-	}
 	dict, err := w.Dictionary()
 	if err != nil {
 		return nil, err
