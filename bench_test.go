@@ -12,9 +12,12 @@ import (
 	"bytes"
 	"context"
 	"maps"
+	"net/http"
+	"net/http/httptest"
 	"net/netip"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"testing"
@@ -650,6 +653,107 @@ func BenchmarkChurnedPublish(b *testing.B) {
 	b.ReportMetric(ms(closeT), "close-ms/op")
 	b.ReportMetric(ms(materializeT), "materialize-ms/op")
 	b.ReportMetric(ms(snapshotT), "snapshot-ms/op")
+}
+
+func BenchmarkGatewayBodies(b *testing.B) {
+	// Request-in to body-out for the two per-view endpoints on the paper
+	// world (Scale 1): the gateway's first published snapshot (the epoch
+	// interval holds the reconciler there until it is stopped), served
+	// through Gateway.Handler into a discarding ResponseWriter, so the
+	// figures are the handler's own cost with no socket in the way.
+	// /v1/ixp cycles over every IXP; /v1/as over 256 linked ASes spread
+	// evenly through the ascending endpoint list.
+	ccfg := churn.DefaultConfig(20130501)
+	ccfg.Epochs, ccfg.Interval = 12, time.Minute
+	g := serve.New(serve.Config{Topology: topology.DefaultConfig(), Churn: ccfg, EpochInterval: time.Hour})
+	ctx, cancel := context.WithCancel(context.Background())
+	runErr := make(chan error, 1)
+	go func() { runErr <- g.Run(ctx) }()
+	select {
+	case <-g.Ready():
+	case err := <-runErr:
+		cancel()
+		b.Fatalf("gateway stopped before its first commit: %v", err)
+	}
+	cancel()
+	if err := <-runErr; err != nil {
+		b.Fatal(err)
+	}
+	res := g.Current().Result
+
+	var ixps []string
+	for name := range res.PerIXP {
+		ixps = append(ixps, name)
+	}
+	slices.Sort(ixps)
+	var asns []bgp.ASN
+	for k := range res.Links {
+		asns = append(asns, k.A, k.B)
+	}
+	slices.Sort(asns)
+	asns = slices.Compact(asns)
+	sample := make([]string, 256)
+	for i := range sample {
+		sample[i] = "/v1/as/" + strconv.FormatUint(uint64(asns[i*len(asns)/len(sample)]), 10)
+	}
+	for i, name := range ixps {
+		ixps[i] = "/v1/ixp/" + name
+	}
+
+	h := g.Handler()
+	for _, bc := range []struct {
+		name  string
+		paths []string
+	}{{"ixp", ixps}, {"as", sample}} {
+		b.Run(bc.name, func(b *testing.B) {
+			reqs := make([]*http.Request, len(bc.paths))
+			for i, path := range bc.paths {
+				reqs[i] = httptest.NewRequest(http.MethodGet, path, nil)
+			}
+			w := &discardWriter{header: http.Header{}}
+			serveOne := func(i int) {
+				w.status = 0
+				h.ServeHTTP(w, reqs[i%len(reqs)])
+				if w.status != http.StatusOK {
+					b.Fatalf("%s: status %d", bc.paths[i%len(reqs)], w.status)
+				}
+			}
+			for i := range reqs {
+				serveOne(i)
+			}
+			perReq := float64(w.written) / float64(len(reqs))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				serveOne(i)
+			}
+			b.ReportMetric(perReq, "body-B/req")
+		})
+	}
+}
+
+// discardWriter is an http.ResponseWriter that keeps the status and a
+// byte count and drops the body.
+type discardWriter struct {
+	header  http.Header
+	status  int
+	written int
+}
+
+func (w *discardWriter) Header() http.Header { return w.header }
+
+func (w *discardWriter) WriteHeader(code int) { w.status = code }
+
+func (w *discardWriter) Write(p []byte) (int, error) {
+	w.written += len(p)
+	return len(p), nil
+}
+
+// WriteString spares io.WriteString a conversion, as net/http's own
+// response writer does.
+func (w *discardWriter) WriteString(s string) (int, error) {
+	w.written += len(s)
+	return len(s), nil
 }
 
 func BenchmarkWindowedInference(b *testing.B) {

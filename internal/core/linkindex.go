@@ -22,6 +22,9 @@ type IndexedLink struct {
 // link object); it must be a pure function of its arguments, and one
 // chain of Results must always be indexed with the same encoder, since
 // a patched index reuses its predecessor's bytes for unchanged links.
+// The serving tier reads those bytes for more than /v1/mesh: its
+// /v1/as and /v1/ixp bodies are copied out of Encoded (EncodedRun), so
+// an encoder swapped mid-chain would corrupt three endpoints, not one.
 type LinkEncoder func(dst []byte, key topology.LinkKey, ixps []string) []byte
 
 // LinkIndex is the read-side view of a Result's mesh: one ascending
@@ -50,7 +53,10 @@ type LinkIndex struct {
 	// Encoded is the wire encoding of Links under the LinkEncoder
 	// BuildIndex was given — '[', the encoded links joined by ',', ']' —
 	// nil when it was given none. Riding on the index, it is shared by
-	// every epoch that shares the Result.
+	// every epoch that shares the Result. The serving tier writes it
+	// whole as the /v1/mesh link array and copies runs of it
+	// (EncodedRun) into the /v1/as and /v1/ixp bodies, so one chain of
+	// Results must keep one encoder.
 	Encoded []byte
 
 	// encOff[i] is where link i's encoding starts in Encoded; every
@@ -93,6 +99,20 @@ func (x *LinkIndex) IXPLinks(name string) (links []uint32, ok bool) {
 		return nil, false
 	}
 	return x.ixpAdj[x.ixpOff[row]:x.ixpOff[row+1]], true
+}
+
+// EncodedRun returns the encoding of links [i, j) joined by ',' — no
+// brackets, no trailing separator — as a read-only view into Encoded,
+// capped so an append to it copies; empty when i == j. Encoded must be
+// set.
+//
+//mlplint:allocfree
+func (x *LinkIndex) EncodedRun(i, j int) []byte {
+	if i == j {
+		return nil
+	}
+	end := x.encOff[j] - 1 // the separator after link j-1, or the closing ']'
+	return x.Encoded[x.encOff[i]:end:end]
 }
 
 // compareLinkKeys orders link keys ascending by (A, B): the canonical

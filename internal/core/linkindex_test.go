@@ -19,8 +19,9 @@ func testLinkEncoder(dst []byte, key topology.LinkKey, ixps []string) []byte {
 }
 
 // diffLinkIndex compares two indexes field by field — links, hash, CSR
-// rows, encoding and the patch bookkeeping riding along — returning the
-// first difference, "" when equal.
+// rows, encoding and the patch bookkeeping riding along — and reads
+// got's encoding back through EncodedRun (one link at a time, then all
+// of them), returning the first difference, "" when equal.
 func diffLinkIndex(got, want *LinkIndex) string {
 	if !slices.EqualFunc(got.Links, want.Links, func(a, b IndexedLink) bool {
 		return a.Key == b.Key && slices.Equal(a.IXPs, b.IXPs)
@@ -53,6 +54,17 @@ func diffLinkIndex(got, want *LinkIndex) string {
 	}
 	if !bytes.Equal(got.Encoded, want.Encoded) || !slices.Equal(got.encOff, want.encOff) {
 		return fmt.Sprintf("Encoded %q (offsets %v), want %q (%v)", got.Encoded, got.encOff, want.Encoded, want.encOff)
+	}
+	if got.Encoded != nil {
+		for i, l := range got.Links {
+			if run, enc := got.EncodedRun(i, i+1), testLinkEncoder(nil, l.Key, l.IXPs); !bytes.Equal(run, enc) {
+				return fmt.Sprintf("EncodedRun(%d, %d) = %q, want %q", i, i+1, run, enc)
+			}
+		}
+		n := len(got.Links)
+		if run, inner := got.EncodedRun(0, n), got.Encoded[1:len(got.Encoded)-1]; !bytes.Equal(run, inner) {
+			return fmt.Sprintf("EncodedRun(0, %d) = %q, want the array without its brackets, %q", n, run, inner)
+		}
 	}
 	return ""
 }

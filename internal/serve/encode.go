@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"strconv"
 	"unicode/utf8"
@@ -16,6 +17,15 @@ import (
 // key order, number spelling and string escaping included; the
 // conformance tests compare against an encoding/json oracle. Nothing
 // here sorts: order comes from the core.LinkIndex.
+//
+// appendLink is the one link formatter the gateway publishes with: it
+// fills the index's Encoded array once per changed link, and the read
+// path copies from there — /v1/mesh whole, /v1/as and /v1/ixp rows as
+// runs (appendASCopy, appendIXPCopy). Only /v1/link formats per
+// request. The whole-snapshot bodies (epoch, stats, ixps, the mesh
+// head) and the per-IXP body heads are encoded once per snapshot.
+// appendAS and appendIXP format every link afresh; they back the
+// exported Render* oracles, never the gateway.
 
 // appendString appends s as a JSON string. IXP and scenario names are
 // plain ASCII in every world the generator builds, so the common case
@@ -102,20 +112,48 @@ func appendMeshHead(dst []byte, epoch, fingerprint uint64) []byte {
 	return append(dst, `","links":`...)
 }
 
-// appendAS appends the /v1/as/<asn> body; rows is the AS's adjacency
-// row (LinkIndex.ASLinks), so the cost is O(degree).
+// appendASHead appends an /v1/as/<asn> body up to and including
+// `"links":[`.
+//
+//mlplint:allocfree
+func appendASHead(dst []byte, epoch uint64, asn bgp.ASN) []byte {
+	dst = appendField(dst, `{"epoch":`, epoch)
+	dst = appendField(dst, `,"asn":`, uint64(asn))
+	return append(dst, `,"links":[`...)
+}
+
+// appendAS appends the /v1/as/<asn> body, formatting each link afresh;
+// rows is the AS's adjacency row (LinkIndex.ASLinks), so the cost is
+// O(degree).
 //
 //mlplint:allocfree
 func appendAS(dst []byte, epoch uint64, x *core.LinkIndex, asn bgp.ASN, rows []uint32) []byte {
-	dst = appendField(dst, `{"epoch":`, epoch)
-	dst = appendField(dst, `,"asn":`, uint64(asn))
-	dst = append(dst, `,"links":[`...)
+	dst = appendASHead(dst, epoch, asn)
 	for i, li := range rows {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
 		l := &x.Links[li]
 		dst = appendLink(dst, l.Key, l.IXPs)
+	}
+	return append(dst, `]}`...)
+}
+
+// appendASCopy is appendAS off x.Encoded: an AS's row is its links'
+// mesh encodings, and every run of consecutive link indices — all the
+// links the AS is the lower endpoint of form one — is one copy.
+//
+//mlplint:allocfree
+func appendASCopy(dst []byte, epoch uint64, x *core.LinkIndex, asn bgp.ASN, rows []uint32) []byte {
+	dst = appendASHead(dst, epoch, asn)
+	for k := 0; k < len(rows); {
+		if k > 0 {
+			dst = append(dst, ',')
+		}
+		start := rows[k]
+		for k++; k < len(rows) && rows[k] == rows[k-1]+1; k++ {
+		}
+		dst = append(dst, x.EncodedRun(int(start), int(rows[k-1])+1)...)
 	}
 	return append(dst, `]}`...)
 }
@@ -154,12 +192,13 @@ func appendIXPLead(dst []byte, name string, inf *core.IXPInference) []byte {
 	return append(dst, `,"covered":`...)
 }
 
-// appendIXP appends the /v1/ixp/<name> body; rows is the IXP's
-// adjacency row (LinkIndex.IXPLinks). Every link carries the same
-// one-name attribution, so that tail is encoded once.
+// appendIXPHead appends an /v1/ixp/<name> body up to and including
+// `"links":[`: the epoch, the shared lead, the covered members, and
+// the passive and active counts. The gateway encodes it once per
+// snapshot (Snapshot.ixpHeads).
 //
 //mlplint:allocfree
-func appendIXP(dst []byte, epoch uint64, x *core.LinkIndex, name string, inf *core.IXPInference, rows []uint32) []byte {
+func appendIXPHead(dst []byte, epoch uint64, name string, inf *core.IXPInference) []byte {
 	dst = appendField(dst, `{"epoch":`, epoch)
 	dst = append(dst, ',')
 	dst = appendIXPLead(dst, name, inf)
@@ -172,7 +211,17 @@ func appendIXP(dst []byte, epoch uint64, x *core.LinkIndex, name string, inf *co
 	}
 	dst = appendField(dst, `],"passive":`, uint64(inf.PassiveCount()))
 	dst = appendField(dst, `,"active":`, uint64(inf.ActiveCount()))
-	dst = append(dst, `,"links":[`...)
+	return append(dst, `,"links":[`...)
+}
+
+// appendIXP appends the /v1/ixp/<name> body, formatting each link
+// afresh; rows is the IXP's adjacency row (LinkIndex.IXPLinks). Every
+// link carries the same one-name attribution, so that tail is encoded
+// once.
+//
+//mlplint:allocfree
+func appendIXP(dst []byte, epoch uint64, x *core.LinkIndex, name string, inf *core.IXPInference, rows []uint32) []byte {
+	dst = appendIXPHead(dst, epoch, name, inf)
 	var tailBuf [64]byte
 	tail := append(tailBuf[:0], `,"ixps":[`...)
 	tail = appendString(tail, name)
@@ -187,6 +236,37 @@ func appendIXP(dst []byte, epoch uint64, x *core.LinkIndex, name string, inf *co
 		dst = append(dst, tail...)
 	}
 	return append(dst, `]}`...)
+}
+
+// appendIXPCopy appends the link entries of an /v1/ixp/<name> body —
+// what goes between its head and the closing `]}` — off x.Encoded. A
+// link attributed to this IXP alone encodes exactly as in the mesh, so
+// every run of consecutive such links is one copy; a multi-IXP link
+// keeps its mesh encoding up to and including `"ixps":[`, then gets
+// this IXP's name alone.
+//
+//mlplint:allocfree
+func appendIXPCopy(dst []byte, x *core.LinkIndex, name string, rows []uint32) []byte {
+	var tailBuf [64]byte
+	tail := appendString(tailBuf[:0], name)
+	tail = append(tail, `]}`...)
+	for k := 0; k < len(rows); {
+		if k > 0 {
+			dst = append(dst, ',')
+		}
+		start := rows[k]
+		if len(x.Links[start].IXPs) > 1 {
+			enc := x.EncodedRun(int(start), int(start)+1)
+			dst = append(dst, enc[:bytes.IndexByte(enc, '[')+1]...) // numbers hold no '[': it opens "ixps"
+			dst = append(dst, tail...)
+			k++
+			continue
+		}
+		for k++; k < len(rows) && rows[k] == rows[k-1]+1 && len(x.Links[rows[k]].IXPs) == 1; k++ {
+		}
+		dst = append(dst, x.EncodedRun(int(start), int(rows[k-1])+1)...)
+	}
+	return dst
 }
 
 // ixpBodySize bounds an /v1/ixp/<name> body from above, so the render

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -41,11 +42,12 @@ type Config struct {
 // Gateway serves epoch-pinned inference snapshots. The read path is
 // lock-free: a request pins the current snapshot with one atomic
 // pointer load, bumps one atomic in-flight counter, and writes bytes
-// that were either precomputed at publish (epoch, stats, mesh, ixps)
-// or append-encoded off the snapshot's link index in O(answer) (link,
-// as, ixp) — no mutex, no RWMutex, no map writes. Publication is a
-// single atomic pointer swap (RCU): readers that loaded the old
-// snapshot finish against it unperturbed.
+// that were precomputed at publish (epoch, stats, mesh, ixps, and the
+// head of every ixp body), copied in O(answer) out of the snapshot's
+// encoded link array (the as and ixp link entries), or, for link
+// alone, formatted per request — no mutex, no RWMutex, no map writes.
+// Publication is a single atomic pointer swap (RCU): readers that
+// loaded the old snapshot finish against it unperturbed.
 type Gateway struct {
 	cfg Config
 
@@ -176,8 +178,10 @@ const (
 // three steps: resolve the query (404/400 for what the snapshot cannot
 // answer), settle the conditional — a matching If-None-Match is a 304
 // before anything is rendered — and only then produce the body: cached
-// bytes for the whole-snapshot endpoints, an O(answer) append-encode
-// off the link index for the point queries.
+// bytes for the whole-snapshot endpoints (epoch, stats, mesh, ixps);
+// for /v1/as and /v1/ixp, runs of link entries copied out of the
+// index's Encoded array (behind a head cached per snapshot, for
+// /v1/ixp); and for /v1/link, a few fields formatted per request.
 //
 //mlplint:allocfree
 func (g *Gateway) serveSnapshot(w http.ResponseWriter, r *http.Request, s *Snapshot) {
@@ -186,6 +190,7 @@ func (g *Gateway) serveSnapshot(w http.ResponseWriter, r *http.Request, s *Snaps
 		a, b bgp.ASN
 		name string
 		rows []uint32
+		head []byte
 	)
 	switch path := r.URL.Path; {
 	case path == "/v1/epoch":
@@ -198,11 +203,13 @@ func (g *Gateway) serveSnapshot(w http.ResponseWriter, r *http.Request, s *Snaps
 		ep = epIXPs
 	case strings.HasPrefix(path, "/v1/ixp/"):
 		ep, name = epIXP, path[len("/v1/ixp/"):]
-		var ok bool
-		if rows, ok = s.index.IXPLinks(name); !ok {
+		i, ok := slices.BinarySearch(s.index.IXPs, name)
+		if !ok {
 			http.Error(w, "unknown IXP", http.StatusNotFound)
 			return
 		}
+		head = s.ixpHeads[i]
+		rows, _ = s.index.IXPLinks(name)
 	case path == "/v1/link":
 		ep = epLink
 		var ok bool
@@ -240,10 +247,11 @@ func (g *Gateway) serveSnapshot(w http.ResponseWriter, r *http.Request, s *Snaps
 	}
 
 	// A body is head+body+tail; only /v1/mesh, whose link array is
-	// shared between epochs, has more than the middle part. The point
-	// queries encode into a pooled buffer (buf), returned after the
+	// shared between epochs, and /v1/ixp, whose head is cached per
+	// snapshot, have more than the middle part. The point queries
+	// assemble theirs in a pooled buffer (buf), returned after the
 	// write.
-	var head, body []byte
+	var body []byte
 	var buf *[]byte
 	tail := ""
 	switch ep {
@@ -257,14 +265,14 @@ func (g *Gateway) serveSnapshot(w http.ResponseWriter, r *http.Request, s *Snaps
 		body = s.ixpsJSON
 	case epIXP:
 		buf = bodyPool.Get().(*[]byte)
-		body = appendIXP((*buf)[:0], s.Epoch, s.index, name, s.Result.PerIXP[name], rows)
+		body, tail = appendIXPCopy((*buf)[:0], s.index, name, rows), "]}"
 	case epLink:
 		buf = bodyPool.Get().(*[]byte)
 		body = appendLinkLookup((*buf)[:0], s.Epoch, s.Result, a, b)
 	case epAS:
 		rows = s.index.ASLinks(a)
 		buf = bodyPool.Get().(*[]byte)
-		body = appendAS((*buf)[:0], s.Epoch, s.index, a, rows)
+		body = appendASCopy((*buf)[:0], s.Epoch, s.index, a, rows)
 	}
 
 	h["Content-Type"] = hdrJSON

@@ -69,6 +69,10 @@ func oracleAS(t *testing.T, epoch uint64, r *core.Result, asn bgp.ASN) string {
 			links = append(links, oracleLink{k.A, k.B, r.Links[k]})
 		}
 	}
+	return oracleASJSON(t, epoch, asn, links)
+}
+
+func oracleASJSON(t *testing.T, epoch uint64, asn bgp.ASN, links []oracleLink) string {
 	return oracleJSON(t, struct {
 		Epoch uint64       `json:"epoch"`
 		ASN   bgp.ASN      `json:"asn"`

@@ -25,7 +25,7 @@ import (
 // testResult builds a small deterministic inference: DE-CIX with four
 // fully-open members (six links) and AMS-IX re-confirming one pair, so
 // the fixture exercises multi-IXP attribution.
-func testResult(t *testing.T) (*core.Dictionary, *core.Result) {
+func testResult(t testing.TB) (*core.Dictionary, *core.Result) {
 	t.Helper()
 	sites := []core.WebsiteData{
 		{
@@ -81,7 +81,7 @@ func testWindow(res *core.Result, n int) *core.PassiveWindow {
 }
 
 // testGateway builds a gateway with one published snapshot at epoch 1.
-func testGateway(t *testing.T, res *core.Result) *Gateway {
+func testGateway(t testing.TB, res *core.Result) *Gateway {
 	t.Helper()
 	g := New(Config{MaxInFlight: 64, MaxAge: 0})
 	committed := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)

@@ -73,17 +73,21 @@ type Snapshot struct {
 	// Result is the materialized inference the query endpoints read.
 	Result *core.Result
 
-	// index is Result's link index: the sorted link array every body
-	// is encoded from, the per-AS and per-IXP adjacency rows the point
-	// queries read, and the encoded link array of /v1/mesh.
+	// index is Result's link index: the sorted link array, the per-AS
+	// and per-IXP adjacency rows the point queries read, and the
+	// encoded link array that /v1/mesh writes whole and /v1/as and
+	// /v1/ixp copy their link entries from.
 	index *core.LinkIndex
 
 	// Precomputed at publish so the read path only writes cached bytes:
 	// the whole-snapshot bodies (meshHead is completed by index.Encoded
 	// and a closing brace) and the per-epoch header values.
 	epochJSON, statsJSON, ixpsJSON, meshHead []byte
-	hdrETag, hdrEpoch, hdrLastModified       []string
-	hdrBoot                                  []string // X-MLP-Boot; nil without a boot nonce
+	// ixpHeads[i] is the /v1/ixp body of index.IXPs[i] up to and
+	// including `"links":[` (appendIXPHead).
+	ixpHeads                           [][]byte
+	hdrETag, hdrEpoch, hdrLastModified []string
+	hdrBoot                            []string // X-MLP-Boot; nil without a boot nonce
 }
 
 // NewSnapshot derives the immutable epoch snapshot of one committed
@@ -104,15 +108,15 @@ func NewSnapshot(epoch uint64, scenario string, pw *core.PassiveWindow, committe
 // CoveredMembers list — is filled here, before publication, so serving
 // never writes. A memo that is already there is left alone, which is
 // how a Result (or an IXPInference) shared with the previous epoch
-// publishes without being sorted or encoded again.
+// publishes without being sorted or encoded again. The per-IXP body
+// heads are encoded here too (they carry the epoch, so every snapshot
+// has its own): a /v1/ixp request neither walks Sources nor formats
+// the covered list.
 //
 //mlplint:frozen
 func newSnapshot(boot string, epoch uint64, scenario string, pw *core.PassiveWindow, committed time.Time) *Snapshot {
 	res := pw.Result
 	idx := res.BuildIndex(appendLink)
-	for _, name := range idx.IXPs {
-		res.PerIXP[name].CoveredMembers()
-	}
 	s := &Snapshot{
 		Epoch:       epoch,
 		Fingerprint: idx.Fingerprint,
@@ -148,6 +152,10 @@ func newSnapshot(boot string, epoch uint64, scenario string, pw *core.PassiveWin
 	s.statsJSON = renderStats(s)
 	s.meshHead = appendMeshHead(nil, epoch, s.Fingerprint)
 	s.ixpsJSON = appendIXPList(nil, epoch, res, idx)
+	s.ixpHeads = make([][]byte, len(idx.IXPs))
+	for i, name := range idx.IXPs {
+		s.ixpHeads[i] = appendIXPHead(nil, epoch, name, res.PerIXP[name])
+	}
 	return s
 }
 
@@ -191,7 +199,10 @@ func FingerprintHex(fp uint64) string { return fmt.Sprintf("%016x", fp) }
 // conformance tests and the benchmark's byte check call them. They go
 // through the Result's link index, building it if the Result has never
 // been published (core.Result.BuildIndex: a first call on a Result
-// other goroutines already read is the caller's race to avoid).
+// other goroutines already read is the caller's race to avoid), but
+// never through its Encoded array: RenderMesh, RenderIXP and RenderAS
+// format every link afresh, so a byte check against the gateway also
+// checks the bytes it copied.
 
 // RenderMesh renders the full inferred mesh: every link ascending with
 // its sorted IXP attribution. It encodes the link array afresh, so a
@@ -208,7 +219,9 @@ func RenderIXPList(epoch uint64, r *core.Result) []byte {
 }
 
 // RenderIXP renders one IXP's inference; ok is false when the
-// dictionary has no such IXP.
+// dictionary has no such IXP. It encodes afresh, as RenderMesh does:
+// the gateway copies the same link entries out of the snapshot's
+// encoded link array and writes a head cached per snapshot.
 func RenderIXP(epoch uint64, r *core.Result, name string) ([]byte, bool) {
 	idx := r.BuildIndex(nil)
 	rows, ok := idx.IXPLinks(name)
@@ -226,7 +239,9 @@ func RenderLink(epoch uint64, r *core.Result, a, b bgp.ASN) []byte {
 }
 
 // RenderAS renders every inferred link one AS participates in (the
-// route/neighbor view of the mesh), ascending by peer.
+// route/neighbor view of the mesh), ascending by peer. It encodes
+// afresh, as RenderMesh does: the gateway copies the same links out of
+// the snapshot's encoded link array.
 func RenderAS(epoch uint64, r *core.Result, asn bgp.ASN) []byte {
 	idx := r.BuildIndex(nil)
 	rows := idx.ASLinks(asn)
