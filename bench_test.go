@@ -302,12 +302,10 @@ func BenchmarkAblationReciprocity(b *testing.B) {
 		}
 		// OR rule: link when either side allows the other.
 		seen := make(map[topology.LinkKey]bool)
-		for name, x := range c.Run.Result.PerIXP {
-			_ = name
-			covered := x.CoveredMembers()
-			for i2, a := range covered {
+		for _, x := range c.Run.Result.PerIXP {
+			for i2, a := range x.Covered {
 				fa := x.Filters[a]
-				for _, bb := range covered[i2+1:] {
+				for _, bb := range x.Covered[i2+1:] {
 					fb := x.Filters[bb]
 					if fa.Allows(bb) || fb.Allows(a) {
 						seen[topology.MakeLinkKey(a, bb)] = true

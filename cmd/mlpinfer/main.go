@@ -64,7 +64,7 @@ func main() {
 			continue
 		}
 		fmt.Printf("%-10s %8d %8d %8d %8d\n",
-			prof.Name, len(x.Members), x.PassiveCount(), x.ActiveCount(), len(x.Links))
+			prof.Name, len(x.Members), x.PassiveCount(), x.ActiveCount(), len(run.Result.IXPLinks(prof.Name)))
 	}
 	fmt.Printf("\ntotal: %d distinct links (%d at more than one IXP)\n",
 		run.Result.TotalLinks(), run.Result.MultiIXPLinks())

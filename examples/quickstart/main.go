@@ -52,7 +52,7 @@ func main() {
 	// Show one reconstructed export policy.
 	for _, name := range []string{"DE-CIX"} {
 		x := run.Result.PerIXP[name]
-		for _, m := range x.CoveredMembers() {
+		for _, m := range x.Covered {
 			f := x.Filters[m]
 			if len(f.Peers) > 0 {
 				fmt.Printf("example: at %s, AS%s announces via the RS with policy %s over %d peers\n",

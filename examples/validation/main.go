@@ -58,8 +58,7 @@ func main() {
 	for _, info := range world.Topo.IXPs {
 		truth := world.Topo.GroundTruthMLPLinks(info.Name)
 		truthTotal += len(truth)
-		x := run.Result.PerIXP[info.Name]
-		for link := range x.Links {
+		for _, link := range run.Result.IXPLinks(info.Name) {
 			if truth[link] {
 				truePositives++
 			} else {

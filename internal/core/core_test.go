@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -277,6 +278,22 @@ func TestPathConfirms(t *testing.T) {
 	}
 }
 
+// reciprocalLinks recomputes x's links from its covered members'
+// filters by the reciprocity rule, ascending: an oracle independent of
+// the Result's attribution map.
+func reciprocalLinks(x *IXPInference) []topology.LinkKey {
+	var out []topology.LinkKey
+	for i, a := range x.Covered {
+		for _, b := range x.Covered[i+1:] {
+			if x.Filters[a].Allows(b) && x.Filters[b].Allows(a) {
+				out = append(out, topology.MakeLinkKey(a, b))
+			}
+		}
+	}
+	slices.SortFunc(out, compareLinkKeys)
+	return out
+}
+
 func TestInferLinksReciprocity(t *testing.T) {
 	d := testDict(t)
 	obs := NewObservations()
@@ -293,23 +310,23 @@ func TestInferLinksReciprocity(t *testing.T) {
 	if len(x.Filters) != 3 {
 		t.Fatalf("filters = %d", len(x.Filters))
 	}
-	// 100-200: mutual allow -> link.
-	if !x.Links[topology.MakeLinkKey(100, 200)] {
-		t.Fatal("100-200 missing")
+	if !slices.Equal(x.Covered, []bgp.ASN{100, 200, 300}) {
+		t.Fatalf("covered = %v", x.Covered)
 	}
-	// 100-300: 100 excludes 300 (and 300 includes 100, but not mutual).
-	if x.Links[topology.MakeLinkKey(100, 300)] {
-		t.Fatal("100-300 inferred despite exclude")
+	// 100-200: mutual allow -> link. 100-300: 100 excludes 300 (and 300
+	// includes 100, but not mutual). 200-300: 300 does not include 200.
+	want := []topology.LinkKey{topology.MakeLinkKey(100, 200)}
+	if got := reciprocalLinks(x); !slices.Equal(got, want) {
+		t.Fatalf("reciprocity oracle = %v, want %v", got, want)
 	}
-	// 200-300: 300 does not include 200.
-	if x.Links[topology.MakeLinkKey(200, 300)] {
-		t.Fatal("200-300 inferred despite NONE+INCLUDE")
+	if got := res.IXPLinks("DE-CIX"); !slices.Equal(got, want) {
+		t.Fatalf("IXPLinks = %v, want %v", got, want)
 	}
 	if res.TotalLinks() != 1 || res.SumPerIXPLinks() != 1 || res.MultiIXPLinks() != 0 {
 		t.Fatalf("totals: %d %d %d", res.TotalLinks(), res.SumPerIXPLinks(), res.MultiIXPLinks())
 	}
-	if res.LinkCount("DE-CIX") != 1 || res.LinkCount("NOPE") != 0 {
-		t.Fatal("LinkCount")
+	if res.IXPLinks("ECIX") != nil || res.IXPLinks("NOPE") != nil {
+		t.Fatal("IXPLinks of an IXP without links")
 	}
 	if x.PassiveCount() != 1 || x.ActiveCount() != 2 {
 		t.Fatalf("coverage split: pasv=%d act=%d", x.PassiveCount(), x.ActiveCount())

@@ -1,47 +1,32 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"mlpeering/internal/bgp"
 	"mlpeering/internal/ixp"
 	"mlpeering/internal/topology"
 )
 
-// IXPInference is the per-IXP outcome of steps 4-5. Inferences are
-// built by InferLinks and MeshState.Snapshot and are read-only views
-// afterwards.
+// IXPInference is the per-IXP outcome of steps 4-5: who was covered
+// and with which filter. The links it yields live in the Result's one
+// attribution map (Result.Links; Result.IXPLinks reads one IXP's).
+// Inferences are built by InferLinks and MeshState.Snapshot and are
+// read-only views afterwards.
 //
 //mlplint:frozen
 type IXPInference struct {
 	Name string
 	// Members is the best-known RS member list used for inference.
 	Members []bgp.ASN
+	// Covered lists the members with reconstructed filters (the keys
+	// of Filters), ascending.
+	Covered []bgp.ASN
 	// Filters holds the reconstructed export filter of every covered
 	// member.
 	Filters map[bgp.ASN]ixp.ExportFilter
 	// Sources records how each covered member was observed.
 	Sources map[bgp.ASN]DataSource
-	// Links are the inferred multilateral peering links at this IXP.
-	Links map[topology.LinkKey]bool
-
-	covered []bgp.ASN // CoveredMembers cache, built on first call
-}
-
-// CoveredMembers returns the members with reconstructed filters,
-// ascending. The sorted slice is computed once and cached (Filters is
-// complete by the time anyone asks); callers must not modify it.
-func (x *IXPInference) CoveredMembers() []bgp.ASN {
-	if x.covered == nil {
-		out := make([]bgp.ASN, 0, len(x.Filters))
-		for m := range x.Filters {
-			out = append(out, m)
-		}
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-		//mlplint:frozen idempotent memo: InferLinks prefills it in the builder; Snapshot skips the prefill to keep streaming window closes O(churn), so first read fills it with identical content
-		x.covered = out
-	}
-	return x.covered
 }
 
 // PassiveCount and ActiveCount split coverage by source; members seen
@@ -130,14 +115,19 @@ func (r *Result) MultiIXPLinks() int {
 	return n
 }
 
-// LinkCount returns the per-IXP link count (the "Links" column of
-// Table 2).
-func (r *Result) LinkCount(ixpName string) int {
-	x, ok := r.PerIXP[ixpName]
-	if !ok {
-		return 0
+// IXPLinks returns the links inferred at the named IXP in ascending
+// (A, B) order (Table 2's "Links" column is its length); nil for an
+// IXP with none or a name the Result does not know. It walks the whole
+// attribution map.
+func (r *Result) IXPLinks(ixpName string) []topology.LinkKey {
+	var out []topology.LinkKey
+	for k, ixps := range r.Links {
+		if slices.Contains(ixps, ixpName) {
+			out = append(out, k)
+		}
 	}
-	return len(x.Links)
+	slices.SortFunc(out, compareLinkKeys)
+	return out
 }
 
 // ObservationSource is the read side of an observation store: what
@@ -172,7 +162,6 @@ func InferLinks(dict *Dictionary, obs ObservationSource) *Result {
 			Members: entry.Members(),
 			Filters: make(map[bgp.ASN]ixp.ExportFilter),
 			Sources: make(map[bgp.ASN]DataSource),
-			Links:   make(map[topology.LinkKey]bool),
 		}
 		res.PerIXP[entry.Name] = x
 
@@ -184,26 +173,23 @@ func InferLinks(dict *Dictionary, obs ObservationSource) *Result {
 			if !ok {
 				continue
 			}
+			x.Covered = append(x.Covered, setter)
 			x.Filters[setter] = f
 			x.Sources[setter] = obs.Source(entry.Name, setter)
 		}
 
-		covered := x.CoveredMembers()
-		for i, a := range covered {
+		for i, a := range x.Covered {
 			fa := x.Filters[a]
-			for _, b := range covered[i+1:] {
-				fb := x.Filters[b]
-				if fa.Allows(b) && fb.Allows(a) {
-					x.Links[topology.MakeLinkKey(a, b)] = true
+			for _, b := range x.Covered[i+1:] {
+				if fa.Allows(b) && x.Filters[b].Allows(a) {
+					k := topology.MakeLinkKey(a, b)
+					res.Links[k] = append(res.Links[k], entry.Name)
 				}
 			}
 		}
-		for k := range x.Links {
-			res.Links[k] = append(res.Links[k], entry.Name)
-		}
 	}
 	for k := range res.Links {
-		sort.Strings(res.Links[k])
+		slices.Sort(res.Links[k])
 	}
 	return res
 }
@@ -239,8 +225,8 @@ func (r *Result) Fingerprint() uint64 {
 // TotalLinks by exactly the multi-IXP overlap, as in Table 2).
 func (r *Result) SumPerIXPLinks() int {
 	n := 0
-	for _, x := range r.PerIXP {
-		n += len(x.Links)
+	for _, ixps := range r.Links {
+		n += len(ixps)
 	}
 	return n
 }

@@ -99,7 +99,7 @@ func patchedIndexSweep(t *testing.T) {
 	toggle := func(key topology.LinkKey, name string) {
 		mi := ms.byName[name]
 		mi.stale = true
-		if mi.links[key] {
+		if slices.Contains(ms.links[key], name) {
 			ms.removeLink(mi, key.A, key.B)
 		} else {
 			ms.addLink(mi, key.A, key.B)
@@ -210,8 +210,10 @@ func patchedIndexSweep(t *testing.T) {
 	// Drain to empty again through the patch.
 	materialize("before drain", true)
 	for _, name := range names {
-		for key := range maps.Clone(ms.byName[name].links) {
-			toggle(key, name)
+		for key, ixps := range maps.Clone(ms.links) {
+			if slices.Contains(ixps, name) {
+				toggle(key, name)
+			}
 		}
 	}
 	materialize("drained", true)

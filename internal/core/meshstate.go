@@ -92,14 +92,14 @@ type meshSetter struct {
 
 // meshIXP is one IXP's maintained mesh: slot-indexed setters (slots are
 // assigned on first coverage and never freed — bounded by the members
-// ever covered, not by trace length) and the live per-IXP link set.
+// ever covered, not by trace length). Its live links are the set bits
+// of the setters' link bitsets; their attribution is MeshState.links.
 type meshIXP struct {
 	entry   *IXPEntry
 	members []bgp.ASN // entry.Members(), cached once per run
 	slotOf  map[bgp.ASN]int
 	setters []*meshSetter
 	covered int
-	links   map[topology.LinkKey]bool
 
 	// snap is the IXPInference the last Snapshot materialized; stale
 	// records that a setter joined, left or changed filter since, i.e.
@@ -118,10 +118,12 @@ type MeshState struct {
 	dict   *Dictionary
 	byName map[string]*meshIXP
 
-	// links maps every live link to its sorted IXP attribution list;
-	// multi counts the links attributed to more than one IXP. The lists
-	// are copy-on-write — commitAdd/commitRemove replace a list, never
-	// edit one in place — so Snapshot hands them to a Result as they are.
+	// links maps every live link to its sorted IXP attribution list —
+	// the mesh's one link set; an IXP's own links are the keys whose
+	// list names it. multi counts the links attributed to more than one
+	// IXP. The lists are copy-on-write — addLink/removeLink replace a
+	// list, never edit one in place — so Snapshot hands them to a
+	// Result as they are.
 	links map[topology.LinkKey][]string
 	multi int
 
@@ -159,7 +161,6 @@ func NewMeshState(dict *Dictionary) *MeshState {
 			entry:   e,
 			members: e.Members(),
 			slotOf:  make(map[bgp.ASN]int),
-			links:   make(map[topology.LinkKey]bool),
 		}
 	}
 	return ms
@@ -333,15 +334,14 @@ func (ms *MeshState) recheckPair(mi *meshIXP, slot int, s *meshSetter, j int, o 
 	}
 }
 
-// addLink brings a link up at mi: it enters the per-IXP link set and
-// mi's IXP joins its sorted attribution list, maintaining the
-// multi-IXP counter and the stability deltas. The first-touch changed
-// entry happens before any event mutated the key's attribution, so it
-// always records presence at the last close. The list is replaced, not
-// edited: the previous one may be shared with a published Result.
+// addLink brings a link up at mi: mi's IXP joins its sorted attribution
+// list, maintaining the multi-IXP counter and the stability deltas. The
+// first-touch changed entry happens before any event mutated the key's
+// attribution, so it always records presence at the last close. The
+// list is replaced, not edited: the previous one may be shared with a
+// published Result.
 func (ms *MeshState) addLink(mi *meshIXP, a, b bgp.ASN) {
 	key := topology.MakeLinkKey(a, b)
-	mi.links[key] = true
 	ms.markMoved(key)
 	names := ms.links[key]
 	if len(names) == 0 {
@@ -365,7 +365,6 @@ func (ms *MeshState) addLink(mi *meshIXP, a, b bgp.ASN) {
 // Copy-on-write like addLink.
 func (ms *MeshState) removeLink(mi *meshIXP, a, b bgp.ASN) {
 	key := topology.MakeLinkKey(a, b)
-	delete(mi.links, key)
 	ms.markMoved(key)
 	names := ms.links[key]
 	if len(names) == 1 {
@@ -418,14 +417,14 @@ func (ms *MeshState) CloseStability() float64 {
 // Snapshot materializes the maintained mesh as a Result equivalent to
 // InferLinks over the same observation store: the link map (a shallow
 // clone — the attribution lists are copy-on-write and shared), per-IXP
-// filters and sources. The Members slices alias the mesh's cached
-// member lists; like every Result, snapshots are read-only views —
-// which is what lets consecutive snapshots share structure: an IXP no
-// setter joined, left or re-filtered at since the last call keeps its
-// *IXPInference, an unchanged link set keeps its Links map and link
-// index, and when nothing changed at all the previous *Result itself is
-// returned, so whatever its consumers memoized on it (CoveredMembers,
-// BuildIndex) rides along. A link set that did change carries the
+// covered members, filters and sources. The Members slices alias the
+// mesh's cached member lists; like every Result, snapshots are
+// read-only views — which is what lets consecutive snapshots share
+// structure: an IXP no setter joined, left or re-filtered at since the
+// last call keeps its *IXPInference, an unchanged link set keeps its
+// Links map and link index, and when nothing changed at all the
+// previous *Result itself is returned, so the index its consumers built
+// on it (BuildIndex) rides along. A link set that did change carries the
 // sorted keys that moved and the previous Result's index, so BuildIndex
 // patches that index instead of sorting the mesh again.
 //
@@ -470,15 +469,17 @@ func (mi *meshIXP) inference() *IXPInference {
 	x := &IXPInference{
 		Name:    mi.entry.Name,
 		Members: mi.members,
+		Covered: make([]bgp.ASN, 0, mi.covered),
 		Filters: make(map[bgp.ASN]ixp.ExportFilter, mi.covered),
 		Sources: make(map[bgp.ASN]DataSource, mi.covered),
-		Links:   maps.Clone(mi.links),
 	}
 	for _, s := range mi.setters {
 		if s.covered {
+			x.Covered = append(x.Covered, s.asn)
 			x.Filters[s.asn] = s.filter
 			x.Sources[s.asn] = ObsPassive
 		}
 	}
+	slices.Sort(x.Covered)
 	return x
 }

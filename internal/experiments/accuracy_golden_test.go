@@ -44,13 +44,13 @@ func accuracyLine(scenario, mode string, topo *topology.Topology, truth map[topo
 			continue
 		}
 		local := topo.GroundTruthReciprocalLinks(x.Name)
-		for link := range inf.Links {
+		for _, link := range res.IXPLinks(x.Name) {
 			if !local[link] {
 				perIXPFP++
 			}
 		}
 		members := x.SortedRSMembers()
-		for _, s := range inf.CoveredMembers() {
+		for _, s := range inf.Covered {
 			want, ok := topo.ExportFilters[x.Name][s]
 			if !ok {
 				overPermissive++ // no true filter: any allowance is too much

@@ -232,12 +232,12 @@ func (c *Context) Figure12() *Figure12Result {
 		if info == nil || x == nil || !info.HasLG {
 			continue
 		}
-		covered := x.CoveredMembers()
+		covered := x.Covered
 		if len(covered) < 3 {
 			continue
 		}
 		deg := make(map[bgp.ASN]int)
-		for link := range x.Links {
+		for _, link := range c.Run.Result.IXPLinks(name) {
 			deg[link.A]++
 			deg[link.B]++
 		}

@@ -3,8 +3,10 @@ package experiments
 import (
 	"flag"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -40,12 +42,39 @@ func replayGolden(t *testing.T) string {
 		}
 		for i := range res.Windows {
 			pw := &res.Windows[i]
+			checkAttribution(t, fmt.Sprintf("%s window %d", name, i), pw.Result)
 			fmt.Fprintf(&b, "%s %d %016x %d %d %d %d %s\n", name, i,
 				pw.Result.Fingerprint(), pw.MeshLinks, pw.RelLinks, pw.P2PRels,
 				pw.LiveRoutes, strconv.FormatFloat(pw.Stability, 'g', -1, 64))
 		}
 	}
 	return b.String()
+}
+
+// checkAttribution holds a materialized Result against the per-IXP
+// reciprocity oracle: each IXP's Covered is its sorted filter keys, and
+// each link is attributed to exactly the IXPs whose covered filters
+// allow it both ways.
+func checkAttribution(t *testing.T, what string, res *core.Result) {
+	t.Helper()
+	want := make(map[topology.LinkKey][]string)
+	for _, name := range slices.Sorted(maps.Keys(res.PerIXP)) {
+		x := res.PerIXP[name]
+		if !slices.Equal(x.Covered, slices.Sorted(maps.Keys(x.Filters))) {
+			t.Fatalf("%s: %s covered %v is not the sorted filter keys", what, name, x.Covered)
+		}
+		for i, a := range x.Covered {
+			for _, b := range x.Covered[i+1:] {
+				if x.Filters[a].Allows(b) && x.Filters[b].Allows(a) {
+					k := topology.MakeLinkKey(a, b)
+					want[k] = append(want[k], name)
+				}
+			}
+		}
+	}
+	if !maps.EqualFunc(res.Links, want, slices.Equal[[]string]) {
+		t.Fatalf("%s: attribution map (%d links) differs from the reciprocity oracle (%d links)", what, len(res.Links), len(want))
+	}
 }
 
 // TestReplayGolden pins the incremental replay's per-window output on

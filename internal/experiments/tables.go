@@ -55,7 +55,7 @@ func (c *Context) Table2() *Table2Result {
 			Partial: !info.PublishesMemberList,
 			Pasv:    x.PassiveCount(),
 			Active:  x.ActiveCount(),
-			Links:   len(x.Links),
+			Links:   len(c.Run.Result.IXPLinks(name)),
 		})
 	}
 	return res
@@ -118,7 +118,7 @@ func (c *Context) Table3() (*Table3Result, error) {
 		agg := val.PerIXP[name]
 		row := Table3Row{
 			IXP:       name,
-			Links:     len(x.Links),
+			Links:     len(c.Run.Result.IXPLinks(name)),
 			Tested:    agg.Tested,
 			Confirmed: agg.Confirmed,
 		}

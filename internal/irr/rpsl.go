@@ -12,6 +12,7 @@ import (
 	"io"
 	"sort"
 	"strings"
+	"unicode"
 
 	"mlpeering/internal/bgp"
 )
@@ -67,7 +68,9 @@ func (o *Object) All(name string) []string {
 
 // Parse reads RPSL objects from r. Objects are separated by blank
 // lines; lines starting with '%' or '#' are comments; lines starting
-// with whitespace or '+' continue the previous attribute.
+// with whitespace (any Unicode space, so that no attribute name can
+// hide a leading '%', '#' or '+' behind one) or '+' continue the
+// previous attribute.
 func Parse(r io.Reader) ([]*Object, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -88,12 +91,14 @@ func Parse(r io.Reader) ([]*Object, error) {
 			flush()
 		case strings.HasPrefix(line, "%") || strings.HasPrefix(line, "#"):
 			continue
-		case line[0] == ' ' || line[0] == '\t' || line[0] == '+':
+		case line[0] == '+' || strings.IndexFunc(line, unicode.IsSpace) == 0:
 			if cur == nil || len(cur.Attrs) == 0 {
 				return nil, fmt.Errorf("irr: line %d: continuation without attribute", lineNo)
 			}
-			cont := strings.TrimSpace(strings.TrimPrefix(line, "+"))
-			cur.Attrs[len(cur.Attrs)-1].Value += " " + cont
+			// Joined with one space, and trimmed so that neither an
+			// empty value nor an empty continuation leaves it at an end.
+			v := &cur.Attrs[len(cur.Attrs)-1].Value
+			*v = strings.TrimSpace(*v + " " + strings.TrimPrefix(line, "+"))
 		default:
 			i := strings.IndexByte(line, ':')
 			if i < 0 {

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 
@@ -218,6 +219,7 @@ func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 }
 
 // ReadFrom loads records from JSON produced by WriteTo, merging into r.
+// Input it rejects, a null record among them, merges nothing.
 func (r *Registry) ReadFrom(rd io.Reader) (int64, error) {
 	data, err := io.ReadAll(rd)
 	if err != nil {
@@ -226,6 +228,9 @@ func (r *Registry) ReadFrom(rd io.Reader) (int64, error) {
 	var parsed registryJSON
 	if err := json.Unmarshal(data, &parsed); err != nil {
 		return int64(len(data)), fmt.Errorf("peeringdb: %w", err)
+	}
+	if i := slices.Index(parsed.Records, nil); i >= 0 {
+		return int64(len(data)), fmt.Errorf("peeringdb: record %d is null", i)
 	}
 	for _, rec := range parsed.Records {
 		r.Put(rec)

@@ -3,6 +3,7 @@ package peeringdb
 import (
 	"bytes"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -76,6 +77,13 @@ func TestRegistryJSONRoundTrip(t *testing.T) {
 
 	if _, err := NewRegistry().ReadFrom(bytes.NewBufferString("{bad")); err == nil {
 		t.Fatal("bad JSON must error")
+	}
+	r3 := NewRegistry()
+	if _, err := r3.ReadFrom(bytes.NewBufferString(`{"records":[{"asn":1},null]}`)); err == nil || !strings.Contains(err.Error(), "record 1 ") {
+		t.Fatalf("a null record must error naming it, got %v", err)
+	}
+	if r3.Len() != 0 {
+		t.Fatalf("a rejected load merged %d records", r3.Len())
 	}
 }
 

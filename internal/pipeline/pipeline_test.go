@@ -2,6 +2,8 @@ package pipeline
 
 import (
 	"context"
+	"maps"
+	"slices"
 	"testing"
 
 	"mlpeering/internal/core"
@@ -30,6 +32,45 @@ func fixture(t *testing.T) (*World, *Run) {
 	return w, run
 }
 
+// reciprocalLinks recomputes an IXP's links from its covered members'
+// filters by the reciprocity rule: the per-IXP oracle, blind to the
+// Result's attribution map.
+func reciprocalLinks(x *core.IXPInference) map[topology.LinkKey]bool {
+	out := make(map[topology.LinkKey]bool)
+	for i, a := range x.Covered {
+		for _, b := range x.Covered[i+1:] {
+			if x.Filters[a].Allows(b) && x.Filters[b].Allows(a) {
+				out[topology.MakeLinkKey(a, b)] = true
+			}
+		}
+	}
+	return out
+}
+
+// TestAttributionMatchesReciprocity holds the batch Result's covered
+// lists and attribution map against the per-IXP oracle: Covered is the
+// sorted filter keys, and each link is attributed to exactly the IXPs
+// whose covered filters allow it both ways.
+func TestAttributionMatchesReciprocity(t *testing.T) {
+	_, run := fixture(t)
+	want := make(map[topology.LinkKey][]string)
+	for _, name := range slices.Sorted(maps.Keys(run.Result.PerIXP)) {
+		x := run.Result.PerIXP[name]
+		if !slices.Equal(x.Covered, slices.Sorted(maps.Keys(x.Filters))) {
+			t.Fatalf("%s: covered %v is not the sorted filter keys", name, x.Covered)
+		}
+		for link := range reciprocalLinks(x) {
+			want[link] = append(want[link], name)
+		}
+	}
+	if len(want) == 0 {
+		t.Fatal("nothing to check")
+	}
+	if !maps.EqualFunc(run.Result.Links, want, slices.Equal[[]string]) {
+		t.Fatalf("attribution map (%d links) differs from the reciprocity oracle (%d links)", len(run.Result.Links), len(want))
+	}
+}
+
 func TestPipelineProducesLinks(t *testing.T) {
 	w, run := fixture(t)
 	if run.Result.TotalLinks() == 0 {
@@ -49,7 +90,7 @@ func TestPipelineProducesLinks(t *testing.T) {
 				t.Errorf("%s: covered %d of %d RS members despite own LG", info.Name, covered, len(info.RSMembers))
 			}
 		}
-		if covered > 0 && len(x.Links) == 0 && covered > 5 {
+		if covered > 5 && len(reciprocalLinks(x)) == 0 {
 			t.Errorf("%s: %d covered members but no links", info.Name, covered)
 		}
 	}
@@ -64,8 +105,7 @@ func TestInferredLinksAreSoundAgainstGroundTruth(t *testing.T) {
 	total := 0
 	for _, info := range w.Topo.IXPs {
 		truth := w.Topo.GroundTruthMLPLinks(info.Name)
-		x := run.Result.PerIXP[info.Name]
-		for link := range x.Links {
+		for link := range reciprocalLinks(run.Result.PerIXP[info.Name]) {
 			total++
 			if !truth[link] {
 				badLinks++
@@ -89,10 +129,10 @@ func TestRecallAgainstReciprocalTruth(t *testing.T) {
 			continue
 		}
 		truth := w.Topo.GroundTruthReciprocalLinks(info.Name)
-		x := run.Result.PerIXP[info.Name]
+		links := reciprocalLinks(run.Result.PerIXP[info.Name])
 		found := 0
 		for link := range truth {
-			if x.Links[link] {
+			if links[link] {
 				found++
 			}
 		}

@@ -167,25 +167,28 @@ func TestCopiedBodiesEdges(t *testing.T) {
 	for _, ixps := range attr {
 		slices.Sort(ixps)
 	}
+	// Members 1-6 are covered everywhere; each one's filter includes
+	// exactly its partners at that IXP, so the reciprocity rule over
+	// the filters gives back attr's per-IXP links.
 	res := &core.Result{PerIXP: map[string]*core.IXPInference{}, Links: attr}
-	for i, name := range []string{a, b, empty} {
+	for _, name := range []string{a, b, empty} {
 		inf := &core.IXPInference{
 			Name:    name,
 			Members: []bgp.ASN{1, 2, 3, 4, 5, 6, 7},
+			Covered: []bgp.ASN{1, 2, 3, 4, 5, 6},
 			Filters: map[bgp.ASN]ixp.ExportFilter{},
-			Sources: map[bgp.ASN]core.DataSource{},
-			Links:   map[topology.LinkKey]bool{},
+			Sources: map[bgp.ASN]core.DataSource{7: core.ObsActive},
 		}
-		for m := bgp.ASN(1); m <= bgp.ASN(3+i); m++ {
-			inf.Filters[m] = ixp.ExportFilter{}
+		for _, m := range inf.Covered {
+			inf.Filters[m] = ixp.NewExportFilter(ixp.ModeNoneExcept)
 			inf.Sources[m] = core.ObsPassive
 		}
-		inf.Sources[7] = core.ObsActive
 		res.PerIXP[name] = inf
 	}
 	for k, ixps := range attr {
 		for _, name := range ixps {
-			res.PerIXP[name].Links[k] = true
+			f := res.PerIXP[name].Filters
+			f[k.A].Peers[k.B], f[k.B].Peers[k.A] = true, true
 		}
 	}
 

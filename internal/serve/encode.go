@@ -203,7 +203,7 @@ func appendIXPHead(dst []byte, epoch uint64, name string, inf *core.IXPInference
 	dst = append(dst, ',')
 	dst = appendIXPLead(dst, name, inf)
 	dst = append(dst, '[')
-	for i, asn := range inf.CoveredMembers() {
+	for i, asn := range inf.Covered {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
@@ -289,12 +289,13 @@ func appendIXPList(dst []byte, epoch uint64, r *core.Result, x *core.LinkIndex) 
 			dst = append(dst, ',')
 		}
 		inf := r.PerIXP[name]
+		rows, _ := x.IXPLinks(name)
 		dst = append(dst, '{')
 		dst = appendIXPLead(dst, name, inf)
-		dst = strconv.AppendUint(dst, uint64(len(inf.CoveredMembers())), 10)
+		dst = strconv.AppendUint(dst, uint64(len(inf.Covered)), 10)
 		dst = appendField(dst, `,"passive":`, uint64(inf.PassiveCount()))
 		dst = appendField(dst, `,"active":`, uint64(inf.ActiveCount()))
-		dst = appendField(dst, `,"links":`, uint64(len(inf.Links)))
+		dst = appendField(dst, `,"links":`, uint64(len(rows)))
 		dst = append(dst, '}')
 	}
 	return append(dst, `]}`...)

@@ -95,6 +95,21 @@ func oracleLinkLookup(t *testing.T, epoch uint64, r *core.Result, a, b bgp.ASN) 
 	}{epoch, key.A, key.B, present, ixps})
 }
 
+// reciprocalLinks recomputes an IXP's links from its covered members'
+// filters by the reciprocity rule, ascending: the per-IXP oracle, blind
+// to the Result's attribution map and its index.
+func reciprocalLinks(x *core.IXPInference) []topology.LinkKey {
+	links := make(map[topology.LinkKey]bool)
+	for _, a := range x.Covered {
+		for _, b := range x.Covered {
+			if a < b && x.Filters[a].Allows(b) && x.Filters[b].Allows(a) {
+				links[topology.MakeLinkKey(a, b)] = true
+			}
+		}
+	}
+	return oracleSortedKeys(links)
+}
+
 func oracleIXP(t *testing.T, epoch uint64, r *core.Result, name string) string {
 	x := r.PerIXP[name]
 	covered := []bgp.ASN{}
@@ -103,7 +118,7 @@ func oracleIXP(t *testing.T, epoch uint64, r *core.Result, name string) string {
 	}
 	sort.Slice(covered, func(i, j int) bool { return covered[i] < covered[j] })
 	links := []oracleLink{}
-	for _, k := range oracleSortedKeys(x.Links) {
+	for _, k := range reciprocalLinks(x) {
 		links = append(links, oracleLink{k.A, k.B, []string{name}})
 	}
 	return oracleJSON(t, struct {
@@ -128,7 +143,7 @@ func oracleIXPList(t *testing.T, epoch uint64, r *core.Result) string {
 	}
 	rows := []row{}
 	for name, x := range r.PerIXP {
-		rows = append(rows, row{name, len(x.Members), len(x.Filters), x.PassiveCount(), x.ActiveCount(), len(x.Links)})
+		rows = append(rows, row{name, len(x.Members), len(x.Filters), x.PassiveCount(), x.ActiveCount(), len(reciprocalLinks(x))})
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].Name < rows[j].Name })
 	return oracleJSON(t, struct {

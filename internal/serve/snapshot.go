@@ -103,15 +103,14 @@ func NewSnapshot(epoch uint64, scenario string, pw *core.PassiveWindow, committe
 
 // newSnapshot is NewSnapshot for the gateway whose boot nonce is boot.
 //
-// This is the prefill window: every memo the read path relies on — the
-// Result's link index, the index's encoded link array, every per-IXP
-// CoveredMembers list — is filled here, before publication, so serving
-// never writes. A memo that is already there is left alone, which is
-// how a Result (or an IXPInference) shared with the previous epoch
-// publishes without being sorted or encoded again. The per-IXP body
-// heads are encoded here too (they carry the epoch, so every snapshot
-// has its own): a /v1/ixp request neither walks Sources nor formats
-// the covered list.
+// This is the prefill window: both memos the read path relies on — the
+// Result's link index and the index's encoded link array — are filled
+// here, before publication, so serving never writes. A memo that is
+// already there is left alone, which is how a Result shared with the
+// previous epoch publishes without being sorted or encoded again. The
+// per-IXP body heads are encoded here too (they carry the epoch, so
+// every snapshot has its own): a /v1/ixp request neither walks Sources
+// nor formats the covered list.
 //
 //mlplint:frozen
 func newSnapshot(boot string, epoch uint64, scenario string, pw *core.PassiveWindow, committed time.Time) *Snapshot {
