@@ -566,9 +566,11 @@ func BenchmarkChurnEpoch(b *testing.B) {
 
 func BenchmarkChurnTraceBuild(b *testing.B) {
 	// The update-trace build at paper scale (Scale 1, 4,721 ASes): the
-	// feeder snapshot plus 12 one-minute churn epochs of Engine.Apply,
-	// UpdateStream.WriteEpoch and the ground-truth mesh — set-up of three
-	// of the four repo benchmark workloads and lgserve's cold start.
+	// feeder snapshot and one ground-truth mesh scan, then 12 one-minute
+	// churn epochs of Engine.Apply, UpdateStream.WriteEpoch and the
+	// epoch's truth delta (the pairs its route-server ops can touch,
+	// evaluated before and after Apply) — set-up of three of the four
+	// repo benchmark workloads and lgserve's cold start.
 	// The world is rebuilt untimed each iteration (Run mutates it).
 	// WriteEpoch walks visible-dests trees through the pooled parallel
 	// subset walk, not dirty-dests (both summed over the 12 epochs).

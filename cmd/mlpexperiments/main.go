@@ -45,6 +45,9 @@ func main() {
 	cfg.Scenario = *scenario
 
 	if *churnMode {
+		if *churnWindows < 0 {
+			log.Fatalf("-churn-windows must not be negative, got %d", *churnWindows)
+		}
 		ccfg := churn.DefaultConfig(*seed + 11)
 		ccfg.Epochs = *churnEpochs
 		ccfg.Interval = *churnInterval

@@ -11,9 +11,12 @@
 package churn
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"maps"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -458,17 +461,47 @@ type EpochStats struct {
 	VisibleDests int
 	Announced    int // prefix announcements emitted
 	Withdrawn    int // prefix withdrawals emitted
-	TruthLinks   int // ground-truth reciprocal ML links after the epoch
+	// TruthLinks is the size of the reciprocal ground-truth ML mesh
+	// after the epoch: len(TruthBase) plus the Added and less the
+	// Removed of TruthDeltas up to and including this epoch.
+	TruthLinks int
+}
+
+// TruthDelta is one epoch's change to the reciprocal ground-truth ML
+// mesh, each list ascending. Only route-server joins, leaves and filter
+// edits move the mesh; peer flaps and prefix moves never do.
+type TruthDelta struct {
+	Added, Removed []topology.LinkKey
+}
+
+// Apply folds the delta into a mesh held as a set.
+func (d *TruthDelta) Apply(mesh map[topology.LinkKey]bool) {
+	for _, l := range d.Removed {
+		delete(mesh, l)
+	}
+	for _, l := range d.Added {
+		mesh[l] = true
+	}
 }
 
 // Trace is the outcome of a full churn run: per-epoch stats and the
-// ground-truth reciprocal mesh after each epoch, aligned with the
-// inference windows of the update stream written alongside.
+// ground-truth reciprocal mesh after each epoch, as a base and per-epoch
+// deltas, aligned with the inference windows of the update stream
+// written alongside. The mesh after epoch k is TruthBase with
+// TruthDeltas[0..k] applied in order.
 type Trace struct {
 	Start    time.Time
 	Interval time.Duration
 	Epochs   []EpochStats
-	// Truth[k] is the reciprocal ground-truth ML mesh after epoch k.
+	// TruthBase is the reciprocal ground-truth ML mesh before epoch 0,
+	// ascending.
+	TruthBase []topology.LinkKey
+	// TruthDeltas[k] is epoch k's change to the mesh.
+	TruthDeltas []TruthDelta
+	// Truth is not filled by Run. Only the benchmark harness's
+	// decomposed trace build writes it, one full mesh per epoch, and
+	// nothing reads it; ROADMAP.md item 1 deletes it together with that
+	// write.
 	Truth []map[topology.LinkKey]bool
 }
 
@@ -476,15 +509,29 @@ type Trace struct {
 // epoch the delta is applied incrementally through Engine.Apply and the
 // dirty destinations are diffed into announce/withdraw messages on w
 // (an MRT BGP4MP stream). The collector col must observe the runner's
-// engine.
+// engine. The ground-truth mesh is scanned once, before epoch 0; after
+// that each epoch re-evaluates only the pairs its route-server ops can
+// touch (truthCandidates), before and after Apply, and records the
+// pairs that flipped.
 func (r *Runner) Run(w io.Writer, col *collector.Collector, start time.Time) (*Trace, error) {
 	if col.Engine() != r.engine {
 		return nil, fmt.Errorf("churn: collector observes a different engine")
 	}
 	stream := collector.NewUpdateStream(col)
-	tr := &Trace{Start: start, Interval: r.cfg.Interval}
+	base := r.topo.AllGroundTruthReciprocalLinks()
+	tr := &Trace{
+		Start: start, Interval: r.cfg.Interval,
+		TruthBase: slices.SortedFunc(maps.Keys(base), compareLinks),
+	}
+	truthLinks := len(base)
+	var was []bool
 	for k := 0; k < r.cfg.Epochs; k++ {
 		d := r.NextDelta()
+		cands := r.truthCandidates(d)
+		was = was[:0]
+		for _, l := range cands {
+			was = append(was, r.topo.IsReciprocalLink(l.A, l.B))
+		}
 		dirty, err := r.engine.Apply(d)
 		if err != nil {
 			return nil, fmt.Errorf("churn: epoch %d: %w", k, err)
@@ -493,14 +540,66 @@ func (r *Runner) Run(w io.Writer, col *collector.Collector, start time.Time) (*T
 		if err != nil {
 			return nil, fmt.Errorf("churn: epoch %d stream: %w", k, err)
 		}
-		truth := r.topo.AllGroundTruthReciprocalLinks()
+		var td TruthDelta
+		for i, l := range cands {
+			switch is := r.topo.IsReciprocalLink(l.A, l.B); {
+			case is && !was[i]:
+				td.Added = append(td.Added, l)
+			case !is && was[i]:
+				td.Removed = append(td.Removed, l)
+			}
+		}
+		truthLinks += len(td.Added) - len(td.Removed)
 		tr.Epochs = append(tr.Epochs, EpochStats{
 			Epoch: k, Ops: d.Ops(), DirtyDests: len(dirty), VisibleDests: stream.Visible(),
-			Announced: ann, Withdrawn: wd, TruthLinks: len(truth),
+			Announced: ann, Withdrawn: wd, TruthLinks: truthLinks,
 		})
-		tr.Truth = append(tr.Truth, truth)
+		tr.TruthDeltas = append(tr.TruthDeltas, td)
 	}
 	return tr, nil
+}
+
+// truthCandidates returns, ascending and without repeats, every pair
+// whose membership in the ground-truth mesh the delta's route-server
+// ops can change: each joining, leaving or re-filtered member paired
+// with every RS member of its IXP before the delta and with the other
+// members the delta touches there (a member joining in the same epoch
+// is not an RS member yet). A pair neither of whose ASes an op touches
+// keeps its filters at every IXP, so it keeps its truth.
+func (r *Runner) truthCandidates(d *propagate.Delta) []topology.LinkKey {
+	type touch struct {
+		ixp    string
+		member bgp.ASN
+	}
+	var touched []touch
+	for _, op := range d.Members {
+		touched = append(touched, touch{op.IXP, op.Member})
+	}
+	for _, op := range d.Filters {
+		touched = append(touched, touch{op.IXP, op.Member})
+	}
+	var cands []topology.LinkKey
+	for _, t := range touched {
+		if x := r.topo.IXPByName(t.ixp); x != nil {
+			for _, o := range x.RSMembers {
+				if o != t.member {
+					cands = append(cands, topology.MakeLinkKey(t.member, o))
+				}
+			}
+		}
+		for _, u := range touched {
+			if u.ixp == t.ixp && u.member != t.member {
+				cands = append(cands, topology.MakeLinkKey(t.member, u.member))
+			}
+		}
+	}
+	slices.SortFunc(cands, compareLinks)
+	return slices.Compact(cands)
+}
+
+// compareLinks orders links by A, then B.
+func compareLinks(a, b topology.LinkKey) int {
+	return cmp.Or(cmp.Compare(a.A, b.A), cmp.Compare(a.B, b.B))
 }
 
 // DescribeDelta renders a delta as a canonical one-line schedule entry,

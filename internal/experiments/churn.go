@@ -64,8 +64,16 @@ type ChurnTrace struct {
 // stream) and captures everything the windowed inference consumes. The
 // dictionary is built once from the pre-churn world, like the real
 // method's snapshot of IXP websites: membership churn after the
-// snapshot is exactly what erodes coverage.
+// snapshot is exactly what erodes coverage. A schedule of no epochs or
+// a non-positive interval is an error, returned before anything is
+// built.
 func BuildChurnTrace(cfg topology.Config, ccfg churn.Config) (*ChurnTrace, error) {
+	if ccfg.Epochs < 1 {
+		return nil, fmt.Errorf("experiments: churn epochs must be at least 1, got %d", ccfg.Epochs)
+	}
+	if ccfg.Interval <= 0 {
+		return nil, fmt.Errorf("experiments: churn interval must be positive, got %v", ccfg.Interval)
+	}
 	w, err := pipeline.BuildWorld(cfg)
 	if err != nil {
 		return nil, err
@@ -182,13 +190,19 @@ func (ct *ChurnTrace) ReplayWindows(ctx context.Context, count, workers int, fn 
 }
 
 // Run derives the churn experiment table from the trace in the given
-// mode.
+// mode. Window k is scored against the ground-truth mesh after epoch k,
+// kept as one running set: the trace's base mesh with each epoch's
+// delta folded in before its window is scored.
 func (ct *ChurnTrace) Run(mode core.WindowsMode) (*ChurnResult, error) {
 	windows, err := ct.Windows(mode, 0)
 	if err != nil {
 		return nil, err
 	}
 	trace := ct.Trace
+	truth := make(map[topology.LinkKey]bool, len(trace.TruthBase))
+	for _, l := range trace.TruthBase {
+		truth[l] = true
+	}
 
 	res := &ChurnResult{Scenario: ct.Scenario, Mode: mode, Epochs: ct.Epochs, Interval: ct.Interval}
 	for k := range windows.Windows {
@@ -208,8 +222,8 @@ func (ct *ChurnTrace) Run(mode core.WindowsMode) (*ChurnResult, error) {
 			row.Ops = trace.Epochs[k].Ops
 			row.DirtyDests = trace.Epochs[k].DirtyDests
 		}
-		if k < len(trace.Truth) {
-			truth := trace.Truth[k]
+		if k < len(trace.TruthDeltas) {
+			trace.TruthDeltas[k].Apply(truth)
 			tp := 0
 			for link := range pw.Result.Links {
 				if truth[link] {

@@ -150,3 +150,29 @@ func TestRunChurnModesEquivalentScale10(t *testing.T) {
 	cfg.Scale = 10
 	assertModesEquivalent(t, 11, cfg)
 }
+
+// TestBuildChurnTraceRejectsBadSchedule pins that a schedule of no
+// epochs or a non-positive interval is refused before any world is
+// built, with a message naming the value, instead of being rewritten
+// to one 10-minute epoch.
+func TestBuildChurnTraceRejectsBadSchedule(t *testing.T) {
+	cfg := topology.TestConfig()
+	cfg.Scenario = "no-such-scenario" // building anything would fail on this instead
+	for _, c := range []struct {
+		epochs   int
+		interval time.Duration
+		want     string
+	}{
+		{0, 10 * time.Minute, "churn epochs must be at least 1, got 0"},
+		{-3, 10 * time.Minute, "churn epochs must be at least 1, got -3"},
+		{6, 0, "churn interval must be positive, got 0s"},
+		{6, -5 * time.Minute, "churn interval must be positive, got -5m0s"},
+	} {
+		ccfg := churn.DefaultConfig(1)
+		ccfg.Epochs, ccfg.Interval = c.epochs, c.interval
+		ct, err := BuildChurnTrace(cfg, ccfg)
+		if ct != nil || err == nil || err.Error() != "experiments: "+c.want {
+			t.Errorf("epochs %d interval %v: got (%v, %v), want the error %q", c.epochs, c.interval, ct, err, c.want)
+		}
+	}
+}

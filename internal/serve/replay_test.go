@@ -267,16 +267,16 @@ func TestLoopedReplayHeapBounded(t *testing.T) {
 // TestReplayReleasesDumpsAndTruth pins that the serving loop keeps
 // neither the base dumps nor the ground truth: once the first epoch has
 // committed and two collections have run, weak pointers to a dump and
-// to the trace that holds the truth maps read nil, while the gateway
-// goes on publishing.
+// to the backing array of the trace's base truth mesh read nil, while
+// the gateway goes on publishing.
 func TestReplayReleasesDumpsAndTruth(t *testing.T) {
 	ccfg := churn.DefaultConfig(20130501)
 	ccfg.Epochs = 3
 	ct := buildTrace(t, topology.TestConfig(), ccfg)
-	if len(ct.Dumps) == 0 || len(ct.Trace.Truth) == 0 {
+	if len(ct.Dumps) == 0 || len(ct.Trace.TruthBase) == 0 {
 		t.Fatal("trace has no dumps or no truth")
 	}
-	dump, truth := weak.Make(ct.Dumps[0]), weak.Make(&ct.Trace.Truth[0])
+	dump, truth := weak.Make(ct.Dumps[0]), weak.Make(&ct.Trace.TruthBase[0])
 	traces := make(chan *experiments.ChurnTrace, 1)
 	traces <- ct
 	ct = nil

@@ -491,32 +491,46 @@ func TestGatewayEndToEndEpochs(t *testing.T) {
 }
 
 // TestRunFailsFastOnBuildError pins the reconciler's failure
-// semantics: a world that cannot be built is a deterministic error, so
-// Run returns it at once — no backoff loop, no snapshot, the gateway
-// never reports ready — and lgserve turns that into a non-zero exit.
+// semantics: a world or churn schedule that cannot be built is a
+// deterministic error, so Run returns it at once — no backoff loop, no
+// snapshot, the gateway never reports ready — and lgserve turns that
+// into a non-zero exit.
 func TestRunFailsFastOnBuildError(t *testing.T) {
-	cfg := topology.TestConfig()
-	cfg.Scenario = "no-such-scenario"
-	g := New(Config{Topology: cfg, Churn: churn.DefaultConfig(1)})
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	done := make(chan error, 1)
-	go func() { done <- g.Run(ctx) }()
-	select {
-	case err := <-done:
-		if err == nil || !strings.Contains(err.Error(), "no-such-scenario") {
-			t.Fatalf("Run returned %v, want the scenario error", err)
+	noEpochs, backwards := churn.DefaultConfig(1), churn.DefaultConfig(1)
+	noEpochs.Epochs = 0
+	backwards.Interval = -5 * time.Minute
+	for _, c := range []struct {
+		scenario string
+		churn    churn.Config
+		want     string
+	}{
+		{"no-such-scenario", churn.DefaultConfig(1), "no-such-scenario"},
+		{"baseline", noEpochs, "churn epochs must be at least 1, got 0"},
+		{"baseline", backwards, "churn interval must be positive, got -5m0s"},
+	} {
+		cfg := topology.TestConfig()
+		cfg.Scenario = c.scenario
+		g := New(Config{Topology: cfg, Churn: c.churn})
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		done := make(chan error, 1)
+		go func() { done <- g.Run(ctx) }()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("Run returned %v, want an error naming %q", err, c.want)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("Run is still retrying a deterministic build error (%s) after 10s", c.want)
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("Run is still retrying a deterministic build error after 10s")
-	}
-	select {
-	case <-g.Ready():
-		t.Fatal("gateway reported ready without a world")
-	default:
-	}
-	if rr := get(t, g.Handler(), "/v1/epoch", nil); rr.Code != http.StatusServiceUnavailable {
-		t.Fatalf("GET /v1/epoch without a world = %d, want 503", rr.Code)
+		select {
+		case <-g.Ready():
+			t.Fatal("gateway reported ready without a world")
+		default:
+		}
+		if rr := get(t, g.Handler(), "/v1/epoch", nil); rr.Code != http.StatusServiceUnavailable {
+			t.Fatalf("GET /v1/epoch without a world = %d, want 503", rr.Code)
+		}
 	}
 }
 

@@ -190,40 +190,73 @@ func (t *Topology) GroundTruthReciprocalLinks(ixpName string) map[LinkKey]bool {
 	return t.reciprocalLinks([]*ixp.Info{x})
 }
 
+// rsPolicy is one RS member's export and import filter at an IXP.
+type rsPolicy struct {
+	asn      bgp.ASN
+	exp, imp ixp.ExportFilter
+}
+
+// reciprocal is the pair rule of the truth mesh (§4.1 applied to the
+// true filters): routes flow over the route server from p to q and
+// from q to p.
+func (p *rsPolicy) reciprocal(q *rsPolicy) bool {
+	return p.asn != q.asn &&
+		p.exp.Allows(q.asn) && q.imp.Allows(p.asn) &&
+		q.exp.Allows(p.asn) && p.imp.Allows(q.asn)
+}
+
+// policy looks up member's filters at the named IXP; a member missing
+// either filter cannot be in a reciprocal pair at all.
+func (t *Topology) policy(ixpName string, member bgp.ASN) (rsPolicy, bool) {
+	exp, ok := t.ExportFilters[ixpName][member]
+	if !ok {
+		return rsPolicy{}, false
+	}
+	imp, ok := t.ImportFilters[ixpName][member]
+	return rsPolicy{asn: member, exp: exp, imp: imp}, ok
+}
+
 // reciprocalLinks returns every pair of RS members with RouteFlows in
 // both directions at one of the given IXPs. Each member's filters are
-// looked up once instead of per ordered pair; a member missing either
-// filter cannot be in a reciprocal pair at all.
+// looked up once instead of per ordered pair.
 func (t *Topology) reciprocalLinks(ixps []*ixp.Info) map[LinkKey]bool {
-	type policy struct {
-		asn      bgp.ASN
-		exp, imp ixp.ExportFilter
-	}
 	links := make(map[LinkKey]bool)
-	var pol []policy
+	var pol []rsPolicy
 	for _, x := range ixps {
-		exports, imports := t.ExportFilters[x.Name], t.ImportFilters[x.Name]
 		pol = pol[:0]
 		for _, m := range x.RSMembers {
-			exp, hasExp := exports[m]
-			imp, hasImp := imports[m]
-			if hasExp && hasImp {
-				pol = append(pol, policy{asn: m, exp: exp, imp: imp})
+			if p, ok := t.policy(x.Name, m); ok {
+				pol = append(pol, p)
 			}
 		}
 		for i := range pol {
-			a := &pol[i]
 			for j := i + 1; j < len(pol); j++ {
-				b := &pol[j]
-				if a.asn != b.asn &&
-					a.exp.Allows(b.asn) && b.imp.Allows(a.asn) &&
-					b.exp.Allows(a.asn) && a.imp.Allows(b.asn) {
-					links[MakeLinkKey(a.asn, b.asn)] = true
+				if pol[i].reciprocal(&pol[j]) {
+					links[MakeLinkKey(pol[i].asn, pol[j].asn)] = true
 				}
 			}
 		}
 	}
 	return links
+}
+
+// IsReciprocalLink reports whether MakeLinkKey(a, b) is in
+// AllGroundTruthReciprocalLinks: some IXP has both a and b as RS
+// members whose filters let routes flow both ways. It costs a few
+// filter lookups per IXP, not a scan of the mesh, so a caller that knows
+// which pairs a mutation can touch keeps the mesh current pair by pair.
+func (t *Topology) IsReciprocalLink(a, b bgp.ASN) bool {
+	for _, x := range t.IXPs {
+		pa, ok := t.policy(x.Name, a)
+		if !ok {
+			continue
+		}
+		pb, ok := t.policy(x.Name, b)
+		if ok && pa.reciprocal(&pb) && x.IsRSMember(a) && x.IsRSMember(b) {
+			return true
+		}
+	}
+	return false
 }
 
 // AllGroundTruthMLPLinks unions GroundTruthMLPLinks over all IXPs.

@@ -446,6 +446,20 @@ func TestReciprocalLinksMatchRouteFlows(t *testing.T) {
 		delete(topo.ImportFilters[info.Name], rs[len(rs)-1])
 	}
 
+	// A port left with open filters but no route-server session is in
+	// no pair: membership, not the filter maps, decides who peers.
+	var stray []bgp.ASN
+	for _, info := range topo.IXPs {
+		for _, m := range info.SortedMembers() {
+			if !info.IsRSMember(m) {
+				topo.ExportFilters[info.Name][m] = ixp.OpenFilter()
+				topo.ImportFilters[info.Name][m] = ixp.OpenFilter()
+				stray = append(stray, m)
+				break
+			}
+		}
+	}
+
 	all := make(map[LinkKey]bool)
 	for _, info := range topo.IXPs {
 		want := make(map[LinkKey]bool)
@@ -471,6 +485,27 @@ func TestReciprocalLinksMatchRouteFlows(t *testing.T) {
 	}
 	if got := topo.AllGroundTruthReciprocalLinks(); !maps.Equal(got, all) {
 		t.Errorf("all IXPs: %d reciprocal links, per-pair RouteFlows gives %d", len(got), len(all))
+	}
+	// IsReciprocalLink is the same rule asked pair by pair: two-way
+	// RouteFlows at some IXP where both are RS members.
+	for _, info := range topo.IXPs {
+		members := info.SortedRSMembers()
+		for i, a := range members {
+			for _, b := range members[i+1:] {
+				if got := topo.IsReciprocalLink(a, b); got != all[MakeLinkKey(a, b)] || got != topo.IsReciprocalLink(b, a) {
+					t.Fatalf("%s: IsReciprocalLink(%s, %s) = %v, two-way RouteFlows at some IXP = %v",
+						info.Name, a, b, got, all[MakeLinkKey(a, b)])
+				}
+			}
+			for _, s := range stray {
+				if got := topo.IsReciprocalLink(a, s); got != all[MakeLinkKey(a, s)] {
+					t.Fatalf("IsReciprocalLink(%s, %s) = %v: the filters %s holds without an RS session must not count", a, s, got, s)
+				}
+			}
+			if topo.IsReciprocalLink(a, a) {
+				t.Fatalf("IsReciprocalLink(%s, %s) holds for a self pair", a, a)
+			}
+		}
 	}
 	if topo.GroundTruthReciprocalLinks("NO-SUCH-IXP") != nil {
 		t.Error("unknown IXP must give nil")
