@@ -655,6 +655,48 @@ func BenchmarkChurnedPublish(b *testing.B) {
 	b.ReportMetric(ms(snapshotT), "snapshot-ms/op")
 }
 
+func BenchmarkReplayBaseLoad(b *testing.B) {
+	// The window BenchmarkChurnedPublish leaves out: a one-window replay
+	// of the paper world's 12 x 1-minute churn trace (Scale 1; the trace
+	// is built once, untimed), published the way the gateway's reconciler
+	// publishes its first epoch. load-ms/op is everything before the
+	// close — interning every base-RIB route and the pre-window updates
+	// into the incremental miner — and the other three columns are the
+	// window's close, MeshState.Snapshot and NewSnapshot. This is the
+	// cost every churn-paper cycle and every gateway cold start pays
+	// before its first epoch.
+	ccfg := churn.DefaultConfig(20130501)
+	ccfg.Epochs, ccfg.Interval = 12, time.Minute
+	ct, err := experiments.BuildChurnTrace(topology.DefaultConfig(), ccfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var loadT, closeT, materializeT, snapshotT time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t0 := time.Now()
+		err := ct.StreamWindows(core.WindowsIncremental, 1, 0, func(pw *core.PassiveWindow) {
+			bare := pw.CloseTime
+			loadT += time.Since(t0) - bare
+			closeT += bare
+			pw.Materialize()
+			materializeT += pw.CloseTime - bare
+			t1 := time.Now()
+			serve.NewSnapshot(1, ct.Scenario, pw, t1)
+			snapshotT += time.Since(t1)
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	ms := func(d time.Duration) float64 { return float64(d) / 1e6 / float64(b.N) }
+	b.ReportMetric(ms(loadT), "load-ms/op")
+	b.ReportMetric(ms(closeT), "close-ms/op")
+	b.ReportMetric(ms(materializeT), "materialize-ms/op")
+	b.ReportMetric(ms(snapshotT), "snapshot-ms/op")
+}
+
 func BenchmarkGatewayBodies(b *testing.B) {
 	// Request-in to body-out for the two per-view endpoints on the paper
 	// world (Scale 1): the gateway's first published snapshot (the epoch

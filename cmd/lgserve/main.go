@@ -23,7 +23,9 @@
 // closes. A world that cannot be built (an unknown scenario, a baseline
 // -scale >= 4 whose exchanges would overflow the 16-bit alias table) is
 // fatal: lgserve logs the build error and exits non-zero instead of
-// answering 503 forever.
+// answering 503 forever. So is a setting that means nothing: a negative
+// -max-inflight, -epoch-interval, -max-age or -drain, or a -max-age
+// under one second.
 package main
 
 import (
@@ -58,6 +60,9 @@ func main() {
 	maxAge := flag.Duration("max-age", 0, "Cache-Control max-age (0 = no-cache, always revalidate)")
 	drain := flag.Duration("drain", 10*time.Second, "graceful shutdown drain timeout")
 	flag.Parse()
+	if *drain < 0 {
+		log.Fatalf("-drain %v is negative (0 closes in-flight requests at once)", *drain)
+	}
 
 	cfg := topology.DefaultConfig()
 	cfg.Scale = *scale

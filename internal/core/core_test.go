@@ -13,7 +13,7 @@ import (
 	"mlpeering/internal/topology"
 )
 
-func testDict(t *testing.T) *Dictionary {
+func testDict(t testing.TB) *Dictionary {
 	t.Helper()
 	sites := []WebsiteData{
 		{Name: "DE-CIX", Scheme: ixp.StandardScheme(6695), PublishesMemberList: true,
@@ -30,7 +30,7 @@ func testDict(t *testing.T) *Dictionary {
 	return d
 }
 
-func comms(t *testing.T, s string) bgp.Communities {
+func comms(t testing.TB, s string) bgp.Communities {
 	t.Helper()
 	cs, err := bgp.ParseCommunities(s)
 	if err != nil {

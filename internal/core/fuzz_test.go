@@ -1,0 +1,218 @@
+package core
+
+import (
+	"maps"
+	"slices"
+	"testing"
+	"time"
+
+	"mlpeering/internal/bgp"
+	"mlpeering/internal/mrt"
+)
+
+// FuzzWindowMiner is the differential fuzz of the windowed miner: a
+// small base RIB and a byte-driven event sequence over testDict's
+// exchanges are replayed once in incremental mode and once through the
+// remine oracle, and every window close must agree on the materialized
+// mesh's fingerprint and on the maintained counters. Seeds live under
+// testdata/fuzz.
+func FuzzWindowMiner(f *testing.F) {
+	fx := newMinerFuzzFixture(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dumps, updates, count := fx.decode(data)
+		inc, rem := fx.windows(t, dumps, updates, count, WindowsIncremental), fx.windows(t, dumps, updates, count, WindowsRemine)
+		for i := range inc {
+			if inc[i] != rem[i] {
+				t.Fatalf("window %d of %d diverges:\nincremental %+v\nremine      %+v", i, count, inc[i], rem[i])
+			}
+		}
+	})
+}
+
+// minerFuzzFixture is the vocabulary the fuzz input picks from: testDict's
+// DE-CIX and MSK-IX members on clean, rels-dependent (three or more
+// members of one IXP), bogon and cycle paths, community sets that
+// include, exclude or straddle the two route servers, and six prefixes.
+// A route's collector peer is its path's first hop.
+type minerFuzzFixture struct {
+	dict     *Dictionary
+	paths    [][]bgp.ASN
+	comms    []bgp.Communities
+	prefixes []bgp.Prefix
+	t0       time.Time
+	window   time.Duration
+}
+
+func newMinerFuzzFixture(tb testing.TB) *minerFuzzFixture {
+	fx := &minerFuzzFixture{
+		dict: testDict(tb),
+		paths: [][]bgp.ASN{
+			{100, 200},
+			{100, 300},
+			{100, 200, 8359}, // rels-dependent at DE-CIX
+			{100, 8359, 300}, // rels-dependent at DE-CIX
+			{100, bgp.ASTrans, 300},
+			{100, 200, 100},
+			{400, 500},
+			{400, 100, 500}, // rels-dependent at MSK-IX
+			{400, 100, 200},
+			{400},
+		},
+		t0:     time.Date(2013, 5, 1, 2, 0, 0, 0, time.UTC),
+		window: 10 * time.Minute,
+	}
+	for _, s := range []string{"", "6695:6695", "6695:6695 0:300", "6695:6695 0:200", "0:6695 6695:300",
+		"8631:8631", "8631:8631 0:500", "6695:6695 8631:8631"} {
+		fx.comms = append(fx.comms, comms(tb, s))
+	}
+	for _, s := range []string{"10.0.0.0/24", "10.1.0.0/24", "10.2.0.0/24", "10.3.0.0/24", "10.4.0.0/24", "10.5.0.0/24"} {
+		fx.prefixes = append(fx.prefixes, bgp.MustPrefix(s))
+	}
+	return fx
+}
+
+// Fuzz input limits: events past fuzzMaxEvents and closes past
+// fuzzMaxCloses are ignored, so one input stays a few milliseconds of
+// replay.
+const (
+	fuzzMaxEvents = 96
+	fuzzMaxCloses = 12
+)
+
+// Event kinds, one input byte each (mod fuzzEventKinds), followed by the
+// event's argument bytes.
+const (
+	fuzzAnnounce     = iota // path, prefix, comms, two-prefix flag
+	fuzzWithdraw            // live slot
+	fuzzReannounce          // live slot, comms step: same path, other comms
+	fuzzDuplicate           // repeat the last announce exactly
+	fuzzWithdrawDead        // peer, prefix: a slot that holds no route
+	fuzzClose               // close the window
+	fuzzEventKinds
+)
+
+// decode turns fuzz bytes into a base RIB dump, an update trace and the
+// number of windows that trace closes. The first byte sizes the base RIB
+// (mod 8 entries of path, prefix and comms bytes); what follows is the
+// event sequence. Missing bytes read as zero.
+func (fx *minerFuzzFixture) decode(data []byte) ([]*mrt.Dump, []*mrt.BGP4MPMessage, int) {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	type route struct{ path, comms int }
+	live := make(map[liveKey]route)
+	slot := func(path, prefix int) liveKey { return liveKey{fx.paths[path][0], fx.prefixes[prefix]} }
+
+	dump := &mrt.Dump{Index: &mrt.PeerIndexTable{Peers: []mrt.Peer{{ASN: 100}, {ASN: 400}}}}
+	for n := next() % 8; n > 0; n-- {
+		path, prefix, cs := next()%len(fx.paths), next()%len(fx.prefixes), next()%len(fx.comms)
+		peer := uint16(0)
+		if fx.paths[path][0] == 400 {
+			peer = 1
+		}
+		dump.RIBs = append(dump.RIBs, &mrt.RIBRecord{Prefix: fx.prefixes[prefix], Entries: []mrt.RIBEntry{{
+			PeerIndex: peer,
+			Attrs:     &bgp.PathAttrs{ASPath: bgp.NewASPath(fx.paths[path]...), Communities: fx.comms[cs]},
+		}}})
+		live[slot(path, prefix)] = route{path, cs}
+	}
+
+	var updates []*mrt.BGP4MPMessage
+	closes, at := 0, fx.t0
+	var last *mrt.BGP4MPMessage
+	announce := func(path, cs int, prefixes ...int) {
+		nlri := make([]bgp.Prefix, len(prefixes))
+		for i, p := range prefixes {
+			nlri[i] = fx.prefixes[p]
+			live[slot(path, p)] = route{path, cs}
+		}
+		last = upd(at, fx.paths[path][0], fx.paths[path], fx.comms[cs], nlri, nil)
+		updates = append(updates, last)
+	}
+	liveSlot := func() (liveKey, route, bool) {
+		if len(live) == 0 {
+			return liveKey{}, route{}, false
+		}
+		keys := slices.SortedFunc(maps.Keys(live), compareLiveKeys)
+		k := keys[next()%len(keys)]
+		return k, live[k], true
+	}
+	for events := 0; len(data) > 0 && events < fuzzMaxEvents && closes < fuzzMaxCloses; events++ {
+		at = at.Add(time.Second)
+		switch next() % fuzzEventKinds {
+		case fuzzAnnounce:
+			path, prefix, cs := next()%len(fx.paths), next()%len(fx.prefixes), next()%len(fx.comms)
+			if next()%2 == 0 {
+				announce(path, cs, prefix)
+			} else {
+				announce(path, cs, prefix, (prefix+1)%len(fx.prefixes))
+			}
+		case fuzzWithdraw:
+			if k, _, ok := liveSlot(); ok {
+				delete(live, k)
+				updates = append(updates, upd(at, k.peer, nil, nil, nil, []bgp.Prefix{k.prefix}))
+			}
+		case fuzzReannounce:
+			if k, r, ok := liveSlot(); ok {
+				cs := (r.comms + 1 + next()%(len(fx.comms)-1)) % len(fx.comms)
+				announce(r.path, cs, slices.Index(fx.prefixes, k.prefix))
+			}
+		case fuzzDuplicate:
+			if last != nil {
+				dup := *last
+				dup.Timestamp = at
+				updates = append(updates, &dup)
+			}
+		case fuzzWithdrawDead:
+			peer := []bgp.ASN{100, 400}[next()%2]
+			p := bgp.MustPrefix("10.99.0.0/24") // never announced
+			for i, start := 0, next(); i < len(fx.prefixes); i++ {
+				q := fx.prefixes[(start+i)%len(fx.prefixes)]
+				if _, ok := live[liveKey{peer, q}]; !ok {
+					p = q
+					break
+				}
+			}
+			updates = append(updates, upd(at, peer, nil, nil, nil, []bgp.Prefix{p}))
+		case fuzzClose:
+			closes++
+			at = fx.t0.Add(time.Duration(closes) * fx.window)
+		}
+	}
+	return []*mrt.Dump{dump}, updates, closes + 1
+}
+
+// minerFuzzRow is what one window close must agree on across modes.
+type minerFuzzRow struct {
+	Fingerprint                      uint64
+	MeshLinks, RelLinks, P2PRels     int
+	LiveRoutes, Announced, Withdrawn int
+	Dropped                          DropStats
+	Stability                        float64
+}
+
+// windows replays the trace in mode and returns one row per window.
+func (fx *minerFuzzFixture) windows(t *testing.T, dumps []*mrt.Dump, updates []*mrt.BGP4MPMessage, count int, mode WindowsMode) []minerFuzzRow {
+	t.Helper()
+	var rows []minerFuzzRow
+	opts := WindowOptions{Start: fx.t0, Window: fx.window, Count: count, Mode: mode, Stream: func(pw *PassiveWindow) {
+		rows = append(rows, minerFuzzRow{
+			Fingerprint: pw.Materialize().Fingerprint(),
+			MeshLinks:   pw.MeshLinks, RelLinks: pw.RelLinks, P2PRels: pw.P2PRels,
+			LiveRoutes: pw.LiveRoutes, Announced: pw.Announced, Withdrawn: pw.Withdrawn,
+			Dropped: pw.Dropped, Stability: pw.Stability,
+		})
+	}}
+	if _, err := RunPassiveWindows(dumps, updates, fx.dict, opts); err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != count {
+		t.Fatalf("%v: %d windows, want %d", mode, len(rows), count)
+	}
+	return rows
+}

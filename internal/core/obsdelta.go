@@ -240,8 +240,9 @@ func (o *DeltaObservations) Source(ixpName string, setter bgp.ASN) DataSource {
 
 // windowGroup is the derived state of one distinct (path, communities)
 // route shape. Everything but the relationship-dependent setter is
-// fixed at creation; refs and byPrefix track the live routes currently
-// carrying the shape.
+// fixed at creation; refs tracks the live routes currently carrying the
+// shape, and byPrefix, for a relsDep shape only, their prefixes: a
+// re-pinpoint moves those counts, and nothing else ever reads them.
 type windowGroup struct {
 	path  paths.ID
 	comms bgp.Communities
@@ -257,9 +258,9 @@ type windowGroup struct {
 	setter              bgp.ASN
 
 	refs      int
-	deadEpoch int  // window epoch at which refs last hit zero
-	queued    bool // currently in windowMiner.deadQueue
-	byPrefix  map[bgp.Prefix]int
+	deadEpoch int                // window epoch at which refs last hit zero
+	queued    bool               // currently in windowMiner.deadQueue
+	byPrefix  map[bgp.Prefix]int // nil unless relsDep
 }
 
 // mineable reports whether the shape can contribute observations at
@@ -310,7 +311,9 @@ type windowMiner struct {
 	rel  *relation.Incremental // nil in remine mode
 	mesh *MeshState            // nil in remine mode
 
-	pathLive map[paths.ID]int
+	// pathLive counts the live kept routes per path, indexed by the
+	// store's dense IDs and grown as the store grows.
+	pathLive []int32
 
 	epoch     int // window closes so far
 	deadQueue []deadShape
@@ -330,13 +333,12 @@ type windowMiner struct {
 // observation store's dirty-setter tracking.
 func newWindowMiner(dict *Dictionary, store *paths.Store, rel *relation.Incremental) *windowMiner {
 	m := &windowMiner{
-		dict:     dict,
-		store:    store,
-		groups:   make(map[paths.ID]map[string]*windowGroup),
-		attr:     newAttributor(dict),
-		obs:      NewDeltaObservations(),
-		rel:      rel,
-		pathLive: make(map[paths.ID]int),
+		dict:   dict,
+		store:  store,
+		groups: make(map[paths.ID]map[string]*windowGroup),
+		attr:   newAttributor(dict),
+		obs:    NewDeltaObservations(),
+		rel:    rel,
 	}
 	if rel != nil {
 		m.obs.TrackDirty()
@@ -364,19 +366,38 @@ func commsKey(cs bgp.Communities) string {
 }
 
 // group returns (creating on first sight) the derived group of a route
-// shape. New mineable groups resolve their setter immediately when the
-// pinpointing is relationship-independent, or against the current
-// oracle otherwise (stale answers are corrected at window close).
+// shape whose comms the group may keep.
 func (m *windowMiner) group(path paths.ID, comms bgp.Communities, ckey string) *windowGroup {
 	inner := m.groups[path]
+	if g, ok := inner[ckey]; ok {
+		return g
+	}
+	return m.addGroup(inner, path, comms, ckey)
+}
+
+// shape is group for an announced route: it probes with ckb, the
+// canonical comms encoding as scratch bytes (string(ckb) map access
+// compiles allocation-free), and only on first sight of the shape
+// clones comms and materializes the key.
+func (m *windowMiner) shape(path paths.ID, comms bgp.Communities, ckb []byte) *windowGroup {
+	inner := m.groups[path]
+	if g, ok := inner[string(ckb)]; ok {
+		return g
+	}
+	return m.addGroup(inner, path, comms.Clone(), string(ckb))
+}
+
+// addGroup derives the group of a shape missing from inner, the path's
+// slot of the lookup map (nil when the path has none yet), and files it
+// there. New mineable groups resolve their setter immediately when the
+// pinpointing is relationship-independent, or against the current
+// oracle otherwise (stale answers are corrected at window close).
+func (m *windowMiner) addGroup(inner map[string]*windowGroup, path paths.ID, comms bgp.Communities, ckey string) *windowGroup {
 	if inner == nil {
 		inner = make(map[string]*windowGroup, 1)
 		m.groups[path] = inner
 	}
-	if g, ok := inner[ckey]; ok {
-		return g
-	}
-	g := &windowGroup{path: path, comms: comms, ckey: ckey, byPrefix: make(map[bgp.Prefix]int)}
+	g := &windowGroup{path: path, comms: comms, ckey: ckey}
 	p := m.store.Path(path)
 	g.empty = len(p) == 0
 	g.bogon = hasBogon(p)
@@ -399,6 +420,7 @@ func (m *windowMiner) group(path paths.ID, comms bgp.Communities, ckey string) *
 	}
 	if g.mineable() {
 		if g.relsDep {
+			g.byPrefix = make(map[bgp.Prefix]int)
 			g.registered = true
 			m.relsDeps = append(m.relsDeps, g)
 			if m.rel != nil {
@@ -443,10 +465,12 @@ func (m *windowMiner) apply(g *windowGroup, prefix bgp.Prefix, delta int) {
 			m.deadQueue = append(m.deadQueue, deadShape{g: g, epoch: m.epoch})
 		}
 	}
-	if n := g.byPrefix[prefix] + delta; n == 0 {
-		delete(g.byPrefix, prefix)
-	} else {
-		g.byPrefix[prefix] = n
+	if g.byPrefix != nil {
+		if n := g.byPrefix[prefix] + delta; n == 0 {
+			delete(g.byPrefix, prefix)
+		} else {
+			g.byPrefix[prefix] = n
+		}
 	}
 	switch {
 	case g.bogon:
@@ -455,13 +479,12 @@ func (m *windowMiner) apply(g *windowGroup, prefix bgp.Prefix, delta int) {
 		m.dropCycle += delta
 	}
 	if g.keptPath() {
-		before := m.pathLive[g.path]
-		now := before + delta
-		if now == 0 {
-			delete(m.pathLive, g.path)
-		} else {
-			m.pathLive[g.path] = now
+		if n := int(g.path) + 1; n > len(m.pathLive) {
+			m.pathLive = append(m.pathLive, make([]int32, n-len(m.pathLive))...)
 		}
+		before := m.pathLive[g.path]
+		now := before + int32(delta)
+		m.pathLive[g.path] = now
 		if m.rel != nil {
 			if before == 0 && now > 0 {
 				m.rel.AddPath(g.path)

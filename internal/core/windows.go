@@ -228,51 +228,58 @@ func RunPassiveWindows(dumps []*mrt.Dump, updates []*mrt.BGP4MPMessage, dict *Di
 		return nil, errors.New("core: a looped replay needs Ctx, Stream and incremental mode")
 	}
 
+	baseRoutes := 0
+	for _, d := range dumps {
+		if d != nil && d.Index != nil {
+			for _, rib := range d.RIBs {
+				baseRoutes += len(rib.Entries)
+			}
+		}
+	}
 	store := paths.NewStore()
-	live := make(map[liveKey]liveRoute)
+	live := make(map[liveKey]liveRoute, baseRoutes)
 	var miner *windowMiner
 	if opts.Mode == WindowsIncremental {
 		miner = newWindowMiner(dict, store, relation.NewIncremental(store))
 	}
 
 	// intern resolves an announced (path, communities) to its canonical
-	// shape: probe the shape map with a scratch key first (string(ckb)
-	// map access compiles allocation-free) and only Clone the community
-	// set — and materialize the key — on first sight of the shape. In
-	// remine mode, where the miner's shape map is rebuilt per window, a
-	// run-scoped side table provides the same interning.
+	// shape and, in incremental mode, to that shape's group, with one
+	// probe of the miner's shape map (see windowMiner.shape). In remine
+	// mode, where the miner's shape map is rebuilt per window, a
+	// run-scoped side table provides the same interning and the group
+	// is nil.
 	var ckb []byte
 	var remineShapes map[paths.ID]map[string]liveRoute
 	if miner == nil {
 		remineShapes = make(map[paths.ID]map[string]liveRoute)
 	}
-	intern := func(id paths.ID, comms bgp.Communities) liveRoute {
+	intern := func(id paths.ID, comms bgp.Communities) (liveRoute, *windowGroup) {
 		ckb = appendCommsKey(ckb[:0], comms)
 		if miner != nil {
-			if g, ok := miner.groups[id][string(ckb)]; ok {
-				return liveRoute{path: id, comms: g.comms, ckey: g.ckey}
-			}
-		} else if r, ok := remineShapes[id][string(ckb)]; ok {
-			return r
+			g := miner.shape(id, comms, ckb)
+			return liveRoute{path: id, comms: g.comms, ckey: g.ckey}, g
+		}
+		if r, ok := remineShapes[id][string(ckb)]; ok {
+			return r, nil
 		}
 		r := liveRoute{path: id, comms: comms.Clone(), ckey: string(ckb)}
-		if miner == nil {
-			inner := remineShapes[id]
-			if inner == nil {
-				inner = make(map[string]liveRoute, 1)
-				remineShapes[id] = inner
-			}
-			inner[r.ckey] = r
+		inner := remineShapes[id]
+		if inner == nil {
+			inner = make(map[string]liveRoute, 1)
+			remineShapes[id] = inner
 		}
-		return r
+		inner[r.ckey] = r
+		return r, nil
 	}
 
-	set := func(k liveKey, r liveRoute) {
+	// set puts r, whose group is g (nil in remine mode), in slot k.
+	set := func(k liveKey, r liveRoute, g *windowGroup) {
 		if miner != nil {
 			if old, ok := live[k]; ok {
 				miner.apply(miner.group(old.path, old.comms, old.ckey), k.prefix, -1)
 			}
-			miner.apply(miner.group(r.path, r.comms, r.ckey), k.prefix, 1)
+			miner.apply(g, k.prefix, 1)
 		}
 		live[k] = r
 	}
@@ -298,8 +305,8 @@ func RunPassiveWindows(dumps []*mrt.Dump, updates []*mrt.BGP4MPMessage, dict *Di
 					continue
 				}
 				peer := d.Index.Peers[e.PeerIndex].ASN
-				id := store.InternASPath(e.Attrs.ASPath)
-				set(liveKey{peer, rib.Prefix}, intern(id, e.Attrs.Communities))
+				r, g := intern(store.InternASPath(e.Attrs.ASPath), e.Attrs.Communities)
+				set(liveKey{peer, rib.Prefix}, r, g)
 			}
 		}
 	}
@@ -373,7 +380,8 @@ func RunPassiveWindows(dumps []*mrt.Dump, updates []*mrt.BGP4MPMessage, dict *Di
 			case !was.had && has:
 				del(k)
 			case was.had && (!has || now.path != was.route.path || now.ckey != was.route.ckey):
-				set(k, was.route)
+				r := was.route
+				set(k, r, miner.group(r.path, r.comms, r.ckey))
 			default:
 				continue
 			}
@@ -402,12 +410,11 @@ func RunPassiveWindows(dumps []*mrt.Dump, updates []*mrt.BGP4MPMessage, dict *Di
 			}
 			return
 		}
-		id := store.InternASPath(upd.Attrs.ASPath)
-		r := intern(id, upd.Attrs.Communities)
+		r, g := intern(store.InternASPath(upd.Attrs.ASPath), upd.Attrs.Communities)
 		for _, p := range upd.NLRI {
 			k := liveKey{u.PeerASN, p}
 			touch(k)
-			set(k, r)
+			set(k, r, g)
 		}
 		if count {
 			cur.Announced += len(upd.NLRI)
@@ -486,7 +493,7 @@ func remineLiveTable(store *paths.Store, live map[liveKey]liveRoute, dict *Dicti
 	for _, k := range keys {
 		r := live[k]
 		g := m.group(r.path, r.comms, r.ckey)
-		if g.keptPath() && m.pathLive[g.path] == 0 {
+		if g.keptPath() && (int(g.path) >= len(m.pathLive) || m.pathLive[g.path] == 0) {
 			kept = append(kept, g.path)
 		}
 		m.apply(g, k.prefix, 1)

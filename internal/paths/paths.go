@@ -8,6 +8,8 @@
 package paths
 
 import (
+	"slices"
+
 	"mlpeering/internal/bgp"
 )
 
@@ -17,16 +19,21 @@ type ID int32
 // Store interns AS paths: each distinct path is stored exactly once in a
 // shared backing arena and addressed by ID. The zero Store is not ready
 // for use; call NewStore.
+//
+// Dedup is keyed by a 64-bit hash of the collapsed hops, so no per-path
+// key is built or stored. A hash hit counts only when the hops match
+// exactly; distinct paths that share a hash are kept apart by a
+// collision list, which real inputs practically never reach.
 type Store struct {
-	arena  []bgp.ASN // all hops of all distinct paths, concatenated
-	off    []int32   // path id -> [off[id], off[id+1]) into arena
-	lookup map[string]ID
-	keyBuf []byte // scratch for lookup keys; only misses copy it
+	arena   []bgp.ASN // all hops of all distinct paths, concatenated
+	off     []int32   // path id -> [off[id], off[id+1]) into arena
+	lookup  map[uint64]ID
+	collide map[uint64][]ID // the later paths of a hash lookup already holds
 }
 
 // NewStore returns an empty store.
 func NewStore() *Store {
-	return &Store{off: []int32{0}, lookup: make(map[string]ID)}
+	return &Store{off: []int32{0}, lookup: make(map[uint64]ID)}
 }
 
 // Len returns the number of distinct paths interned.
@@ -42,27 +49,55 @@ func (s *Store) Path(id ID) []bgp.ASN {
 	return s.arena[s.off[id]:s.off[id+1]:s.off[id+1]]
 }
 
-// key builds the lookup key for the arena tail [start:] in s.keyBuf.
-func (s *Store) key(start int) []byte {
-	b := s.keyBuf[:0]
-	for _, a := range s.arena[start:] {
-		b = append(b, byte(a>>24), byte(a>>16), byte(a>>8), byte(a))
-	}
-	s.keyBuf = b
-	return b
+// hashSeed is the hash of the empty path; mixHop folds one hop into a
+// running hash (a multiply-xorshift step, so every hop reaches all 64
+// bits).
+const hashSeed uint64 = 0xcbf29ce484222325
+
+func mixHop(h uint64, a bgp.ASN) uint64 {
+	h = (h ^ uint64(a)) * 0x9e3779b97f4a7c15
+	return h ^ h>>32
 }
 
-// commit finishes an intern whose candidate hops sit at the arena tail
-// beginning at start: dedup-lookup, rolling the arena back on a hit.
-func (s *Store) commit(start int) ID {
-	k := s.key(start)
-	if id, ok := s.lookup[string(k)]; ok {
-		s.arena = s.arena[:start] // duplicate: drop the tail copy
-		return id
+// appendHop appends a to the candidate path at the arena tail beginning
+// at start unless it repeats the previous hop (BGP prepending), and
+// returns the running hash of the collapsed tail.
+func (s *Store) appendHop(start int, h uint64, a bgp.ASN) uint64 {
+	if len(s.arena) > start && s.arena[len(s.arena)-1] == a {
+		return h
+	}
+	s.arena = append(s.arena, a)
+	return mixHop(h, a)
+}
+
+// commit finishes an intern whose candidate hops, hashing to h, sit at
+// the arena tail beginning at start: dedup-lookup, rolling the arena
+// back on a hit.
+func (s *Store) commit(start int, h uint64) ID {
+	tail := s.arena[start:]
+	first, ok := s.lookup[h]
+	if ok {
+		if slices.Equal(s.Path(first), tail) {
+			s.arena = s.arena[:start] // duplicate: drop the tail copy
+			return first
+		}
+		for _, id := range s.collide[h] {
+			if slices.Equal(s.Path(id), tail) {
+				s.arena = s.arena[:start]
+				return id
+			}
+		}
 	}
 	id := ID(len(s.off) - 1)
 	s.off = append(s.off, int32(len(s.arena)))
-	s.lookup[string(k)] = id
+	if !ok {
+		s.lookup[h] = id
+		return id
+	}
+	if s.collide == nil {
+		s.collide = make(map[uint64][]ID)
+	}
+	s.collide[h] = append(s.collide[h], id)
 	return id
 }
 
@@ -70,27 +105,23 @@ func (s *Store) commit(start int) ID {
 // prepending) and returns its ID. Re-interning an identical path returns
 // the existing ID without allocating.
 func (s *Store) Intern(path []bgp.ASN) ID {
-	start := len(s.arena)
+	start, h := len(s.arena), hashSeed
 	for _, a := range path {
-		if len(s.arena) == start || s.arena[len(s.arena)-1] != a {
-			s.arena = append(s.arena, a)
-		}
+		h = s.appendHop(start, h, a)
 	}
-	return s.commit(start)
+	return s.commit(start, h)
 }
 
 // InternASPath interns the flattened, prepending-collapsed form of a
 // wire AS_PATH without materializing an intermediate slice.
 func (s *Store) InternASPath(p bgp.ASPath) ID {
-	start := len(s.arena)
+	start, h := len(s.arena), hashSeed
 	for _, seg := range p {
 		for _, a := range seg.ASNs {
-			if len(s.arena) == start || s.arena[len(s.arena)-1] != a {
-				s.arena = append(s.arena, a)
-			}
+			h = s.appendHop(start, h, a)
 		}
 	}
-	return s.commit(start)
+	return s.commit(start, h)
 }
 
 // FromSlices interns every path of pp into a fresh store, in order.

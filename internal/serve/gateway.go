@@ -25,15 +25,18 @@ type Config struct {
 	Topology topology.Config
 	Churn    churn.Config
 	// MaxInFlight bounds concurrently-served requests; requests over
-	// the cap are rejected 429 + Retry-After. 0 disables the cap.
+	// the cap are rejected 429 + Retry-After. 0 disables the cap; Run
+	// refuses a negative value.
 	MaxInFlight int
-	// MaxAge is the Cache-Control max-age; 0 serves `no-cache`
-	// (always revalidate — correct default while epochs commit every
-	// few hundred milliseconds).
+	// MaxAge is the Cache-Control max-age, in whole seconds; 0 serves
+	// `no-cache` (always revalidate — correct default while epochs
+	// commit every few hundred milliseconds). Run refuses a negative
+	// value and one under a second, which the header cannot express.
 	MaxAge time.Duration
 	// EpochInterval paces snapshot publication: the reconciler holds
 	// each committed window at least this long before the next commit.
-	// 0 publishes as fast as windows close.
+	// 0 publishes as fast as windows close; Run refuses a negative
+	// value.
 	EpochInterval time.Duration
 	// Logf receives reconciler progress lines; nil discards them.
 	Logf func(format string, args ...any)

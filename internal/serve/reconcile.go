@@ -19,13 +19,33 @@ import (
 // as an error at once: the build is a pure function of the
 // configuration (16-bit alias exhaustion at baseline Scale >= 4, say),
 // so the same error would come back on every retry and the gateway
-// would sit at 503 forever.
+// would sit at 503 forever. So is a serving setting that means nothing
+// (see Config), before anything is built.
 func (g *Gateway) Run(ctx context.Context) error {
+	if err := g.cfg.check(); err != nil {
+		return err
+	}
 	ct, err := experiments.BuildChurnTrace(g.cfg.Topology, g.cfg.Churn)
 	if err != nil {
 		return fmt.Errorf("serve: build churn trace: %w", err)
 	}
 	return g.replay(ctx, ct)
+}
+
+// check refuses the serving settings that mean nothing, naming the
+// value and what to use instead.
+func (c Config) check() error {
+	switch {
+	case c.MaxInFlight < 0:
+		return fmt.Errorf("serve: in-flight cap %d is negative (0 disables the cap)", c.MaxInFlight)
+	case c.EpochInterval < 0:
+		return fmt.Errorf("serve: epoch interval %v is negative (0 publishes as fast as windows close)", c.EpochInterval)
+	case c.MaxAge < 0:
+		return fmt.Errorf("serve: max-age %v is negative (0 serves no-cache)", c.MaxAge)
+	case c.MaxAge > 0 && c.MaxAge < time.Second:
+		return fmt.Errorf("serve: max-age %v is under the one second Cache-Control counts in (0 serves no-cache; otherwise use at least 1s)", c.MaxAge)
+	}
+	return nil
 }
 
 // replay serves ct until ctx is done. It keeps nothing of ct but the

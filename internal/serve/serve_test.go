@@ -414,6 +414,38 @@ func TestGracefulShutdownDrains(t *testing.T) {
 // churning world and checks epochs commit, advance strictly past one
 // replay cycle, wrap back to epoch 1's mesh, and that the loop exits
 // cleanly on cancellation.
+// TestRunRefusesMeaninglessSettings pins that Run names a serving
+// setting that means nothing and returns before it builds a world: the
+// world here is an unknown scenario, so an error about it means Run got
+// as far as the build.
+func TestRunRefusesMeaninglessSettings(t *testing.T) {
+	world := topology.TestConfig()
+	world.Scenario = "no-such-scenario"
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"negative in-flight cap", Config{MaxInFlight: -1}, "in-flight cap -1 is negative"},
+		{"negative epoch interval", Config{EpochInterval: -time.Second}, "epoch interval -1s is negative"},
+		{"sub-second max-age", Config{MaxAge: 500 * time.Millisecond}, "max-age 500ms is under the one second"},
+		{"negative max-age", Config{MaxAge: -time.Second}, "max-age -1s is negative"},
+		{"valid settings reach the build", Config{MaxInFlight: 0, EpochInterval: 0, MaxAge: 1500 * time.Millisecond}, "build churn trace"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			c.cfg.Topology = world
+			g := New(c.cfg)
+			err := g.Run(context.Background())
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("Run = %v, want an error naming %q", err, c.want)
+			}
+			if g.Current() != nil {
+				t.Fatal("a refused gateway published a snapshot")
+			}
+		})
+	}
+}
+
 func TestGatewayEndToEndEpochs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end reconciler test skipped in -short")
