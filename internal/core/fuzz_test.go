@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"maps"
 	"slices"
 	"testing"
@@ -14,16 +16,23 @@ import (
 // small base RIB and a byte-driven event sequence over testDict's
 // exchanges are replayed once in incremental mode and once through the
 // remine oracle, and every window close must agree on the materialized
-// mesh's fingerprint and on the maintained counters. Seeds live under
-// testdata/fuzz.
+// mesh's fingerprint and on the maintained counters. A looped leg then
+// replays the trace for two cycles in each mode, and every cycle's
+// windows must equal the fresh run's. Seeds live under testdata/fuzz.
 func FuzzWindowMiner(f *testing.F) {
 	fx := newMinerFuzzFixture(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dumps, updates, count := fx.decode(data)
-		inc, rem := fx.windows(t, dumps, updates, count, WindowsIncremental), fx.windows(t, dumps, updates, count, WindowsRemine)
-		for i := range inc {
-			if inc[i] != rem[i] {
-				t.Fatalf("window %d of %d diverges:\nincremental %+v\nremine      %+v", i, count, inc[i], rem[i])
+		inc := fx.windows(t, dumps, updates, count, WindowsIncremental, 1)
+		for _, leg := range []struct {
+			mode   WindowsMode
+			cycles int
+		}{{WindowsRemine, 1}, {WindowsIncremental, 2}, {WindowsRemine, 2}} {
+			for i, row := range fx.windows(t, dumps, updates, count, leg.mode, leg.cycles) {
+				if want := inc[i%count]; row != want {
+					t.Fatalf("%v, %d cycles: window %d of %d diverges:\nfresh incremental %+v\ngot               %+v",
+						leg.mode, leg.cycles, i, count, want, row)
+				}
 			}
 		}
 	})
@@ -196,23 +205,29 @@ type minerFuzzRow struct {
 	Stability                        float64
 }
 
-// windows replays the trace in mode and returns one row per window.
-func (fx *minerFuzzFixture) windows(t *testing.T, dumps []*mrt.Dump, updates []*mrt.BGP4MPMessage, count int, mode WindowsMode) []minerFuzzRow {
+// windows replays the trace in mode for the given number of cycles (more
+// than one loops the replay) and returns one row per window.
+func (fx *minerFuzzFixture) windows(t *testing.T, dumps []*mrt.Dump, updates []*mrt.BGP4MPMessage, count int, mode WindowsMode, cycles int) []minerFuzzRow {
 	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	var rows []minerFuzzRow
-	opts := WindowOptions{Start: fx.t0, Window: fx.window, Count: count, Mode: mode, Stream: func(pw *PassiveWindow) {
+	opts := WindowOptions{Start: fx.t0, Window: fx.window, Count: count, Mode: mode, Ctx: ctx, Loop: cycles > 1, Stream: func(pw *PassiveWindow) {
 		rows = append(rows, minerFuzzRow{
 			Fingerprint: pw.Materialize().Fingerprint(),
 			MeshLinks:   pw.MeshLinks, RelLinks: pw.RelLinks, P2PRels: pw.P2PRels,
 			LiveRoutes: pw.LiveRoutes, Announced: pw.Announced, Withdrawn: pw.Withdrawn,
 			Dropped: pw.Dropped, Stability: pw.Stability,
 		})
+		if len(rows) == cycles*count {
+			cancel()
+		}
 	}}
-	if _, err := RunPassiveWindows(dumps, updates, fx.dict, opts); err != nil {
+	if _, err := RunPassiveWindows(dumps, updates, fx.dict, opts); err != nil && !(opts.Loop && errors.Is(err, context.Canceled)) {
 		t.Fatal(err)
 	}
-	if len(rows) != count {
-		t.Fatalf("%v: %d windows, want %d", mode, len(rows), count)
+	if len(rows) != cycles*count {
+		t.Fatalf("%v: %d windows, want %d", mode, len(rows), cycles*count)
 	}
 	return rows
 }

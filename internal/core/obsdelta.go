@@ -97,7 +97,7 @@ func NewDeltaObservations() *DeltaObservations {
 }
 
 // TrackDirty turns on dirty-setter tracking (used by the incremental
-// mesh; the remine fallback skips the bookkeeping).
+// mesh; remineLiveTable skips the bookkeeping).
 func (o *DeltaObservations) TrackDirty() { o.trackDirty = true }
 
 // DrainDirty appends the setters dirtied since the last drain to dst,
@@ -301,6 +301,7 @@ type windowMiner struct {
 	// access compiles allocation-free) before cloning anything.
 	groups   map[paths.ID]map[string]*windowGroup
 	relsDeps []*windowGroup // groups whose setter depends on the oracle
+	ckb      []byte         // shape's scratch comms key
 
 	// attr memoizes IXP attribution per comms shape: groups are keyed
 	// per (path, comms) and many paths carry the same comms shape, so
@@ -308,8 +309,8 @@ type windowMiner struct {
 	attr *attributor
 
 	obs  *DeltaObservations
-	rel  *relation.Incremental // nil in remine mode
-	mesh *MeshState            // nil in remine mode
+	rel  *relation.Incremental // nil in remineLiveTable's miner
+	mesh *MeshState            // nil in remineLiveTable's miner
 
 	// pathLive counts the live kept routes per path, indexed by the
 	// store's dense IDs and grown as the store grows.
@@ -328,7 +329,7 @@ type windowMiner struct {
 
 // newWindowMiner returns an empty miner. rel may be nil, in which case
 // the caller owns relation maintenance, setter resolution and mesh
-// derivation (the remine fallback); otherwise the miner maintains the
+// derivation (remineLiveTable); otherwise the miner maintains the
 // reciprocity mesh incrementally through a MeshState fed by the
 // observation store's dirty-setter tracking.
 func newWindowMiner(dict *Dictionary, store *paths.Store, rel *relation.Incremental) *windowMiner {
@@ -375,16 +376,17 @@ func (m *windowMiner) group(path paths.ID, comms bgp.Communities, ckey string) *
 	return m.addGroup(inner, path, comms, ckey)
 }
 
-// shape is group for an announced route: it probes with ckb, the
-// canonical comms encoding as scratch bytes (string(ckb) map access
-// compiles allocation-free), and only on first sight of the shape
-// clones comms and materializes the key.
-func (m *windowMiner) shape(path paths.ID, comms bgp.Communities, ckb []byte) *windowGroup {
+// shape is group for an announced route: it probes with the canonical
+// comms encoding in scratch bytes (string(m.ckb) map access compiles
+// allocation-free), and only on first sight of the shape clones comms
+// and materializes the key.
+func (m *windowMiner) shape(path paths.ID, comms bgp.Communities) *windowGroup {
+	m.ckb = appendCommsKey(m.ckb[:0], comms)
 	inner := m.groups[path]
-	if g, ok := inner[string(ckb)]; ok {
+	if g, ok := inner[string(m.ckb)]; ok {
 		return g
 	}
-	return m.addGroup(inner, path, comms.Clone(), string(ckb))
+	return m.addGroup(inner, path, comms.Clone(), string(m.ckb))
 }
 
 // addGroup derives the group of a shape missing from inner, the path's

@@ -25,17 +25,20 @@ const (
 	// refcounted observation counts and to the incremental relation
 	// oracle, so a window close touches only what changed.
 	WindowsIncremental WindowsMode = iota
-	// WindowsRemine re-mines the entire live table at every window
-	// close — the pre-incremental cost profile (sort, hygiene, batch
-	// relation inference and community mining over every live route).
-	// It is the reference implementation the equivalence tests and the
-	// benchmark's traced run compare the incremental path against, not a
-	// mode any command selects: both produce byte-identical per-window
-	// meshes. Note both modes share the canonical order-independent
-	// observation reduction (see prefixDelta.winner); where feeders
-	// disagree on a (setter, prefix) community set, the smallest
-	// canonical set wins, where the PR 4 miner kept the last set in
-	// sorted row order.
+	// WindowsRemine is the same replay plus a from-scratch re-mine of
+	// the entire live table at every window close — the pre-incremental
+	// cost profile (sort, hygiene, batch relation inference and community
+	// mining over every live route) on top of the incremental one. The
+	// re-mine reads only each slot's (path, communities) and re-derives
+	// everything in a fresh miner; its Result, counters and stability
+	// replace the incremental ones. It is the reference implementation
+	// the equivalence tests and the benchmark's traced run compare the
+	// incremental path against, not a mode any command selects: both
+	// produce byte-identical per-window meshes. Note both modes share
+	// the canonical order-independent observation reduction (see
+	// prefixDelta.winner); where feeders disagree on a (setter, prefix)
+	// community set, the smallest canonical set wins, where the PR 4
+	// miner kept the last set in sorted row order.
 	WindowsRemine
 )
 
@@ -82,8 +85,7 @@ type WindowOptions struct {
 	// are then replayed again. Every cycle's windows therefore equal a
 	// fresh run's, counters and meshes alike, but the base dumps are
 	// loaded once and a cycle's first window costs only what the cycle
-	// changed. Loop needs Ctx, Stream and incremental mode, and keeps no
-	// per-window state: PassiveWindowsResult.Stability stays empty.
+	// changed. Loop needs Ctx and Stream.
 	Loop bool
 }
 
@@ -124,10 +126,9 @@ type PassiveWindow struct {
 	// called; the maintained counters above need no Result.
 	Result *Result
 
-	// miner is the incremental miner that closed this window, whose mesh
-	// Materialize snapshots, and epoch that miner's close count when it
-	// did; nil in remine mode, where the derivation itself produces
-	// Result.
+	// miner is the incremental miner that closed this window, in either
+	// mode, whose mesh Materialize snapshots unless the re-mine already
+	// produced Result, and epoch that miner's close count when it did.
 	miner *windowMiner
 	epoch int
 }
@@ -159,15 +160,11 @@ func (w *PassiveWindow) Materialize() *Result {
 }
 
 // PassiveWindowsResult is the windowed passive run: one inference per
-// time window plus the stability of the inferred mesh across windows.
+// time window.
 type PassiveWindowsResult struct {
 	// Windows holds each window's outcome, materialized, when the default
 	// consumer ran; empty when WindowOptions.Stream consumed them.
 	Windows []PassiveWindow
-	// Stability[i] is the Jaccard similarity between window i's and
-	// window i-1's inferred link sets (Stability[0] == 1). Populated
-	// whoever consumes the windows: it is O(1) per window.
-	Stability []float64
 }
 
 // liveKey identifies one route slot in a collector's view.
@@ -184,22 +181,6 @@ func compareLiveKeys(a, b liveKey) int {
 	return bgp.ComparePrefixes(a.prefix, b.prefix)
 }
 
-// undoSlot is a looped replay's record of one slot as the cycle found
-// it: the route it held, or had false when it held none.
-type undoSlot struct {
-	route liveRoute
-	had   bool
-}
-
-// liveRoute is the route occupying a slot. ckey is the canonical
-// encoding of comms, computed once per UPDATE so grouped mining never
-// re-encodes on withdrawal.
-type liveRoute struct {
-	path  paths.ID
-	comms bgp.Communities
-	ckey  string
-}
-
 // RunPassiveWindows is the dynamic counterpart of RunPassive: it replays
 // an announce+withdraw update trace over the base RIB dumps, maintaining
 // each collector peer's live route table, and re-runs the §4.2 inference
@@ -209,12 +190,12 @@ type liveRoute struct {
 // update-only filter in snapshot mode. Updates must be ordered as read
 // from the archive; equal timestamps keep file order.
 //
-// In the default incremental mode every event applies as a +/- delta to
-// the refcounted observation store and the incremental relation oracle,
-// so a window close costs O(changes), not O(live table); remine mode
-// rebuilds everything per window and is pinned byte-identical by the
-// equivalence tests. Either way each closed window is handed to one
-// consumer, opts.Stream, which asks for the mesh with pw.Materialize().
+// Every event applies as a +/- delta to the refcounted observation store
+// and the incremental relation oracle, so a window close costs
+// O(changes), not O(live table); remine mode additionally rebuilds
+// everything per window and is pinned byte-identical by the equivalence
+// tests. Either way each closed window is handed to one consumer,
+// opts.Stream, which asks for the mesh with pw.Materialize().
 // With opts.Loop the run cycles until opts.Ctx is done, rewinding the
 // live table instead of reloading the dumps at each wrap.
 func RunPassiveWindows(dumps []*mrt.Dump, updates []*mrt.BGP4MPMessage, dict *Dictionary, opts WindowOptions) (*PassiveWindowsResult, error) {
@@ -224,8 +205,8 @@ func RunPassiveWindows(dumps []*mrt.Dump, updates []*mrt.BGP4MPMessage, dict *Di
 	if opts.Count <= 0 {
 		return nil, fmt.Errorf("core: non-positive window count %d", opts.Count)
 	}
-	if opts.Loop && (opts.Ctx == nil || opts.Stream == nil || opts.Mode != WindowsIncremental) {
-		return nil, errors.New("core: a looped replay needs Ctx, Stream and incremental mode")
+	if opts.Loop && (opts.Ctx == nil || opts.Stream == nil) {
+		return nil, errors.New("core: a looped replay needs Ctx and Stream")
 	}
 
 	baseRoutes := 0
@@ -237,61 +218,22 @@ func RunPassiveWindows(dumps []*mrt.Dump, updates []*mrt.BGP4MPMessage, dict *Di
 		}
 	}
 	store := paths.NewStore()
-	live := make(map[liveKey]liveRoute, baseRoutes)
-	var miner *windowMiner
-	if opts.Mode == WindowsIncremental {
-		miner = newWindowMiner(dict, store, relation.NewIncremental(store))
-	}
+	miner := newWindowMiner(dict, store, relation.NewIncremental(store))
+	// live maps each occupied slot to its route's shape group.
+	live := make(map[liveKey]*windowGroup, baseRoutes)
 
-	// intern resolves an announced (path, communities) to its canonical
-	// shape and, in incremental mode, to that shape's group, with one
-	// probe of the miner's shape map (see windowMiner.shape). In remine
-	// mode, where the miner's shape map is rebuilt per window, a
-	// run-scoped side table provides the same interning and the group
-	// is nil.
-	var ckb []byte
-	var remineShapes map[paths.ID]map[string]liveRoute
-	if miner == nil {
-		remineShapes = make(map[paths.ID]map[string]liveRoute)
-	}
-	intern := func(id paths.ID, comms bgp.Communities) (liveRoute, *windowGroup) {
-		ckb = appendCommsKey(ckb[:0], comms)
-		if miner != nil {
-			g := miner.shape(id, comms, ckb)
-			return liveRoute{path: id, comms: g.comms, ckey: g.ckey}, g
+	set := func(k liveKey, g *windowGroup) {
+		if old := live[k]; old != nil {
+			miner.apply(old, k.prefix, -1)
 		}
-		if r, ok := remineShapes[id][string(ckb)]; ok {
-			return r, nil
-		}
-		r := liveRoute{path: id, comms: comms.Clone(), ckey: string(ckb)}
-		inner := remineShapes[id]
-		if inner == nil {
-			inner = make(map[string]liveRoute, 1)
-			remineShapes[id] = inner
-		}
-		inner[r.ckey] = r
-		return r, nil
-	}
-
-	// set puts r, whose group is g (nil in remine mode), in slot k.
-	set := func(k liveKey, r liveRoute, g *windowGroup) {
-		if miner != nil {
-			if old, ok := live[k]; ok {
-				miner.apply(miner.group(old.path, old.comms, old.ckey), k.prefix, -1)
-			}
-			miner.apply(g, k.prefix, 1)
-		}
-		live[k] = r
+		miner.apply(g, k.prefix, 1)
+		live[k] = g
 	}
 	del := func(k liveKey) {
-		old, ok := live[k]
-		if !ok {
-			return
+		if old := live[k]; old != nil {
+			miner.apply(old, k.prefix, -1)
+			delete(live, k)
 		}
-		if miner != nil {
-			miner.apply(miner.group(old.path, old.comms, old.ckey), k.prefix, -1)
-		}
-		delete(live, k)
 	}
 
 	// Base state: the stable RIB dumps.
@@ -305,8 +247,7 @@ func RunPassiveWindows(dumps []*mrt.Dump, updates []*mrt.BGP4MPMessage, dict *Di
 					continue
 				}
 				peer := d.Index.Peers[e.PeerIndex].ASN
-				r, g := intern(store.InternASPath(e.Attrs.ASPath), e.Attrs.Communities)
-				set(liveKey{peer, rib.Prefix}, r, g)
+				set(liveKey{peer, rib.Prefix}, miner.shape(store.InternASPath(e.Attrs.ASPath), e.Attrs.Communities))
 			}
 		}
 	}
@@ -331,9 +272,8 @@ func RunPassiveWindows(dumps []*mrt.Dump, updates []*mrt.BGP4MPMessage, dict *Di
 		//mlplint:clock close-duration telemetry only; never feeds inference or window boundaries
 		t0 := time.Now()
 		cur.LiveRoutes = len(live)
-		if miner != nil {
-			miner.closeWindow(&cur)
-		} else {
+		miner.closeWindow(&cur)
+		if opts.Mode == WindowsRemine {
 			remineLiveTable(store, live, dict, &cur)
 			cur.MeshLinks = cur.Result.TotalLinks()
 			cur.Stability = jaccardLinks(prevRemineLinks, cur.Result.Links)
@@ -343,29 +283,28 @@ func RunPassiveWindows(dumps []*mrt.Dump, updates []*mrt.BGP4MPMessage, dict *Di
 			cur.Stability = 1
 		}
 		cur.CloseTime = time.Since(t0)
-		if !opts.Loop {
-			res.Stability = append(res.Stability, cur.Stability)
-		}
 		consume(&cur)
 		winIdx++
 		cur = PassiveWindow{Start: cur.End, End: cur.End.Add(opts.Window)}
 	}
 
 	// undo is a looped replay's rewind log: each slot the current cycle
-	// touched, as the cycle found it (nil when not looping).
-	var undo map[liveKey]undoSlot
+	// touched, mapped to the group it held when the cycle found it (nil
+	// when empty); the log itself is nil when not looping.
+	var undo map[liveKey]*windowGroup
 	touch := func(k liveKey) {
 		if undo == nil {
 			return
 		}
 		if _, ok := undo[k]; !ok {
-			r, had := live[k]
-			undo[k] = undoSlot{r, had}
+			undo[k] = live[k]
 		}
 	}
 	// rewind restores every logged slot that moved, in sorted order so
 	// the miner sees the same delta sequence on every run, empties the
-	// log and returns the number of slots restored.
+	// log and returns the number of slots restored. A restored shape is
+	// looked up again rather than reused: the sweep may have dropped the
+	// logged group while it was dead.
 	rewind := func() int {
 		keys := make([]liveKey, 0, len(undo))
 		for k := range undo {
@@ -374,14 +313,12 @@ func RunPassiveWindows(dumps []*mrt.Dump, updates []*mrt.BGP4MPMessage, dict *Di
 		slices.SortFunc(keys, compareLiveKeys)
 		restored := 0
 		for _, k := range keys {
-			was := undo[k]
-			now, has := live[k]
+			was, now := undo[k], live[k]
 			switch {
-			case !was.had && has:
+			case was == nil && now != nil:
 				del(k)
-			case was.had && (!has || now.path != was.route.path || now.ckey != was.route.ckey):
-				r := was.route
-				set(k, r, miner.group(r.path, r.comms, r.ckey))
+			case was != nil && (now == nil || now.path != was.path || now.ckey != was.ckey):
+				set(k, miner.group(was.path, was.comms, was.ckey))
 			default:
 				continue
 			}
@@ -410,11 +347,11 @@ func RunPassiveWindows(dumps []*mrt.Dump, updates []*mrt.BGP4MPMessage, dict *Di
 			}
 			return
 		}
-		r, g := intern(store.InternASPath(upd.Attrs.ASPath), upd.Attrs.Communities)
+		g := miner.shape(store.InternASPath(upd.Attrs.ASPath), upd.Attrs.Communities)
 		for _, p := range upd.NLRI {
 			k := liveKey{u.PeerASN, p}
 			touch(k)
-			set(k, r, g)
+			set(k, g)
 		}
 		if count {
 			cur.Announced += len(upd.NLRI)
@@ -441,7 +378,7 @@ func RunPassiveWindows(dumps []*mrt.Dump, updates []*mrt.BGP4MPMessage, dict *Di
 		first++
 	}
 	if opts.Loop {
-		undo = make(map[liveKey]undoSlot)
+		undo = make(map[liveKey]*windowGroup)
 	}
 
 	for {
@@ -478,10 +415,12 @@ func RunPassiveWindows(dumps []*mrt.Dump, updates []*mrt.BGP4MPMessage, dict *Di
 
 // remineLiveTable runs hygiene + community mining + link inference over
 // the full live table, deterministically (the table is sorted before
-// mining): the re-mine fallback the incremental path is pinned against.
-// It reuses the same grouped derivation and refcounted store, built
-// from scratch, so both modes reduce observations identically.
-func remineLiveTable(store *paths.Store, live map[liveKey]liveRoute, dict *Dictionary, w *PassiveWindow) {
+// mining): the re-mine oracle the incremental path is pinned against.
+// It reads only each slot's (path, comms, ckey) and re-derives every
+// shape in a fresh miner with the same grouped derivation and
+// refcounted store, so both modes reduce observations identically while
+// the oracle shares nothing the incremental derivation computed.
+func remineLiveTable(store *paths.Store, live map[liveKey]*windowGroup, dict *Dictionary, w *PassiveWindow) {
 	keys := make([]liveKey, 0, len(live))
 	for k := range live {
 		keys = append(keys, k)

@@ -158,8 +158,8 @@ func TestRunPassiveWindows(t *testing.T) {
 
 	// Stability: full agreement in window 0 by convention, total churn
 	// afterwards (1 link ↔ 0 links).
-	if res.Stability[0] != 1 || res.Stability[1] != 0 || res.Stability[2] != 0 {
-		t.Fatalf("stability = %v, want [1 0 0]", res.Stability)
+	if w0.Stability != 1 || w1.Stability != 0 || w2.Stability != 0 {
+		t.Fatalf("stability = [%v %v %v], want [1 0 0]", w0.Stability, w1.Stability, w2.Stability)
 	}
 }
 
@@ -246,8 +246,8 @@ func TestWindowedModesEquivalent(t *testing.T) {
 			wi.Announced != wr.Announced || wi.Withdrawn != wr.Withdrawn {
 			t.Fatalf("window %d: counters diverge:\nincremental %+v\nremine      %+v", i, wi, wr)
 		}
-		if inc.Stability[i] != rem.Stability[i] {
-			t.Fatalf("window %d: stability diverges: %v vs %v", i, inc.Stability[i], rem.Stability[i])
+		if wi.Stability != wr.Stability {
+			t.Fatalf("window %d: stability diverges: %v vs %v", i, wi.Stability, wr.Stability)
 		}
 	}
 	// The trace must actually exercise the interesting machinery.
@@ -557,12 +557,9 @@ func TestWindowedStreamingMatchesRetained(t *testing.T) {
 	}
 	for i, r := range got {
 		pw := &retained.Windows[i]
-		want := row{pw.LiveRoutes, pw.RelLinks, pw.P2PRels, pw.Result.TotalLinks(), retained.Stability[i]}
+		want := row{pw.LiveRoutes, pw.RelLinks, pw.P2PRels, pw.Result.TotalLinks(), pw.Stability}
 		if r != want {
 			t.Fatalf("window %d: streamed %+v, retained %+v", i, r, want)
-		}
-		if res.Stability[i] != retained.Stability[i] {
-			t.Fatalf("window %d: streamed stability %v, retained %v", i, res.Stability[i], retained.Stability[i])
 		}
 	}
 }
@@ -580,7 +577,6 @@ func TestRunPassiveWindowsValidation(t *testing.T) {
 	for name, opts := range map[string]WindowOptions{
 		"without Ctx":    {Stream: stream},
 		"without Stream": {Ctx: ctx},
-		"in remine mode": {Ctx: ctx, Stream: stream, Mode: WindowsRemine},
 	} {
 		opts.Window, opts.Count, opts.Loop = time.Minute, 1, true
 		if _, err := RunPassiveWindows(nil, nil, d, opts); err == nil {
@@ -591,16 +587,93 @@ func TestRunPassiveWindowsValidation(t *testing.T) {
 
 // TestLoopedReplayRewinds pins the wrap on a trace whose cycle opens a
 // slot that was empty (p3) and re-filters another (p1), while p2 and p4
-// leave and come back as they were: every window of four looped cycles
-// matches the same window of a fresh run, mesh, counters and stability
-// alike, and each wrap restores exactly the two slots that moved.
+// leave and come back as they were: in both modes every window of four
+// looped cycles matches the same window of a fresh run, mesh, counters
+// and stability alike, and each wrap restores exactly the two slots that
+// moved.
 func TestLoopedReplayRewinds(t *testing.T) {
-	d := testDict(t)
 	t0 := time.Date(2013, 5, 1, 2, 0, 0, 0, time.UTC)
 	w := 10 * time.Minute
 	updates := flapTrace(t, t0, w)
-	const count, cycles = 4, 4
+	const count = 4
+	for _, mode := range []WindowsMode{WindowsIncremental, WindowsRemine} {
+		t.Run(mode.String(), func(t *testing.T) {
+			loopMatchesFresh(t, updates, WindowOptions{Start: t0, Window: w, Count: count, Mode: mode}, 4,
+				func(n int, pw *PassiveWindow) {
+					if want := map[bool]int{true: 2}[n%count == 0 && n > 0]; pw.Rewound != want {
+						t.Errorf("window %d: %d slots rewound, want %d", n, pw.Rewound, want)
+					}
+				})
+		})
+	}
+}
 
+// TestLoopedReplayRestoresSweptShape pins the wrap of a cycle that
+// re-filters two slots in its first window and keeps their cycle-start
+// shapes (one of them rels-dependent) dead for more than deadShapeGrace
+// closes, so the sweep has dropped them from the miner before the wrap
+// restores them: in both modes every looped window still matches the
+// fresh run's.
+func TestLoopedReplayRestoresSweptShape(t *testing.T) {
+	t0 := time.Date(2013, 5, 1, 2, 0, 0, 0, time.UTC)
+	w := 10 * time.Minute
+	p1 := bgp.MustPrefix("10.1.0.0/24")
+	p2 := bgp.MustPrefix("10.2.0.0/24")
+	p3 := bgp.MustPrefix("10.3.0.0/24")
+	p4 := bgp.MustPrefix("10.4.0.0/24")
+	all := comms(t, "6695:6695")
+	excl300 := comms(t, "6695:6695 0:300")
+	clean, relsDep := []bgp.ASN{100, 200}, []bgp.ASN{100, 200, 8359}
+	updates := []*mrt.BGP4MPMessage{
+		upd(t0.Add(-3*time.Minute), 100, clean, all, []bgp.Prefix{p1}, nil),
+		upd(t0.Add(-2*time.Minute), 100, []bgp.ASN{100, 300}, all, []bgp.Prefix{p2}, nil),
+		upd(t0.Add(-time.Minute), 100, relsDep, all, []bgp.Prefix{p4}, nil),
+		// Window 0: 200 edits its filter on both of its routes.
+		upd(t0.Add(time.Minute), 100, clean, excl300, []bgp.Prefix{p1}, nil),
+		upd(t0.Add(2*time.Minute), 100, relsDep, excl300, []bgp.Prefix{p4}, nil),
+		// Window 1: a slot that was empty opens; the rest of the cycle is
+		// idle.
+		upd(t0.Add(w+time.Minute), 100, []bgp.ASN{100, 8359, 300}, nil, []bgp.Prefix{p3}, nil),
+	}
+	const count = deadShapeGrace + 4
+	hasShape := func(m *windowMiner, path []bgp.ASN) bool {
+		for id, inner := range m.groups {
+			if slices.Equal(m.store.Path(id), path) {
+				_, ok := inner[commsKey(all)]
+				return ok
+			}
+		}
+		return false
+	}
+	for _, mode := range []WindowsMode{WindowsIncremental, WindowsRemine} {
+		t.Run(mode.String(), func(t *testing.T) {
+			loopMatchesFresh(t, updates, WindowOptions{Start: t0, Window: w, Count: count, Mode: mode}, 3,
+				func(n int, pw *PassiveWindow) {
+					k := n % count
+					if want := map[bool]int{true: 3}[k == 0 && n > 0]; pw.Rewound != want {
+						t.Errorf("window %d: %d slots rewound, want %d", n, pw.Rewound, want)
+					}
+					// The grace period keeps the dead cycle-start shapes
+					// through the first close; the cycle's last close finds
+					// them swept.
+					for _, path := range [][]bgp.ASN{clean, relsDep} {
+						if got, want := hasShape(pw.miner, path), k == 0; got != want {
+							t.Errorf("window %d: shape %v with %v in the miner = %v, want %v", n, path, all, got, want)
+						}
+					}
+				})
+		})
+	}
+}
+
+// loopMatchesFresh runs opts once fresh and then looped for the given
+// number of cycles, requiring every looped window to match the fresh
+// run's window at the same position, mesh, counters and stability alike;
+// each looped window is also handed to check, numbered from zero across
+// the cycles.
+func loopMatchesFresh(t *testing.T, updates []*mrt.BGP4MPMessage, opts WindowOptions, cycles int, check func(int, *PassiveWindow)) {
+	t.Helper()
+	d := testDict(t)
 	type window struct {
 		counters string
 		mesh     []byte
@@ -613,34 +686,33 @@ func TestLoopedReplayRewinds(t *testing.T) {
 		}
 	}
 	var fresh []window
-	_, err := RunPassiveWindows(nil, updates, d, WindowOptions{Start: t0, Window: w, Count: count,
-		Stream: func(pw *PassiveWindow) { fresh = append(fresh, digest(pw)) }})
-	if err != nil {
+	freshOpts := opts
+	freshOpts.Stream = func(pw *PassiveWindow) { fresh = append(fresh, digest(pw)) }
+	if _, err := RunPassiveWindows(nil, updates, d, freshOpts); err != nil {
 		t.Fatal(err)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	n := 0
-	res, err := RunPassiveWindows(nil, updates, d, WindowOptions{Start: t0, Window: w, Count: count, Ctx: ctx, Loop: true,
-		Stream: func(pw *PassiveWindow) {
-			k := n % count
-			got := digest(pw)
-			if got.counters != fresh[k].counters || !bytes.Equal(got.mesh, fresh[k].mesh) {
-				t.Errorf("window %d (position %d):\n looped %s %x\n fresh  %s %x", n, k, got.counters, got.mesh, fresh[k].counters, fresh[k].mesh)
-			}
-			if want := map[bool]int{true: 2}[k == 0 && n > 0]; pw.Rewound != want {
-				t.Errorf("window %d: %d slots rewound, want %d", n, pw.Rewound, want)
-			}
-			if n++; n == cycles*count {
-				cancel()
-			}
-		}})
+	opts.Ctx, opts.Loop = ctx, true
+	opts.Stream = func(pw *PassiveWindow) {
+		k := n % opts.Count
+		got := digest(pw)
+		if got.counters != fresh[k].counters || !bytes.Equal(got.mesh, fresh[k].mesh) {
+			t.Errorf("window %d (position %d):\n looped %s %x\n fresh  %s %x", n, k, got.counters, got.mesh, fresh[k].counters, fresh[k].mesh)
+		}
+		check(n, pw)
+		if n++; n == cycles*opts.Count {
+			cancel()
+		}
+	}
+	res, err := RunPassiveWindows(nil, updates, d, opts)
 	if !errors.Is(err, context.Canceled) || res != nil {
 		t.Fatalf("looped replay returned (%v, %v), want context.Canceled", res, err)
 	}
-	if n != cycles*count {
-		t.Fatalf("looped replay closed %d windows, want %d", n, cycles*count)
+	if n != cycles*opts.Count {
+		t.Fatalf("looped replay closed %d windows, want %d", n, cycles*opts.Count)
 	}
 }
 

@@ -216,7 +216,7 @@ func (ct *ChurnTrace) Run(mode core.WindowsMode) (*ChurnResult, error) {
 			RelLinks:      pw.RelLinks,
 			P2PRels:       pw.P2PRels,
 			Links:         pw.Result.TotalLinks(),
-			Stability:     windows.Stability[k],
+			Stability:     pw.Stability,
 		}
 		if k < len(trace.Epochs) {
 			row.Ops = trace.Epochs[k].Ops

@@ -123,7 +123,7 @@ func assertModesEquivalent(t *testing.T, seed int64, cfg topology.Config) {
 			wi.RelLinks != wr.RelLinks || wi.P2PRels != wr.P2PRels ||
 			wi.Announced != wr.Announced || wi.Withdrawn != wr.Withdrawn ||
 			wi.WithdrawnOnlyUpdates != wr.WithdrawnOnlyUpdates ||
-			incW.Stability[i] != remW.Stability[i] {
+			wi.Stability != wr.Stability {
 			t.Fatalf("window %d: counters diverge between modes", i)
 		}
 	}

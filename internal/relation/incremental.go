@@ -286,7 +286,7 @@ func (inc *Incremental) Commit() (changed bool) {
 			continue
 		}
 		changed = true
-		path := dedupAdjacent(inc.store.Path(id))
+		path := inc.store.Path(id)
 		for i := 0; i+1 < len(path); i++ {
 			key := topology.MakeLinkKey(path[i], path[i+1])
 			if c := inc.adj[key] + delta; c == 0 {
@@ -399,7 +399,7 @@ func (inc *Incremental) Commit() (changed bool) {
 		v := &inc.voted[id]
 		v.queued = false
 		peak := int32(noPeak)
-		if path := dedupAdjacent(inc.store.Path(id)); len(path) >= 2 {
+		if path := inc.store.Path(id); len(path) >= 2 {
 			q, n := pathPeak(path, inc.cliqueSet, inc.degreeOf)
 			peak, v.soleClique = int32(q), n == 1
 		}
@@ -414,7 +414,7 @@ func (inc *Incremental) Commit() (changed bool) {
 		if v.peak != noPeak {
 			inc.revoted++
 		}
-		path := dedupAdjacent(inc.store.Path(m.id))
+		path := inc.store.Path(m.id)
 		inc.addVotes(path, v.peak, -1)
 		inc.addVotes(path, m.peak, 1)
 		inc.setPeak(m.id, path, m.peak)

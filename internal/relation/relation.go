@@ -187,7 +187,7 @@ func InferPaths(pp [][]bgp.ASN) *Inference {
 
 // Infer runs relationship inference over an interned set of AS paths
 // (each path listed collector-side first, origin last, already
-// loop-free).
+// loop-free; the store collapsed prepending when it interned them).
 func Infer(v paths.View) *Inference {
 	inf := &Inference{
 		rels:          make(map[topology.LinkKey]Rel),
@@ -199,7 +199,7 @@ func Infer(v paths.View) *Inference {
 	adjacent := make(map[topology.LinkKey]bool)
 	transitNbrs := make(map[bgp.ASN]map[bgp.ASN]bool)
 	for pi := 0; pi < v.Len(); pi++ {
-		path := dedupAdjacent(v.Path(pi))
+		path := v.Path(pi)
 		for i := 0; i+1 < len(path); i++ {
 			adjacent[topology.MakeLinkKey(path[i], path[i+1])] = true
 		}
@@ -240,7 +240,7 @@ func Infer(v paths.View) *Inference {
 		v.add(key, customer, 1)
 	}
 	for pi := 0; pi < v.Len(); pi++ {
-		path := dedupAdjacent(v.Path(pi))
+		path := v.Path(pi)
 		emitPathVotes(path, cliqueSet, deg, addVote)
 	}
 
@@ -428,26 +428,4 @@ func ratio(a, b int) int {
 		return 1 << 30
 	}
 	return a / b
-}
-
-func dedupAdjacent(path []bgp.ASN) []bgp.ASN {
-	// Interned store paths are already prepending-collapsed; detect that
-	// without allocating.
-	clean := true
-	for i := 1; i < len(path); i++ {
-		if path[i] == path[i-1] {
-			clean = false
-			break
-		}
-	}
-	if clean {
-		return path
-	}
-	var out []bgp.ASN
-	for _, a := range path {
-		if len(out) == 0 || out[len(out)-1] != a {
-			out = append(out, a)
-		}
-	}
-	return out
 }

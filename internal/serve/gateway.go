@@ -100,20 +100,6 @@ func (g *Gateway) publish(s *Snapshot) {
 // InFlight reports the number of requests currently admitted.
 func (g *Gateway) InFlight() int64 { return g.inflight.Load() }
 
-// Drain blocks until no request is in flight or ctx expires.
-func (g *Gateway) Drain(ctx context.Context) error {
-	for {
-		if g.inflight.Load() == 0 {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(5 * time.Millisecond):
-		}
-	}
-}
-
 // Handler returns the gateway's HTTP handler. The router is
 // hand-rolled rather than a ServeMux: net/http's mux read-locks its
 // pattern table on every request, and the gateway's contract is a
