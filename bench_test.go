@@ -881,9 +881,10 @@ func BenchmarkLongHorizonWindows(b *testing.B) {
 	// replay ages — and asserts a ceiling on live-heap GROWTH between
 	// the first and last window close. Both samples see the pre-built
 	// trace and the fully-populated miner, so the difference isolates
-	// what the replay accumulates: with the dead-shape sweep it stays
-	// near zero on any horizon. Knobs: MLP_HORIZON_SCALE,
-	// MLP_HORIZON_EPOCHS, MLP_HORIZON_HEAP_MB (growth ceiling).
+	// what the replay accumulates: every close drops the route shapes it
+	// finds dead, so it stays near zero on any horizon. Knobs:
+	// MLP_HORIZON_SCALE, MLP_HORIZON_EPOCHS, MLP_HORIZON_HEAP_MB (growth
+	// ceiling).
 	cfg := topology.DefaultConfig()
 	cfg.Scenario = "scaled-world"
 	cfg.Scale = float64(horizonEnv("MLP_HORIZON_SCALE", 5))

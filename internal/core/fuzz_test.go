@@ -18,7 +18,10 @@ import (
 // remine oracle, and every window close must agree on the materialized
 // mesh's fingerprint and on the maintained counters. A looped leg then
 // replays the trace for two cycles in each mode, and every cycle's
-// windows must equal the fresh run's. Seeds live under testdata/fuzz.
+// windows must equal the fresh run's. After every close of every leg the
+// miner's lookup map must hold exactly the live shapes, and its
+// re-pinpoint list exactly the live rels-dependent ones. Seeds live
+// under testdata/fuzz.
 func FuzzWindowMiner(f *testing.F) {
 	fx := newMinerFuzzFixture(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -206,7 +209,8 @@ type minerFuzzRow struct {
 }
 
 // windows replays the trace in mode for the given number of cycles (more
-// than one loops the replay) and returns one row per window.
+// than one loops the replay) and returns one row per window, checking
+// the miner's shape lifetime after every close.
 func (fx *minerFuzzFixture) windows(t *testing.T, dumps []*mrt.Dump, updates []*mrt.BGP4MPMessage, count int, mode WindowsMode, cycles int) []minerFuzzRow {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -219,6 +223,7 @@ func (fx *minerFuzzFixture) windows(t *testing.T, dumps []*mrt.Dump, updates []*
 			LiveRoutes: pw.LiveRoutes, Announced: pw.Announced, Withdrawn: pw.Withdrawn,
 			Dropped: pw.Dropped, Stability: pw.Stability,
 		})
+		liveShapes(t, pw.miner)
 		if len(rows) == cycles*count {
 			cancel()
 		}
@@ -230,4 +235,25 @@ func (fx *minerFuzzFixture) windows(t *testing.T, dumps []*mrt.Dump, updates []*
 		t.Fatalf("%v: %d windows, want %d", mode, len(rows), cycles*count)
 	}
 	return rows
+}
+
+// liveShapes fails unless a closed miner's lookup map holds no shape
+// that no live route carries and its re-pinpoint list holds exactly the
+// rels-dependent shapes of that map.
+func liveShapes(t *testing.T, m *windowMiner) {
+	t.Helper()
+	deps := 0
+	for _, inner := range m.groups {
+		for _, g := range inner {
+			if g.refs == 0 {
+				t.Fatalf("window %d: dead shape %v %v kept in the lookup map", m.epoch-1, m.store.Path(g.path), g.comms)
+			}
+			if g.relsDep {
+				deps++
+			}
+		}
+	}
+	if len(m.relsDeps) != deps {
+		t.Fatalf("window %d: %d shapes listed for re-pinpointing, %d live rels-dependent shapes", m.epoch-1, len(m.relsDeps), deps)
+	}
 }

@@ -82,23 +82,18 @@ type DirtySetter struct {
 // DeltaObservations is a reference-counted observation store: the
 // C_{a,p} of §4.1 step 3 maintained under announce (+1) and withdraw
 // (-1) deltas. It implements ObservationSource, so InferLinks derives
-// the per-window mesh from it directly; with dirty tracking enabled it
-// additionally records which (IXP, setter) pairs changed, in dirtying
-// order, so MeshState re-derives only those at window close.
+// the per-window mesh from it directly. It also records which
+// (IXP, setter) pairs changed, in dirtying order, so MeshState re-derives
+// only those at window close.
 type DeltaObservations struct {
-	byIXP      map[string]*ixpDelta
-	dirtyList  []DirtySetter
-	trackDirty bool
+	byIXP     map[string]*ixpDelta
+	dirtyList []DirtySetter
 }
 
 // NewDeltaObservations returns an empty store.
 func NewDeltaObservations() *DeltaObservations {
 	return &DeltaObservations{byIXP: make(map[string]*ixpDelta)}
 }
-
-// TrackDirty turns on dirty-setter tracking (used by the incremental
-// mesh; remineLiveTable skips the bookkeeping).
-func (o *DeltaObservations) TrackDirty() { o.trackDirty = true }
 
 // DrainDirty appends the setters dirtied since the last drain to dst,
 // in dirtying order, and resets the tracking. A setter pruned and
@@ -132,7 +127,7 @@ func (o *DeltaObservations) add(ixpName string, setter bgp.ASN, prefix bgp.Prefi
 		}
 		x.setters[setter] = s
 	}
-	if o.trackDirty && !s.dirty {
+	if !s.dirty {
 		s.dirty = true
 		o.dirtyList = append(o.dirtyList, DirtySetter{IXP: ixpName, Setter: setter})
 	}
@@ -239,10 +234,12 @@ func (o *DeltaObservations) Source(ixpName string, setter bgp.ASN) DataSource {
 }
 
 // windowGroup is the derived state of one distinct (path, communities)
-// route shape. Everything but the relationship-dependent setter is
-// fixed at creation; refs tracks the live routes currently carrying the
-// shape, and byPrefix, for a relsDep shape only, their prefixes: a
-// re-pinpoint moves those counts, and nothing else ever reads them.
+// route shape. It lives from the announce that creates it to the first
+// window close that finds no live route carrying it. Everything but the
+// relationship-dependent setter is fixed at creation; refs tracks the
+// live routes currently carrying the shape, and byPrefix, for a relsDep
+// shape only, their prefixes: a re-pinpoint moves those counts, and
+// nothing else ever reads them.
 type windowGroup struct {
 	path  paths.ID
 	comms bgp.Communities
@@ -253,14 +250,12 @@ type windowGroup struct {
 	relKey              string    // canonical key of the scheme-relevant subset
 	relComms            bgp.Communities
 	relsDep             bool // pinpointing consults the relation oracle
-	registered          bool // currently listed in windowMiner.relsDeps
 	resolved            bool
 	setter              bgp.ASN
 
-	refs      int
-	deadEpoch int                // window epoch at which refs last hit zero
-	queued    bool               // currently in windowMiner.deadQueue
-	byPrefix  map[bgp.Prefix]int // nil unless relsDep
+	refs     int
+	dying    bool               // listed in windowMiner.dying since refs hit zero
+	byPrefix map[bgp.Prefix]int // nil unless relsDep
 }
 
 // mineable reports whether the shape can contribute observations at
@@ -277,28 +272,14 @@ func (g *windowGroup) keptPath() bool { return !g.bogon && !g.cycle && !g.empty 
 // run: the route groups, the refcounted observation store, the live
 // distinct-path counts feeding the relation oracle, and the hygiene
 // drop tallies over the current live table.
-// deadShapeGrace is how many window closes a (path, comms) shape stays
-// in the lookup map after its last live route withdrew. Shapes that
-// flap back inside the grace period keep their derived state (hygiene
-// flags, IXP attribution, relevant-community key); shapes dead longer
-// are compacted away so the map tracks the recently-live shape set, not
-// the trace's all-time one.
-const deadShapeGrace = 2
-
-// deadShape is one sweep-queue entry: the shape and the epoch whose
-// close enqueued it.
-type deadShape struct {
-	g     *windowGroup
-	epoch int
-}
-
 type windowMiner struct {
 	dict  *Dictionary
 	store *paths.Store
 
 	// groups is keyed (path, canonical comms encoding); the two-level
 	// shape lets callers probe with a scratch []byte key (string(b) map
-	// access compiles allocation-free) before cloning anything.
+	// access compiles allocation-free) before cloning anything. After
+	// every close it holds exactly the live shapes.
 	groups   map[paths.ID]map[string]*windowGroup
 	relsDeps []*windowGroup // groups whose setter depends on the oracle
 	ckb      []byte         // shape's scratch comms key
@@ -316,13 +297,10 @@ type windowMiner struct {
 	// store's dense IDs and grown as the store grows.
 	pathLive []int32
 
-	epoch     int // window closes so far
-	deadQueue []deadShape
-
-	// stalePins records that a shape re-entered relsDeps since the last
-	// close with a setter pinned against an older oracle, so the close
-	// must re-pinpoint even when the oracle did not move.
-	stalePins bool
+	epoch int // window closes so far
+	// dying lists, once each, the groups whose refs hit zero since the
+	// last close; the close drops those still at zero.
+	dying []*windowGroup
 
 	dropBogon, dropCycle int
 }
@@ -331,7 +309,7 @@ type windowMiner struct {
 // the caller owns relation maintenance, setter resolution and mesh
 // derivation (remineLiveTable); otherwise the miner maintains the
 // reciprocity mesh incrementally through a MeshState fed by the
-// observation store's dirty-setter tracking.
+// observation store's dirty setters.
 func newWindowMiner(dict *Dictionary, store *paths.Store, rel *relation.Incremental) *windowMiner {
 	m := &windowMiner{
 		dict:   dict,
@@ -342,7 +320,6 @@ func newWindowMiner(dict *Dictionary, store *paths.Store, rel *relation.Incremen
 		rel:    rel,
 	}
 	if rel != nil {
-		m.obs.TrackDirty()
 		m.mesh = NewMeshState(dict)
 	}
 	return m
@@ -366,40 +343,24 @@ func commsKey(cs bgp.Communities) string {
 	return string(appendCommsKey(make([]byte, 0, 4*len(cs)), cs))
 }
 
-// group returns (creating on first sight) the derived group of a route
-// shape whose comms the group may keep.
-func (m *windowMiner) group(path paths.ID, comms bgp.Communities, ckey string) *windowGroup {
-	inner := m.groups[path]
-	if g, ok := inner[ckey]; ok {
-		return g
-	}
-	return m.addGroup(inner, path, comms, ckey)
-}
-
-// shape is group for an announced route: it probes with the canonical
-// comms encoding in scratch bytes (string(m.ckb) map access compiles
-// allocation-free), and only on first sight of the shape clones comms
-// and materializes the key.
+// shape returns (creating on first sight) the derived group of a route
+// shape. It probes with the canonical comms encoding in scratch bytes
+// (string(m.ckb) map access compiles allocation-free), and only on first
+// sight of the shape clones comms and materializes the key. A new
+// mineable group resolves its setter immediately when the pinpointing
+// is relationship-independent, or against the current oracle otherwise
+// (the next close re-pins it where that oracle's p2p labels move).
 func (m *windowMiner) shape(path paths.ID, comms bgp.Communities) *windowGroup {
 	m.ckb = appendCommsKey(m.ckb[:0], comms)
 	inner := m.groups[path]
 	if g, ok := inner[string(m.ckb)]; ok {
 		return g
 	}
-	return m.addGroup(inner, path, comms.Clone(), string(m.ckb))
-}
-
-// addGroup derives the group of a shape missing from inner, the path's
-// slot of the lookup map (nil when the path has none yet), and files it
-// there. New mineable groups resolve their setter immediately when the
-// pinpointing is relationship-independent, or against the current
-// oracle otherwise (stale answers are corrected at window close).
-func (m *windowMiner) addGroup(inner map[string]*windowGroup, path paths.ID, comms bgp.Communities, ckey string) *windowGroup {
 	if inner == nil {
 		inner = make(map[string]*windowGroup, 1)
 		m.groups[path] = inner
 	}
-	g := &windowGroup{path: path, comms: comms, ckey: ckey}
+	g := &windowGroup{path: path, comms: comms.Clone(), ckey: string(m.ckb)}
 	p := m.store.Path(path)
 	g.empty = len(p) == 0
 	g.bogon = hasBogon(p)
@@ -423,7 +384,6 @@ func (m *windowMiner) addGroup(inner map[string]*windowGroup, path paths.ID, com
 	if g.mineable() {
 		if g.relsDep {
 			g.byPrefix = make(map[bgp.Prefix]int)
-			g.registered = true
 			m.relsDeps = append(m.relsDeps, g)
 			if m.rel != nil {
 				g.setter, g.resolved = PinpointSetter(p, g.entry, m.rel)
@@ -432,11 +392,11 @@ func (m *windowMiner) addGroup(inner map[string]*windowGroup, path paths.ID, com
 			g.setter, g.resolved = PinpointSetter(p, g.entry, nil)
 		}
 	}
-	inner[ckey] = g
+	inner[g.ckey] = g
 	return g
 }
 
-// shapeCount reports the number of live shape entries in the lookup map
+// shapeCount reports the number of shape entries in the lookup map
 // (test hook for the dead-shape sweep).
 func (m *windowMiner) shapeCount() int {
 	n := 0
@@ -449,23 +409,9 @@ func (m *windowMiner) shapeCount() int {
 // apply registers one live-route delta (+1 announce, -1 withdraw) for
 // the route shape at the given prefix.
 func (m *windowMiner) apply(g *windowGroup, prefix bgp.Prefix, delta int) {
-	wasDead := g.refs == 0
-	g.refs += delta
-	// A rels-dependent shape coming back to life after closeWindow
-	// compacted it away re-enters the re-pinpoint list (its recorded
-	// setter may be stale relative to the current oracle; the next
-	// window close corrects it, exactly like a freshly created shape).
-	if wasDead && g.refs > 0 && g.relsDep && !g.registered {
-		g.registered = true
-		m.relsDeps = append(m.relsDeps, g)
-		m.stalePins = true
-	}
-	if !wasDead && g.refs == 0 {
-		g.deadEpoch = m.epoch
-		if !g.queued {
-			g.queued = true
-			m.deadQueue = append(m.deadQueue, deadShape{g: g, epoch: m.epoch})
-		}
+	if g.refs += delta; g.refs == 0 && !g.dying {
+		g.dying = true
+		m.dying = append(m.dying, g)
 	}
 	if g.byPrefix != nil {
 		if n := g.byPrefix[prefix] + delta; n == 0 {
@@ -528,32 +474,15 @@ func (m *windowMiner) moveContributions(g *windowGroup, resolved bool, setter bg
 // demand.
 func (m *windowMiner) closeWindow(w *PassiveWindow) {
 	m.rel.Commit()
-	stale := m.stalePins
-	m.stalePins = false
-	// Re-pinpoint the live rels-dependent shapes, compacting dead ones
-	// out of the list so per-window cost tracks the live shape set, not
-	// the trace's all-time one (withdrawn shapes re-register in apply
-	// if they come back). Every listed shape was pinned against the
-	// previous oracle, at the last close or at its creation inside the
-	// window, and PinpointSetter reads only the p2p labels of adjacent
-	// hops: a pin moves only where the Commit flipped one of those
-	// labels — unless a compacted shape came back with an older pin
-	// (stalePins), which re-pins every shape.
-	live := m.relsDeps[:0]
-	for _, g := range m.relsDeps {
-		if g.refs == 0 {
-			g.registered = false
-			continue
-		}
-		live = append(live, g)
-	}
-	for i := len(live); i < len(m.relsDeps); i++ {
-		m.relsDeps[i] = nil
-	}
-	m.relsDeps = live
-	if stale || m.rel.P2PFlips() > 0 {
-		for _, g := range live {
-			if !stale && !m.p2pFlippedOn(g.path) {
+	m.sweepDeadShapes()
+	// Re-pinpoint the live rels-dependent shapes. Every listed shape was
+	// pinned against the previous oracle, at the last close or at its
+	// creation inside the window, and PinpointSetter reads only the p2p
+	// labels of adjacent hops: a pin moves only where the Commit flipped
+	// one of those labels.
+	if m.rel.P2PFlips() > 0 {
+		for _, g := range m.relsDeps {
+			if !m.p2pFlippedOn(g.path) {
 				continue
 			}
 			setter, ok := PinpointSetter(m.store.Path(g.path), g.entry, m.rel)
@@ -569,7 +498,6 @@ func (m *windowMiner) closeWindow(w *PassiveWindow) {
 	w.Stability = m.mesh.CloseStability()
 	m.epoch++
 	w.Result, w.miner, w.epoch = nil, m, m.epoch
-	m.sweepDeadShapes()
 }
 
 // p2pFlippedOn reports whether the last Commit flipped the p2p label
@@ -584,29 +512,15 @@ func (m *windowMiner) p2pFlippedOn(id paths.ID) bool {
 	return false
 }
 
-// sweepDeadShapes compacts shapes whose refcount has been zero for at
-// least deadShapeGrace window closes out of the lookup map. The queue
-// is in enqueue order; a shape that died again more recently than the
-// entry that carried it here is re-queued at its newest death epoch, so
-// the grace period restarts on every flap. Requeued entries can land
-// behind slightly newer ones, which only ever lengthens a shape's stay
-// — the grace period is a lower bound.
+// sweepDeadShapes drops every shape that died since the last close and
+// is still dead from the lookup map, and compacts the rels-dependent
+// ones out of relsDeps, so both track the live shape set, not the
+// trace's all-time one. A route that brings a swept shape back derives
+// it afresh through shape.
 func (m *windowMiner) sweepDeadShapes() {
-	for len(m.deadQueue) > 0 {
-		e := m.deadQueue[0]
-		if e.epoch+deadShapeGrace > m.epoch {
-			break
-		}
-		m.deadQueue[0] = deadShape{}
-		m.deadQueue = m.deadQueue[1:]
-		g := e.g
-		g.queued = false
+	for _, g := range m.dying {
+		g.dying = false
 		if g.refs > 0 {
-			continue
-		}
-		if g.deadEpoch+deadShapeGrace > m.epoch {
-			g.queued = true
-			m.deadQueue = append(m.deadQueue, deadShape{g: g, epoch: g.deadEpoch})
 			continue
 		}
 		inner := m.groups[g.path]
@@ -615,9 +529,16 @@ func (m *windowMiner) sweepDeadShapes() {
 			delete(m.groups, g.path)
 		}
 	}
-	if len(m.deadQueue) == 0 {
-		m.deadQueue = nil // release the drained queue's backing array
+	clear(m.dying)
+	m.dying = m.dying[:0]
+	live := m.relsDeps[:0]
+	for _, g := range m.relsDeps {
+		if g.refs > 0 {
+			live = append(live, g)
+		}
 	}
+	clear(m.relsDeps[len(live):])
+	m.relsDeps = live
 }
 
 // countP2P tallies p2p-labelled links through the allocation-free

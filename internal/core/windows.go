@@ -54,8 +54,9 @@ func (m WindowsMode) String() string {
 
 // WindowOptions parameterizes RunPassiveWindows.
 type WindowOptions struct {
-	// Start is the first window's opening time; updates before it are
-	// folded into the base RIB state without emitting a window.
+	// Start is the first window's opening time; the updates read before
+	// the first one stamped at or after it are folded into the base RIB
+	// state without emitting a window.
 	Start time.Time
 	// Window is each inference window's duration.
 	Window time.Duration
@@ -187,8 +188,12 @@ func compareLiveKeys(a, b liveKey) int {
 // at every window close over the routes alive at that instant. A
 // withdrawal ends its route's lifetime, so transient flaps never leak
 // into the inferred mesh — the hygiene property §5 approximates with its
-// update-only filter in snapshot mode. Updates must be ordered as read
-// from the archive; equal timestamps keep file order.
+// update-only filter in snapshot mode. Updates are taken in the order
+// read from the archive. Once the first update stamped at or after
+// opts.Start is read, every update is applied to, and counted in, the
+// window open when it is read; its stamp only decides when windows
+// close. A late update — stamped inside an already-closed window, or
+// before Start — therefore lands in the open window.
 //
 // Every event applies as a +/- delta to the refcounted observation store
 // and the incremental relation oracle, so a window close costs
@@ -303,8 +308,8 @@ func RunPassiveWindows(dumps []*mrt.Dump, updates []*mrt.BGP4MPMessage, dict *Di
 	// rewind restores every logged slot that moved, in sorted order so
 	// the miner sees the same delta sequence on every run, empties the
 	// log and returns the number of slots restored. A restored shape is
-	// looked up again rather than reused: the sweep may have dropped the
-	// logged group while it was dead.
+	// interned again rather than reused: a close that found the logged
+	// group dead has dropped it.
 	rewind := func() int {
 		keys := make([]liveKey, 0, len(undo))
 		for k := range undo {
@@ -318,7 +323,7 @@ func RunPassiveWindows(dumps []*mrt.Dump, updates []*mrt.BGP4MPMessage, dict *Di
 			case was == nil && now != nil:
 				del(k)
 			case was != nil && (now == nil || now.path != was.path || now.ckey != was.ckey):
-				set(k, miner.group(was.path, was.comms, was.ckey))
+				set(k, miner.shape(was.path, was.comms))
 			default:
 				continue
 			}
@@ -383,11 +388,6 @@ func RunPassiveWindows(dumps []*mrt.Dump, updates []*mrt.BGP4MPMessage, dict *Di
 
 	for {
 		for _, u := range updates[first:] {
-			// Pre-window updates adjust the base table without counting.
-			if u.Timestamp.Before(opts.Start) {
-				apply(u, false)
-				continue
-			}
 			for winIdx < opts.Count && !u.Timestamp.Before(cur.End) {
 				if err := cancelled(); err != nil {
 					return nil, err
@@ -416,10 +416,10 @@ func RunPassiveWindows(dumps []*mrt.Dump, updates []*mrt.BGP4MPMessage, dict *Di
 // remineLiveTable runs hygiene + community mining + link inference over
 // the full live table, deterministically (the table is sorted before
 // mining): the re-mine oracle the incremental path is pinned against.
-// It reads only each slot's (path, comms, ckey) and re-derives every
-// shape in a fresh miner with the same grouped derivation and
-// refcounted store, so both modes reduce observations identically while
-// the oracle shares nothing the incremental derivation computed.
+// It reads only each slot's (path, comms) and re-derives every shape in
+// a fresh miner with the same grouped derivation and refcounted store,
+// so both modes reduce observations identically while the oracle shares
+// nothing the incremental derivation computed.
 func remineLiveTable(store *paths.Store, live map[liveKey]*windowGroup, dict *Dictionary, w *PassiveWindow) {
 	keys := make([]liveKey, 0, len(live))
 	for k := range live {
@@ -431,7 +431,7 @@ func remineLiveTable(store *paths.Store, live map[liveKey]*windowGroup, dict *Di
 	var kept []paths.ID
 	for _, k := range keys {
 		r := live[k]
-		g := m.group(r.path, r.comms, r.ckey)
+		g := m.shape(r.path, r.comms)
 		if g.keptPath() && (int(g.path) >= len(m.pathLive) || m.pathLive[g.path] == 0) {
 			kept = append(kept, g.path)
 		}

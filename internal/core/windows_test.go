@@ -201,10 +201,10 @@ func flapTrace(t *testing.T, t0 time.Time, w time.Duration) []*mrt.BGP4MPMessage
 		upd(t0.Add(2*w+time.Minute), 100, []bgp.ASN{100, 300}, all, []bgp.Prefix{p2}, nil),
 		upd(t0.Add(2*w+2*time.Minute), 100, nil, nil, nil, []bgp.Prefix{p4}),
 
-		// Window 3: the case-3 shape returns after a dead window: it
-		// must re-register for re-pinpointing. Setter 200 also edits its
-		// filter (excluding 300), killing the 200--300 link while both
-		// stay covered.
+		// Window 3: the case-3 shape returns after a dead window: it is
+		// derived afresh and listed for re-pinpointing again. Setter 200
+		// also edits its filter (excluding 300), killing the 200--300
+		// link while both stay covered.
 		upd(t0.Add(3*w+time.Minute), 100, []bgp.ASN{100, 200, 8359}, all, []bgp.Prefix{p4}, nil),
 		upd(t0.Add(3*w+2*time.Minute), 100, []bgp.ASN{100, 200}, comms(t, "6695:6695 0:300"), []bgp.Prefix{p1}, nil),
 	}
@@ -269,20 +269,19 @@ func TestWindowFlapRestoresObservationState(t *testing.T) {
 	m := newWindowMiner(d, store, relation.NewIncremental(store))
 
 	all := comms(t, "6695:6695")
-	ck := commsKey(all)
 	p1 := bgp.MustPrefix("10.1.0.0/24")
 	p2 := bgp.MustPrefix("10.2.0.0/24")
 	id1 := store.Intern([]bgp.ASN{100, 200})
 	id2 := store.Intern([]bgp.ASN{100, 300})
 
-	m.apply(m.group(id1, all, ck), p1, 1)
-	m.apply(m.group(id2, all, ck), p2, 1)
+	m.apply(m.shape(id1, all), p1, 1)
+	m.apply(m.shape(id2, all), p2, 1)
 
 	snapshot := func() string {
 		return fmt.Sprintf("obs=%#v pathLive=%v drops=%d/%d refs=%d/%d",
 			m.obs.byIXP["DE-CIX"].setters[200].prefixes[p1],
 			m.pathLive, m.dropBogon, m.dropCycle,
-			m.group(id1, all, ck).refs, m.group(id2, all, ck).refs)
+			m.shape(id1, all).refs, m.shape(id2, all).refs)
 	}
 	before := snapshot()
 	var w1 PassiveWindow
@@ -292,10 +291,10 @@ func TestWindowFlapRestoresObservationState(t *testing.T) {
 	}
 
 	// Flap: withdraw and re-announce the same routes within the window.
-	m.apply(m.group(id1, all, ck), p1, -1)
-	m.apply(m.group(id2, all, ck), p2, -1)
-	m.apply(m.group(id1, all, ck), p1, 1)
-	m.apply(m.group(id2, all, ck), p2, 1)
+	m.apply(m.shape(id1, all), p1, -1)
+	m.apply(m.shape(id2, all), p2, -1)
+	m.apply(m.shape(id1, all), p1, 1)
+	m.apply(m.shape(id2, all), p2, 1)
 
 	if got := snapshot(); got != before {
 		t.Fatalf("flap did not restore miner state:\nbefore %s\nafter  %s", before, got)
@@ -308,8 +307,8 @@ func TestWindowFlapRestoresObservationState(t *testing.T) {
 	}
 
 	// Full withdrawal empties the store's live view.
-	m.apply(m.group(id1, all, ck), p1, -1)
-	m.apply(m.group(id2, all, ck), p2, -1)
+	m.apply(m.shape(id1, all), p1, -1)
+	m.apply(m.shape(id2, all), p2, -1)
 	var w3 PassiveWindow
 	m.closeWindow(&w3)
 	if w3.Materialize().TotalLinks() != 0 || len(m.obs.Setters("DE-CIX")) != 0 {
@@ -452,71 +451,81 @@ func windowedShadowInferLinks(t *testing.T) {
 	}
 }
 
-// TestFlapStormShapeSweep pins the dead-shape sweep: a storm of distinct
-// (path, comms) shapes that appear and fully withdraw must be compacted
-// out of the lookup map once dead past the grace period, returning the
-// shape count to its pre-storm baseline — while a shape that flaps back
-// within the grace period keeps its derived state (same group identity).
+// TestFlapStormShapeSweep pins the one shape lifetime: a storm of
+// distinct (path, comms) shapes, one of them rels-dependent, that appear
+// and fully withdraw inside a window is swept out of the lookup map and
+// the re-pinpoint list by that window's close, while a shape that
+// returns before the close keeps its group; the close that finds it dead
+// again sweeps it, and a route bringing it back derives it afresh.
 func TestFlapStormShapeSweep(t *testing.T) {
 	d := testDict(t)
 	store := paths.NewStore()
 	m := newWindowMiner(d, store, relation.NewIncremental(store))
 
 	all := comms(t, "6695:6695")
-	ck := commsKey(all)
 	p1 := bgp.MustPrefix("10.1.0.0/24")
 	id1 := store.Intern([]bgp.ASN{100, 200})
+	relsDep := store.Intern([]bgp.ASN{100, 200, 8359})
 
-	m.apply(m.group(id1, all, ck), p1, 1)
+	m.apply(m.shape(id1, all), p1, 1)
 	var pw PassiveWindow
 	m.closeWindow(&pw)
 	baseline := m.shapeCount()
 
-	// Storm: distinct comms shapes on the same path, announced then
-	// fully withdrawn within one window.
+	// Storm: distinct comms shapes on the same path, and one
+	// rels-dependent shape, announced then fully withdrawn within one
+	// window.
 	const stormN = 50
 	for i := 0; i < stormN; i++ {
-		cs := comms(t, fmt.Sprintf("6695:6695 0:%d", 1000+i))
-		k := commsKey(cs)
-		m.apply(m.group(id1, cs, k), p1, 1)
-		m.apply(m.group(id1, cs, k), p1, -1)
+		g := m.shape(id1, comms(t, fmt.Sprintf("6695:6695 0:%d", 1000+i)))
+		m.apply(g, p1, 1)
+		m.apply(g, p1, -1)
 	}
-	if got := m.shapeCount(); got != baseline+stormN {
-		t.Fatalf("mid-storm shape count = %d, want %d", got, baseline+stormN)
+	dep := m.shape(relsDep, all)
+	m.apply(dep, p1, 1)
+	m.apply(dep, p1, -1)
+	if got := m.shapeCount(); got != baseline+stormN+1 {
+		t.Fatalf("mid-storm shape count = %d, want %d", got, baseline+stormN+1)
+	}
+	if !dep.relsDep || len(m.relsDeps) != 1 {
+		t.Fatalf("rels-dependent storm shape not listed: relsDep %v, %d listed", dep.relsDep, len(m.relsDeps))
 	}
 
-	// One shape flaps back inside the grace period and must keep its
-	// identity (derived state preserved, no re-derivation).
+	// One storm shape returns before the close and keeps its group.
 	flapComms := comms(t, "6695:6695 0:1000")
-	flapKey := commsKey(flapComms)
-	flapG := m.group(id1, flapComms, flapKey)
+	flapG := m.groups[id1][commsKey(flapComms)]
+	if g := m.shape(id1, flapComms); g != flapG {
+		t.Fatal("shape returning before the close lost its group")
+	}
+	m.apply(flapG, p1, 1)
 	m.closeWindow(&pw)
-	m.apply(m.group(id1, flapComms, flapKey), p1, 1)
-	if m.group(id1, flapComms, flapKey) != flapG {
-		t.Fatal("shape flapping back within grace lost its identity")
+	if got := m.shapeCount(); got != baseline+1 {
+		t.Fatalf("post-storm shape count = %d, want %d", got, baseline+1)
 	}
-	m.apply(m.group(id1, flapComms, flapKey), p1, -1)
+	if len(m.relsDeps) != 0 || len(m.dying) != 0 {
+		t.Fatalf("close left %d rels-dependent and %d dying shapes listed", len(m.relsDeps), len(m.dying))
+	}
 
-	// Enough idle closes for every storm shape to age past the grace.
-	for i := 0; i < deadShapeGrace+2; i++ {
-		m.closeWindow(&pw)
-	}
+	// The close that finds the returned shape dead sweeps it; a route
+	// bringing it back derives it afresh.
+	m.apply(flapG, p1, -1)
+	m.closeWindow(&pw)
 	if got := m.shapeCount(); got != baseline {
-		t.Fatalf("post-storm shape count = %d, want baseline %d", got, baseline)
+		t.Fatalf("shape count = %d after the returned shape died, want baseline %d", got, baseline)
 	}
-	if len(m.deadQueue) != 0 {
-		t.Fatalf("dead queue not drained: %d entries", len(m.deadQueue))
+	if g := m.shape(id1, flapComms); g == flapG {
+		t.Fatal("swept shape kept its group")
+	} else {
+		m.apply(g, p1, 1)
+		m.apply(g, p1, -1)
 	}
-	// The swept shape is re-derived from scratch when it returns.
-	if m.group(id1, flapComms, flapKey) == flapG {
-		t.Fatal("swept shape kept stale identity")
-	}
+	m.closeWindow(&pw)
 	// The live shape survived the storm and the sweeps.
 	if pw.MeshLinks != 0 {
 		t.Fatalf("mesh links = %d, want 0 (single covered setter)", pw.MeshLinks)
 	}
-	if m.obs.Setters("DE-CIX") == nil {
-		t.Fatal("live setter lost during sweep")
+	if m.obs.Setters("DE-CIX") == nil || m.shapeCount() != baseline {
+		t.Fatalf("live setter lost or dead shape kept during sweep: %d shapes", m.shapeCount())
 	}
 }
 
@@ -585,6 +594,126 @@ func TestRunPassiveWindowsValidation(t *testing.T) {
 	}
 }
 
+// TestLateUpdatesLandInOpenWindow pins the window contract for late
+// updates in both modes: an announce stamped inside an already-closed
+// window and a withdrawal stamped before Start, both read mid-replay,
+// are applied to and counted in the window open when they are read, so
+// the run equals one whose two updates carry that window's stamps.
+func TestLateUpdatesLandInOpenWindow(t *testing.T) {
+	d := testDict(t)
+	t0 := time.Date(2013, 5, 1, 2, 0, 0, 0, time.UTC)
+	w := 10 * time.Minute
+	p1 := bgp.MustPrefix("10.1.0.0/24")
+	p2 := bgp.MustPrefix("10.2.0.0/24")
+	p3 := bgp.MustPrefix("10.3.0.0/24")
+	p4 := bgp.MustPrefix("10.4.0.0/24")
+	all := comms(t, "6695:6695")
+	trace := func(lateAt, earlyAt time.Time) []*mrt.BGP4MPMessage {
+		return []*mrt.BGP4MPMessage{
+			upd(t0.Add(-time.Minute), 100, []bgp.ASN{100, 200}, all, []bgp.Prefix{p1}, nil),
+			upd(t0.Add(time.Minute), 100, []bgp.ASN{100, 300}, all, []bgp.Prefix{p2}, nil),
+			upd(t0.Add(w+time.Minute), 100, []bgp.ASN{100, 200}, all, []bgp.Prefix{p3}, nil),
+			upd(lateAt, 100, []bgp.ASN{100, 8359}, all, []bgp.Prefix{p4}, nil),
+			upd(earlyAt, 100, nil, nil, nil, []bgp.Prefix{p1}),
+		}
+	}
+	late := trace(t0.Add(2*time.Minute), t0.Add(-5*time.Minute))
+	inWindow := trace(t0.Add(w+2*time.Minute), t0.Add(w+3*time.Minute))
+	type counts struct{ announced, withdrawn, withdrawnOnly, live int }
+	want := []counts{{1, 0, 0, 2}, {2, 1, 1, 3}, {0, 0, 0, 3}}
+	for _, mode := range []WindowsMode{WindowsIncremental, WindowsRemine} {
+		t.Run(mode.String(), func(t *testing.T) {
+			opts := WindowOptions{Start: t0, Window: w, Count: len(want), Mode: mode}
+			got, err := RunPassiveWindows(nil, late, d, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := RunPassiveWindows(nil, inWindow, d, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, c := range want {
+				pw, rw := &got.Windows[i], &ref.Windows[i]
+				if g := (counts{pw.Announced, pw.Withdrawn, pw.WithdrawnOnlyUpdates, pw.LiveRoutes}); g != c {
+					t.Errorf("window %d: counted %+v, want %+v", i, g, c)
+				}
+				if pw.Announced != rw.Announced || pw.Withdrawn != rw.Withdrawn || pw.LiveRoutes != rw.LiveRoutes ||
+					pw.RelLinks != rw.RelLinks || pw.MeshLinks != rw.MeshLinks ||
+					!bytes.Equal(pw.Result.AppendMesh(nil), rw.Result.AppendMesh(nil)) {
+					t.Errorf("window %d: late stamps diverge from in-window stamps:\nlate      %+v\nin-window %+v", i, pw, rw)
+				}
+			}
+			if got.Windows[1].MeshLinks == 0 {
+				t.Fatal("no link in the window the late updates land in; trace too weak")
+			}
+		})
+	}
+}
+
+// TestBatchAndWindowReduceObservationsApart pins the one place the batch
+// and windowed passive miners disagree: two feeders tag setter 200's
+// prefix at DE-CIX with different relevant community sets, one allowing
+// the other covered setter, 300, and one excluding it. Batch RunPassive
+// keeps the last row's set, so its mesh follows the dump's row order; a
+// RunPassiveWindows window keeps the smallest canonical set among the
+// live routes, whatever the order. With the allowing set last, the batch
+// mesh has the 200--300 link and the window's does not.
+func TestBatchAndWindowReduceObservationsApart(t *testing.T) {
+	d := testDict(t)
+	t0 := time.Date(2013, 5, 1, 2, 0, 0, 0, time.UTC)
+	p1 := bgp.MustPrefix("10.1.0.0/24")
+	p2 := bgp.MustPrefix("10.2.0.0/24")
+	allowAll := comms(t, "6695:6695")
+	excl300 := comms(t, "6695:6695 0:300")
+	if excl300.Dedup().String() >= allowAll.Dedup().String() {
+		t.Fatal("the excluding set must be the canonically smaller one")
+	}
+	entry := func(peer uint16, path []bgp.ASN, cs bgp.Communities) mrt.RIBEntry {
+		return mrt.RIBEntry{PeerIndex: peer, Attrs: &bgp.PathAttrs{ASPath: bgp.NewASPath(path...), Communities: cs}}
+	}
+	dump := func(setter200 ...mrt.RIBEntry) []*mrt.Dump {
+		return []*mrt.Dump{{
+			Index: &mrt.PeerIndexTable{Peers: []mrt.Peer{{ASN: 100}, {ASN: 300}}},
+			RIBs: []*mrt.RIBRecord{
+				{Prefix: p1, Entries: setter200},
+				{Prefix: p2, Entries: []mrt.RIBEntry{entry(0, []bgp.ASN{100, 300}, allowAll)}},
+			},
+		}}
+	}
+	fromExcluder := entry(1, []bgp.ASN{300, 200}, excl300)
+	fromAllower := entry(0, []bgp.ASN{100, 200}, allowAll)
+	link := map[topology.LinkKey][]string{topology.MakeLinkKey(200, 300): {"DE-CIX"}}
+	for _, tc := range []struct {
+		name       string
+		dumps      []*mrt.Dump
+		batchLinks map[topology.LinkKey][]string
+	}{
+		{"allowing set last", dump(fromExcluder, fromAllower), link},
+		{"excluding set last", dump(fromAllower, fromExcluder), nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			batch, err := RunPassive(tc.dumps, nil, d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := InferLinks(d, batch.Obs).Links; !maps.EqualFunc(got, tc.batchLinks, slices.Equal) {
+				t.Errorf("batch mesh %v, want %v", got, tc.batchLinks)
+			}
+			win, err := RunPassiveWindows(tc.dumps, nil, d, WindowOptions{Start: t0, Window: time.Hour, Count: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := win.Windows[0].Result
+			if len(res.Links) != 0 {
+				t.Errorf("window mesh %v, want empty", res.Links)
+			}
+			if covered := res.PerIXP["DE-CIX"].Covered; !slices.Equal(covered, []bgp.ASN{200, 300}) {
+				t.Errorf("window covers %v, want [200 300]", covered)
+			}
+		})
+	}
+}
+
 // TestLoopedReplayRewinds pins the wrap on a trace whose cycle opens a
 // slot that was empty (p3) and re-filters another (p1), while p2 and p4
 // leave and come back as they were: in both modes every window of four
@@ -610,10 +739,10 @@ func TestLoopedReplayRewinds(t *testing.T) {
 
 // TestLoopedReplayRestoresSweptShape pins the wrap of a cycle that
 // re-filters two slots in its first window and keeps their cycle-start
-// shapes (one of them rels-dependent) dead for more than deadShapeGrace
-// closes, so the sweep has dropped them from the miner before the wrap
-// restores them: in both modes every looped window still matches the
-// fresh run's.
+// shapes (one of them rels-dependent) dead for the rest of the cycle, so
+// every close, the first one included, finds them swept from the miner
+// and the wrap restores them by deriving them afresh: in both modes
+// every looped window still matches the fresh run's.
 func TestLoopedReplayRestoresSweptShape(t *testing.T) {
 	t0 := time.Date(2013, 5, 1, 2, 0, 0, 0, time.UTC)
 	w := 10 * time.Minute
@@ -635,7 +764,7 @@ func TestLoopedReplayRestoresSweptShape(t *testing.T) {
 		// idle.
 		upd(t0.Add(w+time.Minute), 100, []bgp.ASN{100, 8359, 300}, nil, []bgp.Prefix{p3}, nil),
 	}
-	const count = deadShapeGrace + 4
+	const count = 4
 	hasShape := func(m *windowMiner, path []bgp.ASN) bool {
 		for id, inner := range m.groups {
 			if slices.Equal(m.store.Path(id), path) {
@@ -653,12 +782,11 @@ func TestLoopedReplayRestoresSweptShape(t *testing.T) {
 					if want := map[bool]int{true: 3}[k == 0 && n > 0]; pw.Rewound != want {
 						t.Errorf("window %d: %d slots rewound, want %d", n, pw.Rewound, want)
 					}
-					// The grace period keeps the dead cycle-start shapes
-					// through the first close; the cycle's last close finds
-					// them swept.
+					// The cycle-start shapes die in the first window: every
+					// close finds them swept.
 					for _, path := range [][]bgp.ASN{clean, relsDep} {
-						if got, want := hasShape(pw.miner, path), k == 0; got != want {
-							t.Errorf("window %d: shape %v with %v in the miner = %v, want %v", n, path, all, got, want)
+						if hasShape(pw.miner, path) {
+							t.Errorf("window %d: dead shape %v with %v still in the miner", n, path, all)
 						}
 					}
 				})
