@@ -33,9 +33,9 @@ func runMain(t *testing.T, args ...string) (string, bool) {
 	return string(out), err == nil
 }
 
-// TestChurnFlagsRejected pins that a churn schedule main cannot run
-// exits non-zero with a message naming the value, instead of being
-// rewritten to one 10-minute epoch.
+// TestChurnFlagsRejected pins that a churn schedule or world scale main
+// cannot run exits non-zero with a message naming the value, instead of
+// being rewritten to one 10-minute epoch or a clamped minimum world.
 func TestChurnFlagsRejected(t *testing.T) {
 	for _, c := range []struct {
 		args []string
@@ -44,6 +44,7 @@ func TestChurnFlagsRejected(t *testing.T) {
 		{[]string{"-churn", "-churn-epochs", "0"}, "churn epochs must be at least 1, got 0"},
 		{[]string{"-churn", "-churn-interval", "-5m"}, "churn interval must be positive, got -5m0s"},
 		{[]string{"-churn", "-churn-stream", "-churn-windows", "-1"}, "-churn-windows must not be negative, got -1"},
+		{[]string{"-scale", "NaN"}, "scale must be a positive finite number, got NaN"},
 	} {
 		out, ok := runMain(t, c.args...)
 		if ok || !strings.Contains(out, c.want) {

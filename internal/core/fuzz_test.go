@@ -20,8 +20,11 @@ import (
 // replays the trace for two cycles in each mode, and every cycle's
 // windows must equal the fresh run's. After every close of every leg the
 // miner's lookup map must hold exactly the live shapes, and its
-// re-pinpoint list exactly the live rels-dependent ones. Seeds live
-// under testdata/fuzz.
+// re-pinpoint list exactly the live rels-dependent ones; after every
+// incremental close the maintained mesh must equal InferLinks over the
+// same observation store, which separates a MeshState fault from the
+// observation reduction both modes share. Seeds live under
+// testdata/fuzz.
 func FuzzWindowMiner(f *testing.F) {
 	fx := newMinerFuzzFixture(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -210,15 +213,22 @@ type minerFuzzRow struct {
 
 // windows replays the trace in mode for the given number of cycles (more
 // than one loops the replay) and returns one row per window, checking
-// the miner's shape lifetime after every close.
+// the miner's shape lifetime after every close and, in incremental
+// mode, the mesh against the batch rule.
 func (fx *minerFuzzFixture) windows(t *testing.T, dumps []*mrt.Dump, updates []*mrt.BGP4MPMessage, count int, mode WindowsMode, cycles int) []minerFuzzRow {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var rows []minerFuzzRow
 	opts := WindowOptions{Start: fx.t0, Window: fx.window, Count: count, Mode: mode, Ctx: ctx, Loop: cycles > 1, Stream: func(pw *PassiveWindow) {
+		res := pw.Materialize()
+		if mode == WindowsIncremental {
+			if diff := diffResults(res, InferLinks(fx.dict, pw.miner.obs)); diff != "" {
+				t.Fatalf("%v: window %d: mesh diverges from InferLinks over the same store: %s", mode, len(rows), diff)
+			}
+		}
 		rows = append(rows, minerFuzzRow{
-			Fingerprint: pw.Materialize().Fingerprint(),
+			Fingerprint: res.Fingerprint(),
 			MeshLinks:   pw.MeshLinks, RelLinks: pw.RelLinks, P2PRels: pw.P2PRels,
 			LiveRoutes: pw.LiveRoutes, Announced: pw.Announced, Withdrawn: pw.Withdrawn,
 			Dropped: pw.Dropped, Stability: pw.Stability,

@@ -181,7 +181,7 @@ func InferLinks(dict *Dictionary, obs ObservationSource) *Result {
 		for i, a := range x.Covered {
 			fa := x.Filters[a]
 			for _, b := range x.Covered[i+1:] {
-				if fa.Allows(b) && x.Filters[b].Allows(a) {
+				if reciprocal(a, fa, b, x.Filters[b]) {
 					k := topology.MakeLinkKey(a, b)
 					res.Links[k] = append(res.Links[k], entry.Name)
 				}
@@ -192,6 +192,12 @@ func InferLinks(dict *Dictionary, obs ObservationSource) *Result {
 		slices.Sort(res.Links[k])
 	}
 	return res
+}
+
+// reciprocal is §4.1 step 5's pair rule: two covered members of an IXP
+// are linked when each one's export filter allows the other.
+func reciprocal(a bgp.ASN, fa ixp.ExportFilter, b bgp.ASN, fb ixp.ExportFilter) bool {
+	return fa.Allows(b) && fb.Allows(a)
 }
 
 // AppendMesh appends a canonical byte encoding of the inferred mesh to

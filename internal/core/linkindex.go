@@ -64,10 +64,6 @@ type LinkIndex struct {
 	// [i, j) occupies Encoded[encOff[i]:encOff[j]]. len(Links)+1 entries
 	// when Encoded is set.
 	encOff []uint32
-	// fnv[c] is the fingerprint's FNV-1a state before link c*fnvStride
-	// (after the last link, when that is where c*fnvStride falls): what
-	// a patched successor resumes hashing from.
-	fnv []uint64
 
 	asns   []bgp.ASN // distinct link endpoints, ascending
 	asOff  []uint32  // len(asns)+1 row offsets into asAdj
@@ -165,13 +161,11 @@ func fingerprintLinks(links []IndexedLink) uint64 {
 }
 
 // FNV-1a 64 (hash/fnv's New64a, which fingerprintLinks goes through):
-// spelled out here so the index can checkpoint the running state and a
-// patched successor can resume from it.
+// spelled out here so the index hashes its links without the hash.Hash
+// interface or a scratch encoding buffer.
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
-	// fnvStride is the link distance between two checkpointed states.
-	fnvStride = 64
 )
 
 // hashLink folds one link's canonical encoding (appendMeshLinks) into
@@ -193,21 +187,13 @@ func hashLink(h uint64, l *IndexedLink) uint64 {
 	return (h ^ 0xFF) * fnvPrime64
 }
 
-// rehash computes the fingerprint from link from (a multiple of
-// fnvStride, whose preceding state is h) to the end, appending the
-// checkpoints it passes to x.fnv, which must hold exactly the ones
-// before from.
+// rehash computes the fingerprint over every link.
 //
 //mlplint:allocfree
 //mlplint:frozen
-func (x *LinkIndex) rehash(from int, h uint64) {
-	for i := from; ; i++ {
-		if i%fnvStride == 0 {
-			x.fnv = append(x.fnv, h)
-		}
-		if i == len(x.Links) {
-			break
-		}
+func (x *LinkIndex) rehash() {
+	h := uint64(fnvOffset64)
+	for i := range x.Links {
 		h = hashLink(h, &x.Links[i])
 	}
 	x.Fingerprint = h
@@ -256,8 +242,7 @@ func (x *LinkIndex) encode(enc LinkEncoder) {
 //mlplint:frozen
 func newLinkIndex(r *Result, enc LinkEncoder) *LinkIndex {
 	x := &LinkIndex{Links: sortedLinks(r.Links)}
-	x.fnv = make([]uint64, 0, len(x.Links)/fnvStride+1)
-	x.rehash(0, fnvOffset64)
+	x.rehash()
 	if enc != nil {
 		x.encode(enc)
 	}
@@ -368,9 +353,8 @@ func compareRowEdits[K ~uint32](a, b rowEdit[K]) int {
 // the unchanged runs between two keys are block-copied — links, encoded
 // bytes — and renumbered by a monotone old→new map, the CSR rows are
 // shifted through that map with only the touched rows merged, the
-// fingerprint is re-hashed from the checkpoint before the first change,
-// and only the links at keys are encoded. The outcome equals
-// newLinkIndex over links field for field.
+// fingerprint is re-hashed, and only the links at keys are encoded. The
+// outcome equals newLinkIndex over links field for field.
 //
 //mlplint:allocfree
 //mlplint:frozen
@@ -394,7 +378,7 @@ func patchLinkIndex(base *LinkIndex, keys []topology.LinkKey, links map[topology
 
 	// Merge pass: the run of old links below each key is carried over as
 	// a block, then the key itself is settled from both sides.
-	first, oi := -1, 0
+	oi := 0
 	for ki := 0; ki <= len(keys); ki++ {
 		to := len(old)
 		if ki < len(keys) {
@@ -425,9 +409,6 @@ func patchLinkIndex(base *LinkIndex, keys []topology.LinkKey, links map[topology
 		ixps, inNew := links[k]
 		if !inOld && !inNew {
 			continue // moved and moved back, absent either side
-		}
-		if first < 0 {
-			first = len(x.Links)
 		}
 		var was []string
 		if inOld {
@@ -479,14 +460,7 @@ func patchLinkIndex(base *LinkIndex, keys []topology.LinkKey, links map[topology
 		x.encode(enc)
 	}
 
-	// Fingerprint: every link before the first change hashes as it did.
-	if first < 0 {
-		first = len(x.Links)
-	}
-	c := first / fnvStride
-	//mlplint:allocfree the patched index's own checkpoints
-	x.fnv = append(make([]uint64, 0, len(x.Links)/fnvStride+1), base.fnv[:c]...)
-	x.rehash(c*fnvStride, base.fnv[c])
+	x.rehash()
 
 	// Adjacencies. An inserted link joins its endpoints' rows and its
 	// IXPs' rows, a removed one leaves them through remap, a re-attributed

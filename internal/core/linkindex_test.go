@@ -28,8 +28,8 @@ func diffLinkIndex(got, want *LinkIndex) string {
 	}) {
 		return fmt.Sprintf("Links differ: %v, want %v", got.Links, want.Links)
 	}
-	if got.Fingerprint != want.Fingerprint || !slices.Equal(got.fnv, want.fnv) {
-		return fmt.Sprintf("fingerprint %x (checkpoints %x), want %x (%x)", got.Fingerprint, got.fnv, want.Fingerprint, want.fnv)
+	if got.Fingerprint != want.Fingerprint {
+		return fmt.Sprintf("fingerprint %x, want %x", got.Fingerprint, want.Fingerprint)
 	}
 	if got.MultiIXP != want.MultiIXP {
 		return fmt.Sprintf("MultiIXP %d, want %d", got.MultiIXP, want.MultiIXP)
@@ -100,9 +100,9 @@ func patchedIndexSweep(t *testing.T) {
 		mi := ms.byName[name]
 		mi.stale = true
 		if slices.Contains(ms.links[key], name) {
-			ms.removeLink(mi, key.A, key.B)
+			ms.removeLink(mi, key)
 		} else {
-			ms.addLink(mi, key.A, key.B)
+			ms.addLink(mi, key)
 		}
 	}
 	randomKey := func() topology.LinkKey {
@@ -235,7 +235,7 @@ func TestBuildIndexEncodesWithoutEncodedBase(t *testing.T) {
 	add := func(a, b bgp.ASN, name string) {
 		mi := ms.byName[name]
 		mi.stale = true
-		ms.addLink(mi, a, b)
+		ms.addLink(mi, topology.MakeLinkKey(a, b))
 	}
 	add(100, 200, "DE-CIX")
 	add(100, 400, "MSK-IX")

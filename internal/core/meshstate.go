@@ -2,22 +2,20 @@
 // InferLinks. A window close used to rebuild every covered setter's
 // export filter and re-run the O(covered²) reciprocity check per IXP;
 // MeshState instead keeps the covered setter set, each setter's
-// reconstructed filter, its allow bitset over co-member slots and the
-// live link set — and re-derives exactly the (IXP, setter) pairs whose
-// refcounted observation counts changed since the last window close.
-// A dirtied setter re-votes its filter (O(distinct community sets) via
-// the store's maintained tally) and re-checks reciprocity only against
-// co-members whose allow relation could have flipped: the peer-set
-// symmetric difference of the old and new filter, except on a filter
-// mode flip, where every covered co-member is rechecked. Link
-// attribution, the multi-IXP overlap and the Jaccard stability
-// numerator/denominator are maintained as running counters, so a
-// window close costs O(churn), not O(world).
+// reconstructed filter and the live link set, and re-derives exactly
+// the (IXP, setter) pairs whose refcounted observation counts changed
+// since the last window close. A dirtied setter re-votes its filter
+// (O(distinct community sets) via the store's maintained tally); when
+// its coverage or filter really changed, it re-applies InferLinks' one
+// pair rule (reciprocal) against every covered co-member and brings
+// each link up or down to match. Link attribution, the multi-IXP
+// overlap and the Jaccard stability numerator/denominator are
+// maintained as running counters, so a window close costs O(churn),
+// not O(world).
 package core
 
 import (
 	"maps"
-	"math/bits"
 	"slices"
 	"sort"
 
@@ -26,78 +24,21 @@ import (
 	"mlpeering/internal/topology"
 )
 
-// meshBits is a dense grow-on-write bitset over a mesh IXP's setter
-// slots. test/clear beyond the allocated words answer false / no-op,
-// so bitsets extend lazily as later setters join.
-type meshBits []uint64
-
-func (b *meshBits) grow(n int) {
-	for len(*b)*64 < n {
-		*b = append(*b, 0)
-	}
-}
-
-func (b meshBits) test(i int) bool {
-	w := i >> 6
-	return w < len(b) && b[w]&(1<<(uint(i)&63)) != 0
-}
-
-func (b *meshBits) set(i int) {
-	b.grow(i + 1)
-	(*b)[i>>6] |= 1 << (uint(i) & 63)
-}
-
-func (b *meshBits) clear(i int) {
-	if w := i >> 6; w < len(*b) {
-		(*b)[w] &^= 1 << (uint(i) & 63)
-	}
-}
-
-func (b *meshBits) setTo(i int, v bool) {
-	if v {
-		b.set(i)
-	} else {
-		b.clear(i)
-	}
-}
-
-func (b meshBits) forEach(fn func(i int)) {
-	for w, word := range b {
-		for word != 0 {
-			i := bits.TrailingZeros64(word)
-			word &= word - 1
-			fn(w*64 + i)
-		}
-	}
-}
-
-func (b meshBits) zero() {
-	for i := range b {
-		b[i] = 0
-	}
-}
-
 // meshSetter is one RS member's maintained mesh state at one IXP.
 type meshSetter struct {
 	asn     bgp.ASN
 	covered bool
 	filter  ixp.ExportFilter
-	// allow bit j: filter.Allows(slot j's ASN). Authoritative for
-	// covered slots; bits of uncovered slots may be stale and are
-	// recomputed when that slot rejoins.
-	allow meshBits
-	// links bit j: live reciprocity link with covered slot j.
-	links meshBits
 }
 
-// meshIXP is one IXP's maintained mesh: slot-indexed setters (slots are
-// assigned on first coverage and never freed — bounded by the members
-// ever covered, not by trace length). Its live links are the set bits
-// of the setters' link bitsets; their attribution is MeshState.links.
+// meshIXP is one IXP's maintained mesh: its setters in first-coverage
+// order, each kept once covered and never freed — bounded by the members
+// ever covered, not by trace length. Its live links are the keys of
+// MeshState.links whose attribution names it.
 type meshIXP struct {
 	entry   *IXPEntry
 	members []bgp.ASN // entry.Members(), cached once per run
-	slotOf  map[bgp.ASN]int
+	byASN   map[bgp.ASN]*meshSetter
 	setters []*meshSetter
 	covered int
 
@@ -111,9 +52,9 @@ type meshIXP struct {
 // MeshState is the delta-maintained §4.1 reciprocity mesh over every
 // IXP of a dictionary. Apply consumes the dirty (IXP, setter) set a
 // DeltaObservations tracked since the last window close and updates
-// filters, allow bitsets, links and the running counters; Snapshot
-// materializes the equivalent of InferLinks over the same store. Not
-// safe for concurrent use.
+// filters, links and the running counters; Snapshot materializes the
+// equivalent of InferLinks over the same store. Not safe for
+// concurrent use.
 type MeshState struct {
 	dict   *Dictionary
 	byName map[string]*meshIXP
@@ -134,8 +75,7 @@ type MeshState struct {
 	prevLinks int
 	changed   map[topology.LinkKey]bool
 
-	dirty     []DirtySetter
-	dirtySeen map[DirtySetter]struct{}
+	dirty []DirtySetter
 
 	// snap is the Result the last Snapshot returned; moved is the set of
 	// links whose attribution was added to or removed from since — what
@@ -149,18 +89,17 @@ type MeshState struct {
 // NewMeshState returns an empty mesh over the dictionary's IXPs.
 func NewMeshState(dict *Dictionary) *MeshState {
 	ms := &MeshState{
-		dict:      dict,
-		byName:    make(map[string]*meshIXP, len(dict.Entries)),
-		links:     make(map[topology.LinkKey][]string),
-		changed:   make(map[topology.LinkKey]bool),
-		moved:     make(map[topology.LinkKey]struct{}),
-		dirtySeen: make(map[DirtySetter]struct{}),
+		dict:    dict,
+		byName:  make(map[string]*meshIXP, len(dict.Entries)),
+		links:   make(map[topology.LinkKey][]string),
+		changed: make(map[topology.LinkKey]bool),
+		moved:   make(map[topology.LinkKey]struct{}),
 	}
 	for _, e := range dict.Entries {
 		ms.byName[e.Name] = &meshIXP{
 			entry:   e,
 			members: e.Members(),
-			slotOf:  make(map[bgp.ASN]int),
+			byASN:   make(map[bgp.ASN]*meshSetter),
 		}
 	}
 	return ms
@@ -175,162 +114,64 @@ func (ms *MeshState) MultiIXPLinks() int { return ms.multi }
 
 // Apply drains the store's dirty setters and re-derives exactly their
 // coverage, filter and reciprocity links, in drained order. Everything
-// else is untouched: the cost is O(churned setters × their flipped
-// allow relations). Steady-state applies reuse the drained dirty list
-// and each IXP's slot state, so a window close stays allocation-light.
+// else is untouched: the cost is O(setters whose filter changed ×
+// covered co-members). Steady-state applies reuse the drained dirty
+// list and each IXP's slot state, so a window close stays
+// allocation-light.
 //
 //mlplint:allocfree
 func (ms *MeshState) Apply(obs *DeltaObservations) {
 	ms.dirty = obs.DrainDirty(ms.dirty[:0])
 	for _, d := range ms.dirty {
-		if _, dup := ms.dirtySeen[d]; dup {
-			continue
-		}
-		ms.dirtySeen[d] = struct{}{}
 		mi := ms.byName[d.IXP]
 		if mi == nil || !mi.entry.IsMember(d.Setter) {
 			continue // a stray observation outside known connectivity
 		}
 		ms.updateSetter(obs, mi, d.Setter)
 	}
-	clear(ms.dirtySeen)
 }
 
-// updateSetter re-derives one (IXP, setter): departed, joined, or
-// re-filtered. The outcome is order-independent across the dirty set:
-// a pair of dirty setters is rechecked by whichever side is processed
-// last with both filters final.
-func (ms *MeshState) updateSetter(obs *DeltaObservations, mi *meshIXP, setter bgp.ASN) {
-	f, ok := obs.Filter(mi.entry.Name, setter, mi.entry.Scheme)
-	slot, haveSlot := mi.slotOf[setter]
-	var s *meshSetter
-	if haveSlot {
-		s = mi.setters[slot]
-	}
-	switch {
-	case !ok:
-		if s == nil || !s.covered {
+// updateSetter re-derives one (IXP, setter) from the store. A setter
+// whose coverage and filter held (a duplicate drain among them) is left
+// as it is; otherwise every covered co-member's link is brought to
+// what the pair rule says now. The outcome is order-independent across
+// the dirty set: a pair of changed setters is settled by whichever side
+// is processed last, with both filters final.
+func (ms *MeshState) updateSetter(obs *DeltaObservations, mi *meshIXP, asn bgp.ASN) {
+	f, covered := obs.Filter(mi.entry.Name, asn, mi.entry.Scheme)
+	s := mi.byASN[asn]
+	if s == nil {
+		if !covered {
 			return
 		}
-		ms.dropSetter(mi, slot, s)
-	case s == nil || !s.covered:
-		if s == nil {
-			slot = len(mi.setters)
-			s = &meshSetter{asn: setter}
-			mi.setters = append(mi.setters, s)
-			mi.slotOf[setter] = slot
-		}
-		ms.joinSetter(mi, slot, s, f)
-	default:
-		ms.refilterSetter(mi, slot, s, f)
+		s = &meshSetter{asn: asn}
+		mi.byASN[asn] = s
+		mi.setters = append(mi.setters, s)
 	}
-}
-
-// dropSetter removes a setter that lost coverage: every live link of
-// its slot goes away.
-func (ms *MeshState) dropSetter(mi *meshIXP, slot int, s *meshSetter) {
-	s.links.forEach(func(j int) {
-		o := mi.setters[j]
-		o.links.clear(slot)
-		ms.removeLink(mi, s.asn, o.asn)
-	})
-	s.links.zero()
-	s.covered = false
-	s.filter = ixp.ExportFilter{}
-	mi.covered--
+	if covered == s.covered && f.Equal(s.filter) {
+		return
+	}
+	switch {
+	case covered && !s.covered:
+		mi.covered++
+	case !covered && s.covered:
+		mi.covered--
+	}
+	s.covered, s.filter = covered, f
 	mi.stale = true
-}
-
-// joinSetter covers a setter (fresh or rejoining): both allow
-// directions against every covered co-member are recomputed — the
-// co-members' bits for this slot may be stale from filter changes while
-// the slot was uncovered.
-func (ms *MeshState) joinSetter(mi *meshIXP, slot int, s *meshSetter, f ixp.ExportFilter) {
-	mi.stale = true
-	s.covered = true
-	s.filter = f
-	s.allow.grow(len(mi.setters))
-	s.allow.zero()
-	s.links.grow(len(mi.setters))
-	s.links.zero()
-	for j, o := range mi.setters {
-		if j == slot || !o.covered {
+	for _, o := range mi.setters {
+		if o == s || !o.covered {
 			continue
 		}
-		oa := o.filter.Allows(s.asn)
-		o.allow.setTo(slot, oa)
-		sa := f.Allows(o.asn)
-		s.allow.setTo(j, sa)
-		if oa && sa {
-			s.links.set(j)
-			o.links.set(slot)
-			ms.addLink(mi, s.asn, o.asn)
-		}
-	}
-	mi.covered++
-}
-
-// refilterSetter swaps in a changed filter. With an unchanged mode the
-// allow relation flips exactly on the peer-set symmetric difference, so
-// only those co-members are rechecked; a mode flip falls back to
-// rechecking every covered co-member.
-func (ms *MeshState) refilterSetter(mi *meshIXP, slot int, s *meshSetter, f ixp.ExportFilter) {
-	old := s.filter
-	if old.Equal(f) {
-		s.filter = f
-		return
-	}
-	mi.stale = true
-	s.filter = f
-	if old.Mode != f.Mode {
-		for j, o := range mi.setters {
-			if j != slot && o.covered {
-				ms.recheckPair(mi, slot, s, j, o)
+		key := topology.MakeLinkKey(asn, o.asn)
+		want := covered && reciprocal(asn, f, o.asn, o.filter)
+		if want != slices.Contains(ms.links[key], mi.entry.Name) {
+			if want {
+				ms.addLink(mi, key)
+			} else {
+				ms.removeLink(mi, key)
 			}
 		}
-		return
-	}
-	for p := range old.Peers {
-		if !f.Peers[p] {
-			ms.recheckPeer(mi, slot, s, p)
-		}
-	}
-	for p := range f.Peers {
-		if !old.Peers[p] {
-			ms.recheckPeer(mi, slot, s, p)
-		}
-	}
-}
-
-// recheckPeer rechecks the (setter, peer) allow relation if the peer is
-// a currently covered co-member.
-func (ms *MeshState) recheckPeer(mi *meshIXP, slot int, s *meshSetter, peer bgp.ASN) {
-	j, ok := mi.slotOf[peer]
-	if !ok || j == slot {
-		return
-	}
-	if o := mi.setters[j]; o.covered {
-		ms.recheckPair(mi, slot, s, j, o)
-	}
-}
-
-// recheckPair recomputes s's allow bit toward o and transitions the
-// reciprocity link if it flipped.
-func (ms *MeshState) recheckPair(mi *meshIXP, slot int, s *meshSetter, j int, o *meshSetter) {
-	sa := s.filter.Allows(o.asn)
-	s.allow.setTo(j, sa)
-	linked := sa && o.allow.test(slot)
-	if linked == s.links.test(j) {
-		return
-	}
-	if linked {
-		s.links.set(j)
-		o.links.set(slot)
-		ms.addLink(mi, s.asn, o.asn)
-	} else {
-		s.links.clear(j)
-		o.links.clear(slot)
-		ms.removeLink(mi, s.asn, o.asn)
 	}
 }
 
@@ -340,8 +181,7 @@ func (ms *MeshState) recheckPair(mi *meshIXP, slot int, s *meshSetter, j int, o 
 // attribution, so it always records presence at the last close. The
 // list is replaced, not edited: the previous one may be shared with a
 // published Result.
-func (ms *MeshState) addLink(mi *meshIXP, a, b bgp.ASN) {
-	key := topology.MakeLinkKey(a, b)
+func (ms *MeshState) addLink(mi *meshIXP, key topology.LinkKey) {
 	ms.markMoved(key)
 	names := ms.links[key]
 	if len(names) == 0 {
@@ -363,8 +203,7 @@ func (ms *MeshState) addLink(mi *meshIXP, a, b bgp.ASN) {
 // removeLink takes a link down at mi and withdraws mi's attribution,
 // dropping the link entirely when no IXP attributes it anymore.
 // Copy-on-write like addLink.
-func (ms *MeshState) removeLink(mi *meshIXP, a, b bgp.ASN) {
-	key := topology.MakeLinkKey(a, b)
+func (ms *MeshState) removeLink(mi *meshIXP, key topology.LinkKey) {
 	ms.markMoved(key)
 	names := ms.links[key]
 	if len(names) == 1 {

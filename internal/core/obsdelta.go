@@ -97,7 +97,8 @@ func NewDeltaObservations() *DeltaObservations {
 
 // DrainDirty appends the setters dirtied since the last drain to dst,
 // in dirtying order, and resets the tracking. A setter pruned and
-// re-created between drains may appear twice; consumers must dedup.
+// re-created between drains may appear twice; that is harmless, since a
+// consumer re-derives each setter from the store.
 func (o *DeltaObservations) DrainDirty(dst []DirtySetter) []DirtySetter {
 	dst = append(dst, o.dirtyList...)
 	for _, d := range o.dirtyList {

@@ -359,7 +359,8 @@ func TestWindowedRSLeaveRejoin(t *testing.T) {
 
 // TestWindowedShadowInferLinks runs the per-window full-InferLinks
 // shadow check across a mixed announce/withdraw/RS-leave/filter-edit
-// schedule: at every close, the delta-maintained mesh snapshot must be
+// schedule, with a filter mode flip and a setter pruned and re-created
+// inside one window: at every close, the delta-maintained mesh snapshot must be
 // byte-identical to a from-scratch InferLinks over the same observation
 // store, and the maintained counters must match the full derivation.
 //
@@ -376,8 +377,11 @@ func windowedShadowInferLinks(t *testing.T) {
 	p2 := bgp.MustPrefix("10.2.0.0/24")
 	p3 := bgp.MustPrefix("10.3.0.0/24")
 	p4 := bgp.MustPrefix("10.4.0.0/24")
+	p5 := bgp.MustPrefix("10.5.0.0/24")
 	all := comms(t, "6695:6695")
 	excl300 := comms(t, "6695:6695 0:300")
+	only300 := comms(t, "0:6695 6695:300")
+	excl200 := comms(t, "6695:6695 0:200")
 	msk := comms(t, "8631:8631")
 
 	updates := []*mrt.BGP4MPMessage{
@@ -406,14 +410,30 @@ func windowedShadowInferLinks(t *testing.T) {
 		upd(t0.Add(3*w+2*time.Minute), 100, []bgp.ASN{100, 200}, all, []bgp.Prefix{p1}, nil),
 		upd(t0.Add(3*w+3*time.Minute), 100, []bgp.ASN{100, 200, 8359}, all, []bgp.Prefix{p4}, nil),
 
-		// Window 4: the MSK-IX setter withdraws everything.
+		// Window 4: the MSK-IX setter withdraws everything; 8359 joins
+		// the DE-CIX mesh.
 		upd(t0.Add(4*w+time.Minute), 100, nil, nil, nil, []bgp.Prefix{p3}),
+		upd(t0.Add(4*w+2*time.Minute), 100, []bgp.ASN{100, 8359}, all, []bgp.Prefix{p5}, nil),
+
+		// Window 5: filter mode flip — 200 goes from ALL to NONE
+		// except 300 on both its routes, dropping its link to 8359.
+		upd(t0.Add(5*w+time.Minute), 100, []bgp.ASN{100, 200}, only300, []bgp.Prefix{p1}, nil),
+		upd(t0.Add(5*w+2*time.Minute), 100, []bgp.ASN{100, 200, 8359}, only300, []bgp.Prefix{p4}, nil),
+
+		// Window 6: and back.
+		upd(t0.Add(6*w+time.Minute), 100, []bgp.ASN{100, 200}, all, []bgp.Prefix{p1}, nil),
+		upd(t0.Add(6*w+2*time.Minute), 100, []bgp.ASN{100, 200, 8359}, all, []bgp.Prefix{p4}, nil),
+
+		// Window 7: 300's only prefix is withdrawn (the store prunes the
+		// setter) and re-announced excluding 200, so 300 drains twice.
+		upd(t0.Add(7*w+time.Minute), 100, nil, nil, nil, []bgp.Prefix{p2}),
+		upd(t0.Add(7*w+2*time.Minute), 100, []bgp.ASN{100, 300}, excl200, []bgp.Prefix{p2}, nil),
 	}
 
 	shadowCalls := 0
 	var meshLinks []int
 	var a, b []byte
-	opts := WindowOptions{Start: t0, Window: w, Count: 5, Mode: WindowsIncremental}
+	opts := WindowOptions{Start: t0, Window: w, Count: 8, Mode: WindowsIncremental}
 	opts.Stream = func(pw *PassiveWindow) {
 		shadowCalls++
 		m := pw.miner
@@ -437,16 +457,30 @@ func windowedShadowInferLinks(t *testing.T) {
 			t.Fatalf("window %d: P2PRels %d, full tally %d", shadowCalls-1, pw.P2PRels, countP2P(m.rel))
 		}
 		meshLinks = append(meshLinks, pw.MeshLinks)
+		if shadowCalls-1 == 7 {
+			n := 0
+			for _, d := range m.mesh.dirty {
+				if d == (DirtySetter{IXP: "DE-CIX", Setter: 300}) {
+					n++
+				}
+			}
+			if n != 2 {
+				t.Fatalf("window 7 drained DE-CIX 300 %d times, want 2 (pruned, then re-created)", n)
+			}
+		}
 	}
 	if _, err := RunPassiveWindows(nil, updates, d, opts); err != nil {
 		t.Fatal(err)
 	}
-	if shadowCalls != 5 {
-		t.Fatalf("shadow ran %d times, want 5", shadowCalls)
+	if shadowCalls != 8 {
+		t.Fatalf("shadow ran %d times, want 8", shadowCalls)
 	}
 	// The schedule must actually move the mesh: the filter edit kills
-	// the 200--300 link, the revert restores it.
-	if meshLinks[0] == 0 || meshLinks[1] >= meshLinks[0] || meshLinks[3] <= meshLinks[2] {
+	// the 200--300 link, the revert restores it; the mode flip kills
+	// 200--8359, the flip back restores it; the re-created 300 excludes
+	// 200.
+	if meshLinks[0] == 0 || meshLinks[1] >= meshLinks[0] || meshLinks[3] <= meshLinks[2] ||
+		meshLinks[5] >= meshLinks[4] || meshLinks[6] <= meshLinks[5] || meshLinks[7] >= meshLinks[6] {
 		t.Fatalf("schedule too weak to exercise the mesh: links per window %v", meshLinks)
 	}
 }

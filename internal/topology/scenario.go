@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -30,8 +31,8 @@ type Scenario struct {
 // Generate runs the scenario's stages over a fresh builder and
 // materializes the world.
 func (sc *Scenario) Generate(cfg Config) (*Topology, error) {
-	if cfg.Scale <= 0 {
-		return nil, fmt.Errorf("topology: scale must be positive, got %v", cfg.Scale)
+	if cfg.Scale <= 0 || math.IsNaN(cfg.Scale) || math.IsInf(cfg.Scale, 0) {
+		return nil, fmt.Errorf("topology: scale must be a positive finite number, got %v", cfg.Scale)
 	}
 	if cfg.Profiles == nil {
 		cfg.Profiles = PaperIXPProfiles()

@@ -1,7 +1,9 @@
 package topology
 
 import (
+	"fmt"
 	"maps"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -361,11 +363,21 @@ func TestScaledMinimum(t *testing.T) {
 	}
 }
 
+// TestGenerateRejectsBadScale pins that a scale which is not a positive
+// finite number is refused with an error naming it; NaN and +Inf used to
+// slip past a "<= 0" test and build a world clamped to its minimum size.
 func TestGenerateRejectsBadScale(t *testing.T) {
-	cfg := TestConfig()
-	cfg.Scale = 0
-	if _, err := Generate(cfg); err == nil {
-		t.Fatal("zero scale must error")
+	for _, scale := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		cfg := TestConfig()
+		cfg.Scale = scale
+		_, err := Generate(cfg)
+		if err == nil {
+			t.Errorf("scale %v built a world; want an error", scale)
+			continue
+		}
+		if want := fmt.Sprint(scale); !strings.Contains(err.Error(), want) {
+			t.Errorf("scale %v: error %q does not name %s", scale, err, want)
+		}
 	}
 }
 
