@@ -608,10 +608,11 @@ func BenchmarkChurnedPublish(b *testing.B) {
 	// materialized and published as a serve.Snapshot the way the gateway's
 	// reconciler does it. The three columns are the stages of a churned
 	// window's publish (window 0, the base-RIB load, is left out): the
-	// bare incremental close, MeshState.Snapshot, and NewSnapshot — which
-	// patches the previous epoch's link index and encoded link array. A
-	// publish that fell back to re-sorting and re-encoding the whole mesh
-	// reads ~15 ms in snapshot-ms/op instead of ~2. Each window's chained
+	// bare incremental close, MeshState.Snapshot — which patches the
+	// previous epoch's link index and encoded link array — and
+	// NewSnapshot, which encodes only the bodies that carry the epoch. A
+	// Snapshot that fell back to re-sorting and re-encoding the whole mesh
+	// reads ~15 ms more in materialize-ms/op. Each window's chained
 	// fingerprint is checked, untimed, against a detached copy of its
 	// Result that only a from-scratch walk has touched.
 	ccfg := churn.DefaultConfig(20130501)
@@ -662,7 +663,8 @@ func BenchmarkReplayBaseLoad(b *testing.B) {
 	// publishes its first epoch. load-ms/op is everything before the
 	// close — interning every base-RIB route and the pre-window updates
 	// into the incremental miner — and the other three columns are the
-	// window's close, MeshState.Snapshot and NewSnapshot. This is the
+	// window's close, MeshState.Snapshot (which builds the first link
+	// index from scratch) and NewSnapshot. This is the
 	// cost every churn-paper cycle and every gateway cold start pays
 	// before its first epoch.
 	ccfg := churn.DefaultConfig(20130501)

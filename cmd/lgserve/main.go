@@ -20,12 +20,12 @@
 //
 // SIGINT/SIGTERM shut the server down gracefully:
 // in-flight requests get up to -drain to finish before the listener
-// closes. A world that cannot be built (an unknown scenario, a baseline
-// -scale >= 4 whose exchanges would overflow the 16-bit alias table) is
-// fatal: lgserve logs the build error and exits non-zero instead of
-// answering 503 forever. So is a setting that means nothing: a negative
-// -max-inflight, -epoch-interval, -max-age or -drain, or a -max-age
-// under one second.
+// closes. A setting that means nothing (a negative -max-inflight,
+// -epoch-interval, -max-age or -drain, a sub-second -max-age, an unknown
+// -scenario, a -scale or -churn-interval that is not positive, zero
+// -churn-epochs) exits non-zero before the listener opens; a world that
+// cannot be built (baseline -scale >= 4 overflows the 16-bit alias
+// table) exits non-zero once the build fails, instead of answering 503.
 package main
 
 import (
@@ -69,6 +69,22 @@ func main() {
 	cfg.Seed = *seed
 	cfg.Scenario = *scenario
 
+	ccfg := churn.DefaultConfig(*seed)
+	ccfg.Epochs = *churnEpochs
+	ccfg.Interval = *churnInterval
+
+	gcfg := serve.Config{
+		Topology:      cfg,
+		Churn:         ccfg,
+		MaxInFlight:   *maxInFlight,
+		MaxAge:        *maxAge,
+		EpochInterval: *epochInterval,
+		Logf:          log.Printf,
+	}
+	if err := gcfg.Check(); err != nil {
+		log.Fatal(err)
+	}
+
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
@@ -77,18 +93,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	ccfg := churn.DefaultConfig(*seed)
-	ccfg.Epochs = *churnEpochs
-	ccfg.Interval = *churnInterval
-
-	g := serve.New(serve.Config{
-		Topology:      cfg,
-		Churn:         ccfg,
-		MaxInFlight:   *maxInFlight,
-		MaxAge:        *maxAge,
-		EpochInterval: *epochInterval,
-		Logf:          log.Printf,
-	})
+	g := serve.New(gcfg)
 	runErr := make(chan error, 1)
 	go func() { runErr <- g.Run(ctx) }()
 

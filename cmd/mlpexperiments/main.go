@@ -3,7 +3,11 @@
 //
 // Usage:
 //
-//	mlpexperiments [-scale 0.3] [-seed 20130501]
+//	mlpexperiments [-scale 0.3] [-seed 20130501] [-scenario baseline]
+//	mlpexperiments -churn [-churn-epochs 6] [-churn-interval 10m]
+//	    [-churn-stream [-churn-windows N]] [-cpuprofile F] [-memprofile F]
+//
+// A flag set outside its mode exits non-zero instead of being ignored.
 package main
 
 import (
@@ -38,6 +42,15 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "churn mode: write a CPU profile covering only the windowed replay (world and trace build excluded) to this file")
 	memProfile := flag.String("memprofile", "", "churn mode: write a post-replay heap profile to this file")
 	flag.Parse()
+	// A flag set outside its mode would do nothing: refuse it, naming it.
+	modeOf := map[string]string{"churn-epochs": "churn", "churn-interval": "churn", "churn-stream": "churn",
+		"cpuprofile": "churn", "memprofile": "churn", "churn-windows": "churn-stream"}
+	on := map[string]bool{"churn": *churnMode, "churn-stream": *churnMode && *churnStream}
+	flag.Visit(func(f *flag.Flag) {
+		if mode, ok := modeOf[f.Name]; ok && !on[mode] {
+			log.Fatalf("-%s=%s only applies with -%s", f.Name, f.Value, mode)
+		}
+	})
 
 	cfg := topology.DefaultConfig()
 	cfg.Scale = *scale

@@ -35,7 +35,9 @@ func runMain(t *testing.T, args ...string) (string, bool) {
 
 // TestChurnFlagsRejected pins that a churn schedule or world scale main
 // cannot run exits non-zero with a message naming the value, instead of
-// being rewritten to one 10-minute epoch or a clamped minimum world.
+// being rewritten to one 10-minute epoch or a clamped minimum world, and
+// so does a flag set outside the mode it belongs to, instead of being
+// ignored.
 func TestChurnFlagsRejected(t *testing.T) {
 	for _, c := range []struct {
 		args []string
@@ -45,6 +47,13 @@ func TestChurnFlagsRejected(t *testing.T) {
 		{[]string{"-churn", "-churn-interval", "-5m"}, "churn interval must be positive, got -5m0s"},
 		{[]string{"-churn", "-churn-stream", "-churn-windows", "-1"}, "-churn-windows must not be negative, got -1"},
 		{[]string{"-scale", "NaN"}, "scale must be a positive finite number, got NaN"},
+		// A flag outside its mode is refused, not ignored.
+		{[]string{"-churn", "-churn-epochs", "1", "-churn-windows", "3", "-scale", "0.12"}, "-churn-windows=3 only applies with -churn-stream"},
+		{[]string{"-churn-stream", "-churn-windows", "3"}, "-churn-stream=true only applies with -churn"},
+		{[]string{"-churn-epochs", "3"}, "-churn-epochs=3 only applies with -churn"},
+		{[]string{"-churn-interval", "5m"}, "-churn-interval=5m0s only applies with -churn"},
+		{[]string{"-cpuprofile", "cpu.prof"}, "-cpuprofile=cpu.prof only applies with -churn"},
+		{[]string{"-memprofile", "mem.prof"}, "-memprofile=mem.prof only applies with -churn"},
 	} {
 		out, ok := runMain(t, c.args...)
 		if ok || !strings.Contains(out, c.want) {

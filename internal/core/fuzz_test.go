@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"mlpeering/internal/bgp"
+	"mlpeering/internal/ixp"
 	"mlpeering/internal/mrt"
 )
 
@@ -23,8 +24,9 @@ import (
 // re-pinpoint list exactly the live rels-dependent ones; after every
 // incremental close the maintained mesh must equal InferLinks over the
 // same observation store, which separates a MeshState fault from the
-// observation reduction both modes share. Seeds live under
-// testdata/fuzz.
+// observation reduction both modes share, and the link index Snapshot
+// patched must equal one built from scratch over a deep copy of the
+// Result. Seeds live under testdata/fuzz.
 func FuzzWindowMiner(f *testing.F) {
 	fx := newMinerFuzzFixture(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -44,11 +46,13 @@ func FuzzWindowMiner(f *testing.F) {
 	})
 }
 
-// minerFuzzFixture is the vocabulary the fuzz input picks from: testDict's
-// DE-CIX and MSK-IX members on clean, rels-dependent (three or more
+// minerFuzzFixture is the vocabulary the fuzz input picks from: the
+// members of DE-CIX and MSK-IX on clean, rels-dependent (three or more
 // members of one IXP), bogon and cycle paths, community sets that
 // include, exclude or straddle the two route servers, and six prefixes.
-// A route's collector peer is its path's first hop.
+// A route's collector peer is its path's first hop. The exchanges are
+// testDict's, except that 200 and 300 are members of MSK-IX as well:
+// their link can then be attributed to both and move between them.
 type minerFuzzFixture struct {
 	dict     *Dictionary
 	paths    [][]bgp.ASN
@@ -59,8 +63,19 @@ type minerFuzzFixture struct {
 }
 
 func newMinerFuzzFixture(tb testing.TB) *minerFuzzFixture {
+	dict, err := BuildDictionary([]WebsiteData{
+		{Name: "DE-CIX", Scheme: ixp.StandardScheme(6695), PublishesMemberList: true,
+			PublishedRSMembers: []bgp.ASN{100, 200, 300, 8359}},
+		{Name: "MSK-IX", Scheme: ixp.StandardScheme(8631), PublishesMemberList: true,
+			PublishedRSMembers: []bgp.ASN{100, 200, 300, 400, 500}},
+		{Name: "ECIX", Scheme: ixp.PrivateRangeScheme(9033), PublishesMemberList: true,
+			PublishedRSMembers: []bgp.ASN{600, 700}},
+	}, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
 	fx := &minerFuzzFixture{
-		dict: testDict(tb),
+		dict: dict,
 		paths: [][]bgp.ASN{
 			{100, 200},
 			{100, 300},
@@ -214,7 +229,8 @@ type minerFuzzRow struct {
 // windows replays the trace in mode for the given number of cycles (more
 // than one loops the replay) and returns one row per window, checking
 // the miner's shape lifetime after every close and, in incremental
-// mode, the mesh against the batch rule.
+// mode, the mesh against the batch rule and its index against a
+// from-scratch build.
 func (fx *minerFuzzFixture) windows(t *testing.T, dumps []*mrt.Dump, updates []*mrt.BGP4MPMessage, count int, mode WindowsMode, cycles int) []minerFuzzRow {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -225,6 +241,12 @@ func (fx *minerFuzzFixture) windows(t *testing.T, dumps []*mrt.Dump, updates []*
 		if mode == WindowsIncremental {
 			if diff := diffResults(res, InferLinks(fx.dict, pw.miner.obs)); diff != "" {
 				t.Fatalf("%v: window %d: mesh diverges from InferLinks over the same store: %s", mode, len(rows), diff)
+			}
+			if res.linkIndex == nil {
+				t.Fatalf("%v: window %d: Snapshot returned an unindexed Result", mode, len(rows))
+			}
+			if diff := diffLinkIndex(res.linkIndex, newLinkIndex(deepCopyResult(res))); diff != "" {
+				t.Fatalf("%v: window %d: patched index differs from rebuilt: %s", mode, len(rows), diff)
 			}
 		}
 		rows = append(rows, minerFuzzRow{

@@ -2,9 +2,11 @@ package core
 
 import (
 	"cmp"
-	"hash/fnv"
+	"encoding/json"
+	"maps"
 	"slices"
-	"sort"
+	"strconv"
+	"unicode/utf8"
 
 	"mlpeering/internal/bgp"
 	"mlpeering/internal/topology"
@@ -17,26 +19,14 @@ type IndexedLink struct {
 	IXPs []string
 }
 
-// LinkEncoder appends the wire encoding of one link to dst. It belongs
-// to the consumer that publishes the index (the serving tier's JSON
-// link object); it must be a pure function of its arguments, and one
-// chain of Results must always be indexed with the same encoder, since
-// a patched index reuses its predecessor's bytes for unchanged links.
-// The serving tier reads those bytes for more than /v1/mesh: its
-// /v1/as and /v1/ixp bodies are copied out of Encoded (EncodedRun), so
-// an encoder swapped mid-chain would corrupt three endpoints, not one.
-type LinkEncoder func(dst []byte, key topology.LinkKey, ixps []string) []byte
-
 // LinkIndex is the read-side view of a Result's mesh: one ascending
 // link array, sorted once, and two flat CSR adjacencies into it — the
 // links of each AS and the links of each IXP — so "who peers with AS X"
 // and "which links does IXP Y carry" cost O(answer) instead of a scan
 // and a sort of the whole mesh. Rows hold indices into Links in
-// ascending order, i.e. already in canonical (A, B) order. It is built
-// by Result.BuildIndex — from scratch (newLinkIndex) or, when the
-// Result came out of a MeshState that already published an indexed
-// predecessor, by patching that predecessor's index with the links that
-// moved (patchLinkIndex) — and read-only afterwards.
+// ascending order, i.e. already in canonical (A, B) order. Built with
+// its Result by MeshState.Snapshot, or afresh per Result.BuildIndex call
+// on an InferLinks Result, it is read-only afterwards.
 //
 //mlplint:frozen
 type LinkIndex struct {
@@ -50,19 +40,16 @@ type LinkIndex struct {
 	MultiIXP int
 	// IXPs is the Result's per-IXP names, ascending.
 	IXPs []string
-	// Encoded is the wire encoding of Links under the LinkEncoder
-	// BuildIndex was given — '[', the encoded links joined by ',', ']' —
-	// nil when it was given none. Riding on the index, it is shared by
-	// every epoch that shares the Result. The serving tier writes it
-	// whole as the /v1/mesh link array and copies runs of it
-	// (EncodedRun) into the /v1/as and /v1/ixp bodies, so one chain of
-	// Results must keep one encoder.
+	// Encoded is the JSON array of Links, each link an AppendLink
+	// object: '[', the objects joined by ',', ']'. Riding on the index,
+	// it is shared by every epoch that shares the Result. The serving
+	// tier writes it whole as the /v1/mesh link array and copies runs of
+	// it (EncodedRun) into the /v1/as and /v1/ixp bodies.
 	Encoded []byte
 
 	// encOff[i] is where link i's encoding starts in Encoded; every
 	// encoding is followed by one separator byte, so a run of links
-	// [i, j) occupies Encoded[encOff[i]:encOff[j]]. len(Links)+1 entries
-	// when Encoded is set.
+	// [i, j) occupies Encoded[encOff[i]:encOff[j]]. len(Links)+1 entries.
 	encOff []uint32
 
 	asns   []bgp.ASN // distinct link endpoints, ascending
@@ -99,8 +86,7 @@ func (x *LinkIndex) IXPLinks(name string) (links []uint32, ok bool) {
 
 // EncodedRun returns the encoding of links [i, j) joined by ',' — no
 // brackets, no trailing separator — as a read-only view into Encoded,
-// capped so an append to it copies; empty when i == j. Encoded must be
-// set.
+// capped so an append to it copies; empty when i == j.
 //
 //mlplint:allocfree
 func (x *LinkIndex) EncodedRun(i, j int) []byte {
@@ -109,6 +95,70 @@ func (x *LinkIndex) EncodedRun(i, j int) []byte {
 	}
 	end := x.encOff[j] - 1 // the separator after link j-1, or the closing ']'
 	return x.Encoded[x.encOff[i]:end:end]
+}
+
+// AppendLink appends one link object, `{"a":A,"b":B,"ixps":[...]}`:
+// the encoding of Encoded. It and the helpers below, which the serving
+// tier builds its other JSON bodies from, write the bytes encoding/json
+// would.
+//
+//mlplint:allocfree
+func AppendLink(dst []byte, key topology.LinkKey, ixps []string) []byte {
+	dst = AppendField(dst, `{"a":`, uint64(key.A))
+	dst = AppendField(dst, `,"b":`, uint64(key.B))
+	dst = append(dst, `,"ixps":`...)
+	dst = AppendNames(dst, ixps)
+	return append(dst, '}')
+}
+
+// AppendField appends key — spelled with its punctuation, e.g.
+// `,"b":` — followed by a non-negative integer.
+//
+//mlplint:allocfree
+func AppendField(dst []byte, key string, v uint64) []byte {
+	dst = append(dst, key...)
+	return strconv.AppendUint(dst, v, 10)
+}
+
+// AppendNames appends a JSON array of names.
+//
+//mlplint:allocfree
+func AppendNames(dst []byte, names []string) []byte {
+	dst = append(dst, '[')
+	for i, name := range names {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = AppendString(dst, name)
+	}
+	return append(dst, ']')
+}
+
+// AppendString appends s as a JSON string. IXP and scenario names are
+// plain ASCII in every world the generator builds, so the common case
+// is a byte check and a copy; a name that needs escaping takes the
+// encoding/json route, which by construction escapes the way the old
+// DTO renders did.
+//
+//mlplint:allocfree
+func AppendString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			return appendEscaped(dst, s)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
+}
+
+// appendEscaped is AppendString's slow path.
+func appendEscaped(dst []byte, s string) []byte {
+	b, err := json.Marshal(s)
+	if err != nil {
+		panic("core: string marshal: " + err.Error()) // cannot happen: strings always marshal
+	}
+	return append(dst, b...)
 }
 
 // compareLinkKeys orders link keys ascending by (A, B): the canonical
@@ -147,22 +197,8 @@ func appendMeshLinks(dst []byte, links []IndexedLink) []byte {
 	return dst
 }
 
-// fingerprintLinks hashes the canonical mesh encoding of a sorted link
-// array (FNV-1a over appendMeshLinks), one link at a time so the whole
-// encoding is never materialized.
-func fingerprintLinks(links []IndexedLink) uint64 {
-	h := fnv.New64a()
-	var buf []byte
-	for i := range links {
-		buf = appendMeshLinks(buf[:0], links[i:i+1])
-		h.Write(buf)
-	}
-	return h.Sum64()
-}
-
-// FNV-1a 64 (hash/fnv's New64a, which fingerprintLinks goes through):
-// spelled out here so the index hashes its links without the hash.Hash
-// interface or a scratch encoding buffer.
+// FNV-1a 64 (hash/fnv's New64a), spelled out so a mesh hashes its
+// links without the hash.Hash interface or a scratch encoding buffer.
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
@@ -187,25 +223,25 @@ func hashLink(h uint64, l *IndexedLink) uint64 {
 	return (h ^ 0xFF) * fnvPrime64
 }
 
-// rehash computes the fingerprint over every link.
+// fingerprintLinks hashes the canonical mesh encoding of a sorted link
+// array: FNV-1a over appendMeshLinks, one link at a time.
 //
 //mlplint:allocfree
-//mlplint:frozen
-func (x *LinkIndex) rehash() {
+func fingerprintLinks(links []IndexedLink) uint64 {
 	h := uint64(fnvOffset64)
-	for i := range x.Links {
-		h = hashLink(h, &x.Links[i])
+	for i := range links {
+		h = hashLink(h, &links[i])
 	}
-	x.Fingerprint = h
+	return h
 }
 
 // encodeLink appends one link's encoding and its separator to Encoded.
 //
 //mlplint:allocfree
 //mlplint:frozen
-func (x *LinkIndex) encodeLink(enc LinkEncoder, l *IndexedLink) {
+func (x *LinkIndex) encodeLink(l *IndexedLink) {
 	x.encOff = append(x.encOff, uint32(len(x.Encoded)))
-	x.Encoded = append(enc(x.Encoded, l.Key, l.IXPs), ',')
+	x.Encoded = append(AppendLink(x.Encoded, l.Key, l.IXPs), ',')
 }
 
 // closeEncoded ends the link array: the last separator becomes the
@@ -225,33 +261,26 @@ func (x *LinkIndex) closeEncoded() {
 // encode fills Encoded and encOff by encoding every link.
 //
 //mlplint:frozen
-func (x *LinkIndex) encode(enc LinkEncoder) {
+func (x *LinkIndex) encode() {
 	x.encOff = make([]uint32, 0, len(x.Links)+1)
 	x.Encoded = append(make([]byte, 0, 48*len(x.Links)+2), '[')
 	for i := range x.Links {
-		x.encodeLink(enc, &x.Links[i])
+		x.encodeLink(&x.Links[i])
 	}
 	x.closeEncoded()
 }
 
 // newLinkIndex derives the index of r from nothing but r: one sort,
 // then single passes. It is the base case — a batch Result, a mesh's
-// first window, a predecessor nobody indexed — and the oracle the
-// patched index is tested against.
+// first window — and the oracle the patched index is tested against.
 //
 //mlplint:frozen
-func newLinkIndex(r *Result, enc LinkEncoder) *LinkIndex {
+func newLinkIndex(r *Result) *LinkIndex {
 	x := &LinkIndex{Links: sortedLinks(r.Links)}
-	x.rehash()
-	if enc != nil {
-		x.encode(enc)
-	}
+	x.Fingerprint = fingerprintLinks(x.Links)
+	x.encode()
 
-	x.IXPs = make([]string, 0, len(r.PerIXP))
-	for name := range r.PerIXP {
-		x.IXPs = append(x.IXPs, name)
-	}
-	sort.Strings(x.IXPs)
+	x.IXPs = slices.Sorted(maps.Keys(r.PerIXP))
 
 	// Count pass: every link lands in its two endpoints' rows and in
 	// the row of each IXP attributing it. Endpoint rows are numbered in
@@ -320,16 +349,6 @@ func newLinkIndex(r *Result, enc LinkEncoder) *LinkIndex {
 	return x
 }
 
-// indexPatch is what a Result out of MeshState.Snapshot carries instead
-// of an index when its link set differs from an indexed predecessor's:
-// that predecessor's index and the ascending keys of every link whose
-// attribution moved in between (a key may also name a link that moved
-// and moved back). BuildIndex consumes it.
-type indexPatch struct {
-	base *LinkIndex
-	keys []topology.LinkKey
-}
-
 // gone is the renumbering of a link the patch removed.
 const gone = ^uint32(0)
 
@@ -358,19 +377,16 @@ func compareRowEdits[K ~uint32](a, b rowEdit[K]) int {
 //
 //mlplint:allocfree
 //mlplint:frozen
-func patchLinkIndex(base *LinkIndex, keys []topology.LinkKey, links map[topology.LinkKey][]string, enc LinkEncoder) *LinkIndex {
+func patchLinkIndex(base *LinkIndex, keys []topology.LinkKey, links map[topology.LinkKey][]string) *LinkIndex {
 	old := base.Links
-	splice := enc != nil && base.Encoded != nil
 	//mlplint:allocfree the patched index itself
 	x := &LinkIndex{IXPs: base.IXPs, MultiIXP: base.MultiIXP}
 	//mlplint:allocfree the patched index's own link array
 	x.Links = make([]IndexedLink, 0, len(old)+len(keys))
-	if splice {
-		//mlplint:allocfree the patched index's own encoding
-		x.encOff = make([]uint32, 0, len(old)+len(keys)+1)
-		//mlplint:allocfree the patched index's own encoding
-		x.Encoded = append(make([]byte, 0, len(base.Encoded)+64*len(keys)), '[')
-	}
+	//mlplint:allocfree the patched index's own encoding
+	x.encOff = make([]uint32, 0, len(old)+len(keys)+1)
+	//mlplint:allocfree the patched index's own encoding
+	x.Encoded = append(make([]byte, 0, len(base.Encoded)+64*len(keys)), '[')
 	//mlplint:allocfree per-patch scratch: the old→new link renumbering
 	remap := make([]uint32, len(old))
 	var asAdd []rowEdit[bgp.ASN]
@@ -391,14 +407,12 @@ func patchLinkIndex(base *LinkIndex, keys []topology.LinkKey, links map[topology
 			for i := oi; i < to; i++ {
 				remap[i] = uint32(n + i - oi)
 			}
-			if splice {
-				shift := uint32(len(x.Encoded)) - base.encOff[oi]
-				for _, off := range base.encOff[oi:to] {
-					x.encOff = append(x.encOff, off+shift)
-				}
-				x.Encoded = append(x.Encoded, base.Encoded[base.encOff[oi]:base.encOff[to]]...)
-				x.Encoded[len(x.Encoded)-1] = ','
+			shift := uint32(len(x.Encoded)) - base.encOff[oi]
+			for _, off := range base.encOff[oi:to] {
+				x.encOff = append(x.encOff, off+shift)
 			}
+			x.Encoded = append(x.Encoded, base.Encoded[base.encOff[oi]:base.encOff[to]]...)
+			x.Encoded[len(x.Encoded)-1] = ','
 			oi = to
 		}
 		if ki == len(keys) {
@@ -417,9 +431,7 @@ func patchLinkIndex(base *LinkIndex, keys []topology.LinkKey, links map[topology
 		n := uint32(len(x.Links))
 		if inNew {
 			x.Links = append(x.Links, IndexedLink{Key: k, IXPs: ixps})
-			if splice {
-				x.encodeLink(enc, &x.Links[n])
-			}
+			x.encodeLink(&x.Links[n])
 			if !inOld {
 				asAdd = append(asAdd, rowEdit[bgp.ASN]{k.A, n}, rowEdit[bgp.ASN]{k.B, n})
 			}
@@ -454,13 +466,8 @@ func patchLinkIndex(base *LinkIndex, keys []topology.LinkKey, links map[topology
 			x.MultiIXP--
 		}
 	}
-	if splice {
-		x.closeEncoded()
-	} else if enc != nil {
-		x.encode(enc)
-	}
-
-	x.rehash()
+	x.closeEncoded()
+	x.Fingerprint = fingerprintLinks(x.Links)
 
 	// Adjacencies. An inserted link joins its endpoints' rows and its
 	// IXPs' rows, a removed one leaves them through remap, a re-attributed

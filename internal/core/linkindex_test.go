@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"hash/fnv"
 	"maps"
 	"math/rand"
 	"slices"
@@ -11,12 +12,6 @@ import (
 	"mlpeering/internal/bgp"
 	"mlpeering/internal/topology"
 )
-
-// testLinkEncoder is a variable-length stand-in for the serving tier's
-// JSON link object.
-func testLinkEncoder(dst []byte, key topology.LinkKey, ixps []string) []byte {
-	return fmt.Appendf(dst, "<%d-%d@%v>", key.A, key.B, ixps)
-}
 
 // diffLinkIndex compares two indexes field by field — links, hash, CSR
 // rows, encoding and the patch bookkeeping riding along — and reads
@@ -55,16 +50,14 @@ func diffLinkIndex(got, want *LinkIndex) string {
 	if !bytes.Equal(got.Encoded, want.Encoded) || !slices.Equal(got.encOff, want.encOff) {
 		return fmt.Sprintf("Encoded %q (offsets %v), want %q (%v)", got.Encoded, got.encOff, want.Encoded, want.encOff)
 	}
-	if got.Encoded != nil {
-		for i, l := range got.Links {
-			if run, enc := got.EncodedRun(i, i+1), testLinkEncoder(nil, l.Key, l.IXPs); !bytes.Equal(run, enc) {
-				return fmt.Sprintf("EncodedRun(%d, %d) = %q, want %q", i, i+1, run, enc)
-			}
+	for i, l := range got.Links {
+		if run, enc := got.EncodedRun(i, i+1), AppendLink(nil, l.Key, l.IXPs); !bytes.Equal(run, enc) {
+			return fmt.Sprintf("EncodedRun(%d, %d) = %q, want %q", i, i+1, run, enc)
 		}
-		n := len(got.Links)
-		if run, inner := got.EncodedRun(0, n), got.Encoded[1:len(got.Encoded)-1]; !bytes.Equal(run, inner) {
-			return fmt.Sprintf("EncodedRun(0, %d) = %q, want the array without its brackets, %q", n, run, inner)
-		}
+	}
+	n := len(got.Links)
+	if run, inner := got.EncodedRun(0, n), got.Encoded[1:len(got.Encoded)-1]; !bytes.Equal(run, inner) {
+		return fmt.Sprintf("EncodedRun(0, %d) = %q, want the array without its brackets, %q", n, run, inner)
 	}
 	return ""
 }
@@ -72,13 +65,13 @@ func diffLinkIndex(got, want *LinkIndex) string {
 // TestPatchedIndexEqualsRebuilt drives a MeshState through seeded random
 // attribution moves — links appearing, disappearing and moving between
 // one, two and three IXPs, including moves that cancel inside one window
-// — and checks after every materialized window that the index BuildIndex
-// patched out of the previous window's equals newLinkIndex over a fresh
-// clone of the same links. Windows nobody materialized and Results
-// nobody indexed sit in between, the mesh starts and ends empty, links
-// land before the first and after the last position, and every Result is
-// checked again three materializations later against a deep copy taken
-// when it was built: copy-on-write must really copy.
+// — and checks after every materialized window that the index Snapshot
+// patched out of the previous window's equals newLinkIndex over a deep
+// copy of the Result. Windows nobody materialized sit in between, the
+// mesh starts and ends empty, links land before the first and after the
+// last position, and every Result is checked again three
+// materializations later against a deep copy taken when it was built:
+// copy-on-write must really copy.
 //
 // The mesh closes on one goroutine; the subtest is named for that.
 func TestPatchedIndexEqualsRebuilt(t *testing.T) {
@@ -119,47 +112,40 @@ func patchedIndexSweep(t *testing.T) {
 		fp      uint64
 	}
 	var kept []retained
-	patched, rebuilt := 0, 0
+	patched := 0
 
-	// materialize snapshots the mesh, indexes the Result unless told not
-	// to, and checks the index against the from-scratch oracle.
-	materialize := func(step string, index bool) {
+	// materialize snapshots the mesh and checks the index it came with
+	// against the from-scratch oracle.
+	materialize := func(step string) {
+		prev := ms.snap
 		res := ms.Snapshot()
 		if !maps.EqualFunc(res.Links, ms.links, slices.Equal[[]string]) {
 			t.Fatalf("%s: snapshot's link map differs from the mesh's", step)
 		}
-		if index {
-			if res.linkIndex == nil {
-				if res.patch != nil {
-					patched++
-				} else {
-					rebuilt++
-				}
-			}
-			got := res.BuildIndex(testLinkEncoder)
-			if res.patch != nil {
-				t.Fatalf("%s: BuildIndex left the consumed patch (and the predecessor's index) on the Result", step)
-			}
-			oracle := &Result{PerIXP: res.PerIXP, Links: make(map[topology.LinkKey][]string, len(res.Links))}
+		got := res.BuildIndex()
+		if got != res.linkIndex {
+			t.Fatalf("%s: BuildIndex did not return the index Snapshot built", step)
+		}
+		if prev != nil && got != prev.linkIndex {
+			patched++
+		}
+		if diff := diffLinkIndex(got, newLinkIndex(deepCopyResult(res))); diff != "" {
+			t.Fatalf("%s: patched index differs from rebuilt: %s", step, diff)
+		}
+		h := fnv.New64a()
+		h.Write(deepCopyResult(res).AppendMesh(nil))
+		if got.Fingerprint != h.Sum64() {
+			t.Fatalf("%s: index fingerprint differs from hash/fnv over the mesh encoding", step)
+		}
+		if len(kept) == 0 || kept[len(kept)-1].res != res {
+			r := retained{res: res, links: make(map[topology.LinkKey][]string), encoded: bytes.Clone(got.Encoded), fp: got.Fingerprint}
 			for k, v := range res.Links {
-				oracle.Links[k] = slices.Clone(v)
+				r.links[k] = slices.Clone(v)
 			}
-			if diff := diffLinkIndex(got, newLinkIndex(oracle, testLinkEncoder)); diff != "" {
-				t.Fatalf("%s: patched index differs from rebuilt: %s", step, diff)
+			for _, l := range got.Links {
+				r.index = append(r.index, IndexedLink{Key: l.Key, IXPs: slices.Clone(l.IXPs)})
 			}
-			if got.Fingerprint != fingerprintLinks(sortedLinks(res.Links)) {
-				t.Fatalf("%s: index fingerprint differs from the unindexed hash/fnv walk", step)
-			}
-			if len(kept) == 0 || kept[len(kept)-1].res != res {
-				r := retained{res: res, links: make(map[topology.LinkKey][]string), encoded: bytes.Clone(got.Encoded), fp: got.Fingerprint}
-				for k, v := range res.Links {
-					r.links[k] = slices.Clone(v)
-				}
-				for _, l := range got.Links {
-					r.index = append(r.index, IndexedLink{Key: l.Key, IXPs: slices.Clone(l.IXPs)})
-				}
-				kept = append(kept, r)
-			}
+			kept = append(kept, r)
 		}
 		// A Result three materializations back still reads its own bytes.
 		if len(kept) > 3 {
@@ -175,23 +161,23 @@ func patchedIndexSweep(t *testing.T) {
 
 	// Scripted opening: empty mesh, indexed; a first link; links before
 	// the first and after the last position; a move that cancels out.
-	materialize("empty", true)
+	materialize("empty")
 	mid := topology.MakeLinkKey(asns[10], asns[11])
 	toggle(mid, "ECIX")
-	materialize("first link", true)
+	materialize("first link")
 	toggle(topology.MakeLinkKey(1, 2), "DE-CIX")
 	toggle(topology.MakeLinkKey(4000000000, 4000000001), "MSK-IX")
-	materialize("front and back inserts", true)
+	materialize("front and back inserts")
 	toggle(topology.MakeLinkKey(3, 4), "DE-CIX")
 	toggle(topology.MakeLinkKey(3, 4), "DE-CIX")
 	toggle(mid, "DE-CIX")
 	toggle(mid, "DE-CIX")
-	materialize("cancelled moves", true)
+	materialize("cancelled moves")
 	toggle(mid, "DE-CIX")
 	toggle(mid, "MSK-IX") // 1 -> 3 IXPs
-	materialize("one to three IXPs", true)
+	materialize("one to three IXPs")
 	toggle(mid, "ECIX") // 3 -> 2, dropping the middle name
-	materialize("three to two IXPs", true)
+	materialize("three to two IXPs")
 
 	for step := 0; step < 400; step++ {
 		for n := rng.Intn(13); n > 0; n-- {
@@ -203,12 +189,12 @@ func patchedIndexSweep(t *testing.T) {
 		}
 		ms.CloseStability()
 		if rng.Intn(10) < 6 {
-			materialize(fmt.Sprintf("step %d", step), rng.Intn(10) < 8)
+			materialize(fmt.Sprintf("step %d", step))
 		}
 	}
 
 	// Drain to empty again through the patch.
-	materialize("before drain", true)
+	materialize("before drain")
 	for _, name := range names {
 		for key, ixps := range maps.Clone(ms.links) {
 			if slices.Contains(ixps, name) {
@@ -216,52 +202,21 @@ func patchedIndexSweep(t *testing.T) {
 			}
 		}
 	}
-	materialize("drained", true)
+	materialize("drained")
 	if got := ms.snap.linkIndex; len(got.Links) != 0 || string(got.Encoded) != "[]" {
 		t.Fatalf("drained mesh indexes %d links, encoded %q", len(got.Links), got.Encoded)
 	}
-	if patched < 100 || rebuilt < 10 {
-		t.Fatalf("sweep patched %d indexes and rebuilt %d: both paths must be exercised", patched, rebuilt)
+	if patched < 100 {
+		t.Fatalf("sweep patched %d indexes: the patch must be exercised", patched)
 	}
 }
 
-// TestBuildIndexEncodesWithoutEncodedBase covers the two ways an encoder
-// can arrive after the bytes it would splice from were never made: an
-// index first built without one is encoded in place on the first call
-// that brings one, and a patch whose base carries no encoding encodes
-// every link instead of splicing.
-func TestBuildIndexEncodesWithoutEncodedBase(t *testing.T) {
-	ms := NewMeshState(testDict(t))
-	add := func(a, b bgp.ASN, name string) {
-		mi := ms.byName[name]
-		mi.stale = true
-		ms.addLink(mi, topology.MakeLinkKey(a, b))
+// deepCopyResult copies r's links and attribution lists, so an index
+// built over the copy shares nothing with r's.
+func deepCopyResult(r *Result) *Result {
+	c := &Result{PerIXP: r.PerIXP, Links: make(map[topology.LinkKey][]string, len(r.Links))}
+	for k, v := range r.Links {
+		c.Links[k] = slices.Clone(v)
 	}
-	add(100, 200, "DE-CIX")
-	add(100, 400, "MSK-IX")
-	first := ms.Snapshot()
-	x := first.BuildIndex(nil)
-	if x.Encoded != nil {
-		t.Fatalf("an index built without an encoder carries %q", x.Encoded)
-	}
-
-	add(100, 200, "MSK-IX")
-	add(600, 700, "ECIX")
-	second := ms.Snapshot()
-	if second.patch == nil || second.patch.base != x {
-		t.Fatal("the second Result does not patch the first one's index")
-	}
-	got := second.BuildIndex(testLinkEncoder)
-	oracle := &Result{PerIXP: second.PerIXP, Links: maps.Clone(second.Links)}
-	if diff := diffLinkIndex(got, newLinkIndex(oracle, testLinkEncoder)); diff != "" {
-		t.Fatalf("patch over an unencoded base: %s", diff)
-	}
-
-	if first.BuildIndex(testLinkEncoder) != x {
-		t.Fatal("a late encoder rebuilt the index")
-	}
-	oracle = &Result{PerIXP: first.PerIXP, Links: maps.Clone(first.Links)}
-	if diff := diffLinkIndex(x, newLinkIndex(oracle, testLinkEncoder)); diff != "" {
-		t.Fatalf("late encode: %s", diff)
-	}
+	return c
 }

@@ -81,7 +81,7 @@ type MeshState struct {
 	// links whose attribution was added to or removed from since — what
 	// the next Result's index patches into snap's (empty: share it). It
 	// accumulates across windows nobody materialized and is not kept at
-	// all before the first Snapshot, when there is nothing to patch.
+	// all before the first Snapshot, whose index is built from scratch.
 	snap  *Result
 	moved map[topology.LinkKey]struct{}
 }
@@ -256,16 +256,15 @@ func (ms *MeshState) CloseStability() float64 {
 // Snapshot materializes the maintained mesh as a Result equivalent to
 // InferLinks over the same observation store: the link map (a shallow
 // clone — the attribution lists are copy-on-write and shared), per-IXP
-// covered members, filters and sources. The Members slices alias the
-// mesh's cached member lists; like every Result, snapshots are
-// read-only views — which is what lets consecutive snapshots share
-// structure: an IXP no setter joined, left or re-filtered at since the
-// last call keeps its *IXPInference, an unchanged link set keeps its
-// Links map and link index, and when nothing changed at all the
-// previous *Result itself is returned, so the index its consumers built
-// on it (BuildIndex) rides along. A link set that did change carries the
-// sorted keys that moved and the previous Result's index, so BuildIndex
-// patches that index instead of sorting the mesh again.
+// covered members, filters and sources, and the link index BuildIndex
+// returns. The Members slices alias the mesh's cached member lists; like
+// every Result, snapshots are read-only views — which is what lets
+// consecutive snapshots share structure: an IXP no setter joined, left
+// or re-filtered at since the last call keeps its *IXPInference, an
+// unchanged link set keeps its Links map and link index, and when
+// nothing changed at all the previous *Result itself is returned. A
+// changed link set patches the previous index with the sorted keys that
+// moved; the first index is built from scratch.
 //
 //mlplint:frozen
 func (ms *MeshState) Snapshot() *Result {
@@ -275,27 +274,24 @@ func (ms *MeshState) Snapshot() *Result {
 		return prev
 	}
 	res := &Result{PerIXP: make(map[string]*IXPInference, len(ms.dict.Entries))}
-	if shareLinks {
-		res.Links, res.linkIndex, res.patch = prev.Links, prev.linkIndex, prev.patch
-	} else if prev != nil && prev.linkIndex != nil {
-		keys := make([]topology.LinkKey, 0, len(ms.moved))
-		//mlplint:ordered sorted right below
-		for k := range ms.moved {
-			keys = append(keys, k)
-		}
-		slices.SortFunc(keys, compareLinkKeys)
-		res.patch = &indexPatch{base: prev.linkIndex, keys: keys}
-	}
-	clear(ms.moved)
-	if !shareLinks {
-		res.Links = maps.Clone(ms.links)
-	}
 	for _, e := range ms.dict.Entries {
 		mi := ms.byName[e.Name]
 		if mi.snap == nil || mi.stale {
 			mi.snap, mi.stale = mi.inference(), false
 		}
 		res.PerIXP[e.Name] = mi.snap
+	}
+	switch {
+	case shareLinks:
+		res.Links, res.linkIndex = prev.Links, prev.linkIndex
+	case prev == nil:
+		res.Links = maps.Clone(ms.links)
+		res.linkIndex = newLinkIndex(res)
+	default:
+		keys := slices.SortedFunc(maps.Keys(ms.moved), compareLinkKeys)
+		clear(ms.moved)
+		res.Links = maps.Clone(ms.links)
+		res.linkIndex = patchLinkIndex(prev.linkIndex, keys, res.Links)
 	}
 	ms.snap = res
 	return res

@@ -1077,10 +1077,9 @@ func diffResults(got, want *Result) string {
 
 // TestSnapshotSharesUnchangedStructure pins what consecutive
 // MeshState.Snapshot calls share: an idle window returns the previous
-// *Result itself (memos included), a window that churned one IXP
+// *Result itself (link index included), a window that churned one IXP
 // rebuilds that IXP's inference and keeps the other's pointer, and a
-// Result whose link set moved gets a fresh link map and no inherited
-// index.
+// Result whose link set moved gets a fresh link map.
 func TestSnapshotSharesUnchangedStructure(t *testing.T) {
 	d := testDict(t)
 	t0 := time.Date(2013, 5, 1, 2, 0, 0, 0, time.UTC)
@@ -1113,8 +1112,6 @@ func TestSnapshotSharesUnchangedStructure(t *testing.T) {
 		if diff := diffResults(res, InferLinks(pw.miner.dict, pw.miner.obs)); diff != "" {
 			t.Fatalf("window %d: %s", len(results), diff)
 		}
-		// The consumer's prefill, as serve.NewSnapshot does it.
-		res.BuildIndex(nil)
 		results = append(results, res)
 	}
 	if _, err := RunPassiveWindows(nil, updates, d, opts); err != nil {
@@ -1128,7 +1125,7 @@ func TestSnapshotSharesUnchangedStructure(t *testing.T) {
 		t.Error("idle window 1 did not return window 0's *Result")
 	}
 	if r[1].linkIndex == nil {
-		t.Error("the shared Result lost its index memo")
+		t.Error("the shared Result lost its index")
 	}
 	if r[2] == r[1] {
 		t.Fatal("churned window 2 returned the previous *Result")
@@ -1167,12 +1164,9 @@ func TestLinkIndexMatchesScan(t *testing.T) {
 	}
 	res := InferLinks(d, obs)
 	fp, mesh := res.Fingerprint(), res.AppendMesh(nil)
+	x := res.BuildIndex()
 	if res.linkIndex != nil {
-		t.Fatal("Fingerprint/AppendMesh built the index; only BuildIndex may")
-	}
-	x := res.BuildIndex(nil)
-	if x != res.BuildIndex(nil) || x != res.linkIndex {
-		t.Fatal("BuildIndex is not memoized")
+		t.Fatal("Fingerprint, AppendMesh or BuildIndex wrote an index onto an InferLinks Result")
 	}
 	if x.Fingerprint != fp || res.Fingerprint() != fp || !bytes.Equal(res.AppendMesh(nil), mesh) {
 		t.Fatal("indexed fingerprint/mesh encoding differs from the unindexed one")

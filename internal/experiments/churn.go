@@ -59,20 +59,28 @@ type ChurnTrace struct {
 	Trace    *churn.Trace
 }
 
+// CheckChurnTrace refuses, before anything is built, a schedule of no
+// epochs or a non-positive interval, or what topology.Config.Check does.
+func CheckChurnTrace(cfg topology.Config, ccfg churn.Config) error {
+	if ccfg.Epochs < 1 {
+		return fmt.Errorf("experiments: churn epochs must be at least 1, got %d", ccfg.Epochs)
+	}
+	if ccfg.Interval <= 0 {
+		return fmt.Errorf("experiments: churn interval must be positive, got %v", ccfg.Interval)
+	}
+	return cfg.Check()
+}
+
 // BuildChurnTrace builds a world, evolves it through the configured
 // churn epochs (incremental engine apply + announce/withdraw diff
 // stream) and captures everything the windowed inference consumes. The
 // dictionary is built once from the pre-churn world, like the real
 // method's snapshot of IXP websites: membership churn after the
-// snapshot is exactly what erodes coverage. A schedule of no epochs or
-// a non-positive interval is an error, returned before anything is
-// built.
+// snapshot is exactly what erodes coverage. What CheckChurnTrace
+// refuses is an error, returned before anything is built.
 func BuildChurnTrace(cfg topology.Config, ccfg churn.Config) (*ChurnTrace, error) {
-	if ccfg.Epochs < 1 {
-		return nil, fmt.Errorf("experiments: churn epochs must be at least 1, got %d", ccfg.Epochs)
-	}
-	if ccfg.Interval <= 0 {
-		return nil, fmt.Errorf("experiments: churn interval must be positive, got %v", ccfg.Interval)
+	if err := CheckChurnTrace(cfg, ccfg); err != nil {
+		return nil, err
 	}
 	w, err := pipeline.BuildWorld(cfg)
 	if err != nil {

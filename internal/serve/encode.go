@@ -2,9 +2,7 @@ package serve
 
 import (
 	"bytes"
-	"encoding/json"
 	"strconv"
-	"unicode/utf8"
 
 	"mlpeering/internal/bgp"
 	"mlpeering/internal/core"
@@ -12,81 +10,17 @@ import (
 )
 
 // The append encoder: every mesh-shaped body (mesh, ixps, ixp, link,
-// as) is written by these functions into a caller-supplied buffer, in
-// the exact bytes encoding/json produced for the DTOs they replaced —
-// key order, number spelling and string escaping included; the
+// as) is written by these functions into a caller-supplied buffer with
+// core's link encoder (core.AppendLink and its helpers), in the exact
+// bytes encoding/json produced for the DTOs they replaced; the
 // conformance tests compare against an encoding/json oracle. Nothing
 // here sorts: order comes from the core.LinkIndex.
 //
-// appendLink is the one link formatter the gateway publishes with: it
-// fills the index's Encoded array once per changed link, and the read
-// path copies from there — /v1/mesh whole, /v1/as and /v1/ixp rows as
-// runs (appendASCopy, appendIXPCopy). Only /v1/link formats per
-// request. The whole-snapshot bodies (epoch, stats, ixps, the mesh
-// head) and the per-IXP body heads are encoded once per snapshot.
-// appendAS and appendIXP format every link afresh; they back the
-// exported Render* oracles, never the gateway.
-
-// appendString appends s as a JSON string. IXP and scenario names are
-// plain ASCII in every world the generator builds, so the common case
-// is a byte check and a copy; a name that needs escaping takes the
-// encoding/json route, which by construction escapes the way the old
-// DTO renders did.
-//
-//mlplint:allocfree
-func appendString(dst []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			return appendEscaped(dst, s)
-		}
-	}
-	dst = append(dst, '"')
-	dst = append(dst, s...)
-	return append(dst, '"')
-}
-
-// appendEscaped is appendString's slow path.
-func appendEscaped(dst []byte, s string) []byte {
-	b, err := json.Marshal(s)
-	if err != nil {
-		panic("serve: string marshal: " + err.Error()) // cannot happen: strings always marshal
-	}
-	return append(dst, b...)
-}
-
-// appendField appends key — spelled with its punctuation, e.g.
-// `,"b":` — followed by a non-negative integer.
-//
-//mlplint:allocfree
-func appendField(dst []byte, key string, v uint64) []byte {
-	dst = append(dst, key...)
-	return strconv.AppendUint(dst, v, 10)
-}
-
-// appendLink appends one link object, `{"a":A,"b":B,"ixps":[...]}`.
-//
-//mlplint:allocfree
-func appendLink(dst []byte, key topology.LinkKey, ixps []string) []byte {
-	dst = appendField(dst, `{"a":`, uint64(key.A))
-	dst = appendField(dst, `,"b":`, uint64(key.B))
-	dst = append(dst, `,"ixps":`...)
-	dst = appendNames(dst, ixps)
-	return append(dst, '}')
-}
-
-// appendNames appends a JSON array of names.
-//
-//mlplint:allocfree
-func appendNames(dst []byte, names []string) []byte {
-	dst = append(dst, '[')
-	for i, name := range names {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = appendString(dst, name)
-	}
-	return append(dst, ']')
-}
+// The gateway copies its link bytes out of the index's Encoded array —
+// /v1/mesh whole, /v1/as and /v1/ixp rows as runs (appendASCopy,
+// appendIXPCopy); only /v1/link formats per request. The other bodies
+// and the per-IXP heads are encoded once per snapshot. appendAS and
+// appendIXP format every link afresh for the Render* oracles.
 
 // appendLinkArray appends the JSON array of every link of the index.
 //
@@ -97,7 +31,7 @@ func appendLinkArray(dst []byte, links []core.IndexedLink) []byte {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst = appendLink(dst, l.Key, l.IXPs)
+		dst = core.AppendLink(dst, l.Key, l.IXPs)
 	}
 	return append(dst, ']')
 }
@@ -106,7 +40,7 @@ func appendLinkArray(dst []byte, links []core.IndexedLink) []byte {
 // `"links":`; the body is completed by the encoded link array and a
 // closing brace. Built once per epoch, never on the read path.
 func appendMeshHead(dst []byte, epoch, fingerprint uint64) []byte {
-	dst = appendField(dst, `{"epoch":`, epoch)
+	dst = core.AppendField(dst, `{"epoch":`, epoch)
 	dst = append(dst, `,"fingerprint":"`...)
 	dst = append(dst, FingerprintHex(fingerprint)...)
 	return append(dst, `","links":`...)
@@ -117,8 +51,8 @@ func appendMeshHead(dst []byte, epoch, fingerprint uint64) []byte {
 //
 //mlplint:allocfree
 func appendASHead(dst []byte, epoch uint64, asn bgp.ASN) []byte {
-	dst = appendField(dst, `{"epoch":`, epoch)
-	dst = appendField(dst, `,"asn":`, uint64(asn))
+	dst = core.AppendField(dst, `{"epoch":`, epoch)
+	dst = core.AppendField(dst, `,"asn":`, uint64(asn))
 	return append(dst, `,"links":[`...)
 }
 
@@ -134,7 +68,7 @@ func appendAS(dst []byte, epoch uint64, x *core.LinkIndex, asn bgp.ASN, rows []u
 			dst = append(dst, ',')
 		}
 		l := &x.Links[li]
-		dst = appendLink(dst, l.Key, l.IXPs)
+		dst = core.AppendLink(dst, l.Key, l.IXPs)
 	}
 	return append(dst, `]}`...)
 }
@@ -171,13 +105,13 @@ func asBodySize(rows []uint32) int { return 64 + 64*len(rows) }
 func appendLinkLookup(dst []byte, epoch uint64, r *core.Result, a, b bgp.ASN) []byte {
 	key := topology.MakeLinkKey(a, b)
 	ixps, present := r.Links[key]
-	dst = appendField(dst, `{"epoch":`, epoch)
-	dst = appendField(dst, `,"a":`, uint64(key.A))
-	dst = appendField(dst, `,"b":`, uint64(key.B))
+	dst = core.AppendField(dst, `{"epoch":`, epoch)
+	dst = core.AppendField(dst, `,"a":`, uint64(key.A))
+	dst = core.AppendField(dst, `,"b":`, uint64(key.B))
 	dst = append(dst, `,"present":`...)
 	dst = strconv.AppendBool(dst, present)
 	dst = append(dst, `,"ixps":`...)
-	dst = appendNames(dst, ixps)
+	dst = core.AppendNames(dst, ixps)
 	return append(dst, '}')
 }
 
@@ -187,8 +121,8 @@ func appendLinkLookup(dst []byte, epoch uint64, r *core.Result, a, b bgp.ASN) []
 //mlplint:allocfree
 func appendIXPLead(dst []byte, name string, inf *core.IXPInference) []byte {
 	dst = append(dst, `"name":`...)
-	dst = appendString(dst, name)
-	dst = appendField(dst, `,"members":`, uint64(len(inf.Members)))
+	dst = core.AppendString(dst, name)
+	dst = core.AppendField(dst, `,"members":`, uint64(len(inf.Members)))
 	return append(dst, `,"covered":`...)
 }
 
@@ -199,7 +133,7 @@ func appendIXPLead(dst []byte, name string, inf *core.IXPInference) []byte {
 //
 //mlplint:allocfree
 func appendIXPHead(dst []byte, epoch uint64, name string, inf *core.IXPInference) []byte {
-	dst = appendField(dst, `{"epoch":`, epoch)
+	dst = core.AppendField(dst, `{"epoch":`, epoch)
 	dst = append(dst, ',')
 	dst = appendIXPLead(dst, name, inf)
 	dst = append(dst, '[')
@@ -209,8 +143,8 @@ func appendIXPHead(dst []byte, epoch uint64, name string, inf *core.IXPInference
 		}
 		dst = strconv.AppendUint(dst, uint64(asn), 10)
 	}
-	dst = appendField(dst, `],"passive":`, uint64(inf.PassiveCount()))
-	dst = appendField(dst, `,"active":`, uint64(inf.ActiveCount()))
+	dst = core.AppendField(dst, `],"passive":`, uint64(inf.PassiveCount()))
+	dst = core.AppendField(dst, `,"active":`, uint64(inf.ActiveCount()))
 	return append(dst, `,"links":[`...)
 }
 
@@ -224,15 +158,15 @@ func appendIXP(dst []byte, epoch uint64, x *core.LinkIndex, name string, inf *co
 	dst = appendIXPHead(dst, epoch, name, inf)
 	var tailBuf [64]byte
 	tail := append(tailBuf[:0], `,"ixps":[`...)
-	tail = appendString(tail, name)
+	tail = core.AppendString(tail, name)
 	tail = append(tail, `]}`...)
 	for i, li := range rows {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
 		key := x.Links[li].Key
-		dst = appendField(dst, `{"a":`, uint64(key.A))
-		dst = appendField(dst, `,"b":`, uint64(key.B))
+		dst = core.AppendField(dst, `{"a":`, uint64(key.A))
+		dst = core.AppendField(dst, `,"b":`, uint64(key.B))
 		dst = append(dst, tail...)
 	}
 	return append(dst, `]}`...)
@@ -248,7 +182,7 @@ func appendIXP(dst []byte, epoch uint64, x *core.LinkIndex, name string, inf *co
 //mlplint:allocfree
 func appendIXPCopy(dst []byte, x *core.LinkIndex, name string, rows []uint32) []byte {
 	var tailBuf [64]byte
-	tail := appendString(tailBuf[:0], name)
+	tail := core.AppendString(tailBuf[:0], name)
 	tail = append(tail, `]}`...)
 	for k := 0; k < len(rows); {
 		if k > 0 {
@@ -282,7 +216,7 @@ func ixpBodySize(name string, inf *core.IXPInference, rows []uint32) int {
 //
 //mlplint:allocfree
 func appendIXPList(dst []byte, epoch uint64, r *core.Result, x *core.LinkIndex) []byte {
-	dst = appendField(dst, `{"epoch":`, epoch)
+	dst = core.AppendField(dst, `{"epoch":`, epoch)
 	dst = append(dst, `,"ixps":[`...)
 	for i, name := range x.IXPs {
 		if i > 0 {
@@ -293,9 +227,9 @@ func appendIXPList(dst []byte, epoch uint64, r *core.Result, x *core.LinkIndex) 
 		dst = append(dst, '{')
 		dst = appendIXPLead(dst, name, inf)
 		dst = strconv.AppendUint(dst, uint64(len(inf.Covered)), 10)
-		dst = appendField(dst, `,"passive":`, uint64(inf.PassiveCount()))
-		dst = appendField(dst, `,"active":`, uint64(inf.ActiveCount()))
-		dst = appendField(dst, `,"links":`, uint64(len(rows)))
+		dst = core.AppendField(dst, `,"passive":`, uint64(inf.PassiveCount()))
+		dst = core.AppendField(dst, `,"active":`, uint64(inf.ActiveCount()))
+		dst = core.AppendField(dst, `,"links":`, uint64(len(rows)))
 		dst = append(dst, '}')
 	}
 	return append(dst, `]}`...)

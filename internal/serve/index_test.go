@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/url"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -329,7 +330,7 @@ func TestIndexedBodiesMatchScanOracle(t *testing.T) {
 
 // TestRenderUnindexedResult pins that the exported renders need no
 // prior NewSnapshot: on a Result fresh from InferLinks they produce the
-// oracle's bytes (building the index on the way).
+// oracle's bytes (over a fresh index per call).
 func TestRenderUnindexedResult(t *testing.T) {
 	_, res := testResult(t)
 	if got, want := string(RenderAS(3, res, 64500)), oracleAS(t, 3, res, 64500); got != want {
@@ -343,6 +344,39 @@ func TestRenderUnindexedResult(t *testing.T) {
 	if got, ok := RenderIXP(3, res, "AMS-IX"); !ok || string(got) != oracleIXP(t, 3, res, "AMS-IX") {
 		t.Errorf("RenderIXP on an unindexed result: ok=%v\n got:  %s\n want: %s", ok, got, oracleIXP(t, 3, res, "AMS-IX"))
 	}
+}
+
+// TestConcurrentRendersOfOneResult pins that a Result is never written
+// after construction: BuildIndex and the renders that go through it run
+// on several goroutines at once over one InferLinks Result, which
+// carries no index of its own, and each call gets the oracle's bytes.
+// Under -race a write to the shared Result is a reported race.
+func TestConcurrentRendersOfOneResult(t *testing.T) {
+	_, res := testResult(t)
+	fp := res.Fingerprint()
+	mesh, as, ixp := oracleMesh(t, 3, res), oracleAS(t, 3, res, 64500), oracleIXP(t, 3, res, "AMS-IX")
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 8 {
+				if got := res.BuildIndex().Fingerprint; got != fp {
+					t.Errorf("BuildIndex fingerprint %x, want %x", got, fp)
+				}
+				if got := string(RenderMesh(3, fp, res)); got != mesh {
+					t.Errorf("RenderMesh:\n got:  %s\n want: %s", got, mesh)
+				}
+				if got := string(RenderAS(3, res, 64500)); got != as {
+					t.Errorf("RenderAS:\n got:  %s\n want: %s", got, as)
+				}
+				if got, ok := RenderIXP(3, res, "AMS-IX"); !ok || string(got) != ixp {
+					t.Errorf("RenderIXP: ok=%v\n got:  %s\n want: %s", ok, got, ixp)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestConditionalBeforeRender pins the order of the read path: what

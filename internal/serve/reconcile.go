@@ -32,6 +32,15 @@ func (g *Gateway) Run(ctx context.Context) error {
 	return g.replay(ctx, ct)
 }
 
+// Check refuses, before anything is built, what check or
+// experiments.CheckChurnTrace refuses: lgserve runs it before listening.
+func (c Config) Check() error {
+	if err := c.check(); err != nil {
+		return err
+	}
+	return experiments.CheckChurnTrace(c.Topology, c.Churn)
+}
+
 // check refuses the serving settings that mean nothing, naming the
 // value and what to use instead.
 func (c Config) check() error {

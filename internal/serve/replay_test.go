@@ -38,7 +38,7 @@ type replaySample struct {
 }
 
 func sampleQueries(res *core.Result) replaySample {
-	links := res.BuildIndex(nil).Links
+	links := res.BuildIndex().Links
 	var s replaySample
 	step := max(1, len(links)/8)
 	for i := 0; i < len(links); i += step {

@@ -570,7 +570,7 @@ func TestRunFailsFastOnBuildError(t *testing.T) {
 // every data endpoint — the cached bodies, the index-backed point
 // queries, conditional revalidations — while a writer republishes the
 // windows of a churned replay over and over, so snapshots sharing a
-// Result (and its memos) with their predecessor swap in under the
+// Result (and its link index) with their predecessor swap in under the
 // readers. Every response must be internally consistent (epoch header
 // matches the body's epoch) and per-goroutine epochs never move
 // backwards.

@@ -103,19 +103,17 @@ func NewSnapshot(epoch uint64, scenario string, pw *core.PassiveWindow, committe
 
 // newSnapshot is NewSnapshot for the gateway whose boot nonce is boot.
 //
-// This is the prefill window: both memos the read path relies on — the
-// Result's link index and the index's encoded link array — are filled
-// here, before publication, so serving never writes. A memo that is
-// already there is left alone, which is how a Result shared with the
-// previous epoch publishes without being sorted or encoded again. The
-// per-IXP body heads are encoded here too (they carry the epoch, so
-// every snapshot has its own): a /v1/ixp request neither walks Sources
-// nor formats the covered list.
+// The Result's link index, encoded link array included, comes finished
+// out of core.MeshState.Snapshot, so a Result shared with the previous
+// epoch publishes without being sorted or encoded again. What carries
+// the epoch is encoded here, once per snapshot: the whole-snapshot
+// bodies and the per-IXP body heads, so a /v1/ixp request neither walks
+// Sources nor formats the covered list.
 //
 //mlplint:frozen
 func newSnapshot(boot string, epoch uint64, scenario string, pw *core.PassiveWindow, committed time.Time) *Snapshot {
 	res := pw.Result
-	idx := res.BuildIndex(appendLink)
+	idx := res.BuildIndex()
 	s := &Snapshot{
 		Epoch:       epoch,
 		Fingerprint: idx.Fingerprint,
@@ -196,9 +194,8 @@ func FingerprintHex(fp uint64) string { return fmt.Sprintf("%016x", fp) }
 // The exported renders below are pure functions of (epoch, result,
 // query) producing exactly the bytes the gateway serves for them — the
 // conformance tests and the benchmark's byte check call them. They go
-// through the Result's link index, building it if the Result has never
-// been published (core.Result.BuildIndex: a first call on a Result
-// other goroutines already read is the caller's race to avoid), but
+// through the Result's link index (core.Result.BuildIndex, which writes
+// nothing, so they are safe on a Result other goroutines read), but
 // never through its Encoded array: RenderMesh, RenderIXP and RenderAS
 // format every link afresh, so a byte check against the gateway also
 // checks the bytes it copied.
@@ -207,14 +204,14 @@ func FingerprintHex(fp uint64) string { return fmt.Sprintf("%016x", fp) }
 // its sorted IXP attribution. It encodes the link array afresh, so a
 // byte check against /v1/mesh also checks the snapshot's cached copy.
 func RenderMesh(epoch uint64, fingerprint uint64, r *core.Result) []byte {
-	links := r.BuildIndex(nil).Links
+	links := r.BuildIndex().Links
 	b := appendMeshHead(make([]byte, 0, 64+48*len(links)), epoch, fingerprint)
 	return append(appendLinkArray(b, links), '}')
 }
 
 // RenderIXPList renders the per-IXP coverage summary, sorted by name.
 func RenderIXPList(epoch uint64, r *core.Result) []byte {
-	return appendIXPList(nil, epoch, r, r.BuildIndex(nil))
+	return appendIXPList(nil, epoch, r, r.BuildIndex())
 }
 
 // RenderIXP renders one IXP's inference; ok is false when the
@@ -222,7 +219,7 @@ func RenderIXPList(epoch uint64, r *core.Result) []byte {
 // the gateway copies the same link entries out of the snapshot's
 // encoded link array and writes a head cached per snapshot.
 func RenderIXP(epoch uint64, r *core.Result, name string) ([]byte, bool) {
-	idx := r.BuildIndex(nil)
+	idx := r.BuildIndex()
 	rows, ok := idx.IXPLinks(name)
 	if !ok {
 		return nil, false
@@ -242,7 +239,7 @@ func RenderLink(epoch uint64, r *core.Result, a, b bgp.ASN) []byte {
 // afresh, as RenderMesh does: the gateway copies the same links out of
 // the snapshot's encoded link array.
 func RenderAS(epoch uint64, r *core.Result, asn bgp.ASN) []byte {
-	idx := r.BuildIndex(nil)
+	idx := r.BuildIndex()
 	rows := idx.ASLinks(asn)
 	return appendAS(make([]byte, 0, asBodySize(rows)), epoch, idx, asn, rows)
 }

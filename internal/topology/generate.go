@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 
@@ -14,11 +15,25 @@ import (
 // scenario named by cfg.Scenario (the paper's baseline world when
 // empty).
 func Generate(cfg Config) (*Topology, error) {
-	sc, ok := LookupScenario(cfg.Scenario)
-	if !ok {
-		return nil, fmt.Errorf("topology: unknown scenario %q (have %v)", cfg.Scenario, ScenarioNames())
+	if err := cfg.Check(); err != nil {
+		return nil, err
 	}
-	return sc.Generate(cfg)
+	sc, _ := LookupScenario(cfg.Scenario)
+	return sc.generate(cfg)
+}
+
+// Check refuses, without building anything, an unknown scenario name
+// or a scale that is not a positive finite number. A world it passes
+// may still fail to build (baseline Scale >= 4 exhausts the alias
+// table).
+func (cfg Config) Check() error {
+	if _, ok := LookupScenario(cfg.Scenario); !ok {
+		return fmt.Errorf("topology: unknown scenario %q (have %v)", cfg.Scenario, ScenarioNames())
+	}
+	if cfg.Scale <= 0 || math.IsNaN(cfg.Scale) || math.IsInf(cfg.Scale, 0) {
+		return fmt.Errorf("topology: scale must be a positive finite number, got %v", cfg.Scale)
+	}
+	return nil
 }
 
 // --- Baseline stages --------------------------------------------------

@@ -2,7 +2,6 @@ package topology
 
 import (
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -28,12 +27,9 @@ type Scenario struct {
 	Stages      []Stage
 }
 
-// Generate runs the scenario's stages over a fresh builder and
-// materializes the world.
-func (sc *Scenario) Generate(cfg Config) (*Topology, error) {
-	if cfg.Scale <= 0 || math.IsNaN(cfg.Scale) || math.IsInf(cfg.Scale, 0) {
-		return nil, fmt.Errorf("topology: scale must be a positive finite number, got %v", cfg.Scale)
-	}
+// generate runs the scenario's stages over a fresh builder and
+// materializes the world of a cfg that passed Check.
+func (sc *Scenario) generate(cfg Config) (*Topology, error) {
 	if cfg.Profiles == nil {
 		cfg.Profiles = PaperIXPProfiles()
 	}

@@ -24,16 +24,15 @@ cd "$(dirname "$0")/.."
 # Deleting an annotation would silently disarm that check — so their
 # presence is a gate.
 #
-# The read-side memos are the one sanctioned exception to "never
-# written after the builder returns", so where they are written is
-# gated too: Result.linkIndex and Result.patch (the predecessor index
-# and moved keys the memo is patched from) only in Result.BuildIndex
-# (under a reasoned //mlplint:frozen waiver on the line above) and in
-# the MeshState.Snapshot builder that hands them on; LinkIndex.Encoded
+# No Result is written after its builder returns — the link index and
+# its encoded link array included — and where those two fields are
+# written is gated too: Result.linkIndex only in the MeshState.Snapshot
+# builder, which builds the index with the Result; LinkIndex.Encoded
 # only in the index builders of internal/core/linkindex.go — the patch
 # and the three encoding helpers the patch and the from-scratch build
-# share — which BuildIndex runs inside serve.NewSnapshot's prefill
-# window. A write anywhere else — or the waiver gone — fails.
+# share. A write anywhere else fails, as does an allowed write outside
+# an annotated builder without a reasoned //mlplint:frozen waiver on the
+# line above (no such write is left).
 frozen_coverage() {
   local ok=0 file decl
   while IFS='|' read -r file decl; do
@@ -87,8 +86,7 @@ DECLS
       ok=1
     fi
   done <<'MEMOS'
-linkIndex|BuildIndex,Snapshot
-patch|BuildIndex,Snapshot
+linkIndex|Snapshot
 Encoded|patchLinkIndex,encode,encodeLink,closeEncoded
 MEMOS
   return "$ok"
