@@ -612,7 +612,8 @@ func BenchmarkChurnedPublish(b *testing.B) {
 	// previous epoch's link index and encoded link array — and
 	// NewSnapshot, which encodes only the bodies that carry the epoch. A
 	// Snapshot that fell back to re-sorting and re-encoding the whole mesh
-	// reads ~15 ms more in materialize-ms/op. Each window's chained
+	// reads ~30 ms more in materialize-ms/op (~42 against ~11-14 ms on 2
+	// vCPUs, -benchtime 3x). Each window's chained
 	// fingerprint is checked, untimed, against a detached copy of its
 	// Result that only a from-scratch walk has touched.
 	ccfg := churn.DefaultConfig(20130501)

@@ -45,11 +45,8 @@ func TestChurnFlagsRejected(t *testing.T) {
 	}{
 		{[]string{"-churn", "-churn-epochs", "0"}, "churn epochs must be at least 1, got 0"},
 		{[]string{"-churn", "-churn-interval", "-5m"}, "churn interval must be positive, got -5m0s"},
-		{[]string{"-churn", "-churn-stream", "-churn-windows", "-1"}, "-churn-windows must not be negative, got -1"},
 		{[]string{"-scale", "NaN"}, "scale must be a positive finite number, got NaN"},
 		// A flag outside its mode is refused, not ignored.
-		{[]string{"-churn", "-churn-epochs", "1", "-churn-windows", "3", "-scale", "0.12"}, "-churn-windows=3 only applies with -churn-stream"},
-		{[]string{"-churn-stream", "-churn-windows", "3"}, "-churn-stream=true only applies with -churn"},
 		{[]string{"-churn-epochs", "3"}, "-churn-epochs=3 only applies with -churn"},
 		{[]string{"-churn-interval", "5m"}, "-churn-interval=5m0s only applies with -churn"},
 		{[]string{"-cpuprofile", "cpu.prof"}, "-cpuprofile=cpu.prof only applies with -churn"},

@@ -79,7 +79,7 @@ func main() {
 		invisible, 100*float64(invisible)/float64(run.Result.TotalLinks()))
 
 	if *validate {
-		v := w.Validator(run, 0)
+		v := w.Validator(run)
 		res, err := v.Validate(context.Background(), run.Result)
 		if err != nil {
 			log.Fatal(err)

@@ -44,8 +44,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Survey with no passive data at all (equation 1), with a real (but
-	// short, to keep the example fast) rate limit between queries.
+	// Survey with no passive data at all (equation 1). Its cost is
+	// counted in queries, not wall time.
 	endpoints := world.LGEndpoints(0)
 	empty := core.NewObservations()
 	hints := map[bgp.ASN][]bgp.Prefix{}

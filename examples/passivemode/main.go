@@ -63,7 +63,7 @@ func main() {
 		len(dump.RIBs), len(dump.Index.Peers), len(updates))
 
 	// 3. Build the dictionary from IXP documentation and the IRR.
-	reg := irr.Build(topo, cfg.IRRRegistrationFrac, cfg.Seed+1)
+	reg := irr.Build(topo, cfg.Seed+1)
 	var sites []core.WebsiteData
 	for _, info := range topo.IXPs {
 		s := core.WebsiteData{Name: info.Name, Scheme: info.Scheme, PublishesMemberList: info.PublishesMemberList}

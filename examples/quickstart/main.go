@@ -24,7 +24,8 @@ func main() {
 
 	// A small, fully deterministic world (~0.12x paper scale).
 	cfg := topology.TestConfig()
-	world, err := pipeline.BuildScenarioWorld(*scenario, cfg)
+	cfg.Scenario = *scenario
+	world, err := pipeline.BuildWorld(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -31,7 +31,7 @@ func main() {
 	fmt.Printf("inferred %d links; validating against %d looking glasses...\n",
 		run.Result.TotalLinks(), len(world.Topo.ValidationLGs))
 
-	v := world.Validator(run, 0)
+	v := world.Validator(run)
 	res, err := v.Validate(context.Background(), run.Result)
 	if err != nil {
 		log.Fatal(err)

@@ -11,7 +11,6 @@
 package churn
 
 import (
-	"cmp"
 	"fmt"
 	"io"
 	"maps"
@@ -521,7 +520,7 @@ func (r *Runner) Run(w io.Writer, col *collector.Collector, start time.Time) (*T
 	base := r.topo.AllGroundTruthReciprocalLinks()
 	tr := &Trace{
 		Start: start, Interval: r.cfg.Interval,
-		TruthBase: slices.SortedFunc(maps.Keys(base), compareLinks),
+		TruthBase: slices.SortedFunc(maps.Keys(base), topology.CompareLinkKeys),
 	}
 	truthLinks := len(base)
 	var was []bool
@@ -593,13 +592,8 @@ func (r *Runner) truthCandidates(d *propagate.Delta) []topology.LinkKey {
 			}
 		}
 	}
-	slices.SortFunc(cands, compareLinks)
+	slices.SortFunc(cands, topology.CompareLinkKeys)
 	return slices.Compact(cands)
-}
-
-// compareLinks orders links by A, then B.
-func compareLinks(a, b topology.LinkKey) int {
-	return cmp.Or(cmp.Compare(a.A, b.A), cmp.Compare(a.B, b.B))
 }
 
 // DescribeDelta renders a delta as a canonical one-line schedule entry,

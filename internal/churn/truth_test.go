@@ -88,7 +88,7 @@ func checkTruthFold(t testing.TB, wcfg topology.Config, cfg Config) {
 
 func strictlyAscending(ls []topology.LinkKey) bool {
 	for i := 1; i < len(ls); i++ {
-		if compareLinks(ls[i-1], ls[i]) >= 0 {
+		if topology.CompareLinkKeys(ls[i-1], ls[i]) >= 0 {
 			return false
 		}
 	}

@@ -290,7 +290,7 @@ func reciprocalLinks(x *IXPInference) []topology.LinkKey {
 			}
 		}
 	}
-	slices.SortFunc(out, compareLinkKeys)
+	slices.SortFunc(out, topology.CompareLinkKeys)
 	return out
 }
 

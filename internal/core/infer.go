@@ -106,7 +106,7 @@ func (r *Result) IXPLinks(ixpName string) []topology.LinkKey {
 			out = append(out, k)
 		}
 	}
-	slices.SortFunc(out, compareLinkKeys)
+	slices.SortFunc(out, topology.CompareLinkKeys)
 	return out
 }
 

@@ -161,15 +161,6 @@ func appendEscaped(dst []byte, s string) []byte {
 	return append(dst, b...)
 }
 
-// compareLinkKeys orders link keys ascending by (A, B): the canonical
-// order of every walk of a mesh.
-func compareLinkKeys(a, b topology.LinkKey) int {
-	if c := cmp.Compare(a.A, b.A); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.B, b.B)
-}
-
 // sortedLinks extracts a link map's entries in ascending (A, B) order:
 // the one sort every canonical walk of a mesh derives from.
 func sortedLinks(links map[topology.LinkKey][]string) []IndexedLink {
@@ -177,7 +168,7 @@ func sortedLinks(links map[topology.LinkKey][]string) []IndexedLink {
 	for k, ixps := range links {
 		out = append(out, IndexedLink{Key: k, IXPs: ixps})
 	}
-	slices.SortFunc(out, func(a, b IndexedLink) int { return compareLinkKeys(a.Key, b.Key) })
+	slices.SortFunc(out, func(a, b IndexedLink) int { return topology.CompareLinkKeys(a.Key, b.Key) })
 	return out
 }
 
@@ -398,7 +389,7 @@ func patchLinkIndex(base *LinkIndex, keys []topology.LinkKey, links map[topology
 	for ki := 0; ki <= len(keys); ki++ {
 		to := len(old)
 		if ki < len(keys) {
-			n, _ := slices.BinarySearchFunc(old[oi:], keys[ki], func(l IndexedLink, k topology.LinkKey) int { return compareLinkKeys(l.Key, k) })
+			n, _ := slices.BinarySearchFunc(old[oi:], keys[ki], func(l IndexedLink, k topology.LinkKey) int { return topology.CompareLinkKeys(l.Key, k) })
 			to = oi + n
 		}
 		if to > oi {

@@ -288,7 +288,7 @@ func (ms *MeshState) Snapshot() *Result {
 		res.Links = maps.Clone(ms.links)
 		res.linkIndex = newLinkIndex(res)
 	default:
-		keys := slices.SortedFunc(maps.Keys(ms.moved), compareLinkKeys)
+		keys := slices.SortedFunc(maps.Keys(ms.moved), topology.CompareLinkKeys)
 		clear(ms.moved)
 		res.Links = maps.Clone(ms.links)
 		res.linkIndex = patchLinkIndex(prev.linkIndex, keys, res.Links)

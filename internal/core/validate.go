@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"maps"
+	"slices"
 	"sort"
 
 	"mlpeering/internal/bgp"
@@ -18,8 +20,12 @@ type ValidationLG struct {
 	AllPaths bool
 }
 
+// maxValidationPrefixes caps the prefixes one LG queries per link (6 in
+// the paper, §5.1).
+const maxValidationPrefixes = 6
+
 // Validator checks inferred links against looking glasses (§5.1): for
-// every link relevant to an LG it queries up to MaxPrefixes
+// every link relevant to an LG it queries up to maxValidationPrefixes
 // geographically distant prefixes of the far endpoint and looks for the
 // link in the returned AS paths.
 type Validator struct {
@@ -32,8 +38,6 @@ type Validator struct {
 	// relevant to a link if its host is an endpoint or a customer of
 	// one.
 	Rels *relation.Inference
-	// MaxPrefixes caps per-link queries (6 in the paper).
-	MaxPrefixes int
 }
 
 // LGOutcome aggregates one looking glass's validation performance
@@ -114,22 +118,9 @@ func pathConfirms(host bgp.ASN, path []bgp.ASN, a, b bgp.ASN) bool {
 // each one's Table-3 row, like the paper's per-IXP accounting.
 func (v *Validator) Validate(ctx context.Context, result *Result) (*ValidationResult, error) {
 	out := &ValidationResult{PerIXP: make(map[string]struct{ Tested, Confirmed int })}
-	maxPfx := v.MaxPrefixes
-	if maxPfx <= 0 {
-		maxPfx = 6
-	}
 
 	// Deterministic link order.
-	links := make([]topology.LinkKey, 0, len(result.Links))
-	for k := range result.Links {
-		links = append(links, k)
-	}
-	sort.Slice(links, func(i, j int) bool {
-		if links[i].A != links[j].A {
-			return links[i].A < links[j].A
-		}
-		return links[i].B < links[j].B
-	})
+	links := slices.SortedFunc(maps.Keys(result.Links), topology.CompareLinkKeys)
 
 	perLG := make(map[bgp.ASN]*LGOutcome, len(v.LGs))
 	for _, l := range v.LGs {
@@ -155,15 +146,7 @@ func (v *Validator) Validate(ctx context.Context, result *Result) (*ValidationRe
 			if len(prefixes) == 0 {
 				continue
 			}
-			var chosen []bgp.Prefix
-			if v.Geo != nil {
-				chosen = v.Geo.SpreadSelect(prefixes, maxPfx)
-			} else {
-				chosen = prefixes
-				if len(chosen) > maxPfx {
-					chosen = chosen[:maxPfx]
-				}
-			}
+			chosen := v.Geo.SpreadSelect(prefixes, maxValidationPrefixes)
 			lgTested := false
 			lgConfirmed := false
 			for _, p := range chosen {

@@ -55,7 +55,7 @@ func (c *Context) Validation() (*core.ValidationResult, error) {
 	if c.validation != nil {
 		return c.validation, nil
 	}
-	v := c.World.Validator(c.Run, 0)
+	v := c.World.Validator(c.Run)
 	res, err := v.Validate(context.Background(), c.Run.Result)
 	if err != nil {
 		return nil, err

@@ -24,18 +24,23 @@ func ASSetName(ixpName string) string {
 	return "AS-" + clean + "-RSMEMBERS"
 }
 
+// registrationFrac is the probability an AS registers an accurate
+// aut-num/as-set in the IRR (drives LINX-style discovery and §4.4
+// reciprocity validation).
+const registrationFrac = 0.77
+
 // Build generates IRR contents from the topology's ground truth:
 //
 //   - an as-set per IXP that publishes its RS member list,
 //   - an aut-num per registered member carrying import/export policy
 //     lines toward each route server it is connected to (the §4.4 data),
-//   - registration is probabilistic with the given fraction, except that
+//   - registration is probabilistic (registrationFrac), except that
 //     members of list-publishing IXPs always appear in the as-set (the
 //     set is maintained by the IXP, not the member).
 //
 // IRR contents mirror reality: accurate where generated, but silent for
 // unregistered networks.
-func Build(topo *topology.Topology, registrationFrac float64, seed int64) *Registry {
+func Build(topo *topology.Topology, seed int64) *Registry {
 	rng := rand.New(rand.NewSource(seed))
 	reg := NewRegistry()
 

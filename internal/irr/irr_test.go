@@ -184,7 +184,7 @@ func TestBuildFromTopology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := Build(topo, 0.77, 42)
+	reg := Build(topo, 42)
 	if reg.Len() == 0 {
 		t.Fatal("empty registry")
 	}

@@ -9,47 +9,10 @@ import (
 	"net/netip"
 	"net/url"
 	"strings"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"mlpeering/internal/bgp"
 )
-
-// RateLimiter enforces a minimum interval between queries; the paper
-// rate-limited to one query per ten seconds per LG (§4.3).
-type RateLimiter struct {
-	mu       sync.Mutex
-	interval time.Duration
-	last     time.Time           // guarded by mu
-	sleep    func(time.Duration) // injectable for tests
-}
-
-// NewRateLimiter returns a limiter with the given minimum interval.
-func NewRateLimiter(interval time.Duration) *RateLimiter {
-	return &RateLimiter{interval: interval, sleep: time.Sleep}
-}
-
-// Wait blocks until a query is permitted.
-func (r *RateLimiter) Wait() {
-	if r == nil || r.interval <= 0 {
-		return
-	}
-	r.mu.Lock()
-	//mlplint:clock real wall-clock pacing for live LG HTTP queries; tests inject sleep
-	now := time.Now()
-	wait := r.interval - now.Sub(r.last)
-	if wait > 0 {
-		r.last = now.Add(wait)
-	} else {
-		r.last = now
-		wait = 0
-	}
-	r.mu.Unlock()
-	if wait > 0 {
-		r.sleep(wait)
-	}
-}
 
 // Client queries one looking glass over HTTP and parses the router-style
 // text it returns. Every query increments a counter so experiments can
@@ -59,8 +22,6 @@ type Client struct {
 	BaseURL string
 	// HTTPClient defaults to http.DefaultClient.
 	HTTPClient *http.Client
-	// Limiter, when set, paces queries.
-	Limiter *RateLimiter
 
 	queries atomic.Int64
 }
@@ -72,9 +33,6 @@ func (c *Client) QueryCount() int { return int(c.queries.Load()) }
 func (c *Client) ResetQueryCount() { c.queries.Store(0) }
 
 func (c *Client) fetch(ctx context.Context, command string) (string, error) {
-	if c.Limiter != nil {
-		c.Limiter.Wait()
-	}
 	c.queries.Add(1)
 	u := c.BaseURL + "?q=" + url.QueryEscape(command)
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)

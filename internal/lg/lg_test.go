@@ -9,7 +9,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"mlpeering/internal/bgp"
 	"mlpeering/internal/propagate"
@@ -217,22 +216,6 @@ func TestLookupMissingPrefix(t *testing.T) {
 	if len(paths) != 0 {
 		t.Fatalf("phantom paths: %+v", paths)
 	}
-}
-
-func TestRateLimiter(t *testing.T) {
-	var slept []time.Duration
-	rl := NewRateLimiter(10 * time.Second)
-	rl.sleep = func(d time.Duration) { slept = append(slept, d) }
-
-	rl.Wait() // first query free
-	rl.Wait() // must wait ~10s
-	if len(slept) != 1 || slept[0] <= 0 || slept[0] > 10*time.Second {
-		t.Fatalf("sleeps = %v", slept)
-	}
-	// Nil limiter and zero interval are no-ops.
-	var nilRL *RateLimiter
-	nilRL.Wait()
-	NewRateLimiter(0).Wait()
 }
 
 func TestParseSummaryTolerance(t *testing.T) {

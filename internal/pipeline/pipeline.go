@@ -98,13 +98,6 @@ func (g *stageGroup) Wait() error {
 	return g.err
 }
 
-// BuildScenarioWorld builds the named world scenario (see
-// topology.ScenarioNames) over cfg.
-func BuildScenarioWorld(scenario string, cfg topology.Config) (*World, error) {
-	cfg.Scenario = scenario
-	return BuildWorld(cfg)
-}
-
 // BuildWorld generates and wires a world from the topology config,
 // running the scenario cfg.Scenario names (baseline when empty).
 //
@@ -189,7 +182,7 @@ func buildWorld(cfg topology.Config, tapRIB func(io.Writer) io.Writer) (*World, 
 		return err
 	})
 	g.Go("irr", func() error {
-		w.IRR = irr.Build(topo, cfg.IRRRegistrationFrac, cfg.Seed+1)
+		w.IRR = irr.Build(topo, cfg.Seed+1)
 		return nil
 	})
 	g.Go("registries", func() error {
@@ -317,24 +310,24 @@ func (w *World) Close() error {
 // resolve nowhere); it only names the server in error messages.
 const lgHost = "http://lg.invalid"
 
-// lgClient builds a client of the in-process LG server with the
-// standard (disabled-in-tests) rate limit.
-func (w *World) lgClient(path string, limiter *lg.RateLimiter) *lg.Client {
-	return &lg.Client{BaseURL: lgHost + "/" + path, HTTPClient: w.lgHTTP, Limiter: limiter}
+// lgClient builds a client of the in-process LG server.
+func (w *World) lgClient(path string) *lg.Client {
+	return &lg.Client{BaseURL: lgHost + "/" + path, HTTPClient: w.lgHTTP}
 }
 
 // LGEndpoints assembles the per-IXP looking-glass clients for the
-// active survey. interval paces queries (0 disables rate limiting).
-func (w *World) LGEndpoints(interval time.Duration) map[string]core.IXPLGs {
+// active survey. The argument is ignored: it stays only because the
+// benchmark passes it.
+func (w *World) LGEndpoints(_ time.Duration) map[string]core.IXPLGs {
 	out := make(map[string]core.IXPLGs, len(w.Topo.IXPs))
 	for _, info := range w.Topo.IXPs {
 		var e core.IXPLGs
 		if info.HasLG {
-			e.RS = w.lgClient("rs/"+info.Name, lg.NewRateLimiter(interval))
+			e.RS = w.lgClient("rs/" + info.Name)
 		}
 		for _, h := range w.Topo.MemberLGs[info.Name] {
 			e.Members = append(e.Members, core.MemberLG{
-				Client: w.lgClient("as/"+h.ASN.String(), lg.NewRateLimiter(interval)),
+				Client: w.lgClient("as/" + h.ASN.String()),
 				Host:   h.ASN,
 			})
 		}
@@ -344,11 +337,11 @@ func (w *World) LGEndpoints(interval time.Duration) map[string]core.IXPLGs {
 }
 
 // ValidationLGs assembles the validation clients (§5.1's 70 LGs).
-func (w *World) ValidationLGs(interval time.Duration) []core.ValidationLG {
+func (w *World) ValidationLGs() []core.ValidationLG {
 	var out []core.ValidationLG
 	for _, h := range w.Topo.ValidationLGs {
 		out = append(out, core.ValidationLG{
-			Client:   w.lgClient("as/"+h.ASN.String(), lg.NewRateLimiter(interval)),
+			Client:   w.lgClient("as/" + h.ASN.String()),
 			Host:     h.ASN,
 			AllPaths: h.AllPaths,
 		})
@@ -415,16 +408,15 @@ func (w *World) RunInference(ctx context.Context, activeCfg core.ActiveConfig) (
 }
 
 // Validator builds the §5.1 validation engine over this world.
-func (w *World) Validator(run *Run, interval time.Duration) *core.Validator {
+func (w *World) Validator(run *Run) *core.Validator {
 	prefixes := make(map[bgp.ASN][]bgp.Prefix)
 	for p, origin := range run.Passive.PrefixOrigins {
 		prefixes[origin] = append(prefixes[origin], p)
 	}
 	return &core.Validator{
-		LGs:              w.ValidationLGs(interval),
+		LGs:              w.ValidationLGs(),
 		Geo:              w.Geo,
 		PrefixesByOrigin: prefixes,
 		Rels:             run.Passive.Rels,
-		MaxPrefixes:      6,
 	}
 }

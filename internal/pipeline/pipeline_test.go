@@ -218,7 +218,7 @@ func TestQueryCostAccounting(t *testing.T) {
 
 func TestValidationConfirmsLinks(t *testing.T) {
 	w, run := fixture(t)
-	v := w.Validator(run, 0)
+	v := w.Validator(run)
 	res, err := v.Validate(context.Background(), run.Result)
 	if err != nil {
 		t.Fatal(err)
@@ -307,7 +307,9 @@ func TestBuildScenarioWorlds(t *testing.T) {
 		}
 		name := name
 		t.Run(name, func(t *testing.T) {
-			w, err := BuildScenarioWorld(name, topology.TestConfig())
+			cfg := topology.TestConfig()
+			cfg.Scenario = name
+			w, err := BuildWorld(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

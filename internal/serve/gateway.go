@@ -34,9 +34,10 @@ type Config struct {
 	// value and one under a second, which the header cannot express.
 	MaxAge time.Duration
 	// EpochInterval paces snapshot publication: the reconciler holds
-	// each committed window at least this long before the next commit.
-	// 0 publishes as fast as windows close; Run refuses a negative
-	// value.
+	// each committed window this long before it closes the next one, so
+	// consecutive commits are at least EpochInterval plus the next
+	// window's close time apart. 0 publishes as fast as windows close;
+	// Run refuses a negative value.
 	EpochInterval time.Duration
 	// Logf receives reconciler progress lines; nil discards them.
 	Logf func(format string, args ...any)

@@ -69,18 +69,12 @@ func (g *Gateway) replay(ctx context.Context, ct *experiments.ChurnTrace) error 
 	scenario := ct.Scenario
 	logf("serve: world ready: scenario=%s epochs=%d interval=%v", scenario, ct.Epochs, ct.Interval)
 
+	// Each window is published as soon as it is handed over; the pacing
+	// wait comes after, before the callback returns, so the replay
+	// closes and indexes the next window only once the wait is over and
+	// no second full index is live through it.
 	var epoch uint64
-	var lastCommit time.Time
 	commit := func(pw *core.PassiveWindow) {
-		if g.cfg.EpochInterval > 0 && !lastCommit.IsZero() {
-			if wait := g.cfg.EpochInterval - time.Since(lastCommit); wait > 0 {
-				select {
-				case <-ctx.Done():
-					return
-				case <-time.After(wait):
-				}
-			}
-		}
 		epoch++
 		if pw.Rewound > 0 {
 			logf("serve: replay wrapped at epoch %d: %d live slots rewound", epoch, pw.Rewound)
@@ -89,10 +83,15 @@ func (g *Gateway) replay(ctx context.Context, ct *experiments.ChurnTrace) error 
 		// real wall-clock time, not simulated trace time.
 		now := time.Now() //mlplint:clock Last-Modified needs the wall-clock commit instant
 		g.publish(newSnapshot(g.boot, epoch, scenario, pw, now))
-		lastCommit = now
 		logf("serve: epoch %d committed: window=[%s, %s) links=%d fp=%s",
 			epoch, pw.Start.Format(time.RFC3339), pw.End.Format(time.RFC3339),
 			pw.Result.TotalLinks(), FingerprintHex(g.cur.Load().Fingerprint))
+		if wait := g.cfg.EpochInterval - time.Since(now); wait > 0 {
+			select {
+			case <-ctx.Done():
+			case <-time.After(wait):
+			}
+		}
 	}
 
 	if err := ct.ReplayWindows(ctx, 0, 0, commit); ctx.Err() == nil {

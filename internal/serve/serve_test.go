@@ -522,6 +522,53 @@ func TestGatewayEndToEndEpochs(t *testing.T) {
 	}
 }
 
+// TestEpochPacingBeforeClose pins where the reconciler waits out
+// EpochInterval: after publishing a window and before the replay closes
+// the next one, so the next window's index is never built early and
+// held through the wait. Consecutive commits are then at least the
+// interval plus the later window's close time apart.
+func TestEpochPacingBeforeClose(t *testing.T) {
+	if testing.Short() {
+		t.Skip("end-to-end reconciler test skipped in -short")
+	}
+	const interval = 50 * time.Millisecond
+	ccfg := churn.DefaultConfig(20130501)
+	ccfg.Epochs = 3
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	var g *Gateway
+	var commits []*Snapshot
+	g = New(Config{
+		Topology:      topology.TestConfig(),
+		Churn:         ccfg,
+		EpochInterval: interval,
+		// Logf runs on the reconciler right after each publish, so
+		// Current is the snapshot just committed.
+		Logf: func(format string, _ ...any) {
+			if strings.HasPrefix(format, "serve: epoch %d committed") {
+				commits = append(commits, g.Current())
+				if len(commits) == 7 {
+					cancel()
+				}
+			}
+		},
+	})
+	if err := g.Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if len(commits) < 7 {
+		t.Fatalf("%d commits before the deadline, want 7", len(commits))
+	}
+	for i := 1; i < len(commits); i++ {
+		prev, cur := commits[i-1], commits[i]
+		gap := cur.Committed.Sub(prev.Committed)
+		if want := interval + time.Duration(cur.Stats.CloseTimeNS); gap < want {
+			t.Errorf("epochs %d -> %d committed %v apart, want at least the interval plus the later close (%v)",
+				prev.Epoch, cur.Epoch, gap, want)
+		}
+	}
+}
+
 // TestRunFailsFastOnBuildError pins the reconciler's failure
 // semantics: a world or churn schedule that cannot be built is a
 // deterministic error, so Run returns it at once — no backoff loop, no

@@ -10,6 +10,7 @@
 package topology
 
 import (
+	"cmp"
 	"sort"
 
 	"mlpeering/internal/bgp"
@@ -160,4 +161,14 @@ func MakeLinkKey(a, b bgp.ASN) LinkKey {
 		a, b = b, a
 	}
 	return LinkKey{A: a, B: b}
+}
+
+// CompareLinkKeys orders link keys ascending by (A, B): the canonical
+// order of every walk of a link set (mesh fingerprints, encoded
+// indexes, truth deltas).
+func CompareLinkKeys(a, b LinkKey) int {
+	if c := cmp.Compare(a.A, b.A); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.B, b.B)
 }

@@ -24,6 +24,10 @@ type Builder struct {
 
 	rng *rand.Rand
 
+	// profiles lists the IXPs to instantiate: the paper's 13, or the
+	// scaled world's expansion of them (see expandIXPProfiles).
+	profiles []IXPProfile
+
 	recs     []AS              // dense AS records; id = allocation order
 	byASN    map[bgp.ASN]int32 // ASN -> dense id
 	Order    []bgp.ASN         // every ASN; ascending after the allocation stage
@@ -67,6 +71,7 @@ func NewBuilder(cfg Config) *Builder {
 	b := &Builder{
 		Cfg:           cfg,
 		rng:           rand.New(rand.NewSource(cfg.Seed)),
+		profiles:      PaperIXPProfiles(),
 		byASN:         make(map[bgp.ASN]int32),
 		ExportFilters: make(map[string]map[bgp.ASN]ixp.ExportFilter),
 		ImportFilters: make(map[string]map[bgp.ASN]ixp.ExportFilter),
@@ -172,11 +177,11 @@ func (b *Builder) exportFilterOf(ixpName string, member bgp.ASN) (ixp.ExportFilt
 
 // usedASNs tracks allocated ASNs including the fixed RS ASNs.
 func (b *Builder) usedASNs() map[bgp.ASN]bool {
-	used := make(map[bgp.ASN]bool, len(b.recs)+len(b.Cfg.Profiles))
+	used := make(map[bgp.ASN]bool, len(b.recs)+len(b.profiles))
 	for i := range b.recs {
 		used[b.recs[i].ASN] = true
 	}
-	for _, p := range b.Cfg.Profiles {
+	for _, p := range b.profiles {
 		used[p.RSASN] = true
 	}
 	return used

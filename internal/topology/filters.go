@@ -276,7 +276,7 @@ func (b *Builder) pickFeeders() {
 	// PassiveOpenness, which is what bounds passive coverage (Table 2's
 	// "Pasv" column).
 	coverage := make(map[string][]bgp.ASN) // per IXP: members visible passively
-	for _, prof := range b.Cfg.Profiles {
+	for _, prof := range b.profiles {
 		info := b.IXPByName(prof.Name)
 		if info == nil {
 			continue
@@ -322,7 +322,7 @@ func (b *Builder) pickFeeders() {
 			if f.Kind != FeedFull {
 				continue
 			}
-			for _, prof := range b.Cfg.Profiles {
+			for _, prof := range b.profiles {
 				info := b.IXPByName(prof.Name)
 				if info == nil || !info.IsRSMember(f.ASN) {
 					continue
@@ -396,7 +396,7 @@ func (b *Builder) pickLookingGlasses() {
 
 	// Member LGs: RS members whose LG exposes the RS feed; used for
 	// active collection at IXPs without their own LG.
-	for _, prof := range b.Cfg.Profiles {
+	for _, prof := range b.profiles {
 		info := b.IXPByName(prof.Name)
 		if info == nil {
 			continue
@@ -450,8 +450,8 @@ func (b *Builder) pickLookingGlasses() {
 				continue
 			}
 			usedLG[asn] = true
-			host := LGHost{ASN: asn, AllPaths: b.rng.Float64() >= b.Cfg.BestPathLGFrac}
-			if b.rng.Float64() < b.Cfg.PrefersBilateralFrac {
+			host := LGHost{ASN: asn, AllPaths: b.rng.Float64() >= bestPathLGFrac}
+			if b.rng.Float64() < prefersBilateralFrac {
 				b.AS(asn).PrefersBilateral = true
 			}
 			b.ValidationLGs = append(b.ValidationLGs, host)

@@ -56,7 +56,7 @@ func (b *Builder) allocateASes() error {
 	// The profile list is final here (scaled-world rewrites it one stage
 	// earlier), and nothing has been built yet: reject a world that would
 	// only fail at member-data encoding, after everything else was paid.
-	for _, p := range cfg.Profiles {
+	for _, p := range b.profiles {
 		if m := cfg.memberTarget(p); m > maxMemberTarget {
 			return fmt.Errorf("%s would have %d members at scale %v, more than its community scheme's "+
 				"16-bit alias table can name (limit %d): lower the scale, or use the scaled-world "+
@@ -64,16 +64,13 @@ func (b *Builder) allocateASes() error {
 				p.Name, m, cfg.Scale, maxMemberTarget)
 		}
 	}
-	n := cfg.NumASes
-	if n == 0 {
-		// Pool sized so that IXP membership targets are satisfiable
-		// with realistic reuse across IXPs.
-		slots := 0
-		for _, p := range cfg.Profiles {
-			slots += cfg.memberTarget(p)
-		}
-		n = slots*3/2 + 400
+	// Pool sized so that IXP membership targets are satisfiable with
+	// realistic reuse across IXPs.
+	slots := 0
+	for _, p := range b.profiles {
+		slots += cfg.memberTarget(p)
 	}
+	n := slots*3/2 + 400
 	used := b.usedASNs()
 	next := bgp.ASN(1000)
 	next32 := bgp.ASN(196800)
@@ -107,12 +104,12 @@ func (b *Builder) allocateASes() error {
 	}
 	pickRegion := func() ixp.Region { return pickWeightedRegion(b.rng, regionDist) }
 
-	numT2 := int(float64(n) * cfg.TransitFrac)
+	numT2 := int(float64(n) * transitFrac)
 	for i := 0; i < n; i++ {
-		want32 := b.rng.Float64() < 0.07 && i >= cfg.NumTier1
+		want32 := b.rng.Float64() < 0.07 && i >= numTier1
 		as := AS{ASN: alloc(want32)}
 		switch {
-		case i < cfg.NumTier1:
+		case i < numTier1:
 			as.Tier = Tier1
 			as.Region = ixp.RegionWestEU
 			if i%3 == 0 {
@@ -125,14 +122,14 @@ func (b *Builder) allocateASes() error {
 				as.Policy = peeringdb.PolicyRestrictive
 			}
 			b.tier1 = append(b.tier1, as.ASN)
-		case i < cfg.NumTier1+cfg.NumContent:
+		case i < numTier1+numContent:
 			as.Tier = Tier2
 			as.Content = true
 			as.Region = ixp.RegionWestEU
 			as.Scope = peeringdb.ScopeGlobal
 			as.Policy = peeringdb.PolicyOpen
 			b.content = append(b.content, as.ASN)
-		case i < cfg.NumTier1+cfg.NumContent+numT2:
+		case i < numTier1+numContent+numT2:
 			as.Tier = Tier2
 			as.Region = pickRegion()
 			switch r := b.rng.Float64(); {
@@ -172,7 +169,7 @@ func (b *Builder) allocateASes() error {
 			b.stubs = append(b.stubs, as.ASN)
 		}
 		as.Name = fmt.Sprintf("AS%s-%s", as.ASN, as.Region)
-		as.StripsCommunities = b.rng.Float64() < cfg.StripProb
+		as.StripsCommunities = b.rng.Float64() < stripProb
 		as.OmitsDefaultALL = b.rng.Float64() < 0.30
 		id := b.Add(as)
 		switch {
@@ -387,9 +384,9 @@ func (b *Builder) assignPrefixes() {
 		case as.Tier == Tier1:
 			n = 10 + b.rng.Intn(14)
 		case as.Tier == Tier2:
-			n = 1 + b.rng.Intn(2*b.Cfg.MeanPrefixesTransit)
+			n = 1 + b.rng.Intn(2*meanPrefixesTransit)
 		default:
-			n = 1 + b.rng.Intn(2*b.Cfg.MeanPrefixesStub)
+			n = 1 + b.rng.Intn(2*meanPrefixesStub)
 		}
 		for i := 0; i < n; i++ {
 			bits := 24
@@ -433,9 +430,9 @@ func (b *Builder) eligibleIDs(region ixp.Region) []int32 {
 // the membership commit (IXP append, PeeringDB registration) applied in
 // profile order.
 func (b *Builder) buildIXPs() {
-	b.fanOut("ixps", len(b.Cfg.Profiles),
-		func(i int) string { return b.Cfg.Profiles[i].Name },
-		func(rng *rand.Rand, pi int) func() { return b.buildOneIXP(rng, b.Cfg.Profiles[pi]) })
+	b.fanOut("ixps", len(b.profiles),
+		func(i int) string { return b.profiles[i].Name },
+		func(rng *rand.Rand, pi int) func() { return b.buildOneIXP(rng, b.profiles[pi]) })
 }
 
 func (b *Builder) buildOneIXP(rng *rand.Rand, prof IXPProfile) func() {
@@ -560,7 +557,7 @@ func (b *Builder) buildOneIXP(rng *rand.Rand, prof IXPProfile) func() {
 	// applies them only to members still unregistered at its turn.
 	regDraw := make([]bool, len(memberList))
 	for i := range memberList {
-		regDraw[i] = rng.Float64() < b.Cfg.RegisteredFrac
+		regDraw[i] = rng.Float64() < registeredFrac
 	}
 
 	return func() {

@@ -114,6 +114,32 @@ func PaperIXPProfiles() []IXPProfile {
 	}
 }
 
+// World parameters the paper measured. They are fixed for every world;
+// Config carries only what callers vary.
+const (
+	// numTier1 is the size of the transit-free clique.
+	numTier1 = 12
+	// transitFrac is the fraction of the AS pool that provides transit
+	// (tier 2).
+	transitFrac = 0.16
+	// numContent is the number of large content networks.
+	numContent = 12
+	// registeredFrac is the fraction of IXP members with a PeeringDB
+	// record (904/1667 in the paper).
+	registeredFrac = 0.54
+	// stripProb is the per-AS probability of stripping communities on
+	// export, limiting passive visibility.
+	stripProb = 0.65
+	// bestPathLGFrac is the fraction of validation LGs that display
+	// only the active path (Fig. 8's triangles).
+	bestPathLGFrac = 0.20
+	// prefersBilateralFrac is the fraction of validation-LG ASes whose
+	// routers prefer bilateral peers over RS peers (14/70 in §5.1).
+	prefersBilateralFrac = 0.20
+	// meanPrefixesStub / meanPrefixesTransit control prefix counts.
+	meanPrefixesStub, meanPrefixesTransit = 2, 6
+)
+
 // Config parameterizes generation.
 type Config struct {
 	// Seed drives all randomness; equal seeds give identical worlds.
@@ -127,72 +153,22 @@ type Config struct {
 	// paper scale (~1,700 distinct IXP members); tests use ~0.15.
 	Scale float64
 
-	// NumASes is the total AS pool; 0 derives it from Scale.
-	NumASes int
-
-	// NumTier1 is the size of the transit-free clique.
-	NumTier1 int
-
-	// TransitFrac is the fraction of non-tier-1 ASes that provide
-	// transit (tier 2).
-	TransitFrac float64
-
-	// NumContent is the number of large content networks.
-	NumContent int
-
-	// Profiles lists the IXPs to instantiate; nil means the paper's 13.
-	Profiles []IXPProfile
-
-	// RegisteredFrac is the fraction of IXP members with a PeeringDB
-	// record (904/1667 in the paper).
-	RegisteredFrac float64
-
-	// StripProb is the per-AS probability of stripping communities on
-	// export, limiting passive visibility.
-	StripProb float64
-
 	// ValidationLGs is the number of third-party LGs used by the
 	// validation engine (70 in the paper).
 	ValidationLGs int
 
-	// BestPathLGFrac is the fraction of validation LGs that display
-	// only the active path (Fig. 8's triangles).
-	BestPathLGFrac float64
-
-	// PrefersBilateralFrac is the fraction of validation-LG ASes whose
-	// routers prefer bilateral peers over RS peers (14/70 in §5.1).
-	PrefersBilateralFrac float64
-
-	// BilateralExtraFeeders adds non-RS transit feeders to collectors,
-	// building out the public view.
+	// ExtraFeeders adds non-RS transit feeders to collectors, building
+	// out the public view.
 	ExtraFeeders int
-
-	// MeanPrefixesStub / MeanPrefixesTransit control prefix counts.
-	MeanPrefixesStub, MeanPrefixesTransit int
-
-	// IRRRegistrationFrac is the probability an RS member registers an
-	// accurate aut-num/as-set in the IRR (drives LINX-style discovery
-	// and §4.4 reciprocity validation).
-	IRRRegistrationFrac float64
 }
 
 // DefaultConfig is full paper scale.
 func DefaultConfig() Config {
 	return Config{
-		Seed:                 20130501,
-		Scale:                1.0,
-		NumTier1:             12,
-		TransitFrac:          0.16,
-		NumContent:           12,
-		RegisteredFrac:       0.54,
-		StripProb:            0.65,
-		ValidationLGs:        70,
-		BestPathLGFrac:       0.20,
-		PrefersBilateralFrac: 0.20,
-		ExtraFeeders:         30,
-		MeanPrefixesStub:     2,
-		MeanPrefixesTransit:  6,
-		IRRRegistrationFrac:  0.77,
+		Seed:          20130501,
+		Scale:         1.0,
+		ValidationLGs: 70,
+		ExtraFeeders:  30,
 	}
 }
 

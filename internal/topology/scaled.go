@@ -35,9 +35,9 @@ func (b *Builder) expandIXPProfiles() {
 	rng := b.StageRNG("scaled-ixps")
 	scale := b.Cfg.Scale
 
-	profs := make([]IXPProfile, 0, len(b.Cfg.Profiles))
+	profs := make([]IXPProfile, 0, len(b.profiles))
 	usedRS := make(map[bgp.ASN]bool, scaledMaxIXPs)
-	for _, p := range b.Cfg.Profiles {
+	for _, p := range b.profiles {
 		usedRS[p.RSASN] = true
 		if !p.Absolute {
 			m := int(float64(p.Members)*scale + 0.5)
@@ -126,5 +126,5 @@ func (b *Builder) expandIXPProfiles() {
 			Absolute:            true,
 		})
 	}
-	b.Cfg.Profiles = profs
+	b.profiles = profs
 }

@@ -30,9 +30,6 @@ type Scenario struct {
 // generate runs the scenario's stages over a fresh builder and
 // materializes the world of a cfg that passed Check.
 func (sc *Scenario) generate(cfg Config) (*Topology, error) {
-	if cfg.Profiles == nil {
-		cfg.Profiles = PaperIXPProfiles()
-	}
 	b := NewBuilder(cfg)
 	for _, st := range sc.Stages {
 		if err := st.Apply(b); err != nil {

@@ -97,6 +97,22 @@ var scaledGoldens = []scenarioGolden{
 	{"scaled-world", 4, 10982, 4158, 3669, 26693, 120737, 0, 0x51b13940a62af060},
 }
 
+// paperGolden pins DefaultConfig's world: the paper-scale baseline with
+// 70 validation LGs and 30 extra feeders that lgserve, mlpexperiments
+// and every benchmark workload generate.
+var paperGolden = scenarioGolden{"baseline", 1, 4721, 1687, 1464, 11354, 31801, 0, 0xdaee2019b8d598e8}
+
+func TestPaperWorldGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("paper-scale world; skipped in -short")
+	}
+	topo, err := Generate(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, topo, paperGolden)
+}
+
 func checkGolden(t *testing.T, topo *Topology, c scenarioGolden) {
 	t.Helper()
 	st := topo.Stats()

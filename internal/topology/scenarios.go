@@ -130,7 +130,7 @@ func (b *Builder) addRemoteMembers() {
 				asn:      as.ASN,
 				reseller: reseller,
 				joinRS:   rng.Float64() < 0.85,
-				reg:      rng.Float64() < b.Cfg.RegisteredFrac,
+				reg:      rng.Float64() < registeredFrac,
 			})
 		}
 		clearMarks(memberSet, memberVisited)

@@ -77,7 +77,7 @@ func TestGenerateStructure(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := topo.Stats()
-	if st.Tier1s != TestConfig().NumTier1 {
+	if st.Tier1s != numTier1 {
 		t.Fatalf("tier1s = %d", st.Tier1s)
 	}
 	if st.Stubs == 0 || st.Transits == 0 {
