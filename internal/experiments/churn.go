@@ -135,11 +135,13 @@ func (ct *ChurnTrace) Windows(mode core.WindowsMode, workers int) (*core.Passive
 // retaining none. It never materializes: in incremental mode the mesh is
 // not snapshotted unless fn itself calls pw.Materialize(), so CloseTime
 // is the bare O(churn) close and memory stays bounded by the live state
-// regardless of horizon length (the long-horizon replay mode). count
-// overrides the number of windows when positive (windows past the last
-// update replay over the then-static live table), letting a fixed trace
-// drive an arbitrarily long horizon. workers is ignored, as in Windows.
+// regardless of horizon length (the long-horizon replay mode). A
+// positive count replays only the first count windows; a count above
+// ct.Epochs is an error. workers is ignored, as in Windows.
 func (ct *ChurnTrace) StreamWindows(mode core.WindowsMode, count, workers int, fn func(*core.PassiveWindow)) error {
+	if count > ct.Epochs {
+		return fmt.Errorf("experiments: %d windows requested from a trace of %d epochs", count, ct.Epochs)
+	}
 	if count <= 0 {
 		count = ct.Epochs
 	}

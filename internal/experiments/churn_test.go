@@ -176,3 +176,16 @@ func TestBuildChurnTraceRejectsBadSchedule(t *testing.T) {
 		}
 	}
 }
+
+// TestStreamWindowsRejectsCountPastTrace pins that StreamWindows refuses
+// more windows than the trace has epochs, naming both, before anything
+// is replayed.
+func TestStreamWindowsRejectsCountPastTrace(t *testing.T) {
+	ct := &ChurnTrace{Epochs: 2}
+	called := false
+	err := ct.StreamWindows(core.WindowsIncremental, 3, 0, func(*core.PassiveWindow) { called = true })
+	want := "experiments: 3 windows requested from a trace of 2 epochs"
+	if err == nil || err.Error() != want || called {
+		t.Fatalf("StreamWindows(count 3) over 2 epochs: err %v, callback called %v; want the error %q and no callback", err, called, want)
+	}
+}

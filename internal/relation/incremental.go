@@ -15,7 +15,10 @@
 // are resolved on demand from the maintained counters through the same
 // resolveRel the batch Infer uses, so an Incremental that saw AddPath
 // for exactly the live path set answers every query identically to a
-// fresh Infer over that set.
+// fresh Infer over that set. A Commit on an oracle that holds no live
+// path — the first close of a replay, or the one after a drain — seeds
+// in bulk instead: the netted adds go through Infer's own batch passes
+// once, and the incremental state is built from their result.
 package relation
 
 import (
@@ -26,16 +29,6 @@ import (
 	"mlpeering/internal/paths"
 	"mlpeering/internal/topology"
 )
-
-// transitPair identifies one (interior AS, neighbor) adjacency used for
-// transit-degree accounting.
-type transitPair struct {
-	mid, nbr bgp.ASN
-}
-
-// noPeak marks a path that contributes no votes: not live, or shorter
-// than two hops.
-const noPeak = -1
 
 // votedPath is the per-path vote cache, indexed by path ID: the peak
 // the path's committed votes were emitted around (noPeak when it has
@@ -260,8 +253,11 @@ func (inc *Incremental) addTransit(mid, nbr bgp.ASN, delta int) {
 // the peaks a fallen AS held — and move the votes of exactly the paths
 // whose peak differs from the cached one, in ascending id order; (4)
 // relabel the touched links — those whose votes moved plus those
-// incident to an AS whose move their label can see. After Commit,
-// queries answer exactly as a batch Infer over the live set.
+// incident to an AS whose move their label can see. On an oracle that
+// holds no live path, everything after the netting gives way to a bulk
+// seed: the batch passes run once over the netted adds and the state
+// is built from their result, equal to what the phases build. After
+// Commit, queries answer exactly as a batch Infer over the live set.
 func (inc *Incremental) Commit() (changed bool) {
 	clear(inc.flipped)
 	if len(inc.queue) == 0 {
@@ -279,6 +275,10 @@ func (inc *Incremental) Commit() (changed bool) {
 		inc.net[d.id] += d.delta
 	}
 	inc.queue = inc.queue[:0]
+	if len(inc.pathsByAS) == 0 {
+		// No live path has a hop, so no state is held: seed in bulk.
+		return inc.seed()
+	}
 	inc.cands = inc.cands[:0]
 	for _, id := range inc.netOrder {
 		delta := inc.net[id]
@@ -457,6 +457,125 @@ func (inc *Incremental) Commit() (changed bool) {
 	}
 	clear(inc.touched)
 	return true
+}
+
+// seed is Commit on an oracle that holds no live path: the netted adds
+// go through the batch passes once, and the incremental state is built
+// from their result: the counters, the votes and the clique adopted as
+// they are, the vote cache filled from the peaks, the path indexes
+// built with every per-AS path set made at its final size, and the p2p
+// labels resolved once (each one a flip from the empty state). The
+// result equals applying the adds path by path. Netted removals, which
+// an empty oracle has nothing to take back from, are dropped.
+func (inc *Incremental) seed() bool {
+	ids := make([]paths.ID, 0, len(inc.netOrder))
+	for _, id := range inc.netOrder {
+		if inc.net[id] > 0 {
+			ids = append(ids, id)
+		}
+	}
+	clear(inc.net)
+	inc.netOrder = inc.netOrder[:0]
+	if len(ids) == 0 {
+		return false
+	}
+
+	p := runPasses(paths.NewView(inc.store, ids))
+	inc.adj, inc.transit, inc.degree, inc.votes = p.adj, p.transit, p.degree, p.votes
+	inc.clique, inc.cliqueSet = p.clique, p.cliqueSet
+
+	hops, top := 0, len(inc.voted)-1
+	for _, id := range ids {
+		hops, top = hops+len(inc.store.Path(id)), max(top, int(id))
+	}
+	inc.voted = slices.Grow(inc.voted, top+1-len(inc.voted))
+	for len(inc.voted) <= top {
+		inc.voted = append(inc.voted, votedPath{peak: noPeak})
+	}
+	onAS := make([]asPath, 0, hops)
+	onPeak := make([]asPath, 0, len(ids))
+	for i, id := range ids {
+		for _, a := range inc.store.Path(id) {
+			onAS = append(onAS, packASPath(a, id))
+		}
+		pk := p.peaks[i]
+		if pk.peak != noPeak {
+			onPeak = append(onPeak, packASPath(pk.peakAS, id))
+		}
+		inc.voted[id] = pk
+	}
+	inc.pathsByAS = buildIndex(onAS)
+	inc.byPeak = buildIndex(onPeak)
+
+	for key := range inc.adj {
+		if resolveRel(key, inc.votes[key], inc.cliqueSet, inc.degreeOf) == RelP2P {
+			inc.p2p[key] = true
+			inc.flipped[key] = true
+		}
+	}
+	inc.revoted = 0
+	return true
+}
+
+// asPath packs one (AS, path ID) entry of an AS -> path set index, the
+// AS in the high half.
+type asPath uint64
+
+func packASPath(a bgp.ASN, id paths.ID) asPath { return asPath(a)<<32 | asPath(uint32(id)) }
+
+// buildIndex builds an AS -> path set index from its entries. A radix
+// sort on the AS half groups them, so every set is made at its final
+// size and filled while it is hot in cache.
+func buildIndex(entries []asPath) map[bgp.ASN]map[paths.ID]bool {
+	entries = sortByAS(entries)
+	groups := 0
+	for i := range entries {
+		if i == 0 || entries[i]>>32 != entries[i-1]>>32 {
+			groups++
+		}
+	}
+	idx := make(map[bgp.ASN]map[paths.ID]bool, groups)
+	for i := 0; i < len(entries); {
+		a := entries[i] >> 32
+		j := i + 1
+		for j < len(entries) && entries[j]>>32 == a {
+			j++
+		}
+		m := make(map[paths.ID]bool, j-i)
+		for _, e := range entries[i:j] {
+			m[paths.ID(uint32(e))] = true
+		}
+		idx[bgp.ASN(a)] = m
+		i = j
+	}
+	return idx
+}
+
+// sortByAS returns entries ordered by their AS half: a stable LSD radix
+// sort, one byte per pass, skipping a byte every entry shares. It
+// reorders entries in place and may return a second buffer.
+func sortByAS(entries []asPath) []asPath {
+	src, dst := entries, make([]asPath, len(entries))
+	for shift := 32; shift < 64 && len(src) > 0; shift += 8 {
+		var start [256]int
+		for _, e := range src {
+			start[byte(e>>shift)]++
+		}
+		if start[byte(src[0]>>shift)] == len(src) {
+			continue
+		}
+		pos := 0
+		for b, n := range start {
+			start[b], pos = pos, pos+n
+		}
+		for _, e := range src {
+			b := byte(e >> shift)
+			dst[start[b]] = e
+			start[b]++
+		}
+		src, dst = dst, src
+	}
+	return src
 }
 
 // Relationship returns the pair's relationship from a's perspective,

@@ -351,3 +351,226 @@ func TestCommitRevotesOnlyMovedPeaks(t *testing.T) {
 	}
 	assertOracleEquivalence(t, step, store, live, inc)
 }
+
+// indexEqual compares two AS -> path set indexes.
+func indexEqual(x, y map[bgp.ASN]map[paths.ID]bool) bool {
+	return maps.EqualFunc(x, y, func(m, n map[paths.ID]bool) bool { return maps.Equal(m, n) })
+}
+
+// assertSameState compares two oracles' whole committed state: the
+// refcounts, degrees and votes by value, both path indexes, the vote
+// cache of every live path, the p2p labels and the clique.
+func assertSameState(t *testing.T, step int, bulk, twin *Incremental, live map[paths.ID]bool) {
+	t.Helper()
+	diverges := func(what string) {
+		t.Helper()
+		t.Fatalf("step %d: %s diverges between the bulk-seeded and the path-by-path oracle", step, what)
+	}
+	switch {
+	case !maps.Equal(bulk.adj, twin.adj):
+		diverges("adj")
+	case !maps.Equal(bulk.transit, twin.transit):
+		diverges("transit")
+	case !maps.Equal(bulk.degree, twin.degree):
+		diverges("degree")
+	case !maps.EqualFunc(bulk.votes, twin.votes, func(a, b *vote) bool { return *a == *b }):
+		diverges("votes")
+	case !indexEqual(bulk.pathsByAS, twin.pathsByAS):
+		diverges("pathsByAS")
+	case !indexEqual(bulk.byPeak, twin.byPeak):
+		diverges("byPeak")
+	case !maps.Equal(bulk.p2p, twin.p2p):
+		diverges("p2p")
+	case !slices.Equal(bulk.clique, twin.clique) || !maps.Equal(bulk.cliqueSet, twin.cliqueSet):
+		diverges("clique")
+	}
+	for id := range live {
+		if bulk.voted[id] != twin.voted[id] {
+			t.Fatalf("step %d: path %d's vote cache diverges: bulk %+v, path by path %+v", step, id, bulk.voted[id], twin.voted[id])
+		}
+	}
+}
+
+// twinOracles drives a bulk-seeded oracle and a path-by-path twin over
+// one store: while seeding, every transition goes to both, but only the
+// twin commits after each; afterwards both get the same queue and
+// commit together.
+type twinOracles struct {
+	t          *testing.T
+	store      *paths.Store
+	bulk, twin *Incremental
+	live       map[paths.ID]bool
+}
+
+func newTwinOracles(t *testing.T, store *paths.Store) *twinOracles {
+	return &twinOracles{t: t, store: store, bulk: NewIncremental(store), twin: NewIncremental(store), live: make(map[paths.ID]bool)}
+}
+
+// toggle adds id when it is not live and removes it when it is, on both
+// oracles; the twin commits at once when seeding.
+func (o *twinOracles) toggle(id paths.ID, seeding bool) {
+	if o.live[id] {
+		delete(o.live, id)
+		o.bulk.RemovePath(id)
+		o.twin.RemovePath(id)
+	} else {
+		o.live[id] = true
+		o.bulk.AddPath(id)
+		o.twin.AddPath(id)
+	}
+	if seeding {
+		o.twin.Commit()
+	}
+}
+
+// drain removes every live path from both queues.
+func (o *twinOracles) drain() {
+	for id := range o.live {
+		o.toggle(id, false)
+	}
+}
+
+// seeded commits the bulk oracle's queue, which must start from no live
+// path, and checks it against the twin and a batch Infer. Every p2p
+// label the seed set is a flip from the empty state.
+func (o *twinOracles) seeded(step int) {
+	o.t.Helper()
+	if len(o.bulk.pathsByAS) != 0 {
+		o.t.Fatalf("step %d: the bulk oracle holds live paths before its seed", step)
+	}
+	o.bulk.Commit()
+	assertSameState(o.t, step, o.bulk, o.twin, o.live)
+	if !maps.Equal(o.bulk.flipped, o.bulk.p2p) {
+		o.t.Fatalf("step %d: the seed flipped %d labels, want its %d p2p labels", step, len(o.bulk.flipped), len(o.bulk.p2p))
+	}
+	assertOracleEquivalence(o.t, step, o.store, o.live, o.bulk)
+}
+
+// commit commits both oracles' queues and checks them against each
+// other and a batch Infer.
+func (o *twinOracles) commit(step int) {
+	o.t.Helper()
+	if b, w := o.bulk.Commit(), o.twin.Commit(); b != w {
+		o.t.Fatalf("step %d: Commit reported changed=%v, its twin %v", step, b, w)
+	}
+	assertSameState(o.t, step, o.bulk, o.twin, o.live)
+	if !maps.Equal(o.bulk.flipped, o.twin.flipped) {
+		o.t.Fatalf("step %d: flipped sets diverge: %d vs %d pairs", step, len(o.bulk.flipped), len(o.twin.flipped))
+	}
+	assertOracleEquivalence(o.t, step, o.store, o.live, o.bulk)
+}
+
+// TestBulkSeedMatchesPathByPath seeds one oracle in a single Commit and
+// its twin one AddPath and Commit at a time, then applies one random
+// add/remove sequence to both for 30 commits: their whole internal
+// state must agree after every Commit. The first queue also adds and
+// removes one path (netting out) and flaps a seeded one; a drain to
+// empty and a second seed follow.
+func TestBulkSeedMatchesPathByPath(t *testing.T) {
+	rng := rand.New(rand.NewSource(20130502))
+	store := paths.NewStore()
+	var ids []paths.ID
+	for _, p := range synthPaths(rng, 150) {
+		ids = append(ids, store.Intern(p))
+	}
+	o := newTwinOracles(t, store)
+	seed := func(step int) {
+		for _, i := range rng.Perm(len(ids))[:70] {
+			if !o.live[ids[i]] {
+				o.toggle(ids[i], true)
+			}
+		}
+		ghost := ids[slices.IndexFunc(ids, func(id paths.ID) bool { return !o.live[id] })]
+		o.bulk.AddPath(ghost)
+		o.bulk.RemovePath(ghost)
+		for id := range o.live {
+			o.bulk.RemovePath(id)
+			o.bulk.AddPath(id)
+			break
+		}
+		o.seeded(step)
+	}
+	events := func(from, n int) {
+		for step := from; step < from+n; step++ {
+			for k := 0; k < 8; k++ {
+				o.toggle(ids[rng.Intn(len(ids))], false)
+			}
+			o.commit(step)
+		}
+	}
+
+	seed(0)
+	events(1, 30)
+	o.drain()
+	o.commit(31)
+	if len(o.bulk.adj) != 0 || len(o.bulk.pathsByAS) != 0 || len(o.bulk.p2p) != 0 {
+		t.Fatalf("drained oracle retains state: %d links, %d indexed ASes, %d p2p", len(o.bulk.adj), len(o.bulk.pathsByAS), len(o.bulk.p2p))
+	}
+	seed(32)
+	events(33, 10)
+}
+
+// FuzzIncrementalSeed draws a small path pool — synthPaths' hierarchy
+// with some short paths over the mid tier mixed in — and a random
+// sequence of add/remove transitions, split between one bulk seed and
+// the commits after it, draining everything now and then. After every
+// Commit the bulk-seeded oracle must equal its path-by-path twin and a
+// batch Infer over the live set.
+func FuzzIncrementalSeed(f *testing.F) {
+	f.Add(int64(20130501), uint8(40), uint8(30), uint8(8))
+	f.Fuzz(func(t *testing.T, seed int64, size, split, commits uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		store := paths.NewStore()
+		var ids []paths.ID
+		for _, p := range synthPaths(rng, 1+int(size)%64) {
+			if rng.Intn(5) == 0 {
+				// Zero to four distinct mid-tier hops: short paths that
+				// cast no votes, and degree ties among the mids.
+				p = p[:0]
+				for _, x := range rng.Perm(6)[:rng.Intn(5)] {
+					p = append(p, bgp.ASN(100+x))
+				}
+			}
+			ids = append(ids, store.Intern(p))
+		}
+		o := newTwinOracles(t, store)
+		for i := int(split) % (2*len(ids) + 1); i > 0; i-- {
+			o.toggle(ids[rng.Intn(len(ids))], true)
+		}
+		o.seeded(0)
+		for step := 1; step <= int(commits)%16; step++ {
+			if rng.Intn(5) == 0 {
+				o.drain()
+			} else {
+				for k := rng.Intn(8); k >= 0; k-- {
+					o.toggle(ids[rng.Intn(len(ids))], false)
+				}
+			}
+			o.commit(step)
+		}
+	})
+}
+
+// TestBuildIndexGroupsEveryByte builds a path index whose ASes differ
+// from one another in one byte each, so a radix pass that skipped or
+// misread any byte would split or merge their sets.
+func TestBuildIndexGroupsEveryByte(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	want := make(map[bgp.ASN]map[paths.ID]bool)
+	var entries []asPath
+	for _, a := range []bgp.ASN{0, 7, 7 << 8, 7 << 16, 7 << 24, 7<<24 | 7, 1<<32 - 1} {
+		want[a] = make(map[paths.ID]bool)
+		for k := 0; k < 5; k++ {
+			id := paths.ID(rng.Intn(50))
+			want[a][id] = true
+			entries = append(entries, packASPath(a, id))
+		}
+	}
+	rng.Shuffle(len(entries), func(i, j int) { entries[i], entries[j] = entries[j], entries[i] })
+	if got := buildIndex(entries); !indexEqual(got, want) {
+		t.Fatalf("buildIndex = %v, want %v", got, want)
+	}
+	if got := buildIndex(nil); len(got) != 0 {
+		t.Fatalf("buildIndex(nil) = %v, want empty", got)
+	}
+}

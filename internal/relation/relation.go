@@ -188,68 +188,22 @@ func InferPaths(pp [][]bgp.ASN) *Inference {
 // Infer runs relationship inference over an interned set of AS paths
 // (each path listed collector-side first, origin last, already
 // loop-free; the store collapsed prepending when it interned them).
+// A path ID the view lists more than once votes once per occurrence.
 func Infer(v paths.View) *Inference {
+	p := runPasses(v)
 	inf := &Inference{
-		rels:          make(map[topology.LinkKey]Rel),
-		transitDegree: make(map[bgp.ASN]int),
+		rels:          make(map[topology.LinkKey]Rel, len(p.adj)),
+		transitDegree: p.degree,
 		customers:     make(map[bgp.ASN][]bgp.ASN),
+		clique:        p.clique,
 	}
 
-	// Pass 0: adjacency and transit degrees.
-	adjacent := make(map[topology.LinkKey]bool)
-	transitNbrs := make(map[bgp.ASN]map[bgp.ASN]bool)
-	for pi := 0; pi < v.Len(); pi++ {
-		path := v.Path(pi)
-		for i := 0; i+1 < len(path); i++ {
-			adjacent[topology.MakeLinkKey(path[i], path[i+1])] = true
-		}
-		for i := 1; i+1 < len(path); i++ {
-			m := transitNbrs[path[i]]
-			if m == nil {
-				m = make(map[bgp.ASN]bool)
-				transitNbrs[path[i]] = m
-			}
-			m[path[i-1]] = true
-			m[path[i+1]] = true
-		}
-	}
-	for a, nbrs := range transitNbrs {
-		inf.transitDegree[a] = len(nbrs)
-	}
-
-	// Pass 1: clique — greedily grow a mutually-adjacent set from the
-	// highest transit degrees (simplified from [32]'s Bron-Kerbosch).
-	inf.clique = greedyClique(inf.transitDegree, func(a, b bgp.ASN) bool {
-		return adjacent[topology.MakeLinkKey(a, b)]
-	})
-	cliqueSet := make(map[bgp.ASN]bool, len(inf.clique))
-	for _, a := range inf.clique {
-		cliqueSet[a] = true
-	}
-
-	// Pass 2: vote c2p orientations around each path's peak.
-	deg := func(a bgp.ASN) int { return inf.transitDegree[a] }
-	votes := make(map[topology.LinkKey]*vote)
-	addVote := func(customer, provider bgp.ASN) {
-		key := topology.MakeLinkKey(customer, provider)
-		v := votes[key]
-		if v == nil {
-			v = &vote{}
-			votes[key] = v
-		}
-		v.add(key, customer, 1)
-	}
-	for pi := 0; pi < v.Len(); pi++ {
-		path := v.Path(pi)
-		emitPathVotes(path, cliqueSet, deg, addVote)
-	}
-
-	// Pass 3: resolve votes (clique pairs are p2p by construction) and
-	// refine single-direction c2p links between comparable high-degree
-	// ASes into p2p — both folded into resolveRel, which is shared with
-	// the incremental oracle.
-	for key := range adjacent {
-		inf.rels[key] = resolveRel(key, votes[key], cliqueSet, deg)
+	// Resolve votes (clique pairs are p2p by construction) and refine
+	// single-direction c2p links between comparable high-degree ASes
+	// into p2p — both folded into resolveRel, which is shared with the
+	// incremental oracle.
+	for key := range p.adj {
+		inf.rels[key] = resolveRel(key, p.votes[key], p.cliqueSet, p.degreeOf)
 	}
 
 	// Customer lists.
@@ -265,6 +219,91 @@ func Infer(v paths.View) *Inference {
 		sort.Slice(inf.customers[a], func(i, j int) bool { return inf.customers[a][i] < inf.customers[a][j] })
 	}
 	return inf
+}
+
+// transitPair identifies one (interior AS, neighbor) adjacency used for
+// transit-degree accounting.
+type transitPair struct {
+	mid, nbr bgp.ASN
+}
+
+// noPeak marks a path that contributes no votes: not live, or shorter
+// than two hops.
+const noPeak = -1
+
+// passes is the batch algorithm's result over a path view, every count
+// taken per occurrence: adj and transit count the paths carrying each
+// link and each (mid, nbr) transit pair, degree counts each AS's
+// distinct transit neighbors, votes holds the c2p votes cast around
+// every path's peak, and peaks[i] is view position i's peak, its AS
+// and whether it is the path's only clique hop (peak noPeak under two
+// hops). Infer resolves its labels from it; an empty Incremental adopts
+// its maps as its own state.
+type passes struct {
+	adj       map[topology.LinkKey]int
+	transit   map[transitPair]int
+	degree    map[bgp.ASN]int
+	clique    []bgp.ASN
+	cliqueSet map[bgp.ASN]bool
+	votes     map[topology.LinkKey]*vote
+	peaks     []votedPath
+}
+
+func (p *passes) degreeOf(a bgp.ASN) int { return p.degree[a] }
+
+// runPasses runs the batch passes over v: (0) adjacency and transit
+// pairs, then transit degrees; (1) the clique, greedily grown from the
+// highest transit degrees (simplified from [32]'s Bron-Kerbosch); (2)
+// each path's peak and its c2p votes around it.
+func runPasses(v paths.View) *passes {
+	p := &passes{
+		adj:     make(map[topology.LinkKey]int),
+		transit: make(map[transitPair]int),
+		votes:   make(map[topology.LinkKey]*vote),
+		peaks:   make([]votedPath, v.Len()),
+	}
+	for i := 0; i < v.Len(); i++ {
+		path := v.Path(i)
+		for j := 0; j+1 < len(path); j++ {
+			p.adj[topology.MakeLinkKey(path[j], path[j+1])]++
+		}
+		for j := 1; j+1 < len(path); j++ {
+			p.transit[transitPair{path[j], path[j-1]}]++
+			p.transit[transitPair{path[j], path[j+1]}]++
+		}
+	}
+	p.degree = make(map[bgp.ASN]int)
+	for tp := range p.transit {
+		p.degree[tp.mid]++
+	}
+
+	p.clique = greedyClique(p.degree, func(a, b bgp.ASN) bool {
+		return p.adj[topology.MakeLinkKey(a, b)] > 0
+	})
+	p.cliqueSet = make(map[bgp.ASN]bool, len(p.clique))
+	for _, a := range p.clique {
+		p.cliqueSet[a] = true
+	}
+
+	for i := 0; i < v.Len(); i++ {
+		path := v.Path(i)
+		if len(path) < 2 {
+			p.peaks[i].peak = noPeak
+			continue
+		}
+		peak, cliqueHops := pathPeak(path, p.cliqueSet, p.degreeOf)
+		p.peaks[i] = votedPath{peak: int32(peak), peakAS: path[peak], soleClique: cliqueHops == 1}
+		emitVotesAround(path, peak, func(customer, provider bgp.ASN) {
+			key := topology.MakeLinkKey(customer, provider)
+			vt := p.votes[key]
+			if vt == nil {
+				vt = &vote{}
+				p.votes[key] = vt
+			}
+			vt.add(key, customer, 1)
+		})
+	}
+	return p
 }
 
 // vote counts c2p orientation evidence for an unordered pair: ab votes
@@ -348,16 +387,6 @@ func pathPeak(path []bgp.ASN, cliqueSet map[bgp.ASN]bool, degree func(bgp.ASN) i
 		}
 	}
 	return peak, cliqueHops
-}
-
-// emitPathVotes generates one path's c2p votes around its peak. The
-// path must already be prepending-collapsed.
-func emitPathVotes(path []bgp.ASN, cliqueSet map[bgp.ASN]bool, degree func(bgp.ASN) int, emit func(customer, provider bgp.ASN)) {
-	if len(path) < 2 {
-		return
-	}
-	peak, _ := pathPeak(path, cliqueSet, degree)
-	emitVotesAround(path, peak, emit)
 }
 
 // emitVotesAround generates the c2p votes of a path peaking at hop

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"mlpeering/internal/bgp"
+	"mlpeering/internal/paths"
 	"mlpeering/internal/propagate"
 	"mlpeering/internal/topology"
 )
@@ -68,6 +69,42 @@ func TestInferHandlesPrependingAndShortPaths(t *testing.T) {
 	// The 10-1 and 1-100 links exist.
 	if len(inf.Links()) != 2 {
 		t.Fatalf("links = %v", inf.Links())
+	}
+}
+
+// TestInferVotesPerOccurrence pins Infer's multiplicity contract: a
+// path ID a View lists twice casts its votes twice, while adjacency and
+// transit degrees stay sets. Link 100-200 carries one vote each way
+// (from the two paths below, each peaking at its first hop on a degree
+// tie), so the deduplicated view labels it p2p by the conflicting-votes
+// rule (ratio < 2); listing the first path twice makes the ratio 2 and
+// the label 200 -> 100 c2p. The clique is AS 10 alone, so the pair is
+// not p2p by construction.
+func TestInferVotesPerOccurrence(t *testing.T) {
+	s := paths.NewStore()
+	p1 := s.Intern([]bgp.ASN{100, 200, 300}) // 200 votes customer of 100
+	p2 := s.Intern([]bgp.ASN{200, 100, 400}) // 100 votes customer of 200
+	core1 := s.Intern([]bgp.ASN{1, 10, 2})
+	core2 := s.Intern([]bgp.ASN{3, 10, 4})
+
+	dedup := Infer(paths.NewView(s, []paths.ID{p1, p2, core1, core2}))
+	if c := dedup.Clique(); len(c) != 1 || c[0] != 10 {
+		t.Fatalf("clique %v, want [10]", c)
+	}
+	if r := dedup.Relationship(200, 100); r != RelP2P {
+		t.Fatalf("deduplicated view: 200 -> 100 is %v, want p2p (one vote each way)", r)
+	}
+	repeated := Infer(paths.NewView(s, []paths.ID{p1, p2, p1, core1, core2}))
+	if r := repeated.Relationship(200, 100); r != RelC2P {
+		t.Fatalf("view listing the first path twice: 200 -> 100 is %v, want c2p (two votes to one)", r)
+	}
+	if repeated.LinkCount() != dedup.LinkCount() || repeated.TransitDegree(100) != dedup.TransitDegree(100) {
+		t.Fatalf("a repeated ID moved adjacency or degrees: %d links, degree %d vs %d links, degree %d",
+			repeated.LinkCount(), repeated.TransitDegree(100), dedup.LinkCount(), dedup.TransitDegree(100))
+	}
+	// InferPaths keeps the same multiplicity for a repeated slice.
+	if r := InferPaths([][]bgp.ASN{{100, 200, 300}, {200, 100, 400}, {100, 200, 300}, {1, 10, 2}, {3, 10, 4}}).Relationship(200, 100); r != RelC2P {
+		t.Fatalf("InferPaths with a repeated path: 200 -> 100 is %v, want c2p", r)
 	}
 }
 
