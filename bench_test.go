@@ -613,9 +613,12 @@ func BenchmarkChurnedPublish(b *testing.B) {
 	// NewSnapshot, which encodes only the bodies that carry the epoch. A
 	// Snapshot that fell back to re-sorting and re-encoding the whole mesh
 	// reads ~30 ms more in materialize-ms/op (~42 against ~11-14 ms on 2
-	// vCPUs, -benchtime 3x). Each window's chained
-	// fingerprint is checked, untimed, against a detached copy of its
-	// Result that only a from-scratch walk has touched.
+	// vCPUs, -benchtime 3x). A full collection runs, untimed, before
+	// each replay and before each Materialize, so no column carries the
+	// collection of the garbage the stage before it left; gc/op counts
+	// the collections that ran inside the timed stages. Each window's
+	// chained fingerprint is checked, untimed, against a detached copy of
+	// its Result that only a from-scratch walk has touched.
 	ccfg := churn.DefaultConfig(20130501)
 	ccfg.Epochs, ccfg.Interval = 12, time.Minute
 	ct, err := experiments.BuildChurnTrace(topology.DefaultConfig(), ccfg)
@@ -626,10 +629,13 @@ func BenchmarkChurnedPublish(b *testing.B) {
 	churned := 0
 	b.ReportAllocs()
 	b.ResetTimer()
+	gc := newGCFence(b)
 	for i := 0; i < b.N; i++ {
+		gc.collect()
 		k := 0
 		err := ct.StreamWindows(core.WindowsIncremental, ct.Epochs, 0, func(pw *core.PassiveWindow) {
 			bare := pw.CloseTime
+			gc.collect()
 			res := pw.Materialize()
 			t0 := time.Now()
 			snap := serve.NewSnapshot(uint64(k+1), ct.Scenario, pw, t0)
@@ -655,6 +661,43 @@ func BenchmarkChurnedPublish(b *testing.B) {
 	b.ReportMetric(ms(closeT), "close-ms/op")
 	b.ReportMetric(ms(materializeT), "materialize-ms/op")
 	b.ReportMetric(ms(snapshotT), "snapshot-ms/op")
+	b.ReportMetric(gc.timedPerOp(), "gc/op")
+}
+
+// gcFence keeps a benchmark's stages from paying for each other's
+// garbage: collect runs a full collection with the timer stopped, and
+// the fence counts the collections that ran while it was running.
+type gcFence struct {
+	b           *testing.B
+	last, timed uint32
+}
+
+func newGCFence(b *testing.B) *gcFence {
+	f := &gcFence{b: b}
+	f.last = f.numGC()
+	return f
+}
+
+func (f *gcFence) numGC() uint32 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.NumGC
+}
+
+// collect adds the collections since the last call to the timed count,
+// then collects untimed.
+func (f *gcFence) collect() {
+	f.b.StopTimer()
+	f.timed += f.numGC() - f.last
+	runtime.GC()
+	f.last = f.numGC()
+	f.b.StartTimer()
+}
+
+// timedPerOp returns the collections that ran while the timer ran, per
+// op, counting those since the last collect.
+func (f *gcFence) timedPerOp() float64 {
+	return float64(f.timed+f.numGC()-f.last) / float64(f.b.N)
 }
 
 func BenchmarkReplayBaseLoad(b *testing.B) {
@@ -667,7 +710,10 @@ func BenchmarkReplayBaseLoad(b *testing.B) {
 	// window's close, MeshState.Snapshot (which builds the first link
 	// index from scratch) and NewSnapshot. This is the
 	// cost every churn-paper cycle and every gateway cold start pays
-	// before its first epoch.
+	// before its first epoch. A full collection runs, untimed, before
+	// each replay and before Materialize, so materialize-ms/op does not
+	// carry the collection of the load's garbage; gc/op counts the
+	// collections that ran inside the timed stages.
 	ccfg := churn.DefaultConfig(20130501)
 	ccfg.Epochs, ccfg.Interval = 12, time.Minute
 	ct, err := experiments.BuildChurnTrace(topology.DefaultConfig(), ccfg)
@@ -677,12 +723,15 @@ func BenchmarkReplayBaseLoad(b *testing.B) {
 	var loadT, closeT, materializeT, snapshotT time.Duration
 	b.ReportAllocs()
 	b.ResetTimer()
+	gc := newGCFence(b)
 	for i := 0; i < b.N; i++ {
+		gc.collect()
 		t0 := time.Now()
 		err := ct.StreamWindows(core.WindowsIncremental, 1, 0, func(pw *core.PassiveWindow) {
 			bare := pw.CloseTime
 			loadT += time.Since(t0) - bare
 			closeT += bare
+			gc.collect()
 			pw.Materialize()
 			materializeT += pw.CloseTime - bare
 			t1 := time.Now()
@@ -698,6 +747,7 @@ func BenchmarkReplayBaseLoad(b *testing.B) {
 	b.ReportMetric(ms(closeT), "close-ms/op")
 	b.ReportMetric(ms(materializeT), "materialize-ms/op")
 	b.ReportMetric(ms(snapshotT), "snapshot-ms/op")
+	b.ReportMetric(gc.timedPerOp(), "gc/op")
 }
 
 func BenchmarkGatewayBodies(b *testing.B) {

@@ -50,7 +50,9 @@ func FuzzWindowMiner(f *testing.F) {
 // members of DE-CIX and MSK-IX on clean, rels-dependent (three or more
 // members of one IXP), bogon and cycle paths, community sets that
 // include, exclude or straddle the two route servers, and six prefixes.
-// A route's collector peer is its path's first hop. The exchanges are
+// A route's collector peer is its path's first hop: 100 and 400 for
+// most paths, 200 and 300 for the last two, so one prefix can sit in
+// the slots of four peers. The exchanges are
 // testDict's, except that 200 and 300 are members of MSK-IX as well:
 // their link can then be attributed to both and move between them.
 type minerFuzzFixture struct {
@@ -87,6 +89,8 @@ func newMinerFuzzFixture(tb testing.TB) *minerFuzzFixture {
 			{400, 100, 500}, // rels-dependent at MSK-IX
 			{400, 100, 200},
 			{400},
+			{200, 300},
+			{300, 100, 200}, // rels-dependent at DE-CIX and MSK-IX
 		},
 		t0:     time.Date(2013, 5, 1, 2, 0, 0, 0, time.UTC),
 		window: 10 * time.Minute,
@@ -138,15 +142,12 @@ func (fx *minerFuzzFixture) decode(data []byte) ([]*mrt.Dump, []*mrt.BGP4MPMessa
 	live := make(map[liveKey]route)
 	slot := func(path, prefix int) liveKey { return liveKey{fx.paths[path][0], fx.prefixes[prefix]} }
 
-	dump := &mrt.Dump{Index: &mrt.PeerIndexTable{Peers: []mrt.Peer{{ASN: 100}, {ASN: 400}}}}
+	dump := &mrt.Dump{Index: &mrt.PeerIndexTable{Peers: []mrt.Peer{{ASN: 100}, {ASN: 400}, {ASN: 200}, {ASN: 300}}}}
 	for n := next() % 8; n > 0; n-- {
 		path, prefix, cs := next()%len(fx.paths), next()%len(fx.prefixes), next()%len(fx.comms)
-		peer := uint16(0)
-		if fx.paths[path][0] == 400 {
-			peer = 1
-		}
+		peer := slices.IndexFunc(dump.Index.Peers, func(p mrt.Peer) bool { return p.ASN == fx.paths[path][0] })
 		dump.RIBs = append(dump.RIBs, &mrt.RIBRecord{Prefix: fx.prefixes[prefix], Entries: []mrt.RIBEntry{{
-			PeerIndex: peer,
+			PeerIndex: uint16(peer),
 			Attrs:     &bgp.PathAttrs{ASPath: bgp.NewASPath(fx.paths[path]...), Communities: fx.comms[cs]},
 		}}})
 		live[slot(path, prefix)] = route{path, cs}
@@ -270,19 +271,21 @@ func (fx *minerFuzzFixture) windows(t *testing.T, dumps []*mrt.Dump, updates []*
 }
 
 // liveShapes fails unless a closed miner's lookup map holds no shape
-// that no live route carries and its re-pinpoint list holds exactly the
+// that no live route carries, files every shape under its own (path,
+// comms ID) key, and its re-pinpoint list holds exactly the
 // rels-dependent shapes of that map.
 func liveShapes(t *testing.T, m *windowMiner) {
 	t.Helper()
 	deps := 0
-	for _, inner := range m.groups {
-		for _, g := range inner {
-			if g.refs == 0 {
-				t.Fatalf("window %d: dead shape %v %v kept in the lookup map", m.epoch-1, m.store.Path(g.path), g.comms)
-			}
-			if g.relsDep {
-				deps++
-			}
+	for k, g := range m.groups {
+		if g.refs == 0 {
+			t.Fatalf("window %d: dead shape %v %v kept in the lookup map", m.epoch-1, m.store.Path(g.path), g.comms)
+		}
+		if k != (shapeKey{g.path, g.cid}) || m.attr.of(g.comms).id != g.cid {
+			t.Fatalf("window %d: shape %v %v (comms ID %d) filed under %+v", m.epoch-1, m.store.Path(g.path), g.comms, g.cid, k)
+		}
+		if g.relsDep {
+			deps++
 		}
 	}
 	if len(m.relsDeps) != deps {

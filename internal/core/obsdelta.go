@@ -235,16 +235,17 @@ func (o *DeltaObservations) Source(ixpName string, setter bgp.ASN) DataSource {
 }
 
 // windowGroup is the derived state of one distinct (path, communities)
-// route shape. It lives from the announce that creates it to the first
-// window close that finds no live route carrying it. Everything but the
+// route shape, stored in windowMiner.groups under shapeKey{path, cid}.
+// It lives from the announce that creates it to the first window close
+// that finds no live route carrying it. Everything but the
 // relationship-dependent setter is fixed at creation; refs tracks the
 // live routes currently carrying the shape, and byPrefix, for a relsDep
 // shape only, their prefixes: a re-pinpoint moves those counts, and
 // nothing else ever reads them.
 type windowGroup struct {
 	path  paths.ID
-	comms bgp.Communities
-	ckey  string // canonical comms encoding: its slot under groups[path]
+	comms bgp.Communities // the attributor's copy; read-only
+	cid   uint32          // the miner's attributor's ID of comms as announced
 
 	bogon, cycle, empty bool
 	entry               *IXPEntry // nil: no unique IXP attribution
@@ -277,17 +278,16 @@ type windowMiner struct {
 	dict  *Dictionary
 	store *paths.Store
 
-	// groups is keyed (path, canonical comms encoding); the two-level
-	// shape lets callers probe with a scratch []byte key (string(b) map
-	// access compiles allocation-free) before cloning anything. After
-	// every close it holds exactly the live shapes.
-	groups   map[paths.ID]map[string]*windowGroup
+	// groups is one flat map from (path ID, comms ID) to the shape's
+	// group: a probe hashes two integers. After every close it holds
+	// exactly the live shapes.
+	groups   map[shapeKey]*windowGroup
 	relsDeps []*windowGroup // groups whose setter depends on the oracle
-	ckb      []byte         // shape's scratch comms key
 
-	// attr memoizes IXP attribution per comms shape: groups are keyed
-	// per (path, comms) and many paths carry the same comms shape, so
-	// the dominant IdentifyIXP cost of group creation becomes a map hit.
+	// attr memoizes IXP attribution per comms set as announced and
+	// numbers those sets densely: the number is the comms half of a
+	// shape's key, and many paths carry the same set, so the dominant
+	// IdentifyIXP cost of group creation becomes a map hit.
 	attr *attributor
 
 	obs  *DeltaObservations
@@ -315,7 +315,7 @@ func newWindowMiner(dict *Dictionary, store *paths.Store, rel *relation.Incremen
 	m := &windowMiner{
 		dict:   dict,
 		store:  store,
-		groups: make(map[paths.ID]map[string]*windowGroup),
+		groups: make(map[shapeKey]*windowGroup),
 		attr:   newAttributor(dict),
 		obs:    NewDeltaObservations(),
 		rel:    rel,
@@ -326,9 +326,16 @@ func newWindowMiner(dict *Dictionary, store *paths.Store, rel *relation.Incremen
 	return m
 }
 
+// shapeKey is a route shape's key in windowMiner.groups: its path's
+// store ID and its comms set's attributor ID.
+type shapeKey struct {
+	path  paths.ID
+	comms uint32
+}
+
 // appendCommsKey appends the canonical encoding of a community set as
 // announced (order preserved: it keys the route shape, not the semantic
-// set) to b, for allocation-free probing of the shape map.
+// set) to b, for allocation-free probing of the attributor's memo.
 func appendCommsKey(b []byte, cs bgp.Communities) []byte {
 	for _, c := range cs {
 		b = append(b, byte(c>>24), byte(c>>16), byte(c>>8), byte(c))
@@ -336,50 +343,36 @@ func appendCommsKey(b []byte, cs bgp.Communities) []byte {
 	return b
 }
 
-// commsKey materializes the canonical encoding as a string.
-func commsKey(cs bgp.Communities) string {
-	if len(cs) == 0 {
-		return ""
-	}
-	return string(appendCommsKey(make([]byte, 0, 4*len(cs)), cs))
-}
-
 // shape returns (creating on first sight) the derived group of a route
-// shape. It probes with the canonical comms encoding in scratch bytes
-// (string(m.ckb) map access compiles allocation-free), and only on first
-// sight of the shape clones comms and materializes the key. A new
-// mineable group resolves its setter immediately when the pinpointing
-// is relationship-independent, or against the current oracle otherwise
+// shape. The attributor numbers comms (a memo hit allocates nothing),
+// and the group is probed under the (path, comms) ID pair; a new group
+// shares the attributor's copy of comms. A new mineable group resolves
+// its setter immediately when the pinpointing is
+// relationship-independent, or against the current oracle otherwise
 // (the next close re-pins it where that oracle's p2p labels move).
 func (m *windowMiner) shape(path paths.ID, comms bgp.Communities) *windowGroup {
-	m.ckb = appendCommsKey(m.ckb[:0], comms)
-	inner := m.groups[path]
-	if g, ok := inner[string(m.ckb)]; ok {
+	at := m.attr.of(comms)
+	k := shapeKey{path, at.id}
+	if g, ok := m.groups[k]; ok {
 		return g
 	}
-	if inner == nil {
-		inner = make(map[string]*windowGroup, 1)
-		m.groups[path] = inner
-	}
-	g := &windowGroup{path: path, comms: comms.Clone(), ckey: string(m.ckb)}
+	g := &windowGroup{path: path, comms: at.comms, cid: at.id}
 	p := m.store.Path(path)
 	g.empty = len(p) == 0
 	g.bogon = hasBogon(p)
 	g.cycle = hasCycle(p)
-	if len(comms) > 0 {
-		if at := m.attr.of(comms); at.entry != nil {
-			g.entry = at.entry
-			g.relComms = at.relComms
-			g.relKey = at.relKey
-			if g.mineable() {
-				positions := 0
-				for _, a := range p {
-					if at.entry.IsMember(a) {
-						positions++
-					}
+	if at.entry != nil {
+		g.entry = at.entry
+		g.relComms = at.relComms
+		g.relKey = at.relKey
+		if g.mineable() {
+			positions := 0
+			for _, a := range p {
+				if at.entry.IsMember(a) {
+					positions++
 				}
-				g.relsDep = positions > 2
 			}
+			g.relsDep = positions > 2
 		}
 	}
 	if g.mineable() {
@@ -393,18 +386,8 @@ func (m *windowMiner) shape(path paths.ID, comms bgp.Communities) *windowGroup {
 			g.setter, g.resolved = PinpointSetter(p, g.entry, nil)
 		}
 	}
-	inner[g.ckey] = g
+	m.groups[k] = g
 	return g
-}
-
-// shapeCount reports the number of shape entries in the lookup map
-// (test hook for the dead-shape sweep).
-func (m *windowMiner) shapeCount() int {
-	n := 0
-	for _, inner := range m.groups {
-		n += len(inner)
-	}
-	return n
 }
 
 // apply registers one live-route delta (+1 announce, -1 withdraw) for
@@ -524,11 +507,7 @@ func (m *windowMiner) sweepDeadShapes() {
 		if g.refs > 0 {
 			continue
 		}
-		inner := m.groups[g.path]
-		delete(inner, g.ckey)
-		if len(inner) == 0 {
-			delete(m.groups, g.path)
-		}
+		delete(m.groups, shapeKey{g.path, g.cid})
 	}
 	clear(m.dying)
 	m.dying = m.dying[:0]

@@ -188,13 +188,20 @@ type attribution struct {
 	// unresolved: entry is nil although some scheme finds the set
 	// relevant (what PassiveResult.IXPUnresolved counts, per row).
 	unresolved bool
+	// id numbers the set as announced densely, from 0 in order of first
+	// sight: within one attributor, equal IDs mean equal encodings. The
+	// windowed miner keys its shapes by it.
+	id uint32
+	// comms is the set as announced, cloned at first sight; the windowed
+	// miner's shapes share it read-only.
+	comms bgp.Communities
 }
 
 // attributor memoizes attribution by community set as announced (the
 // appendCommsKey encoding: two announce orders of one set are two
-// shapes with one answer) over one run and one dictionary snapshot. It
-// is the only caller of IdentifyIXP on the mining paths, batch and
-// incremental. The map is bounded by the distinct shapes seen.
+// shapes with one answer, and two IDs) over one run and one dictionary
+// snapshot. It is the only caller of IdentifyIXP on the mining paths,
+// batch and incremental. The map is bounded by the distinct sets seen.
 type attributor struct {
 	dict *Dictionary
 	memo map[string]attribution
@@ -211,7 +218,7 @@ func (a *attributor) of(cs bgp.Communities) attribution {
 	if at, ok := a.memo[string(a.key)]; ok {
 		return at
 	}
-	var at attribution
+	at := attribution{id: uint32(len(a.memo)), comms: cs.Clone()}
 	if entry, ok := a.dict.IdentifyIXP(cs); ok {
 		at.entry = entry
 		at.relComms = entry.Scheme.RelevantCommunities(cs)

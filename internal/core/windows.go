@@ -1,11 +1,9 @@
 package core
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"time"
 
 	"mlpeering/internal/bgp"
@@ -168,20 +166,6 @@ type PassiveWindowsResult struct {
 	Windows []PassiveWindow
 }
 
-// liveKey identifies one route slot in a collector's view.
-type liveKey struct {
-	peer   bgp.ASN
-	prefix bgp.Prefix
-}
-
-// compareLiveKeys orders slots by (peer, prefix).
-func compareLiveKeys(a, b liveKey) int {
-	if a.peer != b.peer {
-		return cmp.Compare(a.peer, b.peer)
-	}
-	return bgp.ComparePrefixes(a.prefix, b.prefix)
-}
-
 // RunPassiveWindows is the dynamic counterpart of RunPassive: it replays
 // an announce+withdraw update trace over the base RIB dumps, maintaining
 // each collector peer's live route table, and re-runs the §4.2 inference
@@ -195,6 +179,12 @@ func compareLiveKeys(a, b liveKey) int {
 // close. A late update — stamped inside an already-closed window, or
 // before Start — therefore lands in the open window.
 //
+// The live table (liveTable) interns each prefix once and keeps, per
+// prefix, one row of (peer, shape group) slots, and the miner finds a
+// route's shape group in one flat map keyed by (path ID, comms ID): a
+// base-RIB route costs a probe of the attributor's comms memo, one
+// integer-keyed shape probe and a scan of its prefix's row, and each
+// RIB record's prefix is hashed once.
 // Every event applies as a +/- delta to the refcounted observation store
 // and the incremental relation oracle, so a window close costs
 // O(changes), not O(live table); remine mode additionally rebuilds
@@ -214,45 +204,38 @@ func RunPassiveWindows(dumps []*mrt.Dump, updates []*mrt.BGP4MPMessage, dict *Di
 		return nil, errors.New("core: a looped replay needs Ctx and Stream")
 	}
 
-	baseRoutes := 0
-	for _, d := range dumps {
-		if d != nil && d.Index != nil {
-			for _, rib := range d.RIBs {
-				baseRoutes += len(rib.Entries)
-			}
-		}
-	}
 	store := paths.NewStore()
 	miner := newWindowMiner(dict, store, relation.NewIncremental(store))
-	// live maps each occupied slot to its route's shape group.
-	live := make(map[liveKey]*windowGroup, baseRoutes)
+	// live holds each occupied slot's shape group.
+	live := newLiveTable()
 
-	set := func(k liveKey, g *windowGroup) {
-		if old := live[k]; old != nil {
-			miner.apply(old, k.prefix, -1)
+	set := func(k slotKey, g *windowGroup) {
+		prefix := live.prefixes[k.pid]
+		if old := live.set(k.peer, k.pid, g); old != nil {
+			miner.apply(old, prefix, -1)
 		}
-		miner.apply(g, k.prefix, 1)
-		live[k] = g
+		miner.apply(g, prefix, 1)
 	}
-	del := func(k liveKey) {
-		if old := live[k]; old != nil {
-			miner.apply(old, k.prefix, -1)
-			delete(live, k)
+	del := func(k slotKey) {
+		if old := live.del(k.peer, k.pid); old != nil {
+			miner.apply(old, live.prefixes[k.pid], -1)
 		}
 	}
 
-	// Base state: the stable RIB dumps.
+	// Base state: the stable RIB dumps. Each record's prefix is interned
+	// once, its row sized for the record's entries.
 	for _, d := range dumps {
 		if d == nil || d.Index == nil {
 			continue
 		}
 		for _, rib := range d.RIBs {
+			pid := live.intern(rib.Prefix, len(rib.Entries))
 			for _, e := range rib.Entries {
 				if e.Attrs == nil {
 					continue
 				}
 				peer := d.Index.Peers[e.PeerIndex].ASN
-				set(liveKey{peer, rib.Prefix}, miner.shape(store.InternASPath(e.Attrs.ASPath), e.Attrs.Communities))
+				set(slotKey{peer, pid}, miner.shape(store.InternASPath(e.Attrs.ASPath), e.Attrs.Communities))
 			}
 		}
 	}
@@ -276,7 +259,7 @@ func RunPassiveWindows(dumps []*mrt.Dump, updates []*mrt.BGP4MPMessage, dict *Di
 	closeWindow := func() {
 		//mlplint:clock close-duration telemetry only; never feeds inference or window boundaries
 		t0 := time.Now()
-		cur.LiveRoutes = len(live)
+		cur.LiveRoutes = live.n
 		miner.closeWindow(&cur)
 		if opts.Mode == WindowsRemine {
 			remineLiveTable(store, live, dict, &cur)
@@ -296,33 +279,34 @@ func RunPassiveWindows(dumps []*mrt.Dump, updates []*mrt.BGP4MPMessage, dict *Di
 	// undo is a looped replay's rewind log: each slot the current cycle
 	// touched, mapped to the group it held when the cycle found it (nil
 	// when empty); the log itself is nil when not looping.
-	var undo map[liveKey]*windowGroup
-	touch := func(k liveKey) {
+	var undo map[slotKey]*windowGroup
+	touch := func(k slotKey) {
 		if undo == nil {
 			return
 		}
 		if _, ok := undo[k]; !ok {
-			undo[k] = live[k]
+			undo[k] = live.get(k.peer, k.pid)
 		}
 	}
 	// rewind restores every logged slot that moved, in sorted order so
 	// the miner sees the same delta sequence on every run, empties the
 	// log and returns the number of slots restored. A restored shape is
 	// interned again rather than reused: a close that found the logged
-	// group dead has dropped it.
+	// group dead has dropped it. Both groups come from this run's miner,
+	// so equal comms IDs mean equal comms.
 	rewind := func() int {
-		keys := make([]liveKey, 0, len(undo))
+		keys := make([]slotKey, 0, len(undo))
 		for k := range undo {
 			keys = append(keys, k)
 		}
-		slices.SortFunc(keys, compareLiveKeys)
+		live.sortSlots(keys)
 		restored := 0
 		for _, k := range keys {
-			was, now := undo[k], live[k]
+			was, now := undo[k], live.get(k.peer, k.pid)
 			switch {
 			case was == nil && now != nil:
 				del(k)
-			case was != nil && (now == nil || now.path != was.path || now.ckey != was.ckey):
+			case was != nil && (now == nil || now.path != was.path || now.cid != was.cid):
 				set(k, miner.shape(was.path, was.comms))
 			default:
 				continue
@@ -339,9 +323,12 @@ func RunPassiveWindows(dumps []*mrt.Dump, updates []*mrt.BGP4MPMessage, dict *Di
 			return
 		}
 		for _, p := range upd.Withdrawn {
-			k := liveKey{u.PeerASN, p}
-			touch(k)
-			del(k)
+			// A prefix never announced holds no slot to touch.
+			if pid, ok := live.ids[p]; ok {
+				k := slotKey{u.PeerASN, pid}
+				touch(k)
+				del(k)
+			}
 		}
 		if count {
 			cur.Withdrawn += len(upd.Withdrawn)
@@ -354,7 +341,7 @@ func RunPassiveWindows(dumps []*mrt.Dump, updates []*mrt.BGP4MPMessage, dict *Di
 		}
 		g := miner.shape(store.InternASPath(upd.Attrs.ASPath), upd.Attrs.Communities)
 		for _, p := range upd.NLRI {
-			k := liveKey{u.PeerASN, p}
+			k := slotKey{u.PeerASN, live.intern(p, 0)}
 			touch(k)
 			set(k, g)
 		}
@@ -383,7 +370,7 @@ func RunPassiveWindows(dumps []*mrt.Dump, updates []*mrt.BGP4MPMessage, dict *Di
 		first++
 	}
 	if opts.Loop {
-		undo = make(map[liveKey]*windowGroup)
+		undo = make(map[slotKey]*windowGroup)
 	}
 
 	for {
@@ -420,22 +407,16 @@ func RunPassiveWindows(dumps []*mrt.Dump, updates []*mrt.BGP4MPMessage, dict *Di
 // a fresh miner with the same grouped derivation and refcounted store,
 // so both modes reduce observations identically while the oracle shares
 // nothing the incremental derivation computed.
-func remineLiveTable(store *paths.Store, live map[liveKey]*windowGroup, dict *Dictionary, w *PassiveWindow) {
-	keys := make([]liveKey, 0, len(live))
-	for k := range live {
-		keys = append(keys, k)
-	}
-	slices.SortFunc(keys, compareLiveKeys)
-
+func remineLiveTable(store *paths.Store, live *liveTable, dict *Dictionary, w *PassiveWindow) {
 	m := newWindowMiner(dict, store, nil)
 	var kept []paths.ID
-	for _, k := range keys {
-		r := live[k]
+	for _, k := range live.slots() {
+		r := live.get(k.peer, k.pid)
 		g := m.shape(r.path, r.comms)
 		if g.keptPath() && (int(g.path) >= len(m.pathLive) || m.pathLive[g.path] == 0) {
 			kept = append(kept, g.path)
 		}
-		m.apply(g, k.prefix, 1)
+		m.apply(g, live.prefixes[k.pid], 1)
 	}
 
 	rels := relation.Infer(paths.NewView(store, kept))

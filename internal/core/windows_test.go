@@ -504,7 +504,7 @@ func TestFlapStormShapeSweep(t *testing.T) {
 	m.apply(m.shape(id1, all), p1, 1)
 	var pw PassiveWindow
 	m.closeWindow(&pw)
-	baseline := m.shapeCount()
+	baseline := len(m.groups)
 
 	// Storm: distinct comms shapes on the same path, and one
 	// rels-dependent shape, announced then fully withdrawn within one
@@ -518,7 +518,7 @@ func TestFlapStormShapeSweep(t *testing.T) {
 	dep := m.shape(relsDep, all)
 	m.apply(dep, p1, 1)
 	m.apply(dep, p1, -1)
-	if got := m.shapeCount(); got != baseline+stormN+1 {
+	if got := len(m.groups); got != baseline+stormN+1 {
 		t.Fatalf("mid-storm shape count = %d, want %d", got, baseline+stormN+1)
 	}
 	if !dep.relsDep || len(m.relsDeps) != 1 {
@@ -527,13 +527,13 @@ func TestFlapStormShapeSweep(t *testing.T) {
 
 	// One storm shape returns before the close and keeps its group.
 	flapComms := comms(t, "6695:6695 0:1000")
-	flapG := m.groups[id1][commsKey(flapComms)]
+	flapG := m.groups[shapeKey{id1, m.attr.of(flapComms).id}]
 	if g := m.shape(id1, flapComms); g != flapG {
 		t.Fatal("shape returning before the close lost its group")
 	}
 	m.apply(flapG, p1, 1)
 	m.closeWindow(&pw)
-	if got := m.shapeCount(); got != baseline+1 {
+	if got := len(m.groups); got != baseline+1 {
 		t.Fatalf("post-storm shape count = %d, want %d", got, baseline+1)
 	}
 	if len(m.relsDeps) != 0 || len(m.dying) != 0 {
@@ -544,7 +544,7 @@ func TestFlapStormShapeSweep(t *testing.T) {
 	// bringing it back derives it afresh.
 	m.apply(flapG, p1, -1)
 	m.closeWindow(&pw)
-	if got := m.shapeCount(); got != baseline {
+	if got := len(m.groups); got != baseline {
 		t.Fatalf("shape count = %d after the returned shape died, want baseline %d", got, baseline)
 	}
 	if g := m.shape(id1, flapComms); g == flapG {
@@ -558,8 +558,8 @@ func TestFlapStormShapeSweep(t *testing.T) {
 	if pw.MeshLinks != 0 {
 		t.Fatalf("mesh links = %d, want 0 (single covered setter)", pw.MeshLinks)
 	}
-	if m.obs.Setters("DE-CIX") == nil || m.shapeCount() != baseline {
-		t.Fatalf("live setter lost or dead shape kept during sweep: %d shapes", m.shapeCount())
+	if m.obs.Setters("DE-CIX") == nil || len(m.groups) != baseline {
+		t.Fatalf("live setter lost or dead shape kept during sweep: %d shapes", len(m.groups))
 	}
 }
 
@@ -800,10 +800,10 @@ func TestLoopedReplayRestoresSweptShape(t *testing.T) {
 	}
 	const count = 4
 	hasShape := func(m *windowMiner, path []bgp.ASN) bool {
-		for id, inner := range m.groups {
-			if slices.Equal(m.store.Path(id), path) {
-				_, ok := inner[commsKey(all)]
-				return ok
+		cid := m.attr.of(all).id
+		for k := range m.groups {
+			if k.comms == cid && slices.Equal(m.store.Path(k.path), path) {
+				return true
 			}
 		}
 		return false
