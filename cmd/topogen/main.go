@@ -30,7 +30,7 @@ func main() {
 	scale := flag.Float64("scale", 1.0, "world scale (1.0 = paper scale; scaled-world grows IXP count with it)")
 	seed := flag.Int64("seed", 20130501, "generation seed")
 	scenario := flag.String("scenario", "baseline", "world scenario (see -list-scenarios)")
-	list := flag.Bool("list-scenarios", false, "list registered world scenarios and exit")
+	list := flag.Bool("list-scenarios", false, "list the world scenarios and exit")
 	flag.Parse()
 
 	if *list {

@@ -288,8 +288,8 @@ func isPkgFunc(fn *types.Func, pkgPath string) bool {
 }
 
 // internalPackage reports whether path names a package under an
-// internal/ tree (the determinism contract's jurisdiction); cmd/,
-// examples/, and the repo root are exempt.
+// internal/ tree (the determinism contract's jurisdiction); cmd/ and
+// the repo root are exempt.
 func internalPackage(path string) bool {
 	return strings.HasPrefix(path, "internal/") || strings.Contains(path, "/internal/")
 }

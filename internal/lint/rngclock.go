@@ -16,8 +16,8 @@ import (
 // schedules replay byte-identically; every timestamp must derive
 // from the deterministic schedule, not the wall clock. Seeded-stream
 // constructors (rand.New, rand.NewSource, ...) and *rand.Rand
-// methods are always fine. cmd/, examples/, and _test.go timing code
-// are out of jurisdiction. Deliberate wall-clock or global-RNG use
+// methods are always fine. cmd/ and _test.go timing code are out of
+// jurisdiction. Deliberate wall-clock or global-RNG use
 // (live protocol timing, telemetry) carries //mlplint:clock or
 // //mlplint:rng with a reason.
 var RNGClock = &analysis.Analyzer{

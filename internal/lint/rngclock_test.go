@@ -15,8 +15,8 @@ func TestRNGClock(t *testing.T) {
 }
 
 // TestRNGClockOutsideInternal pins the jurisdiction: the same code
-// under a non-internal path produces no findings (cmd/ and examples/
-// timing code is exempt by construction).
+// under a non-internal path produces no findings (cmd/ timing code is
+// exempt by construction).
 func TestRNGClockOutsideInternal(t *testing.T) {
 	diags := linttest.Run(t, "testdata", lint.RNGClock, "clockexempt")
 	if len(diags) != 0 {

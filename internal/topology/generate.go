@@ -18,7 +18,7 @@ func Generate(cfg Config) (*Topology, error) {
 	if err := cfg.Check(); err != nil {
 		return nil, err
 	}
-	sc, _ := LookupScenario(cfg.Scenario)
+	sc, _ := lookupScenario(cfg.Scenario)
 	return sc.generate(cfg)
 }
 
@@ -27,7 +27,7 @@ func Generate(cfg Config) (*Topology, error) {
 // may still fail to build (baseline Scale >= 4 exhausts the alias
 // table).
 func (cfg Config) Check() error {
-	if _, ok := LookupScenario(cfg.Scenario); !ok {
+	if _, ok := lookupScenario(cfg.Scenario); !ok {
 		return fmt.Errorf("topology: unknown scenario %q (have %v)", cfg.Scenario, ScenarioNames())
 	}
 	if cfg.Scale <= 0 || math.IsNaN(cfg.Scale) || math.IsInf(cfg.Scale, 0) {

@@ -145,7 +145,7 @@ type Config struct {
 	// Seed drives all randomness; equal seeds give identical worlds.
 	Seed int64
 
-	// Scenario names the registered world-construction scenario to run;
+	// Scenario names the world-construction scenario to run;
 	// empty means "baseline" (the paper's world). See ScenarioNames.
 	Scenario string
 

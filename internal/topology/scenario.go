@@ -2,7 +2,7 @@ package topology
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Stage is one composable world-construction step: a pure transform
@@ -43,45 +43,31 @@ func (sc *Scenario) generate(cfg Config) (*Topology, error) {
 	return t, nil
 }
 
-var scenarios = make(map[string]*Scenario)
-
-// RegisterScenario adds a scenario to the registry. It panics on a
-// duplicate name; registration happens at init time.
-func RegisterScenario(sc *Scenario) {
-	if _, dup := scenarios[sc.Name]; dup {
-		panic("topology: duplicate scenario " + sc.Name)
-	}
-	scenarios[sc.Name] = sc
-}
-
-// LookupScenario resolves a scenario name; the empty string means
+// lookupScenario resolves a scenario name; the empty string means
 // baseline.
-func LookupScenario(name string) (*Scenario, bool) {
+func lookupScenario(name string) (*Scenario, bool) {
 	if name == "" {
 		name = "baseline"
 	}
-	sc, ok := scenarios[name]
-	return sc, ok
+	for i := range scenarios {
+		if scenarios[i].Name == name {
+			return &scenarios[i], true
+		}
+	}
+	return nil, false
 }
 
-// ScenarioNames lists registered scenarios, sorted.
+// ScenarioNames lists the scenarios in table (name) order.
 func ScenarioNames() []string {
-	out := make([]string, 0, len(scenarios))
-	for name := range scenarios {
-		out = append(out, name)
+	out := make([]string, len(scenarios))
+	for i, sc := range scenarios {
+		out[i] = sc.Name
 	}
-	sort.Strings(out)
 	return out
 }
 
-// Scenarios lists registered scenarios, sorted by name.
-func Scenarios() []*Scenario {
-	var out []*Scenario
-	for _, name := range ScenarioNames() {
-		out = append(out, scenarios[name])
-	}
-	return out
-}
+// Scenarios returns a copy of the scenario table, sorted by name.
+func Scenarios() []Scenario { return slices.Clone(scenarios) }
 
 // baselineStages is the paper-world pipeline. Order matters: membership
 // must exist before filters, filters before the feeder throttling, and
@@ -102,41 +88,14 @@ func baselineStages() []Stage {
 	}
 }
 
-// insertAfter returns a copy of stages with extra spliced in directly
-// after the named stage. It panics if the anchor is missing (scenario
-// definitions are static).
-func insertAfter(stages []Stage, after string, extra ...Stage) []Stage {
-	for i, st := range stages {
-		if st.Name == after {
-			out := make([]Stage, 0, len(stages)+len(extra))
-			out = append(out, stages[:i+1]...)
-			out = append(out, extra...)
-			out = append(out, stages[i+1:]...)
-			return out
-		}
+// splice returns a copy of stages with extra inserted offset places
+// past the named anchor: 0 puts extra directly before it, 1 directly
+// after it. It panics if the anchor is missing (scenario definitions are
+// static).
+func splice(stages []Stage, anchor string, offset int, extra ...Stage) []Stage {
+	i := slices.IndexFunc(stages, func(st Stage) bool { return st.Name == anchor })
+	if i < 0 {
+		panic("topology: no stage named " + anchor)
 	}
-	panic("topology: no stage named " + after)
-}
-
-// insertBefore mirrors insertAfter for splicing ahead of the anchor
-// (e.g. profile rewrites that must precede AS-pool allocation).
-func insertBefore(stages []Stage, before string, extra ...Stage) []Stage {
-	for i, st := range stages {
-		if st.Name == before {
-			out := make([]Stage, 0, len(stages)+len(extra))
-			out = append(out, stages[:i]...)
-			out = append(out, extra...)
-			out = append(out, stages[i:]...)
-			return out
-		}
-	}
-	panic("topology: no stage named " + before)
-}
-
-func init() {
-	RegisterScenario(&Scenario{
-		Name:        "baseline",
-		Description: "the paper's world: 13 IXPs (Table 2), tiered transit hierarchy, per-member RS filters",
-		Stages:      baselineStages(),
-	})
+	return slices.Insert(slices.Clone(stages), i+offset, extra...)
 }

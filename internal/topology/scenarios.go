@@ -8,49 +8,56 @@ import (
 	"mlpeering/internal/peeringdb"
 )
 
-// This file defines the non-baseline world scenarios. Each splices
+// This file defines the world scenarios. Each non-baseline one splices
 // extra stages into the baseline pipeline; per-IXP stages draw from
 // independent (stage, IXP) streams and run on the worker pool like the
 // baseline's, while world-global stages keep a single StageRNG stream —
 // so a scenario world is always the baseline world plus the scenario's
 // additions, never a perturbation of baseline draws.
 
-func init() {
-	RegisterScenario(&Scenario{
-		Name: "remote-peering",
-		Description: "baseline plus remote IXP members connected through resellers " +
-			"(O Peer, Where Art Thou? — Nomikos et al.)",
-		Stages: insertAfter(baselineStages(), "ixps",
-			stage("remote-members", (*Builder).addRemoteMembers)),
-	})
-	RegisterScenario(&Scenario{
+// scenarios is every world scenario, sorted by name by hand:
+// ScenarioNames and -list-scenarios print it in this order.
+var scenarios = []Scenario{
+	{
+		Name:        "baseline",
+		Description: "the paper's world: 13 IXPs (Table 2), tiered transit hierarchy, per-member RS filters",
+		Stages:      baselineStages(),
+	},
+	{
 		Name: "multi-ixp-hybrid",
 		Description: "baseline plus boosted multi-IXP presence and parallel " +
 			"bilateral sessions next to route-server peerings",
-		Stages: insertAfter(
-			insertAfter(baselineStages(), "ixps",
+		Stages: splice(
+			splice(baselineStages(), "ixps", 1,
 				stage("hybrid-presence", (*Builder).addHybridPresence)),
-			"bilateral-ixp",
+			"bilateral-ixp", 1,
 			stage("hybrid-bilateral", (*Builder).addHybridBilateral)),
-	})
-	RegisterScenario(&Scenario{
+	},
+	{
 		Name: "pari-noise",
 		Description: "baseline with a probabilistic relationship mix: some bilateral " +
 			"p2p links demoted to transit, plus peering noise (PARI — Feng et al.)",
-		Stages: insertAfter(baselineStages(), "private-peering",
+		Stages: splice(baselineStages(), "private-peering", 1,
 			stage("pari-noise", (*Builder).addPARINoise)),
-	})
-	RegisterScenario(&Scenario{
+	},
+	{
+		Name: "remote-peering",
+		Description: "baseline plus remote IXP members connected through resellers " +
+			"(O Peer, Where Art Thou? — Nomikos et al.)",
+		Stages: splice(baselineStages(), "ixps", 1,
+			stage("remote-members", (*Builder).addRemoteMembers)),
+	},
+	{
 		Name: "scaled-world",
 		Description: "the 10-100x world: Config.Scale grows the number of IXPs " +
 			"toward hundreds of exchanges with realistic member counts, plus " +
 			"boosted multi-IXP presence (remote-peering-era workloads)",
-		Stages: insertAfter(
-			insertBefore(baselineStages(), "allocate-ases",
+		Stages: splice(
+			splice(baselineStages(), "allocate-ases", 0,
 				stage("scaled-ixps", (*Builder).expandIXPProfiles)),
-			"ixps",
+			"ixps", 1,
 			stage("hybrid-presence", (*Builder).addHybridPresence)),
-	})
+	},
 }
 
 // --- remote-peering ---------------------------------------------------
