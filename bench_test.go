@@ -488,20 +488,12 @@ func BenchmarkPropagationTree(b *testing.B) {
 }
 
 func BenchmarkAvailableRoutes(b *testing.B) {
-	// The all-paths LG enumeration, plain vs arena-backed: the arena
-	// variant is what ASBackend.Lookup drives.
+	// The all-paths LG enumeration ASBackend.Lookup drives.
 	c := fixture(b)
 	topo := c.World.Topo
 	engine := c.World.Engine
 	vantages := topo.ValidationLGs
 	dests := topo.Order
-	b.Run("alloc", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			tr := engine.Tree(dests[i%len(dests)])
-			_ = tr.AvailableRoutesFrom(vantages[i%len(vantages)].ASN)
-		}
-	})
 	b.Run("arena", func(b *testing.B) {
 		b.ReportAllocs()
 		var arena propagate.RouteArena

@@ -22,11 +22,13 @@ import (
 // windows must equal the fresh run's. After every close of every leg the
 // miner's lookup map must hold exactly the live shapes, and its
 // re-pinpoint list exactly the live rels-dependent ones; after every
-// incremental close the maintained mesh must equal InferLinks over the
-// same observation store, which separates a MeshState fault from the
-// observation reduction both modes share, and the link index Snapshot
-// patched must equal one built from scratch over a deep copy of the
-// Result. Seeds live under testdata/fuzz.
+// incremental close no (IXP, setter) record may be left dirty, every
+// record's mesh coverage and filter must equal its own tally's vote, the
+// maintained mesh must equal InferLinks over the same observation store,
+// which separates a MeshState fault from the observation reduction both
+// modes share, and the link index Snapshot patched must equal one built
+// from scratch over a deep copy of the Result. Seeds live under
+// testdata/fuzz.
 func FuzzWindowMiner(f *testing.F) {
 	fx := newMinerFuzzFixture(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -240,6 +242,7 @@ func (fx *minerFuzzFixture) windows(t *testing.T, dumps []*mrt.Dump, updates []*
 	opts := WindowOptions{Start: fx.t0, Window: fx.window, Count: count, Mode: mode, Ctx: ctx, Loop: cycles > 1, Stream: func(pw *PassiveWindow) {
 		res := pw.Materialize()
 		if mode == WindowsIncremental {
+			appliedRecords(t, pw.miner)
 			if diff := diffResults(res, InferLinks(fx.dict, pw.miner.obs)); diff != "" {
 				t.Fatalf("%v: window %d: mesh diverges from InferLinks over the same store: %s", mode, len(rows), diff)
 			}
@@ -268,6 +271,25 @@ func (fx *minerFuzzFixture) windows(t *testing.T, dumps []*mrt.Dump, updates []*
 		t.Fatalf("%v: %d windows, want %d", mode, len(rows), cycles*count)
 	}
 	return rows
+}
+
+// appliedRecords fails unless a closed incremental miner left no record
+// dirty and every record's mesh state is what its own tally says now:
+// covered iff a prefix is live, with the tally's majority-vote filter.
+func appliedRecords(t *testing.T, m *windowMiner) {
+	t.Helper()
+	if len(m.obs.dirty) != 0 {
+		t.Fatalf("window %d: %d records still queued after the close", m.epoch-1, len(m.obs.dirty))
+	}
+	for _, x := range m.obs.ixps {
+		for _, s := range x.records {
+			f, covered := s.filter(x.entry.Scheme)
+			if s.dirty || s.meshCovered != (s.active > 0) || s.meshCovered != covered || !s.meshFilter.Equal(f) {
+				t.Fatalf("window %d: %s %d: dirty %v, mesh covered %v filter %v; tally active %d filter %v",
+					m.epoch-1, x.entry.Name, s.asn, s.dirty, s.meshCovered, s.meshFilter, s.active, f)
+			}
+		}
+	}
 }
 
 // liveShapes fails unless a closed miner's lookup map holds no shape

@@ -79,8 +79,7 @@ func TestPatchedIndexEqualsRebuilt(t *testing.T) {
 }
 
 func patchedIndexSweep(t *testing.T) {
-	d := testDict(t)
-	ms := NewMeshState(d)
+	ms := NewMeshState(NewDeltaObservations(testDict(t)))
 	rng := rand.New(rand.NewSource(20130501))
 	names := []string{"DE-CIX", "ECIX", "MSK-IX"}
 	asns := make([]bgp.ASN, 24)
@@ -90,12 +89,12 @@ func patchedIndexSweep(t *testing.T) {
 
 	// toggle flips one (link, IXP) attribution the way Apply does.
 	toggle := func(key topology.LinkKey, name string) {
-		mi := ms.byName[name]
-		mi.stale = true
+		x := ms.obs.byIXP[name]
+		x.stale = true
 		if slices.Contains(ms.links[key], name) {
-			ms.removeLink(mi, key)
+			ms.removeLink(x, key)
 		} else {
-			ms.addLink(mi, key)
+			ms.addLink(x, key)
 		}
 	}
 	randomKey := func() topology.LinkKey {
@@ -114,10 +113,12 @@ func patchedIndexSweep(t *testing.T) {
 	var kept []retained
 	patched := 0
 
-	// materialize snapshots the mesh and checks the index it came with
+	// materialize closes the window and snapshots the mesh (a snapshot
+	// follows its window's close), then checks the index it came with
 	// against the from-scratch oracle.
 	materialize := func(step string) {
 		prev := ms.snap
+		ms.CloseStability()
 		res := ms.Snapshot()
 		if !maps.EqualFunc(res.Links, ms.links, slices.Equal[[]string]) {
 			t.Fatalf("%s: snapshot's link map differs from the mesh's", step)

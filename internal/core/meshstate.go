@@ -1,17 +1,14 @@
 // Delta-maintained reciprocity mesh: the incremental counterpart of
-// InferLinks. A window close used to rebuild every covered setter's
-// export filter and re-run the O(covered²) reciprocity check per IXP;
-// MeshState instead keeps the covered setter set, each setter's
-// reconstructed filter and the live link set, and re-derives exactly
-// the (IXP, setter) pairs whose refcounted observation counts changed
-// since the last window close. A dirtied setter re-votes its filter
-// (O(distinct community sets) via the store's maintained tally); when
-// its coverage or filter really changed, it re-applies InferLinks' one
-// pair rule (reciprocal) against every covered co-member and brings
-// each link up or down to match. Link attribution, the multi-IXP
-// overlap and the Jaccard stability numerator/denominator are
-// maintained as running counters, so a window close costs O(churn),
-// not O(world).
+// InferLinks. MeshState keeps the live link set over a DeltaObservations
+// store, whose one record per (IXP, setter) also holds the coverage and
+// filter the mesh last derived. At window close it re-derives exactly
+// the records whose refcounted counts changed since the last close: a
+// record re-votes its filter (O(distinct community sets)) and, when its
+// coverage or filter really changed, re-applies InferLinks' one pair
+// rule (reciprocal) against every covered co-member, bringing each link
+// up or down to match. Link attribution and the Jaccard stability
+// counters are running state, so a window close costs O(churn), not
+// O(world).
 package core
 
 import (
@@ -24,49 +21,20 @@ import (
 	"mlpeering/internal/topology"
 )
 
-// meshSetter is one RS member's maintained mesh state at one IXP.
-type meshSetter struct {
-	asn     bgp.ASN
-	covered bool
-	filter  ixp.ExportFilter
-}
-
-// meshIXP is one IXP's maintained mesh: its setters in first-coverage
-// order, each kept once covered and never freed — bounded by the members
-// ever covered, not by trace length. Its live links are the keys of
-// MeshState.links whose attribution names it.
-type meshIXP struct {
-	entry   *IXPEntry
-	members []bgp.ASN // entry.Members(), cached once per run
-	byASN   map[bgp.ASN]*meshSetter
-	setters []*meshSetter
-	covered int
-
-	// snap is the IXPInference the last Snapshot materialized; stale
-	// records that a setter joined, left or changed filter since, i.e.
-	// that snap no longer describes this state.
-	snap  *IXPInference
-	stale bool
-}
-
 // MeshState is the delta-maintained §4.1 reciprocity mesh over every
-// IXP of a dictionary. Apply consumes the dirty (IXP, setter) set a
-// DeltaObservations tracked since the last window close and updates
-// filters, links and the running counters; Snapshot materializes the
-// equivalent of InferLinks over the same store. Not safe for
-// concurrent use.
+// IXP of a DeltaObservations store. Apply re-derives the records the
+// store dirtied since the last window close and updates links and the
+// running counters; Snapshot materializes the equivalent of InferLinks
+// over the same store. Not safe for concurrent use.
 type MeshState struct {
-	dict   *Dictionary
-	byName map[string]*meshIXP
+	obs *DeltaObservations
 
 	// links maps every live link to its sorted IXP attribution list —
 	// the mesh's one link set; an IXP's own links are the keys whose
-	// list names it. multi counts the links attributed to more than one
-	// IXP. The lists are copy-on-write — addLink/removeLink replace a
-	// list, never edit one in place — so Snapshot hands them to a
-	// Result as they are.
+	// list names it. The lists are copy-on-write — addLink/removeLink
+	// replace a list, never edit one in place — so Snapshot hands them to
+	// a Result as they are.
 	links map[topology.LinkKey][]string
-	multi int
 
 	// Jaccard stability counters: prevLinks is the mesh size at the
 	// last CloseStability; changed records, for every link touched
@@ -75,163 +43,121 @@ type MeshState struct {
 	prevLinks int
 	changed   map[topology.LinkKey]bool
 
-	dirty []DirtySetter
-
 	// snap is the Result the last Snapshot returned; moved is the set of
-	// links whose attribution was added to or removed from since — what
-	// the next Result's index patches into snap's (empty: share it). It
-	// accumulates across windows nobody materialized and is not kept at
-	// all before the first Snapshot, whose index is built from scratch.
+	// links touched since — what the next Result's index patches into
+	// snap's (empty: share it). CloseStability folds each window's
+	// touched links into it once a snapshot exists; it accumulates across
+	// windows nobody materialized, and the first Snapshot's index is built
+	// from scratch.
 	snap  *Result
 	moved map[topology.LinkKey]struct{}
 }
 
-// NewMeshState returns an empty mesh over the dictionary's IXPs.
-func NewMeshState(dict *Dictionary) *MeshState {
-	ms := &MeshState{
-		dict:    dict,
-		byName:  make(map[string]*meshIXP, len(dict.Entries)),
+// NewMeshState returns the mesh over obs, an empty store.
+func NewMeshState(obs *DeltaObservations) *MeshState {
+	for _, x := range obs.ixps {
+		x.members = x.entry.Members()
+	}
+	return &MeshState{
+		obs:     obs,
 		links:   make(map[topology.LinkKey][]string),
 		changed: make(map[topology.LinkKey]bool),
 		moved:   make(map[topology.LinkKey]struct{}),
 	}
-	for _, e := range dict.Entries {
-		ms.byName[e.Name] = &meshIXP{
-			entry:   e,
-			members: e.Members(),
-			byASN:   make(map[bgp.ASN]*meshSetter),
-		}
-	}
-	return ms
 }
 
 // TotalLinks returns the number of distinct live links.
 func (ms *MeshState) TotalLinks() int { return len(ms.links) }
 
-// MultiIXPLinks returns how many live links are inferred at more than
-// one IXP.
-func (ms *MeshState) MultiIXPLinks() int { return ms.multi }
-
-// Apply drains the store's dirty setters and re-derives exactly their
-// coverage, filter and reciprocity links, in drained order. Everything
-// else is untouched: the cost is O(setters whose filter changed ×
-// covered co-members). Steady-state applies reuse the drained dirty
-// list and each IXP's slot state, so a window close stays
+// Apply re-derives exactly the records the store dirtied since the last
+// Apply — their coverage, filter and reciprocity links — in dirtying
+// order, and empties the dirty list. Everything else is untouched: the
+// cost is O(setters whose filter changed × covered co-members).
+// Steady-state applies reuse the dirty list, so a window close stays
 // allocation-light.
 //
 //mlplint:allocfree
-func (ms *MeshState) Apply(obs *DeltaObservations) {
-	ms.dirty = obs.DrainDirty(ms.dirty[:0])
-	for _, d := range ms.dirty {
-		mi := ms.byName[d.IXP]
-		if mi == nil || !mi.entry.IsMember(d.Setter) {
-			continue // a stray observation outside known connectivity
-		}
-		ms.updateSetter(obs, mi, d.Setter)
+func (ms *MeshState) Apply() {
+	o := ms.obs
+	for _, s := range o.dirty {
+		s.dirty = false
+		ms.updateSetter(s)
 	}
+	o.dirty = o.dirty[:0]
 }
 
-// updateSetter re-derives one (IXP, setter) from the store. A setter
-// whose coverage and filter held (a duplicate drain among them) is left
-// as it is; otherwise every covered co-member's link is brought to
-// what the pair rule says now. The outcome is order-independent across
-// the dirty set: a pair of changed setters is settled by whichever side
-// is processed last, with both filters final.
-func (ms *MeshState) updateSetter(obs *DeltaObservations, mi *meshIXP, asn bgp.ASN) {
-	f, covered := obs.Filter(mi.entry.Name, asn, mi.entry.Scheme)
-	s := mi.byASN[asn]
-	if s == nil {
-		if !covered {
-			return
-		}
-		s = &meshSetter{asn: asn}
-		mi.byASN[asn] = s
-		mi.setters = append(mi.setters, s)
-	}
-	if covered == s.covered && f.Equal(s.filter) {
+// updateSetter re-derives one record from its tally. A record whose
+// coverage and filter held is left as it is; otherwise every covered
+// co-member's link is brought to what the pair rule says now. The
+// outcome is order-independent across the dirty set: a pair of changed
+// setters is settled by whichever side is processed last, with both
+// filters final.
+func (ms *MeshState) updateSetter(s *setterDelta) {
+	x := s.x
+	f, covered := s.filter(x.entry.Scheme)
+	if covered == s.meshCovered && f.Equal(s.meshFilter) {
 		return
 	}
-	switch {
-	case covered && !s.covered:
-		mi.covered++
-	case !covered && s.covered:
-		mi.covered--
-	}
-	s.covered, s.filter = covered, f
-	mi.stale = true
-	for _, o := range mi.setters {
-		if o == s || !o.covered {
+	s.meshCovered, s.meshFilter = covered, f
+	x.stale = true
+	for _, o := range x.records {
+		if o == s || !o.meshCovered {
 			continue
 		}
-		key := topology.MakeLinkKey(asn, o.asn)
-		want := covered && reciprocal(asn, f, o.asn, o.filter)
-		if want != slices.Contains(ms.links[key], mi.entry.Name) {
+		key := topology.MakeLinkKey(s.asn, o.asn)
+		want := covered && reciprocal(s.asn, f, o.asn, o.meshFilter)
+		if want != slices.Contains(ms.links[key], x.entry.Name) {
 			if want {
-				ms.addLink(mi, key)
+				ms.addLink(x, key)
 			} else {
-				ms.removeLink(mi, key)
+				ms.removeLink(x, key)
 			}
 		}
 	}
 }
 
-// addLink brings a link up at mi: mi's IXP joins its sorted attribution
-// list, maintaining the multi-IXP counter and the stability deltas. The
-// first-touch changed entry happens before any event mutated the key's
-// attribution, so it always records presence at the last close. The
-// list is replaced, not edited: the previous one may be shared with a
-// published Result.
-func (ms *MeshState) addLink(mi *meshIXP, key topology.LinkKey) {
-	ms.markMoved(key)
+// touch returns key's attribution list and, on its first touch since
+// the last CloseStability, logs whether the link is present: nothing
+// moved it since that close, so this is its presence then.
+func (ms *MeshState) touch(key topology.LinkKey) []string {
 	names := ms.links[key]
-	if len(names) == 0 {
-		if _, seen := ms.changed[key]; !seen {
-			ms.changed[key] = false // absent at the last close
-		}
+	if _, seen := ms.changed[key]; !seen {
+		ms.changed[key] = len(names) > 0
 	}
-	i := sort.SearchStrings(names, mi.entry.Name)
+	return names
+}
+
+// addLink brings a link up at x: x's IXP joins its sorted attribution
+// list. The list is replaced, not edited: the previous one may be shared
+// with a published Result.
+func (ms *MeshState) addLink(x *ixpDelta, key topology.LinkKey) {
+	names := ms.touch(key)
+	i := sort.SearchStrings(names, x.entry.Name)
 	grown := make([]string, len(names)+1)
 	copy(grown, names[:i])
-	grown[i] = mi.entry.Name
+	grown[i] = x.entry.Name
 	copy(grown[i+1:], names[i:])
 	ms.links[key] = grown
-	if len(grown) == 2 {
-		ms.multi++
-	}
 }
 
-// removeLink takes a link down at mi and withdraws mi's attribution,
+// removeLink takes a link down at x and withdraws x's attribution,
 // dropping the link entirely when no IXP attributes it anymore.
 // Copy-on-write like addLink.
-func (ms *MeshState) removeLink(mi *meshIXP, key topology.LinkKey) {
-	ms.markMoved(key)
-	names := ms.links[key]
+func (ms *MeshState) removeLink(x *ixpDelta, key topology.LinkKey) {
+	names := ms.touch(key)
 	if len(names) == 1 {
 		delete(ms.links, key)
-		if _, seen := ms.changed[key]; !seen {
-			ms.changed[key] = true // present at the last close
-		}
 		return
 	}
-	i := sort.SearchStrings(names, mi.entry.Name)
+	i := sort.SearchStrings(names, x.entry.Name)
 	ms.links[key] = slices.Delete(slices.Clone(names), i, i+1)
-	if len(names) == 2 {
-		ms.multi--
-	}
-}
-
-// markMoved records that key's attribution differs from what the last
-// Snapshot materialized.
-func (ms *MeshState) markMoved(key topology.LinkKey) {
-	if ms.snap != nil {
-		ms.moved[key] = struct{}{}
-	}
 }
 
 // CloseStability finalizes one window: it returns the Jaccard
 // similarity between the mesh at the previous close and now, derived
-// from the running change counters instead of re-walking both link
-// sets, and resets the counters for the next window.
+// from the links touched since instead of re-walking both link sets,
+// hands those links to the next Snapshot's index patch, and resets the
+// counters for the next window.
 func (ms *MeshState) CloseStability() float64 {
 	added, removed := 0, 0
 	for key, was := range ms.changed {
@@ -241,6 +167,9 @@ func (ms *MeshState) CloseStability() float64 {
 			removed++
 		case !was && is:
 			added++
+		}
+		if ms.snap != nil {
+			ms.moved[key] = struct{}{}
 		}
 	}
 	clear(ms.changed)
@@ -257,29 +186,30 @@ func (ms *MeshState) CloseStability() float64 {
 // InferLinks over the same observation store: the link map (a shallow
 // clone — the attribution lists are copy-on-write and shared), per-IXP
 // covered members, filters and sources, and the link index BuildIndex
-// returns. The Members slices alias the mesh's cached member lists; like
-// every Result, snapshots are read-only views — which is what lets
-// consecutive snapshots share structure: an IXP no setter joined, left
-// or re-filtered at since the last call keeps its *IXPInference, an
-// unchanged link set keeps its Links map and link index, and when
-// nothing changed at all the previous *Result itself is returned. A
-// changed link set patches the previous index with the sorted keys that
-// moved; the first index is built from scratch.
+// returns. A snapshot follows its window's close (CloseStability), which
+// hands it the links that moved. The Members slices alias the mesh's
+// cached member lists; like every Result, snapshots are read-only views —
+// which is what lets consecutive snapshots share structure: an IXP no
+// setter joined, left or re-filtered at since the last call keeps its
+// *IXPInference, an unchanged link set keeps its Links map and link
+// index, and when nothing changed at all the previous *Result itself is
+// returned. A changed link set patches the previous index with the
+// sorted keys that moved; the first index is built from scratch.
 //
 //mlplint:frozen
 func (ms *MeshState) Snapshot() *Result {
 	prev := ms.snap
+	ixps := ms.obs.ixps
 	shareLinks := prev != nil && len(ms.moved) == 0
-	if shareLinks && !slices.ContainsFunc(ms.dict.Entries, func(e *IXPEntry) bool { return ms.byName[e.Name].stale }) {
+	if shareLinks && !slices.ContainsFunc(ixps, func(x *ixpDelta) bool { return x.stale }) {
 		return prev
 	}
-	res := &Result{PerIXP: make(map[string]*IXPInference, len(ms.dict.Entries))}
-	for _, e := range ms.dict.Entries {
-		mi := ms.byName[e.Name]
-		if mi.snap == nil || mi.stale {
-			mi.snap, mi.stale = mi.inference(), false
+	res := &Result{PerIXP: make(map[string]*IXPInference, len(ixps))}
+	for _, x := range ixps {
+		if x.snap == nil || x.stale {
+			x.snap, x.stale = x.inference(), false
 		}
-		res.PerIXP[e.Name] = mi.snap
+		res.PerIXP[x.entry.Name] = x.snap
 	}
 	switch {
 	case shareLinks:
@@ -297,24 +227,23 @@ func (ms *MeshState) Snapshot() *Result {
 	return res
 }
 
-// inference materializes mi's current state as an IXPInference.
+// inference materializes x's current mesh state as an IXPInference.
 //
 //mlplint:frozen
-func (mi *meshIXP) inference() *IXPInference {
-	x := &IXPInference{
-		Name:    mi.entry.Name,
-		Members: mi.members,
-		Covered: make([]bgp.ASN, 0, mi.covered),
-		Filters: make(map[bgp.ASN]ixp.ExportFilter, mi.covered),
-		Sources: make(map[bgp.ASN]DataSource, mi.covered),
+func (x *ixpDelta) inference() *IXPInference {
+	inf := &IXPInference{
+		Name:    x.entry.Name,
+		Members: x.members,
+		Filters: make(map[bgp.ASN]ixp.ExportFilter),
+		Sources: make(map[bgp.ASN]DataSource),
 	}
-	for _, s := range mi.setters {
-		if s.covered {
-			x.Covered = append(x.Covered, s.asn)
-			x.Filters[s.asn] = s.filter
-			x.Sources[s.asn] = ObsPassive
+	for _, s := range x.records {
+		if s.meshCovered {
+			inf.Covered = append(inf.Covered, s.asn)
+			inf.Filters[s.asn] = s.meshFilter
+			inf.Sources[s.asn] = ObsPassive
 		}
 	}
-	slices.Sort(x.Covered)
-	return x
+	slices.Sort(inf.Covered)
+	return inf
 }

@@ -1,13 +1,13 @@
-// Delta-maintained windowed mining: the incremental counterpart of
-// mineLiveTable. Announce/withdraw events apply as +/- deltas to
-// reference-counted (setter, member, prefix-group) observation counts,
-// so a window's ML mesh is derived from the maintained store instead of
-// re-mining every live route. Routes are grouped by their (path,
-// community-set) shape; each group's hygiene flags, IXP attribution and
-// — when the §4.2 pinpointing is relationship-independent — its setter
-// are derived once, and only the relationship-dependent groups (three
-// or more IXP participants on the path) are re-pinpointed at window
-// close against the incrementally maintained relation oracle.
+// Delta-maintained windowed mining. Announce/withdraw events apply as
+// +/- deltas to reference-counted (setter, member, prefix-group)
+// observation counts kept in one record per (IXP, setter), so a window's
+// ML mesh is derived from the maintained store instead of re-mining
+// every live route. Routes are grouped by their (path, community-set)
+// shape; each group's hygiene flags, IXP attribution and — when the §4.2
+// pinpointing is relationship-independent — its setter are derived
+// once, and only the relationship-dependent groups (three or more IXP
+// participants on the path) are re-pinpointed at window close against
+// the incrementally maintained relation oracle.
 package core
 
 import (
@@ -53,84 +53,104 @@ func (p *prefixDelta) winner() (string, bgp.Communities, bool) {
 	return bestKey, p.sets[bestIdx].cs, true
 }
 
-// setterDelta aggregates one covered setter's per-prefix observations.
+// setterDelta is the one record of an (IXP, setter). It lives from the
+// setter's first observation at the IXP to the end of the run, so there
+// are at most as many as the dictionary has (IXP, member) pairs.
 // votes/repr maintain the majority-vote tally incrementally: votes[k]
 // counts the prefixes whose winning community set has canonical key k,
-// adjusted whenever a prefix's winner transitions, so Filter costs
+// adjusted whenever a prefix's winner transitions, so a vote costs
 // O(distinct sets) instead of O(prefixes).
 type setterDelta struct {
+	x        *ixpDelta
+	asn      bgp.ASN
 	prefixes map[bgp.Prefix]*prefixDelta
 	active   int // prefixes with a positive total
 	votes    map[string]int
 	repr     map[string]bgp.Communities
-	dirty    bool // queued in the store's dirty list since the last drain
+	dirty    bool // queued in the store's dirty list since the last Apply
+
+	// meshCovered and meshFilter are what the last MeshState.Apply
+	// derived from the tally: the state the mesh's links describe.
+	meshCovered bool
+	meshFilter  ixp.ExportFilter
 }
 
-// ixpDelta is one IXP's setter table.
+// filter reconstructs the setter's export filter by majority vote over
+// its live per-prefix community sets, exactly like Observations.Filter:
+// each live prefix votes its canonical community set, the most voted
+// (ties to the smallest key) wins. ok is false while no prefix is live.
+func (s *setterDelta) filter(scheme ixp.Scheme) (f ixp.ExportFilter, ok bool) {
+	if s.active == 0 {
+		return ixp.ExportFilter{}, false
+	}
+	bestKey, bestVotes := "", -1
+	for k, v := range s.votes {
+		if v > bestVotes || (v == bestVotes && k < bestKey) {
+			bestKey, bestVotes = k, v
+		}
+	}
+	return ixp.FilterFromCommunities(s.repr[bestKey], scheme), true
+}
+
+// ixpDelta is one IXP's setter records and the mesh state derived from
+// them. Its live links are the keys of MeshState.links whose
+// attribution names it.
 type ixpDelta struct {
+	entry   *IXPEntry
+	members []bgp.ASN // entry.Members(), cached by NewMeshState
 	setters map[bgp.ASN]*setterDelta
-}
+	records []*setterDelta // setters' records in creation order
 
-// DirtySetter names one (IXP, setter) whose observation counts changed
-// since the last DrainDirty: the exact invalidation unit of the
-// delta-maintained reciprocity mesh.
-type DirtySetter struct {
-	IXP    string
-	Setter bgp.ASN
+	// snap is the IXPInference the last MeshState.Snapshot materialized;
+	// stale records that a setter joined, left or changed filter since,
+	// i.e. that snap no longer describes this state.
+	snap  *IXPInference
+	stale bool
 }
 
 // DeltaObservations is a reference-counted observation store: the
 // C_{a,p} of §4.1 step 3 maintained under announce (+1) and withdraw
 // (-1) deltas. It implements ObservationSource, so InferLinks derives
-// the per-window mesh from it directly. It also records which
-// (IXP, setter) pairs changed, in dirtying order, so MeshState re-derives
-// only those at window close.
+// the per-window mesh from it directly. It also lists the records whose
+// counts changed, in dirtying order, so MeshState re-derives only those
+// at window close.
 type DeltaObservations struct {
-	byIXP     map[string]*ixpDelta
-	dirtyList []DirtySetter
+	ixps  []*ixpDelta // one per dictionary entry, in dictionary order
+	byIXP map[string]*ixpDelta
+	dirty []*setterDelta
 }
 
-// NewDeltaObservations returns an empty store.
-func NewDeltaObservations() *DeltaObservations {
-	return &DeltaObservations{byIXP: make(map[string]*ixpDelta)}
-}
-
-// DrainDirty appends the setters dirtied since the last drain to dst,
-// in dirtying order, and resets the tracking. A setter pruned and
-// re-created between drains may appear twice; that is harmless, since a
-// consumer re-derives each setter from the store.
-func (o *DeltaObservations) DrainDirty(dst []DirtySetter) []DirtySetter {
-	dst = append(dst, o.dirtyList...)
-	for _, d := range o.dirtyList {
-		if x := o.byIXP[d.IXP]; x != nil {
-			if s := x.setters[d.Setter]; s != nil {
-				s.dirty = false
-			}
-		}
+// NewDeltaObservations returns an empty store over the dictionary's
+// IXPs.
+func NewDeltaObservations(dict *Dictionary) *DeltaObservations {
+	o := &DeltaObservations{byIXP: make(map[string]*ixpDelta, len(dict.Entries))}
+	for _, e := range dict.Entries {
+		x := &ixpDelta{entry: e, setters: make(map[bgp.ASN]*setterDelta)}
+		o.ixps = append(o.ixps, x)
+		o.byIXP[e.Name] = x
 	}
-	o.dirtyList = o.dirtyList[:0]
-	return dst
+	return o
 }
 
-// add applies one counted observation delta.
-func (o *DeltaObservations) add(ixpName string, setter bgp.ASN, prefix bgp.Prefix, key string, cs bgp.Communities, delta int) {
-	x := o.byIXP[ixpName]
-	if x == nil {
-		x = &ixpDelta{setters: make(map[bgp.ASN]*setterDelta)}
-		o.byIXP[ixpName] = x
-	}
+// add applies one counted observation delta at e, an entry of the
+// store's dictionary.
+func (o *DeltaObservations) add(e *IXPEntry, setter bgp.ASN, prefix bgp.Prefix, key string, cs bgp.Communities, delta int) {
+	x := o.byIXP[e.Name]
 	s := x.setters[setter]
 	if s == nil {
 		s = &setterDelta{
+			x:        x,
+			asn:      setter,
 			prefixes: make(map[bgp.Prefix]*prefixDelta),
 			votes:    make(map[string]int),
 			repr:     make(map[string]bgp.Communities),
 		}
 		x.setters[setter] = s
+		x.records = append(x.records, s)
 	}
 	if !s.dirty {
 		s.dirty = true
-		o.dirtyList = append(o.dirtyList, DirtySetter{IXP: ixpName, Setter: setter})
+		o.dirty = append(o.dirty, s)
 	}
 	p := s.prefixes[prefix]
 	if p == nil {
@@ -172,14 +192,10 @@ func (o *DeltaObservations) add(ixpName string, setter bgp.ASN, prefix bgp.Prefi
 			s.active--
 		}
 	}
-	// Prune dead state so Setters/Filter iterate the live view only:
-	// per-window cost must track the live table, not the trace's
-	// all-time observation history.
+	// Prune dead prefixes: a record's size must track the live table,
+	// not the trace's all-time observation history.
 	if p.total == 0 && len(p.sets) == 0 {
 		delete(s.prefixes, prefix)
-	}
-	if s.active == 0 && len(s.prefixes) == 0 {
-		delete(x.setters, setter)
 	}
 }
 
@@ -190,37 +206,24 @@ func (o *DeltaObservations) Setters(ixpName string) []bgp.ASN {
 		return nil
 	}
 	var out []bgp.ASN
-	for setter, s := range x.setters {
+	for _, s := range x.records {
 		if s.active > 0 {
-			out = append(out, setter)
+			out = append(out, s.asn)
 		}
 	}
 	sortASNs(out)
 	return out
 }
 
-// Filter reconstructs the setter's export filter by majority vote over
-// its per-prefix community sets, exactly like Observations.Filter: each
-// live prefix votes its canonical community set, the most voted (ties
-// to the smallest key) wins. The tally is maintained incrementally by
-// add, so the vote scan is over the distinct community sets (almost
-// always one), not the setter's prefixes.
+// Filter is the setter's majority-vote export filter
+// (setterDelta.filter), a scan of its distinct community sets.
 func (o *DeltaObservations) Filter(ixpName string, setter bgp.ASN, scheme ixp.Scheme) (ixp.ExportFilter, bool) {
-	x := o.byIXP[ixpName]
-	if x == nil {
-		return ixp.ExportFilter{}, false
-	}
-	s := x.setters[setter]
-	if s == nil || s.active == 0 {
-		return ixp.ExportFilter{}, false
-	}
-	bestKey, bestVotes := "", -1
-	for k, v := range s.votes {
-		if v > bestVotes || (v == bestVotes && k < bestKey) {
-			bestKey, bestVotes = k, v
+	if x := o.byIXP[ixpName]; x != nil {
+		if s := x.setters[setter]; s != nil {
+			return s.filter(scheme)
 		}
 	}
-	return ixp.FilterFromCommunities(s.repr[bestKey], scheme), true
+	return ixp.ExportFilter{}, false
 }
 
 // Source reports passive coverage: the windowed pipeline only ever
@@ -309,19 +312,19 @@ type windowMiner struct {
 // newWindowMiner returns an empty miner. rel may be nil, in which case
 // the caller owns relation maintenance, setter resolution and mesh
 // derivation (remineLiveTable); otherwise the miner maintains the
-// reciprocity mesh incrementally through a MeshState fed by the
-// observation store's dirty setters.
+// reciprocity mesh incrementally through a MeshState over the
+// observation store's records.
 func newWindowMiner(dict *Dictionary, store *paths.Store, rel *relation.Incremental) *windowMiner {
 	m := &windowMiner{
 		dict:   dict,
 		store:  store,
 		groups: make(map[shapeKey]*windowGroup),
 		attr:   newAttributor(dict),
-		obs:    NewDeltaObservations(),
+		obs:    NewDeltaObservations(dict),
 		rel:    rel,
 	}
 	if rel != nil {
-		m.mesh = NewMeshState(dict)
+		m.mesh = NewMeshState(m.obs)
 	}
 	return m
 }
@@ -426,7 +429,7 @@ func (m *windowMiner) apply(g *windowGroup, prefix bgp.Prefix, delta int) {
 		}
 	}
 	if g.mineable() && g.resolved {
-		m.obs.add(g.entry.Name, g.setter, prefix, g.relKey, g.relComms, delta)
+		m.obs.add(g.entry, g.setter, prefix, g.relKey, g.relComms, delta)
 	}
 }
 
@@ -438,13 +441,13 @@ func (m *windowMiner) moveContributions(g *windowGroup, resolved bool, setter bg
 	}
 	if g.resolved {
 		for p, n := range g.byPrefix {
-			m.obs.add(g.entry.Name, g.setter, p, g.relKey, g.relComms, -n)
+			m.obs.add(g.entry, g.setter, p, g.relKey, g.relComms, -n)
 		}
 	}
 	g.resolved, g.setter = resolved, setter
 	if g.resolved {
 		for p, n := range g.byPrefix {
-			m.obs.add(g.entry.Name, g.setter, p, g.relKey, g.relComms, n)
+			m.obs.add(g.entry, g.setter, p, g.relKey, g.relComms, n)
 		}
 	}
 }
@@ -477,7 +480,7 @@ func (m *windowMiner) closeWindow(w *PassiveWindow) {
 	w.Dropped.Cycle = m.dropCycle
 	w.RelLinks = m.rel.LinkCount()
 	w.P2PRels = m.rel.P2PCount()
-	m.mesh.Apply(m.obs)
+	m.mesh.Apply()
 	w.MeshLinks = m.mesh.TotalLinks()
 	w.Stability = m.mesh.CloseStability()
 	m.epoch++

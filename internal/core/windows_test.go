@@ -424,14 +424,16 @@ func windowedShadowInferLinks(t *testing.T) {
 		upd(t0.Add(6*w+time.Minute), 100, []bgp.ASN{100, 200}, all, []bgp.Prefix{p1}, nil),
 		upd(t0.Add(6*w+2*time.Minute), 100, []bgp.ASN{100, 200, 8359}, all, []bgp.Prefix{p4}, nil),
 
-		// Window 7: 300's only prefix is withdrawn (the store prunes the
-		// setter) and re-announced excluding 200, so 300 drains twice.
+		// Window 7: 300's only prefix is withdrawn (the store keeps the
+		// setter's record) and re-announced excluding 200, so 300's one
+		// record is queued and re-derived once.
 		upd(t0.Add(7*w+time.Minute), 100, nil, nil, nil, []bgp.Prefix{p2}),
 		upd(t0.Add(7*w+2*time.Minute), 100, []bgp.ASN{100, 300}, excl200, []bgp.Prefix{p2}, nil),
 	}
 
 	shadowCalls := 0
 	var meshLinks []int
+	var rec300 *setterDelta
 	var a, b []byte
 	opts := WindowOptions{Start: t0, Window: w, Count: 8, Mode: WindowsIncremental}
 	opts.Stream = func(pw *PassiveWindow) {
@@ -457,15 +459,24 @@ func windowedShadowInferLinks(t *testing.T) {
 			t.Fatalf("window %d: P2PRels %d, full tally %d", shadowCalls-1, pw.P2PRels, countP2P(m.rel))
 		}
 		meshLinks = append(meshLinks, pw.MeshLinks)
-		if shadowCalls-1 == 7 {
+		// Apply empties the dirty list in place, so after window 6 is
+		// zeroed the backing array holds exactly what window 7 queued.
+		switch shadowCalls - 1 {
+		case 6:
+			rec300 = m.obs.byIXP["DE-CIX"].setters[300]
+			clear(m.obs.dirty[:cap(m.obs.dirty)])
+		case 7:
+			if got := m.obs.byIXP["DE-CIX"].setters[300]; got != rec300 || rec300 == nil {
+				t.Fatalf("DE-CIX 300's record %p after its only prefix drained, %p before", got, rec300)
+			}
 			n := 0
-			for _, d := range m.mesh.dirty {
-				if d == (DirtySetter{IXP: "DE-CIX", Setter: 300}) {
+			for _, s := range m.obs.dirty[:cap(m.obs.dirty)] {
+				if s == rec300 {
 					n++
 				}
 			}
-			if n != 2 {
-				t.Fatalf("window 7 drained DE-CIX 300 %d times, want 2 (pruned, then re-created)", n)
+			if n != 1 || rec300.dirty {
+				t.Fatalf("window 7 queued DE-CIX 300 %d times (dirty after Apply: %v), want once", n, rec300.dirty)
 			}
 		}
 	}

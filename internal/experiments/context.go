@@ -102,9 +102,13 @@ func (c *Context) TracerouteLinks() map[topology.LinkKey]bool {
 		}
 	}
 	eng := c.World.Engine
+	// fn runs sequentially and reads each route before the next tree's
+	// Reset, so one arena serves the whole sweep.
+	var arena propagate.RouteArena
 	eng.ForEachTree(eng.NewVantages(vantages), 4, func(tr *propagate.Tree) {
+		arena.Reset()
 		for _, v := range vantages {
-			r := tr.RouteFrom(v)
+			r := tr.RouteFromArena(v, &arena)
 			if r == nil {
 				continue
 			}

@@ -5,7 +5,6 @@
 package geo
 
 import (
-	"net/netip"
 	"sort"
 
 	"mlpeering/internal/bgp"
@@ -26,26 +25,6 @@ func New(assignments map[bgp.Prefix]ixp.Region) *Database {
 		cp[p] = r
 	}
 	return &Database{regions: cp}
-}
-
-// LookupPrefix returns the region of an exact prefix.
-func (d *Database) LookupPrefix(p bgp.Prefix) (ixp.Region, bool) {
-	r, ok := d.regions[p]
-	return r, ok
-}
-
-// LookupAddr finds the region of the most specific prefix containing
-// addr.
-func (d *Database) LookupAddr(addr netip.Addr) (ixp.Region, bool) {
-	best := -1
-	var bestRegion ixp.Region
-	for p, r := range d.regions {
-		if p.Contains(addr) && p.Bits() > best {
-			best = p.Bits()
-			bestRegion = r
-		}
-	}
-	return bestRegion, best >= 0
 }
 
 // Len returns the number of entries.
@@ -137,21 +116,5 @@ func (d *Database) SpreadSelect(prefixes []bgp.Prefix, k int) []bgp.Prefix {
 	for i, c := range chosen {
 		out[i] = c.p
 	}
-	return out
-}
-
-// Regions returns the distinct regions present for the given prefixes.
-func (d *Database) Regions(prefixes []bgp.Prefix) []ixp.Region {
-	seen := make(map[ixp.Region]bool)
-	for _, p := range prefixes {
-		if r, ok := d.regions[p]; ok {
-			seen[r] = true
-		}
-	}
-	out := make([]ixp.Region, 0, len(seen))
-	for r := range seen {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }

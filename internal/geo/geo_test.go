@@ -1,7 +1,6 @@
 package geo
 
 import (
-	"net/netip"
 	"testing"
 
 	"mlpeering/internal/bgp"
@@ -22,22 +21,6 @@ func testDB() *Database {
 
 func TestLookups(t *testing.T) {
 	d := testDB()
-	if r, ok := d.LookupPrefix(bgp.MustPrefix("20.0.0.0/22")); !ok || r != ixp.RegionWestEU {
-		t.Fatalf("LookupPrefix = %v, %v", r, ok)
-	}
-	if _, ok := d.LookupPrefix(bgp.MustPrefix("99.0.0.0/8")); ok {
-		t.Fatal("phantom prefix")
-	}
-	// Most-specific wins for addresses.
-	if r, ok := d.LookupAddr(netip.MustParseAddr("20.2.4.7")); !ok || r != ixp.RegionLatinAmerica {
-		t.Fatalf("LookupAddr specific = %v, %v", r, ok)
-	}
-	if r, ok := d.LookupAddr(netip.MustParseAddr("20.2.99.1")); !ok || r != ixp.RegionAfrica {
-		t.Fatalf("LookupAddr general = %v, %v", r, ok)
-	}
-	if _, ok := d.LookupAddr(netip.MustParseAddr("8.8.8.8")); ok {
-		t.Fatal("phantom addr")
-	}
 	if d.Len() != 7 {
 		t.Fatalf("Len = %d", d.Len())
 	}
@@ -56,7 +39,10 @@ func TestSpreadSelectMaximizesDiversity(t *testing.T) {
 	if len(got) != 3 {
 		t.Fatalf("selected %d", len(got))
 	}
-	regions := d.Regions(got)
+	regions := make(map[ixp.Region]bool)
+	for _, p := range got {
+		regions[d.regions[p]] = true
+	}
 	if len(regions) != 3 {
 		t.Fatalf("only %d distinct regions in %v", len(regions), got)
 	}
@@ -90,7 +76,7 @@ func TestSpreadSelectEdgeCases(t *testing.T) {
 	}
 	got := d.SpreadSelect(mixed, 2)
 	for _, p := range got {
-		if _, ok := d.LookupPrefix(p); !ok {
+		if _, ok := d.regions[p]; !ok {
 			t.Fatalf("unknown prefix %v chosen before known ones", p)
 		}
 	}

@@ -372,6 +372,7 @@ func TestASBackendMatchesFullTree(t *testing.T) {
 		return sb.String()
 	}
 	checked := 0
+	var arena propagate.RouteArena
 	for _, h := range hosts {
 		for _, allPaths := range []bool{false, true} {
 			b := NewASBackend(e, h.ASN, owners, allPaths)
@@ -381,10 +382,11 @@ func TestASBackendMatchesFullTree(t *testing.T) {
 					t.Fatal(err)
 				}
 				tr := e.Tree(owners[p])
+				arena.Reset()
 				var routes []*propagate.VantageRoute
 				if allPaths {
-					routes = tr.AvailableRoutesFrom(h.ASN)
-				} else if r := tr.RouteFrom(h.ASN); r != nil {
+					routes = tr.AvailableRoutesFromArena(h.ASN, &arena, nil)
+				} else if r := tr.RouteFromArena(h.ASN, &arena); r != nil {
 					routes = append(routes, r)
 				}
 				want := make([]PathInfo, 0, len(routes))

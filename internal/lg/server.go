@@ -1,10 +1,9 @@
 package lg
 
 import (
-	"bytes"
 	"fmt"
-	"io"
 	"net/http"
+	"net/http/httptest"
 	"net/netip"
 	"sort"
 	"strings"
@@ -46,11 +45,11 @@ func (s *Server) Handler() http.Handler { return s.mux }
 
 // Transport returns an http.RoundTripper that serves requests from this
 // server in process: the request goes straight to the handler, whose
-// answer is buffered and handed back as the response — the same status,
-// headers and body a listener would send, without a socket. The URL's
-// host is never resolved; only its path and query are read. A request
-// whose context is already done is not served: its error comes back
-// instead.
+// answer an httptest.ResponseRecorder buffers and hands back as the
+// response — the same status, headers and body a listener would send,
+// without a socket. The URL's host is never resolved; only its path and
+// query are read. A request whose context is already done is not
+// served: its error comes back instead.
 func (s *Server) Transport() http.RoundTripper { return inProcess{s.mux} }
 
 type inProcess struct{ h http.Handler }
@@ -67,45 +66,11 @@ func (t inProcess) RoundTrip(req *http.Request) (*http.Response, error) {
 	if sreq.Body == nil {
 		sreq.Body = http.NoBody
 	}
-	rw := &bufferedResponse{header: make(http.Header)}
-	t.h.ServeHTTP(rw, &sreq)
-	if rw.code == 0 {
-		rw.code = http.StatusOK
-	}
-	return &http.Response{
-		Status:        fmt.Sprintf("%d %s", rw.code, http.StatusText(rw.code)),
-		StatusCode:    rw.code,
-		Proto:         "HTTP/1.1",
-		ProtoMajor:    1,
-		ProtoMinor:    1,
-		Header:        rw.header,
-		Body:          io.NopCloser(&rw.body),
-		ContentLength: int64(rw.body.Len()),
-		Request:       req,
-	}, nil
-}
-
-// bufferedResponse is the http.ResponseWriter the in-process transport
-// serves into: the first status written wins, as on the wire.
-type bufferedResponse struct {
-	header http.Header
-	code   int
-	body   bytes.Buffer
-}
-
-func (w *bufferedResponse) Header() http.Header { return w.header }
-
-func (w *bufferedResponse) WriteHeader(code int) {
-	if w.code == 0 {
-		w.code = code
-	}
-}
-
-func (w *bufferedResponse) Write(p []byte) (int, error) {
-	if w.code == 0 {
-		w.code = http.StatusOK
-	}
-	return w.body.Write(p)
+	rec := httptest.NewRecorder()
+	t.h.ServeHTTP(rec, &sreq)
+	resp := rec.Result()
+	resp.Request = req
+	return resp, nil
 }
 
 // Names returns the mounted LG names in sorted order.

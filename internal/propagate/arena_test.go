@@ -1,7 +1,6 @@
 package propagate
 
 import (
-	"reflect"
 	"testing"
 
 	"mlpeering/internal/bgp"
@@ -18,56 +17,30 @@ func arenaWorld(t testing.TB) (*topology.Topology, *Engine) {
 	return topo, NewEngine(topo, 0)
 }
 
-// TestAvailableRoutesFromArenaIdentity pins the arena path to the
-// allocating path: identical routes, field for field, over every
-// validation-LG vantage and a spread of destinations.
-func TestAvailableRoutesFromArenaIdentity(t *testing.T) {
-	topo, engine := arenaWorld(t)
-	var arena RouteArena
-	var buf []*VantageRoute
-	dests := topo.Order
-	checked := 0
-	for i := 0; i < len(dests); i += 37 {
-		tr := engine.Tree(dests[i])
-		for _, lg := range topo.ValidationLGs {
-			plain := tr.AvailableRoutesFrom(lg.ASN)
-			arena.Reset()
-			buf = tr.AvailableRoutesFromArena(lg.ASN, &arena, buf)
-			if len(plain) != len(buf) {
-				t.Fatalf("dest %s vantage %s: %d plain routes vs %d arena routes",
-					dests[i], lg.ASN, len(plain), len(buf))
-			}
-			for j := range plain {
-				p, a := plain[j], buf[j]
-				if !reflect.DeepEqual(p.Path, a.Path) || p.Class != a.Class ||
-					p.Bilateral != a.Bilateral || p.ViaIXP != a.ViaIXP ||
-					p.RSSetter != a.RSSetter || p.Best != a.Best ||
-					!reflect.DeepEqual(p.Communities, a.Communities) {
-					t.Fatalf("dest %s vantage %s route %d differs:\nplain %+v\narena %+v",
-						dests[i], lg.ASN, j, p, a)
-				}
-			}
-			checked += len(plain)
-		}
-	}
-	if checked == 0 {
-		t.Fatal("no routes compared")
-	}
+// routeFrom reconstructs the vantage's best route into an arena of its
+// own, so the route stays valid for the rest of the test.
+func routeFrom(tr *Tree, vantage bgp.ASN) *VantageRoute {
+	return tr.RouteFromArena(vantage, new(RouteArena))
+}
+
+// availableRoutesFrom is routeFrom for the vantage's whole Adj-RIB-In.
+func availableRoutesFrom(tr *Tree, vantage bgp.ASN) []*VantageRoute {
+	return tr.AvailableRoutesFromArena(vantage, new(RouteArena), nil)
 }
 
 // TestAvailableRoutesFromArenaAllocs asserts the point of the arena: a
-// warm arena enumeration allocates far less than the plain one.
+// warm arena enumeration allocates at most once (the result slice).
 func TestAvailableRoutesFromArenaAllocs(t *testing.T) {
 	topo, engine := arenaWorld(t)
 	// Pick the (destination, vantage) pair with the most routes among a
-	// sample, so the comparison measures real enumeration work.
+	// sample, so the measurement covers real enumeration work.
 	var tr *Tree
 	var vantage bgp.ASN
 	best := 0
 	for i := 0; i < len(topo.Order); i += 53 {
 		c := engine.Tree(topo.Order[i])
 		for _, lg := range topo.ValidationLGs {
-			if n := len(c.AvailableRoutesFrom(lg.ASN)); n > best {
+			if n := len(availableRoutesFrom(c, lg.ASN)); n > best {
 				best, tr, vantage = n, c, lg.ASN
 			}
 		}
@@ -76,11 +49,6 @@ func TestAvailableRoutesFromArenaAllocs(t *testing.T) {
 		t.Fatalf("best vantage has only %d routes", best)
 	}
 
-	plain := testing.AllocsPerRun(50, func() {
-		if len(tr.AvailableRoutesFrom(vantage)) == 0 {
-			t.Fatal("no routes")
-		}
-	})
 	var arena RouteArena
 	var buf []*VantageRoute
 	// Warm the arena chunks once so steady-state is measured.
@@ -94,8 +62,5 @@ func TestAvailableRoutesFromArenaAllocs(t *testing.T) {
 	})
 	if arenaAllocs > 1 {
 		t.Errorf("warm arena enumeration allocates %.1f times per run, want <= 1", arenaAllocs)
-	}
-	if plain < 4*(arenaAllocs+1) {
-		t.Errorf("alloc drop too small: plain %.1f vs arena %.1f allocs/run", plain, arenaAllocs)
 	}
 }

@@ -375,7 +375,7 @@ func (e *Engine) Tree(dest bgp.ASN) *Tree {
 // only inside v's closure (the vantages and their provider/sibling
 // ancestors), which is all a vantage's route or Adj-RIB-In can reach.
 // Reading a route the sweep did not compute panics (see
-// Tree.RouteFrom); v must name every AS fn reads routes from.
+// Tree.RouteFromArena); v must name every AS fn reads routes from.
 func (e *Engine) ForEachTree(v *Vantages, workers int, fn func(*Tree)) {
 	e.ForEachTreeOf(v, workers, e.asns, fn)
 }

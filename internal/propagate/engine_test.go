@@ -147,7 +147,7 @@ func TestPhase1CustomerRoutes(t *testing.T) {
 	if d, _ := tr.Dist(10); d != 2 {
 		t.Fatalf("T1 dist = %d", d)
 	}
-	path := tr.PathFrom(10)
+	path := routeFrom(tr, 10).Path
 	if len(path) != 3 || path[0] != 10 || path[1] != 100 || path[2] != 1001 {
 		t.Fatalf("T1 path = %v", path)
 	}
@@ -174,7 +174,7 @@ func TestPeerAndProviderClasses(t *testing.T) {
 	if tr.Class(1005) != ClassProvider {
 		t.Fatalf("E class = %v", tr.Class(1005))
 	}
-	path := tr.PathFrom(1005)
+	path := routeFrom(tr, 1005).Path
 	if path[0] != 1005 || path[len(path)-1] != 1001 {
 		t.Fatalf("E path = %v", path)
 	}
@@ -188,7 +188,7 @@ func TestValleyFree(t *testing.T) {
 	// peers), only via the RS exporter P3 or via T1 -> T2 -> P3 if RS
 	// filtering blocked it.
 	tr := e.Tree(1004)
-	r := e.Tree(1004).RouteFrom(200)
+	r := routeFrom(e.Tree(1004), 200)
 	if r == nil {
 		t.Fatal("P2 has no route to D")
 	}
@@ -219,7 +219,7 @@ func TestRSFilterBlocksExcludedMember(t *testing.T) {
 
 	// C's route must not be the RS route via P1: it falls back to its
 	// provider P2 (provider class).
-	r := tr.RouteFrom(1003)
+	r := routeFrom(tr, 1003)
 	if r == nil {
 		t.Fatal("C unreachable")
 	}
@@ -231,7 +231,7 @@ func TestRSFilterBlocksExcludedMember(t *testing.T) {
 	// via=100... the engine prefers the bilateral edge only for
 	// PrefersBilateral ASes; both candidates have via P1, the first
 	// offered (bilateral phase runs first) wins.
-	r3 := tr.RouteFrom(300)
+	r3 := routeFrom(tr, 300)
 	if r3 == nil || r3.Class != ClassPeer {
 		t.Fatalf("P3 route = %+v", r3)
 	}
@@ -242,7 +242,7 @@ func TestRSCommunitiesVisibleAtImporter(t *testing.T) {
 	e := NewEngine(topo, 0)
 	tr := e.Tree(1001) // origin A, exporter P1 (excludes C)
 
-	r := tr.RouteFrom(200) // P2 imports from RS
+	r := routeFrom(tr, 200) // P2 imports from RS
 	if r == nil || r.ViaIXP != "TIX" {
 		t.Fatalf("P2 route = %+v", r)
 	}
@@ -262,7 +262,7 @@ func TestCommunityStripping(t *testing.T) {
 	e := NewEngine(topo, 0)
 	tr := e.Tree(1001)
 
-	rC := tr.RouteFrom(1003) // C hears via provider P2
+	rC := routeFrom(tr, 1003) // C hears via provider P2
 	if rC == nil {
 		t.Fatal("C unreachable")
 	}
@@ -274,7 +274,7 @@ func TestCommunityStripping(t *testing.T) {
 	}
 
 	// P2 itself (the importer) still sees them.
-	rP2 := tr.RouteFrom(200)
+	rP2 := routeFrom(tr, 200)
 	if len(rP2.Communities) == 0 {
 		t.Fatal("importer must see communities")
 	}
@@ -287,7 +287,7 @@ func TestCommunitiesPropagateDownstream(t *testing.T) {
 
 	// C hears A via provider P2 whose best route is the RS route; P2
 	// does not strip, so C sees P1's RS communities.
-	rC := tr.RouteFrom(1003)
+	rC := routeFrom(tr, 1003)
 	if rC == nil || rC.Class != ClassProvider {
 		t.Fatalf("C route = %+v", rC)
 	}
@@ -326,7 +326,7 @@ func TestAvailableRoutes(t *testing.T) {
 
 	// At P1: bilateral route via P3, RS route via P3, provider route via
 	// T1. The customer-free paths must be found, loops suppressed.
-	routes := tr.AvailableRoutesFrom(100)
+	routes := availableRoutesFrom(tr, 100)
 	if len(routes) < 3 {
 		t.Fatalf("routes at P1 = %d: %+v", len(routes), routes)
 	}
@@ -352,7 +352,7 @@ func TestAvailableRoutes(t *testing.T) {
 	}
 
 	// At the origin the only route is itself.
-	origin := tr.AvailableRoutesFrom(1004)
+	origin := availableRoutesFrom(tr, 1004)
 	if len(origin) != 1 || origin[0].Class != ClassOrigin {
 		t.Fatalf("origin routes = %+v", origin)
 	}
@@ -364,7 +364,7 @@ func TestPrefersBilateralQuirk(t *testing.T) {
 	e := NewEngine(topo, 0)
 	tr := e.Tree(1004) // D under P3; P1 has bilateral and RS routes via P3
 
-	r := tr.RouteFrom(100)
+	r := routeFrom(tr, 100)
 	if r == nil || r.Class != ClassPeer {
 		t.Fatalf("P1 route = %+v", r)
 	}
@@ -372,7 +372,7 @@ func TestPrefersBilateralQuirk(t *testing.T) {
 		t.Fatalf("PrefersBilateral not honored: %+v", r)
 	}
 	// And the available-routes ranking agrees.
-	routes := tr.AvailableRoutesFrom(100)
+	routes := availableRoutesFrom(tr, 100)
 	if !routes[0].Bilateral {
 		t.Fatalf("ranking disagrees: %+v", routes[0])
 	}
@@ -384,7 +384,7 @@ func TestNonTransparentRS(t *testing.T) {
 	e := NewEngine(topo, 0)
 	tr := e.Tree(1001)
 
-	r := tr.RouteFrom(200)
+	r := routeFrom(tr, 200)
 	if r == nil || r.ViaIXP != "TIX" {
 		t.Fatalf("route = %+v", r)
 	}
@@ -400,7 +400,7 @@ func TestRSStripsCommunities(t *testing.T) {
 	e := NewEngine(topo, 0)
 	tr := e.Tree(1001)
 
-	r := tr.RouteFrom(200)
+	r := routeFrom(tr, 200)
 	if r == nil || r.ViaIXP != "TIX" {
 		t.Fatalf("route should still exist via RS: %+v", r)
 	}
@@ -465,7 +465,7 @@ func TestGeneratedWorldPropagates(t *testing.T) {
 			if v == dst {
 				continue
 			}
-			if r := tr.RouteFrom(v); r != nil && len(r.Communities) > 0 {
+			if r := routeFrom(tr, v); r != nil && len(r.Communities) > 0 {
 				seen = true
 				break
 			}

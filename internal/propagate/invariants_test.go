@@ -47,6 +47,7 @@ func TestValleyFreeInvariant(t *testing.T) {
 	}
 
 	checked, rsPaths := 0, 0
+	var arena RouteArena
 	for i, dest := range topo.Order {
 		if i%17 != 0 {
 			continue // sample destinations to keep the test quick
@@ -56,7 +57,8 @@ func TestValleyFreeInvariant(t *testing.T) {
 			if j%23 != 0 || vantage == dest {
 				continue
 			}
-			r := tr.RouteFrom(vantage)
+			arena.Reset()
+			r := tr.RouteFromArena(vantage, &arena)
 			if r == nil {
 				continue
 			}
@@ -124,6 +126,7 @@ func TestAvailableRoutesInvariants(t *testing.T) {
 	e := NewEngine(topo, 0)
 
 	checked := 0
+	var arena RouteArena
 	for i, dest := range topo.Order {
 		if i%53 != 0 {
 			continue
@@ -133,8 +136,9 @@ func TestAvailableRoutesInvariants(t *testing.T) {
 			if j%67 != 0 || vantage == dest {
 				continue
 			}
-			best := tr.RouteFrom(vantage)
-			all := tr.AvailableRoutesFrom(vantage)
+			arena.Reset()
+			best := tr.RouteFromArena(vantage, &arena)
+			all := tr.AvailableRoutesFromArena(vantage, &arena, nil)
 			if best == nil {
 				if len(all) != 0 {
 					t.Fatalf("alternatives without a best route at %s", vantage)

@@ -8,10 +8,9 @@ const (
 )
 
 // RouteArena slab-allocates reconstructed vantage routes and their path
-// storage for bulk consumers (the collector writing a full RIB dump, the
-// route-server RIB builder). Chunks are never grown in place, so routes
-// handed out earlier stay valid until Reset. Not safe for concurrent
-// use.
+// storage: every route a Tree reconstructs lives in one. Chunks are
+// never grown in place, so routes handed out earlier stay valid until
+// Reset. Not safe for concurrent use.
 //
 // Routes reconstructed into an arena share the engine's community
 // slices instead of cloning them; callers must treat every field as

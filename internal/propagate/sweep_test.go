@@ -74,7 +74,7 @@ func panicsNotComputed(t *testing.T, f func()) (panicked bool) {
 // list, every exporter the full route. For every eighth destination
 // (panics are slow), every other AS either has the full route or, when
 // phases 1-2 gave it none, panics naming the contract, as does
-// AvailableRoutesFrom outside the closure.
+// AvailableRoutesFromArena outside the closure.
 func TestSweepMatchesFullTree(t *testing.T) {
 	eachScenario(t, func(t *testing.T, topo *topology.Topology) {
 		full := NewEngine(topo, 0)
@@ -98,33 +98,36 @@ func TestSweepMatchesFullTree(t *testing.T) {
 			t.Fatalf("closure of %d of %d ASes tests nothing", inside, len(topo.Order))
 		}
 		trees, uncomputed := 0, 0
+		var swept, fullRoutes RouteArena
 		e.ForEachTree(v, 2, func(tr *Tree) {
 			trees++
+			swept.Reset()
+			fullRoutes.Reset()
 			ft := full.Tree(tr.Dest())
 			for i, a := range topo.Order {
 				if !v.above[i] && trees%8 != 1 {
 					continue
 				}
-				want := ft.RouteFrom(a)
+				want := ft.RouteFromArena(a, &fullRoutes)
 				if v.above[i] {
-					if got := tr.RouteFrom(a); !reflect.DeepEqual(got, want) {
+					if got := tr.RouteFromArena(a, &swept); !reflect.DeepEqual(got, want) {
 						t.Fatalf("dest %s: route at %s in the closure %+v, full %+v", tr.Dest(), a, got, want)
 					}
-					if got, want := tr.AvailableRoutesFrom(a), ft.AvailableRoutesFrom(a); !reflect.DeepEqual(got, want) {
+					if got, want := tr.AvailableRoutesFromArena(a, &swept, nil), ft.AvailableRoutesFromArena(a, &fullRoutes, nil); !reflect.DeepEqual(got, want) {
 						t.Fatalf("dest %s: Adj-RIB-In at %s in the closure differs", tr.Dest(), a)
 					}
 					continue
 				}
-				if !panicsNotComputed(t, func() { tr.AvailableRoutesFrom(a) }) {
-					t.Fatalf("dest %s: AvailableRoutesFrom(%s) outside the closure did not panic", tr.Dest(), a)
+				if !panicsNotComputed(t, func() { tr.AvailableRoutesFromArena(a, &swept, nil) }) {
+					t.Fatalf("dest %s: AvailableRoutesFromArena(%s) outside the closure did not panic", tr.Dest(), a)
 				}
 				var got *VantageRoute
-				if panicsNotComputed(t, func() { got = tr.RouteFrom(a) }) {
+				if panicsNotComputed(t, func() { got = tr.RouteFromArena(a, &swept) }) {
 					if c := ft.Class(a); c != ClassNone && c != ClassProvider {
 						t.Fatalf("dest %s: %s has a %s route but panicked", tr.Dest(), a, c)
 					}
 					if !panicsNotComputed(t, func() { tr.Class(a) }) || !panicsNotComputed(t, func() { tr.Dist(a) }) {
-						t.Fatalf("dest %s: Class/Dist(%s) did not panic with RouteFrom", tr.Dest(), a)
+						t.Fatalf("dest %s: Class/Dist(%s) did not panic with RouteFromArena", tr.Dest(), a)
 					}
 					uncomputed++
 					continue
@@ -139,7 +142,7 @@ func TestSweepMatchesFullTree(t *testing.T) {
 					t.Fatalf("dest %s: %s exporters %v, full %v", tr.Dest(), x.Name, exps, want)
 				}
 				for _, m := range exps {
-					if got, want := tr.RouteFrom(m), ft.RouteFrom(m); !reflect.DeepEqual(got, want) {
+					if got, want := tr.RouteFromArena(m, &swept), ft.RouteFromArena(m, &fullRoutes); !reflect.DeepEqual(got, want) {
 						t.Fatalf("dest %s: exporter %s at %s: route %+v, full %+v", tr.Dest(), m, x.Name, got, want)
 					}
 				}

@@ -117,30 +117,13 @@ type VantageRoute struct {
 	Best        bool
 }
 
-// PathFrom returns the best AS path from vantage to the destination
-// (vantage first), or nil when the vantage has no route. Non-transparent
-// route servers appear in the path. It panics like RouteFrom.
-func (t *Tree) PathFrom(vantage bgp.ASN) []bgp.ASN {
-	r := t.RouteFrom(vantage)
-	if r == nil {
-		return nil
-	}
-	return r.Path
-}
-
-// RouteFrom returns the best route at the vantage AS, or nil. On a
-// swept tree it panics for a vantage outside the sweep's closure that
-// has no customer-, peer- or origin-class route: the sweep did not
-// compute that hop (see Engine.ForEachTree).
-func (t *Tree) RouteFrom(vantage bgp.ASN) *VantageRoute {
-	return t.RouteFromArena(vantage, nil)
-}
-
 // RouteFromArena returns the best route at the vantage AS, or nil,
-// slab-allocating the route and its path from arena when it is non-nil.
-// An arena route is valid only until the arena's next Reset, and its
-// Communities are shared with the engine rather than cloned: callers
-// must treat the whole route as read-only. It panics like RouteFrom.
+// slab-allocating the route and its path from arena. The route is valid
+// only until the arena's next Reset, and its Communities are shared
+// with the engine rather than cloned: callers must treat the whole
+// route as read-only. On a swept tree it panics for a vantage outside
+// the sweep's closure that has no customer-, peer- or origin-class
+// route: the sweep did not compute that hop (see Engine.ForEachTree).
 func (t *Tree) RouteFromArena(vantage bgp.ASN, arena *RouteArena) *VantageRoute {
 	vi, ok := t.e.idx[vantage]
 	if !ok || t.hopAt(vi).class == ClassNone {
@@ -153,22 +136,13 @@ func (t *Tree) RouteFromArena(vantage bgp.ASN, arena *RouteArena) *VantageRoute 
 func (t *Tree) reconstruct(vi int32, arena *RouteArena) *VantageRoute {
 	e := t.e
 	h0 := t.hops[vi]
-	var r *VantageRoute
-	if arena != nil {
-		r = arena.newRoute()
-	} else {
-		r = &VantageRoute{}
-	}
+	r := arena.newRoute()
 	r.Class = h0.class
 	r.Bilateral = h0.bilateral
 	r.Best = true
 	// dist counts AS hops to the destination; +2 leaves room for a
 	// non-transparent RS ASN insertion.
-	if arena != nil {
-		r.Path = arena.pathSlice(int(h0.dist) + 2)
-	} else {
-		r.Path = make([]bgp.ASN, 0, int(h0.dist)+2)
-	}
+	r.Path = arena.pathSlice(int(h0.dist) + 2)
 	// Walk the chain. dist strictly decreases along via pointers, so
 	// this terminates. Community survival is tracked inline: communities
 	// attached by the RS exporter survive to the vantage iff no AS
@@ -204,35 +178,22 @@ func (t *Tree) reconstruct(vi int32, arena *RouteArena) *VantageRoute {
 		r.ViaIXP = st.info.Name
 		r.RSSetter = e.asns[rsExporter]
 		if !st.info.StripsCommunities && rsSurvives {
-			cs := st.comms[st.slotOf[rsExporter]]
-			if arena != nil {
-				// Arena routes are read-only by contract; share the
-				// engine's community set instead of cloning it.
-				r.Communities = cs
-			} else {
-				r.Communities = cs.Clone()
-			}
+			r.Communities = st.comms[st.slotOf[rsExporter]]
 		}
 	}
 	return r
 }
 
-// AvailableRoutesFrom enumerates every route the vantage AS has in its
-// Adj-RIB-In toward the destination, best first: the view an all-paths
-// looking glass prints. Alternatives whose path would traverse the
-// vantage itself are suppressed (BGP loop prevention). On a swept tree
-// it panics for any vantage outside the sweep's closure: its provider
-// routes, and so its alternatives, were not computed.
-func (t *Tree) AvailableRoutesFrom(vantage bgp.ASN) []*VantageRoute {
-	return t.AvailableRoutesFromArena(vantage, nil, nil)
-}
-
-// AvailableRoutesFromArena is AvailableRoutesFrom with the routes and
-// their path storage slab-allocated from arena when it is non-nil, and
-// the result appended to buf (which may be nil). Arena routes are valid
-// only until the arena's next Reset and share the engine's community
-// slices instead of cloning them: callers must treat them as read-only.
-// It panics like AvailableRoutesFrom.
+// AvailableRoutesFromArena enumerates every route the vantage AS has in
+// its Adj-RIB-In toward the destination, best first: the view an
+// all-paths looking glass prints. Alternatives whose path would
+// traverse the vantage itself are suppressed (BGP loop prevention). The
+// routes and their path storage are slab-allocated from arena and the
+// result is appended to buf (which may be nil); like RouteFromArena's,
+// the routes are valid only until the arena's next Reset and are
+// read-only. On a swept tree it panics for any vantage outside the
+// sweep's closure: its provider routes, and so its alternatives, were
+// not computed.
 func (t *Tree) AvailableRoutesFromArena(vantage bgp.ASN, arena *RouteArena, buf []*VantageRoute) []*VantageRoute {
 	e := t.e
 	vi, ok := e.idx[vantage]
@@ -243,19 +204,6 @@ func (t *Tree) AvailableRoutesFromArena(vantage bgp.ASN, arena *RouteArena, buf 
 		t.notComputed(vi)
 	}
 	out := buf[:0]
-
-	newRoute := func() *VantageRoute {
-		if arena != nil {
-			return arena.newRoute()
-		}
-		return &VantageRoute{}
-	}
-	newPath := func(n int) []bgp.ASN {
-		if arena != nil {
-			return arena.pathSlice(n)
-		}
-		return make([]bgp.ASN, 0, n)
-	}
 
 	add := func(nb int32, class Class, bilateral bool, viaIXPIdx int16) {
 		sub := t.hops[nb]
@@ -268,10 +216,10 @@ func (t *Tree) AvailableRoutesFromArena(vantage bgp.ASN, arena *RouteArena, buf 
 				return // loop
 			}
 		}
-		r := newRoute()
+		r := arena.newRoute()
 		r.Class = class
 		r.Bilateral = bilateral
-		path := newPath(len(nbRoute.Path) + 2)
+		path := arena.pathSlice(len(nbRoute.Path) + 2)
 		path = append(path, vantage)
 		if viaIXPIdx != noIXP {
 			st := e.ixps[viaIXPIdx]
@@ -281,12 +229,7 @@ func (t *Tree) AvailableRoutesFromArena(vantage bgp.ASN, arena *RouteArena, buf 
 				path = append(path, st.info.Scheme.RSASN)
 			}
 			if !st.info.StripsCommunities {
-				cs := st.comms[st.slotOf[nb]]
-				if arena != nil {
-					r.Communities = cs
-				} else {
-					r.Communities = cs.Clone()
-				}
+				r.Communities = st.comms[st.slotOf[nb]]
 			}
 		} else {
 			// Communities on the neighbor's route survive to the
@@ -302,10 +245,10 @@ func (t *Tree) AvailableRoutesFromArena(vantage bgp.ASN, arena *RouteArena, buf 
 	}
 
 	if t.hops[vi].class == ClassOrigin {
-		r := newRoute()
+		r := arena.newRoute()
 		r.Class = ClassOrigin
 		r.Best = true
-		r.Path = append(newPath(1), vantage)
+		r.Path = append(arena.pathSlice(1), vantage)
 		return append(out, r)
 	}
 

@@ -125,10 +125,11 @@ func TestInferAgainstGroundTruth(t *testing.T) {
 	e := propagate.NewEngine(topo, 0)
 
 	// Public view: every feeder's exported best paths.
+	var arena propagate.RouteArena // never reset: the kept paths stay valid
 	var paths [][]bgp.ASN
 	e.ForEachTree(feederVantages(e), 4, func(tr *propagate.Tree) {
 		for _, f := range topo.Feeders {
-			r := tr.RouteFrom(f.ASN)
+			r := tr.RouteFromArena(f.ASN, &arena)
 			if r == nil {
 				continue
 			}
@@ -193,10 +194,11 @@ func TestCliqueRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := propagate.NewEngine(topo, 0)
+	var arena propagate.RouteArena // never reset: the kept paths stay valid
 	var paths [][]bgp.ASN
 	e.ForEachTree(feederVantages(e), 4, func(tr *propagate.Tree) {
 		for _, f := range topo.Feeders {
-			if r := tr.RouteFrom(f.ASN); r != nil {
+			if r := tr.RouteFromArena(f.ASN, &arena); r != nil {
 				paths = append(paths, r.Path)
 			}
 		}
