@@ -81,8 +81,13 @@ func TestWritesReadableArtifacts(t *testing.T) {
 	if want := fmt.Sprintf("irr.rpsl (%d objects)", len(objs)); !strings.Contains(log, want) {
 		t.Errorf("log does not report the %d parsed IRR objects: %s", len(objs), log)
 	}
-	pdb, err := peeringdb.LoadFile(filepath.Join(dir, "peeringdb.json"))
+	pf, err := os.Open(filepath.Join(dir, "peeringdb.json"))
 	if err != nil {
+		t.Fatal(err)
+	}
+	defer pf.Close()
+	pdb := peeringdb.NewRegistry()
+	if _, err := pdb.ReadFrom(pf); err != nil {
 		t.Fatal(err)
 	}
 	if want := fmt.Sprintf("peeringdb.json (%d records)", pdb.Len()); !strings.Contains(log, want) {

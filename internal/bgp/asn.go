@@ -131,6 +131,3 @@ func (m *ASNMapper) Resolve(alias ASN) ASN {
 	}
 	return alias
 }
-
-// Len returns the number of 32-bit ASNs currently aliased.
-func (m *ASNMapper) Len() int { return len(m.fwd) }

@@ -30,25 +30,6 @@ func NewASPath(asns ...ASN) ASPath {
 	return ASPath{{ASNs: asns}}
 }
 
-// Prepend returns a copy of the path with asn prepended, as performed by
-// each AS when exporting a route. Repeated prepending for path poisoning
-// simply calls this multiple times.
-func (p ASPath) Prepend(asn ASN) ASPath {
-	if len(p) > 0 && !p[0].Set {
-		head := make([]ASN, 0, len(p[0].ASNs)+1)
-		head = append(head, asn)
-		head = append(head, p[0].ASNs...)
-		out := make(ASPath, len(p))
-		copy(out, p)
-		out[0] = PathSegment{ASNs: head}
-		return out
-	}
-	out := make(ASPath, 0, len(p)+1)
-	out = append(out, PathSegment{ASNs: []ASN{asn}})
-	out = append(out, p...)
-	return out
-}
-
 // Flatten returns all ASNs in order of appearance, expanding AS_SETs in
 // their stored order. This is the "series of adjacent AS links" view used
 // by topology extraction.
@@ -58,27 +39,6 @@ func (p ASPath) Flatten() []ASN {
 		out = append(out, seg.ASNs...)
 	}
 	return out
-}
-
-// Origin returns the origin AS (rightmost) and true, or 0 and false for
-// an empty path or one ending in an AS_SET (whose origin is ambiguous).
-func (p ASPath) Origin() (ASN, bool) {
-	if len(p) == 0 {
-		return 0, false
-	}
-	last := p[len(p)-1]
-	if last.Set || len(last.ASNs) == 0 {
-		return 0, false
-	}
-	return last.ASNs[len(last.ASNs)-1], true
-}
-
-// First returns the leftmost AS (the collector's direct peer) and true.
-func (p ASPath) First() (ASN, bool) {
-	if len(p) == 0 || p[0].Set || len(p[0].ASNs) == 0 {
-		return 0, false
-	}
-	return p[0].ASNs[0], true
 }
 
 // Len returns the AS_PATH length as used by the BGP decision process:
@@ -93,19 +53,6 @@ func (p ASPath) Len() int {
 		}
 	}
 	return n
-}
-
-// Contains reports whether asn appears anywhere in the path. Used both
-// for loop prevention and by the inference pipeline's filters.
-func (p ASPath) Contains(asn ASN) bool {
-	for _, seg := range p {
-		for _, a := range seg.ASNs {
-			if a == asn {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // HasCycle reports whether the flattened path visits any AS twice in
@@ -123,19 +70,6 @@ func (p ASPath) HasCycle() bool {
 		seen[a] = i
 	}
 	return false
-}
-
-// Dedup returns the flattened path with adjacent duplicates (prepending)
-// collapsed. Link extraction works on this form.
-func (p ASPath) Dedup() []ASN {
-	flat := p.Flatten()
-	out := flat[:0:0]
-	for _, a := range flat {
-		if len(out) == 0 || out[len(out)-1] != a {
-			out = append(out, a)
-		}
-	}
-	return out
 }
 
 // Clone returns a deep copy.

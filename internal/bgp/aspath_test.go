@@ -10,15 +10,6 @@ func TestASPathBasics(t *testing.T) {
 	if p.Len() != 3 {
 		t.Fatalf("Len = %d", p.Len())
 	}
-	if o, ok := p.Origin(); !ok || o != 8359 {
-		t.Fatalf("Origin = %v, %v", o, ok)
-	}
-	if f, ok := p.First(); !ok || f != 3356 {
-		t.Fatalf("First = %v, %v", f, ok)
-	}
-	if !p.Contains(6695) || p.Contains(1) {
-		t.Fatal("Contains wrong")
-	}
 	if p.String() != "3356 6695 8359" {
 		t.Fatalf("String = %q", p.String())
 	}
@@ -29,37 +20,8 @@ func TestASPathEmpty(t *testing.T) {
 	if p.Len() != 0 {
 		t.Fatal("empty Len")
 	}
-	if _, ok := p.Origin(); ok {
-		t.Fatal("empty Origin should fail")
-	}
-	if _, ok := p.First(); ok {
-		t.Fatal("empty First should fail")
-	}
 	if NewASPath() != nil {
 		t.Fatal("NewASPath() should be nil")
-	}
-}
-
-func TestASPathPrepend(t *testing.T) {
-	p := NewASPath(2, 3)
-	q := p.Prepend(1)
-	if q.String() != "1 2 3" {
-		t.Fatalf("Prepend = %q", q.String())
-	}
-	// Original untouched.
-	if p.String() != "2 3" {
-		t.Fatalf("Prepend mutated receiver: %q", p.String())
-	}
-	// Prepend onto empty.
-	var empty ASPath
-	if got := empty.Prepend(9).String(); got != "9" {
-		t.Fatalf("Prepend to empty = %q", got)
-	}
-	// Prepend before an AS_SET opens a new sequence segment.
-	withSet := ASPath{{Set: true, ASNs: []ASN{5, 6}}}
-	got := withSet.Prepend(4)
-	if len(got) != 2 || got[0].Set || got[0].ASNs[0] != 4 {
-		t.Fatalf("Prepend before set = %v", got)
 	}
 }
 
@@ -73,9 +35,6 @@ func TestASPathSetRendering(t *testing.T) {
 	}
 	if p.Len() != 3 { // set counts once
 		t.Fatalf("Len = %d", p.Len())
-	}
-	if _, ok := p.Origin(); ok {
-		t.Fatal("Origin through trailing AS_SET must be ambiguous")
 	}
 	back, err := ParseASPath(p.String())
 	if err != nil {
@@ -114,20 +73,6 @@ func TestASPathCycleDetection(t *testing.T) {
 		p := NewASPath(c.path...)
 		if got := p.HasCycle(); got != c.want {
 			t.Errorf("HasCycle(%v) = %v, want %v", c.path, got, c.want)
-		}
-	}
-}
-
-func TestASPathDedup(t *testing.T) {
-	p := NewASPath(1, 2, 2, 2, 3, 3)
-	d := p.Dedup()
-	want := []ASN{1, 2, 3}
-	if len(d) != len(want) {
-		t.Fatalf("Dedup = %v", d)
-	}
-	for i := range want {
-		if d[i] != want[i] {
-			t.Fatalf("Dedup = %v, want %v", d, want)
 		}
 	}
 }

@@ -65,27 +65,6 @@ type RawAttr struct {
 	Data  []byte
 }
 
-// Clone returns a deep copy of the attributes.
-func (a *PathAttrs) Clone() *PathAttrs {
-	if a == nil {
-		return nil
-	}
-	out := *a
-	out.ASPath = a.ASPath.Clone()
-	out.Communities = a.Communities.Clone()
-	if a.Aggregator != nil {
-		agg := *a.Aggregator
-		out.Aggregator = &agg
-	}
-	if a.Unknown != nil {
-		out.Unknown = make([]RawAttr, len(a.Unknown))
-		for i, u := range a.Unknown {
-			out.Unknown[i] = RawAttr{Flags: u.Flags, Type: u.Type, Data: append([]byte(nil), u.Data...)}
-		}
-	}
-	return &out
-}
-
 // maxAttrLen is the largest attribute body the two-octet extended
 // length field describes.
 const maxAttrLen = 0xFFFF

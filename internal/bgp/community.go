@@ -104,16 +104,6 @@ func (cs Communities) String() string {
 	return b.String()
 }
 
-// Contains reports whether c is present.
-func (cs Communities) Contains(c Community) bool {
-	for _, v := range cs {
-		if v == c {
-			return true
-		}
-	}
-	return false
-}
-
 // Clone returns an independent copy.
 func (cs Communities) Clone() Communities {
 	if cs == nil {
@@ -161,16 +151,4 @@ func (cs Communities) Equal(other Communities) bool {
 		}
 	}
 	return true
-}
-
-// WithHigh returns the subset whose high half equals asn. Route server
-// community schemes key on this (e.g. 6695:* at DE-CIX).
-func (cs Communities) WithHigh(asn ASN) Communities {
-	var out Communities
-	for _, c := range cs {
-		if c.High() == asn {
-			out = append(out, c)
-		}
-	}
-	return out
 }

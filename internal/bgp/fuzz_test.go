@@ -35,10 +35,10 @@ func FuzzDecode(f *testing.F) {
 	})
 }
 
-// FuzzASPathWire: a path parsed from looking-glass text either fails to
-// encode or decodes back to the same hops, in both AS-number widths
-// (the 2-octet form carries AS_TRANS for every 32-bit ASN). The seed
-// corpus in testdata/fuzz/FuzzASPathWire includes a 300-hop sequence,
+// FuzzASPathWire: a path parsed by ParseASPath from the text form
+// ASPath.String prints either fails to encode or decodes back to the
+// same hops, in both AS-number widths (the 2-octet form carries
+// AS_TRANS for every 32-bit ASN). The seed corpus in testdata/fuzz/FuzzASPathWire includes a 300-hop sequence,
 // one segment's worth and more.
 func FuzzASPathWire(f *testing.F) {
 	f.Add("3356 6695 8359")
@@ -185,7 +185,7 @@ func FuzzUpdateEncode(f *testing.F) {
 	f.Add(route, false)
 	f.Fuzz(func(t *testing.T, data []byte, as4 bool) {
 		u := fuzzUpdate(data)
-		encode := EncodeUpdateAS2
+		encode := encodeUpdateAS2
 		if as4 {
 			encode = func(u *Update) ([]byte, error) { return Encode(u) }
 		}

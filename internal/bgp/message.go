@@ -83,8 +83,8 @@ type Update struct {
 func (u *Update) Type() byte { return MsgUpdate }
 
 // AppendBody implements Message. as4 encoding is fixed at 4-octet since
-// every speaker in this repository negotiates it; Encode wraps the
-// 2-octet legacy case for tests via EncodeUpdateAS2.
+// every speaker in this repository negotiates it; the 2-octet legacy
+// form is appendBody with as4 false.
 func (u *Update) AppendBody(dst []byte) ([]byte, error) {
 	return u.appendBody(dst, true)
 }
@@ -158,13 +158,6 @@ func (Keepalive) AppendBody(dst []byte) ([]byte, error) { return dst, nil }
 // the all-ones marker.
 func Encode(m Message) ([]byte, error) {
 	return frame(m.Type(), m.AppendBody)
-}
-
-// EncodeUpdateAS2 serializes an UPDATE using legacy 2-octet AS encoding,
-// substituting AS_TRANS for 32-bit ASNs. Used by tests exercising the
-// RFC 6793 reconciliation path.
-func EncodeUpdateAS2(u *Update) ([]byte, error) {
-	return frame(MsgUpdate, func(dst []byte) ([]byte, error) { return u.appendBody(dst, false) })
 }
 
 // frame appends a body after the marker and fills in the header,

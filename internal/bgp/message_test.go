@@ -318,13 +318,11 @@ func TestUpdateWireRoundTripProperty(t *testing.T) {
 			Origin:  uint8(seed % 3),
 			NextHop: netip.AddrFrom4([4]byte{byte(seed), byte(seed >> 8), byte(seed >> 16), 1}),
 		}
-		for _, a := range asns {
-			if len(attrs.ASPath) == 0 {
-				attrs.ASPath = NewASPath(ASN(a))
-			} else {
-				attrs.ASPath = attrs.ASPath.Prepend(ASN(a))
-			}
+		hops := make([]ASN, len(asns))
+		for i, a := range asns {
+			hops[len(asns)-1-i] = ASN(a) // each hop prepends the next
 		}
+		attrs.ASPath = NewASPath(hops...)
 		for _, c := range comms {
 			attrs.Communities = append(attrs.Communities, Community(c))
 		}
@@ -359,6 +357,13 @@ func TestUpdateWireRoundTripProperty(t *testing.T) {
 	}
 }
 
+// encodeUpdateAS2 serializes an UPDATE in the legacy 2-octet AS
+// encoding, AS_TRANS standing in for every 32-bit ASN: the wire form the
+// decoder's RFC 6793 reconciliation reads.
+func encodeUpdateAS2(u *Update) ([]byte, error) {
+	return frame(MsgUpdate, func(dst []byte) ([]byte, error) { return u.appendBody(dst, false) })
+}
+
 func TestEncodeUpdateAS2ASTrans(t *testing.T) {
 	u := &Update{
 		Attrs: &PathAttrs{
@@ -368,7 +373,7 @@ func TestEncodeUpdateAS2ASTrans(t *testing.T) {
 		},
 		NLRI: []Prefix{MustPrefix("10.2.0.0/16")},
 	}
-	wire, err := EncodeUpdateAS2(u)
+	wire, err := encodeUpdateAS2(u)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,7 +469,7 @@ func TestAttrsWireLengthLimits(t *testing.T) {
 // withdrawn-routes or path-attribute section over 65,535 bytes is a
 // body encode error, even when every attribute in it fits its own
 // length field, and a message over MaxMsgLen is an error from both
-// Encode and EncodeUpdateAS2 rather than a header length that wraps.
+// Encode and encodeUpdateAS2 rather than a header length that wraps.
 func TestUpdateSectionLengthLimits(t *testing.T) {
 	slash24s := func(n int) []Prefix {
 		out := make([]Prefix, n)
@@ -515,7 +520,7 @@ func TestUpdateSectionLengthLimits(t *testing.T) {
 		u := &Update{NLRI: slash24s(n)}
 		for name, encode := range map[string]func(*Update) ([]byte, error){
 			"Encode":          func(u *Update) ([]byte, error) { return Encode(u) },
-			"EncodeUpdateAS2": EncodeUpdateAS2,
+			"encodeUpdateAS2": encodeUpdateAS2,
 		} {
 			wire, err := encode(u)
 			if n > 1018 {

@@ -77,9 +77,6 @@ func New(name string, engine *propagate.Engine, feeders []topology.Feeder, worke
 	return c
 }
 
-// Feeders returns the collector's peer set.
-func (c *Collector) Feeders() []topology.Feeder { return c.feeders }
-
 // Vantages returns the collector's feeders as a sweep vantage set: a
 // sweep whose trees reach the collector's RIBWriter must compute at
 // least what they can see.

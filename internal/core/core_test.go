@@ -118,11 +118,11 @@ source:  SYNTH
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e := d.ByName("NOLIST"); e.Source() != SourceASSet || !e.IsMember(11) {
-		t.Fatalf("as-set fallback: %v %v", e.Source(), e.Members())
+	if e := d.ByName("NOLIST"); e.source != SourceASSet || !e.IsMember(11) {
+		t.Fatalf("as-set fallback: %v %v", e.source, e.Members())
 	}
-	if e := d.ByName("LINXLIKE"); e.Source() != SourceIRRSearch || !e.IsMember(21) {
-		t.Fatalf("IRR search fallback: %v %v", e.Source(), e.Members())
+	if e := d.ByName("LINXLIKE"); e.source != SourceIRRSearch || !e.IsMember(21) {
+		t.Fatalf("IRR search fallback: %v %v", e.source, e.Members())
 	}
 }
 
@@ -192,8 +192,8 @@ func TestObservationsSourcesAndMerge(t *testing.T) {
 	if got := a.Setters("X"); len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Fatalf("setters = %v", got)
 	}
-	if a.PrefixCount("X", 1) != 2 {
-		t.Fatalf("prefix count = %d", a.PrefixCount("X", 1))
+	if len(a.Prefixes("X", 1)) != 2 {
+		t.Fatalf("prefix count = %d", len(a.Prefixes("X", 1)))
 	}
 	if !a.Covered("X", 2) || a.Covered("Y", 2) {
 		t.Fatal("covered")

@@ -80,9 +80,6 @@ func (e *IXPEntry) IsMember(asn bgp.ASN) bool { return e.members[asn] }
 // MemberCount returns the number of known RS members.
 func (e *IXPEntry) MemberCount() int { return len(e.members) }
 
-// Source returns where the member list came from.
-func (e *IXPEntry) Source() ConnectivitySource { return e.source }
-
 // SetMembers replaces the member list if the new source is at least as
 // reliable as the current one.
 func (e *IXPEntry) SetMembers(members []bgp.ASN, src ConnectivitySource) {

@@ -89,12 +89,6 @@ func (o *Observations) Covered(ixpName string, setter bgp.ASN) bool {
 	return len(o.data[ixpName][setter]) > 0
 }
 
-// PrefixCount returns the number of distinct prefixes observed for a
-// setter.
-func (o *Observations) PrefixCount(ixpName string, setter bgp.ASN) int {
-	return len(o.data[ixpName][setter])
-}
-
 // Prefixes returns the distinct prefixes observed for a setter in
 // deterministic order: the P^passive_a of equation (2), reused by the
 // active survey for multiplicity accounting without re-querying.

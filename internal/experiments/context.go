@@ -135,19 +135,9 @@ func pathCrossesRSAt(r *propagate.VantageRoute, i int) bool {
 	return i+1 < len(r.Path) && r.Path[i+1] == r.RSSetter
 }
 
-// MemberMLPDegree returns, for every RS member with at least one
-// inferred link, its inferred MLP link count.
-func (c *Context) MemberMLPDegree() map[bgp.ASN]int {
-	deg := make(map[bgp.ASN]int)
-	for link := range c.Run.Result.Links {
-		deg[link.A]++
-		deg[link.B]++
-	}
-	return deg
-}
-
-// IncidentCount counts links in set incident to each AS.
-func IncidentCount(set map[topology.LinkKey]bool) map[bgp.ASN]int {
+// IncidentCount counts the links of set incident to each AS; an AS no
+// link touches is absent.
+func IncidentCount[V any](set map[topology.LinkKey]V) map[bgp.ASN]int {
 	deg := make(map[bgp.ASN]int)
 	for link := range set {
 		deg[link.A]++

@@ -155,7 +155,7 @@ func (c *Context) Figure6() *Figure6Result {
 	}
 	res.ASLinkIncreasePct = metrics.Ratio(newLinks, res.PublicASLinks)
 
-	mlpDeg := c.MemberMLPDegree()
+	mlpDeg := IncidentCount(c.Run.Result.Links)
 	pasvDeg := IncidentCount(publicP2P)
 	actDeg := IncidentCount(traceroute)
 

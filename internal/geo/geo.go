@@ -27,9 +27,6 @@ func New(assignments map[bgp.Prefix]ixp.Region) *Database {
 	return &Database{regions: cp}
 }
 
-// Len returns the number of entries.
-func (d *Database) Len() int { return len(d.regions) }
-
 // regionDistance is a coarse pairwise distance between regions: 0 for
 // identical, 1 within Europe, 2 across continents.
 func regionDistance(a, b ixp.Region) int {

@@ -21,8 +21,8 @@ func testDB() *Database {
 
 func TestLookups(t *testing.T) {
 	d := testDB()
-	if d.Len() != 7 {
-		t.Fatalf("Len = %d", d.Len())
+	if len(d.regions) != 7 {
+		t.Fatalf("%d entries, want 7", len(d.regions))
 	}
 }
 

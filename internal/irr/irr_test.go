@@ -40,7 +40,7 @@ func TestParseObjects(t *testing.T) {
 	if an.Class() != "aut-num" || an.Key() != "AS8359" {
 		t.Fatalf("object 0: %s %s", an.Class(), an.Key())
 	}
-	if v, _ := an.Get("as-name"); v != "EXAMPLE-NET" {
+	if v := an.All("as-name"); len(v) != 1 || v[0] != "EXAMPLE-NET" {
 		t.Fatalf("as-name = %q", v)
 	}
 	// Continuation lines are folded.

@@ -45,16 +45,6 @@ func (o *Object) Key() string {
 	return strings.ToUpper(o.Attrs[0].Value)
 }
 
-// Get returns the first value of the named attribute.
-func (o *Object) Get(name string) (string, bool) {
-	for _, a := range o.Attrs {
-		if a.Name == name {
-			return a.Value, true
-		}
-	}
-	return "", false
-}
-
 // All returns every value of the named attribute, in order.
 func (o *Object) All(name string) []string {
 	var out []string

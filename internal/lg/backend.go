@@ -173,9 +173,6 @@ func (b *ASBackend) RouterID() netip.Addr { return b.routerID }
 // LocalASN implements Backend.
 func (b *ASBackend) LocalASN() bgp.ASN { return b.asn }
 
-// AllPaths reports the LG's display mode.
-func (b *ASBackend) AllPaths() bool { return b.allPaths }
-
 // Summary implements Backend. An AS LG reports its neighbors; for the
 // inference pipeline only the route-server views matter, so the
 // member's own summary lists nothing.

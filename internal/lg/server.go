@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/netip"
-	"sort"
 	"strings"
 	"sync"
 
@@ -71,16 +70,6 @@ func (t inProcess) RoundTrip(req *http.Request) (*http.Response, error) {
 	resp := rec.Result()
 	resp.Request = req
 	return resp, nil
-}
-
-// Names returns the mounted LG names in sorted order.
-func (s *Server) Names() []string {
-	out := make([]string, 0, len(s.backends))
-	for n := range s.backends {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 func (s *Server) serve(b Backend, w http.ResponseWriter, r *http.Request) {

@@ -130,7 +130,7 @@ func TestTransportMatchesListener(t *testing.T) {
 
 	// The survey's client, driven the same way over both transports.
 	ctx := context.Background()
-	for _, name := range srv.Names() {
+	for _, name := range slices.Sorted(maps.Keys(srv.backends)) {
 		wc := &Client{BaseURL: ts.URL + "/" + name, HTTPClient: wire}
 		ic := &Client{BaseURL: "http://lg.invalid/" + name, HTTPClient: inProc}
 		for _, c := range []*Client{wc, ic} {

@@ -10,8 +10,8 @@ import (
 	"time"
 )
 
-// ErrShortHeader is returned by Reader.Next when the stream ends inside
-// a record header (a cleanly-ended archive returns io.EOF instead).
+// ErrShortHeader is returned when a stream ends inside a record header
+// (a cleanly-ended archive returns io.EOF instead).
 var ErrShortHeader = errors.New("mrt: truncated record header")
 
 // bodyPool recycles record-body encode buffers across writers: one dump
@@ -123,15 +123,6 @@ type Reader struct {
 
 // NewReader returns a Reader on r.
 func NewReader(r io.Reader) *Reader { return &Reader{r: bufio.NewReader(r)} }
-
-// Next returns the next raw record, or io.EOF at a clean end of stream.
-func (r *Reader) Next() (*Record, error) {
-	rec := &Record{}
-	if err := r.readInto(rec); err != nil {
-		return nil, err
-	}
-	return rec, nil
-}
 
 // readInto reads the next record into rec, reusing rec.Body's capacity.
 // The bulk readers (ReadDump, ReadUpdates) decode each record before

@@ -100,11 +100,6 @@ func need(b []byte, n int, what string) error {
 	return nil
 }
 
-// MarshalPeerIndexTable encodes the table into an MRT record body.
-func MarshalPeerIndexTable(t *PeerIndexTable) ([]byte, error) {
-	return AppendPeerIndexTable(nil, t)
-}
-
 // AppendPeerIndexTable appends the encoded table to b and returns the
 // extended slice, reusing b's capacity.
 func AppendPeerIndexTable(b []byte, t *PeerIndexTable) ([]byte, error) {
@@ -195,11 +190,6 @@ func UnmarshalPeerIndexTable(b []byte) (*PeerIndexTable, error) {
 	return t, nil
 }
 
-// MarshalRIBRecord encodes a RIB_IPVx_UNICAST body.
-func MarshalRIBRecord(r *RIBRecord) ([]byte, error) {
-	return AppendRIBRecord(nil, r)
-}
-
 // AppendRIBRecord appends the encoded record to b and returns the
 // extended slice. Attributes are serialized in place with their length
 // backpatched, so encoding one record performs no allocation beyond
@@ -268,12 +258,6 @@ func (a *DumpArena) entrySlice(n int) []RIBEntry {
 	s := a.entries[len(a.entries) : len(a.entries) : len(a.entries)+n]
 	a.entries = a.entries[:len(a.entries)+n]
 	return s
-}
-
-// UnmarshalRIBRecord decodes a RIB_IPVx_UNICAST body. v6 selects the
-// address family of the embedded prefix.
-func UnmarshalRIBRecord(b []byte, v6 bool) (*RIBRecord, error) {
-	return UnmarshalRIBRecordArena(b, v6, nil)
 }
 
 // UnmarshalRIBRecordArena decodes a RIB_IPVx_UNICAST body,
@@ -346,11 +330,6 @@ func UnmarshalRIBRecordArena(b []byte, v6 bool, arena *DumpArena) (*RIBRecord, e
 		return nil, fmt.Errorf("mrt: %d trailing bytes after RIB record", len(b))
 	}
 	return r, nil
-}
-
-// MarshalBGP4MP encodes a BGP4MP_MESSAGE(_AS4) body.
-func MarshalBGP4MP(m *BGP4MPMessage) ([]byte, error) {
-	return AppendBGP4MP(nil, m)
 }
 
 // AppendBGP4MP appends the encoded body to b and returns the extended

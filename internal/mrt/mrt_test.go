@@ -38,7 +38,7 @@ func sampleAttrs(path ...bgp.ASN) *bgp.PathAttrs {
 
 func TestPeerIndexTableRoundTrip(t *testing.T) {
 	in := samplePeerIndex()
-	body, err := MarshalPeerIndexTable(in)
+	body, err := AppendPeerIndexTable(nil, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestPeerIndexTableRoundTrip(t *testing.T) {
 
 func TestPeerIndexTableEmpty(t *testing.T) {
 	in := &PeerIndexTable{ViewName: ""}
-	body, err := MarshalPeerIndexTable(in)
+	body, err := AppendPeerIndexTable(nil, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestPeerIndexTableEmpty(t *testing.T) {
 }
 
 func TestUnmarshalPeerIndexTableErrors(t *testing.T) {
-	good, _ := MarshalPeerIndexTable(samplePeerIndex())
+	good, _ := AppendPeerIndexTable(nil, samplePeerIndex())
 	for cut := 1; cut < len(good); cut += 7 {
 		if _, err := UnmarshalPeerIndexTable(good[:cut]); err == nil {
 			t.Errorf("truncation at %d not detected", cut)
@@ -92,11 +92,11 @@ func TestRIBRecordRoundTrip(t *testing.T) {
 			{PeerIndex: 1, Originated: time.Unix(1368000500, 0).UTC(), Attrs: sampleAttrs(196615, 8359)},
 		},
 	}
-	body, err := MarshalRIBRecord(in)
+	body, err := AppendRIBRecord(nil, in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := UnmarshalRIBRecord(body, false)
+	out, err := UnmarshalRIBRecordArena(body, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,8 +121,8 @@ func TestRIBRecordRoundTrip(t *testing.T) {
 
 func TestRIBRecordTrailingGarbage(t *testing.T) {
 	in := &RIBRecord{Prefix: bgp.MustPrefix("10.0.0.0/8"), Entries: []RIBEntry{{Attrs: sampleAttrs(1)}}}
-	body, _ := MarshalRIBRecord(in)
-	if _, err := UnmarshalRIBRecord(append(body, 0xAA), false); err == nil {
+	body, _ := AppendRIBRecord(nil, in)
+	if _, err := UnmarshalRIBRecordArena(append(body, 0xAA), false, nil); err == nil {
 		t.Fatal("trailing bytes must error")
 	}
 }
@@ -140,7 +140,7 @@ func TestBGP4MPRoundTrip(t *testing.T) {
 		Message:   upd,
 		AS4:       true,
 	}
-	body, err := MarshalBGP4MP(in)
+	body, err := AppendBGP4MP(nil, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestBGP4MPLegacy2Byte(t *testing.T) {
 		Message:  bgp.Keepalive{},
 		AS4:      false,
 	}
-	body, err := MarshalBGP4MP(in)
+	body, err := AppendBGP4MP(nil, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestBGP4MPLegacyRejects4OctetASN(t *testing.T) {
 		{PeerASN: 196615, LocalASN: 6447, Message: bgp.Keepalive{}},
 		{PeerASN: 6695, LocalASN: 4200000001, Message: bgp.Keepalive{}},
 	} {
-		body, err := MarshalBGP4MP(in)
+		body, err := AppendBGP4MP(nil, in)
 		if err == nil || !strings.Contains(err.Error(), "BGP4MP_MESSAGE_AS4") {
 			t.Fatalf("peer %s, local %s: %d bytes, err %v; want an error naming BGP4MP_MESSAGE_AS4", in.PeerASN, in.LocalASN, len(body), err)
 		}
@@ -198,7 +198,7 @@ func TestBGP4MPLegacyRejects4OctetASN(t *testing.T) {
 			t.Fatalf("peer %s, local %s: Writer.WriteBGP4MP accepted the record", in.PeerASN, in.LocalASN)
 		}
 		in.AS4 = true
-		if _, err := MarshalBGP4MP(in); err != nil {
+		if _, err := AppendBGP4MP(nil, in); err != nil {
 			t.Fatalf("the AS4 subtype rejects peer %s, local %s: %v", in.PeerASN, in.LocalASN, err)
 		}
 	}
@@ -303,13 +303,13 @@ func TestReaderTruncatedBody(t *testing.T) {
 	w.Flush()
 	full := buf.Bytes()
 	r := NewReader(bytes.NewReader(full[:len(full)-3]))
-	if _, err := r.Next(); err == nil {
+	if err := r.readInto(&Record{}); err == nil {
 		t.Fatal("truncated body must error")
 	}
 
 	// Truncation inside the header is a distinct error.
 	r2 := NewReader(bytes.NewReader(full[:5]))
-	if _, err := r2.Next(); err != ErrShortHeader {
+	if err := r2.readInto(&Record{}); err != ErrShortHeader {
 		t.Fatalf("want ErrShortHeader, got %v", err)
 	}
 }
@@ -322,8 +322,8 @@ func TestTimestampPrecision(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.Flush()
-	rec, err := NewReader(&buf).Next()
-	if err != nil {
+	var rec Record
+	if err := NewReader(&buf).readInto(&rec); err != nil {
 		t.Fatal(err)
 	}
 	if !rec.Timestamp.Equal(ts) {
@@ -342,11 +342,11 @@ func TestRIBRecordRoundTripProperty(t *testing.T) {
 				Attrs:      sampleAttrs(bgp.ASN(a)+1, bgp.ASN(b)+1),
 			}},
 		}
-		body, err := MarshalRIBRecord(r)
+		body, err := AppendRIBRecord(nil, r)
 		if err != nil {
 			return false
 		}
-		out, err := UnmarshalRIBRecord(body, false)
+		out, err := UnmarshalRIBRecordArena(body, false, nil)
 		if err != nil {
 			return false
 		}

@@ -39,10 +39,6 @@ func NewStore() *Store {
 // Len returns the number of distinct paths interned.
 func (s *Store) Len() int { return len(s.off) - 1 }
 
-// Hops returns the total hop count across all distinct paths (the arena
-// size), a direct measure of how much the interning saved.
-func (s *Store) Hops() int { return len(s.arena) }
-
 // Path returns the hops of path id as a slice into the shared arena.
 // Callers must not modify it.
 func (s *Store) Path(id ID) []bgp.ASN {
@@ -124,15 +120,6 @@ func (s *Store) InternASPath(p bgp.ASPath) ID {
 	return s.commit(start, h)
 }
 
-// FromSlices interns every path of pp into a fresh store, in order.
-func FromSlices(pp [][]bgp.ASN) *Store {
-	s := NewStore()
-	for _, p := range pp {
-		s.Intern(p)
-	}
-	return s
-}
-
 // View is an ordered subset of a store's paths: the unit consumers
 // iterate (e.g. the hygiene-surviving public paths of the passive
 // pipeline).
@@ -143,15 +130,6 @@ type View struct {
 
 // NewView builds a view over ids (not copied).
 func NewView(s *Store, ids []ID) View { return View{store: s, ids: ids} }
-
-// All returns a view over every path in the store, in intern order.
-func (s *Store) All() View {
-	ids := make([]ID, s.Len())
-	for i := range ids {
-		ids[i] = ID(i)
-	}
-	return View{store: s, ids: ids}
-}
 
 // Len returns the number of paths in the view.
 func (v View) Len() int { return len(v.ids) }
@@ -179,9 +157,6 @@ type Records struct {
 
 // NewRecords returns an empty record table backed by store.
 func NewRecords(store *Store) *Records { return &Records{store: store} }
-
-// Store returns the backing path store.
-func (r *Records) Store() *Store { return r.store }
 
 // Len returns the number of rows.
 func (r *Records) Len() int { return len(r.PathID) }

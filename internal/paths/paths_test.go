@@ -41,8 +41,8 @@ func TestInternCollapsesPrepending(t *testing.T) {
 	if a != b {
 		t.Fatal("prepended path must intern to its collapsed form")
 	}
-	if s.Hops() != 3 {
-		t.Fatalf("Hops = %d, want 3", s.Hops())
+	if len(s.arena) != 3 {
+		t.Fatalf("arena holds %d hops, want 3", len(s.arena))
 	}
 }
 
@@ -78,10 +78,6 @@ func TestViewAndRecords(t *testing.T) {
 	if v.Len() != 2 || v.Path(0)[0] != 3 || v.Path(1)[0] != 1 {
 		t.Fatalf("view order wrong: %v %v", v.Path(0), v.Path(1))
 	}
-	all := s.All()
-	if all.Len() != s.Len() {
-		t.Fatalf("All len = %d, want %d", all.Len(), s.Len())
-	}
 
 	r := NewRecords(s)
 	pfx := bgp.MustPrefix("10.0.0.0/24")
@@ -89,13 +85,6 @@ func TestViewAndRecords(t *testing.T) {
 	r.Add(bID, bgp.Communities{1}, pfx, false)
 	if r.Len() != 2 || r.Path(0)[0] != 1 || !r.Stable[0] || r.Stable[1] {
 		t.Fatalf("records wrong: %+v", r)
-	}
-}
-
-func TestFromSlices(t *testing.T) {
-	s := FromSlices([][]bgp.ASN{{1, 2}, {1, 2}, {2, 3}})
-	if s.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", s.Len())
 	}
 }
 
@@ -121,7 +110,7 @@ func TestInternHashCollision(t *testing.T) {
 			t.Fatalf("path %v got id %d, already taken (ids %v, other %d)", p, ids[i], ids[:i], other)
 		}
 	}
-	hops := s.Hops()
+	hops := len(s.arena)
 	for round := 0; round < 2; round++ {
 		for i, p := range pp {
 			if id := internHashed(s, p, 42); id != ids[i] {
@@ -129,8 +118,8 @@ func TestInternHashCollision(t *testing.T) {
 			}
 		}
 	}
-	if s.Len() != len(pp)+1 || s.Hops() != hops {
-		t.Fatalf("re-interns grew the store: Len %d Hops %d, want %d and %d", s.Len(), s.Hops(), len(pp)+1, hops)
+	if s.Len() != len(pp)+1 || len(s.arena) != hops {
+		t.Fatalf("re-interns grew the store: Len %d, %d hops, want %d and %d", s.Len(), len(s.arena), len(pp)+1, hops)
 	}
 	for i, p := range pp {
 		if got := s.Path(ids[i]); !slices.Equal(got, p) {
@@ -199,8 +188,8 @@ func FuzzStoreIntern(f *testing.F) {
 				t.Fatalf("Path(%d) = %v, want %v", id, got, p)
 			}
 		}
-		if s.Hops() != hops {
-			t.Fatalf("Hops = %d, want %d", s.Hops(), hops)
+		if len(s.arena) != hops {
+			t.Fatalf("arena holds %d hops, want %d", len(s.arena), hops)
 		}
 	})
 }

@@ -47,21 +47,6 @@ func (p Policy) String() string {
 	}
 }
 
-// ParsePolicy parses the String form.
-func ParsePolicy(s string) (Policy, error) {
-	switch s {
-	case "open":
-		return PolicyOpen, nil
-	case "selective":
-		return PolicySelective, nil
-	case "restrictive":
-		return PolicyRestrictive, nil
-	case "unknown", "":
-		return PolicyUnknown, nil
-	}
-	return PolicyUnknown, fmt.Errorf("peeringdb: unknown policy %q", s)
-}
-
 // Scope is a self-reported geographic scope (Fig. 13's x axis).
 type Scope int
 
@@ -85,21 +70,6 @@ func (s Scope) String() string {
 	default:
 		return "n/a"
 	}
-}
-
-// ParseScope parses the String form.
-func ParseScope(s string) (Scope, error) {
-	switch s {
-	case "global":
-		return ScopeGlobal, nil
-	case "europe":
-		return ScopeEurope, nil
-	case "regional":
-		return ScopeRegional, nil
-	case "n/a", "":
-		return ScopeUnknown, nil
-	}
-	return ScopeUnknown, fmt.Errorf("peeringdb: unknown scope %q", s)
 }
 
 // Record is one network's registry entry.
@@ -168,34 +138,6 @@ func (r *Registry) Len() int {
 	return len(r.records)
 }
 
-// ASNs returns all registered ASNs in ascending order.
-func (r *Registry) ASNs() []bgp.ASN {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]bgp.ASN, 0, len(r.records))
-	for a := range r.records {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// WithLG returns the records advertising at least one looking glass,
-// the paper's validation LG discovery step (§5.1).
-func (r *Registry) WithLG() []*Record {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var out []*Record
-	for _, rec := range r.records {
-		if len(rec.LGURLs) > 0 {
-			cp := *rec
-			out = append(out, &cp)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ASN < out[j].ASN })
-	return out
-}
-
 // registryJSON is the serialized form.
 type registryJSON struct {
 	Records []*Record `json:"records"`
@@ -249,18 +191,4 @@ func (r *Registry) SaveFile(path string) error {
 		return err
 	}
 	return f.Close()
-}
-
-// LoadFile reads a registry from path.
-func LoadFile(path string) (*Registry, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	r := NewRegistry()
-	if _, err := r.ReadFrom(f); err != nil {
-		return nil, err
-	}
-	return r, nil
 }

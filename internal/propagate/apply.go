@@ -81,11 +81,6 @@ type Delta struct {
 	Prefixes []PrefixOp
 }
 
-// Empty reports whether the delta carries no operations.
-func (d *Delta) Empty() bool {
-	return len(d.Peers) == 0 && len(d.Members) == 0 && len(d.Filters) == 0 && len(d.Prefixes) == 0
-}
-
 // Ops returns the total operation count.
 func (d *Delta) Ops() int {
 	return len(d.Peers) + len(d.Members) + len(d.Filters) + len(d.Prefixes)

@@ -122,7 +122,7 @@ func TestApplyEquivalence(t *testing.T) {
 	var a, b []byte
 	for epoch := 0; epoch < 4; epoch++ {
 		delta := randomDelta(t, topo, rng, epoch)
-		if delta.Empty() {
+		if delta.Ops() == 0 {
 			t.Fatalf("epoch %d: empty delta", epoch)
 		}
 		dirty, err := eng.Apply(delta)

@@ -133,25 +133,37 @@ func itoa(i int) string {
 	return string(rune('0'+i/10)) + string(rune('0'+i%10))
 }
 
+// hopOf returns asn's hop in tr: how asn reaches the destination and at
+// what AS-hop distance (the zero hop, ClassNone, for an AS the engine
+// does not know). On a swept tree it panics like RouteFromArena for an
+// AS whose route the sweep did not compute.
+func hopOf(tr *Tree, asn bgp.ASN) hop {
+	i, ok := tr.e.idx[asn]
+	if !ok {
+		return hop{}
+	}
+	return tr.hopAt(i)
+}
+
 func TestPhase1CustomerRoutes(t *testing.T) {
 	topo := buildWorld()
 	e := NewEngine(topo, 0)
 	tr := e.Tree(1001) // stub A, customer of P1
 
-	if tr.Class(100) != ClassCustomer {
-		t.Fatalf("P1 class = %v", tr.Class(100))
+	if hopOf(tr, 100).class != ClassCustomer {
+		t.Fatalf("P1 class = %v", hopOf(tr, 100).class)
 	}
-	if tr.Class(10) != ClassCustomer {
-		t.Fatalf("T1 class = %v", tr.Class(10))
+	if hopOf(tr, 10).class != ClassCustomer {
+		t.Fatalf("T1 class = %v", hopOf(tr, 10).class)
 	}
-	if d, _ := tr.Dist(10); d != 2 {
+	if d := hopOf(tr, 10).dist; d != 2 {
 		t.Fatalf("T1 dist = %d", d)
 	}
 	path := routeFrom(tr, 10).Path
 	if len(path) != 3 || path[0] != 10 || path[1] != 100 || path[2] != 1001 {
 		t.Fatalf("T1 path = %v", path)
 	}
-	if tr.Class(1001) != ClassOrigin {
+	if hopOf(tr, 1001).class != ClassOrigin {
 		t.Fatal("origin class")
 	}
 }
@@ -162,17 +174,17 @@ func TestPeerAndProviderClasses(t *testing.T) {
 	tr := e.Tree(1001) // origin A under P1
 
 	// T2 hears A via its peer T1 (peer class, one hop across the clique).
-	if tr.Class(20) != ClassPeer {
-		t.Fatalf("T2 class = %v", tr.Class(20))
+	if hopOf(tr, 20).class != ClassPeer {
+		t.Fatalf("T2 class = %v", hopOf(tr, 20).class)
 	}
 	// B (stub under P1) hears via provider.
-	if tr.Class(1002) != ClassProvider {
-		t.Fatalf("B class = %v", tr.Class(1002))
+	if hopOf(tr, 1002).class != ClassProvider {
+		t.Fatalf("B class = %v", hopOf(tr, 1002).class)
 	}
 	// E under P3: P3 has peer routes (bilateral with P1 and RS);
 	// E gets a provider route through P3.
-	if tr.Class(1005) != ClassProvider {
-		t.Fatalf("E class = %v", tr.Class(1005))
+	if hopOf(tr, 1005).class != ClassProvider {
+		t.Fatalf("E class = %v", hopOf(tr, 1005).class)
 	}
 	path := routeFrom(tr, 1005).Path
 	if path[0] != 1005 || path[len(path)-1] != 1001 {
@@ -206,8 +218,8 @@ func TestValleyFree(t *testing.T) {
 	// The vantage path of T1 must go down through its customer... T1
 	// hears D as customer route? No: D is not in T1's cone. T1 hears
 	// from peer T2 (T2's customer P3 originates the path up).
-	if tr.Class(10) != ClassPeer {
-		t.Fatalf("T1 class = %v", tr.Class(10))
+	if hopOf(tr, 10).class != ClassPeer {
+		t.Fatalf("T1 class = %v", hopOf(tr, 10).class)
 	}
 }
 
@@ -450,7 +462,7 @@ func TestGeneratedWorldPropagates(t *testing.T) {
 	}
 	tr := e.Tree(t1)
 	for _, asn := range topo.Order {
-		if tr.Class(asn) == ClassNone {
+		if hopOf(tr, asn).class == ClassNone {
 			t.Fatalf("AS%s cannot reach tier-1 %s", asn, t1)
 		}
 	}

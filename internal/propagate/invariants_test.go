@@ -66,7 +66,7 @@ func TestValleyFreeInvariant(t *testing.T) {
 			if r.Path[0] != vantage || r.Path[len(r.Path)-1] != dest {
 				t.Fatalf("path endpoints wrong: %v (vantage %s dest %s)", r.Path, vantage, dest)
 			}
-			if d, _ := tr.Dist(vantage); d != len(r.Path)-1 {
+			if d := int(hopOf(tr, vantage).dist); d != len(r.Path)-1 {
 				t.Fatalf("dist %d disagrees with path %v", d, r.Path)
 			}
 			if r.ViaIXP != "" {

@@ -22,32 +22,6 @@ type RSRIB struct {
 	Entries map[bgp.Prefix][]RSEntry
 }
 
-// Prefixes returns all prefixes in deterministic order.
-func (r *RSRIB) Prefixes() []bgp.Prefix {
-	out := make([]bgp.Prefix, 0, len(r.Entries))
-	for p := range r.Entries {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return bgp.ComparePrefixes(out[i], out[j]) < 0 })
-	return out
-}
-
-// PrefixesFrom returns the prefixes advertised by one member, in
-// deterministic order: the "show ip bgp neighbor <addr> routes" data.
-func (r *RSRIB) PrefixesFrom(member bgp.ASN) []bgp.Prefix {
-	var out []bgp.Prefix
-	for p, es := range r.Entries {
-		for _, e := range es {
-			if e.Member == member {
-				out = append(out, p)
-				break
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return bgp.ComparePrefixes(out[i], out[j]) < 0 })
-	return out
-}
-
 // Members returns the connected members observed in the RIB (ascending).
 func (r *RSRIB) Members() []bgp.ASN {
 	seen := make(map[bgp.ASN]bool)

@@ -55,31 +55,6 @@ func (t *Tree) exportersAt(xi int16) []int32 {
 	return t.expFlat[t.expOff[xi]:t.expOff[xi+1]]
 }
 
-// Class returns how asn reaches the destination (ClassNone if it
-// cannot). On a swept tree it panics for an AS whose route the sweep
-// did not compute (see Engine.ForEachTree).
-func (t *Tree) Class(asn bgp.ASN) Class {
-	i, ok := t.e.idx[asn]
-	if !ok {
-		return ClassNone
-	}
-	return t.hopAt(i).class
-}
-
-// Dist returns the AS-hop distance from asn to the destination; ok is
-// false when there is no route. It panics like Class.
-func (t *Tree) Dist(asn bgp.ASN) (int, bool) {
-	i, ok := t.e.idx[asn]
-	if !ok {
-		return 0, false
-	}
-	h := t.hopAt(i)
-	if h.class == ClassNone {
-		return 0, false
-	}
-	return int(h.dist), true
-}
-
 // Exporters returns the RS members exporting a route toward the
 // destination at the named IXP, ascending by ASN. This is the "which
 // members advertise this destination's prefixes to the RS" relation

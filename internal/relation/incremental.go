@@ -624,8 +624,3 @@ func (inc *Incremental) ForEachLink(fn func(topology.LinkKey, Rel) bool) {
 		}
 	}
 }
-
-// Clique returns the current transit-free clique.
-func (inc *Incremental) Clique() []bgp.ASN {
-	return append([]bgp.ASN(nil), inc.clique...)
-}

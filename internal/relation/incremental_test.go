@@ -54,7 +54,7 @@ func assertOracleEquivalence(t *testing.T, step int, store *paths.Store, live ma
 	}
 	batch := Infer(paths.NewView(store, ids))
 
-	bc, ic := batch.Clique(), inc.Clique()
+	bc, ic := batch.clique, inc.clique
 	if len(bc) != len(ic) {
 		t.Fatalf("step %d: clique sizes diverge: batch %v vs incremental %v", step, bc, ic)
 	}
@@ -206,20 +206,21 @@ func TestIncrementalFlapIsIdempotent(t *testing.T) {
 	assertOracleEquivalence(t, 0, store, live, inc)
 }
 
-// TestInferenceIterators pins the allocation-free iterator variants to
-// the map-allocating originals.
+// TestInferenceIterators pins the allocation-free iterators to the
+// inference's own tables: ForEachLink to the label map, and
+// ForEachConeMember to a closure over the customer lists.
 func TestInferenceIterators(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	inf := InferPaths(synthPaths(rng, 80))
 
-	links := inf.Links()
+	links := inf.rels
 	if len(links) != inf.LinkCount() {
-		t.Fatalf("LinkCount %d != len(Links) %d", inf.LinkCount(), len(links))
+		t.Fatalf("LinkCount %d != %d labels", inf.LinkCount(), len(links))
 	}
 	seen := 0
 	inf.ForEachLink(func(k topology.LinkKey, r Rel) bool {
 		if links[k] != r {
-			t.Fatalf("ForEachLink %v=%v disagrees with Links()=%v", k, r, links[k])
+			t.Fatalf("ForEachLink %v=%v disagrees with the label %v", k, r, links[k])
 		}
 		seen++
 		return true
@@ -235,7 +236,17 @@ func TestInferenceIterators(t *testing.T) {
 	}
 
 	for _, asn := range []bgp.ASN{10, 100, 1000} {
-		cone := inf.CustomerCone(asn)
+		cone := map[bgp.ASN]bool{asn: true}
+		for grown := true; grown; {
+			grown = false
+			for a := range cone {
+				for _, c := range inf.customers[a] {
+					if !cone[c] {
+						cone[c], grown = true, true
+					}
+				}
+			}
+		}
 		got := make(map[bgp.ASN]bool)
 		inf.ForEachConeMember(asn, func(a bgp.ASN) bool { got[a] = true; return true })
 		if len(got) != len(cone) {
@@ -289,7 +300,7 @@ func TestCommitRevotesOnlyMovedPeaks(t *testing.T) {
 	}
 	base = append(base, []bgp.ASN{2300, 10, 11, 7100}, []bgp.ASN{2301, 11, 12, 7101}, []bgp.ASN{2302, 10, 12, 7102})
 	commit(base...)
-	clique := inc.Clique()
+	clique := slices.Clone(inc.clique)
 	if len(clique) != 3 {
 		t.Fatalf("clique %v, want the three cores", clique)
 	}
@@ -322,8 +333,8 @@ func TestCommitRevotesOnlyMovedPeaks(t *testing.T) {
 	if inc.P2PCount() != p2p+1 {
 		t.Fatalf("P2PCount went %d -> %d, want exactly the refined link", p2p, inc.P2PCount())
 	}
-	if !slices.Equal(inc.Clique(), clique) {
-		t.Fatalf("clique moved to %v", inc.Clique())
+	if !slices.Equal(inc.clique, clique) {
+		t.Fatalf("clique moved to %v", inc.clique)
 	}
 
 	// A clique-free path peaks at 50 until 60 outgrows it.

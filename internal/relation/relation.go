@@ -91,16 +91,6 @@ func (inf *Inference) Relationship(a, b bgp.ASN) Rel {
 	}
 }
 
-// Links returns all inferred links as a fresh map. Prefer ForEachLink
-// on hot paths: it walks the same set without allocating.
-func (inf *Inference) Links() map[topology.LinkKey]Rel {
-	out := make(map[topology.LinkKey]Rel, len(inf.rels))
-	for k, v := range inf.rels {
-		out[k] = v
-	}
-	return out
-}
-
 // LinkCount returns the number of inferred links.
 func (inf *Inference) LinkCount() int { return len(inf.rels) }
 
@@ -114,28 +104,9 @@ func (inf *Inference) ForEachLink(fn func(topology.LinkKey, Rel) bool) {
 	}
 }
 
-// Clique returns the inferred transit-free clique.
-func (inf *Inference) Clique() []bgp.ASN {
-	return append([]bgp.ASN(nil), inf.clique...)
-}
-
 // CustomerDegree returns the number of inferred direct customers.
 func (inf *Inference) CustomerDegree(asn bgp.ASN) int {
 	return len(inf.customers[asn])
-}
-
-// IsStub reports whether the AS has no inferred customers (Fig. 7's
-// stub definition).
-func (inf *Inference) IsStub(asn bgp.ASN) bool { return len(inf.customers[asn]) == 0 }
-
-// CustomerCone returns asn plus every AS reachable via inferred p2c
-// edges — the customer cone of [32] — as a fresh map. Prefer
-// ForEachConeMember on hot paths: it walks the same cone without
-// allocating a map per call.
-func (inf *Inference) CustomerCone(asn bgp.ASN) map[bgp.ASN]bool {
-	cone := make(map[bgp.ASN]bool)
-	inf.walkCone(asn, cone, func(bgp.ASN) bool { return true })
-	return cone
 }
 
 // ForEachConeMember calls fn for every AS in asn's customer cone (asn
@@ -168,9 +139,6 @@ func (inf *Inference) walkCone(asn bgp.ASN, seen map[bgp.ASN]bool, fn func(bgp.A
 	}
 	return true
 }
-
-// TransitDegree returns the AS's transit degree.
-func (inf *Inference) TransitDegree(asn bgp.ASN) int { return inf.transitDegree[asn] }
 
 // InferPaths runs relationship inference over a plain path slice; it
 // interns the paths into a fresh store and delegates to Infer. Repeated

@@ -75,12 +75,6 @@ type AS struct {
 	OmitsDefaultALL bool
 }
 
-// IsStub reports whether the AS provides transit to nobody.
-func (a *AS) IsStub() bool { return len(a.Customers) == 0 }
-
-// CustomerDegree returns the number of direct customers (Fig. 7 metric).
-func (a *AS) CustomerDegree() int { return len(a.Customers) }
-
 // HasPeer reports whether b is a bilateral peer of a.
 func (a *AS) HasPeer(b bgp.ASN) bool { return containsASN(a.Peers, b) }
 

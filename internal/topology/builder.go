@@ -84,13 +84,10 @@ func NewBuilder(cfg Config) *Builder {
 	return b
 }
 
-// RNG returns the main generation stream. Baseline stages share it;
-// scenario add-on stages must use StageRNG instead so the baseline
-// world is reproduced bit-for-bit regardless of which add-ons run.
-func (b *Builder) RNG() *rand.Rand { return b.rng }
-
 // StageRNG derives an independent, deterministic random stream for a
-// named add-on stage.
+// named add-on stage. Add-on stages draw from it, never from the stream
+// the baseline stages share, so the baseline world is reproduced
+// bit-for-bit whichever add-ons run.
 func (b *Builder) StageRNG(name string) *rand.Rand {
 	h := fnv.New64a()
 	h.Write([]byte(name))
@@ -104,19 +101,6 @@ func (b *Builder) StageRNG(name string) *rand.Rand {
 func (b *Builder) StageIXPRNG(stage, ixpName string) *rand.Rand {
 	return b.StageRNG(stage + "\x00" + ixpName)
 }
-
-// Len returns the number of ASes allocated so far.
-func (b *Builder) Len() int { return len(b.recs) }
-
-// ID returns the dense id of asn.
-func (b *Builder) ID(asn bgp.ASN) (int32, bool) {
-	i, ok := b.byASN[asn]
-	return i, ok
-}
-
-// At returns the record with dense id i. Transient: valid until the
-// next Add.
-func (b *Builder) At(i int32) *AS { return &b.recs[i] }
 
 // AS returns the record for asn, or nil. Transient: valid until the
 // next Add.

@@ -326,14 +326,14 @@ func TestDenseIndexMatchesOrder(t *testing.T) {
 		t.Fatal("builder-generated world must carry a dense index")
 	}
 	for i, asn := range topo.Order {
-		j, ok := topo.IndexOf(asn)
+		j, ok := idx[asn]
 		if !ok || j != int32(i) {
-			t.Fatalf("IndexOf(%s) = %d,%v, want %d", asn, j, ok, i)
+			t.Fatalf("DenseIndex()[%s] = %d,%v, want %d", asn, j, ok, i)
 		}
-		if topo.ASAt(j).ASN != asn {
-			t.Fatalf("ASAt(%d) = %s, want %s", j, topo.ASAt(j).ASN, asn)
+		if topo.recs[j].ASN != asn {
+			t.Fatalf("slab record %d is %s, want %s", j, topo.recs[j].ASN, asn)
 		}
-		if topo.ASes[asn] != topo.ASAt(j) {
+		if topo.ASes[asn] != &topo.recs[j] {
 			t.Fatalf("map view and slab disagree for %s", asn)
 		}
 	}

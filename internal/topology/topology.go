@@ -36,7 +36,7 @@ type LGHost struct {
 //
 // Builder-generated topologies are densely backed: every AS record
 // lives in one slab ordered like Order, addressable by the small
-// integer ids DenseIndex/ASAt expose, and the ASes map is a view into
+// integer ids DenseIndex exposes, and the ASes map is a view into
 // that slab. Hand-assembled topologies (tests) may populate only the
 // map, in which case the dense accessors report absence.
 type Topology struct {
@@ -89,23 +89,10 @@ type Topology struct {
 	RemoteMembers map[string][]bgp.ASN
 }
 
-// AS returns the AS record for asn, or nil.
-func (t *Topology) AS(asn bgp.ASN) *AS { return t.ASes[asn] }
-
 // DenseIndex returns the shared ASN → dense-id map (id == position in
 // Order), or nil for hand-assembled topologies. Callers must not
 // mutate it.
 func (t *Topology) DenseIndex() map[bgp.ASN]int32 { return t.index }
-
-// IndexOf returns the dense id of asn.
-func (t *Topology) IndexOf(asn bgp.ASN) (int32, bool) {
-	i, ok := t.index[asn]
-	return i, ok
-}
-
-// ASAt returns the AS record at dense id i (position in Order). Only
-// valid on builder-generated topologies.
-func (t *Topology) ASAt(i int32) *AS { return &t.recs[i] }
 
 // IXPByName returns the IXP with the given name, or nil.
 func (t *Topology) IXPByName(name string) *ixp.Info {
