@@ -558,18 +558,23 @@ func BenchmarkChurnEpoch(b *testing.B) {
 }
 
 func BenchmarkChurnTraceBuild(b *testing.B) {
-	// The update-trace build at paper scale (Scale 1, 4,721 ASes): the
-	// feeder snapshot and one ground-truth mesh scan, then 12 one-minute
-	// churn epochs of Engine.Apply, UpdateStream.WriteEpoch and the
-	// epoch's truth delta (the pairs its route-server ops can touch,
-	// evaluated before and after Apply) — set-up of three of the four
-	// repo benchmark workloads and lgserve's cold start.
-	// The world is rebuilt untimed each iteration (Run mutates it).
-	// WriteEpoch walks visible-dests trees through the pooled parallel
-	// subset walk, not dirty-dests (both summed over the 12 epochs).
+	// What experiments.BuildChurnTrace runs after BuildWorld, at paper
+	// scale (Scale 1, 4,721 ASes): churn.Runner.Run seeds the update
+	// stream from the RIB dump and scans the ground-truth mesh once, then
+	// runs 12 one-minute churn epochs of Engine.Apply,
+	// UpdateStream.WriteEpoch and the epoch's truth delta (the pairs its
+	// route-server ops can touch, evaluated before and after Apply) —
+	// set-up of three of the four repo benchmark workloads and lgserve's
+	// cold start. The world and its RIB dump (written and decoded as
+	// BuildWorld archives it) are rebuilt untimed each iteration, since
+	// Run mutates the world. stream-seed-ms/op and truth-base-ms/op time,
+	// also outside ns/op, the two set-up steps of Run alone on the same
+	// world before it runs. WriteEpoch walks visible-dests trees, not
+	// dirty-dests (both summed over the 12 epochs).
 	ccfg := churn.DefaultConfig(20130501)
 	ccfg.Epochs, ccfg.Interval = 12, time.Minute
 	var dirty, visible int
+	var seed, truth time.Duration
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -578,11 +583,26 @@ func BenchmarkChurnTraceBuild(b *testing.B) {
 			b.Fatal(err)
 		}
 		eng := propagate.NewEngine(topo, 0)
+		var rib bytes.Buffer
+		if err := collector.New("rrc-synth", eng, nil, 0).WriteRIB(&rib, pipeline.Timestamp); err != nil {
+			b.Fatal(err)
+		}
+		dump, err := mrt.ReadDump(&rib)
+		if err != nil {
+			b.Fatal(err)
+		}
 		col := collector.New("rrc-churn", eng, nil, 4)
+		t0 := time.Now()
+		if _, err := collector.SeedUpdateStream(col, dump); err != nil {
+			b.Fatal(err)
+		}
+		t1 := time.Now()
+		topo.SortedGroundTruthReciprocalLinks()
+		seed, truth = seed+t1.Sub(t0), truth+time.Since(t1)
 		runner := churn.NewRunner(eng, ccfg)
 		var buf bytes.Buffer
 		b.StartTimer()
-		trace, err := runner.Run(&buf, col, pipeline.Timestamp.Add(2*time.Hour))
+		trace, err := runner.Run(&buf, col, dump, pipeline.Timestamp.Add(2*time.Hour))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -593,6 +613,8 @@ func BenchmarkChurnTraceBuild(b *testing.B) {
 	}
 	b.ReportMetric(float64(dirty)/float64(b.N), "dirty-dests/op")
 	b.ReportMetric(float64(visible)/float64(b.N), "visible-dests/op")
+	b.ReportMetric(float64(seed)/1e6/float64(b.N), "stream-seed-ms/op")
+	b.ReportMetric(float64(truth)/1e6/float64(b.N), "truth-base-ms/op")
 }
 
 func BenchmarkChurnedPublish(b *testing.B) {

@@ -13,7 +13,6 @@ package churn
 import (
 	"fmt"
 	"io"
-	"maps"
 	"math/rand"
 	"slices"
 	"sort"
@@ -23,6 +22,7 @@ import (
 	"mlpeering/internal/bgp"
 	"mlpeering/internal/collector"
 	"mlpeering/internal/ixp"
+	"mlpeering/internal/mrt"
 	"mlpeering/internal/propagate"
 	"mlpeering/internal/topology"
 )
@@ -508,21 +508,26 @@ type Trace struct {
 // epoch the delta is applied incrementally through Engine.Apply and the
 // dirty destinations are diffed into announce/withdraw messages on w
 // (an MRT BGP4MP stream). The collector col must observe the runner's
-// engine. The ground-truth mesh is scanned once, before epoch 0; after
-// that each epoch re-evaluates only the pairs its route-server ops can
-// touch (truthCandidates), before and after Apply, and records the
-// pairs that flipped.
-func (r *Runner) Run(w io.Writer, col *collector.Collector, start time.Time) (*Trace, error) {
+// engine, and dump must be the RIB dump of col's feeders written from
+// the engine's current state: it is the stream's diff baseline
+// (collector.SeedUpdateStream), so no tree is swept before epoch 0.
+// The ground-truth mesh is scanned once, before epoch 0; after that
+// each epoch re-evaluates only the pairs its route-server ops can touch
+// (truthCandidates), before and after Apply, and records the pairs that
+// flipped.
+func (r *Runner) Run(w io.Writer, col *collector.Collector, dump *mrt.Dump, start time.Time) (*Trace, error) {
 	if col.Engine() != r.engine {
 		return nil, fmt.Errorf("churn: collector observes a different engine")
 	}
-	stream := collector.NewUpdateStream(col)
-	base := r.topo.AllGroundTruthReciprocalLinks()
+	stream, err := collector.SeedUpdateStream(col, dump)
+	if err != nil {
+		return nil, fmt.Errorf("churn: %w", err)
+	}
 	tr := &Trace{
 		Start: start, Interval: r.cfg.Interval,
-		TruthBase: slices.SortedFunc(maps.Keys(base), topology.CompareLinkKeys),
+		TruthBase: r.topo.SortedGroundTruthReciprocalLinks(),
 	}
-	truthLinks := len(base)
+	truthLinks := len(tr.TruthBase)
 	var was []bool
 	for k := 0; k < r.cfg.Epochs; k++ {
 		d := r.NextDelta()

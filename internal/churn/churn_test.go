@@ -25,6 +25,32 @@ func buildWorld(t testing.TB, cfg topology.Config) (*topology.Topology, *propaga
 	return topo, propagate.NewEngine(topo, 0)
 }
 
+// ribDump archives col's view of its engine's current state and decodes
+// it back: the dump Run seeds its update stream from.
+func ribDump(t testing.TB, col *collector.Collector) *mrt.Dump {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := col.WriteRIB(&buf, testStart); err != nil {
+		t.Fatal(err)
+	}
+	d, err := mrt.ReadDump(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// TestRunRefusesForeignDump pins that Run seeds its stream from the dump
+// it is given and fails on one it cannot map, before any epoch runs:
+// here a dump without a peer table.
+func TestRunRefusesForeignDump(t *testing.T) {
+	_, eng := buildWorld(t, topology.TestConfig())
+	col := collector.New("rrc-churn", eng, nil, 2)
+	if _, err := NewRunner(eng, DefaultConfig(1)).Run(&bytes.Buffer{}, col, &mrt.Dump{}, testStart); err == nil || !strings.Contains(err.Error(), "peer table") {
+		t.Fatalf("Run with an empty dump: error %v, want the seed's peer-table error", err)
+	}
+}
+
 // runOnce builds a fresh world and runs a full churn schedule over it,
 // returning the schedule description and the raw MRT update bytes.
 func runOnce(t testing.TB, seed int64) (string, []byte, *Trace) {
@@ -52,7 +78,7 @@ func runOnce(t testing.TB, seed int64) (string, []byte, *Trace) {
 	_ = topo2
 
 	var buf bytes.Buffer
-	tr, err := r.Run(&buf, col, testStart)
+	tr, err := r.Run(&buf, col, ribDump(t, col), testStart)
 	if err != nil {
 		t.Fatal(err)
 	}

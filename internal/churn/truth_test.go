@@ -20,7 +20,7 @@ func checkTruthFold(t testing.TB, wcfg topology.Config, cfg Config) {
 	t.Helper()
 	_, eng := buildWorld(t, wcfg)
 	col := collector.New("rrc-churn", eng, nil, 2)
-	tr, err := NewRunner(eng, cfg).Run(io.Discard, col, testStart)
+	tr, err := NewRunner(eng, cfg).Run(io.Discard, col, ribDump(t, col), testStart)
 	if err != nil {
 		t.Fatal(err)
 	}

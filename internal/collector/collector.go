@@ -47,7 +47,8 @@ type attrSlot struct {
 
 // New builds a collector over the engine's topology. If feeders is nil
 // the topology's feeder set is used. workers sizes the tree sweeps the
-// collector drives itself (WriteRIB, NewUpdateStream, WriteEpoch) and
+// collector drives itself (WriteRIB, WriteEpoch, and NewUpdateStream's
+// full sweep; SeedUpdateStream reads the dump and sweeps nothing) and
 // follows par.Workers: 0 means GOMAXPROCS; the bytes written do not
 // depend on it.
 func New(name string, engine *propagate.Engine, feeders []topology.Feeder, workers int) *Collector {

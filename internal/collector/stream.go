@@ -1,7 +1,9 @@
 package collector
 
 import (
+	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"mlpeering/internal/bgp"
@@ -11,13 +13,13 @@ import (
 )
 
 // UpdateStream turns epochal world mutation into a true announce +
-// withdraw BGP4MP trace: it snapshots every feeder's exported route per
-// destination, and after each epoch's Engine.Apply diffs the dirty
-// destinations its feeders can see change against the snapshot,
-// emitting withdrawals for routes and prefixes that disappeared and
-// announcements for routes that appeared or changed — the message mix
-// real collectors archive, unlike the announce-only re-broadcast churn
-// of WriteUpdates.
+// withdraw BGP4MP trace: it holds every feeder's exported route per
+// destination as archived in the RIB dump, and after each epoch's
+// Engine.Apply diffs the dirty destinations its feeders can see change
+// against that baseline, emitting withdrawals for routes and prefixes
+// that disappeared and announcements for routes that appeared or
+// changed — the message mix real collectors archive, unlike the
+// announce-only re-broadcast churn of WriteUpdates.
 type UpdateStream struct {
 	col *Collector
 
@@ -36,22 +38,94 @@ type UpdateStream struct {
 	routes   map[bgp.ASN][]string
 }
 
-// NewUpdateStream snapshots the collector's current view (all feeders,
-// all destinations) as the diff baseline. Call it on the same engine
-// state the RIB dump was written from.
-func NewUpdateStream(col *Collector) *UpdateStream {
-	s := &UpdateStream{
-		col:      col,
-		prefixes: make(map[bgp.ASN][]bgp.Prefix),
-		routes:   make(map[bgp.ASN][]string),
-	}
+// newStream returns a stream over col with an empty baseline.
+func newStream(col *Collector) *UpdateStream {
 	var full []bgp.ASN
 	for _, f := range col.feeders {
 		if f.Kind == topology.FeedFull {
 			full = append(full, f.ASN)
 		}
 	}
-	s.vantages = col.engine.NewVantages(full)
+	return &UpdateStream{
+		col:      col,
+		vantages: col.engine.NewVantages(full),
+		prefixes: make(map[bgp.ASN][]bgp.Prefix),
+		routes:   make(map[bgp.ASN][]string),
+	}
+}
+
+// SeedUpdateStream starts a stream whose diff baseline is dump, the RIB
+// dump of col's feeders decoded from the engine's current state (the
+// world build archives one): per destination, the first record's
+// entries are the feeders' exported routes, fingerprinted by peer
+// index. It sweeps no tree. A peer table that does not list col's
+// feeders in order is an error, and so is a record it cannot map: one
+// that belongs to no destination's prefix run, an entry whose peer
+// index is out of range or repeated, or a path that is not one
+// non-empty AS_SEQUENCE.
+func SeedUpdateStream(col *Collector, dump *mrt.Dump) (*UpdateStream, error) {
+	if dump.Index == nil || len(dump.Index.Peers) != len(col.feeders) {
+		return nil, fmt.Errorf("collector %s: dump peer table does not list the %d feeders", col.Name, len(col.feeders))
+	}
+	for i, f := range col.feeders {
+		if p := dump.Index.Peers[i]; p.ASN != f.ASN || p.Addr != col.addrs[f.ASN] {
+			return nil, fmt.Errorf("collector %s: dump peer %d is %s at %s, want feeder %s at %s", col.Name, i, p.ASN, p.Addr, f.ASN, col.addrs[f.ASN])
+		}
+	}
+	s := newStream(col)
+	topo := col.engine.Topology()
+	recs := dump.RIBs
+	var buf []byte
+	j := 0
+	// The dump holds, in ascending destination order, one record per
+	// prefix of every destination some feeder exported a route toward,
+	// each with the same entries.
+	for _, dest := range topo.Order {
+		ps := topo.ASes[dest].Prefixes
+		if len(ps) == 0 || j == len(recs) || recs[j].Prefix != ps[0] {
+			continue
+		}
+		for k, p := range ps {
+			if j+k == len(recs) || recs[j+k].Prefix != p {
+				return nil, fmt.Errorf("collector %s: dump record %d: %s's prefix run breaks at %s", col.Name, j+k, dest, p)
+			}
+		}
+		if len(recs[j].Entries) == 0 {
+			return nil, fmt.Errorf("collector %s: dump record %d has no entries", col.Name, j)
+		}
+		fps := make([]string, len(col.feeders))
+		for _, en := range recs[j].Entries {
+			i := int(en.PeerIndex)
+			if i >= len(fps) || fps[i] != "" {
+				return nil, fmt.Errorf("collector %s: dump record %d: peer index %d out of range or repeated", col.Name, j, i)
+			}
+			a := en.Attrs
+			if a == nil || len(a.ASPath) != 1 || a.ASPath[0].Set || len(a.ASPath[0].ASNs) == 0 {
+				return nil, fmt.Errorf("collector %s: dump record %d, peer %d: AS path is not one non-empty AS_SEQUENCE", col.Name, j, i)
+			}
+			comms := a.Communities
+			if col.strips[i] {
+				comms = nil
+			}
+			buf = appendFingerprint(buf[:0], a.ASPath[0].ASNs, comms)
+			fps[i] = string(buf)
+		}
+		s.prefixes[dest] = append([]bgp.Prefix(nil), ps...)
+		s.routes[dest] = fps
+		j += len(ps)
+	}
+	if j < len(recs) {
+		return nil, fmt.Errorf("collector %s: dump record %d (%s) maps to no destination", col.Name, j, recs[j].Prefix)
+	}
+	return s, nil
+}
+
+// NewUpdateStream is SeedUpdateStream with the baseline swept from the
+// engine's current state instead: every destination tree, all feeders.
+// It is the oracle the seed is tested against, and the benchmark
+// harness's decomposed trace build still times it (ROADMAP item 1).
+func NewUpdateStream(col *Collector) *UpdateStream {
+	s := newStream(col)
 	topo := col.engine.Topology()
 	var arena propagate.RouteArena
 	col.engine.ForEachTree(col.sweep, col.workers, func(tr *propagate.Tree) {
@@ -98,17 +172,26 @@ func (s *UpdateStream) capture(tr *propagate.Tree, arena *propagate.RouteArena) 
 // the feeder strips) communities: equal fingerprints ⇔ equal UPDATE
 // content for the destination's prefixes.
 func routeFingerprint(r *propagate.VantageRoute, feederStrips bool) string {
-	b := make([]byte, 0, 4*len(r.Path)+4*len(r.Communities)+1)
-	for _, a := range r.Path {
+	comms := r.Communities
+	if feederStrips {
+		comms = nil
+	}
+	return string(appendFingerprint(nil, r.Path, comms))
+}
+
+// appendFingerprint appends the one fingerprint layout, shared by swept
+// and archived routes: the path's ASNs big-endian, 0xFF, then the
+// communities as exported.
+func appendFingerprint(b []byte, path []bgp.ASN, comms bgp.Communities) []byte {
+	b = slices.Grow(b, 4*len(path)+1+4*len(comms))
+	for _, a := range path {
 		b = append(b, byte(a>>24), byte(a>>16), byte(a>>8), byte(a))
 	}
 	b = append(b, 0xFF)
-	if !feederStrips {
-		for _, c := range r.Communities {
-			b = append(b, byte(c>>24), byte(c>>16), byte(c>>8), byte(c))
-		}
+	for _, c := range comms {
+		b = append(b, byte(c>>24), byte(c>>16), byte(c>>8), byte(c))
 	}
-	return string(b)
+	return b
 }
 
 // WriteEpoch diffs the dirty destinations (as returned by the Engine.Apply

@@ -8,6 +8,7 @@ import (
 
 	"mlpeering/internal/churn"
 	"mlpeering/internal/collector"
+	"mlpeering/internal/mrt"
 	"mlpeering/internal/propagate"
 	"mlpeering/internal/topology"
 )
@@ -15,10 +16,12 @@ import (
 var oracleStart = time.Date(2013, 5, 1, 2, 0, 0, 0, time.UTC)
 
 // TestStreamMatchesFullDirtyWalk is the stream oracle for the
-// visible-set rule: churn.Runner.Run (WriteEpoch walks only what a
-// feeder can see change) must write the byte-identical MRT stream, with
-// identical per-epoch counts, as the same schedule fed through a walk
-// of the whole Apply dirty set — on every scenario, and on the paper
+// visible-set rule and the dump seed: churn.Runner.Run (its baseline
+// seeded from the RIB dump, WriteEpoch walking only what a feeder can
+// see change) must write the byte-identical MRT stream, with identical
+// per-epoch counts, as the same schedule fed through NewUpdateStream's
+// swept baseline and a walk of the whole Apply dirty set — on every
+// scenario, and on the paper
 // world for the benchmark's twelve epochs. It also pins EpochStats:
 // VisibleDests never exceeds DirtyDests and is strictly smaller in at
 // least one epoch.
@@ -60,8 +63,16 @@ func TestStreamMatchesFullDirtyWalk(t *testing.T) {
 			}
 
 			_, runner, col := build()
+			var rib bytes.Buffer
+			if err := col.WriteRIB(&rib, oracleStart); err != nil {
+				t.Fatal(err)
+			}
+			dump, err := mrt.ReadDump(&rib)
+			if err != nil {
+				t.Fatal(err)
+			}
 			var got bytes.Buffer
-			trace, err := runner.Run(&got, col, oracleStart)
+			trace, err := runner.Run(&got, col, dump, oracleStart)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -274,20 +274,35 @@ func (fx *minerFuzzFixture) windows(t *testing.T, dumps []*mrt.Dump, updates []*
 }
 
 // appliedRecords fails unless a closed incremental miner left no record
-// dirty and every record's mesh state is what its own tally says now:
-// covered iff a prefix is live, with the tally's majority-vote filter.
+// dirty, every record's mesh state is what its own tally says now —
+// covered iff a prefix is live, with the tally's majority-vote filter —
+// and each IXP's covered list holds exactly its covered records, each
+// at the position it records.
 func appliedRecords(t *testing.T, m *windowMiner) {
 	t.Helper()
 	if len(m.obs.dirty) != 0 {
 		t.Fatalf("window %d: %d records still queued after the close", m.epoch-1, len(m.obs.dirty))
 	}
 	for _, x := range m.obs.ixps {
+		n := 0
+		for i, s := range x.covered {
+			if s.x != x || !s.meshCovered || s.coveredAt != i {
+				t.Fatalf("window %d: %s covered list slot %d holds %s %d (covered %v, at %d)",
+					m.epoch-1, x.entry.Name, i, s.x.entry.Name, s.asn, s.meshCovered, s.coveredAt)
+			}
+		}
 		for _, s := range x.records {
+			if s.meshCovered {
+				n++
+			}
 			f, covered := s.filter(x.entry.Scheme)
 			if s.dirty || s.meshCovered != (s.active > 0) || s.meshCovered != covered || !s.meshFilter.Equal(f) {
 				t.Fatalf("window %d: %s %d: dirty %v, mesh covered %v filter %v; tally active %d filter %v",
 					m.epoch-1, x.entry.Name, s.asn, s.dirty, s.meshCovered, s.meshFilter, s.active, f)
 			}
+		}
+		if n != len(x.covered) {
+			t.Fatalf("window %d: %s has %d covered records, %d in its covered list", m.epoch-1, x.entry.Name, n, len(x.covered))
 		}
 	}
 }

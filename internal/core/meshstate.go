@@ -88,7 +88,8 @@ func (ms *MeshState) Apply() {
 
 // updateSetter re-derives one record from its tally. A record whose
 // coverage and filter held is left as it is; otherwise every covered
-// co-member's link is brought to what the pair rule says now. The
+// co-member's link (the IXP's covered list, not all its records) is
+// brought to what the pair rule says now. The
 // outcome is order-independent across the dirty set: a pair of changed
 // setters is settled by whichever side is processed last, with both
 // filters final.
@@ -98,10 +99,13 @@ func (ms *MeshState) updateSetter(s *setterDelta) {
 	if covered == s.meshCovered && f.Equal(s.meshFilter) {
 		return
 	}
+	if covered != s.meshCovered {
+		x.setCovered(s, covered)
+	}
 	s.meshCovered, s.meshFilter = covered, f
 	x.stale = true
-	for _, o := range x.records {
-		if o == s || !o.meshCovered {
+	for _, o := range x.covered {
+		if o == s {
 			continue
 		}
 		key := topology.MakeLinkKey(s.asn, o.asn)
@@ -237,12 +241,10 @@ func (x *ixpDelta) inference() *IXPInference {
 		Filters: make(map[bgp.ASN]ixp.ExportFilter),
 		Sources: make(map[bgp.ASN]DataSource),
 	}
-	for _, s := range x.records {
-		if s.meshCovered {
-			inf.Covered = append(inf.Covered, s.asn)
-			inf.Filters[s.asn] = s.meshFilter
-			inf.Sources[s.asn] = ObsPassive
-		}
+	for _, s := range x.covered {
+		inf.Covered = append(inf.Covered, s.asn)
+		inf.Filters[s.asn] = s.meshFilter
+		inf.Sources[s.asn] = ObsPassive
 	}
 	slices.Sort(inf.Covered)
 	return inf

@@ -71,8 +71,11 @@ type setterDelta struct {
 
 	// meshCovered and meshFilter are what the last MeshState.Apply
 	// derived from the tally: the state the mesh's links describe.
+	// coveredAt is the record's position in its IXP's covered list
+	// while meshCovered holds.
 	meshCovered bool
 	meshFilter  ixp.ExportFilter
+	coveredAt   int
 }
 
 // filter reconstructs the setter's export filter by majority vote over
@@ -100,12 +103,26 @@ type ixpDelta struct {
 	members []bgp.ASN // entry.Members(), cached by NewMeshState
 	setters map[bgp.ASN]*setterDelta
 	records []*setterDelta // setters' records in creation order
+	covered []*setterDelta // the records with meshCovered, in no order
 
 	// snap is the IXPInference the last MeshState.Snapshot materialized;
 	// stale records that a setter joined, left or changed filter since,
 	// i.e. that snap no longer describes this state.
 	snap  *IXPInference
 	stale bool
+}
+
+// setCovered adds s to x's covered list or removes it, as MeshState
+// flips s.meshCovered to covered.
+func (x *ixpDelta) setCovered(s *setterDelta, covered bool) {
+	if covered {
+		s.coveredAt = len(x.covered)
+		x.covered = append(x.covered, s)
+		return
+	}
+	last := x.covered[len(x.covered)-1]
+	x.covered[s.coveredAt], last.coveredAt = last, s.coveredAt
+	x.covered = x.covered[:len(x.covered)-1]
 }
 
 // DeltaObservations is a reference-counted observation store: the

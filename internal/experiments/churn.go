@@ -99,7 +99,7 @@ func BuildChurnTrace(cfg topology.Config, ccfg churn.Config) (*ChurnTrace, error
 
 	start := pipeline.Timestamp.Add(2 * time.Hour)
 	var buf bytes.Buffer
-	trace, err := runner.Run(&buf, col, start)
+	trace, err := runner.Run(&buf, col, w.Dumps[0], start)
 	if err != nil {
 		return nil, err
 	}

@@ -360,14 +360,18 @@ func (e *Engine) Tree(dest bgp.ASN) *Tree {
 }
 
 // ForEachTree computes the tree of every destination in ascending ASN
-// order using workers goroutines, invoking fn sequentially (fn needs no
-// locking). workers follows par.Workers: 0 means GOMAXPROCS, anything
-// below one is sequential; what fn sees does not depend on it. The
-// *Tree passed to fn is only valid for the duration of the call: its
-// buffers are recycled for later destinations, so fn must copy out
-// anything it wants to keep. A caller
-// with several per-tree consumers feeds them all from one fn (see
-// pipeline.BuildWorld): the sweep is the cost, not the consuming.
+// order using workers goroutines, invoking fn sequentially on the
+// caller's goroutine (fn needs no locking). workers follows
+// par.Workers: 0 means GOMAXPROCS, anything below one is sequential;
+// what fn sees does not depend on it. The *Tree passed to fn is only
+// valid for the duration of the call: its buffers are recycled for
+// later destinations, so fn must copy out anything it wants to keep. A
+// caller with several per-tree consumers feeds them all from one fn
+// (see pipeline.BuildWorld): the sweep is the cost, not the consuming.
+//
+// With more than one worker, fn runs while the workers compute the
+// next window of trees, so fn must write nothing the computation
+// reads: the engine's topology, its state and the Vantages.
 //
 // A sweep computes what its vantages can see. Customer-, peer- and
 // origin-class hops are exact everywhere, so every route-server
@@ -380,43 +384,90 @@ func (e *Engine) ForEachTree(v *Vantages, workers int, fn func(*Tree)) {
 	e.ForEachTreeOf(v, workers, e.asns, fn)
 }
 
+// sweepWindow is how many trees a sweep computes per batch: memory
+// stays bounded at two windows (one being consumed, one computing)
+// while fn consumes trees in destination order.
+const sweepWindow = 256
+
 // ForEachTreeOf is ForEachTree restricted to dests: fn sees their trees
-// in the order listed, under the same contract (vantages and workers
-// included). Unknown ASNs are skipped.
+// in the order listed, under the same contract (vantages, workers and
+// the overlap with the next window included). Unknown ASNs are skipped.
 func (e *Engine) ForEachTreeOf(v *Vantages, workers int, dests []bgp.ASN, fn func(*Tree)) {
 	if v.e != e {
 		panic("propagate: ForEachTree with another engine's Vantages")
 	}
 	workers = par.Workers(workers)
-	// Compute in windows so memory stays bounded while fn consumes
-	// trees in deterministic destination order.
-	const window = 256
-	var out [window]*Tree
-	for len(dests) > 0 {
-		batch := dests
-		if len(batch) > window {
-			batch = batch[:window]
-		}
+	take := func() []bgp.ASN {
+		batch := dests[:min(len(dests), sweepWindow)]
 		dests = dests[len(batch):]
-		par.Run(workers, len(batch), func(i int) {
-			di, ok := e.idx[batch[i]]
-			if !ok {
-				return
-			}
-			s := e.scratchPool.Get().(*scratch)
-			t := e.treePool.Get().(*Tree)
-			e.compute(di, t, s, &v.down, v.above)
-			e.scratchPool.Put(s)
-			out[i] = t
-		})
-		for i, t := range out[:len(batch)] {
-			if t == nil {
-				continue
-			}
-			fn(t)
-			e.treePool.Put(t)
-			out[i] = nil
+		return batch
+	}
+	// done is closed when the window computing while fn drains is
+	// complete; the deferred wait keeps an fn that panics (or exits its
+	// goroutine) from leaving that computation running.
+	var done chan struct{}
+	defer func() {
+		if done != nil {
+			<-done
 		}
+	}()
+	cur, next := make([]*Tree, min(len(dests), sweepWindow)), []*Tree(nil)
+	batch := take()
+	e.computeWindow(v, workers, batch, cur)
+	for len(batch) > 0 {
+		following := take()
+		if workers <= 1 || len(following) == 0 {
+			e.drainWindow(cur[:len(batch)], fn)
+			e.computeWindow(v, workers, following, cur)
+			batch = following
+			continue
+		}
+		// Double buffer: the workers fill the other window while fn
+		// drains this one on the caller's goroutine.
+		if next == nil {
+			next = make([]*Tree, sweepWindow)
+		}
+		done = make(chan struct{})
+		go func(workers int, batch []bgp.ASN, out []*Tree, done chan struct{}) {
+			defer close(done)
+			e.computeWindow(v, workers, batch, out)
+		}(workers, following, next, done)
+		e.drainWindow(cur[:len(batch)], fn)
+		<-done
+		done = nil
+		cur, next, batch = next, cur, following
+	}
+}
+
+// computeWindow computes the trees of batch into out[:len(batch)] on
+// workers goroutines, leaving nil where a destination is unknown.
+func (e *Engine) computeWindow(v *Vantages, workers int, batch []bgp.ASN, out []*Tree) {
+	if len(batch) == 0 {
+		return
+	}
+	par.Run(workers, len(batch), func(i int) {
+		di, ok := e.idx[batch[i]]
+		if !ok {
+			return
+		}
+		s := e.scratchPool.Get().(*scratch)
+		t := e.treePool.Get().(*Tree)
+		e.compute(di, t, s, &v.down, v.above)
+		e.scratchPool.Put(s)
+		out[i] = t
+	})
+}
+
+// drainWindow hands each computed tree of out to fn in order, then
+// recycles it.
+func (e *Engine) drainWindow(out []*Tree, fn func(*Tree)) {
+	for i, t := range out {
+		if t == nil {
+			continue
+		}
+		fn(t)
+		e.treePool.Put(t)
+		out[i] = nil
 	}
 }
 

@@ -153,3 +153,55 @@ func TestSweepMatchesFullTree(t *testing.T) {
 		}
 	})
 }
+
+// TestForEachTreeOfWindows pins the double-buffered sweep's delivery:
+// for 1, 2 and 4 workers, over dest lists around the window size (an
+// unknown ASN and repeats included), fn sees exactly the trees a
+// one-at-a-time sweep gives, in the order listed, on the caller's
+// goroutine one call at a time.
+func TestForEachTreeOfWindows(t *testing.T) {
+	topo, err := topology.Generate(topology.TestConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine(topo, 0)
+	var feeders []bgp.ASN
+	for _, f := range topo.Feeders {
+		feeders = append(feeders, f.ASN)
+	}
+	v := e.NewVantages(feeders)
+	const unknown bgp.ASN = 4199999999
+	for _, n := range []int{0, 1, 255, 256, 257, 600} {
+		dests := make([]bgp.ASN, n)
+		for i := range dests {
+			dests[i] = topo.Order[(i*7)%len(topo.Order)]
+		}
+		if n > 1 {
+			dests[n/2] = unknown
+		}
+		var want [][]byte
+		for _, d := range dests {
+			e.ForEachTreeOf(v, 1, []bgp.ASN{d}, func(tr *Tree) { want = append(want, tr.AppendState(nil)) })
+		}
+		for _, workers := range []int{1, 2, 4} {
+			var got [][]byte
+			inFn := false
+			e.ForEachTreeOf(v, workers, dests, func(tr *Tree) {
+				if inFn {
+					t.Fatal("fn entered twice at once")
+				}
+				inFn = true
+				got = append(got, tr.AppendState(nil))
+				inFn = false
+			})
+			if len(got) != len(want) {
+				t.Fatalf("%d dests, %d workers: %d trees, want %d", n, workers, len(got), len(want))
+			}
+			for i := range want {
+				if !slices.Equal(got[i], want[i]) {
+					t.Fatalf("%d dests, %d workers: tree %d differs from the one-at-a-time sweep", n, workers, i)
+				}
+			}
+		}
+	}
+}

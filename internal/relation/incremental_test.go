@@ -52,9 +52,10 @@ func assertOracleEquivalence(t *testing.T, step int, store *paths.Store, live ma
 	for id := range live {
 		ids = append(ids, id)
 	}
-	batch := Infer(paths.NewView(store, ids))
+	view := paths.NewView(store, ids)
+	batch := Infer(view)
 
-	bc, ic := batch.clique, inc.clique
+	bc, ic := runPasses(view).clique, inc.clique
 	if len(bc) != len(ic) {
 		t.Fatalf("step %d: clique sizes diverge: batch %v vs incremental %v", step, bc, ic)
 	}

@@ -58,13 +58,8 @@ type Oracle interface {
 
 // Inference holds the inferred relationship graph.
 type Inference struct {
-	rels map[topology.LinkKey]Rel
-
-	// transitDegree counts the distinct neighbors an AS transits for.
-	transitDegree map[bgp.ASN]int
-
+	rels      map[topology.LinkKey]Rel
 	customers map[bgp.ASN][]bgp.ASN // provider -> direct customers
-	clique    []bgp.ASN
 
 	coneScratch map[bgp.ASN]bool // reused by ForEachConeMember
 }
@@ -160,10 +155,8 @@ func InferPaths(pp [][]bgp.ASN) *Inference {
 func Infer(v paths.View) *Inference {
 	p := runPasses(v)
 	inf := &Inference{
-		rels:          make(map[topology.LinkKey]Rel, len(p.adj)),
-		transitDegree: p.degree,
-		customers:     make(map[bgp.ASN][]bgp.ASN),
-		clique:        p.clique,
+		rels:      make(map[topology.LinkKey]Rel, len(p.adj)),
+		customers: make(map[bgp.ASN][]bgp.ASN),
 	}
 
 	// Resolve votes (clique pairs are p2p by construction) and refine

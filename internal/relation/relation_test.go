@@ -9,6 +9,17 @@ import (
 	"mlpeering/internal/topology"
 )
 
+// pathPasses runs Infer's batch passes over a plain path slice, interned
+// as InferPaths interns it: the transit degrees and clique Infer used.
+func pathPasses(pp [][]bgp.ASN) *passes {
+	s := paths.NewStore()
+	ids := make([]paths.ID, len(pp))
+	for i, p := range pp {
+		ids[i] = s.Intern(p)
+	}
+	return runPasses(paths.NewView(s, ids))
+}
+
 func TestInferSyntheticChain(t *testing.T) {
 	// Hand-built paths over a tiny hierarchy:
 	// clique {1,2}; 10,20 customers of 1 and 2; 100 customer of 10;
@@ -52,7 +63,7 @@ func TestInferSyntheticChain(t *testing.T) {
 	if inf.CustomerDegree(10) != 1 || inf.CustomerDegree(100) != 0 {
 		t.Fatal("degrees")
 	}
-	if d := inf.transitDegree[1]; d == 0 {
+	if d := pathPasses(paths).degree[1]; d == 0 {
 		t.Fatal("transit degree of clique member")
 	}
 }
@@ -88,20 +99,22 @@ func TestInferVotesPerOccurrence(t *testing.T) {
 	core1 := s.Intern([]bgp.ASN{1, 10, 2})
 	core2 := s.Intern([]bgp.ASN{3, 10, 4})
 
-	dedup := Infer(paths.NewView(s, []paths.ID{p1, p2, core1, core2}))
-	if c := dedup.clique; len(c) != 1 || c[0] != 10 {
+	dedupView := paths.NewView(s, []paths.ID{p1, p2, core1, core2})
+	dedup, dedupPasses := Infer(dedupView), runPasses(dedupView)
+	if c := dedupPasses.clique; len(c) != 1 || c[0] != 10 {
 		t.Fatalf("clique %v, want [10]", c)
 	}
 	if r := dedup.Relationship(200, 100); r != RelP2P {
 		t.Fatalf("deduplicated view: 200 -> 100 is %v, want p2p (one vote each way)", r)
 	}
-	repeated := Infer(paths.NewView(s, []paths.ID{p1, p2, p1, core1, core2}))
+	repeatedView := paths.NewView(s, []paths.ID{p1, p2, p1, core1, core2})
+	repeated, repeatedPasses := Infer(repeatedView), runPasses(repeatedView)
 	if r := repeated.Relationship(200, 100); r != RelC2P {
 		t.Fatalf("view listing the first path twice: 200 -> 100 is %v, want c2p (two votes to one)", r)
 	}
-	if repeated.LinkCount() != dedup.LinkCount() || repeated.transitDegree[100] != dedup.transitDegree[100] {
+	if repeated.LinkCount() != dedup.LinkCount() || repeatedPasses.degree[100] != dedupPasses.degree[100] {
 		t.Fatalf("a repeated ID moved adjacency or degrees: %d links, degree %d vs %d links, degree %d",
-			repeated.LinkCount(), repeated.transitDegree[100], dedup.LinkCount(), dedup.transitDegree[100])
+			repeated.LinkCount(), repeatedPasses.degree[100], dedup.LinkCount(), dedupPasses.degree[100])
 	}
 	// InferPaths keeps the same multiplicity for a repeated slice.
 	if r := InferPaths([][]bgp.ASN{{100, 200, 300}, {200, 100, 400}, {100, 200, 300}, {1, 10, 2}, {3, 10, 4}}).Relationship(200, 100); r != RelC2P {
@@ -204,7 +217,7 @@ func TestCliqueRecovery(t *testing.T) {
 			}
 		}
 	})
-	inf := InferPaths(paths)
+	clique := pathPasses(paths).clique
 
 	truthT1 := make(map[bgp.ASN]bool)
 	for _, asn := range topo.Order {
@@ -213,7 +226,7 @@ func TestCliqueRecovery(t *testing.T) {
 		}
 	}
 	hits := 0
-	for _, a := range inf.clique {
+	for _, a := range clique {
 		if truthT1[a] {
 			hits++
 		}

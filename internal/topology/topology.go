@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"mlpeering/internal/bgp"
@@ -204,10 +205,37 @@ func (t *Topology) policy(ixpName string, member bgp.ASN) (rsPolicy, bool) {
 }
 
 // reciprocalLinks returns every pair of RS members with RouteFlows in
-// both directions at one of the given IXPs. Each member's filters are
-// looked up once instead of per ordered pair.
+// both directions at one of the given IXPs, as a set.
 func (t *Topology) reciprocalLinks(ixps []*ixp.Info) map[LinkKey]bool {
-	links := make(map[LinkKey]bool)
+	packed := t.appendReciprocal(nil, ixps)
+	links := make(map[LinkKey]bool, len(packed))
+	for _, k := range packed {
+		links[unpackLinkKey(k)] = true
+	}
+	return links
+}
+
+// SortedGroundTruthReciprocalLinks returns the keys of
+// AllGroundTruthReciprocalLinks ascending (CompareLinkKeys) from the
+// same scan, without building the set: the scan's packed keys are
+// sorted and compacted in place.
+func (t *Topology) SortedGroundTruthReciprocalLinks() []LinkKey {
+	packed := t.appendReciprocal(nil, t.IXPs)
+	slices.Sort(packed)
+	packed = slices.Compact(packed)
+	links := make([]LinkKey, len(packed))
+	for i, k := range packed {
+		links[i] = unpackLinkKey(k)
+	}
+	return links
+}
+
+// appendReciprocal is the one scan of the truth mesh: it appends to dst
+// every reciprocal pair of RS members at each of ixps, packed as
+// A<<32|B so that ascending packed keys are CompareLinkKeys order. A
+// pair reciprocal at several IXPs is appended once per IXP. Each
+// member's filters are looked up once instead of per ordered pair.
+func (t *Topology) appendReciprocal(dst []uint64, ixps []*ixp.Info) []uint64 {
 	var pol []rsPolicy
 	for _, x := range ixps {
 		pol = pol[:0]
@@ -219,13 +247,16 @@ func (t *Topology) reciprocalLinks(ixps []*ixp.Info) map[LinkKey]bool {
 		for i := range pol {
 			for j := i + 1; j < len(pol); j++ {
 				if pol[i].reciprocal(&pol[j]) {
-					links[MakeLinkKey(pol[i].asn, pol[j].asn)] = true
+					k := MakeLinkKey(pol[i].asn, pol[j].asn)
+					dst = append(dst, uint64(k.A)<<32|uint64(k.B))
 				}
 			}
 		}
 	}
-	return links
+	return dst
 }
+
+func unpackLinkKey(k uint64) LinkKey { return LinkKey{A: bgp.ASN(k >> 32), B: bgp.ASN(k)} }
 
 // IsReciprocalLink reports whether MakeLinkKey(a, b) is in
 // AllGroundTruthReciprocalLinks: some IXP has both a and b as RS

@@ -5,6 +5,7 @@ import (
 	"maps"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -497,6 +498,11 @@ func TestReciprocalLinksMatchRouteFlows(t *testing.T) {
 	}
 	if got := topo.AllGroundTruthReciprocalLinks(); !maps.Equal(got, all) {
 		t.Errorf("all IXPs: %d reciprocal links, per-pair RouteFlows gives %d", len(got), len(all))
+	}
+	// The sorted list is the same mesh, ascending, each link once (a
+	// link reciprocal at two IXPs is scanned twice).
+	if got, want := topo.SortedGroundTruthReciprocalLinks(), slices.SortedFunc(maps.Keys(all), CompareLinkKeys); !slices.Equal(got, want) {
+		t.Errorf("all IXPs: sorted list of %d links, per-pair RouteFlows gives %d", len(got), len(want))
 	}
 	// IsReciprocalLink is the same rule asked pair by pair: two-way
 	// RouteFlows at some IXP where both are RS members.
