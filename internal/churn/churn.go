@@ -64,9 +64,7 @@ func DefaultConfig(seed int64) Config {
 type departed struct {
 	ixp    string
 	member bgp.ASN
-	export ixp.ExportFilter
-	imp    ixp.ExportFilter
-	comms  bgp.Communities
+	pol    topology.RSPolicy
 }
 
 // downLink remembers a torn-down bilateral session (and its IXP
@@ -211,8 +209,7 @@ func (r *Runner) sampleMemberships(rng *rand.Rand, d *propagate.Delta) {
 			if !memberScheduled(d, dep.ixp, dep.member) {
 				r.departed = append(r.departed[:j], r.departed[j+1:]...)
 				d.Members = append(d.Members, propagate.MemberOp{
-					IXP: dep.ixp, Member: dep.member, Join: true,
-					Export: dep.export, Import: dep.imp, Comms: dep.comms,
+					IXP: dep.ixp, Member: dep.member, Join: true, Policy: dep.pol,
 				})
 			}
 			continue
@@ -241,15 +238,11 @@ func (r *Runner) sampleLeave(rng *rand.Rand, d *propagate.Delta) (propagate.Memb
 		if memberScheduled(d, info.Name, m) {
 			continue
 		}
-		export, ok1 := r.topo.ExportFilter(info.Name, m)
-		imp, ok2 := r.topo.ImportFilter(info.Name, m)
-		if !ok1 || !ok2 {
+		pol, ok := r.topo.Policy(info.Name, m)
+		if !ok {
 			continue
 		}
-		comms, _ := r.topo.MemberCommunities(info.Name, m)
-		r.departed = append(r.departed, departed{
-			ixp: info.Name, member: m, export: export, imp: imp, comms: comms,
-		})
+		r.departed = append(r.departed, departed{ixp: info.Name, member: m, pol: pol})
 		return propagate.MemberOp{IXP: info.Name, Member: m, Join: false}, true
 	}
 	return propagate.MemberOp{}, false
@@ -280,7 +273,7 @@ func (r *Runner) sampleFreshJoin(rng *rand.Rand, d *propagate.Delta) (propagate.
 		}
 		return propagate.MemberOp{
 			IXP: info.Name, Member: m, Join: true,
-			Export: open, Import: ixp.OpenFilter(), Comms: comms,
+			Policy: topology.RSPolicy{Export: open, Import: ixp.OpenFilter(), Comms: comms},
 		}, true
 	}
 	return propagate.MemberOp{}, false
@@ -308,12 +301,11 @@ func (r *Runner) sampleFilterEdit(rng *rand.Rand, d *propagate.Delta) (propagate
 		if memberScheduled(d, info.Name, m) {
 			continue
 		}
-		export, ok := r.topo.ExportFilter(info.Name, m)
+		pol, ok := r.topo.Policy(info.Name, m)
 		if !ok {
 			continue
 		}
-		imp, _ := r.topo.ImportFilter(info.Name, m)
-		newExport, changed := mutateFilter(rng, export, imp, m, members)
+		newExport, changed := mutateFilter(rng, pol.Export, pol.Import, m, members)
 		if !changed {
 			continue
 		}
@@ -323,7 +315,7 @@ func (r *Runner) sampleFilterEdit(rng *rand.Rand, d *propagate.Delta) (propagate
 		}
 		return propagate.FilterOp{
 			IXP: info.Name, Member: m,
-			Export: newExport, Import: imp, Comms: comms,
+			Policy: topology.RSPolicy{Export: newExport, Import: pol.Import, Comms: comms},
 		}, true
 	}
 	return propagate.FilterOp{}, false
@@ -621,13 +613,13 @@ func DescribeDelta(d *propagate.Delta) string {
 		fmt.Fprintf(&b, " %s %s@%s;", verb, op.Member, op.IXP)
 	}
 	for _, op := range d.Filters {
-		peers := op.Export.PeerList()
+		peers := op.Policy.Export.PeerList()
 		strs := make([]string, len(peers))
 		for i, p := range peers {
 			strs[i] = p.String()
 		}
 		sort.Strings(strs)
-		fmt.Fprintf(&b, " filter %s@%s=%s[%s];", op.Member, op.IXP, op.Export.Mode, strings.Join(strs, ","))
+		fmt.Fprintf(&b, " filter %s@%s=%s[%s];", op.Member, op.IXP, op.Policy.Export.Mode, strings.Join(strs, ","))
 	}
 	for _, op := range d.Prefixes {
 		fmt.Fprintf(&b, " move %s %s->%s;", op.Prefix, op.From, op.To)

@@ -273,9 +273,6 @@ func TestPathConfirms(t *testing.T) {
 	if pathConfirms(1, []bgp.ASN{5, 20, 7, 10}, 10, 20) {
 		t.Fatal("non-adjacent confirmed")
 	}
-	if !pathContains([]bgp.ASN{1, 2, 3}, 2) || pathContains([]bgp.ASN{1, 2, 3}, 9) {
-		t.Fatal("pathContains")
-	}
 }
 
 // reciprocalLinks recomputes x's links from its covered members'

@@ -228,7 +228,7 @@ func (o *DeltaObservations) Setters(ixpName string) []bgp.ASN {
 			out = append(out, s.asn)
 		}
 	}
-	sortASNs(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -552,9 +552,4 @@ func countP2P(rels relation.Oracle) int {
 		return true
 	})
 	return n
-}
-
-// sortASNs sorts ascending in place.
-func sortASNs(s []bgp.ASN) {
-	slices.Sort(s)
 }

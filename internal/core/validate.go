@@ -89,16 +89,6 @@ func (v *Validator) relevant(host, a, b bgp.ASN) bool {
 		v.Rels.Relationship(host, b) == relation.RelC2P
 }
 
-// pathContains reports whether asn appears in the displayed path.
-func pathContains(path []bgp.ASN, asn bgp.ASN) bool {
-	for _, x := range path {
-		if x == asn {
-			return true
-		}
-	}
-	return false
-}
-
 // pathConfirms reports whether the displayed path contains the
 // adjacency a-b in either direction. The LG host itself is the implicit
 // first hop, so a path starting at b confirms a link a-b when host==a.
@@ -165,7 +155,7 @@ func (v *Validator) Validate(ctx context.Context, result *Result) (*ValidationRe
 					// that it does not exist"). When it does reach it
 					// but prefers another way onward, that is the
 					// paper's "more preferred path existed" failure.
-					if l.Host == near || pathContains(pi.Path, near) {
+					if l.Host == near || slices.Contains(pi.Path, near) {
 						lgTested = true
 					}
 					if pathConfirms(l.Host, pi.Path, link.A, link.B) {

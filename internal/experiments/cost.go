@@ -293,7 +293,7 @@ func (c *Context) GlobalEstimate() *EstimateResult {
 	for _, x := range GlobalSurvey() {
 		pairs := x.Members * (x.Members - 1) / 2
 		links := int(densityPrior(x) * float64(pairs))
-		consLinks := int(minF(densityPrior(x), 0.60) * float64(pairs))
+		consLinks := int(min(densityPrior(x), 0.60) * float64(pairs))
 		res.GlobalIXPs++
 		res.GlobalLinks += links
 		res.ConservativeGlobal += consLinks
@@ -305,13 +305,6 @@ func (c *Context) GlobalEstimate() *EstimateResult {
 	res.EUUnique = int(float64(res.EULinks) * res.OverlapDiscount)
 	res.GlobalUnique = int(float64(res.GlobalLinks) * res.OverlapDiscount)
 	return res
-}
-
-func minF(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Render formats the estimate.

@@ -61,9 +61,8 @@ func Build(topo *topology.Topology, seed int64) *Registry {
 			if !registered[m] {
 				continue
 			}
-			exp, okE := topo.ExportFilter(info.Name, m)
-			imp, okI := topo.ImportFilter(info.Name, m)
-			if !okE || !okI {
+			pol, ok := topo.Policy(info.Name, m)
+			if !ok {
 				continue
 			}
 			pl := perMember[m]
@@ -71,8 +70,8 @@ func Build(topo *topology.Topology, seed int64) *Registry {
 				pl = &policyLines{}
 				perMember[m] = pl
 			}
-			pl.imports = append(pl.imports, FormatImportLine(info.Scheme.RSASN, imp))
-			pl.exports = append(pl.exports, FormatExportLine(info.Scheme.RSASN, exp))
+			pl.imports = append(pl.imports, FormatImportLine(info.Scheme.RSASN, pol.Import))
+			pl.exports = append(pl.exports, FormatExportLine(info.Scheme.RSASN, pol.Export))
 		}
 	}
 	for _, asn := range topo.Order {

@@ -235,9 +235,8 @@ func TestBuildFromTopology(t *testing.T) {
 				continue // unregistered
 			}
 			checked++
-			truthExp, _ := topo.ExportFilter(info.Name, m)
-			truthImp, _ := topo.ImportFilter(info.Name, m)
-			if !exp.Filter.Equal(truthExp) || !imp.Filter.Equal(truthImp) {
+			truth, _ := topo.Policy(info.Name, m)
+			if !exp.Filter.Equal(truth.Export) || !imp.Filter.Equal(truth.Import) {
 				t.Fatalf("%s member %s: IRR filters diverge from truth", info.Name, m)
 			}
 			for _, other := range info.RSMembers {

@@ -2,7 +2,7 @@ package ixp
 
 import (
 	"net/netip"
-	"sort"
+	"slices"
 
 	"mlpeering/internal/bgp"
 )
@@ -115,35 +115,21 @@ func (x *Info) MemberByAddr(addr netip.Addr) (bgp.ASN, bool) {
 }
 
 // IsRSMember reports whether asn is connected to the route server.
-func (x *Info) IsRSMember(asn bgp.ASN) bool {
-	for _, m := range x.RSMembers {
-		if m == asn {
-			return true
-		}
-	}
-	return false
-}
+func (x *Info) IsRSMember(asn bgp.ASN) bool { return slices.Contains(x.RSMembers, asn) }
 
 // IsMember reports whether asn is present at the IXP at all.
-func (x *Info) IsMember(asn bgp.ASN) bool {
-	for _, m := range x.Members {
-		if m == asn {
-			return true
-		}
-	}
-	return false
-}
+func (x *Info) IsMember(asn bgp.ASN) bool { return slices.Contains(x.Members, asn) }
 
 // SortedRSMembers returns the RS member list in ascending ASN order.
 func (x *Info) SortedRSMembers() []bgp.ASN {
 	out := append([]bgp.ASN(nil), x.RSMembers...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
 // SortedMembers returns the full member list in ascending ASN order.
 func (x *Info) SortedMembers() []bgp.ASN {
 	out := append([]bgp.ASN(nil), x.Members...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }

@@ -277,12 +277,12 @@ func TestReconstructedFiltersMatchTruth(t *testing.T) {
 	for _, info := range w.Topo.IXPs {
 		x := run.Result.PerIXP[info.Name]
 		for m, got := range x.Filters {
-			truth, ok := w.Topo.ExportFilter(info.Name, m)
+			truth, ok := w.Topo.Policy(info.Name, m)
 			if !ok {
 				continue
 			}
 			checked++
-			if !got.Equal(truth) {
+			if !got.Equal(truth.Export) {
 				mismatched++
 			}
 		}

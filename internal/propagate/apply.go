@@ -25,7 +25,6 @@ import (
 	"slices"
 
 	"mlpeering/internal/bgp"
-	"mlpeering/internal/ixp"
 	"mlpeering/internal/topology"
 )
 
@@ -40,25 +39,20 @@ type PeerOp struct {
 }
 
 // MemberOp connects a member to, or disconnects it from, an IXP's route
-// server. On Join the policies below become the member's ground truth;
-// on Leave they are ignored.
+// server. On Join Policy becomes the member's ground truth; on Leave it
+// is ignored.
 type MemberOp struct {
 	IXP    string
 	Member bgp.ASN
 	Join   bool
-	Export ixp.ExportFilter
-	Import ixp.ExportFilter
-	Comms  bgp.Communities
+	Policy topology.RSPolicy
 }
 
-// FilterOp replaces an existing RS member's export/import policy and its
-// community encoding.
+// FilterOp replaces an existing RS member's policy record.
 type FilterOp struct {
 	IXP    string
 	Member bgp.ASN
-	Export ixp.ExportFilter
-	Import ixp.ExportFilter
-	Comms  bgp.Communities
+	Policy topology.RSPolicy
 }
 
 // PrefixOp re-homes an originated prefix. It never changes any routing
@@ -110,7 +104,7 @@ func (d *Delta) ApplyToTopology(topo *topology.Topology) error {
 	for _, op := range d.Members {
 		var err error
 		if op.Join {
-			err = topo.JoinRouteServer(op.IXP, op.Member, op.Export, op.Import, op.Comms)
+			err = topo.JoinRouteServer(op.IXP, op.Member, op.Policy)
 		} else {
 			err = topo.LeaveRouteServer(op.IXP, op.Member)
 		}
@@ -119,7 +113,7 @@ func (d *Delta) ApplyToTopology(topo *topology.Topology) error {
 		}
 	}
 	for _, op := range d.Filters {
-		if err := topo.SetRSFilters(op.IXP, op.Member, op.Export, op.Import, op.Comms); err != nil {
+		if err := topo.SetRSFilters(op.IXP, op.Member, op.Policy); err != nil {
 			return err
 		}
 	}

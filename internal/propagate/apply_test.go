@@ -53,7 +53,7 @@ func randomDelta(t *testing.T, topo *topology.Topology, rng *rand.Rand, epoch in
 			}
 			d.Members = append(d.Members, MemberOp{
 				IXP: info.Name, Member: m, Join: true,
-				Export: open, Import: ixp.OpenFilter(), Comms: cs,
+				Policy: topology.RSPolicy{Export: open, Import: ixp.OpenFilter(), Comms: cs},
 			})
 			break
 		}
@@ -73,7 +73,8 @@ func randomDelta(t *testing.T, topo *topology.Topology, rng *rand.Rand, epoch in
 		if scheduled {
 			continue
 		}
-		ef, ok := topo.ExportFilter(x2.Name, m)
+		pol, ok := topo.Policy(x2.Name, m)
+		ef := pol.Export
 		if !ok || ef.Mode != ixp.ModeAllExcept {
 			continue
 		}
@@ -82,12 +83,12 @@ func randomDelta(t *testing.T, topo *topology.Topology, rng *rand.Rand, epoch in
 			continue
 		}
 		nf := ixp.NewExportFilter(ixp.ModeAllExcept, append(ef.PeerList(), victim)...)
-		imp, _ := topo.ImportFilter(x2.Name, m)
 		cs, err := nf.Communities(&x2.Scheme)
 		if err != nil {
 			continue
 		}
-		d.Filters = append(d.Filters, FilterOp{IXP: x2.Name, Member: m, Export: nf, Import: imp, Comms: cs})
+		d.Filters = append(d.Filters, FilterOp{IXP: x2.Name, Member: m,
+			Policy: topology.RSPolicy{Export: nf, Import: pol.Import, Comms: cs}})
 		break
 	}
 
@@ -209,9 +210,10 @@ func TestApplyPartialFailureRepairs(t *testing.T) {
 	links := topo.BilateralLinks()
 	info := topo.IXPs[0]
 	member := info.SortedRSMembers()[0]
+	open := topology.RSPolicy{Export: ixp.OpenFilter(), Import: ixp.OpenFilter()}
 	delta := &Delta{
 		Peers:   []PeerOp{{A: links[0].A, B: links[0].B, Add: false}},
-		Members: []MemberOp{{IXP: info.Name, Member: member, Join: true, Export: ixp.OpenFilter(), Import: ixp.OpenFilter()}},
+		Members: []MemberOp{{IXP: info.Name, Member: member, Join: true, Policy: open}},
 	}
 	if _, err := eng.Apply(delta); err == nil {
 		t.Fatal("joining an existing RS member must fail")
@@ -271,7 +273,8 @@ func TestApplyTightenedDirtySets(t *testing.T) {
 			continue
 		}
 		for _, m := range members {
-			imp, ok := topo.ImportFilter(info.Name, m)
+			pol, ok := topo.Policy(info.Name, m)
+			imp := pol.Import
 			if !ok || imp.Mode != ixp.ModeNoneExcept {
 				continue
 			}

@@ -73,11 +73,9 @@ func newRefEngine(topo *topology.Topology) *refEngine {
 				continue
 			}
 			x.members = append(x.members, mi)
-			if f, ok := topo.ExportFilter(info.Name, m); ok {
-				x.exports[mi] = f.Allows
-			}
-			if f, ok := topo.ImportFilter(info.Name, m); ok {
-				x.imports[mi] = f.Allows
+			if p, ok := topo.Policy(info.Name, m); ok {
+				x.exports[mi] = p.Export.Allows
+				x.imports[mi] = p.Import.Allows
 			}
 		}
 		r.ixps = append(r.ixps, x)

@@ -117,17 +117,16 @@ type ixpState struct {
 	members []int32 // AS indices, ascending (== ascending ASN)
 	slotOf  []int32 // dense AS index -> member slot, -1 if not a member
 
-	hasExport []bool
-	hasImport []bool
-	exports   []ixp.ExportFilter
-	imports   []ixp.ExportFilter
-	comms     []bgp.Communities
+	// hasPolicy marks the slots whose member holds a policy record;
+	// pols holds the records by slot.
+	hasPolicy []bool
+	pols      []topology.RSPolicy
 
 	// allowed is a per-exporter bitset over importer slots: bit v of row
-	// e is set iff member e has an export filter allowing member v AND
-	// member v has an import filter allowing member e (and v != e). It
-	// folds the two map lookups and two filter evaluations of the
-	// member-pair inner loop into a single word scan.
+	// e is set iff member e's export filter allows member v AND member
+	// v's import filter allows member e (and v != e). It folds the two
+	// record lookups and two filter evaluations of the member-pair inner
+	// loop into a single word scan.
 	allowed []uint64
 	words   int // words per bitset row: ceil(len(members)/64)
 }
@@ -206,17 +205,9 @@ func NewEngine(topo *topology.Topology, _ int) *Engine {
 		ixpsByName: make(map[string]int16),
 	}
 	copy(e.asns, topo.Order)
-	if idx := topo.DenseIndex(); idx != nil {
-		// Builder-generated worlds already carry the ASN -> dense-id map
-		// (id == position in Order); share it instead of rebuilding.
-		e.idx = idx
-	} else {
-		e.idx = make(map[bgp.ASN]int32, n)
-		for i, asn := range topo.Order {
-			e.idx[asn] = int32(i)
-		}
-	}
+	e.idx = make(map[bgp.ASN]int32, n)
 	for i, asn := range topo.Order {
+		e.idx[asn] = int32(i)
 		as := topo.ASes[asn]
 		e.strips[i] = as.StripsCommunities
 		e.prefBil[i] = as.PrefersBilateral
@@ -288,41 +279,27 @@ func (e *Engine) buildIXPState(info *ixp.Info) *ixpState {
 		st.members = append(st.members, mi)
 	}
 	nm := len(st.members)
-	st.hasExport = make([]bool, nm)
-	st.hasImport = make([]bool, nm)
-	st.exports = make([]ixp.ExportFilter, nm)
-	st.imports = make([]ixp.ExportFilter, nm)
-	st.comms = make([]bgp.Communities, nm)
+	st.hasPolicy = make([]bool, nm)
+	st.pols = make([]topology.RSPolicy, nm)
 	for s, mi := range st.members {
-		m := e.asns[mi]
-		if f, ok := topo.ExportFilter(info.Name, m); ok {
-			st.exports[s] = f
-			st.hasExport[s] = true
-		}
-		if f, ok := topo.ImportFilter(info.Name, m); ok {
-			st.imports[s] = f
-			st.hasImport[s] = true
-		}
-		if cs, ok := topo.MemberCommunities(info.Name, m); ok {
-			st.comms[s] = cs
-		}
+		st.pols[s], st.hasPolicy[s] = topo.Policy(info.Name, e.asns[mi])
 	}
 	// Precompute the allowed-pair bitsets.
 	st.words = (nm + 63) / 64
 	st.allowed = make([]uint64, nm*st.words)
 	for es := 0; es < nm; es++ {
-		if !st.hasExport[es] {
+		if !st.hasPolicy[es] {
 			continue
 		}
-		ef := st.exports[es]
+		ef := st.pols[es].Export
 		eASN := e.asns[st.members[es]]
 		row := st.allowed[es*st.words : (es+1)*st.words]
 		for vs := 0; vs < nm; vs++ {
-			if vs == es || !st.hasImport[vs] {
+			if vs == es || !st.hasPolicy[vs] {
 				continue
 			}
 			vASN := e.asns[st.members[vs]]
-			if ef.Allows(vASN) && st.imports[vs].Allows(eASN) {
+			if ef.Allows(vASN) && st.pols[vs].Import.Allows(eASN) {
 				row[vs>>6] |= 1 << (uint(vs) & 63)
 			}
 		}
@@ -583,7 +560,7 @@ func (e *Engine) compute(di int32, t *Tree, s *scratch, down *csr, above []bool)
 		}
 		for _, eIdx := range expFlat[t.expOff[xi]:] {
 			es := st.slotOf[eIdx]
-			if !st.hasExport[es] {
+			if !st.hasPolicy[es] {
 				continue
 			}
 			d := hops[eIdx].dist + 1

@@ -23,12 +23,10 @@ import (
 func buildWorld() *topology.Topology {
 	t := &topology.Topology{
 		ASes:          make(map[bgp.ASN]*topology.AS),
-		ExportFilters: make(map[string]map[bgp.ASN]ixp.ExportFilter),
-		ImportFilters: make(map[string]map[bgp.ASN]ixp.ExportFilter),
+		RSPolicies:    make(map[string]map[bgp.ASN]topology.RSPolicy),
 		BilateralIXP:  make(map[topology.LinkKey][]string),
 		MemberLGs:     make(map[string][]topology.LGHost),
 		PrefixRegions: make(map[bgp.Prefix]ixp.Region),
-		MemberComms:   make(map[string]map[bgp.ASN]bgp.Communities),
 	}
 	add := func(asn bgp.ASN, tier topology.Tier) *topology.AS {
 		as := &topology.AS{ASN: asn, Tier: tier, Region: ixp.RegionWestEU}
@@ -109,20 +107,15 @@ func buildWorld() *topology.Topology {
 		P3: ixp.OpenFilter(),
 		C:  ixp.OpenFilter(),
 	}
-	imp := map[bgp.ASN]ixp.ExportFilter{
-		P1: ixp.OpenFilter(), P2: ixp.OpenFilter(), P3: ixp.OpenFilter(), C: ixp.OpenFilter(),
-	}
-	t.ExportFilters["TIX"] = exp
-	t.ImportFilters["TIX"] = imp
-	comms := make(map[bgp.ASN]bgp.Communities)
+	pols := make(map[bgp.ASN]topology.RSPolicy)
 	for m, f := range exp {
 		cs, err := f.Communities(&info.Scheme)
 		if err != nil {
 			panic(err)
 		}
-		comms[m] = cs
+		pols[m] = topology.RSPolicy{Export: f, Import: ixp.OpenFilter(), Comms: cs}
 	}
-	t.MemberComms["TIX"] = comms
+	t.RSPolicies["TIX"] = pols
 	return t
 }
 

@@ -80,7 +80,7 @@ func (b *RSRIBBuilder) Add(tr *Tree) {
 			mi := e.idx[m]
 			var comms bgp.Communities
 			if !st.info.StripsCommunities {
-				comms = st.comms[st.slotOf[mi]]
+				comms = st.pols[st.slotOf[mi]].Comms
 			}
 			route := tr.RouteFromArena(m, &b.arena)
 			if route == nil {

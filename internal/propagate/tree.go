@@ -64,14 +64,13 @@ func (t *Tree) Exporters(ixpName string) []bgp.ASN {
 	if !ok {
 		return nil
 	}
-	// Exporting also requires a non-empty export filter: a member that
-	// announces to nobody contributes nothing to the RS RIB. The flat
-	// exporter list is built in ascending member order, so no sort is
-	// needed here.
+	// Exporting also requires a policy record: a member without one
+	// contributes nothing to the RS RIB. The flat exporter list is built
+	// in ascending member order, so no sort is needed here.
 	st := t.e.ixps[xi]
 	var out []bgp.ASN
 	for _, m := range t.exportersAt(xi) {
-		if st.hasExport[st.slotOf[m]] {
+		if st.hasPolicy[st.slotOf[m]] {
 			out = append(out, t.e.asns[m])
 		}
 	}
@@ -153,7 +152,7 @@ func (t *Tree) reconstruct(vi int32, arena *RouteArena) *VantageRoute {
 		r.ViaIXP = st.info.Name
 		r.RSSetter = e.asns[rsExporter]
 		if !st.info.StripsCommunities && rsSurvives {
-			r.Communities = st.comms[st.slotOf[rsExporter]]
+			r.Communities = st.pols[st.slotOf[rsExporter]].Comms
 		}
 	}
 	return r
@@ -204,7 +203,7 @@ func (t *Tree) AvailableRoutesFromArena(vantage bgp.ASN, arena *RouteArena, buf 
 				path = append(path, st.info.Scheme.RSASN)
 			}
 			if !st.info.StripsCommunities {
-				r.Communities = st.comms[st.slotOf[nb]]
+				r.Communities = st.pols[st.slotOf[nb]].Comms
 			}
 		} else {
 			// Communities on the neighbor's route survive to the
@@ -259,10 +258,10 @@ func (t *Tree) AvailableRoutesFromArena(vantage bgp.ASN, arena *RouteArena, buf 
 		}
 	}
 	// Route server peers: the precomputed allowed-pair bitset already
-	// folds in export/import filter existence and both Allows checks.
+	// folds in policy-record existence and both Allows checks.
 	for xi, st := range e.ixps {
 		vs := st.slotOf[vi]
-		if vs < 0 || !st.hasImport[vs] {
+		if vs < 0 || !st.hasPolicy[vs] {
 			continue
 		}
 		for _, ei := range t.exportersAt(int16(xi)) {

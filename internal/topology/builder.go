@@ -5,7 +5,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"net/netip"
-	"sort"
+	"slices"
 	"sync"
 
 	"mlpeering/internal/bgp"
@@ -33,13 +33,8 @@ type Builder struct {
 	Order    []bgp.ASN         // every ASN; ascending after the allocation stage
 	orderIDs []int32           // dense ids in Order (ascending-ASN) order
 
-	// Tier pools in allocation order, consumed by the attachment and
-	// membership stages, with their dense-id mirrors (same order).
-	tier1   []bgp.ASN
-	tier2   []bgp.ASN
-	stubs   []bgp.ASN
-	content []bgp.ASN
-
+	// Tier pools as dense ids in allocation order, consumed by the
+	// attachment and membership stages.
 	tier1IDs   []int32
 	tier2IDs   []int32
 	stubIDs    []int32
@@ -53,28 +48,25 @@ type Builder struct {
 	// at Finalize. Same semantics as the Topology fields of the same
 	// names.
 	IXPs          []*ixp.Info
-	ExportFilters map[string]map[bgp.ASN]ixp.ExportFilter
-	ImportFilters map[string]map[bgp.ASN]ixp.ExportFilter
+	RSPolicies    map[string]map[bgp.ASN]RSPolicy
 	BilateralIXP  map[LinkKey][]string
 	Feeders       []Feeder
 	ValidationLGs []LGHost
 	MemberLGs     map[string][]LGHost
 	PrefixRegions map[bgp.Prefix]ixp.Region
-	MemberComms   map[string]map[bgp.ASN]bgp.Communities
 	RemoteMembers map[string][]bgp.ASN
 
 	nextPrefix uint32
 }
 
-// NewBuilder returns an empty builder seeded from cfg.
-func NewBuilder(cfg Config) *Builder {
+// newBuilder returns an empty builder seeded from cfg.
+func newBuilder(cfg Config) *Builder {
 	b := &Builder{
 		Cfg:           cfg,
 		rng:           rand.New(rand.NewSource(cfg.Seed)),
 		profiles:      PaperIXPProfiles(),
 		byASN:         make(map[bgp.ASN]int32),
-		ExportFilters: make(map[string]map[bgp.ASN]ixp.ExportFilter),
-		ImportFilters: make(map[string]map[bgp.ASN]ixp.ExportFilter),
+		RSPolicies:    make(map[string]map[bgp.ASN]RSPolicy),
 		BilateralIXP:  make(map[LinkKey][]string),
 		MemberLGs:     make(map[string][]LGHost),
 		PrefixRegions: make(map[bgp.Prefix]ixp.Region),
@@ -149,16 +141,6 @@ func (b *Builder) Peer(x, y bgp.ASN) {
 	c.Peers = insertASN(c.Peers, x)
 }
 
-// exportFilterOf returns the export filter of member at the named IXP.
-func (b *Builder) exportFilterOf(ixpName string, member bgp.ASN) (ixp.ExportFilter, bool) {
-	m, ok := b.ExportFilters[ixpName]
-	if !ok {
-		return ixp.ExportFilter{}, false
-	}
-	f, ok := m[member]
-	return f, ok
-}
-
 // usedASNs tracks allocated ASNs including the fixed RS ASNs.
 func (b *Builder) usedASNs() map[bgp.ASN]bool {
 	used := make(map[bgp.ASN]bool, len(b.recs)+len(b.profiles))
@@ -184,40 +166,32 @@ func (b *Builder) allocPrefix(bits int, region ixp.Region) bgp.Prefix {
 	return p
 }
 
-// Finalize materializes the Topology: the record slab is re-packed in
-// ascending-ASN order so that dense id == position in Order, the map
-// view is built over it, and the world is validated.
+// Finalize materializes the Topology: the records are re-packed into
+// one slab in ascending-ASN order, the ASes map is built over it, and
+// the world is validated.
 func (b *Builder) Finalize() (*Topology, error) {
-	order := append([]bgp.ASN(nil), b.Order...)
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
+	order := slices.Clone(b.Order)
+	slices.Sort(order)
 	recs := make([]AS, len(order))
-	index := make(map[bgp.ASN]int32, len(order))
+	t := &Topology{
+		Order:         order,
+		ASes:          make(map[bgp.ASN]*AS, len(recs)),
+		IXPs:          b.IXPs,
+		RSPolicies:    b.RSPolicies,
+		BilateralIXP:  b.BilateralIXP,
+		Feeders:       b.Feeders,
+		ValidationLGs: b.ValidationLGs,
+		MemberLGs:     b.MemberLGs,
+		PrefixRegions: b.PrefixRegions,
+		RemoteMembers: b.RemoteMembers,
+	}
 	for i, asn := range order {
 		id, ok := b.byASN[asn]
 		if !ok {
 			return nil, fmt.Errorf("topology: ASN %s in order but never allocated", asn)
 		}
 		recs[i] = b.recs[id]
-		index[asn] = int32(i)
-	}
-	t := &Topology{
-		Order:         order,
-		recs:          recs,
-		index:         index,
-		ASes:          make(map[bgp.ASN]*AS, len(recs)),
-		IXPs:          b.IXPs,
-		ExportFilters: b.ExportFilters,
-		ImportFilters: b.ImportFilters,
-		BilateralIXP:  b.BilateralIXP,
-		Feeders:       b.Feeders,
-		ValidationLGs: b.ValidationLGs,
-		MemberLGs:     b.MemberLGs,
-		PrefixRegions: b.PrefixRegions,
-		MemberComms:   b.MemberComms,
-		RemoteMembers: b.RemoteMembers,
-	}
-	for i := range recs {
-		t.ASes[recs[i].ASN] = &recs[i]
+		t.ASes[asn] = &recs[i]
 	}
 	if err := t.Validate(); err != nil {
 		return nil, err

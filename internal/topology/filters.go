@@ -2,6 +2,7 @@ package topology
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 
 	"mlpeering/internal/bgp"
@@ -29,12 +30,11 @@ func openBehaveProb(p peeringdb.Policy) float64 {
 // generateFilters synthesizes every route-server member's export and
 // import policy, one IXP per worker-pool task: filter synthesis only
 // reads the relationship graph (fixed since the hierarchy stages) and
-// writes the per-IXP filter maps in its commit.
+// writes the IXP's policy records in its commit.
 func (b *Builder) generateFilters() {
 	b.fanOutIXPs("filters", func(rng *rand.Rand, xi int) func() {
 		info := b.IXPs[xi]
-		exp := make(map[bgp.ASN]ixp.ExportFilter, len(info.RSMembers))
-		imp := make(map[bgp.ASN]ixp.ExportFilter, len(info.RSMembers))
+		pols := make(map[bgp.ASN]RSPolicy, len(info.RSMembers))
 		members := info.SortedRSMembers()
 		s := b.scratch()
 		memberVisited := make([]int32, 0, len(members))
@@ -53,15 +53,11 @@ func (b *Builder) generateFilters() {
 			} else {
 				ef = b.closedExportFilter(rng, m, members)
 			}
-			exp[m] = ef
-			imp[m] = b.importFromExport(rng, ef)
+			pols[m] = RSPolicy{Export: ef, Import: b.importFromExport(rng, ef)}
 		}
 		clearMarks(s.member, memberVisited)
 		b.release(s)
-		return func() {
-			b.ExportFilters[info.Name] = exp
-			b.ImportFilters[info.Name] = imp
-		}
+		return func() { b.RSPolicies[info.Name] = pols }
 	})
 }
 
@@ -347,7 +343,10 @@ func (b *Builder) pickFeeders() {
 			rsMemberAnywhere[m] = true
 		}
 	}
-	pool := append(append([]bgp.ASN(nil), b.tier1...), b.tier2...)
+	var pool []bgp.ASN
+	for _, id := range slices.Concat(b.tier1IDs, b.tier2IDs) {
+		pool = append(pool, b.recs[id].ASN)
+	}
 	b.rng.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
 	added := 0
 	for _, asn := range pool {
@@ -385,8 +384,10 @@ func (b *Builder) throttleFeederImport(info *ixp.Info, feeder bgp.ASN, coverage 
 			expList = append(expList, m)
 		}
 	}
-	b.ImportFilters[info.Name][feeder] = impF
-	b.ExportFilters[info.Name][feeder] = ixp.NewExportFilter(ixp.ModeNoneExcept, expList...)
+	b.RSPolicies[info.Name][feeder] = RSPolicy{
+		Export: ixp.NewExportFilter(ixp.ModeNoneExcept, expList...),
+		Import: impF,
+	}
 }
 
 // pickLookingGlasses selects member LGs per IXP (active data sources)

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"mlpeering/internal/bgp"
 	"mlpeering/internal/ixp"
@@ -121,14 +121,12 @@ func (b *Builder) allocateASes() error {
 			} else {
 				as.Policy = peeringdb.PolicyRestrictive
 			}
-			b.tier1 = append(b.tier1, as.ASN)
 		case i < numTier1+numContent:
 			as.Tier = Tier2
 			as.Content = true
 			as.Region = ixp.RegionWestEU
 			as.Scope = peeringdb.ScopeGlobal
 			as.Policy = peeringdb.PolicyOpen
-			b.content = append(b.content, as.ASN)
 		case i < numTier1+numContent+numT2:
 			as.Tier = Tier2
 			as.Region = pickRegion()
@@ -148,7 +146,6 @@ func (b *Builder) allocateASes() error {
 			default:
 				as.Policy = peeringdb.PolicyRestrictive
 			}
-			b.tier2 = append(b.tier2, as.ASN)
 		default:
 			as.Tier = TierStub
 			as.Region = pickRegion()
@@ -166,7 +163,6 @@ func (b *Builder) allocateASes() error {
 			default:
 				as.Policy = peeringdb.PolicyRestrictive
 			}
-			b.stubs = append(b.stubs, as.ASN)
 		}
 		as.Name = fmt.Sprintf("AS%s-%s", as.ASN, as.Region)
 		as.StripsCommunities = b.rng.Float64() < stripProb
@@ -183,7 +179,7 @@ func (b *Builder) allocateASes() error {
 			b.stubIDs = append(b.stubIDs, id)
 		}
 	}
-	sort.Slice(b.Order, func(i, j int) bool { return b.Order[i] < b.Order[j] })
+	slices.Sort(b.Order)
 	b.orderIDs = make([]int32, len(b.Order))
 	for i, asn := range b.Order {
 		b.orderIDs[i] = b.byASN[asn]
@@ -193,9 +189,9 @@ func (b *Builder) allocateASes() error {
 
 func (b *Builder) buildHierarchy() {
 	// Tier-1 clique: full mesh of p2p.
-	for i, a := range b.tier1 {
-		for _, x := range b.tier1[i+1:] {
-			b.Peer(a, x)
+	for i, a := range b.tier1IDs {
+		for _, x := range b.tier1IDs[i+1:] {
+			b.Peer(b.recs[a].ASN, b.recs[x].ASN)
 		}
 	}
 	// Tier-2 (incl. content) attach to 1-3 tier-1 providers with
@@ -210,7 +206,7 @@ func (b *Builder) buildHierarchy() {
 			total := 0.0
 			for i, p := range pool {
 				weights[i] = 0
-				if p == id || containsID(chosen[:nChosen], p) {
+				if p == id || slices.Contains(chosen[:nChosen], p) {
 					continue
 				}
 				weights[i] = float64(len(b.recs[p].Customers) + 1)
@@ -283,7 +279,7 @@ func (b *Builder) buildHierarchy() {
 				break
 			}
 			i := tree.Find(b.rng.Float64() * total)
-			if containsInt(chosen[:nChosen], i) {
+			if slices.Contains(chosen[:nChosen], i) {
 				// Removing a chosen entry subtracts its float weight,
 				// which can leave a tiny residue in the tree; a draw
 				// landing in that residue must not re-pick (and
@@ -314,61 +310,39 @@ func (b *Builder) buildHierarchy() {
 	}
 }
 
-func containsID(ids []int32, x int32) bool {
-	for _, v := range ids {
-		if v == x {
-			return true
-		}
-	}
-	return false
-}
-
-func containsInt(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
-}
-
 func (b *Builder) addSiblings() {
 	// ~1% of tier-2s form sibling pairs with a same-region tier-2.
-	n := len(b.tier2) / 100
+	n := len(b.tier2IDs) / 100
 	for i := 0; i < n; i++ {
-		a := b.tier2[b.rng.Intn(len(b.tier2))]
-		c := b.tier2[b.rng.Intn(len(b.tier2))]
-		if a == c || b.AS(a).Region != b.AS(c).Region {
+		x := &b.recs[b.tier2IDs[b.rng.Intn(len(b.tier2IDs))]]
+		y := &b.recs[b.tier2IDs[b.rng.Intn(len(b.tier2IDs))]]
+		if x == y || x.Region != y.Region {
 			continue
 		}
-		x, y := b.AS(a), b.AS(c)
-		x.Siblings = insertASN(x.Siblings, c)
-		y.Siblings = insertASN(y.Siblings, a)
+		x.Siblings = insertASN(x.Siblings, y.ASN)
+		y.Siblings = insertASN(y.Siblings, x.ASN)
 	}
 }
 
 func (b *Builder) addPrivatePeering() {
 	// Sparse bilateral private peering between same-region tier-2s.
-	for i, a := range b.tier2 {
-		for _, c := range b.tier2[i+1:] {
-			if b.AS(a).Region != b.AS(c).Region {
+	for i, a := range b.tier2IDs {
+		for _, c := range b.tier2IDs[i+1:] {
+			if b.recs[a].Region != b.recs[c].Region {
 				continue
 			}
 			if b.rng.Float64() < 0.015 {
-				b.Peer(a, c)
+				b.Peer(b.recs[a].ASN, b.recs[c].ASN)
 			}
 		}
 	}
 	// Content networks peer privately with a slice of the transit tier:
 	// these private interconnects are why content ASes get EXCLUDEd at
 	// route servers (§5.5).
-	for _, c := range b.content {
-		for _, x := range b.tier2 {
-			if b.AS(x).Content {
-				continue
-			}
+	for _, c := range b.contentIDs {
+		for _, x := range b.tier2IDs {
 			if b.rng.Float64() < 0.10 {
-				b.Peer(c, x)
+				b.Peer(b.recs[c].ASN, b.recs[x].ASN)
 			}
 		}
 	}
@@ -528,7 +502,7 @@ func (b *Builder) buildOneIXP(rng *rand.Rand, prof IXPProfile) func() {
 		if len(rs) >= rsMembers {
 			break
 		}
-		if !containsUnsorted(rs, m) {
+		if !slices.Contains(rs, m) {
 			rs = append(rs, m)
 		}
 	}
@@ -569,13 +543,4 @@ func (b *Builder) buildOneIXP(rng *rand.Rand, prof IXPProfile) func() {
 			}
 		}
 	}
-}
-
-func containsUnsorted(list []bgp.ASN, x bgp.ASN) bool {
-	for _, v := range list {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }

@@ -8,24 +8,11 @@ import (
 	"mlpeering/internal/ixp"
 )
 
-// MemberCommunities returns the exact community set member attaches to
-// its announcements toward the named route server: the encoding of its
-// ground-truth export filter under the IXP's scheme, with the ALL value
-// omitted for operators that rely on the default.
-func (t *Topology) MemberCommunities(ixpName string, member bgp.ASN) (bgp.Communities, bool) {
-	m, ok := t.MemberComms[ixpName]
-	if !ok {
-		return nil, false
-	}
-	cs, ok := m[member]
-	return cs, ok
-}
-
-// finalizeMemberData encodes every member's filter communities (fixing
-// the scheme's 32-bit alias table deterministically) and assigns IXP
-// LAN addresses. Called as the last generation stage.
+// finalizeMemberData encodes every member's filter communities into its
+// policy record (fixing the scheme's 32-bit alias table
+// deterministically) and assigns IXP LAN addresses. Called as the last
+// generation stage.
 func (b *Builder) finalizeMemberData() error {
-	b.MemberComms = make(map[string]map[bgp.ASN]bgp.Communities, len(b.IXPs))
 	for i, info := range b.IXPs {
 		// LAN 172.(16+i).0.0/16, addresses handed out in member order.
 		if i > 200 {
@@ -39,23 +26,23 @@ func (b *Builder) finalizeMemberData() error {
 			info.MemberAddrs[m] = netip.AddrFrom4([4]byte{172, byte(16 + i), hi, lo})
 		}
 
-		comms := make(map[bgp.ASN]bgp.Communities, len(info.RSMembers))
+		pols := b.RSPolicies[info.Name]
 		scheme := &info.Scheme
 		for _, m := range info.SortedRSMembers() {
-			f, ok := b.exportFilterOf(info.Name, m)
+			p, ok := pols[m]
 			if !ok {
 				return fmt.Errorf("topology: %s member %s missing filter during finalize", info.Name, m)
 			}
-			cs, err := f.Communities(scheme)
+			cs, err := p.Export.Communities(scheme)
 			if err != nil {
 				return fmt.Errorf("topology: encoding %s filter for %s: %w", info.Name, m, err)
 			}
-			if b.AS(m).OmitsDefaultALL && f.Mode == ixp.ModeAllExcept {
+			if b.AS(m).OmitsDefaultALL && p.Export.Mode == ixp.ModeAllExcept {
 				cs = ixp.OmitDefault(cs, *scheme)
 			}
-			comms[m] = cs
+			p.Comms = cs
+			pols[m] = p
 		}
-		b.MemberComms[info.Name] = comms
 	}
 	return nil
 }

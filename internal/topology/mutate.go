@@ -2,9 +2,9 @@ package topology
 
 import (
 	"fmt"
+	"slices"
 
 	"mlpeering/internal/bgp"
-	"mlpeering/internal/ixp"
 )
 
 // Mutation helpers used by the route-churn dynamics engine
@@ -47,10 +47,10 @@ func (t *Topology) RemovePeerLink(a, b bgp.ASN) error {
 }
 
 // JoinRouteServer connects member (which must already be present at the
-// IXP) to the route server with the given policies. The §4.4 invariant —
+// IXP) to the route server with the given policy. The §4.4 invariant —
 // imports never more restrictive than exports — is checked here so churn
 // can never produce a world Validate rejects.
-func (t *Topology) JoinRouteServer(ixpName string, member bgp.ASN, export, imp ixp.ExportFilter, comms bgp.Communities) error {
+func (t *Topology) JoinRouteServer(ixpName string, member bgp.ASN, pol RSPolicy) error {
 	info := t.IXPByName(ixpName)
 	if info == nil {
 		return fmt.Errorf("topology: unknown IXP %s", ixpName)
@@ -62,19 +62,19 @@ func (t *Topology) JoinRouteServer(ixpName string, member bgp.ASN, export, imp i
 		return fmt.Errorf("topology: %s already an RS member at %s", member, ixpName)
 	}
 	for _, other := range info.RSMembers {
-		if export.Allows(other) && !imp.Allows(other) {
+		if pol.Export.Allows(other) && !pol.Import.Allows(other) {
 			return fmt.Errorf("topology: %s joining %s: import blocks %s but export allows it",
 				member, ixpName, other)
 		}
 	}
 	info.RSMembers = append(info.RSMembers, member)
-	t.setRSPolicy(ixpName, member, export, imp, comms)
+	t.setRSPolicy(ixpName, member, pol)
 	return nil
 }
 
 // LeaveRouteServer disconnects member from the route server, dropping
-// its filters and community encoding. The member stays present at the
-// IXP (its port is still lit; only the RS sessions are gone).
+// its policy record. The member stays present at the IXP (its port is
+// still lit; only the RS sessions are gone).
 func (t *Topology) LeaveRouteServer(ixpName string, member bgp.ASN) error {
 	info := t.IXPByName(ixpName)
 	if info == nil {
@@ -83,28 +83,14 @@ func (t *Topology) LeaveRouteServer(ixpName string, member bgp.ASN) error {
 	if !info.IsRSMember(member) {
 		return fmt.Errorf("topology: %s is not an RS member at %s", member, ixpName)
 	}
-	out := info.RSMembers[:0]
-	for _, m := range info.RSMembers {
-		if m != member {
-			out = append(out, m)
-		}
-	}
-	info.RSMembers = out
-	if m := t.ExportFilters[ixpName]; m != nil {
-		delete(m, member)
-	}
-	if m := t.ImportFilters[ixpName]; m != nil {
-		delete(m, member)
-	}
-	if m := t.MemberComms[ixpName]; m != nil {
-		delete(m, member)
-	}
+	info.RSMembers = slices.DeleteFunc(info.RSMembers, func(m bgp.ASN) bool { return m == member })
+	delete(t.RSPolicies[ixpName], member)
 	return nil
 }
 
-// SetRSFilters replaces an existing RS member's export/import policy and
-// the community encoding of it, enforcing the §4.4 invariant.
-func (t *Topology) SetRSFilters(ixpName string, member bgp.ASN, export, imp ixp.ExportFilter, comms bgp.Communities) error {
+// SetRSFilters replaces an existing RS member's policy, enforcing the
+// §4.4 invariant.
+func (t *Topology) SetRSFilters(ixpName string, member bgp.ASN, pol RSPolicy) error {
 	info := t.IXPByName(ixpName)
 	if info == nil {
 		return fmt.Errorf("topology: unknown IXP %s", ixpName)
@@ -113,37 +99,23 @@ func (t *Topology) SetRSFilters(ixpName string, member bgp.ASN, export, imp ixp.
 		return fmt.Errorf("topology: %s is not an RS member at %s", member, ixpName)
 	}
 	for _, other := range info.RSMembers {
-		if other != member && export.Allows(other) && !imp.Allows(other) {
+		if other != member && pol.Export.Allows(other) && !pol.Import.Allows(other) {
 			return fmt.Errorf("topology: %s at %s: import blocks %s but export allows it",
 				member, ixpName, other)
 		}
 	}
-	t.setRSPolicy(ixpName, member, export, imp, comms)
+	t.setRSPolicy(ixpName, member, pol)
 	return nil
 }
 
-func (t *Topology) setRSPolicy(ixpName string, member bgp.ASN, export, imp ixp.ExportFilter, comms bgp.Communities) {
-	if t.ExportFilters == nil {
-		t.ExportFilters = make(map[string]map[bgp.ASN]ixp.ExportFilter)
+func (t *Topology) setRSPolicy(ixpName string, member bgp.ASN, pol RSPolicy) {
+	if t.RSPolicies == nil {
+		t.RSPolicies = make(map[string]map[bgp.ASN]RSPolicy)
 	}
-	if t.ExportFilters[ixpName] == nil {
-		t.ExportFilters[ixpName] = make(map[bgp.ASN]ixp.ExportFilter)
+	if t.RSPolicies[ixpName] == nil {
+		t.RSPolicies[ixpName] = make(map[bgp.ASN]RSPolicy)
 	}
-	t.ExportFilters[ixpName][member] = export
-	if t.ImportFilters == nil {
-		t.ImportFilters = make(map[string]map[bgp.ASN]ixp.ExportFilter)
-	}
-	if t.ImportFilters[ixpName] == nil {
-		t.ImportFilters[ixpName] = make(map[bgp.ASN]ixp.ExportFilter)
-	}
-	t.ImportFilters[ixpName][member] = imp
-	if t.MemberComms == nil {
-		t.MemberComms = make(map[string]map[bgp.ASN]bgp.Communities)
-	}
-	if t.MemberComms[ixpName] == nil {
-		t.MemberComms[ixpName] = make(map[bgp.ASN]bgp.Communities)
-	}
-	t.MemberComms[ixpName][member] = comms
+	t.RSPolicies[ixpName][member] = pol
 }
 
 // MovePrefix re-homes an originated prefix from one AS to another (the

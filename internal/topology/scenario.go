@@ -30,7 +30,7 @@ type Scenario struct {
 // generate runs the scenario's stages over a fresh builder and
 // materializes the world of a cfg that passed Check.
 func (sc *Scenario) generate(cfg Config) (*Topology, error) {
-	b := NewBuilder(cfg)
+	b := newBuilder(cfg)
 	for _, st := range sc.Stages {
 		if err := st.Apply(b); err != nil {
 			return nil, fmt.Errorf("topology: scenario %s, stage %s: %w", sc.Name, st.Name, err)

@@ -23,10 +23,8 @@ func worldFingerprint(t *Topology) uint64 {
 	for _, x := range t.IXPs {
 		fmt.Fprintf(h, "%s|%v|%v\n", x.Name, x.Members, x.RSMembers)
 		for _, m := range x.SortedRSMembers() {
-			ef, _ := t.ExportFilter(x.Name, m)
-			imf, _ := t.ImportFilter(x.Name, m)
-			cs, _ := t.MemberCommunities(x.Name, m)
-			fmt.Fprintf(h, "%s|%v|%v|%v|%v|%v\n", m, ef.Mode, ef.PeerList(), imf.Mode, imf.PeerList(), cs)
+			p, _ := t.Policy(x.Name, m)
+			fmt.Fprintf(h, "%s|%v|%v|%v|%v|%v\n", m, p.Export.Mode, p.Export.PeerList(), p.Import.Mode, p.Import.PeerList(), p.Comms)
 		}
 		fmt.Fprintf(h, "%s|%v\n", x.Name, t.RemoteMembers[x.Name])
 	}
@@ -319,22 +317,14 @@ func TestScaledWorldGrowsIXPs(t *testing.T) {
 	}
 }
 
-func TestDenseIndexMatchesOrder(t *testing.T) {
+func TestASesMatchOrder(t *testing.T) {
 	topo := generateScenario(t, "baseline")
-	idx := topo.DenseIndex()
-	if idx == nil {
-		t.Fatal("builder-generated world must carry a dense index")
+	if !slices.IsSorted(topo.Order) || len(topo.ASes) != len(topo.Order) {
+		t.Fatalf("Order must list every AS once, ascending: %d ASNs for %d records", len(topo.Order), len(topo.ASes))
 	}
-	for i, asn := range topo.Order {
-		j, ok := idx[asn]
-		if !ok || j != int32(i) {
-			t.Fatalf("DenseIndex()[%s] = %d,%v, want %d", asn, j, ok, i)
-		}
-		if topo.recs[j].ASN != asn {
-			t.Fatalf("slab record %d is %s, want %s", j, topo.recs[j].ASN, asn)
-		}
-		if topo.ASes[asn] != &topo.recs[j] {
-			t.Fatalf("map view and slab disagree for %s", asn)
+	for _, asn := range topo.Order {
+		if as := topo.ASes[asn]; as == nil || as.ASN != asn {
+			t.Fatalf("ASes[%s] = %v, want the record of %s", asn, as, asn)
 		}
 	}
 }

@@ -334,18 +334,18 @@ func (b *Builder) addPARINoise() {
 	// The candidate scan is deterministic given the starting offset, so
 	// a selected stub reliably gains a link when any same-region transit
 	// exists.
-	for _, asn := range b.stubs {
+	for _, sid := range b.stubIDs {
 		if rng.Float64() > 0.05 {
 			continue
 		}
-		as := b.AS(asn)
-		start := rng.Intn(len(b.tier2))
-		for k := 0; k < len(b.tier2); k++ {
-			t := b.tier2[(start+k)%len(b.tier2)]
-			if t == asn || b.AS(t).Region != as.Region || as.HasPeer(t) {
+		as := &b.recs[sid]
+		start := rng.Intn(len(b.tier2IDs))
+		for k := range b.tier2IDs {
+			t := &b.recs[b.tier2IDs[(start+k)%len(b.tier2IDs)]]
+			if t == as || t.Region != as.Region || as.HasPeer(t.ASN) {
 				continue
 			}
-			b.Peer(asn, t)
+			b.Peer(as.ASN, t.ASN)
 			break
 		}
 	}

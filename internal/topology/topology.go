@@ -32,31 +32,28 @@ type LGHost struct {
 	AllPaths bool // false: displays only the active (best) path
 }
 
+// RSPolicy is one RS member's route-server configuration at one IXP:
+// its export filter toward the route server, its import filter (per the
+// paper's §4.4 validation never more restrictive than the export), and
+// the exact community set it attaches to its announcements (the wire
+// encoding of Export under the IXP's scheme, minus an omitted default).
+type RSPolicy struct {
+	Export, Import ixp.ExportFilter
+	Comms          bgp.Communities
+}
+
 // Topology is the full generated world: the ground truth every
 // measurement and inference result is compared against.
-//
-// Builder-generated topologies are densely backed: every AS record
-// lives in one slab ordered like Order, addressable by the small
-// integer ids DenseIndex exposes, and the ASes map is a view into
-// that slab. Hand-assembled topologies (tests) may populate only the
-// map, in which case the dense accessors report absence.
 type Topology struct {
 	ASes  map[bgp.ASN]*AS
 	Order []bgp.ASN // all ASNs in deterministic (ascending) order
 
-	recs  []AS              // dense record slab, recs[i].ASN == Order[i]
-	index map[bgp.ASN]int32 // ASN -> position in Order
-
 	IXPs []*ixp.Info
 
-	// ExportFilters is the MLP ground truth: per IXP name, per RS
-	// member, the member's export policy toward the route server.
-	ExportFilters map[string]map[bgp.ASN]ixp.ExportFilter
-
-	// ImportFilters mirrors ExportFilters for the import direction.
-	// Per the paper's §4.4 validation, imports are never more
-	// restrictive than exports.
-	ImportFilters map[string]map[bgp.ASN]ixp.ExportFilter
+	// RSPolicies is the MLP ground truth: per IXP name, per RS member,
+	// the member's route-server policy. The mutation helpers keep each
+	// IXP's keys equal to its RSMembers.
+	RSPolicies map[string]map[bgp.ASN]RSPolicy
 
 	// BilateralIXP holds bilateral peering links established across IXP
 	// fabrics without the route server; these are invisible to the
@@ -78,22 +75,12 @@ type Topology struct {
 	// prefix serves; the geolocation database is generated from it.
 	PrefixRegions map[bgp.Prefix]ixp.Region
 
-	// MemberComms holds, per IXP and RS member, the exact community set
-	// the member attaches to its route-server announcements (the wire
-	// encoding of ExportFilters, minus omitted defaults).
-	MemberComms map[string]map[bgp.ASN]bgp.Communities
-
 	// RemoteMembers records, per IXP name, the members connected
 	// remotely through a reseller rather than a local port (the
 	// remote-peering scenario's ground truth; nil for worlds without
 	// remote peering).
 	RemoteMembers map[string][]bgp.ASN
 }
-
-// DenseIndex returns the shared ASN → dense-id map (id == position in
-// Order), or nil for hand-assembled topologies. Callers must not
-// mutate it.
-func (t *Topology) DenseIndex() map[bgp.ASN]int32 { return t.index }
 
 // IXPByName returns the IXP with the given name, or nil.
 func (t *Topology) IXPByName(name string) *ixp.Info {
@@ -105,26 +92,11 @@ func (t *Topology) IXPByName(name string) *ixp.Info {
 	return nil
 }
 
-// ExportFilter returns the ground-truth export filter of member at the
-// named IXP. The boolean is false if the member is not an RS member
-// there.
-func (t *Topology) ExportFilter(ixpName string, member bgp.ASN) (ixp.ExportFilter, bool) {
-	m, ok := t.ExportFilters[ixpName]
-	if !ok {
-		return ixp.ExportFilter{}, false
-	}
-	f, ok := m[member]
-	return f, ok
-}
-
-// ImportFilter returns the ground-truth import filter.
-func (t *Topology) ImportFilter(ixpName string, member bgp.ASN) (ixp.ExportFilter, bool) {
-	m, ok := t.ImportFilters[ixpName]
-	if !ok {
-		return ixp.ExportFilter{}, false
-	}
-	f, ok := m[member]
-	return f, ok
+// Policy returns member's route-server policy at the named IXP. The
+// boolean is false if the member is not an RS member there.
+func (t *Topology) Policy(ixpName string, member bgp.ASN) (RSPolicy, bool) {
+	p, ok := t.RSPolicies[ixpName][member]
+	return p, ok
 }
 
 // RouteFlows reports whether routes announced by from reach to over the
@@ -134,15 +106,12 @@ func (t *Topology) RouteFlows(ixpName string, from, to bgp.ASN) bool {
 	if from == to {
 		return false
 	}
-	ef, ok := t.ExportFilter(ixpName, from)
+	pf, ok := t.Policy(ixpName, from)
 	if !ok {
 		return false
 	}
-	imf, ok := t.ImportFilter(ixpName, to)
-	if !ok {
-		return false
-	}
-	return ef.Allows(to) && imf.Allows(from)
+	pt, ok := t.Policy(ixpName, to)
+	return ok && pf.Export.Allows(to) && pt.Import.Allows(from)
 }
 
 // GroundTruthMLPLinks returns the set of true route-server peering
@@ -178,30 +147,13 @@ func (t *Topology) GroundTruthReciprocalLinks(ixpName string) map[LinkKey]bool {
 	return t.reciprocalLinks([]*ixp.Info{x})
 }
 
-// rsPolicy is one RS member's export and import filter at an IXP.
-type rsPolicy struct {
-	asn      bgp.ASN
-	exp, imp ixp.ExportFilter
-}
-
 // reciprocal is the pair rule of the truth mesh (§4.1 applied to the
-// true filters): routes flow over the route server from p to q and
-// from q to p.
-func (p *rsPolicy) reciprocal(q *rsPolicy) bool {
-	return p.asn != q.asn &&
-		p.exp.Allows(q.asn) && q.imp.Allows(p.asn) &&
-		q.exp.Allows(p.asn) && p.imp.Allows(q.asn)
-}
-
-// policy looks up member's filters at the named IXP; a member missing
-// either filter cannot be in a reciprocal pair at all.
-func (t *Topology) policy(ixpName string, member bgp.ASN) (rsPolicy, bool) {
-	exp, ok := t.ExportFilters[ixpName][member]
-	if !ok {
-		return rsPolicy{}, false
-	}
-	imp, ok := t.ImportFilters[ixpName][member]
-	return rsPolicy{asn: member, exp: exp, imp: imp}, ok
+// true filters): routes flow over the route server from member a, with
+// policy p, to member b, with policy q, and from b to a.
+func reciprocal(a bgp.ASN, p *RSPolicy, b bgp.ASN, q *RSPolicy) bool {
+	return a != b &&
+		p.Export.Allows(b) && q.Import.Allows(a) &&
+		q.Export.Allows(a) && p.Import.Allows(b)
 }
 
 // reciprocalLinks returns every pair of RS members with RouteFlows in
@@ -234,20 +186,22 @@ func (t *Topology) SortedGroundTruthReciprocalLinks() []LinkKey {
 // every reciprocal pair of RS members at each of ixps, packed as
 // A<<32|B so that ascending packed keys are CompareLinkKeys order. A
 // pair reciprocal at several IXPs is appended once per IXP. Each
-// member's filters are looked up once instead of per ordered pair.
+// member's record is looked up once instead of per ordered pair.
 func (t *Topology) appendReciprocal(dst []uint64, ixps []*ixp.Info) []uint64 {
-	var pol []rsPolicy
+	var asns []bgp.ASN
+	var pols []RSPolicy
 	for _, x := range ixps {
-		pol = pol[:0]
+		asns, pols = asns[:0], pols[:0]
 		for _, m := range x.RSMembers {
-			if p, ok := t.policy(x.Name, m); ok {
-				pol = append(pol, p)
+			if p, ok := t.Policy(x.Name, m); ok {
+				asns = append(asns, m)
+				pols = append(pols, p)
 			}
 		}
-		for i := range pol {
-			for j := i + 1; j < len(pol); j++ {
-				if pol[i].reciprocal(&pol[j]) {
-					k := MakeLinkKey(pol[i].asn, pol[j].asn)
+		for i := range pols {
+			for j := i + 1; j < len(pols); j++ {
+				if reciprocal(asns[i], &pols[i], asns[j], &pols[j]) {
+					k := MakeLinkKey(asns[i], asns[j])
 					dst = append(dst, uint64(k.A)<<32|uint64(k.B))
 				}
 			}
@@ -261,16 +215,14 @@ func unpackLinkKey(k uint64) LinkKey { return LinkKey{A: bgp.ASN(k >> 32), B: bg
 // IsReciprocalLink reports whether MakeLinkKey(a, b) is in
 // AllGroundTruthReciprocalLinks: some IXP has both a and b as RS
 // members whose filters let routes flow both ways. It costs a few
-// filter lookups per IXP, not a scan of the mesh, so a caller that knows
+// record lookups per IXP, not a scan of the mesh, so a caller that knows
 // which pairs a mutation can touch keeps the mesh current pair by pair.
 func (t *Topology) IsReciprocalLink(a, b bgp.ASN) bool {
 	for _, x := range t.IXPs {
-		pa, ok := t.policy(x.Name, a)
-		if !ok {
-			continue
-		}
-		pb, ok := t.policy(x.Name, b)
-		if ok && pa.reciprocal(&pb) && x.IsRSMember(a) && x.IsRSMember(b) {
+		pols := t.RSPolicies[x.Name]
+		pa, okA := pols[a]
+		pb, okB := pols[b]
+		if okA && okB && reciprocal(a, &pa, b, &pb) && x.IsRSMember(a) && x.IsRSMember(b) {
 			return true
 		}
 	}
@@ -335,7 +287,7 @@ func (t *Topology) TransitLinks() []Link {
 	for _, asn := range t.Order {
 		as := t.ASes[asn]
 		for _, p := range as.Providers {
-			out = append(out, Link{A: min2(asn, p), B: max2(asn, p), Rel: RelC2P})
+			out = append(out, Link{A: min(asn, p), B: max(asn, p), Rel: RelC2P})
 		}
 	}
 	return dedupLinks(out)
@@ -397,20 +349,16 @@ func (t *Topology) Validate() error {
 			if !x.IsMember(m) {
 				return fmt.Errorf("topology: %s RS member %s not an IXP member", x.Name, m)
 			}
-			ef, ok := t.ExportFilter(x.Name, m)
+			p, ok := t.Policy(x.Name, m)
 			if !ok {
-				return fmt.Errorf("topology: %s RS member %s missing export filter", x.Name, m)
-			}
-			imf, ok := t.ImportFilter(x.Name, m)
-			if !ok {
-				return fmt.Errorf("topology: %s RS member %s missing import filter", x.Name, m)
+				return fmt.Errorf("topology: %s RS member %s missing route-server policy", x.Name, m)
 			}
 			// §4.4 invariant: import never more restrictive than export.
 			for _, other := range x.RSMembers {
 				if other == m {
 					continue
 				}
-				if ef.Allows(other) && !imf.Allows(other) {
+				if p.Export.Allows(other) && !p.Import.Allows(other) {
 					return fmt.Errorf("topology: %s member %s import blocks %s but export allows it",
 						x.Name, m, other)
 				}
@@ -474,18 +422,4 @@ func dedupLinks(in []Link) []Link {
 		}
 	}
 	return out
-}
-
-func min2(a, b bgp.ASN) bgp.ASN {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max2(a, b bgp.ASN) bgp.ASN {
-	if a > b {
-		return a
-	}
-	return b
 }

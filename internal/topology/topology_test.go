@@ -147,16 +147,15 @@ func TestFiltersRespectReciprocityInvariant(t *testing.T) {
 	// §4.4: no import filter blocks an AS the export filter allows.
 	for _, info := range topo.IXPs {
 		for _, m := range info.RSMembers {
-			ef, ok1 := topo.ExportFilter(info.Name, m)
-			imf, ok2 := topo.ImportFilter(info.Name, m)
-			if !ok1 || !ok2 {
+			p, ok := topo.Policy(info.Name, m)
+			if !ok {
 				t.Fatalf("%s member %s missing filters", info.Name, m)
 			}
 			for _, other := range info.RSMembers {
 				if other == m {
 					continue
 				}
-				if ef.Allows(other) && !imf.Allows(other) {
+				if p.Export.Allows(other) && !p.Import.Allows(other) {
 					t.Fatalf("%s member %s: import more restrictive than export for %s",
 						info.Name, m, other)
 				}
@@ -419,10 +418,11 @@ func TestGenerateRejectsAliasOverflowScale(t *testing.T) {
 // TestReciprocalLinksMatchRouteFlows pins the hoisted-filter truth mesh
 // to its definition — RouteFlows in both directions, evaluated pair by
 // pair — on a world churned through the mutation helpers: leaves, a
-// restrictive join, one-sided filter edits and a member left without an
-// import filter.
+// restrictive join and one-sided filter edits, each of which must keep
+// every IXP's policy records keyed by exactly its RS members.
 func TestReciprocalLinksMatchRouteFlows(t *testing.T) {
 	topo := testTopo(t)
+	recordsMatchMembers(t, topo)
 	rng := rand.New(rand.NewSource(11))
 	for _, info := range topo.IXPs {
 		rs := info.SortedRSMembers()
@@ -432,6 +432,7 @@ func TestReciprocalLinksMatchRouteFlows(t *testing.T) {
 		if err := topo.LeaveRouteServer(info.Name, rs[rng.Intn(len(rs))]); err != nil {
 			t.Fatal(err)
 		}
+		recordsMatchMembers(t, topo)
 		rs = info.SortedRSMembers()
 		// One-sided edits: m stops exporting to a few members that still
 		// export to it, so those pairs flow one way only.
@@ -443,30 +444,31 @@ func TestReciprocalLinksMatchRouteFlows(t *testing.T) {
 					block = append(block, v)
 				}
 			}
-			if err := topo.SetRSFilters(info.Name, m, ixp.NewExportFilter(ixp.ModeAllExcept, block...), ixp.OpenFilter(), nil); err != nil {
+			pol := RSPolicy{Export: ixp.NewExportFilter(ixp.ModeAllExcept, block...), Import: ixp.OpenFilter()}
+			if err := topo.SetRSFilters(info.Name, m, pol); err != nil {
 				t.Fatal(err)
 			}
+			recordsMatchMembers(t, topo)
 		}
 		for _, m := range info.SortedMembers() {
 			if !info.IsRSMember(m) {
 				only := ixp.NewExportFilter(ixp.ModeNoneExcept, rs[0], rs[1])
-				if err := topo.JoinRouteServer(info.Name, m, only, only, nil); err != nil {
+				if err := topo.JoinRouteServer(info.Name, m, RSPolicy{Export: only, Import: only}); err != nil {
 					t.Fatal(err)
 				}
+				recordsMatchMembers(t, topo)
 				break
 			}
 		}
-		delete(topo.ImportFilters[info.Name], rs[len(rs)-1])
 	}
 
-	// A port left with open filters but no route-server session is in
-	// no pair: membership, not the filter maps, decides who peers.
+	// A port given an open policy record but no route-server session is
+	// in no pair: membership, not the records, decides who peers.
 	var stray []bgp.ASN
 	for _, info := range topo.IXPs {
 		for _, m := range info.SortedMembers() {
 			if !info.IsRSMember(m) {
-				topo.ExportFilters[info.Name][m] = ixp.OpenFilter()
-				topo.ImportFilters[info.Name][m] = ixp.OpenFilter()
+				topo.RSPolicies[info.Name][m] = RSPolicy{Export: ixp.OpenFilter(), Import: ixp.OpenFilter()}
 				stray = append(stray, m)
 				break
 			}
@@ -527,5 +529,17 @@ func TestReciprocalLinksMatchRouteFlows(t *testing.T) {
 	}
 	if topo.GroundTruthReciprocalLinks("NO-SUCH-IXP") != nil {
 		t.Error("unknown IXP must give nil")
+	}
+}
+
+// recordsMatchMembers fails t unless every IXP's policy records are
+// keyed by exactly its RS members.
+func recordsMatchMembers(t *testing.T, topo *Topology) {
+	t.Helper()
+	for _, info := range topo.IXPs {
+		got := slices.Sorted(maps.Keys(topo.RSPolicies[info.Name]))
+		if want := info.SortedRSMembers(); !slices.Equal(got, want) {
+			t.Fatalf("%s: policy records for %v, RS members %v", info.Name, got, want)
+		}
 	}
 }
