@@ -368,15 +368,31 @@ func BenchmarkBGPUpdateDecode(b *testing.B) {
 }
 
 func BenchmarkMRTRIBDumpWriteRead(b *testing.B) {
+	// Writes and decodes the test-scale RIB dump. retained-MB/op is the
+	// heap the decoded dump holds once collected, and attr-blocks/op the
+	// distinct *bgp.PathAttrs it holds: ReadDump shares one per repeated
+	// attribute block, and the benchmark fails when it holds more than
+	// the dump has distinct blocks (counted by their encoding).
 	c := fixture(b)
 	col := collector.New("bench", c.World.Engine, nil, 4)
+	var dump *mrt.Dump
+	var retained uint64
+	var ms runtime.MemStats
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var buf bytes.Buffer
 		if err := col.WriteRIB(&buf, time.Unix(1368000000, 0)); err != nil {
 			b.Fatal(err)
 		}
-		dump, err := mrt.ReadDump(&buf)
+		b.StopTimer()
+		dump = nil
+		runtime.GC()
+		runtime.GC() // the second frees what sync.Pools kept through the first
+		runtime.ReadMemStats(&ms)
+		before := ms.HeapAlloc
+		b.StartTimer()
+		var err error
+		dump, err = mrt.ReadDump(&buf)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -384,7 +400,36 @@ func BenchmarkMRTRIBDumpWriteRead(b *testing.B) {
 			b.Fatal("empty dump")
 		}
 		b.SetBytes(int64(buf.Len()))
+		b.StopTimer()
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		retained += ms.HeapAlloc - before
+		runtime.KeepAlive(&buf)
+		b.StartTimer()
 	}
+	b.StopTimer()
+	ptrs := make(map[*bgp.PathAttrs]bool)
+	blocks := make(map[string]bool)
+	var enc []byte
+	for _, rib := range dump.RIBs {
+		for _, e := range rib.Entries {
+			if ptrs[e.Attrs] {
+				continue
+			}
+			ptrs[e.Attrs] = true
+			var err error
+			if enc, err = e.Attrs.AppendWire(enc[:0], true); err != nil {
+				b.Fatal(err)
+			}
+			blocks[string(enc)] = true
+		}
+	}
+	if len(ptrs) > len(blocks) {
+		b.Fatalf("the decoded dump holds %d *PathAttrs for %d distinct attribute blocks: ReadDump stopped sharing repeated blocks", len(ptrs), len(blocks))
+	}
+	b.ReportMetric(float64(retained)/(1<<20)/float64(b.N), "retained-MB/op")
+	b.ReportMetric(float64(len(ptrs)), "attr-blocks/op")
 }
 
 func BenchmarkTopologyGenerate(b *testing.B) {

@@ -3,9 +3,9 @@ package bgp
 // AttrArena slab-allocates the objects produced by attribute decoding:
 // PathAttrs records, AS-path segments and their ASN arrays, and
 // community sets. Bulk consumers (an MRT RIB dump holds one decoded
-// attribute set per entry, hundreds of thousands per archive) decode
-// into one arena and retain everything with a handful of chunk
-// allocations instead of ~4 per entry.
+// attribute set per run of a peer's equal attribute blocks, tens of
+// thousands per archive) decode into one arena and retain everything
+// with a handful of chunk allocations instead of ~4 per set.
 //
 // Chunks are never grown in place, so pointers and slices handed out
 // earlier stay valid for the arena's lifetime. An arena is not safe for

@@ -81,7 +81,11 @@ func TestUpdateStreamSeedMatchesSweep(t *testing.T) {
 
 // mutateDump returns a copy of d with one change, leaving d as it was.
 // op picks the change; rec, ent and val pick its record, entry and
-// value. Every result is a dump mrt.ReadDump could decode.
+// value. Some results, such as an entry naming a peer the table does
+// not hold, are dumps mrt.ReadDump refuses to decode; SeedUpdateStream
+// takes a Dump from any source and must refuse them as well. Only the
+// picked entry's attributes are cloned; the other entries keep d's
+// pointers, which ReadDump may share between entries.
 func mutateDump(d *mrt.Dump, op uint8, rec uint32, ent uint8, val uint32) *mrt.Dump {
 	idx := *d.Index
 	idx.Peers = slices.Clone(idx.Peers)

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"mlpeering/internal/bgp"
 	"mlpeering/internal/mrt"
 	"mlpeering/internal/paths"
@@ -55,7 +57,15 @@ func RunPassive(dumps []*mrt.Dump, updates []*mrt.BGP4MPMessage, dict *Dictionar
 	}
 
 	store := paths.NewStore()
-	recs := paths.NewRecords(store)
+	entries := 0
+	for _, d := range dumps {
+		if d != nil && d.Index != nil {
+			for _, rib := range d.RIBs {
+				entries += len(rib.Entries)
+			}
+		}
+	}
+	recs := paths.NewRecords(store, entries)
 	var stableID []bool // path id -> seen in a stable RIB dump
 
 	markStable := func(id paths.ID) {
@@ -65,18 +75,32 @@ func RunPassive(dumps []*mrt.Dump, updates []*mrt.BGP4MPMessage, dict *Dictionar
 		stableID[id] = true
 	}
 
+	// A feeder repeats its attributes record after record and ReadDump
+	// shares them, so each peer keeps its last attributes' path ID: an
+	// entry with the same pointer skips the path intern.
+	type lastPath struct {
+		attrs *bgp.PathAttrs
+		id    paths.ID
+	}
 	for _, d := range dumps {
 		if d == nil || d.Index == nil {
 			continue
 		}
+		last := make([]lastPath, len(d.Index.Peers))
 		for _, rib := range d.RIBs {
 			for _, e := range rib.Entries {
 				if e.Attrs == nil {
 					continue
 				}
-				id := store.InternASPath(e.Attrs.ASPath)
-				recs.Add(id, e.Attrs.Communities, rib.Prefix, true)
-				markStable(id)
+				if int(e.PeerIndex) >= len(last) {
+					return nil, fmt.Errorf("core: RIB entry for %s names peer %d outside the %d-peer table", rib.Prefix, e.PeerIndex, len(last))
+				}
+				c := &last[e.PeerIndex]
+				if c.attrs != e.Attrs {
+					c.attrs, c.id = e.Attrs, store.InternASPath(e.Attrs.ASPath)
+					markStable(c.id)
+				}
+				recs.Add(c.id, e.Attrs.Communities, rib.Prefix, true)
 			}
 		}
 	}

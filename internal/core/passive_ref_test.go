@@ -3,7 +3,9 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"mlpeering/internal/bgp"
 	"mlpeering/internal/mrt"
@@ -23,7 +25,7 @@ func runPassiveReference(dumps []*mrt.Dump, updates []*mrt.BGP4MPMessage, dict *
 		PrefixOrigins: make(map[bgp.Prefix]bgp.ASN),
 	}
 	store := paths.NewStore()
-	recs := paths.NewRecords(store)
+	recs := paths.NewRecords(store, 0)
 	stableID := make(map[paths.ID]bool)
 	for _, d := range dumps {
 		if d == nil || d.Index == nil {
@@ -168,9 +170,11 @@ type ribRow struct {
 	prefix string
 }
 
+// handDump puts every row in its own record, from the one peer its
+// peer table lists.
 func handDump(t *testing.T, rows []ribRow) []*mrt.Dump {
 	t.Helper()
-	d := &mrt.Dump{Index: &mrt.PeerIndexTable{}}
+	d := &mrt.Dump{Index: &mrt.PeerIndexTable{Peers: make([]mrt.Peer, 1)}}
 	for i, r := range rows {
 		attrs := &bgp.PathAttrs{ASPath: bgp.NewASPath(r.path...)}
 		if r.comms != "" {
@@ -285,5 +289,21 @@ func TestHasCycleLongPath(t *testing.T) {
 	long[199] = long[3]
 	if !hasCycle(long) {
 		t.Fatal("repeat at the end of a long path missed")
+	}
+}
+
+// TestMinersRefuseForeignPeerIndex: an entry naming a peer its dump's
+// table does not hold is an error from both miners, not a panic.
+func TestMinersRefuseForeignPeerIndex(t *testing.T) {
+	dumps := handDump(t, []ribRow{{[]bgp.ASN{9, 100}, "", "10.0.0.0/24"}})
+	dumps[0].RIBs[0].Entries[0].PeerIndex = 1
+	dict := testDict(t)
+	const want = "names peer 1 outside the 1-peer table"
+	if _, err := RunPassive(dumps, nil, dict); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("RunPassive: err %v, want one containing %q", err, want)
+	}
+	opts := WindowOptions{Start: time.Unix(1368000000, 0), Window: time.Minute, Count: 1}
+	if _, err := RunPassiveWindows(dumps, nil, dict, opts); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("RunPassiveWindows: err %v, want one containing %q", err, want)
 	}
 }

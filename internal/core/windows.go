@@ -223,19 +223,34 @@ func RunPassiveWindows(dumps []*mrt.Dump, updates []*mrt.BGP4MPMessage, dict *Di
 	}
 
 	// Base state: the stable RIB dumps. Each record's prefix is interned
-	// once, its row sized for the record's entries.
+	// once, its row sized for the record's entries. A feeder repeats its
+	// attributes record after record and ReadDump shares them, so each
+	// peer keeps its last attributes' shape group: an entry with the same
+	// pointer skips the path intern, the attribution and the shape probe.
+	// No group dies before the first close, so a kept group stays valid.
+	type lastShape struct {
+		attrs *bgp.PathAttrs
+		g     *windowGroup
+	}
 	for _, d := range dumps {
 		if d == nil || d.Index == nil {
 			continue
 		}
+		last := make([]lastShape, len(d.Index.Peers))
 		for _, rib := range d.RIBs {
 			pid := live.intern(rib.Prefix, len(rib.Entries))
 			for _, e := range rib.Entries {
 				if e.Attrs == nil {
 					continue
 				}
-				peer := d.Index.Peers[e.PeerIndex].ASN
-				set(slotKey{peer, pid}, miner.shape(store.InternASPath(e.Attrs.ASPath), e.Attrs.Communities))
+				if int(e.PeerIndex) >= len(last) {
+					return nil, fmt.Errorf("core: RIB entry for %s names peer %d outside the %d-peer table", rib.Prefix, e.PeerIndex, len(last))
+				}
+				c := &last[e.PeerIndex]
+				if c.attrs != e.Attrs {
+					c.attrs, c.g = e.Attrs, miner.shape(store.InternASPath(e.Attrs.ASPath), e.Attrs.Communities)
+				}
+				set(slotKey{d.Index.Peers[e.PeerIndex].ASN, pid}, c.g)
 			}
 		}
 	}

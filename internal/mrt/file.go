@@ -66,7 +66,7 @@ func (w *Writer) WriteRecord(ts time.Time, typ, subtype uint16, body []byte) err
 
 // WritePeerIndexTable marshals and writes t.
 func (w *Writer) WritePeerIndexTable(ts time.Time, t *PeerIndexTable) error {
-	body, err := AppendPeerIndexTable(w.body(), t)
+	body, err := appendPeerIndexTable(w.body(), t)
 	if err != nil {
 		return err
 	}
@@ -77,7 +77,7 @@ func (w *Writer) WritePeerIndexTable(ts time.Time, t *PeerIndexTable) error {
 // WriteRIB marshals and writes r, choosing the subtype from the prefix
 // address family.
 func (w *Writer) WriteRIB(ts time.Time, r *RIBRecord) error {
-	body, err := AppendRIBRecord(w.body(), r)
+	body, err := appendRIBRecord(w.body(), r)
 	if err != nil {
 		return err
 	}
@@ -91,7 +91,7 @@ func (w *Writer) WriteRIB(ts time.Time, r *RIBRecord) error {
 
 // WriteBGP4MP marshals and writes m.
 func (w *Writer) WriteBGP4MP(ts time.Time, m *BGP4MPMessage) error {
-	body, err := AppendBGP4MP(w.body(), m)
+	body, err := appendBGP4MP(w.body(), m)
 	if err != nil {
 		return err
 	}
@@ -116,19 +116,19 @@ func (w *Writer) Flush() error {
 	return w.w.Flush()
 }
 
-// Reader reads MRT records from a stream.
-type Reader struct {
+// reader reads MRT records from a stream.
+type reader struct {
 	r *bufio.Reader
 }
 
-// NewReader returns a Reader on r.
-func NewReader(r io.Reader) *Reader { return &Reader{r: bufio.NewReader(r)} }
+// newReader returns a reader on r.
+func newReader(r io.Reader) *reader { return &reader{r: bufio.NewReader(r)} }
 
 // readInto reads the next record into rec, reusing rec.Body's capacity.
 // The bulk readers (ReadDump, ReadUpdates) decode each record before
 // fetching the next, so one record's worth of body buffer serves a
 // whole archive.
-func (r *Reader) readInto(rec *Record) error {
+func (r *reader) readInto(rec *Record) error {
 	var hdr [12]byte
 	if _, err := io.ReadFull(r.r, hdr[:]); err != nil {
 		if err == io.EOF {
@@ -154,7 +154,8 @@ func (r *Reader) readInto(rec *Record) error {
 	return nil
 }
 
-// Dump is the decoded contents of a TABLE_DUMP_V2 archive.
+// Dump is the decoded contents of a TABLE_DUMP_V2 archive. It is
+// read-only: entries may share one *bgp.PathAttrs (see RIBEntry).
 type Dump struct {
 	Index *PeerIndexTable
 	RIBs  []*RIBRecord
@@ -163,11 +164,15 @@ type Dump struct {
 // ReadDump decodes a full TABLE_DUMP_V2 archive from r. BGP4MP records
 // interleaved in the stream are ignored. Records, entries and decoded
 // attributes are slab-allocated from one arena owned by the returned
-// Dump, so the whole archive retains a handful of chunk allocations.
+// Dump, so the whole archive retains a handful of chunk allocations,
+// and an entry that repeats its peer's previous attribute bytes shares
+// that entry's attributes. A RIB record before the peer index table
+// (RFC 6396 §4.3) or an entry naming a peer the table does not hold is
+// an error.
 func ReadDump(r io.Reader) (*Dump, error) {
-	rd := NewReader(r)
+	rd := newReader(r)
 	d := &Dump{}
-	var arena DumpArena
+	var arena dumpArena
 	var rec Record // body buffer reused across records
 	for {
 		err := rd.readInto(&rec)
@@ -182,21 +187,22 @@ func ReadDump(r io.Reader) (*Dump, error) {
 		}
 		switch rec.Subtype {
 		case SubtypePeerIndexTable:
-			idx, err := UnmarshalPeerIndexTable(rec.Body)
+			idx, err := unmarshalPeerIndexTable(rec.Body)
 			if err != nil {
 				return nil, err
 			}
 			d.Index = idx
+			arena.setPeers(len(idx.Peers))
 		case SubtypeRIBIPv4Unicast, SubtypeRIBIPv6Unicast:
-			rib, err := UnmarshalRIBRecordArena(rec.Body, rec.Subtype == SubtypeRIBIPv6Unicast, &arena)
+			if d.Index == nil {
+				return nil, errors.New("mrt: RIB record before the peer index table")
+			}
+			rib, err := unmarshalRIBRecord(rec.Body, rec.Subtype == SubtypeRIBIPv6Unicast, &arena)
 			if err != nil {
 				return nil, err
 			}
 			d.RIBs = append(d.RIBs, rib)
 		}
-	}
-	if d.Index == nil && len(d.RIBs) > 0 {
-		return nil, errors.New("mrt: RIB records without a peer index table")
 	}
 	return d, nil
 }
@@ -218,7 +224,7 @@ func ReadDumpFile(path string) (*Dump, error) {
 // ReadUpdates decodes all BGP4MP message records from r, skipping
 // TABLE_DUMP_V2 records.
 func ReadUpdates(r io.Reader) ([]*BGP4MPMessage, error) {
-	rd := NewReader(r)
+	rd := newReader(r)
 	var out []*BGP4MPMessage
 	var rec Record // body buffer reused across records
 	for {
@@ -234,7 +240,7 @@ func ReadUpdates(r io.Reader) ([]*BGP4MPMessage, error) {
 		}
 		switch rec.Subtype {
 		case SubtypeBGP4MPMessage, SubtypeBGP4MPMessageAS4:
-			m, err := UnmarshalBGP4MP(rec.Body, rec.Subtype == SubtypeBGP4MPMessageAS4)
+			m, err := unmarshalBGP4MP(rec.Body, rec.Subtype == SubtypeBGP4MPMessageAS4)
 			if err != nil {
 				return nil, err
 			}

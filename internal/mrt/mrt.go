@@ -9,6 +9,7 @@
 package mrt
 
 import (
+	"bytes"
 	"fmt"
 	"net/netip"
 	"time"
@@ -52,7 +53,10 @@ type PeerIndexTable struct {
 }
 
 // RIBEntry is one path for a prefix in a RIB record, attributed to the
-// collector peer that advertised it.
+// collector peer that advertised it. A decoded entry's Attrs is
+// read-only: when an entry's attribute bytes equal those of its peer's
+// previous entry, ReadDump gives both entries one *bgp.PathAttrs, so a
+// caller that edits attributes clones them first.
 type RIBEntry struct {
 	PeerIndex  uint16
 	Originated time.Time
@@ -100,9 +104,9 @@ func need(b []byte, n int, what string) error {
 	return nil
 }
 
-// AppendPeerIndexTable appends the encoded table to b and returns the
+// appendPeerIndexTable appends the encoded table to b and returns the
 // extended slice, reusing b's capacity.
-func AppendPeerIndexTable(b []byte, t *PeerIndexTable) ([]byte, error) {
+func appendPeerIndexTable(b []byte, t *PeerIndexTable) ([]byte, error) {
 	if len(t.Peers) > 0xFFFF {
 		return nil, fmt.Errorf("mrt: %d peers exceed peer index table capacity", len(t.Peers))
 	}
@@ -134,8 +138,8 @@ func AppendPeerIndexTable(b []byte, t *PeerIndexTable) ([]byte, error) {
 	return b, nil
 }
 
-// UnmarshalPeerIndexTable decodes a PEER_INDEX_TABLE body.
-func UnmarshalPeerIndexTable(b []byte) (*PeerIndexTable, error) {
+// unmarshalPeerIndexTable decodes a PEER_INDEX_TABLE body.
+func unmarshalPeerIndexTable(b []byte) (*PeerIndexTable, error) {
 	if err := need(b, 6, "peer index header"); err != nil {
 		return nil, err
 	}
@@ -190,11 +194,11 @@ func UnmarshalPeerIndexTable(b []byte) (*PeerIndexTable, error) {
 	return t, nil
 }
 
-// AppendRIBRecord appends the encoded record to b and returns the
+// appendRIBRecord appends the encoded record to b and returns the
 // extended slice. Attributes are serialized in place with their length
 // backpatched, so encoding one record performs no allocation beyond
 // growing b.
-func AppendRIBRecord(b []byte, r *RIBRecord) ([]byte, error) {
+func appendRIBRecord(b []byte, r *RIBRecord) ([]byte, error) {
 	if len(r.Entries) > 0xFFFF {
 		return nil, fmt.Errorf("mrt: %d RIB entries exceed capacity", len(r.Entries))
 	}
@@ -220,16 +224,30 @@ func AppendRIBRecord(b []byte, r *RIBRecord) ([]byte, error) {
 	return b, nil
 }
 
-// DumpArena slab-allocates everything a decoded RIB dump retains:
+// dumpArena slab-allocates everything a decoded RIB dump retains:
 // records, entry arrays, and (via the embedded bgp.AttrArena) the
 // decoded path attributes. One archive decodes into one arena, cutting
 // the retained allocations per RIB entry from ~4 to amortized zero.
 // Chunks are never grown in place, so previously returned records stay
 // valid. Not safe for concurrent use.
-type DumpArena struct {
+//
+// last holds, per index of the current peer table, that peer's last
+// attribute block: a collector writes one destination's prefixes one
+// after another, so a feeder repeats its block record after record, and
+// an entry whose bytes equal its peer's last ones shares their decoded
+// attributes instead of decoding them again.
+type dumpArena struct {
 	attrs   bgp.AttrArena
 	recs    []RIBRecord
 	entries []RIBEntry
+	last    []peerBlock
+}
+
+// peerBlock is one peer's last raw attribute block and the attributes
+// decoded from it.
+type peerBlock struct {
+	raw   []byte
+	attrs *bgp.PathAttrs
 }
 
 const (
@@ -237,8 +255,12 @@ const (
 	arenaEntryChunk = 4096
 )
 
+// setPeers starts a peer table of n peers: entries may name indices
+// below n, and no block is shared across tables.
+func (a *dumpArena) setPeers(n int) { a.last = make([]peerBlock, n) }
+
 // newRecord carves one zeroed RIBRecord.
-func (a *DumpArena) newRecord() *RIBRecord {
+func (a *dumpArena) newRecord() *RIBRecord {
 	if len(a.recs) == cap(a.recs) {
 		a.recs = make([]RIBRecord, 0, arenaRecChunk)
 	}
@@ -247,7 +269,7 @@ func (a *DumpArena) newRecord() *RIBRecord {
 }
 
 // entrySlice carves a zero-length, capacity-n entry slice.
-func (a *DumpArena) entrySlice(n int) []RIBEntry {
+func (a *dumpArena) entrySlice(n int) []RIBEntry {
 	if len(a.entries)+n > cap(a.entries) {
 		c := arenaEntryChunk
 		if n > c {
@@ -260,19 +282,33 @@ func (a *DumpArena) entrySlice(n int) []RIBEntry {
 	return s
 }
 
-// UnmarshalRIBRecordArena decodes a RIB_IPVx_UNICAST body,
-// slab-allocating the record, its entries and their attributes from
-// arena when it is non-nil.
-func UnmarshalRIBRecordArena(b []byte, v6 bool, arena *DumpArena) (*RIBRecord, error) {
+// decodeAttrs returns the attributes of raw as peer announced them,
+// shared with peer's previous entry when its bytes were the same.
+func (a *dumpArena) decodeAttrs(peer uint16, raw []byte) (*bgp.PathAttrs, error) {
+	if int(peer) >= len(a.last) {
+		return nil, fmt.Errorf("mrt: RIB entry names peer %d outside the %d-peer index table", peer, len(a.last))
+	}
+	last := &a.last[peer]
+	if last.attrs != nil && bytes.Equal(last.raw, raw) {
+		return last.attrs, nil
+	}
+	attrs, err := bgp.DecodeAttrsArena(raw, true, &a.attrs)
+	if err != nil {
+		return nil, err
+	}
+	last.raw = append(last.raw[:0], raw...)
+	last.attrs = attrs
+	return attrs, nil
+}
+
+// unmarshalRIBRecord decodes a RIB_IPVx_UNICAST body, slab-allocating
+// the record, its entries and their attributes from arena, whose peer
+// table bounds the entries' peer indices.
+func unmarshalRIBRecord(b []byte, v6 bool, arena *dumpArena) (*RIBRecord, error) {
 	if err := need(b, 5, "RIB header"); err != nil {
 		return nil, err
 	}
-	var r *RIBRecord
-	if arena != nil {
-		r = arena.newRecord()
-	} else {
-		r = &RIBRecord{}
-	}
+	r := arena.newRecord()
 	r.Sequence = get32(b)
 	b = b[4:]
 	// The prefix is a bit-length byte plus that many bits of address.
@@ -299,13 +335,7 @@ func UnmarshalRIBRecordArena(b []byte, v6 bool, arena *DumpArena) (*RIBRecord, e
 	if err := need(b, 8*count, "RIB entries"); err != nil {
 		return nil, err
 	}
-	var attrArena *bgp.AttrArena
-	if arena != nil {
-		r.Entries = arena.entrySlice(count)
-		attrArena = &arena.attrs
-	} else {
-		r.Entries = make([]RIBEntry, 0, count)
-	}
+	r.Entries = arena.entrySlice(count)
 	for i := 0; i < count; i++ {
 		if err := need(b, 8, "RIB entry header"); err != nil {
 			return nil, err
@@ -319,7 +349,7 @@ func UnmarshalRIBRecordArena(b []byte, v6 bool, arena *DumpArena) (*RIBRecord, e
 		if err := need(b, alen, "RIB entry attributes"); err != nil {
 			return nil, err
 		}
-		e.Attrs, err = bgp.DecodeAttrsArena(b[:alen], true, attrArena)
+		e.Attrs, err = arena.decodeAttrs(e.PeerIndex, b[:alen])
 		if err != nil {
 			return nil, err
 		}
@@ -332,11 +362,11 @@ func UnmarshalRIBRecordArena(b []byte, v6 bool, arena *DumpArena) (*RIBRecord, e
 	return r, nil
 }
 
-// AppendBGP4MP appends the encoded body to b and returns the extended
+// appendBGP4MP appends the encoded body to b and returns the extended
 // slice, reusing b's capacity. The two-octet BGP4MP_MESSAGE subtype
 // cannot carry a 4-octet peer or local ASN: that is an error, not a
 // truncation.
-func AppendBGP4MP(b []byte, m *BGP4MPMessage) ([]byte, error) {
+func appendBGP4MP(b []byte, m *BGP4MPMessage) ([]byte, error) {
 	if m.AS4 {
 		b = put32(b, uint32(m.PeerASN))
 		b = put32(b, uint32(m.LocalASN))
@@ -369,8 +399,8 @@ func AppendBGP4MP(b []byte, m *BGP4MPMessage) ([]byte, error) {
 	return append(b, msg...), nil
 }
 
-// UnmarshalBGP4MP decodes a BGP4MP_MESSAGE(_AS4) body.
-func UnmarshalBGP4MP(b []byte, as4 bool) (*BGP4MPMessage, error) {
+// unmarshalBGP4MP decodes a BGP4MP_MESSAGE(_AS4) body.
+func unmarshalBGP4MP(b []byte, as4 bool) (*BGP4MPMessage, error) {
 	m := &BGP4MPMessage{AS4: as4}
 	asnLen := 2
 	if as4 {

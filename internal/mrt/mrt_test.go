@@ -38,11 +38,11 @@ func sampleAttrs(path ...bgp.ASN) *bgp.PathAttrs {
 
 func TestPeerIndexTableRoundTrip(t *testing.T) {
 	in := samplePeerIndex()
-	body, err := AppendPeerIndexTable(nil, in)
+	body, err := appendPeerIndexTable(nil, in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := UnmarshalPeerIndexTable(body)
+	out, err := unmarshalPeerIndexTable(body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,11 +61,11 @@ func TestPeerIndexTableRoundTrip(t *testing.T) {
 
 func TestPeerIndexTableEmpty(t *testing.T) {
 	in := &PeerIndexTable{ViewName: ""}
-	body, err := AppendPeerIndexTable(nil, in)
+	body, err := appendPeerIndexTable(nil, in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := UnmarshalPeerIndexTable(body)
+	out, err := unmarshalPeerIndexTable(body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,9 +75,9 @@ func TestPeerIndexTableEmpty(t *testing.T) {
 }
 
 func TestUnmarshalPeerIndexTableErrors(t *testing.T) {
-	good, _ := AppendPeerIndexTable(nil, samplePeerIndex())
+	good, _ := appendPeerIndexTable(nil, samplePeerIndex())
 	for cut := 1; cut < len(good); cut += 7 {
-		if _, err := UnmarshalPeerIndexTable(good[:cut]); err == nil {
+		if _, err := unmarshalPeerIndexTable(good[:cut]); err == nil {
 			t.Errorf("truncation at %d not detected", cut)
 		}
 	}
@@ -92,11 +92,11 @@ func TestRIBRecordRoundTrip(t *testing.T) {
 			{PeerIndex: 1, Originated: time.Unix(1368000500, 0).UTC(), Attrs: sampleAttrs(196615, 8359)},
 		},
 	}
-	body, err := AppendRIBRecord(nil, in)
+	body, err := appendRIBRecord(nil, in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := UnmarshalRIBRecordArena(body, false, nil)
+	out, err := decodeRIB(body, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,8 +121,8 @@ func TestRIBRecordRoundTrip(t *testing.T) {
 
 func TestRIBRecordTrailingGarbage(t *testing.T) {
 	in := &RIBRecord{Prefix: bgp.MustPrefix("10.0.0.0/8"), Entries: []RIBEntry{{Attrs: sampleAttrs(1)}}}
-	body, _ := AppendRIBRecord(nil, in)
-	if _, err := UnmarshalRIBRecordArena(append(body, 0xAA), false, nil); err == nil {
+	body, _ := appendRIBRecord(nil, in)
+	if _, err := decodeRIB(append(body, 0xAA), 1); err == nil {
 		t.Fatal("trailing bytes must error")
 	}
 }
@@ -140,11 +140,11 @@ func TestBGP4MPRoundTrip(t *testing.T) {
 		Message:   upd,
 		AS4:       true,
 	}
-	body, err := AppendBGP4MP(nil, in)
+	body, err := appendBGP4MP(nil, in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := UnmarshalBGP4MP(body, true)
+	out, err := unmarshalBGP4MP(body, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,11 +168,11 @@ func TestBGP4MPLegacy2Byte(t *testing.T) {
 		Message:  bgp.Keepalive{},
 		AS4:      false,
 	}
-	body, err := AppendBGP4MP(nil, in)
+	body, err := appendBGP4MP(nil, in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := UnmarshalBGP4MP(body, false)
+	out, err := unmarshalBGP4MP(body, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestBGP4MPLegacyRejects4OctetASN(t *testing.T) {
 		{PeerASN: 196615, LocalASN: 6447, Message: bgp.Keepalive{}},
 		{PeerASN: 6695, LocalASN: 4200000001, Message: bgp.Keepalive{}},
 	} {
-		body, err := AppendBGP4MP(nil, in)
+		body, err := appendBGP4MP(nil, in)
 		if err == nil || !strings.Contains(err.Error(), "BGP4MP_MESSAGE_AS4") {
 			t.Fatalf("peer %s, local %s: %d bytes, err %v; want an error naming BGP4MP_MESSAGE_AS4", in.PeerASN, in.LocalASN, len(body), err)
 		}
@@ -198,7 +198,7 @@ func TestBGP4MPLegacyRejects4OctetASN(t *testing.T) {
 			t.Fatalf("peer %s, local %s: Writer.WriteBGP4MP accepted the record", in.PeerASN, in.LocalASN)
 		}
 		in.AS4 = true
-		if _, err := AppendBGP4MP(nil, in); err != nil {
+		if _, err := appendBGP4MP(nil, in); err != nil {
 			t.Fatalf("the AS4 subtype rejects peer %s, local %s: %v", in.PeerASN, in.LocalASN, err)
 		}
 	}
@@ -281,16 +281,51 @@ func TestFileRoundTrip(t *testing.T) {
 	}
 }
 
+// decodeRIB decodes one IPv4 RIB body into a fresh arena whose peer
+// table holds peers peers.
+func decodeRIB(body []byte, peers int) (*RIBRecord, error) {
+	var a dumpArena
+	a.setPeers(peers)
+	return unmarshalRIBRecord(body, false, &a)
+}
+
+// TestReadDumpRejectsOrphanRIBs: a RIB record needs the peer index
+// table before it (RFC 6396 §4.3), and each of its entries a peer the
+// table holds.
 func TestReadDumpRejectsOrphanRIBs(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	ts := time.Unix(1368000000, 0)
 	rib := &RIBRecord{Prefix: bgp.MustPrefix("10.0.0.0/8"), Entries: []RIBEntry{{Attrs: sampleAttrs(1)}}}
-	if err := w.WriteRIB(time.Now(), rib); err != nil {
-		t.Fatal(err)
-	}
-	w.Flush()
-	if _, err := ReadDump(&buf); err == nil {
-		t.Fatal("RIBs without index must error")
+	stray := &RIBRecord{Prefix: bgp.MustPrefix("10.0.0.0/8"), Entries: []RIBEntry{{PeerIndex: 2, Attrs: sampleAttrs(1)}}}
+	for _, c := range []struct {
+		name  string
+		write func(w *Writer) error
+		want  string
+	}{
+		{"no index", func(w *Writer) error { return w.WriteRIB(ts, rib) }, "before the peer index table"},
+		{"index after the RIB", func(w *Writer) error {
+			if err := w.WriteRIB(ts, rib); err != nil {
+				return err
+			}
+			return w.WritePeerIndexTable(ts, samplePeerIndex())
+		}, "before the peer index table"},
+		{"peer outside the table", func(w *Writer) error {
+			if err := w.WritePeerIndexTable(ts, samplePeerIndex()); err != nil {
+				return err
+			}
+			return w.WriteRIB(ts, stray)
+		}, "peer 2 outside the 2-peer index table"},
+	} {
+		var buf bytes.Buffer
+		w := NewWriter(&buf)
+		if err := c.write(w); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadDump(&buf); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err %v, want one containing %q", c.name, err, c.want)
+		}
 	}
 }
 
@@ -302,13 +337,13 @@ func TestReaderTruncatedBody(t *testing.T) {
 	}
 	w.Flush()
 	full := buf.Bytes()
-	r := NewReader(bytes.NewReader(full[:len(full)-3]))
+	r := newReader(bytes.NewReader(full[:len(full)-3]))
 	if err := r.readInto(&Record{}); err == nil {
 		t.Fatal("truncated body must error")
 	}
 
 	// Truncation inside the header is a distinct error.
-	r2 := NewReader(bytes.NewReader(full[:5]))
+	r2 := newReader(bytes.NewReader(full[:5]))
 	if err := r2.readInto(&Record{}); err != ErrShortHeader {
 		t.Fatalf("want ErrShortHeader, got %v", err)
 	}
@@ -323,7 +358,7 @@ func TestTimestampPrecision(t *testing.T) {
 	}
 	w.Flush()
 	var rec Record
-	if err := NewReader(&buf).readInto(&rec); err != nil {
+	if err := newReader(&buf).readInto(&rec); err != nil {
 		t.Fatal(err)
 	}
 	if !rec.Timestamp.Equal(ts) {
@@ -342,11 +377,11 @@ func TestRIBRecordRoundTripProperty(t *testing.T) {
 				Attrs:      sampleAttrs(bgp.ASN(a)+1, bgp.ASN(b)+1),
 			}},
 		}
-		body, err := AppendRIBRecord(nil, r)
+		body, err := appendRIBRecord(nil, r)
 		if err != nil {
 			return false
 		}
-		out, err := UnmarshalRIBRecordArena(body, false, nil)
+		out, err := decodeRIB(body, int(peerIdx)+1)
 		if err != nil {
 			return false
 		}

@@ -155,8 +155,17 @@ type Records struct {
 	Stable []bool
 }
 
-// NewRecords returns an empty record table backed by store.
-func NewRecords(store *Store) *Records { return &Records{store: store} }
+// NewRecords returns an empty record table backed by store, its
+// columns sized for n rows.
+func NewRecords(store *Store, n int) *Records {
+	return &Records{
+		store:  store,
+		PathID: make([]ID, 0, n),
+		Comms:  make([]bgp.Communities, 0, n),
+		Prefix: make([]bgp.Prefix, 0, n),
+		Stable: make([]bool, 0, n),
+	}
+}
 
 // Len returns the number of rows.
 func (r *Records) Len() int { return len(r.PathID) }

@@ -79,7 +79,7 @@ func TestViewAndRecords(t *testing.T) {
 		t.Fatalf("view order wrong: %v %v", v.Path(0), v.Path(1))
 	}
 
-	r := NewRecords(s)
+	r := NewRecords(s, 2)
 	pfx := bgp.MustPrefix("10.0.0.0/24")
 	r.Add(a, nil, pfx, true)
 	r.Add(bID, bgp.Communities{1}, pfx, false)

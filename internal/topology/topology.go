@@ -1,7 +1,9 @@
 package topology
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 
@@ -169,40 +171,64 @@ func (t *Topology) reciprocalLinks(ixps []*ixp.Info) map[LinkKey]bool {
 
 // SortedGroundTruthReciprocalLinks returns the keys of
 // AllGroundTruthReciprocalLinks ascending (CompareLinkKeys) from the
-// same scan, without building the set: the scan's packed keys are
-// sorted and compacted in place.
+// same scan, without building the set: each IXP's scan is an ascending
+// run of packed keys, and the runs are merged, a link reciprocal at
+// several IXPs kept once.
 func (t *Topology) SortedGroundTruthReciprocalLinks() []LinkKey {
-	packed := t.appendReciprocal(nil, t.IXPs)
-	slices.Sort(packed)
-	packed = slices.Compact(packed)
-	links := make([]LinkKey, len(packed))
-	for i, k := range packed {
-		links[i] = unpackLinkKey(k)
+	var packed []uint64
+	heads := make([]int, len(t.IXPs))
+	ends := make([]int, len(t.IXPs))
+	for i := range t.IXPs {
+		heads[i] = len(packed)
+		packed = t.appendReciprocal(packed, t.IXPs[i:i+1])
+		ends[i] = len(packed)
 	}
-	return links
+	links := make([]LinkKey, 0, len(packed))
+	var last uint64
+	for {
+		r := -1
+		for i := range heads {
+			if heads[i] < ends[i] && (r < 0 || packed[heads[i]] < packed[heads[r]]) {
+				r = i
+			}
+		}
+		if r < 0 {
+			return links
+		}
+		k := packed[heads[r]]
+		heads[r]++
+		if len(links) == 0 || k != last {
+			links = append(links, unpackLinkKey(k))
+			last = k
+		}
+	}
 }
 
 // appendReciprocal is the one scan of the truth mesh: it appends to dst
 // every reciprocal pair of RS members at each of ixps, packed as
-// A<<32|B so that ascending packed keys are CompareLinkKeys order. A
-// pair reciprocal at several IXPs is appended once per IXP. Each
-// member's record is looked up once instead of per ordered pair.
+// A<<32|B so that ascending packed keys are CompareLinkKeys order. It
+// walks each IXP's members in ascending ASN order, so each IXP appends
+// an ascending run. A pair reciprocal at several IXPs is appended once
+// per IXP. Each member's record is looked up once instead of per
+// ordered pair.
 func (t *Topology) appendReciprocal(dst []uint64, ixps []*ixp.Info) []uint64 {
-	var asns []bgp.ASN
-	var pols []RSPolicy
+	type member struct {
+		asn bgp.ASN
+		pol RSPolicy
+	}
+	var ms []member
 	for _, x := range ixps {
-		asns, pols = asns[:0], pols[:0]
+		ms = ms[:0]
 		for _, m := range x.RSMembers {
 			if p, ok := t.Policy(x.Name, m); ok {
-				asns = append(asns, m)
-				pols = append(pols, p)
+				ms = append(ms, member{m, p})
 			}
 		}
-		for i := range pols {
-			for j := i + 1; j < len(pols); j++ {
-				if reciprocal(asns[i], &pols[i], asns[j], &pols[j]) {
-					k := MakeLinkKey(asns[i], asns[j])
-					dst = append(dst, uint64(k.A)<<32|uint64(k.B))
+		slices.SortFunc(ms, func(a, b member) int { return cmp.Compare(a.asn, b.asn) })
+		for i := range ms {
+			for j := i + 1; j < len(ms); j++ {
+				if reciprocal(ms[i].asn, &ms[i].pol, ms[j].asn, &ms[j].pol) {
+					dst = append(dst, uint64(ms[i].asn)<<32|uint64(ms[j].asn))
 				}
 			}
 		}
@@ -362,6 +388,18 @@ func (t *Topology) Validate() error {
 					return fmt.Errorf("topology: %s member %s import blocks %s but export allows it",
 						x.Name, m, other)
 				}
+			}
+		}
+	}
+	// Every record belongs to an RS member of a known IXP.
+	for _, name := range slices.Sorted(maps.Keys(t.RSPolicies)) {
+		x := t.IXPByName(name)
+		for _, m := range slices.Sorted(maps.Keys(t.RSPolicies[name])) {
+			switch {
+			case x == nil:
+				return fmt.Errorf("topology: route-server policy for %s under unknown IXP %s", m, name)
+			case !x.IsRSMember(m):
+				return fmt.Errorf("topology: %s route-server policy for %s, which is not an RS member", name, m)
 			}
 		}
 	}

@@ -72,6 +72,37 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsStrayPolicy: a route-server policy record for a
+// port that is not an RS member, or under an IXP name the world does
+// not have, is an error naming the IXP and the member.
+func TestValidateRejectsStrayPolicy(t *testing.T) {
+	topo := testTopo(t)
+	x := topo.IXPs[0]
+	var port bgp.ASN
+	for _, m := range x.SortedMembers() {
+		if !x.IsRSMember(m) {
+			port = m
+			break
+		}
+	}
+	if port == 0 {
+		t.Fatalf("%s: every member is an RS member", x.Name)
+	}
+	open := RSPolicy{Export: ixp.OpenFilter(), Import: ixp.OpenFilter()}
+	topo.RSPolicies[x.Name][port] = open
+	if err := topo.Validate(); err == nil || !strings.Contains(err.Error(), x.Name) || !strings.Contains(err.Error(), port.String()) {
+		t.Errorf("stray port: err %v, want one naming %s and %s", err, x.Name, port)
+	}
+	delete(topo.RSPolicies[x.Name], port)
+	if err := topo.Validate(); err != nil {
+		t.Fatalf("stray port removed: %v", err)
+	}
+	topo.RSPolicies["NO-SUCH-IXP"] = map[bgp.ASN]RSPolicy{port: open}
+	if err := topo.Validate(); err == nil || !strings.Contains(err.Error(), "NO-SUCH-IXP") || !strings.Contains(err.Error(), port.String()) {
+		t.Errorf("unknown IXP: err %v, want one naming NO-SUCH-IXP and %s", err, port)
+	}
+}
+
 func TestGenerateStructure(t *testing.T) {
 	topo := testTopo(t)
 	if err := topo.Validate(); err != nil {
