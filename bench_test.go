@@ -275,16 +275,6 @@ func BenchmarkAblationPassiveExclusion(b *testing.B) {
 	b.ReportMetric(float64(without), "queries-eq1")
 }
 
-func BenchmarkAblationSamplingRate(b *testing.B) {
-	var q10, q100 int
-	for i := 0; i < b.N; i++ {
-		q10 = activeVariant(b, func(c *core.ActiveConfig) {})
-		q100 = activeVariant(b, func(c *core.ActiveConfig) { c.SamplePct = 1.0; c.MaxPrefixesPerMember = 1 << 30 })
-	}
-	b.ReportMetric(float64(q10), "queries-10pct")
-	b.ReportMetric(float64(q100), "queries-100pct")
-}
-
 func BenchmarkAblationReciprocity(b *testing.B) {
 	// Reciprocity (AND) versus a permissive OR rule: how much recall the
 	// conservative rule costs and how much precision it buys.

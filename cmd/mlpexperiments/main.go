@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"mlpeering/internal/churn"
-	"mlpeering/internal/core"
 	"mlpeering/internal/experiments"
 	"mlpeering/internal/topology"
 )
@@ -67,7 +66,7 @@ func main() {
 		log.Printf("churn trace ready in %v (scale %v, scenario %s, %d epochs @ %v)",
 			time.Since(start).Round(time.Millisecond), *scale, ct.Scenario, ct.Epochs, ct.Interval)
 		stopCPU := startCPUProfile(*cpuProfile)
-		res, err := ct.Run(core.WindowsIncremental)
+		res, err := ct.Run()
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -60,7 +60,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	col := collector.New("rrc-synth", w.Engine, nil, 8)
+	col := collector.New("rrc-synth", w.Engine, nil, 0)
 	ribPath := filepath.Join(*out, "rib.mrt")
 	if err := col.WriteRIBFile(ribPath, pipeline.Timestamp); err != nil {
 		log.Fatal(err)

@@ -201,7 +201,7 @@ func Decode(b []byte, as4 bool) (Message, error) {
 	case MsgOpen:
 		return decodeOpen(body)
 	case MsgUpdate:
-		return DecodeUpdate(body, as4)
+		return decodeUpdate(body, as4)
 	case MsgNotification:
 		if len(body) < 2 {
 			return nil, fmt.Errorf("bgp: NOTIFICATION body too short")
@@ -261,8 +261,8 @@ func decodeOpen(b []byte) (*Open, error) {
 	return o, nil
 }
 
-// DecodeUpdate parses an UPDATE body (without header).
-func DecodeUpdate(b []byte, as4 bool) (*Update, error) {
+// decodeUpdate parses an UPDATE body (without header).
+func decodeUpdate(b []byte, as4 bool) (*Update, error) {
 	if len(b) < 2 {
 		return nil, fmt.Errorf("bgp: UPDATE too short for withdrawn length")
 	}

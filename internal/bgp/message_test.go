@@ -503,7 +503,7 @@ func TestUpdateSectionLengthLimits(t *testing.T) {
 				if err != nil {
 					t.Fatalf("as4=%v: %v", as4, err)
 				}
-				got, err := DecodeUpdate(body, as4)
+				got, err := decodeUpdate(body, as4)
 				if err != nil {
 					t.Fatalf("as4=%v: %v", as4, err)
 				}

@@ -3,6 +3,8 @@ package churn
 import (
 	"bytes"
 	"crypto/sha256"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -110,6 +112,36 @@ func TestScheduleAndStreamDeterministic(t *testing.T) {
 	sched3, _, _ := runOnce(t, 100)
 	if sched1 == sched3 {
 		t.Fatal("different seeds produced identical schedules")
+	}
+}
+
+// TestStreamIndependentOfGOMAXPROCS pins that the update stream's bytes
+// do not depend on the width of the pool its epoch sweeps run on, which
+// is GOMAXPROCS. The churn is heavy enough that an epoch's sweep spans
+// more than one window, so the double-buffered path runs too.
+func TestStreamIndependentOfGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	cfg := DefaultConfig(99)
+	cfg.Epochs = 3
+	cfg.PeerFlaps, cfg.MembershipChanges, cfg.FilterEdits = 40, 30, 40
+	var want []byte
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		_, eng := buildWorld(t, topology.TestConfig())
+		col := collector.New("rrc-churn", eng, nil, 0)
+		var buf bytes.Buffer
+		tr, err := NewRunner(eng, cfg).Run(&buf, col, ribDump(t, col), testStart)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = buf.Bytes()
+			if slices.IndexFunc(tr.Epochs, func(ep EpochStats) bool { return ep.VisibleDests > 256 }) < 0 {
+				t.Fatalf("no epoch's sweep spans two windows: %+v", tr.Epochs)
+			}
+		} else if !bytes.Equal(buf.Bytes(), want) {
+			t.Fatalf("update stream at GOMAXPROCS %d (%x) differs from GOMAXPROCS 1 (%x)", procs, sha256.Sum256(buf.Bytes()), sha256.Sum256(want))
+		}
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 
 	"mlpeering/internal/bgp"
 	"mlpeering/internal/mrt"
-	"mlpeering/internal/par"
 	"mlpeering/internal/propagate"
 	"mlpeering/internal/topology"
 )
@@ -31,7 +30,6 @@ type Collector struct {
 	feeders []topology.Feeder
 	addrs   map[bgp.ASN]netip.Addr
 	strips  []bool // per feeder: feeder's own export strips communities
-	workers int
 	// sweep holds every feeder: the vantages of each sweep whose trees
 	// reach a RIBWriter, an UpdateStream or WriteUpdates.
 	sweep *propagate.Vantages
@@ -46,12 +44,11 @@ type attrSlot struct {
 }
 
 // New builds a collector over the engine's topology. If feeders is nil
-// the topology's feeder set is used. workers sizes the tree sweeps the
-// collector drives itself (WriteRIB, WriteEpoch, and NewUpdateStream's
-// full sweep; SeedUpdateStream reads the dump and sweeps nothing) and
-// follows par.Workers: 0 means GOMAXPROCS; the bytes written do not
-// depend on it.
-func New(name string, engine *propagate.Engine, feeders []topology.Feeder, workers int) *Collector {
+// the topology's feeder set is used. The last argument is ignored: the
+// tree sweeps the collector drives itself (WriteRIB, WriteEpoch and
+// NewUpdateStream's full sweep) are GOMAXPROCS wide, and the bytes
+// written do not depend on it.
+func New(name string, engine *propagate.Engine, feeders []topology.Feeder, _ int) *Collector {
 	if feeders == nil {
 		feeders = engine.Topology().Feeders
 	}
@@ -60,7 +57,6 @@ func New(name string, engine *propagate.Engine, feeders []topology.Feeder, worke
 		engine:  engine,
 		feeders: feeders,
 		addrs:   make(map[bgp.ASN]netip.Addr, len(feeders)),
-		workers: par.Workers(workers),
 	}
 	c.strips = make([]bool, len(feeders))
 	topo := engine.Topology()
@@ -209,24 +205,37 @@ func (rw *RIBWriter) Close() error {
 // a RIBWriter as the only consumer of its own sweep.
 func (c *Collector) WriteRIB(w io.Writer, ts time.Time) error {
 	rw := c.NewRIBWriter(w, ts)
-	c.engine.ForEachTree(c.sweep, c.workers, rw.Add)
+	c.engine.ForEachTree(c.sweep, rw.Add)
 	return rw.Close()
 }
 
-// routeAttrs converts a vantage route into BGP path attributes as the
-// collector would record them.
-func (c *Collector) routeAttrs(f topology.Feeder, route *propagate.VantageRoute) *bgp.PathAttrs {
+// routeAttrs converts feeder i's vantage route into BGP path
+// attributes as the collector would record them.
+func (c *Collector) routeAttrs(i int, route *propagate.VantageRoute) *bgp.PathAttrs {
 	attrs := &bgp.PathAttrs{
 		Origin:  bgp.OriginIGP,
 		ASPath:  bgp.NewASPath(route.Path...),
-		NextHop: c.addrs[f.ASN],
+		NextHop: c.addrs[c.feeders[i].ASN],
 	}
 	// The feeder's own export may strip communities; the route's
 	// Communities field already accounts for stripping on interior hops.
-	if !c.engine.Topology().ASes[f.ASN].StripsCommunities {
+	if !c.strips[i] {
 		attrs.Communities = route.Communities.Clone()
 	}
 	return attrs
+}
+
+// writeUpdate archives upd as received from feeder f at ts: the one
+// BGP4MP envelope of every message the collector writes.
+func (c *Collector) writeUpdate(mw *mrt.Writer, f topology.Feeder, upd *bgp.Update, ts time.Time) error {
+	return mw.WriteBGP4MP(ts, &mrt.BGP4MPMessage{
+		PeerASN:   f.ASN,
+		LocalASN:  collectorASN,
+		PeerAddr:  c.addrs[f.ASN],
+		LocalAddr: collectorAddr,
+		Message:   upd,
+		AS4:       true,
+	})
 }
 
 // UpdateOptions controls synthetic update-trace generation.
@@ -265,18 +274,6 @@ func (c *Collector) WriteUpdates(w io.Writer, ts time.Time, opts UpdateOptions) 
 		return mw.Flush()
 	}
 
-	writeUpd := func(f topology.Feeder, upd *bgp.Update, at time.Time) error {
-		msg := &mrt.BGP4MPMessage{
-			PeerASN:   f.ASN,
-			LocalASN:  collectorASN,
-			PeerAddr:  c.addrs[f.ASN],
-			LocalAddr: collectorAddr,
-			Message:   upd,
-			AS4:       true,
-		}
-		return mw.WriteBGP4MP(at, msg)
-	}
-
 	// Each sampled route is marshaled before the next draw, so one
 	// arena rewound per iteration serves the whole trace. A session
 	// flap is a withdrawal followed by a re-announcement of the same
@@ -285,7 +282,8 @@ func (c *Collector) WriteUpdates(w io.Writer, ts time.Time, opts UpdateOptions) 
 	// tolerate (and count) instead of dropping on the floor.
 	var arena propagate.RouteArena
 	for i := 0; i < opts.Churn; i++ {
-		f := c.feeders[rng.Intn(len(c.feeders))]
+		fi := rng.Intn(len(c.feeders))
+		f := c.feeders[fi]
 		d := dests[rng.Intn(len(dests))]
 		route := c.routeFrom(f.ASN, d, &arena)
 		if route == nil || !exports(f, route.Class) {
@@ -294,29 +292,30 @@ func (c *Collector) WriteUpdates(w io.Writer, ts time.Time, opts UpdateOptions) 
 		prefixes := topo.ASes[d].Prefixes
 		p := prefixes[rng.Intn(len(prefixes))]
 		at := ts.Add(time.Duration(rng.Intn(3590)) * time.Second)
-		if err := writeUpd(f, &bgp.Update{Withdrawn: []bgp.Prefix{p}}, at); err != nil {
+		if err := c.writeUpdate(mw, f, &bgp.Update{Withdrawn: []bgp.Prefix{p}}, at); err != nil {
 			return err
 		}
 		reAt := at.Add(time.Duration(1+rng.Intn(9)) * time.Second)
-		if err := writeUpd(f, &bgp.Update{Attrs: c.routeAttrs(f, route), NLRI: []bgp.Prefix{p}}, reAt); err != nil {
+		if err := c.writeUpdate(mw, f, &bgp.Update{Attrs: c.routeAttrs(fi, route), NLRI: []bgp.Prefix{p}}, reAt); err != nil {
 			return err
 		}
 	}
 
 	pollute := func(n int, mangle func(path []bgp.ASN) []bgp.ASN) error {
 		for i := 0; i < n; i++ {
-			f := c.feeders[rng.Intn(len(c.feeders))]
+			fi := rng.Intn(len(c.feeders))
+			f := c.feeders[fi]
 			d := dests[rng.Intn(len(dests))]
 			route := c.routeFrom(f.ASN, d, &arena)
 			if route == nil {
 				continue
 			}
-			attrs := c.routeAttrs(f, route)
+			attrs := c.routeAttrs(fi, route)
 			attrs.ASPath = bgp.NewASPath(mangle(append([]bgp.ASN(nil), route.Path...))...)
 			prefixes := topo.ASes[d].Prefixes
 			p := prefixes[rng.Intn(len(prefixes))]
 			at := ts.Add(time.Duration(rng.Intn(3600)) * time.Second)
-			if err := writeUpd(f, &bgp.Update{Attrs: attrs, NLRI: []bgp.Prefix{p}}, at); err != nil {
+			if err := c.writeUpdate(mw, f, &bgp.Update{Attrs: attrs, NLRI: []bgp.Prefix{p}}, at); err != nil {
 				return err
 			}
 		}
@@ -362,7 +361,7 @@ func (c *Collector) WriteUpdates(w io.Writer, ts time.Time, opts UpdateOptions) 
 func (c *Collector) routeFrom(feeder, dest bgp.ASN, arena *propagate.RouteArena) *propagate.VantageRoute {
 	var route *propagate.VantageRoute
 	arena.Reset()
-	c.engine.ForEachTreeOf(c.sweep, 1, []bgp.ASN{dest}, func(tr *propagate.Tree) {
+	c.engine.ForEachTreeOf(c.sweep, []bgp.ASN{dest}, func(tr *propagate.Tree) {
 		route = tr.RouteFromArena(feeder, arena)
 	})
 	return route

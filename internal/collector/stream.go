@@ -128,7 +128,7 @@ func NewUpdateStream(col *Collector) *UpdateStream {
 	s := newStream(col)
 	topo := col.engine.Topology()
 	var arena propagate.RouteArena
-	col.engine.ForEachTree(col.sweep, col.workers, func(tr *propagate.Tree) {
+	col.engine.ForEachTree(col.sweep, func(tr *propagate.Tree) {
 		dest := tr.Dest()
 		if len(topo.ASes[dest].Prefixes) == 0 {
 			return
@@ -230,7 +230,7 @@ func (s *UpdateStream) writeEpoch(w io.Writer, ts time.Time, window time.Duratio
 		return ts.Add(time.Duration(off) * time.Second)
 	}
 	var arena propagate.RouteArena
-	s.col.engine.ForEachTreeOf(s.col.sweep, s.col.workers, dests, func(tr *propagate.Tree) {
+	s.col.engine.ForEachTreeOf(s.col.sweep, dests, func(tr *propagate.Tree) {
 		if err != nil {
 			return
 		}
@@ -269,7 +269,7 @@ func (s *UpdateStream) writeEpoch(w io.Writer, ts time.Time, window time.Duratio
 			switch {
 			case oldFp != "" && newFp == "":
 				// Route gone: withdraw everything previously announced.
-				if err = s.writeWithdraw(mw, f, oldPs, stamp); err != nil {
+				if err = s.col.writeUpdate(mw, f, &bgp.Update{Withdrawn: oldPs}, stamp()); err != nil {
 					return
 				}
 				withdrawn += len(oldPs)
@@ -278,25 +278,25 @@ func (s *UpdateStream) writeEpoch(w io.Writer, ts time.Time, window time.Duratio
 				// prefixes (an UPDATE implicitly replaces the old
 				// route), and withdraw prefixes that left the set.
 				if gone := prefixesOnlyIn(oldPs, newPs); len(gone) > 0 && oldFp != "" {
-					if err = s.writeWithdraw(mw, f, gone, stamp); err != nil {
+					if err = s.col.writeUpdate(mw, f, &bgp.Update{Withdrawn: gone}, stamp()); err != nil {
 						return
 					}
 					withdrawn += len(gone)
 				}
-				if err = s.writeAnnounce(mw, f, route, newPs, stamp); err != nil {
+				if err = s.col.writeUpdate(mw, f, &bgp.Update{Attrs: s.col.routeAttrs(i, route), NLRI: newPs}, stamp()); err != nil {
 					return
 				}
 				announced += len(newPs)
 			case newFp != "" && oldFp == newFp:
 				// Same route; only the prefix set may have moved.
 				if gone := prefixesOnlyIn(oldPs, newPs); len(gone) > 0 {
-					if err = s.writeWithdraw(mw, f, gone, stamp); err != nil {
+					if err = s.col.writeUpdate(mw, f, &bgp.Update{Withdrawn: gone}, stamp()); err != nil {
 						return
 					}
 					withdrawn += len(gone)
 				}
 				if added := prefixesOnlyIn(newPs, oldPs); len(added) > 0 {
-					if err = s.writeAnnounce(mw, f, route, added, stamp); err != nil {
+					if err = s.col.writeUpdate(mw, f, &bgp.Update{Attrs: s.col.routeAttrs(i, route), NLRI: added}, stamp()); err != nil {
 						return
 					}
 					announced += len(added)
@@ -316,33 +316,6 @@ func (s *UpdateStream) writeEpoch(w io.Writer, ts time.Time, window time.Duratio
 		return announced, withdrawn, err
 	}
 	return announced, withdrawn, mw.Flush()
-}
-
-// writeWithdraw emits one withdrawn-only UPDATE from feeder f.
-func (s *UpdateStream) writeWithdraw(mw *mrt.Writer, f topology.Feeder, ps []bgp.Prefix, stamp func() time.Time) error {
-	msg := &mrt.BGP4MPMessage{
-		PeerASN:   f.ASN,
-		LocalASN:  collectorASN,
-		PeerAddr:  s.col.addrs[f.ASN],
-		LocalAddr: collectorAddr,
-		Message:   &bgp.Update{Withdrawn: ps},
-		AS4:       true,
-	}
-	return mw.WriteBGP4MP(stamp(), msg)
-}
-
-// writeAnnounce emits one UPDATE announcing ps with the feeder's
-// current route attributes.
-func (s *UpdateStream) writeAnnounce(mw *mrt.Writer, f topology.Feeder, route *propagate.VantageRoute, ps []bgp.Prefix, stamp func() time.Time) error {
-	msg := &mrt.BGP4MPMessage{
-		PeerASN:   f.ASN,
-		LocalASN:  collectorASN,
-		PeerAddr:  s.col.addrs[f.ASN],
-		LocalAddr: collectorAddr,
-		Message:   &bgp.Update{Attrs: s.col.routeAttrs(f, route), NLRI: ps},
-		AS4:       true,
-	}
-	return mw.WriteBGP4MP(stamp(), msg)
 }
 
 // prefixesOnlyIn returns the prefixes of a that are not in b.

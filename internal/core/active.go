@@ -29,13 +29,15 @@ type IXPLGs struct {
 	Members []MemberLG
 }
 
-// ActiveConfig parameterizes the LG survey.
+// The survey samples what §4.3 samples: 10 % of each member's
+// prefixes, at most 100.
+const (
+	samplePct            = 0.10
+	maxPrefixesPerMember = 100
+)
+
+// ActiveConfig switches the two §4.3 query-cost optimizations.
 type ActiveConfig struct {
-	// SamplePct is the fraction of each member's prefixes to query
-	// (0.10 in the paper).
-	SamplePct float64
-	// MaxPrefixesPerMember caps the per-member sample (100).
-	MaxPrefixesPerMember int
 	// SkipPassiveCovered enables the equation-(2) optimization: members
 	// already covered by passive data are not queried.
 	SkipPassiveCovered bool
@@ -46,12 +48,7 @@ type ActiveConfig struct {
 
 // DefaultActiveConfig returns the paper's settings.
 func DefaultActiveConfig() ActiveConfig {
-	return ActiveConfig{
-		SamplePct:            0.10,
-		MaxPrefixesPerMember: 100,
-		SkipPassiveCovered:   true,
-		SortByMultiplicity:   true,
-	}
+	return ActiveConfig{SkipPassiveCovered: true, SortByMultiplicity: true}
 }
 
 // ActiveResult is the outcome of the LG survey.
@@ -87,12 +84,6 @@ func (r *ActiveResult) TotalQueries() int {
 func RunActive(ctx context.Context, dict *Dictionary, lgs map[string]IXPLGs,
 	passive *Observations, prefixHints map[bgp.ASN][]bgp.Prefix, cfg ActiveConfig) (*ActiveResult, error) {
 
-	if cfg.SamplePct <= 0 {
-		cfg.SamplePct = 0.10
-	}
-	if cfg.MaxPrefixesPerMember <= 0 {
-		cfg.MaxPrefixesPerMember = 100
-	}
 	res := &ActiveResult{
 		Obs:                NewObservations(),
 		QueriesPerIXP:      make(map[string]int),
@@ -148,21 +139,22 @@ func RunActive(ctx context.Context, dict *Dictionary, lgs map[string]IXPLGs,
 }
 
 // sampleTarget returns P'_a: how many of a member's |Pa| prefixes we
-// want community data for: ceil(|Pa| * SamplePct), clamped to
-// [1, MaxPrefixesPerMember]. The product is computed in float — an
-// integer percentage (int(SamplePct*100)) truncates rates like 0.29 to
-// 28% and under-samples — with a small epsilon so representation noise
-// (10 * 0.1 = 1.0000000000000002) cannot round a whole target up.
-func sampleTarget(numPrefixes int, cfg ActiveConfig) int {
+// want community data for at sampling rate pct (samplePct in the
+// survey): ceil(|Pa| * pct), clamped to [1, maxPrefixesPerMember]. The
+// product is computed in float — an integer percentage (int(pct*100))
+// truncates rates like 0.29 to 28% and under-samples — with a small
+// epsilon so representation noise (10 * 0.1 = 1.0000000000000002)
+// cannot round a whole target up.
+func sampleTarget(numPrefixes int, pct float64) int {
 	if numPrefixes == 0 {
 		return 0
 	}
-	t := int(math.Ceil(float64(numPrefixes)*cfg.SamplePct - 1e-9))
+	t := int(math.Ceil(float64(numPrefixes)*pct - 1e-9))
 	if t < 1 {
 		t = 1
 	}
-	if t > cfg.MaxPrefixesPerMember {
-		t = cfg.MaxPrefixesPerMember
+	if t > maxPrefixesPerMember {
+		t = maxPrefixesPerMember
 	}
 	return t
 }
@@ -206,7 +198,7 @@ func surveyRSLG(ctx context.Context, entry *IXPEntry, client *lg.Client,
 			return client.QueryCount(), membersQueried, nil, err
 		}
 		membersQueried++
-		need[m] = sampleTarget(len(prefixes), cfg)
+		need[m] = sampleTarget(len(prefixes), samplePct)
 		for _, p := range prefixes {
 			advertisers[p] = append(advertisers[p], m)
 		}
@@ -300,7 +292,7 @@ func surveyMemberLGs(ctx context.Context, entry *IXPEntry, lgs []MemberLG,
 			continue
 		}
 		membersQueried++
-		target := sampleTarget(len(hints), cfg)
+		target := sampleTarget(len(hints), samplePct)
 		for _, p := range hints {
 			if target == 0 {
 				break

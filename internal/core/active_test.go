@@ -34,8 +34,7 @@ func TestSampleTargetFractionalRates(t *testing.T) {
 		{0.29, 100, 29}, {0.29, 10, 3}, {0.29, 7, 3},
 	}
 	for _, c := range cases {
-		cfg := ActiveConfig{SamplePct: c.pct, MaxPrefixesPerMember: 100}
-		if got := sampleTarget(c.in, cfg); got != c.want {
+		if got := sampleTarget(c.in, c.pct); got != c.want {
 			t.Errorf("sampleTarget(%d, pct=%v) = %d, want %d", c.in, c.pct, got, c.want)
 		}
 	}

@@ -208,11 +208,11 @@ func TestPinpointSetter(t *testing.T) {
 	entry.SetMembers([]bgp.ASN{20, 30, 40}, SourceWebsite)
 
 	// Case 1: fewer than two members.
-	if _, ok := PinpointSetter([]bgp.ASN{1, 2, 20, 3}, entry, nil); ok {
+	if _, ok := pinpointSetter([]bgp.ASN{1, 2, 20, 3}, entry, nil); ok {
 		t.Fatal("case 1 resolved")
 	}
 	// Case 2: exactly two members -> closest to origin.
-	s, ok := PinpointSetter([]bgp.ASN{1, 20, 30, 3}, entry, nil)
+	s, ok := pinpointSetter([]bgp.ASN{1, 20, 30, 3}, entry, nil)
 	if !ok || s != 30 {
 		t.Fatalf("case 2 = %v, %v", s, ok)
 	}
@@ -226,12 +226,12 @@ func TestPinpointSetter(t *testing.T) {
 	if rels.Relationship(20, 30) != relation.RelP2P {
 		t.Skip("synthetic relationship setup did not converge to p2p")
 	}
-	s, ok = PinpointSetter([]bgp.ASN{40, 20, 30, 5}, entry, rels)
+	s, ok = pinpointSetter([]bgp.ASN{40, 20, 30, 5}, entry, rels)
 	if !ok || s != 30 {
 		t.Fatalf("case 3 = %v, %v", s, ok)
 	}
 	// Case 3 with no p2p member pair: unresolved.
-	if _, ok := PinpointSetter([]bgp.ASN{40, 5, 20, 6, 30}, entry, rels); ok {
+	if _, ok := pinpointSetter([]bgp.ASN{40, 5, 20, 6, 30}, entry, rels); ok {
 		t.Fatal("non-adjacent members resolved")
 	}
 }
@@ -250,12 +250,11 @@ func TestHygieneHelpers(t *testing.T) {
 }
 
 func TestSampleTarget(t *testing.T) {
-	cfg := ActiveConfig{SamplePct: 0.10, MaxPrefixesPerMember: 100}
 	cases := []struct{ in, want int }{
 		{0, 0}, {1, 1}, {5, 1}, {10, 1}, {11, 2}, {100, 10}, {250, 25}, {2000, 100},
 	}
 	for _, c := range cases {
-		if got := sampleTarget(c.in, cfg); got != c.want {
+		if got := sampleTarget(c.in, samplePct); got != c.want {
 			t.Errorf("sampleTarget(%d) = %d, want %d", c.in, got, c.want)
 		}
 	}

@@ -79,7 +79,7 @@ func TestPatchedIndexEqualsRebuilt(t *testing.T) {
 }
 
 func patchedIndexSweep(t *testing.T) {
-	ms := NewMeshState(NewDeltaObservations(testDict(t)))
+	ms := newMeshState(newDeltaObservations(testDict(t)))
 	rng := rand.New(rand.NewSource(20130501))
 	names := []string{"DE-CIX", "ECIX", "MSK-IX"}
 	asns := make([]bgp.ASN, 24)

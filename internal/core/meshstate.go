@@ -53,8 +53,8 @@ type MeshState struct {
 	moved map[topology.LinkKey]struct{}
 }
 
-// NewMeshState returns the mesh over obs, an empty store.
-func NewMeshState(obs *DeltaObservations) *MeshState {
+// newMeshState returns the mesh over obs, an empty store.
+func newMeshState(obs *DeltaObservations) *MeshState {
 	for _, x := range obs.ixps {
 		x.members = x.entry.Members()
 	}

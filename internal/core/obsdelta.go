@@ -100,7 +100,7 @@ func (s *setterDelta) filter(scheme ixp.Scheme) (f ixp.ExportFilter, ok bool) {
 // attribution names it.
 type ixpDelta struct {
 	entry   *IXPEntry
-	members []bgp.ASN // entry.Members(), cached by NewMeshState
+	members []bgp.ASN // entry.Members(), cached by newMeshState
 	setters map[bgp.ASN]*setterDelta
 	records []*setterDelta // setters' records in creation order
 	covered []*setterDelta // the records with meshCovered, in no order
@@ -137,9 +137,9 @@ type DeltaObservations struct {
 	dirty []*setterDelta
 }
 
-// NewDeltaObservations returns an empty store over the dictionary's
+// newDeltaObservations returns an empty store over the dictionary's
 // IXPs.
-func NewDeltaObservations(dict *Dictionary) *DeltaObservations {
+func newDeltaObservations(dict *Dictionary) *DeltaObservations {
 	o := &DeltaObservations{byIXP: make(map[string]*ixpDelta, len(dict.Entries))}
 	for _, e := range dict.Entries {
 		x := &ixpDelta{entry: e, setters: make(map[bgp.ASN]*setterDelta)}
@@ -337,11 +337,11 @@ func newWindowMiner(dict *Dictionary, store *paths.Store, rel *relation.Incremen
 		store:  store,
 		groups: make(map[shapeKey]*windowGroup),
 		attr:   newAttributor(dict),
-		obs:    NewDeltaObservations(dict),
+		obs:    newDeltaObservations(dict),
 		rel:    rel,
 	}
 	if rel != nil {
-		m.mesh = NewMeshState(m.obs)
+		m.mesh = newMeshState(m.obs)
 	}
 	return m
 }
@@ -400,10 +400,10 @@ func (m *windowMiner) shape(path paths.ID, comms bgp.Communities) *windowGroup {
 			g.byPrefix = make(map[bgp.Prefix]int)
 			m.relsDeps = append(m.relsDeps, g)
 			if m.rel != nil {
-				g.setter, g.resolved = PinpointSetter(p, g.entry, m.rel)
+				g.setter, g.resolved = pinpointSetter(p, g.entry, m.rel)
 			}
 		} else {
-			g.setter, g.resolved = PinpointSetter(p, g.entry, nil)
+			g.setter, g.resolved = pinpointSetter(p, g.entry, nil)
 		}
 	}
 	m.groups[k] = g
@@ -481,7 +481,7 @@ func (m *windowMiner) closeWindow(w *PassiveWindow) {
 	m.sweepDeadShapes()
 	// Re-pinpoint the live rels-dependent shapes. Every listed shape was
 	// pinned against the previous oracle, at the last close or at its
-	// creation inside the window, and PinpointSetter reads only the p2p
+	// creation inside the window, and pinpointSetter reads only the p2p
 	// labels of adjacent hops: a pin moves only where the Commit flipped
 	// one of those labels.
 	if m.rel.P2PFlips() > 0 {
@@ -489,7 +489,7 @@ func (m *windowMiner) closeWindow(w *PassiveWindow) {
 			if !m.p2pFlippedOn(g.path) {
 				continue
 			}
-			setter, ok := PinpointSetter(m.store.Path(g.path), g.entry, m.rel)
+			setter, ok := pinpointSetter(m.store.Path(g.path), g.entry, m.rel)
 			m.moveContributions(g, ok, setter)
 		}
 	}

@@ -189,7 +189,7 @@ func RunPassive(dumps []*mrt.Dump, updates []*mrt.BGP4MPMessage, dict *Dictionar
 			}
 			continue
 		}
-		setter, ok := PinpointSetter(recs.Path(i), at.entry, res.Rels)
+		setter, ok := pinpointSetter(recs.Path(i), at.entry, res.Rels)
 		if !ok {
 			res.SetterUnresolved++
 			continue
@@ -254,14 +254,14 @@ func (a *attributor) of(cs bgp.Communities) attribution {
 	return at
 }
 
-// PinpointSetter identifies which AS on the path applied the RS
+// pinpointSetter identifies which AS on the path applied the RS
 // communities (§4.2):
 //
 //  1. fewer than two IXP participants on the path: unresolvable;
 //  2. exactly two: the one closest to the origin;
 //  3. more than two: the participant pair with a p2p relationship is the
 //     route-server crossing; the setter is its origin-side AS.
-func PinpointSetter(path []bgp.ASN, entry *IXPEntry, rels relation.Oracle) (bgp.ASN, bool) {
+func pinpointSetter(path []bgp.ASN, entry *IXPEntry, rels relation.Oracle) (bgp.ASN, bool) {
 	var positions []int
 	for i, a := range path {
 		if entry.IsMember(a) {

@@ -114,7 +114,7 @@ func runPassiveReference(dumps []*mrt.Dump, updates []*mrt.BGP4MPMessage, dict *
 			}
 			continue
 		}
-		setter, ok := PinpointSetter(recs.Path(i), entry, res.Rels)
+		setter, ok := pinpointSetter(recs.Path(i), entry, res.Rels)
 		if !ok {
 			res.SetterUnresolved++
 			continue

@@ -36,7 +36,7 @@ type Validator struct {
 	PrefixesByOrigin map[bgp.ASN][]bgp.Prefix
 	// Rels supplies customer relationships for LG relevance: an LG is
 	// relevant to a link if its host is an endpoint or a customer of
-	// one.
+	// one. It must be set.
 	Rels *relation.Inference
 }
 
@@ -82,9 +82,6 @@ func (v *Validator) relevant(host, a, b bgp.ASN) bool {
 	if host == a || host == b {
 		return true
 	}
-	if v.Rels == nil {
-		return false
-	}
 	return v.Rels.Relationship(host, a) == relation.RelC2P ||
 		v.Rels.Relationship(host, b) == relation.RelC2P
 }
@@ -125,7 +122,7 @@ func (v *Validator) Validate(ctx context.Context, result *Result) (*ValidationRe
 			}
 			// Query prefixes of the endpoint farther from the host.
 			far := link.A
-			if l.Host == link.A || (v.Rels != nil && v.Rels.Relationship(l.Host, link.A) == relation.RelC2P) {
+			if l.Host == link.A || v.Rels.Relationship(l.Host, link.A) == relation.RelC2P {
 				far = link.B
 			}
 			near := link.A

@@ -97,7 +97,7 @@ func TestVoteMatchesTextualReference(t *testing.T) {
 	dict := testDict(t)
 	entry := dict.ByName(ixpName)
 	obs := NewObservations()
-	delta := NewDeltaObservations(dict)
+	delta := newDeltaObservations(dict)
 	add := func(setter bgp.ASN, p bgp.Prefix, cs bgp.Communities) {
 		obs.Add(ixpName, setter, p, cs, ObsPassive)
 		delta.add(entry, setter, p, cs.Dedup().String(), cs, 1)

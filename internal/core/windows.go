@@ -436,7 +436,7 @@ func remineLiveTable(store *paths.Store, live *liveTable, dict *Dictionary, w *P
 
 	rels := relation.Infer(paths.NewView(store, kept))
 	for _, g := range m.relsDeps {
-		setter, ok := PinpointSetter(store.Path(g.path), g.entry, rels)
+		setter, ok := pinpointSetter(store.Path(g.path), g.entry, rels)
 		m.moveContributions(g, ok, setter)
 	}
 

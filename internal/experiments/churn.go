@@ -37,7 +37,6 @@ type ChurnWindowRow struct {
 // world mutates underneath the measurement.
 type ChurnResult struct {
 	Scenario string
-	Mode     core.WindowsMode
 	Epochs   int
 	Interval time.Duration
 	Rows     []ChurnWindowRow
@@ -93,7 +92,7 @@ func BuildChurnTrace(cfg topology.Config, ccfg churn.Config) (*ChurnTrace, error
 		return nil, err
 	}
 
-	col := collector.New("rrc-churn", w.Engine, nil, 4)
+	col := collector.New("rrc-churn", w.Engine, nil, 0)
 	runner := churn.NewRunner(w.Engine, ccfg)
 	ccfg = runner.Config()
 
@@ -199,12 +198,12 @@ func (ct *ChurnTrace) ReplayWindows(ctx context.Context, count, workers int, fn 
 	return err
 }
 
-// Run derives the churn experiment table from the trace in the given
+// Run derives the churn experiment table from the trace in incremental
 // mode. Window k is scored against the ground-truth mesh after epoch k,
 // kept as one running set: the trace's base mesh with each epoch's
 // delta folded in before its window is scored.
-func (ct *ChurnTrace) Run(mode core.WindowsMode) (*ChurnResult, error) {
-	windows, err := ct.Windows(mode, 0)
+func (ct *ChurnTrace) Run() (*ChurnResult, error) {
+	windows, err := ct.Windows(core.WindowsIncremental, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -214,7 +213,7 @@ func (ct *ChurnTrace) Run(mode core.WindowsMode) (*ChurnResult, error) {
 		truth[l] = true
 	}
 
-	res := &ChurnResult{Scenario: ct.Scenario, Mode: mode, Epochs: ct.Epochs, Interval: ct.Interval}
+	res := &ChurnResult{Scenario: ct.Scenario, Epochs: ct.Epochs, Interval: ct.Interval}
 	for k := range windows.Windows {
 		pw := &windows.Windows[k]
 		row := ChurnWindowRow{
@@ -255,8 +254,8 @@ func (ct *ChurnTrace) Run(mode core.WindowsMode) (*ChurnResult, error) {
 // Render formats the experiment as a table.
 func (r *ChurnResult) Render() *metrics.Table {
 	t := &metrics.Table{
-		Title: fmt.Sprintf("Route churn: windowed ML-mesh inference (%s, %s mode, %d epochs @ %v)",
-			r.Scenario, r.Mode, r.Epochs, r.Interval),
+		Title: fmt.Sprintf("Route churn: windowed ML-mesh inference (%s, incremental mode, %d epochs @ %v)",
+			r.Scenario, r.Epochs, r.Interval),
 		Columns: []string{"window", "ops", "dirty", "ann", "wdr", "wdr-only", "live", "rels", "p2p", "links", "stability", "precision", "recall"},
 	}
 	for _, row := range r.Rows {

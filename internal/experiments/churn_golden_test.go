@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"mlpeering/internal/churn"
-	"mlpeering/internal/core"
 	"mlpeering/internal/topology"
 )
 
@@ -34,7 +33,7 @@ func churnGolden(t *testing.T) string {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		res, err := ct.Run(core.WindowsIncremental)
+		res, err := ct.Run()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -11,25 +11,20 @@ import (
 	"mlpeering/internal/topology"
 )
 
-func churnResultMode(t *testing.T, seed int64, cfg topology.Config, mode core.WindowsMode) *ChurnResult {
+func churnResult(t *testing.T, seed int64) *ChurnResult {
 	t.Helper()
 	ccfg := churn.DefaultConfig(seed)
 	ccfg.Epochs = 3
 	ccfg.Interval = 10 * time.Minute
-	ct, err := BuildChurnTrace(cfg, ccfg)
+	ct, err := BuildChurnTrace(topology.TestConfig(), ccfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ct.Run(mode)
+	res, err := ct.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res
-}
-
-func churnResult(t *testing.T, seed int64) *ChurnResult {
-	t.Helper()
-	return churnResultMode(t, seed, topology.TestConfig(), core.WindowsIncremental)
 }
 
 // TestRunChurnShape checks the windowed-inference table is well-formed:

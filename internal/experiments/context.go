@@ -105,7 +105,7 @@ func (c *Context) TracerouteLinks() map[topology.LinkKey]bool {
 	// fn runs sequentially and reads each route before the next tree's
 	// Reset, so one arena serves the whole sweep.
 	var arena propagate.RouteArena
-	eng.ForEachTree(eng.NewVantages(vantages), 4, func(tr *propagate.Tree) {
+	eng.ForEachTree(eng.NewVantages(vantages), func(tr *propagate.Tree) {
 		arena.Reset()
 		for _, v := range vantages {
 			r := tr.RouteFromArena(v, &arena)
@@ -135,9 +135,9 @@ func pathCrossesRSAt(r *propagate.VantageRoute, i int) bool {
 	return i+1 < len(r.Path) && r.Path[i+1] == r.RSSetter
 }
 
-// IncidentCount counts the links of set incident to each AS; an AS no
+// incidentCount counts the links of set incident to each AS; an AS no
 // link touches is absent.
-func IncidentCount[V any](set map[topology.LinkKey]V) map[bgp.ASN]int {
+func incidentCount[V any](set map[topology.LinkKey]V) map[bgp.ASN]int {
 	deg := make(map[bgp.ASN]int)
 	for link := range set {
 		deg[link.A]++

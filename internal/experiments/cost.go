@@ -202,10 +202,10 @@ type SurveyIXP struct {
 	HasRS   bool
 }
 
-// GlobalSurvey returns the 61-IXP survey the estimate runs on: the
+// globalSurvey returns the 61-IXP survey the estimate runs on: the
 // paper's 13 measured IXPs plus a synthetic completion matching the
 // paper's counts (37 EU, 14 NA and 10 other IXPs with ≥50 members).
-func GlobalSurvey() []SurveyIXP {
+func globalSurvey() []SurveyIXP {
 	out := []SurveyIXP{
 		{"AMS-IX", "eu", 574, true, true}, {"DE-CIX", "eu", 483, true, true},
 		{"LINX", "eu", 457, true, true}, {"MSK-IX", "eu", 374, false, true},
@@ -290,7 +290,7 @@ func (c *Context) GlobalEstimate() *EstimateResult {
 	} else {
 		res.OverlapDiscount = 1
 	}
-	for _, x := range GlobalSurvey() {
+	for _, x := range globalSurvey() {
 		pairs := x.Members * (x.Members - 1) / 2
 		links := int(densityPrior(x) * float64(pairs))
 		consLinks := int(min(densityPrior(x), 0.60) * float64(pairs))

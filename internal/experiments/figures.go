@@ -155,9 +155,9 @@ func (c *Context) Figure6() *Figure6Result {
 	}
 	res.ASLinkIncreasePct = metrics.Ratio(newLinks, res.PublicASLinks)
 
-	mlpDeg := IncidentCount(c.Run.Result.Links)
-	pasvDeg := IncidentCount(publicP2P)
-	actDeg := IncidentCount(traceroute)
+	mlpDeg := incidentCount(c.Run.Result.Links)
+	pasvDeg := incidentCount(publicP2P)
+	actDeg := incidentCount(traceroute)
 
 	members := make([]bgp.ASN, 0, len(mlpDeg))
 	for m := range mlpDeg {

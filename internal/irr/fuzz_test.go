@@ -11,7 +11,7 @@ import (
 )
 
 // RPSL text is bytes from outside: whatever a registry dump holds,
-// Parse and ParsePolicyLine return a result or an error and never
+// Parse and parsePolicyLine return a result or an error and never
 // panic. What they accept must also survive this package's own
 // writers: writing the parsed objects (or filter) back out and parsing
 // again gives the same result. The seed corpora under testdata/fuzz
@@ -64,13 +64,13 @@ func FuzzParsePolicyLine(f *testing.F) {
 	f.Add("from AS6777 accept ANY EXCEPT {AS5410, AS8732}")
 	f.Add("to AS6777 announce ONLY {AS8359,AS8447}")
 	f.Fuzz(func(t *testing.T, line string) {
-		pf, err := ParsePolicyLine(line)
+		pf, err := parsePolicyLine(line)
 		if err != nil {
 			return
 		}
-		for _, format := range []func(bgp.ASN, ixp.ExportFilter) string{FormatExportLine, FormatImportLine} {
+		for _, format := range []func(bgp.ASN, ixp.ExportFilter) string{formatExportLine, formatImportLine} {
 			out := format(pf.Peer, pf.Filter)
-			again, err := ParsePolicyLine(out)
+			again, err := parsePolicyLine(out)
 			if err != nil {
 				t.Fatalf("%q -> %q does not parse: %v", line, out, err)
 			}

@@ -70,8 +70,8 @@ func Build(topo *topology.Topology, seed int64) *Registry {
 				pl = &policyLines{}
 				perMember[m] = pl
 			}
-			pl.imports = append(pl.imports, FormatImportLine(info.Scheme.RSASN, pol.Import))
-			pl.exports = append(pl.exports, FormatExportLine(info.Scheme.RSASN, pol.Export))
+			pl.imports = append(pl.imports, formatImportLine(info.Scheme.RSASN, pol.Import))
+			pl.exports = append(pl.exports, formatExportLine(info.Scheme.RSASN, pol.Export))
 		}
 	}
 	for _, asn := range topo.Order {

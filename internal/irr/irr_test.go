@@ -158,23 +158,23 @@ func TestPolicyLineRoundTrip(t *testing.T) {
 		ixp.NewExportFilter(ixp.ModeNoneExcept),
 	}
 	for i, f := range cases {
-		line := FormatExportLine(6777, f)
-		pf, err := ParsePolicyLine(line)
+		line := formatExportLine(6777, f)
+		pf, err := parsePolicyLine(line)
 		if err != nil {
 			t.Fatalf("case %d (%q): %v", i, line, err)
 		}
 		if pf.Peer != 6777 || !pf.Filter.Equal(f) {
 			t.Fatalf("case %d: %q -> %+v", i, line, pf)
 		}
-		iline := FormatImportLine(6777, f)
-		pf2, err := ParsePolicyLine(iline)
+		iline := formatImportLine(6777, f)
+		pf2, err := parsePolicyLine(iline)
 		if err != nil || !pf2.Filter.Equal(f) {
 			t.Fatalf("import case %d: %v", i, err)
 		}
 	}
 	for _, bad := range []string{"", "to AS1", "to X announce ANY", "to AS1 frobnicate ANY", "to AS1 announce SOMETIMES"} {
-		if _, err := ParsePolicyLine(bad); err == nil {
-			t.Errorf("ParsePolicyLine(%q): expected error", bad)
+		if _, err := parsePolicyLine(bad); err == nil {
+			t.Errorf("parsePolicyLine(%q): expected error", bad)
 		}
 	}
 }

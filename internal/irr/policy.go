@@ -17,21 +17,21 @@ type PolicyFilter struct {
 	Filter ixp.ExportFilter
 }
 
-// FormatExportLine renders a member's route-server export policy as an
+// formatExportLine renders a member's route-server export policy as an
 // RPSL export attribute value. The grammar is a simplified RPSL policy
 // expression:
 //
 //	to AS6777 announce ANY
 //	to AS6777 announce ANY EXCEPT {AS5410, AS8732}
 //	to AS6777 announce ONLY {AS8359, AS8447}
-func FormatExportLine(rsASN bgp.ASN, f ixp.ExportFilter) string {
+func formatExportLine(rsASN bgp.ASN, f ixp.ExportFilter) string {
 	return "to AS" + rsASN.String() + " announce " + formatFilterExpr(f)
 }
 
-// FormatImportLine renders the import direction:
+// formatImportLine renders the import direction:
 //
 //	from AS6777 accept ANY [EXCEPT {...}] / ONLY {...}
-func FormatImportLine(rsASN bgp.ASN, f ixp.ExportFilter) string {
+func formatImportLine(rsASN bgp.ASN, f ixp.ExportFilter) string {
 	return "from AS" + rsASN.String() + " accept " + formatFilterExpr(f)
 }
 
@@ -57,9 +57,9 @@ func formatFilterExpr(f ixp.ExportFilter) string {
 	return "ONLY " + list()
 }
 
-// ParsePolicyLine parses an import or export attribute value produced
-// by FormatImportLine/FormatExportLine (and tolerant of spacing).
-func ParsePolicyLine(value string) (*PolicyFilter, error) {
+// parsePolicyLine parses an import or export attribute value produced
+// by formatImportLine/formatExportLine (and tolerant of spacing).
+func parsePolicyLine(value string) (*PolicyFilter, error) {
 	fields := strings.Fields(value)
 	if len(fields) < 3 {
 		return nil, fmt.Errorf("irr: policy %q too short", value)
@@ -126,7 +126,7 @@ func (r *Registry) RSFilters(member, rsASN bgp.ASN) (imp, exp *PolicyFilter, err
 		return nil, nil, nil
 	}
 	for _, line := range obj.All("import") {
-		pf, perr := ParsePolicyLine(line)
+		pf, perr := parsePolicyLine(line)
 		if perr != nil {
 			continue // foreign policy lines use full RPSL we don't model
 		}
@@ -135,7 +135,7 @@ func (r *Registry) RSFilters(member, rsASN bgp.ASN) (imp, exp *PolicyFilter, err
 		}
 	}
 	for _, line := range obj.All("export") {
-		pf, perr := ParsePolicyLine(line)
+		pf, perr := parsePolicyLine(line)
 		if perr != nil {
 			continue
 		}

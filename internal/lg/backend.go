@@ -192,7 +192,7 @@ func (b *ASBackend) Lookup(prefix bgp.Prefix) ([]PathInfo, error) {
 		return nil, nil
 	}
 	var out []PathInfo
-	b.engine.ForEachTreeOf(b.sweep, 1, []bgp.ASN{owner}, func(tr *propagate.Tree) {
+	b.engine.ForEachTreeOf(b.sweep, []bgp.ASN{owner}, func(tr *propagate.Tree) {
 		b.mu.Lock()
 		defer b.mu.Unlock()
 		out = b.pathsLocked(tr)

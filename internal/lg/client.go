@@ -65,7 +65,7 @@ func (c *Client) Summary(ctx context.Context) ([]PeerSummary, error) {
 	if err != nil {
 		return nil, err
 	}
-	return ParseSummary(text)
+	return parseSummary(text)
 }
 
 // NeighborRoutes runs "show ip bgp neighbors <addr> routes": step 2,
@@ -75,7 +75,7 @@ func (c *Client) NeighborRoutes(ctx context.Context, addr netip.Addr) ([]bgp.Pre
 	if err != nil {
 		return nil, err
 	}
-	return ParseRoutes(text)
+	return parseRoutes(text)
 }
 
 // Lookup runs "show ip bgp <prefix>": step 3, the per-prefix community
@@ -85,11 +85,11 @@ func (c *Client) Lookup(ctx context.Context, prefix bgp.Prefix) ([]PathInfo, err
 	if err != nil {
 		return nil, err
 	}
-	return ParsePrefixResponse(text)
+	return parsePrefixResponse(text)
 }
 
-// ParseSummary extracts neighbor rows from "show ip bgp summary" text.
-func ParseSummary(text string) ([]PeerSummary, error) {
+// parseSummary extracts neighbor rows from "show ip bgp summary" text.
+func parseSummary(text string) ([]PeerSummary, error) {
 	var out []PeerSummary
 	sc := bufio.NewScanner(strings.NewReader(text))
 	for sc.Scan() {
@@ -114,9 +114,9 @@ func ParseSummary(text string) ([]PeerSummary, error) {
 	return out, sc.Err()
 }
 
-// ParseRoutes extracts prefixes from "show ip bgp neighbors ... routes"
+// parseRoutes extracts prefixes from "show ip bgp neighbors ... routes"
 // text.
-func ParseRoutes(text string) ([]bgp.Prefix, error) {
+func parseRoutes(text string) ([]bgp.Prefix, error) {
 	var out []bgp.Prefix
 	sc := bufio.NewScanner(strings.NewReader(text))
 	for sc.Scan() {
@@ -134,9 +134,9 @@ func ParseRoutes(text string) ([]bgp.Prefix, error) {
 	return out, sc.Err()
 }
 
-// ParsePrefixResponse extracts paths and communities from
+// parsePrefixResponse extracts paths and communities from
 // "show ip bgp <prefix>" text.
-func ParsePrefixResponse(text string) ([]PathInfo, error) {
+func parsePrefixResponse(text string) ([]PathInfo, error) {
 	if strings.Contains(text, "Network not in table") {
 		return nil, nil
 	}

@@ -62,13 +62,13 @@ func (textBackend) Lookup(bgp.Prefix) ([]PathInfo, error)           { return nil
 func FuzzParseSummary(f *testing.F) {
 	f.Add(seedSummary)
 	f.Fuzz(func(t *testing.T, text string) {
-		peers, err := ParseSummary(text)
+		peers, err := parseSummary(text)
 		if err != nil {
 			return
 		}
 		rec := httptest.NewRecorder()
 		renderSummary(rec, textBackend{peers: peers})
-		again, err := ParseSummary(rec.Body.String())
+		again, err := parseSummary(rec.Body.String())
 		if err != nil || !reflect.DeepEqual(again, peers) {
 			t.Fatalf("re-parse of rendered summary = %+v, %v; want %+v", again, err, peers)
 		}
@@ -78,13 +78,13 @@ func FuzzParseSummary(f *testing.F) {
 func FuzzParseRoutes(f *testing.F) {
 	f.Add(seedRoutes)
 	f.Fuzz(func(t *testing.T, text string) {
-		prefixes, err := ParseRoutes(text)
+		prefixes, err := parseRoutes(text)
 		if err != nil {
 			return
 		}
 		rec := httptest.NewRecorder()
 		renderRoutes(rec, textBackend{}, prefixes)
-		again, err := ParseRoutes(rec.Body.String())
+		again, err := parseRoutes(rec.Body.String())
 		if err != nil || !reflect.DeepEqual(again, prefixes) {
 			t.Fatalf("re-parse of rendered routes = %v, %v; want %v", again, err, prefixes)
 		}
@@ -95,13 +95,13 @@ func FuzzParsePrefixResponse(f *testing.F) {
 	f.Add(seedPrefix)
 	f.Add("% Network not in table\n")
 	f.Fuzz(func(t *testing.T, text string) {
-		paths, err := ParsePrefixResponse(text)
+		paths, err := parsePrefixResponse(text)
 		if err != nil || len(paths) == 0 {
 			return
 		}
 		rec := httptest.NewRecorder()
 		renderPrefix(rec, textBackend{}, bgp.MustPrefix("30.1.0.0/16"), paths)
-		again, err := ParsePrefixResponse(rec.Body.String())
+		again, err := parsePrefixResponse(rec.Body.String())
 		if err != nil || !reflect.DeepEqual(again, paths) {
 			t.Fatalf("re-parse of rendered paths = %+v, %v; want %+v", again, err, paths)
 		}

@@ -227,7 +227,7 @@ Neighbor                V         AS State/PfxRcd
 junk line
 172.16.1.5              4       5410            7
 `
-	peers, err := ParseSummary(text)
+	peers, err := parseSummary(text)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ Paths: (2 available, best #1)
     172.16.1.9 from 172.16.1.9 (172.16.0.1)
       Origin IGP, localpref 100, valid, external
 `
-	paths, err := ParsePrefixResponse(text)
+	paths, err := parsePrefixResponse(text)
 	if err != nil {
 		t.Fatal(err)
 	}

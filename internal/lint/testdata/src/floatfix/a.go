@@ -16,7 +16,7 @@ func badMapSum(m map[string]float64) float64 {
 // badParSum accumulates floats across concurrent workers.
 func badParSum(xs []float64) float64 {
 	total := 0.0
-	par.Run(4, len(xs), func(task int) {
+	par.Run(len(xs), func(task int) {
 		total += xs[task] // want `float accumulation into "total"`
 	})
 	return total
@@ -35,7 +35,7 @@ func goodInt(m map[string]int) int {
 // fixed order.
 func goodSharded(xs []float64) float64 {
 	partial := make([]float64, 4)
-	par.Run(4, 4, func(task int) {
+	par.Run(4, func(task int) {
 		for i := task; i < len(xs); i += 4 {
 			partial[task] += xs[i]
 		}

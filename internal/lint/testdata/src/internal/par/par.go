@@ -4,16 +4,8 @@
 package par
 
 // Run executes tasks 0..n-1, sequentially in this fixture.
-func Run(workers, n int, fn func(task int)) {
+func Run(n int, fn func(task int)) {
 	for i := 0; i < n; i++ {
 		fn(i)
 	}
-}
-
-// Workers mirrors the real knob resolver.
-func Workers(n int) int {
-	if n < 1 {
-		return 1
-	}
-	return n
 }

@@ -7,7 +7,7 @@ import "internal/par"
 // order depends on the schedule.
 func badAppend(items []int) []int {
 	var out []int
-	par.Run(4, len(items), func(task int) {
+	par.Run(len(items), func(task int) {
 		out = append(out, items[task]*2) // want `writes to captured "out"`
 	})
 	return out
@@ -16,7 +16,7 @@ func badAppend(items []int) []int {
 // badCounter bumps a captured counter: a cross-task race.
 func badCounter(items []int) int {
 	count := 0
-	par.Run(4, len(items), func(task int) {
+	par.Run(len(items), func(task int) {
 		if items[task] > 0 {
 			count++ // want `writes to captured "count"`
 		}
@@ -27,7 +27,7 @@ func badCounter(items []int) int {
 // goodShard writes only the task's own cell.
 func goodShard(items []int) []int {
 	out := make([]int, len(items))
-	par.Run(4, len(items), func(task int) {
+	par.Run(len(items), func(task int) {
 		out[task] = items[task] * 2
 	})
 	return out
@@ -36,7 +36,7 @@ func goodShard(items []int) []int {
 // goodDerived indexes by a value derived from the task.
 func goodDerived(items []int, stride int) []int {
 	out := make([]int, len(items)*stride)
-	par.Run(4, len(items), func(task int) {
+	par.Run(len(items), func(task int) {
 		base := task * stride
 		out[base] = items[task]
 	})
@@ -45,7 +45,7 @@ func goodDerived(items []int, stride int) []int {
 
 // goodLocal mutates only closure-local state.
 func goodLocal(items []int) {
-	par.Run(4, len(items), func(task int) {
+	par.Run(len(items), func(task int) {
 		acc := 0
 		for _, v := range items {
 			acc += v
@@ -57,8 +57,8 @@ func goodLocal(items []int) {
 // waived carries a reasoned waiver on the captured write.
 func waived(items []int) int {
 	total := 0
-	par.Run(1, len(items), func(task int) {
-		//mlplint:shared single-worker pool in this path; commit order is the task order
+	par.Run(len(items), func(task int) {
+		//mlplint:shared callers run this at GOMAXPROCS 1; commit order is the task order
 		total += items[task]
 	})
 	return total

@@ -13,27 +13,13 @@ import (
 	"sync/atomic"
 )
 
-// Workers resolves a worker-count knob: 0 means GOMAXPROCS, anything
-// below one clamps to sequential.
-func Workers(n int) int {
-	if n == 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// Run executes tasks 0..n-1 on up to workers goroutines, pulling task
-// indices off a shared atomic counter, and returns when every task
-// finished. workers <= 1 (or n <= 1) degenerates to a plain sequential
-// loop — the two paths are behaviorally identical because tasks must
-// not observe each other's effects.
-func Run(workers, n int, fn func(task int)) {
-	if workers > n {
-		workers = n
-	}
+// Run executes tasks 0..n-1 on up to GOMAXPROCS goroutines, pulling
+// task indices off a shared atomic counter, and returns when every task
+// finished. With GOMAXPROCS 1 (or n <= 1) it degenerates to a plain
+// sequential loop — the two paths are behaviorally identical because
+// tasks must not observe each other's effects.
+func Run(n int, fn func(task int)) {
+	workers := min(runtime.GOMAXPROCS(0), n)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			fn(i)

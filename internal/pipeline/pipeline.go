@@ -143,7 +143,7 @@ func buildWorld(cfg topology.Config, tapRIB func(io.Writer) io.Writer) (*World, 
 		rib := col.NewRIBWriter(sink, Timestamp)
 		// The RS RIBs read only exporters, which every sweep computes:
 		// the feeders are all the vantages this sweep needs.
-		w.Engine.ForEachTree(col.Vantages(), 0, func(tr *propagate.Tree) {
+		w.Engine.ForEachTree(col.Vantages(), func(tr *propagate.Tree) {
 			rsribs.Add(tr)
 			rib.Add(tr)
 		})

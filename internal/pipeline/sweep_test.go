@@ -34,8 +34,8 @@ func sweepScenarios() []topology.Config {
 
 // TestSharedSweepEqualsStandalone: the one sweep of a world build feeds
 // the RS-RIB builder and the RIB-dump writer exactly what each gets
-// from a sweep of its own, for any sweep width. BuildWorld sizes its
-// sweep by GOMAXPROCS, so that is what varies.
+// from a sweep of its own, for any sweep width. Every sweep is
+// GOMAXPROCS wide, so that is what varies.
 func TestSharedSweepEqualsStandalone(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, cfg := range sweepScenarios() {
@@ -50,13 +50,13 @@ func TestSharedSweepEqualsStandalone(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				want := propagate.BuildRSRIBs(w.Engine, workers)
+				want := propagate.BuildRSRIBs(w.Engine, 0)
 				if len(want) == 0 || !reflect.DeepEqual(w.RSRIBs, want) {
 					t.Errorf("RSRIBs of the shared sweep differ from standalone BuildRSRIBs (%d IXPs)", len(want))
 				}
 
 				var alone bytes.Buffer
-				if err := collector.New("rrc-synth", w.Engine, nil, workers).WriteRIB(&alone, Timestamp); err != nil {
+				if err := collector.New("rrc-synth", w.Engine, nil, 0).WriteRIB(&alone, Timestamp); err != nil {
 					t.Fatal(err)
 				}
 				if alone.Len() == 0 || !bytes.Equal(archive.Bytes(), alone.Bytes()) {

@@ -2,6 +2,7 @@ package propagate
 
 import (
 	"bytes"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -268,9 +269,11 @@ func diffSnapshots(t *testing.T, what string, a, b snapshot) {
 // TestComputeMatchesReference checks, over the generated world of every
 // scenario, that the optimized engine produces hop tables and exporter
 // lists byte-identical to the naive reference for every destination —
-// via Tree and via ForEachTree at several worker counts. The sweep has
-// every AS as a vantage, so it computes full trees too.
+// via Tree and via ForEachTree at several GOMAXPROCS (the sweep pool's
+// width). The sweep has every AS as a vantage, so it computes full
+// trees too.
 func TestComputeMatchesReference(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, name := range topology.ScenarioNames() {
 		t.Run(name, func(t *testing.T) {
 			cfg := topology.TestConfig()
@@ -296,17 +299,18 @@ func TestComputeMatchesReference(t *testing.T) {
 				diffSnapshots(t, "Tree", want[dest], snapshotTree(e.Tree(dest)))
 			}
 
-			// Via ForEachTree at several worker counts. Snapshots must be
+			// Via ForEachTree at several pool widths. Snapshots must be
 			// taken inside fn: the tree is recycled afterward.
 			for _, workers := range []int{1, 3, 8} {
+				runtime.GOMAXPROCS(workers)
 				e2 := NewEngine(topo, 0)
 				count := 0
-				e2.ForEachTree(e2.NewVantages(topo.Order), workers, func(tr *Tree) {
+				e2.ForEachTree(e2.NewVantages(topo.Order), func(tr *Tree) {
 					diffSnapshots(t, "ForEachTree", want[tr.Dest()], snapshotTree(tr))
 					count++
 				})
 				if count != len(topo.Order) {
-					t.Fatalf("ForEachTree(%d) visited %d of %d destinations", workers, count, len(topo.Order))
+					t.Fatalf("ForEachTree at GOMAXPROCS %d visited %d of %d destinations", workers, count, len(topo.Order))
 				}
 			}
 		})

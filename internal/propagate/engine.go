@@ -337,18 +337,18 @@ func (e *Engine) Tree(dest bgp.ASN) *Tree {
 }
 
 // ForEachTree computes the tree of every destination in ascending ASN
-// order using workers goroutines, invoking fn sequentially on the
-// caller's goroutine (fn needs no locking). workers follows
-// par.Workers: 0 means GOMAXPROCS, anything below one is sequential;
-// what fn sees does not depend on it. The *Tree passed to fn is only
-// valid for the duration of the call: its buffers are recycled for
-// later destinations, so fn must copy out anything it wants to keep. A
-// caller with several per-tree consumers feeds them all from one fn
-// (see pipeline.BuildWorld): the sweep is the cost, not the consuming.
+// order on the shared worker pool (GOMAXPROCS wide, see par.Run),
+// invoking fn sequentially on the caller's goroutine (fn needs no
+// locking); what fn sees does not depend on the pool's width. The
+// *Tree passed to fn is only valid for the duration of the call: its
+// buffers are recycled for later destinations, so fn must copy out
+// anything it wants to keep. A caller with several per-tree consumers
+// feeds them all from one fn (see pipeline.BuildWorld): the sweep is
+// the cost, not the consuming.
 //
-// With more than one worker, fn runs while the workers compute the
-// next window of trees, so fn must write nothing the computation
-// reads: the engine's topology, its state and the Vantages.
+// fn runs while the pool computes the next window of trees, so fn must
+// write nothing the computation reads: the engine's topology, its state
+// and the Vantages.
 //
 // A sweep computes what its vantages can see. Customer-, peer- and
 // origin-class hops are exact everywhere, so every route-server
@@ -357,8 +357,8 @@ func (e *Engine) Tree(dest bgp.ASN) *Tree {
 // ancestors), which is all a vantage's route or Adj-RIB-In can reach.
 // Reading a route the sweep did not compute panics (see
 // Tree.RouteFromArena); v must name every AS fn reads routes from.
-func (e *Engine) ForEachTree(v *Vantages, workers int, fn func(*Tree)) {
-	e.ForEachTreeOf(v, workers, e.asns, fn)
+func (e *Engine) ForEachTree(v *Vantages, fn func(*Tree)) {
+	e.ForEachTreeOf(v, e.asns, fn)
 }
 
 // sweepWindow is how many trees a sweep computes per batch: memory
@@ -367,13 +367,12 @@ func (e *Engine) ForEachTree(v *Vantages, workers int, fn func(*Tree)) {
 const sweepWindow = 256
 
 // ForEachTreeOf is ForEachTree restricted to dests: fn sees their trees
-// in the order listed, under the same contract (vantages, workers and
-// the overlap with the next window included). Unknown ASNs are skipped.
-func (e *Engine) ForEachTreeOf(v *Vantages, workers int, dests []bgp.ASN, fn func(*Tree)) {
+// in the order listed, under the same contract (vantages and the
+// overlap with the next window included). Unknown ASNs are skipped.
+func (e *Engine) ForEachTreeOf(v *Vantages, dests []bgp.ASN, fn func(*Tree)) {
 	if v.e != e {
 		panic("propagate: ForEachTree with another engine's Vantages")
 	}
-	workers = par.Workers(workers)
 	take := func() []bgp.ASN {
 		batch := dests[:min(len(dests), sweepWindow)]
 		dests = dests[len(batch):]
@@ -390,25 +389,23 @@ func (e *Engine) ForEachTreeOf(v *Vantages, workers int, dests []bgp.ASN, fn fun
 	}()
 	cur, next := make([]*Tree, min(len(dests), sweepWindow)), []*Tree(nil)
 	batch := take()
-	e.computeWindow(v, workers, batch, cur)
+	e.computeWindow(v, batch, cur)
 	for len(batch) > 0 {
 		following := take()
-		if workers <= 1 || len(following) == 0 {
+		if len(following) == 0 {
 			e.drainWindow(cur[:len(batch)], fn)
-			e.computeWindow(v, workers, following, cur)
-			batch = following
-			continue
+			return
 		}
-		// Double buffer: the workers fill the other window while fn
+		// Double buffer: the pool fills the other window while fn
 		// drains this one on the caller's goroutine.
 		if next == nil {
 			next = make([]*Tree, sweepWindow)
 		}
 		done = make(chan struct{})
-		go func(workers int, batch []bgp.ASN, out []*Tree, done chan struct{}) {
+		go func(batch []bgp.ASN, out []*Tree, done chan struct{}) {
 			defer close(done)
-			e.computeWindow(v, workers, batch, out)
-		}(workers, following, next, done)
+			e.computeWindow(v, batch, out)
+		}(following, next, done)
 		e.drainWindow(cur[:len(batch)], fn)
 		<-done
 		done = nil
@@ -417,12 +414,12 @@ func (e *Engine) ForEachTreeOf(v *Vantages, workers int, dests []bgp.ASN, fn fun
 }
 
 // computeWindow computes the trees of batch into out[:len(batch)] on
-// workers goroutines, leaving nil where a destination is unknown.
-func (e *Engine) computeWindow(v *Vantages, workers int, batch []bgp.ASN, out []*Tree) {
+// the shared pool, leaving nil where a destination is unknown.
+func (e *Engine) computeWindow(v *Vantages, batch []bgp.ASN, out []*Tree) {
 	if len(batch) == 0 {
 		return
 	}
-	par.Run(workers, len(batch), func(i int) {
+	par.Run(len(batch), func(i int) {
 		di, ok := e.idx[batch[i]]
 		if !ok {
 			return

@@ -418,7 +418,7 @@ func TestForEachTreeCoversAllDestinations(t *testing.T) {
 	topo := buildWorld()
 	e := NewEngine(topo, 0)
 	var got []bgp.ASN
-	e.ForEachTree(e.NewVantages(nil), 3, func(tr *Tree) {
+	e.ForEachTree(e.NewVantages(nil), func(tr *Tree) {
 		got = append(got, tr.Dest())
 	})
 	if len(got) != len(topo.Order) {

@@ -102,10 +102,10 @@ func (b *RSRIBBuilder) RIBs() map[string]*RSRIB { return b.out }
 
 // BuildRSRIBs computes the route server RIBs of every IXP in one pass
 // over all destination trees: an RSRIBBuilder as the only consumer of
-// its own sweep, which has no vantages and so no downward phase.
-// workers follows Engine.ForEachTree.
-func BuildRSRIBs(e *Engine, workers int) map[string]*RSRIB {
+// its own sweep, which has no vantages and so no downward phase. The
+// second argument is ignored: the sweep is GOMAXPROCS wide.
+func BuildRSRIBs(e *Engine, _ int) map[string]*RSRIB {
 	b := NewRSRIBBuilder(e)
-	e.ForEachTree(e.NewVantages(nil), workers, b.Add)
+	e.ForEachTree(e.NewVantages(nil), b.Add)
 	return b.RIBs()
 }

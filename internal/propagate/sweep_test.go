@@ -3,6 +3,7 @@ package propagate
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -99,7 +100,7 @@ func TestSweepMatchesFullTree(t *testing.T) {
 		}
 		trees, uncomputed := 0, 0
 		var swept, fullRoutes RouteArena
-		e.ForEachTree(v, 2, func(tr *Tree) {
+		e.ForEachTree(v, func(tr *Tree) {
 			trees++
 			swept.Reset()
 			fullRoutes.Reset()
@@ -155,11 +156,12 @@ func TestSweepMatchesFullTree(t *testing.T) {
 }
 
 // TestForEachTreeOfWindows pins the double-buffered sweep's delivery:
-// for 1, 2 and 4 workers, over dest lists around the window size (an
-// unknown ASN and repeats included), fn sees exactly the trees a
-// one-at-a-time sweep gives, in the order listed, on the caller's
-// goroutine one call at a time.
+// at GOMAXPROCS 1, 2 and 4 (the pool's width), over dest lists around
+// the window size (an unknown ASN and repeats included), fn sees
+// exactly the trees a one-at-a-time sweep gives, in the order listed,
+// on the caller's goroutine one call at a time.
 func TestForEachTreeOfWindows(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	topo, err := topology.Generate(topology.TestConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -181,12 +183,13 @@ func TestForEachTreeOfWindows(t *testing.T) {
 		}
 		var want [][]byte
 		for _, d := range dests {
-			e.ForEachTreeOf(v, 1, []bgp.ASN{d}, func(tr *Tree) { want = append(want, tr.AppendState(nil)) })
+			e.ForEachTreeOf(v, []bgp.ASN{d}, func(tr *Tree) { want = append(want, tr.AppendState(nil)) })
 		}
 		for _, workers := range []int{1, 2, 4} {
+			runtime.GOMAXPROCS(workers)
 			var got [][]byte
 			inFn := false
-			e.ForEachTreeOf(v, workers, dests, func(tr *Tree) {
+			e.ForEachTreeOf(v, dests, func(tr *Tree) {
 				if inFn {
 					t.Fatal("fn entered twice at once")
 				}

@@ -2,6 +2,7 @@ package propagate
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -16,7 +17,7 @@ func routesAt(topo *topology.Topology) map[bgp.ASN][]string {
 	e := NewEngine(topo, 0)
 	out := make(map[bgp.ASN][]string, len(topo.Order))
 	var arena RouteArena
-	e.ForEachTree(e.NewVantages(topo.Order), 4, func(tr *Tree) {
+	e.ForEachTree(e.NewVantages(topo.Order), func(tr *Tree) {
 		fps := make([]string, len(topo.Order))
 		for i, v := range topo.Order {
 			arena.Reset()
@@ -158,9 +159,10 @@ func TestVisibleEdgeCases(t *testing.T) {
 // subsets (spanning more than one compute window), the empty subset and
 // unknown ASNs give the same callback sequence — the listed known
 // destinations, in order, each with the tree Engine.Tree computes — at
-// workers 1, 2 and 8. Every AS is a vantage, so the swept hop tables are
-// the full ones.
+// GOMAXPROCS 1, 2 and 8 (the pool's width). Every AS is a vantage, so
+// the swept hop tables are the full ones.
 func TestForEachTreeOfSubsets(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	topo, err := topology.Generate(topology.TestConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -200,8 +202,9 @@ func TestForEachTreeOfSubsets(t *testing.T) {
 			}
 		}
 		for _, workers := range []int{1, 2, 8} {
+			runtime.GOMAXPROCS(workers)
 			var got []bgp.ASN
-			e.ForEachTreeOf(all, workers, dests, func(tr *Tree) {
+			e.ForEachTreeOf(all, dests, func(tr *Tree) {
 				got = append(got, tr.Dest())
 				diffSnapshots(t, name, snapshotTree(e.Tree(tr.Dest())), snapshotTree(tr))
 			})

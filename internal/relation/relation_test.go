@@ -141,7 +141,7 @@ func TestInferAgainstGroundTruth(t *testing.T) {
 	// Public view: every feeder's exported best paths.
 	var arena propagate.RouteArena // never reset: the kept paths stay valid
 	var paths [][]bgp.ASN
-	e.ForEachTree(feederVantages(e), 4, func(tr *propagate.Tree) {
+	e.ForEachTree(feederVantages(e), func(tr *propagate.Tree) {
 		for _, f := range topo.Feeders {
 			r := tr.RouteFromArena(f.ASN, &arena)
 			if r == nil {
@@ -210,7 +210,7 @@ func TestCliqueRecovery(t *testing.T) {
 	e := propagate.NewEngine(topo, 0)
 	var arena propagate.RouteArena // never reset: the kept paths stay valid
 	var paths [][]bgp.ASN
-	e.ForEachTree(feederVantages(e), 4, func(tr *propagate.Tree) {
+	e.ForEachTree(feederVantages(e), func(tr *propagate.Tree) {
 		for _, f := range topo.Feeders {
 			if r := tr.RouteFromArena(f.ASN, &arena); r != nil {
 				paths = append(paths, r.Path)

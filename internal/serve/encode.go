@@ -42,7 +42,7 @@ func appendLinkArray(dst []byte, links []core.IndexedLink) []byte {
 func appendMeshHead(dst []byte, epoch, fingerprint uint64) []byte {
 	dst = core.AppendField(dst, `{"epoch":`, epoch)
 	dst = append(dst, `,"fingerprint":"`...)
-	dst = append(dst, FingerprintHex(fingerprint)...)
+	dst = append(dst, fingerprintHex(fingerprint)...)
 	return append(dst, `","links":`...)
 }
 

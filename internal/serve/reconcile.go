@@ -85,7 +85,7 @@ func (g *Gateway) replay(ctx context.Context, ct *experiments.ChurnTrace) error 
 		g.publish(newSnapshot(g.boot, epoch, scenario, pw, now))
 		logf("serve: epoch %d committed: window=[%s, %s) links=%d fp=%s",
 			epoch, pw.Start.Format(time.RFC3339), pw.End.Format(time.RFC3339),
-			pw.Result.TotalLinks(), FingerprintHex(g.cur.Load().Fingerprint))
+			pw.Result.TotalLinks(), fingerprintHex(g.cur.Load().Fingerprint))
 		if wait := g.cfg.EpochInterval - time.Since(now); wait > 0 {
 			select {
 			case <-ctx.Done():

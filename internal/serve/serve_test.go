@@ -505,7 +505,7 @@ func TestGatewayEndToEndEpochs(t *testing.T) {
 			if err := json.Unmarshal(rr.Body.Bytes(), &body); err != nil {
 				t.Fatal(err)
 			}
-			if want := FingerprintHex(first.Fingerprint); body.Fingerprint != want {
+			if want := fingerprintHex(first.Fingerprint); body.Fingerprint != want {
 				t.Fatalf("epoch %d opens a cycle with fingerprint %s, epoch 1's is %s", last, body.Fingerprint, want)
 			}
 		}

@@ -187,9 +187,9 @@ func mustJSON(v any) []byte {
 	return b
 }
 
-// FingerprintHex is the canonical hex spelling of a mesh fingerprint
+// fingerprintHex is the canonical hex spelling of a mesh fingerprint
 // used in payloads and ETags.
-func FingerprintHex(fp uint64) string { return fmt.Sprintf("%016x", fp) }
+func fingerprintHex(fp uint64) string { return fmt.Sprintf("%016x", fp) }
 
 // The exported renders below are pure functions of (epoch, result,
 // query) producing exactly the bytes the gateway serves for them — the
@@ -247,7 +247,7 @@ func RenderAS(epoch uint64, r *core.Result, asn bgp.ASN) []byte {
 func renderEpochMeta(s *Snapshot) []byte {
 	return mustJSON(epochDTO{
 		Epoch:       s.Epoch,
-		Fingerprint: FingerprintHex(s.Fingerprint),
+		Fingerprint: fingerprintHex(s.Fingerprint),
 		Scenario:    s.Scenario,
 		WindowStart: s.WindowStart,
 		WindowEnd:   s.WindowEnd,
@@ -257,5 +257,5 @@ func renderEpochMeta(s *Snapshot) []byte {
 }
 
 func renderStats(s *Snapshot) []byte {
-	return mustJSON(statsDTO{Epoch: s.Epoch, Fingerprint: FingerprintHex(s.Fingerprint), Stats: s.Stats})
+	return mustJSON(statsDTO{Epoch: s.Epoch, Fingerprint: fingerprintHex(s.Fingerprint), Stats: s.Stats})
 }

@@ -29,7 +29,7 @@ import (
 // task up.
 func (b *Builder) fanOut(stage string, n int, name func(int) string, compute func(rng *rand.Rand, i int) func()) {
 	commits := make([]func(), n)
-	par.Run(par.Workers(0), n, func(i int) {
+	par.Run(n, func(i int) {
 		commits[i] = compute(b.StageIXPRNG(stage, name(i)), i)
 	})
 	for _, c := range commits {
