@@ -243,12 +243,8 @@ func activeVariant(b *testing.B, mutate func(*core.ActiveConfig)) int {
 	c := fixture(b)
 	cfg := core.DefaultActiveConfig()
 	mutate(&cfg)
-	hints := make(map[bgp.ASN][]bgp.Prefix)
-	for p, origin := range c.Run.Passive.PrefixOrigins {
-		hints[origin] = append(hints[origin], p)
-	}
 	r, err := core.RunActive(context.Background(), c.Run.Dict, c.World.LGEndpoints(0),
-		c.Run.Passive.Obs, hints, cfg)
+		c.Run.Passive.Obs, c.Run.Passive.PrefixesByOrigin(), cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -295,11 +291,9 @@ func BenchmarkAblationReciprocity(b *testing.B) {
 		seen := make(map[topology.LinkKey]bool)
 		for _, x := range c.Run.Result.PerIXP {
 			for i2, a := range x.Covered {
-				fa := x.Filters[a]
 				for _, bb := range x.Covered[i2+1:] {
-					fb := x.Filters[bb]
-					if fa.Allows(bb) || fb.Allows(a) {
-						seen[topology.MakeLinkKey(a, bb)] = true
+					if a.Filter.Allows(bb.ASN) || bb.Filter.Allows(a.ASN) {
+						seen[topology.MakeLinkKey(a.ASN, bb.ASN)] = true
 					}
 				}
 			}
@@ -1116,10 +1110,7 @@ func BenchmarkFullPipelinePaper(b *testing.B) {
 		}
 		passive += time.Since(t0)
 
-		hints := make(map[bgp.ASN][]bgp.Prefix)
-		for p, origin := range pas.PrefixOrigins {
-			hints[origin] = append(hints[origin], p)
-		}
+		hints := pas.PrefixesByOrigin()
 		t0 = time.Now()
 		act, err := core.RunActive(ctx, dict, w.LGEndpoints(0), pas.Obs, hints, core.DefaultActiveConfig())
 		if err != nil {

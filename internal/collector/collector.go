@@ -27,12 +27,19 @@ const collectorASN bgp.ASN = 64999
 type Collector struct {
 	Name    string
 	engine  *propagate.Engine
-	feeders []topology.Feeder
-	addrs   map[bgp.ASN]netip.Addr
-	strips  []bool // per feeder: feeder's own export strips communities
+	feeders []feeder
 	// sweep holds every feeder: the vantages of each sweep whose trees
 	// reach a RIBWriter, an UpdateStream or WriteUpdates.
 	sweep *propagate.Vantages
+}
+
+// feeder is one feeder session of the collector: the feeder, its
+// session address and whether its own export strips communities. Its
+// index in Collector.feeders is its peer index in the RIB dump.
+type feeder struct {
+	topology.Feeder
+	addr   netip.Addr
+	strips bool
 }
 
 // attrSlot is a reusable per-feeder attribute buffer for RIB dumps: the
@@ -52,22 +59,16 @@ func New(name string, engine *propagate.Engine, feeders []topology.Feeder, _ int
 	if feeders == nil {
 		feeders = engine.Topology().Feeders
 	}
-	c := &Collector{
-		Name:    name,
-		engine:  engine,
-		feeders: feeders,
-		addrs:   make(map[bgp.ASN]netip.Addr, len(feeders)),
-	}
-	c.strips = make([]bool, len(feeders))
+	c := &Collector{Name: name, engine: engine, feeders: make([]feeder, len(feeders))}
 	topo := engine.Topology()
 	asns := make([]bgp.ASN, len(feeders))
 	for i, f := range feeders {
 		asns[i] = f.ASN
 		// Feeder session addresses live in 192.0.2.0/24-style space,
 		// expanded to /16 for large feeder sets.
-		c.addrs[f.ASN] = netip.AddrFrom4([4]byte{192, 0, byte(2 + i/250), byte(1 + i%250)})
+		c.feeders[i] = feeder{Feeder: f, addr: netip.AddrFrom4([4]byte{192, 0, byte(2 + i/250), byte(1 + i%250)})}
 		if as := topo.ASes[f.ASN]; as != nil {
-			c.strips[i] = as.StripsCommunities
+			c.feeders[i].strips = as.StripsCommunities
 		}
 	}
 	c.sweep = engine.NewVantages(asns)
@@ -82,10 +83,10 @@ func (c *Collector) Vantages() *propagate.Vantages { return c.sweep }
 // Engine returns the propagation engine the collector observes.
 func (c *Collector) Engine() *propagate.Engine { return c.engine }
 
-// exports reports whether feeder f exports its route toward a
-// destination, per its feed kind: peer-style feeders (two-thirds of
-// collector peers, §2.3) export only customer routes.
-func exports(f topology.Feeder, class propagate.Class) bool {
+// exports reports whether f exports its route toward a destination,
+// per its feed kind: peer-style feeders (two-thirds of collector peers,
+// §2.3) export only customer routes.
+func (f *feeder) exports(class propagate.Class) bool {
 	if f.Kind == topology.FeedFull {
 		return class != propagate.ClassNone
 	}
@@ -99,12 +100,11 @@ func exports(f topology.Feeder, class propagate.Class) bool {
 // carries only the routes its vantages can see. The first write error
 // sticks: later trees are dropped and Close reports it.
 type RIBWriter struct {
-	c         *Collector
-	mw        *mrt.Writer
-	ts        time.Time
-	peerIndex map[bgp.ASN]uint16
-	seq       uint32
-	err       error
+	c   *Collector
+	mw  *mrt.Writer
+	ts  time.Time
+	seq uint32
+	err error
 	// Entry and attribute buffers are reused across destinations: each
 	// record is marshaled before the next tree is consumed.
 	entries []mrt.RIBEntry
@@ -119,24 +119,18 @@ type RIBWriter struct {
 // now, one record per prefix of every tree handed to Add follows.
 func (c *Collector) NewRIBWriter(w io.Writer, ts time.Time) *RIBWriter {
 	rw := &RIBWriter{
-		c:         c,
-		mw:        mrt.NewWriter(w),
-		ts:        ts,
-		peerIndex: make(map[bgp.ASN]uint16, len(c.feeders)),
-		entries:   make([]mrt.RIBEntry, 0, len(c.feeders)),
-		slots:     make([]attrSlot, len(c.feeders)),
+		c:       c,
+		mw:      mrt.NewWriter(w),
+		ts:      ts,
+		entries: make([]mrt.RIBEntry, 0, len(c.feeders)),
+		slots:   make([]attrSlot, len(c.feeders)),
 	}
 	idx := &mrt.PeerIndexTable{
 		CollectorID: collectorAddr,
 		ViewName:    c.Name,
 	}
-	for i, f := range c.feeders {
-		rw.peerIndex[f.ASN] = uint16(i)
-		idx.Peers = append(idx.Peers, mrt.Peer{
-			BGPID: c.addrs[f.ASN],
-			Addr:  c.addrs[f.ASN],
-			ASN:   f.ASN,
-		})
+	for _, f := range c.feeders {
+		idx.Peers = append(idx.Peers, mrt.Peer{BGPID: f.addr, Addr: f.addr, ASN: f.ASN})
 	}
 	rw.err = rw.mw.WritePeerIndexTable(ts, idx)
 	return rw
@@ -155,9 +149,10 @@ func (rw *RIBWriter) Add(tr *propagate.Tree) {
 	}
 	entries := rw.entries[:0]
 	rw.arena.Reset()
-	for i, f := range c.feeders {
+	for i := range c.feeders {
+		f := &c.feeders[i]
 		route := tr.RouteFromArena(f.ASN, &rw.arena)
-		if route == nil || !exports(f, route.Class) {
+		if route == nil || !f.exports(route.Class) {
 			continue
 		}
 		sl := &rw.slots[len(entries)]
@@ -165,16 +160,16 @@ func (rw *RIBWriter) Add(tr *propagate.Tree) {
 		sl.attrs = bgp.PathAttrs{
 			Origin:  bgp.OriginIGP,
 			ASPath:  sl.seg[:],
-			NextHop: c.addrs[f.ASN],
+			NextHop: f.addr,
 		}
 		// The feeder's own export may strip communities; the route's
 		// Communities field already accounts for stripping on
 		// interior hops.
-		if !c.strips[i] {
+		if !f.strips {
 			sl.attrs.Communities = route.Communities
 		}
 		entries = append(entries, mrt.RIBEntry{
-			PeerIndex:  rw.peerIndex[f.ASN],
+			PeerIndex:  uint16(i),
 			Originated: rw.ts,
 			Attrs:      &sl.attrs,
 		})
@@ -209,29 +204,29 @@ func (c *Collector) WriteRIB(w io.Writer, ts time.Time) error {
 	return rw.Close()
 }
 
-// routeAttrs converts feeder i's vantage route into BGP path
-// attributes as the collector would record them.
-func (c *Collector) routeAttrs(i int, route *propagate.VantageRoute) *bgp.PathAttrs {
+// routeAttrs converts f's vantage route into BGP path attributes as
+// the collector would record them.
+func (f *feeder) routeAttrs(route *propagate.VantageRoute) *bgp.PathAttrs {
 	attrs := &bgp.PathAttrs{
 		Origin:  bgp.OriginIGP,
 		ASPath:  bgp.NewASPath(route.Path...),
-		NextHop: c.addrs[c.feeders[i].ASN],
+		NextHop: f.addr,
 	}
 	// The feeder's own export may strip communities; the route's
 	// Communities field already accounts for stripping on interior hops.
-	if !c.strips[i] {
+	if !f.strips {
 		attrs.Communities = route.Communities.Clone()
 	}
 	return attrs
 }
 
-// writeUpdate archives upd as received from feeder f at ts: the one
-// BGP4MP envelope of every message the collector writes.
-func (c *Collector) writeUpdate(mw *mrt.Writer, f topology.Feeder, upd *bgp.Update, ts time.Time) error {
+// writeUpdate archives upd as received from f at ts: the one BGP4MP
+// envelope of every message the collector writes.
+func (f *feeder) writeUpdate(mw *mrt.Writer, upd *bgp.Update, ts time.Time) error {
 	return mw.WriteBGP4MP(ts, &mrt.BGP4MPMessage{
 		PeerASN:   f.ASN,
 		LocalASN:  collectorASN,
-		PeerAddr:  c.addrs[f.ASN],
+		PeerAddr:  f.addr,
 		LocalAddr: collectorAddr,
 		Message:   upd,
 		AS4:       true,
@@ -282,40 +277,38 @@ func (c *Collector) WriteUpdates(w io.Writer, ts time.Time, opts UpdateOptions) 
 	// tolerate (and count) instead of dropping on the floor.
 	var arena propagate.RouteArena
 	for i := 0; i < opts.Churn; i++ {
-		fi := rng.Intn(len(c.feeders))
-		f := c.feeders[fi]
+		f := &c.feeders[rng.Intn(len(c.feeders))]
 		d := dests[rng.Intn(len(dests))]
 		route := c.routeFrom(f.ASN, d, &arena)
-		if route == nil || !exports(f, route.Class) {
+		if route == nil || !f.exports(route.Class) {
 			continue
 		}
 		prefixes := topo.ASes[d].Prefixes
 		p := prefixes[rng.Intn(len(prefixes))]
 		at := ts.Add(time.Duration(rng.Intn(3590)) * time.Second)
-		if err := c.writeUpdate(mw, f, &bgp.Update{Withdrawn: []bgp.Prefix{p}}, at); err != nil {
+		if err := f.writeUpdate(mw, &bgp.Update{Withdrawn: []bgp.Prefix{p}}, at); err != nil {
 			return err
 		}
 		reAt := at.Add(time.Duration(1+rng.Intn(9)) * time.Second)
-		if err := c.writeUpdate(mw, f, &bgp.Update{Attrs: c.routeAttrs(fi, route), NLRI: []bgp.Prefix{p}}, reAt); err != nil {
+		if err := f.writeUpdate(mw, &bgp.Update{Attrs: f.routeAttrs(route), NLRI: []bgp.Prefix{p}}, reAt); err != nil {
 			return err
 		}
 	}
 
 	pollute := func(n int, mangle func(path []bgp.ASN) []bgp.ASN) error {
 		for i := 0; i < n; i++ {
-			fi := rng.Intn(len(c.feeders))
-			f := c.feeders[fi]
+			f := &c.feeders[rng.Intn(len(c.feeders))]
 			d := dests[rng.Intn(len(dests))]
 			route := c.routeFrom(f.ASN, d, &arena)
 			if route == nil {
 				continue
 			}
-			attrs := c.routeAttrs(fi, route)
+			attrs := f.routeAttrs(route)
 			attrs.ASPath = bgp.NewASPath(mangle(append([]bgp.ASN(nil), route.Path...))...)
 			prefixes := topo.ASes[d].Prefixes
 			p := prefixes[rng.Intn(len(prefixes))]
 			at := ts.Add(time.Duration(rng.Intn(3600)) * time.Second)
-			if err := c.writeUpdate(mw, f, &bgp.Update{Attrs: attrs, NLRI: []bgp.Prefix{p}}, at); err != nil {
+			if err := f.writeUpdate(mw, &bgp.Update{Attrs: attrs, NLRI: []bgp.Prefix{p}}, at); err != nil {
 				return err
 			}
 		}

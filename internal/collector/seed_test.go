@@ -37,8 +37,9 @@ func seedWorld(t testing.TB, cfg topology.Config) (*Collector, *mrt.Dump) {
 
 // sameBaseline reports whether two streams hold the same diff baseline.
 func sameBaseline(a, b *UpdateStream) bool {
-	return maps.EqualFunc(a.prefixes, b.prefixes, slices.Equal) &&
-		maps.EqualFunc(a.routes, b.routes, slices.Equal)
+	return maps.EqualFunc(a.dests, b.dests, func(x, y destState) bool {
+		return slices.Equal(x.prefixes, y.prefixes) && slices.Equal(x.routes, y.routes)
+	})
 }
 
 // TestUpdateStreamSeedMatchesSweep pins the seeded baseline to the
@@ -69,11 +70,11 @@ func TestUpdateStreamSeedMatchesSweep(t *testing.T) {
 				t.Fatal(err)
 			}
 			swept := NewUpdateStream(col)
-			if len(swept.routes) == 0 {
+			if len(swept.dests) == 0 {
 				t.Fatal("empty baseline; test is vacuous")
 			}
 			if !sameBaseline(seeded, swept) {
-				t.Fatalf("seeded baseline (%d destinations) differs from the swept one (%d)", len(seeded.routes), len(swept.routes))
+				t.Fatalf("seeded baseline (%d destinations) differs from the swept one (%d)", len(seeded.dests), len(swept.dests))
 			}
 		})
 	}
@@ -194,9 +195,9 @@ func FuzzUpdateStreamSeed(f *testing.F) {
 		if op%16 == 0 && !sameBaseline(s, base) {
 			t.Fatal("an unmutated copy seeded another baseline")
 		}
-		for dest, fps := range s.routes {
-			if len(fps) != len(col.feeders) || len(s.prefixes[dest]) == 0 {
-				t.Fatalf("%s: %d fingerprints, %d prefixes", dest, len(fps), len(s.prefixes[dest]))
+		for dest, d := range s.dests {
+			if len(d.routes) != len(col.feeders) || len(d.prefixes) == 0 {
+				t.Fatalf("%s: %d fingerprints, %d prefixes", dest, len(d.routes), len(d.prefixes))
 			}
 		}
 	})

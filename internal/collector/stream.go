@@ -30,12 +30,17 @@ type UpdateStream struct {
 	vantages *propagate.Vantages
 	visible  int // destinations the last WriteEpoch walked
 
-	// Per destination: the prefix list announced at snapshot time and,
-	// per feeder, a fingerprint of the route as exported to the
-	// collector ("" = feeder had no exportable route). Destinations
-	// absent from the maps announced nothing.
-	prefixes map[bgp.ASN][]bgp.Prefix
-	routes   map[bgp.ASN][]string
+	// dests holds what each destination announced at snapshot time.
+	// Destinations absent from it announced nothing.
+	dests map[bgp.ASN]destState
+}
+
+// destState is one destination's snapshot: its prefix list and, per
+// feeder, a fingerprint of the route as exported to the collector (""
+// = feeder had no exportable route).
+type destState struct {
+	prefixes []bgp.Prefix
+	routes   []string
 }
 
 // newStream returns a stream over col with an empty baseline.
@@ -49,8 +54,7 @@ func newStream(col *Collector) *UpdateStream {
 	return &UpdateStream{
 		col:      col,
 		vantages: col.engine.NewVantages(full),
-		prefixes: make(map[bgp.ASN][]bgp.Prefix),
-		routes:   make(map[bgp.ASN][]string),
+		dests:    make(map[bgp.ASN]destState),
 	}
 }
 
@@ -68,8 +72,8 @@ func SeedUpdateStream(col *Collector, dump *mrt.Dump) (*UpdateStream, error) {
 		return nil, fmt.Errorf("collector %s: dump peer table does not list the %d feeders", col.Name, len(col.feeders))
 	}
 	for i, f := range col.feeders {
-		if p := dump.Index.Peers[i]; p.ASN != f.ASN || p.Addr != col.addrs[f.ASN] {
-			return nil, fmt.Errorf("collector %s: dump peer %d is %s at %s, want feeder %s at %s", col.Name, i, p.ASN, p.Addr, f.ASN, col.addrs[f.ASN])
+		if p := dump.Index.Peers[i]; p.ASN != f.ASN || p.Addr != f.addr {
+			return nil, fmt.Errorf("collector %s: dump peer %d is %s at %s, want feeder %s at %s", col.Name, i, p.ASN, p.Addr, f.ASN, f.addr)
 		}
 	}
 	s := newStream(col)
@@ -104,14 +108,13 @@ func SeedUpdateStream(col *Collector, dump *mrt.Dump) (*UpdateStream, error) {
 				return nil, fmt.Errorf("collector %s: dump record %d, peer %d: AS path is not one non-empty AS_SEQUENCE", col.Name, j, i)
 			}
 			comms := a.Communities
-			if col.strips[i] {
+			if col.feeders[i].strips {
 				comms = nil
 			}
 			buf = appendFingerprint(buf[:0], a.ASPath[0].ASNs, comms)
 			fps[i] = string(buf)
 		}
-		s.prefixes[dest] = append([]bgp.Prefix(nil), ps...)
-		s.routes[dest] = fps
+		s.dests[dest] = destState{prefixes: slices.Clone(ps), routes: fps}
 		j += len(ps)
 	}
 	if j < len(recs) {
@@ -145,27 +148,25 @@ func (s *UpdateStream) capture(tr *propagate.Tree, arena *propagate.RouteArena) 
 	dest := tr.Dest()
 	ps := topo.ASes[dest].Prefixes
 	if len(ps) == 0 {
-		delete(s.prefixes, dest)
-		delete(s.routes, dest)
+		delete(s.dests, dest)
 		return
 	}
 	fps := make([]string, len(s.col.feeders))
 	any := false
-	for i, f := range s.col.feeders {
+	for i := range s.col.feeders {
+		f := &s.col.feeders[i]
 		route := tr.RouteFromArena(f.ASN, arena)
-		if route == nil || !exports(f, route.Class) {
+		if route == nil || !f.exports(route.Class) {
 			continue
 		}
-		fps[i] = routeFingerprint(route, s.col.strips[i])
+		fps[i] = routeFingerprint(route, f.strips)
 		any = true
 	}
 	if !any {
-		delete(s.prefixes, dest)
-		delete(s.routes, dest)
+		delete(s.dests, dest)
 		return
 	}
-	s.prefixes[dest] = append([]bgp.Prefix(nil), ps...)
-	s.routes[dest] = fps
+	s.dests[dest] = destState{prefixes: slices.Clone(ps), routes: fps}
 }
 
 // routeFingerprint canonically encodes the announced path and (unless
@@ -235,8 +236,8 @@ func (s *UpdateStream) writeEpoch(w io.Writer, ts time.Time, window time.Duratio
 			return
 		}
 		dest := tr.Dest()
-		oldPs := s.prefixes[dest]
-		oldFps := s.routes[dest]
+		old := s.dests[dest]
+		oldPs := old.prefixes
 		newPs := topo.ASes[dest].Prefixes
 
 		arena.Reset()
@@ -249,17 +250,18 @@ func (s *UpdateStream) writeEpoch(w io.Writer, ts time.Time, window time.Duratio
 		if len(newPs) > 0 {
 			newFps = make([]string, len(s.col.feeders))
 		}
-		for i, f := range s.col.feeders {
+		for i := range s.col.feeders {
+			f := &s.col.feeders[i]
 			var oldFp string
-			if oldFps != nil {
-				oldFp = oldFps[i]
+			if old.routes != nil {
+				oldFp = old.routes[i]
 			}
 			var newFp string
 			var route *propagate.VantageRoute
 			if newFps != nil {
 				route = tr.RouteFromArena(f.ASN, &arena)
-				if route != nil && exports(f, route.Class) {
-					newFp = routeFingerprint(route, s.col.strips[i])
+				if route != nil && f.exports(route.Class) {
+					newFp = routeFingerprint(route, f.strips)
 					newFps[i] = newFp
 					any = true
 				} else {
@@ -269,7 +271,7 @@ func (s *UpdateStream) writeEpoch(w io.Writer, ts time.Time, window time.Duratio
 			switch {
 			case oldFp != "" && newFp == "":
 				// Route gone: withdraw everything previously announced.
-				if err = s.col.writeUpdate(mw, f, &bgp.Update{Withdrawn: oldPs}, stamp()); err != nil {
+				if err = f.writeUpdate(mw, &bgp.Update{Withdrawn: oldPs}, stamp()); err != nil {
 					return
 				}
 				withdrawn += len(oldPs)
@@ -278,25 +280,25 @@ func (s *UpdateStream) writeEpoch(w io.Writer, ts time.Time, window time.Duratio
 				// prefixes (an UPDATE implicitly replaces the old
 				// route), and withdraw prefixes that left the set.
 				if gone := prefixesOnlyIn(oldPs, newPs); len(gone) > 0 && oldFp != "" {
-					if err = s.col.writeUpdate(mw, f, &bgp.Update{Withdrawn: gone}, stamp()); err != nil {
+					if err = f.writeUpdate(mw, &bgp.Update{Withdrawn: gone}, stamp()); err != nil {
 						return
 					}
 					withdrawn += len(gone)
 				}
-				if err = s.col.writeUpdate(mw, f, &bgp.Update{Attrs: s.col.routeAttrs(i, route), NLRI: newPs}, stamp()); err != nil {
+				if err = f.writeUpdate(mw, &bgp.Update{Attrs: f.routeAttrs(route), NLRI: newPs}, stamp()); err != nil {
 					return
 				}
 				announced += len(newPs)
 			case newFp != "" && oldFp == newFp:
 				// Same route; only the prefix set may have moved.
 				if gone := prefixesOnlyIn(oldPs, newPs); len(gone) > 0 {
-					if err = s.col.writeUpdate(mw, f, &bgp.Update{Withdrawn: gone}, stamp()); err != nil {
+					if err = f.writeUpdate(mw, &bgp.Update{Withdrawn: gone}, stamp()); err != nil {
 						return
 					}
 					withdrawn += len(gone)
 				}
 				if added := prefixesOnlyIn(newPs, oldPs); len(added) > 0 {
-					if err = s.col.writeUpdate(mw, f, &bgp.Update{Attrs: s.col.routeAttrs(i, route), NLRI: added}, stamp()); err != nil {
+					if err = f.writeUpdate(mw, &bgp.Update{Attrs: f.routeAttrs(route), NLRI: added}, stamp()); err != nil {
 						return
 					}
 					announced += len(added)
@@ -305,11 +307,9 @@ func (s *UpdateStream) writeEpoch(w io.Writer, ts time.Time, window time.Duratio
 		}
 		// Refresh the snapshot from the fingerprints just computed.
 		if any {
-			s.prefixes[dest] = append([]bgp.Prefix(nil), newPs...)
-			s.routes[dest] = newFps
+			s.dests[dest] = destState{prefixes: slices.Clone(newPs), routes: newFps}
 		} else {
-			delete(s.prefixes, dest)
-			delete(s.routes, dest)
+			delete(s.dests, dest)
 		}
 	})
 	if err != nil {

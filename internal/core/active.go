@@ -74,8 +74,11 @@ func (r *ActiveResult) TotalQueries() int {
 
 // RunActive surveys every IXP's looking glasses per §4.1/§4.3.
 // prefixHints maps origin ASes to prefixes they are known to originate
-// (from passive data); it steers third-party member LG queries. Each
-// IXP's survey runs on its own goroutine.
+// (from passive data, e.g. PassiveResult.PrefixesByOrigin); it steers
+// third-party member LG queries, which walk each member's hints in
+// ascending prefix order whatever order the caller built them in, so
+// the observations do not depend on it. Each IXP's survey runs on its
+// own goroutine.
 //
 // The first survey error cancels the in-flight sibling surveys and is
 // returned once they drain; whatever observations each survey collected
@@ -287,7 +290,7 @@ func surveyMemberLGs(ctx context.Context, entry *IXPEntry, lgs []MemberLG,
 		if cfg.SkipPassiveCovered && passive != nil && passive.Covered(entry.Name, member) {
 			continue
 		}
-		hints := prefixHints[member]
+		hints := slices.SortedFunc(slices.Values(prefixHints[member]), bgp.ComparePrefixes)
 		if len(hints) == 0 {
 			continue
 		}

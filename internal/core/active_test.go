@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/netip"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -230,5 +231,67 @@ func TestRunActiveFirstErrorCancelsSiblings(t *testing.T) {
 	}
 	if res.QueriesPerIXP["MSK-IX"] == 0 {
 		t.Error("MSK-IX query cost dropped on error")
+	}
+}
+
+// TestRunActiveIgnoresHintOrder pins the member LG survey to the hints'
+// content, not their order: with every member's hint list reversed it
+// returns the same observations and query counts. Each member
+// originates 30 prefixes and the survey samples 3 of them, so a survey
+// that walked the hints as given would observe other prefixes.
+func TestRunActiveIgnoresHintOrder(t *testing.T) {
+	const name = "ECIX"
+	members := []bgp.ASN{100, 200}
+	hints := make(map[bgp.ASN][]bgp.Prefix)
+	origin := make(map[bgp.Prefix]bgp.ASN)
+	for _, m := range members {
+		for i := range 30 {
+			p := bgp.MustPrefix(fmt.Sprintf("10.%d.%d.0/24", m, i))
+			hints[m] = append(hints[m], p)
+			origin[p] = m
+		}
+	}
+	// The member LG sees every origin's route with its RS community.
+	srv := lg.NewServer()
+	srv.Mount("member", &fakeLGBackend{asn: 300, lookup: func(p bgp.Prefix) ([]lg.PathInfo, error) {
+		return []lg.PathInfo{{Path: []bgp.ASN{origin[p], 300}, NextHop: netip.MustParseAddr("192.0.2.9"),
+			Communities: bgp.Communities{bgp.MakeCommunity(9033, 9033)}, Best: true}}, nil
+	}})
+	survey := func(hints map[bgp.ASN][]bgp.Prefix) *ActiveResult {
+		t.Helper()
+		dict, err := BuildDictionary([]WebsiteData{{Name: name, Scheme: ixp.StandardScheme(9033),
+			PublishesMemberList: true, PublishedRSMembers: members}}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		client := &lg.Client{BaseURL: "http://lg.invalid/member", HTTPClient: &http.Client{Transport: srv.Transport()}}
+		lgs := map[string]IXPLGs{name: {Members: []MemberLG{{Client: client, Host: 300}}}}
+		res, err := RunActive(context.Background(), dict, lgs, nil, hints, DefaultActiveConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+
+	want := survey(hints)
+	reversed := make(map[bgp.ASN][]bgp.Prefix, len(hints))
+	for m, ps := range hints {
+		reversed[m] = slices.Clone(ps)
+		slices.Reverse(reversed[m])
+	}
+	got := survey(reversed)
+
+	for _, m := range members {
+		w, g := want.Obs.Prefixes(name, m), got.Obs.Prefixes(name, m)
+		if len(w) != 3 {
+			t.Fatalf("AS%d: %d observed prefixes, want the 3 sampled", m, len(w))
+		}
+		if !slices.Equal(g, w) {
+			t.Errorf("AS%d: reversed hints observed %v, given order %v", m, g, w)
+		}
+	}
+	if got.QueriesPerIXP[name] != want.QueriesPerIXP[name] || got.MembersQueried[name] != want.MembersQueried[name] {
+		t.Errorf("reversed hints cost %d queries over %d members, given order %d over %d",
+			got.QueriesPerIXP[name], got.MembersQueried[name], want.QueriesPerIXP[name], want.MembersQueried[name])
 	}
 }

@@ -43,17 +43,17 @@ func TestIdentifyIXPStrong(t *testing.T) {
 	d := testDict(t)
 
 	// ALL community names the IXP.
-	e, ok := d.IdentifyIXP(comms(t, "6695:6695 0:200"))
+	e, ok := d.identifyIXP(comms(t, "6695:6695 0:200"))
 	if !ok || e.Name != "DE-CIX" {
 		t.Fatalf("got %v, %v", e, ok)
 	}
 	// INCLUDE with the RS ASN in the high half.
-	e, ok = d.IdentifyIXP(comms(t, "0:8631 8631:400"))
+	e, ok = d.identifyIXP(comms(t, "0:8631 8631:400"))
 	if !ok || e.Name != "MSK-IX" {
 		t.Fatalf("got %v, %v", e, ok)
 	}
 	// Unrelated communities identify nothing.
-	if _, ok := d.IdentifyIXP(comms(t, "3356:70 1299:20000")); ok {
+	if _, ok := d.identifyIXP(comms(t, "3356:70 1299:20000")); ok {
 		t.Fatal("identified from noise")
 	}
 }
@@ -63,21 +63,21 @@ func TestIdentifyIXPExcludeDisambiguation(t *testing.T) {
 
 	// 0:200 is EXCLUDE at any standard-scheme IXP (the omitted-ALL
 	// case of §4.2). 200 is a member only at DE-CIX.
-	e, ok := d.IdentifyIXP(comms(t, "0:200"))
+	e, ok := d.identifyIXP(comms(t, "0:200"))
 	if !ok || e.Name != "DE-CIX" {
 		t.Fatalf("got %v, %v", e, ok)
 	}
 	// 0:100 is ambiguous: 100 is a member of both DE-CIX and MSK-IX.
-	if _, ok := d.IdentifyIXP(comms(t, "0:100")); ok {
+	if _, ok := d.identifyIXP(comms(t, "0:100")); ok {
 		t.Fatal("ambiguous combination identified")
 	}
 	// The combination {100, 300} is unique to DE-CIX.
-	e, ok = d.IdentifyIXP(comms(t, "0:100 0:300"))
+	e, ok = d.identifyIXP(comms(t, "0:100 0:300"))
 	if !ok || e.Name != "DE-CIX" {
 		t.Fatalf("combination: got %v, %v", e, ok)
 	}
 	// A referenced AS that is nobody's member matches nothing.
-	if _, ok := d.IdentifyIXP(comms(t, "0:999")); ok {
+	if _, ok := d.identifyIXP(comms(t, "0:999")); ok {
 		t.Fatal("non-member exclude identified")
 	}
 }
@@ -157,12 +157,12 @@ func TestObservationsFilterMajority(t *testing.T) {
 		pfx := bgp.MustPrefix("10.0." + string(rune('0'+i)) + ".0/24")
 		obs.Add("DE-CIX", 100, pfx, cs, ObsPassive)
 	}
-	f, ok := obs.Filter("DE-CIX", 100, scheme)
-	if !ok {
-		t.Fatal("no filter")
+	covered := obs.CoveredSetters(&IXPEntry{Name: "DE-CIX", Scheme: scheme})
+	if len(covered) != 1 || covered[0].ASN != 100 {
+		t.Fatalf("covered = %+v", covered)
 	}
 	want := ixp.NewExportFilter(ixp.ModeAllExcept, 200)
-	if !f.Equal(want) {
+	if f := covered[0].Filter; !f.Equal(want) {
 		t.Fatalf("filter = %v, want %v", f, want)
 	}
 
@@ -183,11 +183,9 @@ func TestObservationsSourcesAndMerge(t *testing.T) {
 	b.Add("X", 2, bgp.MustPrefix("10.0.2.0/24"), comms(t, "1:1"), ObsActive)
 
 	a.Merge(b)
-	if a.Source("X", 1) != ObsPassive|ObsActive {
-		t.Fatalf("source = %v", a.Source("X", 1))
-	}
-	if a.Source("X", 2) != ObsActive {
-		t.Fatalf("source = %v", a.Source("X", 2))
+	covered := a.CoveredSetters(&IXPEntry{Name: "X"})
+	if len(covered) != 2 || covered[0].Source != ObsPassive|ObsActive || covered[1].Source != ObsActive {
+		t.Fatalf("covered = %+v", covered)
 	}
 	if got := a.Setters("X"); len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Fatalf("setters = %v", got)
@@ -281,13 +279,33 @@ func reciprocalLinks(x *IXPInference) []topology.LinkKey {
 	var out []topology.LinkKey
 	for i, a := range x.Covered {
 		for _, b := range x.Covered[i+1:] {
-			if x.Filters[a].Allows(b) && x.Filters[b].Allows(a) {
-				out = append(out, topology.MakeLinkKey(a, b))
+			if a.Filter.Allows(b.ASN) && b.Filter.Allows(a.ASN) {
+				out = append(out, topology.MakeLinkKey(a.ASN, b.ASN))
 			}
 		}
 	}
 	slices.SortFunc(out, topology.CompareLinkKeys)
 	return out
+}
+
+// coveredASNs lists x's covered setters' ASNs in list order.
+func coveredASNs(x *IXPInference) []bgp.ASN {
+	out := make([]bgp.ASN, len(x.Covered))
+	for i, s := range x.Covered {
+		out[i] = s.ASN
+	}
+	return out
+}
+
+// coveredAscending reports whether x's covered list is strictly
+// ascending by ASN.
+func coveredAscending(x *IXPInference) bool {
+	for i := 1; i < len(x.Covered); i++ {
+		if x.Covered[i-1].ASN >= x.Covered[i].ASN {
+			return false
+		}
+	}
+	return true
 }
 
 func TestInferLinksReciprocity(t *testing.T) {
@@ -303,11 +321,8 @@ func TestInferLinksReciprocity(t *testing.T) {
 
 	res := InferLinks(d, obs)
 	x := res.PerIXP["DE-CIX"]
-	if len(x.Filters) != 3 {
-		t.Fatalf("filters = %d", len(x.Filters))
-	}
-	if !slices.Equal(x.Covered, []bgp.ASN{100, 200, 300}) {
-		t.Fatalf("covered = %v", x.Covered)
+	if got := coveredASNs(x); !slices.Equal(got, []bgp.ASN{100, 200, 300}) {
+		t.Fatalf("covered = %v", got)
 	}
 	// 100-200: mutual allow -> link. 100-300: 100 excludes 300 (and 300
 	// includes 100, but not mutual). 200-300: 300 does not include 200.

@@ -99,32 +99,6 @@ func (e *IXPEntry) SetMembers(members []bgp.ASN, src ConnectivitySource) {
 type Dictionary struct {
 	Entries []*IXPEntry
 	byName  map[string]*IXPEntry
-	// byHigh indexes entries by the community high halves their scheme
-	// interprets (ALL, NONE, INCLUDE, EXCLUDE), so IdentifyIXP scans
-	// only the candidate entries a community set can be relevant to
-	// instead of every scheme in the dictionary. Entry order follows
-	// Entries, and an entry appears at most once per high half.
-	byHigh map[bgp.ASN][]*IXPEntry
-}
-
-// indexSchemes builds byHigh from the entries' schemes.
-func (d *Dictionary) indexSchemes() {
-	d.byHigh = make(map[bgp.ASN][]*IXPEntry)
-	add := func(e *IXPEntry, high bgp.ASN) {
-		for _, x := range d.byHigh[high] {
-			if x == e {
-				return
-			}
-		}
-		d.byHigh[high] = append(d.byHigh[high], e)
-	}
-	for _, e := range d.Entries {
-		s := &e.Scheme
-		add(e, s.All.High())
-		add(e, s.None.High())
-		add(e, s.IncludeHigh)
-		add(e, s.ExcludeHigh)
-	}
 }
 
 // WebsiteData is the per-IXP information available from its public
@@ -164,46 +138,25 @@ func BuildDictionary(sites []WebsiteData, registry *irr.Registry) (*Dictionary, 
 		d.Entries = append(d.Entries, e)
 		d.byName[site.Name] = e
 	}
-	d.indexSchemes()
 	return d, nil
 }
 
 // ByName returns the entry for an IXP, or nil.
 func (d *Dictionary) ByName(name string) *IXPEntry { return d.byName[name] }
 
-// IdentifyIXP attributes a community set to an IXP (§4.2). It first
+// identifyIXP attributes a community set to an IXP (§4.2). It first
 // looks for values that embed a route server ASN; when only ambiguous
 // EXCLUDE/INCLUDE values are present (e.g. 0:peer with the ALL value
 // omitted), it falls back to combination disambiguation: the referenced
 // peer ASes must all be members of the candidate IXP, and only one IXP
-// may qualify.
+// may qualify. The attributor memoizes it per distinct community set, so
+// it scans every entry's scheme.
 //
 //mlplint:allocfree
-func (d *Dictionary) IdentifyIXP(cs bgp.Communities) (*IXPEntry, bool) {
-	// Candidate entries: only schemes interpreting at least one of the
-	// set's high halves can have a non-empty relevant subset; everything
-	// else would be skipped by the per-entry scan anyway. The buffers
-	// stay on the stack for the common (few candidates) case.
-	var cbuf [48]*IXPEntry
-	cands := cbuf[:0]
-	for _, c := range cs {
-		for _, e := range d.byHigh[c.High()] {
-			dup := false
-			for _, x := range cands {
-				if x == e {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				cands = append(cands, e)
-			}
-		}
-	}
-
+func (d *Dictionary) identifyIXP(cs bgp.Communities) (*IXPEntry, bool) {
 	var sbuf, wbuf [4]*IXPEntry
 	strong, weak := sbuf[:0], wbuf[:0]
-	for _, e := range cands {
+	for _, e := range d.Entries {
 		// Single pass over cs, classifying inline: identification,
 		// reference count and membership verdict come from the same
 		// walk the old RelevantCommunities allocation fed.

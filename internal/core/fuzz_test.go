@@ -316,10 +316,10 @@ func liveShapes(t *testing.T, m *windowMiner) {
 	deps := 0
 	for k, g := range m.groups {
 		if g.refs == 0 {
-			t.Fatalf("window %d: dead shape %v %v kept in the lookup map", m.epoch-1, m.store.Path(g.path), g.comms)
+			t.Fatalf("window %d: dead shape %v %v kept in the lookup map", m.epoch-1, m.store.Path(g.path), g.at.comms)
 		}
-		if k != (shapeKey{g.path, g.cid}) || m.attr.of(g.comms).id != g.cid {
-			t.Fatalf("window %d: shape %v %v (comms ID %d) filed under %+v", m.epoch-1, m.store.Path(g.path), g.comms, g.cid, k)
+		if k != (shapeKey{g.path, g.at.id}) || m.attr.of(g.at.comms).id != g.at.id {
+			t.Fatalf("window %d: shape %v %v (comms ID %d) filed under %+v", m.epoch-1, m.store.Path(g.path), g.at.comms, g.at.id, k)
 		}
 		if g.relsDep {
 			deps++

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"slices"
 
 	"mlpeering/internal/bgp"
@@ -19,23 +20,30 @@ type IXPInference struct {
 	Name string
 	// Members is the best-known RS member list used for inference.
 	Members []bgp.ASN
-	// Covered lists the members with reconstructed filters (the keys
-	// of Filters), ascending.
-	Covered []bgp.ASN
-	// Filters holds the reconstructed export filter of every covered
-	// member.
-	Filters map[bgp.ASN]ixp.ExportFilter
-	// Sources records how each covered member was observed.
-	Sources map[bgp.ASN]DataSource
+	// Covered lists the members with reconstructed filters, strictly
+	// ascending by ASN.
+	Covered []CoveredSetter
 }
+
+// CoveredSetter is one covered RS member of an IXP, the one fact §4.1
+// step 4 keeps per member: its reconstructed export filter and how it
+// was observed.
+type CoveredSetter struct {
+	ASN    bgp.ASN
+	Filter ixp.ExportFilter
+	Source DataSource
+}
+
+// compareCovered orders covered setters by ASN.
+func compareCovered(a, b CoveredSetter) int { return cmp.Compare(a.ASN, b.ASN) }
 
 // PassiveCount and ActiveCount split coverage by source; members seen
 // by both count as passive (they would not have been queried actively
 // under equation 2).
 func (x *IXPInference) PassiveCount() int {
 	n := 0
-	for _, s := range x.Sources {
-		if s&ObsPassive != 0 {
+	for _, s := range x.Covered {
+		if s.Source&ObsPassive != 0 {
 			n++
 		}
 	}
@@ -45,8 +53,8 @@ func (x *IXPInference) PassiveCount() int {
 // ActiveCount counts members covered only by active queries.
 func (x *IXPInference) ActiveCount() int {
 	n := 0
-	for _, s := range x.Sources {
-		if s&ObsPassive == 0 && s&ObsActive != 0 {
+	for _, s := range x.Covered {
+		if s.Source&ObsPassive == 0 && s.Source&ObsActive != 0 {
 			n++
 		}
 	}
@@ -115,14 +123,11 @@ func (r *Result) IXPLinks(ixpName string) []topology.LinkKey {
 // implemented by the snapshot Observations and by the delta-maintained
 // DeltaObservations of the incremental windowed pipeline.
 type ObservationSource interface {
-	// Setters returns the covered RS members of an IXP in ascending
-	// order.
-	Setters(ixpName string) []bgp.ASN
-	// Filter reconstructs the setter's export filter by majority vote
-	// over its per-prefix community sets.
-	Filter(ixpName string, setter bgp.ASN, scheme ixp.Scheme) (ixp.ExportFilter, bool)
-	// Source returns how a setter was covered (0 if not covered).
-	Source(ixpName string, setter bgp.ASN) DataSource
+	// CoveredSetters returns the covered setters observed at e's IXP,
+	// strictly ascending by ASN, each with the export filter its
+	// per-prefix community sets vote for under e's scheme. The caller
+	// owns the slice.
+	CoveredSetters(e *IXPEntry) []CoveredSetter
 }
 
 // InferLinks executes steps 4-5 of §4.1 over the merged observations:
@@ -137,32 +142,13 @@ func InferLinks(dict *Dictionary, obs ObservationSource) *Result {
 		Links:  make(map[topology.LinkKey][]string),
 	}
 	for _, entry := range dict.Entries {
-		x := &IXPInference{
-			Name:    entry.Name,
-			Members: entry.Members(),
-			Filters: make(map[bgp.ASN]ixp.ExportFilter),
-			Sources: make(map[bgp.ASN]DataSource),
-		}
-		res.PerIXP[entry.Name] = x
-
-		for _, setter := range obs.Setters(entry.Name) {
-			if !entry.IsMember(setter) {
-				continue // a stray observation outside known connectivity
-			}
-			f, ok := obs.Filter(entry.Name, setter, entry.Scheme)
-			if !ok {
-				continue
-			}
-			x.Covered = append(x.Covered, setter)
-			x.Filters[setter] = f
-			x.Sources[setter] = obs.Source(entry.Name, setter)
-		}
-
-		for i, a := range x.Covered {
-			fa := x.Filters[a]
-			for _, b := range x.Covered[i+1:] {
-				if reciprocal(a, fa, b, x.Filters[b]) {
-					k := topology.MakeLinkKey(a, b)
+		// A setter outside known connectivity is a stray observation.
+		covered := slices.DeleteFunc(obs.CoveredSetters(entry), func(s CoveredSetter) bool { return !entry.IsMember(s.ASN) })
+		res.PerIXP[entry.Name] = &IXPInference{Name: entry.Name, Members: entry.Members(), Covered: covered}
+		for i, a := range covered {
+			for _, b := range covered[i+1:] {
+				if reciprocal(a.ASN, a.Filter, b.ASN, b.Filter) {
+					k := topology.MakeLinkKey(a.ASN, b.ASN)
 					res.Links[k] = append(res.Links[k], entry.Name)
 				}
 			}

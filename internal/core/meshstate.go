@@ -16,8 +16,6 @@ import (
 	"slices"
 	"sort"
 
-	"mlpeering/internal/bgp"
-	"mlpeering/internal/ixp"
 	"mlpeering/internal/topology"
 )
 
@@ -189,8 +187,7 @@ func (ms *MeshState) CloseStability() float64 {
 // Snapshot materializes the maintained mesh as a Result equivalent to
 // InferLinks over the same observation store: the link map (a shallow
 // clone — the attribution lists are copy-on-write and shared), per-IXP
-// covered members, filters and sources, and the link index BuildIndex
-// returns. A snapshot follows its window's close (CloseStability), which
+// covered setters, and the link index BuildIndex returns. A snapshot follows its window's close (CloseStability), which
 // hands it the links that moved. The Members slices alias the mesh's
 // cached member lists; like every Result, snapshots are read-only views —
 // which is what lets consecutive snapshots share structure: an IXP no
@@ -235,17 +232,10 @@ func (ms *MeshState) Snapshot() *Result {
 //
 //mlplint:frozen
 func (x *ixpDelta) inference() *IXPInference {
-	inf := &IXPInference{
-		Name:    x.entry.Name,
-		Members: x.members,
-		Filters: make(map[bgp.ASN]ixp.ExportFilter),
-		Sources: make(map[bgp.ASN]DataSource),
+	covered := make([]CoveredSetter, len(x.covered))
+	for i, s := range x.covered {
+		covered[i] = CoveredSetter{ASN: s.asn, Filter: s.meshFilter, Source: ObsPassive}
 	}
-	for _, s := range x.covered {
-		inf.Covered = append(inf.Covered, s.asn)
-		inf.Filters[s.asn] = s.meshFilter
-		inf.Sources[s.asn] = ObsPassive
-	}
-	slices.Sort(inf.Covered)
-	return inf
+	slices.SortFunc(covered, compareCovered)
+	return &IXPInference{Name: x.entry.Name, Members: x.members, Covered: covered}
 }

@@ -56,17 +56,17 @@ func (p *prefixDelta) winner() (string, bgp.Communities, bool) {
 // setterDelta is the one record of an (IXP, setter). It lives from the
 // setter's first observation at the IXP to the end of the run, so there
 // are at most as many as the dictionary has (IXP, member) pairs.
-// votes/repr maintain the majority-vote tally incrementally: votes[k]
+// votes maintains the majority-vote tally incrementally: votes[k]
 // counts the prefixes whose winning community set has canonical key k,
-// adjusted whenever a prefix's winner transitions, so a vote costs
-// O(distinct sets) instead of O(prefixes).
+// adjusted whenever a prefix's winner transitions, and holds as its
+// representative the set of the latest transition into k; so a vote
+// costs O(distinct sets) instead of O(prefixes).
 type setterDelta struct {
 	x        *ixpDelta
 	asn      bgp.ASN
 	prefixes map[bgp.Prefix]*prefixDelta
 	active   int // prefixes with a positive total
-	votes    map[string]int
-	repr     map[string]bgp.Communities
+	votes    map[string]voteClass
 	dirty    bool // queued in the store's dirty list since the last Apply
 
 	// meshCovered and meshFilter are what the last MeshState.Apply
@@ -79,20 +79,20 @@ type setterDelta struct {
 }
 
 // filter reconstructs the setter's export filter by majority vote over
-// its live per-prefix community sets, exactly like Observations.Filter:
+// its live per-prefix community sets, like Observations.CoveredSetters:
 // each live prefix votes its canonical community set, the most voted
 // (ties to the smallest key) wins. ok is false while no prefix is live.
 func (s *setterDelta) filter(scheme ixp.Scheme) (f ixp.ExportFilter, ok bool) {
 	if s.active == 0 {
 		return ixp.ExportFilter{}, false
 	}
-	bestKey, bestVotes := "", -1
+	bestKey, best := "", voteClass{votes: -1}
 	for k, v := range s.votes {
-		if v > bestVotes || (v == bestVotes && k < bestKey) {
-			bestKey, bestVotes = k, v
+		if v.votes > best.votes || (v.votes == best.votes && k < bestKey) {
+			bestKey, best = k, v
 		}
 	}
-	return ixp.FilterFromCommunities(s.repr[bestKey], scheme), true
+	return ixp.FilterFromCommunities(best.repr, scheme), true
 }
 
 // ixpDelta is one IXP's setter records and the mesh state derived from
@@ -159,8 +159,7 @@ func (o *DeltaObservations) add(e *IXPEntry, setter bgp.ASN, prefix bgp.Prefix, 
 			x:        x,
 			asn:      setter,
 			prefixes: make(map[bgp.Prefix]*prefixDelta),
-			votes:    make(map[string]int),
-			repr:     make(map[string]bgp.Communities),
+			votes:    make(map[string]voteClass),
 		}
 		x.setters[setter] = s
 		x.records = append(x.records, s)
@@ -190,14 +189,16 @@ func (o *DeltaObservations) add(e *IXPEntry, setter bgp.ASN, prefix bgp.Prefix, 
 	}
 	if newKey, newCS, newLive := p.winner(); oldLive != newLive || oldKey != newKey {
 		if oldLive {
-			if s.votes[oldKey]--; s.votes[oldKey] == 0 {
+			if v := s.votes[oldKey]; v.votes == 1 {
 				delete(s.votes, oldKey)
-				delete(s.repr, oldKey)
+			} else {
+				v.votes--
+				s.votes[oldKey] = v
 			}
 		}
 		if newLive {
-			s.votes[newKey]++
-			s.repr[newKey] = newCS
+			v := s.votes[newKey]
+			s.votes[newKey] = voteClass{repr: newCS, votes: v.votes + 1}
 		}
 	}
 	wasLive := p.total > 0
@@ -216,61 +217,40 @@ func (o *DeltaObservations) add(e *IXPEntry, setter bgp.ASN, prefix bgp.Prefix, 
 	}
 }
 
-// Setters returns the covered RS members of an IXP in ascending order.
-func (o *DeltaObservations) Setters(ixpName string) []bgp.ASN {
-	x := o.byIXP[ixpName]
+// CoveredSetters returns the setters with a live prefix at e's IXP,
+// ascending, each with its majority-vote filter (setterDelta.filter, a
+// scan of its distinct community sets) and passive coverage: the
+// windowed pipeline only ever mines collector data.
+func (o *DeltaObservations) CoveredSetters(e *IXPEntry) []CoveredSetter {
+	x := o.byIXP[e.Name]
 	if x == nil {
 		return nil
 	}
-	var out []bgp.ASN
+	var out []CoveredSetter
 	for _, s := range x.records {
-		if s.active > 0 {
-			out = append(out, s.asn)
+		if f, ok := s.filter(e.Scheme); ok {
+			out = append(out, CoveredSetter{ASN: s.asn, Filter: f, Source: ObsPassive})
 		}
 	}
-	slices.Sort(out)
+	slices.SortFunc(out, compareCovered)
 	return out
-}
-
-// Filter is the setter's majority-vote export filter
-// (setterDelta.filter), a scan of its distinct community sets.
-func (o *DeltaObservations) Filter(ixpName string, setter bgp.ASN, scheme ixp.Scheme) (ixp.ExportFilter, bool) {
-	if x := o.byIXP[ixpName]; x != nil {
-		if s := x.setters[setter]; s != nil {
-			return s.filter(scheme)
-		}
-	}
-	return ixp.ExportFilter{}, false
-}
-
-// Source reports passive coverage: the windowed pipeline only ever
-// mines collector data.
-func (o *DeltaObservations) Source(ixpName string, setter bgp.ASN) DataSource {
-	if x := o.byIXP[ixpName]; x != nil {
-		if s := x.setters[setter]; s != nil && s.active > 0 {
-			return ObsPassive
-		}
-	}
-	return 0
 }
 
 // windowGroup is the derived state of one distinct (path, communities)
 // route shape, stored in windowMiner.groups under shapeKey{path, cid}.
 // It lives from the announce that creates it to the first window close
 // that finds no live route carrying it. Everything but the
-// relationship-dependent setter is fixed at creation; refs tracks the
-// live routes currently carrying the shape, and byPrefix, for a relsDep
-// shape only, their prefixes: a re-pinpoint moves those counts, and
-// nothing else ever reads them.
+// relationship-dependent setter is fixed at creation: at is the miner's
+// attribution of the comms set (its ID, the attributor's read-only copy,
+// the IXP and the relevant subset). refs tracks the live routes
+// currently carrying the shape, and byPrefix, for a relsDep shape only,
+// their prefixes: a re-pinpoint moves those counts, and nothing else
+// ever reads them.
 type windowGroup struct {
-	path  paths.ID
-	comms bgp.Communities // the attributor's copy; read-only
-	cid   uint32          // the miner's attributor's ID of comms as announced
+	path paths.ID
+	at   attribution
 
 	bogon, cycle, empty bool
-	entry               *IXPEntry // nil: no unique IXP attribution
-	relKey              string    // canonical key of the scheme-relevant subset
-	relComms            bgp.Communities
 	relsDep             bool // pinpointing consults the relation oracle
 	resolved            bool
 	setter              bgp.ASN
@@ -283,7 +263,7 @@ type windowGroup struct {
 // mineable reports whether the shape can contribute observations at
 // all: it survived hygiene and resolved to a unique IXP.
 func (g *windowGroup) mineable() bool {
-	return !g.bogon && !g.cycle && !g.empty && g.entry != nil
+	return !g.bogon && !g.cycle && !g.empty && g.at.entry != nil
 }
 
 // keptPath reports whether the shape's path belongs to the public view
@@ -307,7 +287,7 @@ type windowMiner struct {
 	// attr memoizes IXP attribution per comms set as announced and
 	// numbers those sets densely: the number is the comms half of a
 	// shape's key, and many paths carry the same set, so the dominant
-	// IdentifyIXP cost of group creation becomes a map hit.
+	// identifyIXP cost of group creation becomes a map hit.
 	attr *attributor
 
 	obs  *DeltaObservations
@@ -376,34 +356,27 @@ func (m *windowMiner) shape(path paths.ID, comms bgp.Communities) *windowGroup {
 	if g, ok := m.groups[k]; ok {
 		return g
 	}
-	g := &windowGroup{path: path, comms: at.comms, cid: at.id}
+	g := &windowGroup{path: path, at: at}
 	p := m.store.Path(path)
 	g.empty = len(p) == 0
 	g.bogon = hasBogon(p)
 	g.cycle = hasCycle(p)
-	if at.entry != nil {
-		g.entry = at.entry
-		g.relComms = at.relComms
-		g.relKey = at.relKey
-		if g.mineable() {
-			positions := 0
-			for _, a := range p {
-				if at.entry.IsMember(a) {
-					positions++
-				}
-			}
-			g.relsDep = positions > 2
-		}
-	}
 	if g.mineable() {
+		positions := 0
+		for _, a := range p {
+			if at.entry.IsMember(a) {
+				positions++
+			}
+		}
+		g.relsDep = positions > 2
 		if g.relsDep {
 			g.byPrefix = make(map[bgp.Prefix]int)
 			m.relsDeps = append(m.relsDeps, g)
 			if m.rel != nil {
-				g.setter, g.resolved = pinpointSetter(p, g.entry, m.rel)
+				g.setter, g.resolved = pinpointSetter(p, at.entry, m.rel)
 			}
 		} else {
-			g.setter, g.resolved = pinpointSetter(p, g.entry, nil)
+			g.setter, g.resolved = pinpointSetter(p, at.entry, nil)
 		}
 	}
 	m.groups[k] = g
@@ -446,7 +419,7 @@ func (m *windowMiner) apply(g *windowGroup, prefix bgp.Prefix, delta int) {
 		}
 	}
 	if g.mineable() && g.resolved {
-		m.obs.add(g.entry, g.setter, prefix, g.relKey, g.relComms, delta)
+		m.obs.add(g.at.entry, g.setter, prefix, g.at.relKey, g.at.relComms, delta)
 	}
 }
 
@@ -458,13 +431,13 @@ func (m *windowMiner) moveContributions(g *windowGroup, resolved bool, setter bg
 	}
 	if g.resolved {
 		for p, n := range g.byPrefix {
-			m.obs.add(g.entry, g.setter, p, g.relKey, g.relComms, -n)
+			m.obs.add(g.at.entry, g.setter, p, g.at.relKey, g.at.relComms, -n)
 		}
 	}
 	g.resolved, g.setter = resolved, setter
 	if g.resolved {
 		for p, n := range g.byPrefix {
-			m.obs.add(g.entry, g.setter, p, g.relKey, g.relComms, n)
+			m.obs.add(g.at.entry, g.setter, p, g.at.relKey, g.at.relComms, n)
 		}
 	}
 }
@@ -489,7 +462,7 @@ func (m *windowMiner) closeWindow(w *PassiveWindow) {
 			if !m.p2pFlippedOn(g.path) {
 				continue
 			}
-			setter, ok := pinpointSetter(m.store.Path(g.path), g.entry, m.rel)
+			setter, ok := pinpointSetter(m.store.Path(g.path), g.at.entry, m.rel)
 			m.moveContributions(g, ok, setter)
 		}
 	}
@@ -527,7 +500,7 @@ func (m *windowMiner) sweepDeadShapes() {
 		if g.refs > 0 {
 			continue
 		}
-		delete(m.groups, shapeKey{g.path, g.cid})
+		delete(m.groups, shapeKey{g.path, g.at.id})
 	}
 	clear(m.dying)
 	m.dying = m.dying[:0]

@@ -1,8 +1,8 @@
 package core
 
 import (
+	"maps"
 	"slices"
-	"sort"
 
 	"mlpeering/internal/bgp"
 	"mlpeering/internal/ixp"
@@ -17,103 +17,98 @@ const (
 	ObsActive
 )
 
-// Observations accumulates reachability data: per IXP and per RS setter,
-// the community sets seen on its prefix announcements. It is the C_{a,p}
-// of §4.1 step 3, merged across passive and active collection.
+// Observations accumulates reachability data: per IXP, one record per
+// RS setter holding the community sets seen on its prefix announcements
+// and how it was observed. It is the C_{a,p} of §4.1 step 3, merged
+// across passive and active collection.
 type Observations struct {
-	// data[ixp][setter][prefix] = communities (scheme-relevant subset)
-	data map[string]map[bgp.ASN]map[bgp.Prefix]bgp.Communities
-	src  map[string]map[bgp.ASN]DataSource
+	ixps map[string]map[bgp.ASN]*setterObs
+}
+
+// setterObs is the one record of an (IXP, setter): its per-prefix
+// community sets (scheme-relevant subset) and the sources that saw it.
+type setterObs struct {
+	prefixes map[bgp.Prefix]bgp.Communities
+	src      DataSource
 }
 
 // NewObservations returns an empty store.
 func NewObservations() *Observations {
-	return &Observations{
-		data: make(map[string]map[bgp.ASN]map[bgp.Prefix]bgp.Communities),
-		src:  make(map[string]map[bgp.ASN]DataSource),
+	return &Observations{ixps: make(map[string]map[bgp.ASN]*setterObs)}
+}
+
+// record returns the (IXP, setter) record, creating it on first sight.
+func (o *Observations) record(ixpName string, setter bgp.ASN) *setterObs {
+	m := o.ixps[ixpName]
+	if m == nil {
+		m = make(map[bgp.ASN]*setterObs)
+		o.ixps[ixpName] = m
 	}
+	s := m[setter]
+	if s == nil {
+		s = &setterObs{prefixes: make(map[bgp.Prefix]bgp.Communities)}
+		m[setter] = s
+	}
+	return s
 }
 
 // Add records one observation. Repeated observations of the same
 // (ixp, setter, prefix) keep the latest community set.
 func (o *Observations) Add(ixpName string, setter bgp.ASN, prefix bgp.Prefix, cs bgp.Communities, src DataSource) {
-	m := o.data[ixpName]
-	if m == nil {
-		m = make(map[bgp.ASN]map[bgp.Prefix]bgp.Communities)
-		o.data[ixpName] = m
-	}
-	pm := m[setter]
-	if pm == nil {
-		pm = make(map[bgp.Prefix]bgp.Communities)
-		m[setter] = pm
-	}
-	pm[prefix] = cs.Clone()
-
-	sm := o.src[ixpName]
-	if sm == nil {
-		sm = make(map[bgp.ASN]DataSource)
-		o.src[ixpName] = sm
-	}
-	sm[setter] |= src
+	s := o.record(ixpName, setter)
+	s.prefixes[prefix] = cs.Clone()
+	s.src |= src
 }
 
 // Merge folds other into o.
 func (o *Observations) Merge(other *Observations) {
-	for ixpName, setters := range other.data {
-		for setter, prefixes := range setters {
-			for p, cs := range prefixes {
-				o.Add(ixpName, setter, p, cs, other.src[ixpName][setter])
+	for ixpName, setters := range other.ixps {
+		for setter, r := range setters {
+			s := o.record(ixpName, setter)
+			for p, cs := range r.prefixes {
+				s.prefixes[p] = cs.Clone()
 			}
+			s.src |= r.src
 		}
 	}
 }
 
 // Setters returns the covered RS members of an IXP in ascending order.
 func (o *Observations) Setters(ixpName string) []bgp.ASN {
-	m := o.data[ixpName]
-	out := make([]bgp.ASN, 0, len(m))
-	for s := range m {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return slices.Sorted(maps.Keys(o.ixps[ixpName]))
 }
 
-// Source returns how a setter was covered (0 if not covered).
-func (o *Observations) Source(ixpName string, setter bgp.ASN) DataSource {
-	return o.src[ixpName][setter]
+// CoveredSetters returns the setters observed at e's IXP, ascending,
+// each with the export filter a majority vote over its per-prefix
+// community sets reconstructs. The paper found announcements are
+// remarkably consistent (<0.5% of members show any disagreement, §4.3),
+// so the vote is almost always unanimous.
+func (o *Observations) CoveredSetters(e *IXPEntry) []CoveredSetter {
+	m := o.ixps[e.Name]
+	out := make([]CoveredSetter, 0, len(m))
+	var t voteTally
+	for asn, s := range m {
+		t.count(s.prefixes)
+		out = append(out, CoveredSetter{ASN: asn, Filter: ixp.FilterFromCommunities(t.winner(), e.Scheme), Source: s.src})
+	}
+	slices.SortFunc(out, compareCovered)
+	return out
 }
 
 // Covered reports whether any communities were observed for the setter.
 func (o *Observations) Covered(ixpName string, setter bgp.ASN) bool {
-	return len(o.data[ixpName][setter]) > 0
+	return o.ixps[ixpName][setter] != nil
 }
 
 // Prefixes returns the distinct prefixes observed for a setter in
 // deterministic order: the P^passive_a of equation (2), reused by the
 // active survey for multiplicity accounting without re-querying.
 func (o *Observations) Prefixes(ixpName string, setter bgp.ASN) []bgp.Prefix {
-	pm := o.data[ixpName][setter]
-	out := make([]bgp.Prefix, 0, len(pm))
-	for p := range pm {
-		out = append(out, p)
+	s := o.ixps[ixpName][setter]
+	if s == nil {
+		return nil
 	}
-	sort.Slice(out, func(i, j int) bool { return bgp.ComparePrefixes(out[i], out[j]) < 0 })
-	return out
-}
-
-// Filter reconstructs the setter's export filter by majority vote over
-// its per-prefix community sets. The paper found announcements are
-// remarkably consistent (<0.5% of members show any disagreement, §4.3),
-// so the vote is almost always unanimous.
-func (o *Observations) Filter(ixpName string, setter bgp.ASN, scheme ixp.Scheme) (ixp.ExportFilter, bool) {
-	pm := o.data[ixpName][setter]
-	if len(pm) == 0 {
-		return ixp.ExportFilter{}, false
-	}
-	var t voteTally
-	t.count(pm)
-	return ixp.FilterFromCommunities(t.winner(), scheme), true
+	return slices.SortedFunc(maps.Keys(s.prefixes), bgp.ComparePrefixes)
 }
 
 // voteTally counts one setter's per-prefix community sets by class: two
@@ -127,7 +122,8 @@ type voteTally struct {
 	key     []byte          // scratch: its class key
 }
 
-// voteClass is one class of a tally: its votes and a member set.
+// voteClass is one class of a tally: its votes and a member set. A
+// setterDelta's incremental tally keeps one per canonical key too.
 type voteClass struct {
 	repr  bgp.Communities
 	votes int
@@ -199,10 +195,7 @@ func (o *Observations) Consistency(ixpName string) ConsistencyStats {
 	var deviantSum float64
 	var t voteTally
 	for _, setter := range o.Setters(ixpName) {
-		pm := o.data[ixpName][setter]
-		if len(pm) == 0 {
-			continue
-		}
+		pm := o.ixps[ixpName][setter].prefixes
 		st.Setters++
 		t.count(pm)
 		if len(t.classes) <= 1 {
@@ -223,10 +216,5 @@ func (o *Observations) Consistency(ixpName string) ConsistencyStats {
 
 // IXPs returns all IXP names with observations, sorted.
 func (o *Observations) IXPs() []string {
-	out := make([]string, 0, len(o.data))
-	for name := range o.data {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
+	return slices.Sorted(maps.Keys(o.ixps))
 }

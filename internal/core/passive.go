@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"mlpeering/internal/bgp"
 	"mlpeering/internal/mrt"
@@ -43,6 +45,18 @@ type PassiveResult struct {
 	// mode (RunPassiveWindows); in snapshot mode they are tallied so
 	// announce/withdraw churn is no longer silently invisible.
 	Withdrawals, WithdrawnOnlyUpdates int
+}
+
+// PrefixesByOrigin inverts PrefixOrigins: each origin AS's prefixes,
+// ascending. It is what RunActive takes as member LG hints and the
+// Validator as its query prefixes.
+func (r *PassiveResult) PrefixesByOrigin() map[bgp.ASN][]bgp.Prefix {
+	out := make(map[bgp.ASN][]bgp.Prefix)
+	for _, p := range slices.SortedFunc(maps.Keys(r.PrefixOrigins), bgp.ComparePrefixes) {
+		origin := r.PrefixOrigins[p]
+		out[origin] = append(out[origin], p)
+	}
+	return out
 }
 
 // RunPassive mines MRT archives per §4.2: hygiene-filter the paths,
@@ -224,7 +238,7 @@ type attribution struct {
 // attributor memoizes attribution by community set as announced (the
 // appendCommsKey encoding: two announce orders of one set are two
 // shapes with one answer, and two IDs) over one run and one dictionary
-// snapshot. It is the only caller of IdentifyIXP on the mining paths,
+// snapshot. It is the only caller of identifyIXP on the mining paths,
 // batch and incremental. The map is bounded by the distinct sets seen.
 type attributor struct {
 	dict *Dictionary
@@ -243,7 +257,7 @@ func (a *attributor) of(cs bgp.Communities) attribution {
 		return at
 	}
 	at := attribution{id: uint32(len(a.memo)), comms: cs.Clone()}
-	if entry, ok := a.dict.IdentifyIXP(cs); ok {
+	if entry, ok := a.dict.identifyIXP(cs); ok {
 		at.entry = entry
 		at.relComms = entry.Scheme.RelevantCommunities(cs)
 		at.relKey = at.relComms.Dedup().String()

@@ -15,7 +15,7 @@ import (
 )
 
 // runPassiveReference is RunPassive as it stood before attribution was
-// memoized per community shape: every surviving row runs IdentifyIXP,
+// memoized per community shape: every surviving row runs identifyIXP,
 // RelevantCommunities and anySchemeRelevant on its own, and the cycle
 // check is the per-path set. RunPassive is pinned against it.
 func runPassiveReference(dumps []*mrt.Dump, updates []*mrt.BGP4MPMessage, dict *Dictionary) *PassiveResult {
@@ -107,7 +107,7 @@ func runPassiveReference(dumps []*mrt.Dump, updates []*mrt.BGP4MPMessage, dict *
 		if !keptRow[i] || len(recs.Comms[i]) == 0 {
 			continue
 		}
-		entry, ok := dict.IdentifyIXP(recs.Comms[i])
+		entry, ok := dict.identifyIXP(recs.Comms[i])
 		if !ok {
 			if anySchemeRelevant(dict, recs.Comms[i]) {
 				res.IXPUnresolved++
@@ -136,7 +136,7 @@ func passiveDiffFromReference(dumps []*mrt.Dump, updates []*mrt.BGP4MPMessage, d
 	}
 	want := runPassiveReference(dumps, updates, dict)
 	switch {
-	case len(want.Obs.data) == 0:
+	case len(want.Obs.ixps) == 0:
 		return "the reference mined no observation: nothing is compared"
 	case got.IXPUnresolved != want.IXPUnresolved:
 		return fmt.Sprintf("IXPUnresolved %d, reference %d", got.IXPUnresolved, want.IXPUnresolved)
@@ -144,20 +144,17 @@ func passiveDiffFromReference(dumps []*mrt.Dump, updates []*mrt.BGP4MPMessage, d
 		return fmt.Sprintf("SetterUnresolved %d, reference %d", got.SetterUnresolved, want.SetterUnresolved)
 	case got.Dropped != want.Dropped:
 		return fmt.Sprintf("Dropped %+v, reference %+v", got.Dropped, want.Dropped)
-	case !reflect.DeepEqual(got.Obs.src, want.Obs.src):
-		return "observation sources differ"
 	case !reflect.DeepEqual(got.Links, want.Links) || !reflect.DeepEqual(got.PrefixOrigins, want.PrefixOrigins):
 		return "public view (links, prefix origins) differs"
 	}
 	for _, name := range want.Obs.IXPs() {
 		for _, setter := range want.Obs.Setters(name) {
-			if !reflect.DeepEqual(got.Obs.data[name][setter], want.Obs.data[name][setter]) {
-				return fmt.Sprintf("observations of %s setter AS%d differ: %v, reference %v",
-					name, setter, got.Obs.data[name][setter], want.Obs.data[name][setter])
+			if g, w := got.Obs.ixps[name][setter], want.Obs.ixps[name][setter]; !reflect.DeepEqual(g, w) {
+				return fmt.Sprintf("observations of %s setter AS%d differ: %+v, reference %+v", name, setter, g, w)
 			}
 		}
 	}
-	if !reflect.DeepEqual(got.Obs.data, want.Obs.data) {
+	if !reflect.DeepEqual(got.Obs.ixps, want.Obs.ixps) {
 		return "RunPassive observed setters the reference did not"
 	}
 	return ""
@@ -241,7 +238,7 @@ func TestRunPassiveAttributionEdgeCases(t *testing.T) {
 	if got := res.Obs.Setters("DE-CIX"); !reflect.DeepEqual(got, []bgp.ASN{300}) {
 		t.Fatalf("DE-CIX setters %v, want AS300 alone", got)
 	}
-	pm := res.Obs.data["DE-CIX"][300]
+	pm := res.Obs.ixps["DE-CIX"][300].prefixes
 	a, b := pm[bgp.MustPrefix("10.0.3.0/24")], pm[bgp.MustPrefix("10.0.4.0/24")]
 	if len(pm) != 2 || a.Dedup().String() != b.Dedup().String() || reflect.DeepEqual(a, b) {
 		t.Errorf("the two announce orders must be one set kept in its own order: %v and %v (of %d prefixes)", a, b, len(pm))

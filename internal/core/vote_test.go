@@ -9,7 +9,7 @@ import (
 	"mlpeering/internal/ixp"
 )
 
-// textVote is the majority vote as Observations.Filter and Consistency
+// textVote is the majority vote as Observations' filters and Consistency
 // counted it when they keyed classes on text: by Dedup().String(), ties
 // to the smallest key. It is the reference the binary-keyed vote must
 // agree with; it returns the winning key, a member of its class and the
@@ -36,7 +36,7 @@ func textConsistency(o *Observations, ixpName string) ConsistencyStats {
 	var st ConsistencyStats
 	var deviantSum float64
 	for _, setter := range o.Setters(ixpName) {
-		pm := o.data[ixpName][setter]
+		pm := o.ixps[ixpName][setter].prefixes
 		st.Setters++
 		_, _, votes := textVote(pm)
 		if len(votes) <= 1 {
@@ -133,8 +133,13 @@ func TestVoteMatchesTextualReference(t *testing.T) {
 	}
 
 	var tally voteTally
-	for _, s := range obs.Setters(ixpName) {
-		pm := obs.data[ixpName][s]
+	covered, twins := obs.CoveredSetters(entry), delta.CoveredSetters(entry)
+	if len(covered) != len(obs.Setters(ixpName)) || len(twins) != len(covered) {
+		t.Fatalf("%d covered setters, %d delta-maintained, %d observed", len(covered), len(twins), len(obs.Setters(ixpName)))
+	}
+	for i, c := range covered {
+		s := c.ASN
+		pm := obs.ixps[ixpName][s].prefixes
 		wantKey, wantRepr, wantVotes := textVote(pm)
 		tally.count(pm)
 		if len(tally.classes) != len(wantVotes) {
@@ -150,13 +155,11 @@ func TestVoteMatchesTextualReference(t *testing.T) {
 		}
 
 		want := ixp.FilterFromCommunities(wantRepr, scheme)
-		got, ok := obs.Filter(ixpName, s, scheme)
-		if !ok || !got.Equal(want) {
-			t.Fatalf("setter %d: Filter = %v, textual reference %v", s, got, want)
+		if got := c.Filter; !got.Equal(want) {
+			t.Fatalf("setter %d: filter = %v, textual reference %v", s, got, want)
 		}
-		twin, ok := delta.Filter(ixpName, s, scheme)
-		if !ok || !twin.Equal(got) {
-			t.Fatalf("setter %d: DeltaObservations.Filter = %v, Observations.Filter %v", s, twin, got)
+		if twin := twins[i]; twin.ASN != s || !twin.Filter.Equal(c.Filter) {
+			t.Fatalf("setter %d: DeltaObservations covers AS%d with %v, Observations %v", s, twin.ASN, twin.Filter, c.Filter)
 		}
 	}
 	if got, want := obs.Consistency(ixpName), textConsistency(obs, ixpName); got != want {

@@ -321,8 +321,8 @@ func RunPassiveWindows(dumps []*mrt.Dump, updates []*mrt.BGP4MPMessage, dict *Di
 			switch {
 			case was == nil && now != nil:
 				del(k)
-			case was != nil && (now == nil || now.path != was.path || now.cid != was.cid):
-				set(k, miner.shape(was.path, was.comms))
+			case was != nil && (now == nil || now.path != was.path || now.at.id != was.at.id):
+				set(k, miner.shape(was.path, was.at.comms))
 			default:
 				continue
 			}
@@ -427,7 +427,7 @@ func remineLiveTable(store *paths.Store, live *liveTable, dict *Dictionary, w *P
 	var kept []paths.ID
 	for _, k := range live.slots() {
 		r := live.get(k.peer, k.pid)
-		g := m.shape(r.path, r.comms)
+		g := m.shape(r.path, r.at.comms)
 		if g.keptPath() && (int(g.path) >= len(m.pathLive) || m.pathLive[g.path] == 0) {
 			kept = append(kept, g.path)
 		}
@@ -436,7 +436,7 @@ func remineLiveTable(store *paths.Store, live *liveTable, dict *Dictionary, w *P
 
 	rels := relation.Infer(paths.NewView(store, kept))
 	for _, g := range m.relsDeps {
-		setter, ok := pinpointSetter(store.Path(g.path), g.entry, rels)
+		setter, ok := pinpointSetter(store.Path(g.path), g.at.entry, rels)
 		m.moveContributions(g, ok, setter)
 	}
 

@@ -311,9 +311,8 @@ func TestWindowFlapRestoresObservationState(t *testing.T) {
 	m.apply(m.shape(id2, all), p2, -1)
 	var w3 PassiveWindow
 	m.closeWindow(&w3)
-	if w3.Materialize().TotalLinks() != 0 || len(m.obs.Setters("DE-CIX")) != 0 {
-		t.Fatalf("withdrawn world still covered: %d links, setters %v",
-			w3.Result.TotalLinks(), m.obs.Setters("DE-CIX"))
+	if covered := m.obs.CoveredSetters(m.dict.ByName("DE-CIX")); w3.Materialize().TotalLinks() != 0 || len(covered) != 0 {
+		t.Fatalf("withdrawn world still covered: %d links, setters %+v", w3.Result.TotalLinks(), covered)
 	}
 }
 
@@ -569,7 +568,7 @@ func TestFlapStormShapeSweep(t *testing.T) {
 	if pw.MeshLinks != 0 {
 		t.Fatalf("mesh links = %d, want 0 (single covered setter)", pw.MeshLinks)
 	}
-	if m.obs.Setters("DE-CIX") == nil || len(m.groups) != baseline {
+	if len(m.obs.CoveredSetters(m.dict.ByName("DE-CIX"))) == 0 || len(m.groups) != baseline {
 		t.Fatalf("live setter lost or dead shape kept during sweep: %d shapes", len(m.groups))
 	}
 }
@@ -752,7 +751,7 @@ func TestBatchAndWindowReduceObservationsApart(t *testing.T) {
 			if len(res.Links) != 0 {
 				t.Errorf("window mesh %v, want empty", res.Links)
 			}
-			if covered := res.PerIXP["DE-CIX"].Covered; !slices.Equal(covered, []bgp.ASN{200, 300}) {
+			if covered := coveredASNs(res.PerIXP["DE-CIX"]); !slices.Equal(covered, []bgp.ASN{200, 300}) {
 				t.Errorf("window covers %v, want [200 300]", covered)
 			}
 		})
@@ -1057,8 +1056,8 @@ func TestResultFingerprint(t *testing.T) {
 }
 
 // diffResults compares two Results structurally — per-IXP members,
-// covered lists, filters and sources, and the attributed link map —
-// returning the first difference, "" when equal.
+// covered setters with their filters and sources, and the attributed
+// link map — returning the first difference, "" when equal.
 func diffResults(got, want *Result) string {
 	if len(got.PerIXP) != len(want.PerIXP) {
 		return fmt.Sprintf("%d IXPs, want %d", len(got.PerIXP), len(want.PerIXP))
@@ -1068,15 +1067,16 @@ func diffResults(got, want *Result) string {
 		if g == nil {
 			return name + ": missing"
 		}
-		if !slices.Equal(g.Members, w.Members) || !slices.Equal(g.Covered, w.Covered) {
-			return fmt.Sprintf("%s: members %v covered %v, want %v / %v", name, g.Members, g.Covered, w.Members, w.Covered)
+		gc, wc := coveredASNs(g), coveredASNs(w)
+		if !slices.Equal(g.Members, w.Members) || !slices.Equal(gc, wc) {
+			return fmt.Sprintf("%s: members %v covered %v, want %v / %v", name, g.Members, gc, w.Members, wc)
 		}
-		if !slices.Equal(g.Covered, slices.Sorted(maps.Keys(g.Filters))) {
-			return fmt.Sprintf("%s: covered %v is not the sorted filter keys", name, g.Covered)
+		if !coveredAscending(g) {
+			return fmt.Sprintf("%s: covered %v is not strictly ascending", name, gc)
 		}
-		for m, wf := range w.Filters {
-			if gf, ok := g.Filters[m]; !ok || !gf.Equal(wf) || g.Sources[m] != w.Sources[m] {
-				return fmt.Sprintf("%s: setter %d filter/source differs", name, m)
+		for i, ws := range w.Covered {
+			if gs := g.Covered[i]; !gs.Filter.Equal(ws.Filter) || gs.Source != ws.Source {
+				return fmt.Sprintf("%s: setter %d filter/source differs", name, ws.ASN)
 			}
 		}
 	}

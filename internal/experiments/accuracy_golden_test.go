@@ -50,13 +50,13 @@ func accuracyLine(scenario, mode string, topo *topology.Topology, truth map[topo
 			}
 		}
 		members := x.SortedRSMembers()
-		for _, s := range inf.Covered {
+		for _, c := range inf.Covered {
+			s, got := c.ASN, c.Filter
 			want, ok := topo.Policy(x.Name, s)
 			if !ok {
 				overPermissive++ // no true filter: any allowance is too much
 				continue
 			}
-			got := inf.Filters[s]
 			for _, m := range members {
 				if m != s && got.Allows(m) && !want.Export.Allows(m) {
 					overPermissive++

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"mlpeering/internal/bgp"
 	"mlpeering/internal/core"
 	"mlpeering/internal/metrics"
 	"mlpeering/internal/relation"
@@ -31,10 +30,7 @@ func (c *Context) QueryCost() (*QueryCostResult, error) {
 		PerIXP:    c.Run.Active.QueriesPerIXP,
 	}
 
-	hints := make(map[bgp.ASN][]bgp.Prefix)
-	for p, origin := range c.Run.Passive.PrefixOrigins {
-		hints[origin] = append(hints[origin], p)
-	}
+	hints := c.Run.Passive.PrefixesByOrigin()
 	rerun := func(cfg core.ActiveConfig) (int, error) {
 		r, err := core.RunActive(ctx, c.Run.Dict, c.World.LGEndpoints(0), c.Run.Passive.Obs, hints, cfg)
 		if err != nil {

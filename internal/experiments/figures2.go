@@ -162,18 +162,15 @@ func (c *Context) Figure11() *Figure11Result {
 	}
 	samples := make(map[peeringdb.Policy][]float64)
 	bimodal, total := 0, 0
-	for name, x := range c.Run.Result.PerIXP {
-		entry := c.Run.Dict.ByName(name)
-		if entry == nil {
-			continue
-		}
+	for _, entry := range c.Run.Dict.Entries {
+		x := c.Run.Result.PerIXP[entry.Name]
 		members := entry.Members()
-		if len(members) < 2 {
+		if x == nil || len(members) < 2 {
 			continue
 		}
-		for m, f := range x.Filters {
-			frac := float64(f.AllowedCount(members, m)) / float64(len(members)-1)
-			pol := c.World.PDB.Policy(m)
+		for _, s := range x.Covered {
+			frac := float64(s.Filter.AllowedCount(members, s.ASN)) / float64(len(members)-1)
+			pol := c.World.PDB.Policy(s.ASN)
 			samples[pol] = append(samples[pol], frac)
 			total++
 			if frac >= 0.9 || frac <= 0.1 {
@@ -243,7 +240,7 @@ func (c *Context) Figure12() *Figure12Result {
 		}
 		var sum float64
 		for _, m := range covered {
-			sum += float64(deg[m]) / float64(len(covered)-1)
+			sum += float64(deg[m.ASN]) / float64(len(covered)-1)
 		}
 		res.Rows = append(res.Rows, struct {
 			IXP     string
@@ -297,9 +294,9 @@ func (c *Context) Figure13() *Figure13Result {
 	blockers := make(map[bgp.ASN]map[bgp.ASN]bool)
 	cone, direct := 0, 0
 	blockerCone := make(map[bgp.ASN]bool) // reused across blockers
-	for name, x := range c.Run.Result.PerIXP {
-		_ = name
-		for blocker, f := range x.Filters {
+	for _, x := range c.Run.Result.PerIXP {
+		for _, s := range x.Covered {
+			blocker, f := s.ASN, s.Filter
 			if f.Mode != ixp.ModeAllExcept {
 				continue
 			}
@@ -329,6 +326,7 @@ func (c *Context) Figure13() *Figure13Result {
 	res.DirectCustomerFrac = metrics.Ratio(direct, res.TotalExcludes)
 
 	byScope := make(map[peeringdb.Scope][]int)
+	//mlplint:ordered NewDistributionInts sorts each scope's counts
 	for blocked, count := range res.BlockCounts {
 		sc := c.World.PDB.Scope(blocked)
 		byScope[sc] = append(byScope[sc], count)

@@ -52,21 +52,23 @@ func replayGolden(t *testing.T) string {
 }
 
 // checkAttribution holds a materialized Result against the per-IXP
-// reciprocity oracle: each IXP's Covered is its sorted filter keys, and
-// each link is attributed to exactly the IXPs whose covered filters
+// reciprocity oracle: each IXP's Covered is strictly ascending by ASN,
+// and each link is attributed to exactly the IXPs whose covered filters
 // allow it both ways.
 func checkAttribution(t *testing.T, what string, res *core.Result) {
 	t.Helper()
 	want := make(map[topology.LinkKey][]string)
 	for _, name := range slices.Sorted(maps.Keys(res.PerIXP)) {
 		x := res.PerIXP[name]
-		if !slices.Equal(x.Covered, slices.Sorted(maps.Keys(x.Filters))) {
-			t.Fatalf("%s: %s covered %v is not the sorted filter keys", what, name, x.Covered)
+		for i := 1; i < len(x.Covered); i++ {
+			if x.Covered[i-1].ASN >= x.Covered[i].ASN {
+				t.Fatalf("%s: %s covered AS%d before AS%d: not strictly ascending", what, name, x.Covered[i-1].ASN, x.Covered[i].ASN)
+			}
 		}
 		for i, a := range x.Covered {
 			for _, b := range x.Covered[i+1:] {
-				if x.Filters[a].Allows(b) && x.Filters[b].Allows(a) {
-					k := topology.MakeLinkKey(a, b)
+				if a.Filter.Allows(b.ASN) && b.Filter.Allows(a.ASN) {
+					k := topology.MakeLinkKey(a.ASN, b.ASN)
 					want[k] = append(want[k], name)
 				}
 			}

@@ -91,7 +91,7 @@ func unorderedContext(info *types.Info, stack []ast.Node, lhs ast.Expr, parLits 
 	for i := len(stack) - 1; i >= 0; i-- {
 		switch x := stack[i].(type) {
 		case *ast.RangeStmt:
-			if rangesOverMap(info, x) && !declaredWithin(obj, x) && !indexedWithin(info, lhs, x) {
+			if rangesOverMap(info, x) && !declaredWithin(obj, x) && !indexedByKey(info, lhs, x) {
 				return "the map iteration order"
 			}
 		case *ast.FuncLit:

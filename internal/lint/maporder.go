@@ -96,7 +96,7 @@ func checkMapRangeBody(pass *analysis.Pass, stack []ast.Node, rng *ast.RangeStmt
 				if obj == nil || declaredWithin(obj, rng) {
 					continue
 				}
-				if indexedWithin(info, x.Lhs[i], rng) {
+				if indexedByKey(info, x.Lhs[i], rng) {
 					continue // per-key cell: commutative across iterations
 				}
 				if !waivedInner(pass, stack, inner, x, ruleOrdered) {
@@ -117,6 +117,39 @@ func checkMapRangeBody(pass *analysis.Pass, stack []ast.Node, rng *ast.RangeStmt
 			continue
 		}
 		pass.Reportf(at.Pos(), "append to %q inside range over map: element order depends on map iteration; sort %q after the loop, iterate sorted keys, or waive with //mlplint:ordered <reason>", obj.Name(), obj.Name())
+	}
+}
+
+// indexedByKey reports whether an index along the lvalue chain is the
+// range's key itself. Only the key names a distinct cell on every
+// iteration, so only appends into key-indexed cells commute; a cell
+// indexed by the value, or by anything derived from it, may be appended
+// to by several iterations, in iteration order.
+func indexedByKey(info *types.Info, lhs ast.Expr, rng *ast.RangeStmt) bool {
+	key, ok := rng.Key.(*ast.Ident)
+	if !ok {
+		return false
+	}
+	obj := objOf(info, key)
+	if obj == nil {
+		return false // the blank key
+	}
+	for {
+		switch x := lhs.(type) {
+		case *ast.IndexExpr:
+			if id, ok := ast.Unparen(x.Index).(*ast.Ident); ok && objOf(info, id) == obj {
+				return true
+			}
+			lhs = x.X
+		case *ast.SelectorExpr:
+			lhs = x.X
+		case *ast.StarExpr:
+			lhs = x.X
+		case *ast.ParenExpr:
+			lhs = x.X
+		default:
+			return false
+		}
 	}
 }
 
@@ -154,7 +187,7 @@ func checkMapRangeCall(pass *analysis.Pass, stack, inner []ast.Node, rng *ast.Ra
 	if obj == nil || declaredWithin(obj, rng) {
 		return
 	}
-	if indexedWithin(info, sel.X, rng) {
+	if indexedByKey(info, sel.X, rng) {
 		return // per-key receiver: commutative across iterations
 	}
 	if !waivedInner(pass, stack, inner, call, ruleOrdered) {

@@ -96,10 +96,11 @@ func checkWorkerWrite(pass *analysis.Pass, w *waivers, stack, inner []ast.Node, 
 }
 
 // indexedWithin reports whether any index expression along the
-// lvalue chain mentions a variable declared inside scope — for a
-// worker closure that means the task parameter or a local derived
-// from it; for a map range, the iteration key (distinct per
-// iteration, hence commutative across cells).
+// lvalue chain mentions a variable declared inside scope: for a worker
+// closure, the task parameter or a local derived from it, which selects
+// the task's own shard. It is too loose for a map range, whose value
+// and the locals derived from it can repeat across iterations; the map
+// rules use indexedByKey.
 func indexedWithin(info *types.Info, lhs ast.Expr, scope ast.Node) bool {
 	for {
 		switch x := lhs.(type) {

@@ -42,6 +42,14 @@ func goodPerKey(m map[string][]int, acc map[string][]int) {
 	}
 }
 
+// badPerValue appends into cells selected by the iteration value:
+// keys sharing a value append to one cell in iteration order.
+func badPerValue(m map[string]string, acc map[string][]string) {
+	for k, v := range m {
+		acc[v] = append(acc[v], k) // want `append to "acc" inside range over map`
+	}
+}
+
 // badPrint emits output in map-iteration order.
 func badPrint(m map[string]int) {
 	for k, v := range m {

@@ -43,8 +43,8 @@ func ExampleWorld_RunInference() {
 	// One reconstructed export policy.
 	x := run.Result.PerIXP["DE-CIX"]
 	for _, m := range x.Covered {
-		if f := x.Filters[m]; len(f.Peers) > 0 {
-			fmt.Printf("at DE-CIX, AS%s announces via the RS with policy %s over %d peers\n", m, f.Mode, len(f.Peers))
+		if f := m.Filter; len(f.Peers) > 0 {
+			fmt.Printf("at DE-CIX, AS%s announces via the RS with policy %s over %d peers\n", m.ASN, f.Mode, len(f.Peers))
 			break
 		}
 	}

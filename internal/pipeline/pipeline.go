@@ -387,11 +387,7 @@ func (w *World) RunInference(ctx context.Context, activeCfg core.ActiveConfig) (
 	if err != nil {
 		return nil, err
 	}
-	hints := make(map[bgp.ASN][]bgp.Prefix)
-	for p, origin := range passive.PrefixOrigins {
-		hints[origin] = append(hints[origin], p)
-	}
-	active, err := core.RunActive(ctx, dict, w.LGEndpoints(0), passive.Obs, hints, activeCfg)
+	active, err := core.RunActive(ctx, dict, w.LGEndpoints(0), passive.Obs, passive.PrefixesByOrigin(), activeCfg)
 	if err != nil {
 		return nil, err
 	}
@@ -409,14 +405,10 @@ func (w *World) RunInference(ctx context.Context, activeCfg core.ActiveConfig) (
 
 // Validator builds the §5.1 validation engine over this world.
 func (w *World) Validator(run *Run) *core.Validator {
-	prefixes := make(map[bgp.ASN][]bgp.Prefix)
-	for p, origin := range run.Passive.PrefixOrigins {
-		prefixes[origin] = append(prefixes[origin], p)
-	}
 	return &core.Validator{
 		LGs:              w.ValidationLGs(),
 		Geo:              w.Geo,
-		PrefixesByOrigin: prefixes,
+		PrefixesByOrigin: run.Passive.PrefixesByOrigin(),
 		Rels:             run.Passive.Rels,
 	}
 }

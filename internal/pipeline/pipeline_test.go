@@ -39,8 +39,8 @@ func reciprocalLinks(x *core.IXPInference) map[topology.LinkKey]bool {
 	out := make(map[topology.LinkKey]bool)
 	for i, a := range x.Covered {
 		for _, b := range x.Covered[i+1:] {
-			if x.Filters[a].Allows(b) && x.Filters[b].Allows(a) {
-				out[topology.MakeLinkKey(a, b)] = true
+			if a.Filter.Allows(b.ASN) && b.Filter.Allows(a.ASN) {
+				out[topology.MakeLinkKey(a.ASN, b.ASN)] = true
 			}
 		}
 	}
@@ -48,16 +48,18 @@ func reciprocalLinks(x *core.IXPInference) map[topology.LinkKey]bool {
 }
 
 // TestAttributionMatchesReciprocity holds the batch Result's covered
-// lists and attribution map against the per-IXP oracle: Covered is the
-// sorted filter keys, and each link is attributed to exactly the IXPs
+// lists and attribution map against the per-IXP oracle: Covered is
+// strictly ascending by ASN, and each link is attributed to exactly the IXPs
 // whose covered filters allow it both ways.
 func TestAttributionMatchesReciprocity(t *testing.T) {
 	_, run := fixture(t)
 	want := make(map[topology.LinkKey][]string)
 	for _, name := range slices.Sorted(maps.Keys(run.Result.PerIXP)) {
 		x := run.Result.PerIXP[name]
-		if !slices.Equal(x.Covered, slices.Sorted(maps.Keys(x.Filters))) {
-			t.Fatalf("%s: covered %v is not the sorted filter keys", name, x.Covered)
+		for i := 1; i < len(x.Covered); i++ {
+			if x.Covered[i-1].ASN >= x.Covered[i].ASN {
+				t.Fatalf("%s: covered AS%d before AS%d: not strictly ascending", name, x.Covered[i-1].ASN, x.Covered[i].ASN)
+			}
 		}
 		for link := range reciprocalLinks(x) {
 			want[link] = append(want[link], name)
@@ -83,7 +85,7 @@ func TestPipelineProducesLinks(t *testing.T) {
 		if x == nil {
 			t.Fatalf("%s missing from result", info.Name)
 		}
-		covered := len(x.Filters)
+		covered := len(x.Covered)
 		if info.HasLG {
 			min := len(info.RSMembers) * 8 / 10
 			if covered < min {
@@ -276,8 +278,9 @@ func TestReconstructedFiltersMatchTruth(t *testing.T) {
 	mismatched := 0
 	for _, info := range w.Topo.IXPs {
 		x := run.Result.PerIXP[info.Name]
-		for m, got := range x.Filters {
-			truth, ok := w.Topo.Policy(info.Name, m)
+		for _, c := range x.Covered {
+			got := c.Filter
+			truth, ok := w.Topo.Policy(info.Name, c.ASN)
 			if !ok {
 				continue
 			}

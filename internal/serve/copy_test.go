@@ -167,28 +167,26 @@ func TestCopiedBodiesEdges(t *testing.T) {
 	for _, ixps := range attr {
 		slices.Sort(ixps)
 	}
-	// Members 1-6 are covered everywhere; each one's filter includes
-	// exactly its partners at that IXP, so the reciprocity rule over
-	// the filters gives back attr's per-IXP links.
+	// Members 1-6 are covered everywhere, 6 by active queries alone;
+	// each one's filter includes exactly its partners at that IXP, so
+	// the reciprocity rule over the filters gives back attr's per-IXP
+	// links.
 	res := &core.Result{PerIXP: map[string]*core.IXPInference{}, Links: attr}
 	for _, name := range []string{a, b, empty} {
-		inf := &core.IXPInference{
-			Name:    name,
-			Members: []bgp.ASN{1, 2, 3, 4, 5, 6, 7},
-			Covered: []bgp.ASN{1, 2, 3, 4, 5, 6},
-			Filters: map[bgp.ASN]ixp.ExportFilter{},
-			Sources: map[bgp.ASN]core.DataSource{7: core.ObsActive},
-		}
-		for _, m := range inf.Covered {
-			inf.Filters[m] = ixp.NewExportFilter(ixp.ModeNoneExcept)
-			inf.Sources[m] = core.ObsPassive
+		inf := &core.IXPInference{Name: name, Members: []bgp.ASN{1, 2, 3, 4, 5, 6, 7}}
+		for m := bgp.ASN(1); m <= 6; m++ {
+			src := core.ObsPassive
+			if m == 6 {
+				src = core.ObsActive
+			}
+			inf.Covered = append(inf.Covered, core.CoveredSetter{ASN: m, Filter: ixp.NewExportFilter(ixp.ModeNoneExcept), Source: src})
 		}
 		res.PerIXP[name] = inf
 	}
 	for k, ixps := range attr {
 		for _, name := range ixps {
-			f := res.PerIXP[name].Filters
-			f[k.A].Peers[k.B], f[k.B].Peers[k.A] = true, true
+			c := res.PerIXP[name].Covered // member m is at index m-1
+			c[k.A-1].Filter.Peers[k.B], c[k.B-1].Filter.Peers[k.A] = true, true
 		}
 	}
 

@@ -137,11 +137,11 @@ func appendIXPHead(dst []byte, epoch uint64, name string, inf *core.IXPInference
 	dst = append(dst, ',')
 	dst = appendIXPLead(dst, name, inf)
 	dst = append(dst, '[')
-	for i, asn := range inf.Covered {
+	for i, s := range inf.Covered {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst = strconv.AppendUint(dst, uint64(asn), 10)
+		dst = strconv.AppendUint(dst, uint64(s.ASN), 10)
 	}
 	dst = core.AppendField(dst, `],"passive":`, uint64(inf.PassiveCount()))
 	dst = core.AppendField(dst, `,"active":`, uint64(inf.ActiveCount()))
@@ -208,7 +208,7 @@ func appendIXPCopy(dst []byte, x *core.LinkIndex, name string, rows []uint32) []
 //
 //mlplint:allocfree
 func ixpBodySize(name string, inf *core.IXPInference, rows []uint32) int {
-	return 128 + 2*len(name) + 11*len(inf.Filters) + (40+2*len(name))*len(rows)
+	return 128 + 2*len(name) + 11*len(inf.Covered) + (40+2*len(name))*len(rows)
 }
 
 // appendIXPList appends the /v1/ixps body: one summary row per IXP in

@@ -103,8 +103,8 @@ func reciprocalLinks(x *core.IXPInference) []topology.LinkKey {
 	links := make(map[topology.LinkKey]bool)
 	for _, a := range x.Covered {
 		for _, b := range x.Covered {
-			if a < b && x.Filters[a].Allows(b) && x.Filters[b].Allows(a) {
-				links[topology.MakeLinkKey(a, b)] = true
+			if a.ASN < b.ASN && a.Filter.Allows(b.ASN) && b.Filter.Allows(a.ASN) {
+				links[topology.MakeLinkKey(a.ASN, b.ASN)] = true
 			}
 		}
 	}
@@ -114,8 +114,8 @@ func reciprocalLinks(x *core.IXPInference) []topology.LinkKey {
 func oracleIXP(t *testing.T, epoch uint64, r *core.Result, name string) string {
 	x := r.PerIXP[name]
 	covered := []bgp.ASN{}
-	for m := range x.Filters {
-		covered = append(covered, m)
+	for _, m := range x.Covered {
+		covered = append(covered, m.ASN)
 	}
 	sort.Slice(covered, func(i, j int) bool { return covered[i] < covered[j] })
 	links := []oracleLink{}
@@ -144,7 +144,7 @@ func oracleIXPList(t *testing.T, epoch uint64, r *core.Result) string {
 	}
 	rows := []row{}
 	for name, x := range r.PerIXP {
-		rows = append(rows, row{name, len(x.Members), len(x.Filters), x.PassiveCount(), x.ActiveCount(), len(reciprocalLinks(x))})
+		rows = append(rows, row{name, len(x.Members), len(x.Covered), x.PassiveCount(), x.ActiveCount(), len(reciprocalLinks(x))})
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].Name < rows[j].Name })
 	return oracleJSON(t, struct {

@@ -107,8 +107,8 @@ func NewSnapshot(epoch uint64, scenario string, pw *core.PassiveWindow, committe
 // out of core.MeshState.Snapshot, so a Result shared with the previous
 // epoch publishes without being sorted or encoded again. What carries
 // the epoch is encoded here, once per snapshot: the whole-snapshot
-// bodies and the per-IXP body heads, so a /v1/ixp request neither walks
-// Sources nor formats the covered list.
+// bodies and the per-IXP body heads, so a /v1/ixp request neither
+// counts sources nor formats the covered list.
 //
 //mlplint:frozen
 func newSnapshot(boot string, epoch uint64, scenario string, pw *core.PassiveWindow, committed time.Time) *Snapshot {

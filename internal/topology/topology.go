@@ -345,9 +345,10 @@ func (t *Topology) PrefixOwners() map[bgp.Prefix]bgp.ASN {
 	return m
 }
 
-// Validate performs structural sanity checks on the topology; the
-// generator's tests call it, and cmd/topogen refuses to write a world
-// that fails it.
+// Validate performs structural sanity checks on the topology.
+// Builder.Finalize runs it on every world it builds and returns its
+// error, so no generator, scenario or command ever holds a world that
+// fails it.
 func (t *Topology) Validate() error {
 	for _, asn := range t.Order {
 		as := t.ASes[asn]
