@@ -653,16 +653,22 @@ func BenchmarkChurnedPublish(b *testing.B) {
 	// reconciler does it. The three columns are the stages of a churned
 	// window's publish (window 0, the base-RIB load, is left out): the
 	// bare incremental close, MeshState.Snapshot — which patches the
-	// previous epoch's link index and encoded link array — and
-	// NewSnapshot, which encodes only the bodies that carry the epoch. A
-	// Snapshot that fell back to re-sorting and re-encoding the whole mesh
-	// reads ~30 ms more in materialize-ms/op (~42 against ~11-14 ms on 2
-	// vCPUs, -benchtime 3x). A full collection runs, untimed, before
-	// each replay and before each Materialize, so no column carries the
-	// collection of the garbage the stage before it left; gc/op counts
-	// the collections that ran inside the timed stages. Each window's
-	// chained fingerprint is checked, untimed, against a detached copy of
-	// its Result that only a from-scratch walk has touched.
+	// previous epoch's link index and encoded link array and hands the
+	// mesh's link map to the Result without copying it — and
+	// NewSnapshot, which encodes only the bodies that carry the epoch.
+	// On 2 vCPUs at -benchtime 3x they read ~5 / ~4-5 / ~0.2 ms. The
+	// mesh's next private copy of the link map is cloned alongside the
+	// next window's events, so close-ms/op includes any wait for it; a
+	// materialize-ms/op near 10 means Snapshot copies the map itself
+	// again. A Snapshot that fell back to re-sorting and re-encoding the
+	// whole mesh reads ~30 ms more in materialize-ms/op (~42 against
+	// ~11-14 ms, measured with the copy in Snapshot). A full collection
+	// runs, untimed, before each replay and before each Materialize, so
+	// no column carries the collection of the garbage the stage before it
+	// left; gc/op counts the collections that ran inside the timed
+	// stages. Each window's chained fingerprint is checked, untimed,
+	// against a detached copy of its Result that only a from-scratch walk
+	// has touched.
 	ccfg := churn.DefaultConfig(20130501)
 	ccfg.Epochs, ccfg.Interval = 12, time.Minute
 	ct, err := experiments.BuildChurnTrace(topology.DefaultConfig(), ccfg)

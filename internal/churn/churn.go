@@ -118,8 +118,11 @@ func (r *Runner) NextDelta() *propagate.Delta {
 // and bringing previously flapped ones back up (or lighting new ones
 // between IXP co-members). A session torn down in this epoch is never
 // restored in the same delta: flaps span at least one inference window,
-// so the withdraw and the re-announce land in different windows.
+// so the withdraw and the re-announce land in different windows. The
+// topology does not change while a delta is sampled, so the bilateral
+// link list the down-flaps draw from is built once, at the first one.
 func (r *Runner) samplePeerFlaps(rng *rand.Rand, d *propagate.Delta) {
+	var links []topology.Link
 	for i := 0; i < r.cfg.PeerFlaps; i++ {
 		up := i%2 == 1
 		if up {
@@ -144,7 +147,9 @@ func (r *Runner) samplePeerFlaps(rng *rand.Rand, d *propagate.Delta) {
 			}
 			continue
 		}
-		links := r.topo.BilateralLinks()
+		if links == nil {
+			links = r.topo.BilateralLinks()
+		}
 		if len(links) == 0 {
 			continue
 		}

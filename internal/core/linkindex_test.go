@@ -70,8 +70,9 @@ func diffLinkIndex(got, want *LinkIndex) string {
 // copy of the Result. Windows nobody materialized sit in between, the
 // mesh starts and ends empty, links land before the first and after the
 // last position, and every Result is checked again three
-// materializations later against a deep copy taken when it was built:
-// copy-on-write must really copy.
+// materializations later, and once more after the last step, against a
+// deep copy taken when it was built: copy-on-write must really copy, and
+// a link map handed to a Result is never written again.
 //
 // The mesh closes on one goroutine; the subtest is named for that.
 func TestPatchedIndexEqualsRebuilt(t *testing.T) {
@@ -112,6 +113,14 @@ func patchedIndexSweep(t *testing.T) {
 	}
 	var kept []retained
 	patched := 0
+	checkRetained := func(step string, r retained) {
+		x := r.res.linkIndex
+		if !maps.EqualFunc(r.res.Links, r.links, slices.Equal[[]string]) ||
+			!slices.EqualFunc(x.Links, r.index, func(a, b IndexedLink) bool { return a.Key == b.Key && slices.Equal(a.IXPs, b.IXPs) }) ||
+			!bytes.Equal(x.Encoded, r.encoded) || x.Fingerprint != r.fp {
+			t.Fatalf("%s: a retained Result drifted after later windows", step)
+		}
+	}
 
 	// materialize closes the window and snapshots the mesh (a snapshot
 	// follows its window's close), then checks the index it came with
@@ -150,13 +159,7 @@ func patchedIndexSweep(t *testing.T) {
 		}
 		// A Result three materializations back still reads its own bytes.
 		if len(kept) > 3 {
-			r := kept[len(kept)-4]
-			x := r.res.linkIndex
-			if !maps.EqualFunc(r.res.Links, r.links, slices.Equal[[]string]) ||
-				!slices.EqualFunc(x.Links, r.index, func(a, b IndexedLink) bool { return a.Key == b.Key && slices.Equal(a.IXPs, b.IXPs) }) ||
-				!bytes.Equal(x.Encoded, r.encoded) || x.Fingerprint != r.fp {
-				t.Fatalf("%s: a retained Result drifted after later windows", step)
-			}
+			checkRetained(step, kept[len(kept)-4])
 		}
 	}
 
@@ -209,6 +212,11 @@ func patchedIndexSweep(t *testing.T) {
 	}
 	if patched < 100 {
 		t.Fatalf("sweep patched %d indexes: the patch must be exercised", patched)
+	}
+	// Every Result, the oldest included, still reads its own links and
+	// bytes after the last step.
+	for i, r := range kept {
+		checkRetained(fmt.Sprintf("after the sweep, Result %d of %d", i, len(kept)), r)
 	}
 }
 

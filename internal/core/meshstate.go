@@ -23,7 +23,8 @@ import (
 // IXP of a DeltaObservations store. Apply re-derives the records the
 // store dirtied since the last window close and updates links and the
 // running counters; Snapshot materializes the equivalent of InferLinks
-// over the same store. Not safe for concurrent use.
+// over the same store. Not safe for concurrent use: the one goroutine
+// it starts itself (see Snapshot) only reads a map no one writes.
 type MeshState struct {
 	obs *DeltaObservations
 
@@ -31,8 +32,15 @@ type MeshState struct {
 	// the mesh's one link set; an IXP's own links are the keys whose
 	// list names it. The lists are copy-on-write — addLink/removeLink
 	// replace a list, never edit one in place — so Snapshot hands them to
-	// a Result as they are.
+	// a Result as they are. Snapshot hands the map over too: from then
+	// on it belongs to the Result and is read-only, and the mesh reads
+	// it until its first write, which first swaps in the private copy
+	// that next delivers (see own).
 	links map[topology.LinkKey][]string
+	// next delivers the copy of links that the goroutine the last
+	// link-changing Snapshot started is building; nil once the mesh
+	// owns links again.
+	next chan map[topology.LinkKey][]string
 
 	// Jaccard stability counters: prevLinks is the mesh size at the
 	// last CloseStability; changed records, for every link touched
@@ -120,8 +128,11 @@ func (ms *MeshState) updateSetter(s *setterDelta) {
 
 // touch returns key's attribution list and, on its first touch since
 // the last CloseStability, logs whether the link is present: nothing
-// moved it since that close, so this is its presence then.
+// moved it since that close, so this is its presence then. Every write
+// to links follows a touch, so touch is where the mesh takes links back
+// from the last Result it was handed to.
 func (ms *MeshState) touch(key topology.LinkKey) []string {
+	ms.own()
 	names := ms.links[key]
 	if _, seen := ms.changed[key]; !seen {
 		ms.changed[key] = len(names) > 0
@@ -155,6 +166,29 @@ func (ms *MeshState) removeLink(x *ixpDelta, key topology.LinkKey) {
 	ms.links[key] = slices.Delete(slices.Clone(names), i, i+1)
 }
 
+// own makes links the mesh's private map again after Snapshot handed it
+// to a Result: it waits for the copy Snapshot started, which has
+// usually long finished, and swaps it in. A no-op when no copy is
+// pending.
+func (ms *MeshState) own() {
+	if ms.next != nil {
+		ms.links = <-ms.next
+		ms.next = nil
+	}
+}
+
+// handOff returns links for a Result to keep and starts the goroutine
+// that builds the mesh's next private copy from it: the map is frozen
+// from here on, so the copy reads it while the caller publishes, and
+// the next window's events and relation commit run alongside it.
+func (ms *MeshState) handOff() map[topology.LinkKey][]string {
+	frozen := ms.links
+	next := make(chan map[topology.LinkKey][]string, 1)
+	go func() { next <- maps.Clone(frozen) }()
+	ms.next = next
+	return frozen
+}
+
 // CloseStability finalizes one window: it returns the Jaccard
 // similarity between the mesh at the previous close and now, derived
 // from the links touched since instead of re-walking both link sets,
@@ -185,17 +219,22 @@ func (ms *MeshState) CloseStability() float64 {
 }
 
 // Snapshot materializes the maintained mesh as a Result equivalent to
-// InferLinks over the same observation store: the link map (a shallow
-// clone — the attribution lists are copy-on-write and shared), per-IXP
-// covered setters, and the link index BuildIndex returns. A snapshot follows its window's close (CloseStability), which
-// hands it the links that moved. The Members slices alias the mesh's
-// cached member lists; like every Result, snapshots are read-only views —
-// which is what lets consecutive snapshots share structure: an IXP no
-// setter joined, left or re-filtered at since the last call keeps its
-// *IXPInference, an unchanged link set keeps its Links map and link
-// index, and when nothing changed at all the previous *Result itself is
-// returned. A changed link set patches the previous index with the
-// sorted keys that moved; the first index is built from scratch.
+// InferLinks over the same observation store: the link map, per-IXP
+// covered setters, and the link index BuildIndex returns. A snapshot
+// follows its window's close (CloseStability), which hands it the links
+// that moved. The Members slices alias the mesh's cached member lists;
+// like every Result, snapshots are read-only views — which is what lets
+// consecutive snapshots share structure: an IXP no setter joined, left
+// or re-filtered at since the last call keeps its *IXPInference, an
+// unchanged link set keeps its Links map and link index, and when
+// nothing changed at all the previous *Result itself is returned. A
+// changed link set patches the previous index with the sorted keys that
+// moved (the first index is built from scratch), and the new Result
+// takes the mesh's own link map, not a copy: the attribution lists are
+// copy-on-write, and the mesh's next private map is cloned from the
+// handed-off one on a goroutine of its own (see handOff). The mesh's
+// next write waits for that copy, so the next window's CloseTime may
+// include the wait.
 //
 //mlplint:frozen
 func (ms *MeshState) Snapshot() *Result {
@@ -216,12 +255,12 @@ func (ms *MeshState) Snapshot() *Result {
 	case shareLinks:
 		res.Links, res.linkIndex = prev.Links, prev.linkIndex
 	case prev == nil:
-		res.Links = maps.Clone(ms.links)
+		res.Links = ms.handOff()
 		res.linkIndex = newLinkIndex(res)
 	default:
 		keys := slices.SortedFunc(maps.Keys(ms.moved), topology.CompareLinkKeys)
 		clear(ms.moved)
-		res.Links = maps.Clone(ms.links)
+		res.Links = ms.handOff()
 		res.linkIndex = patchLinkIndex(prev.linkIndex, keys, res.Links)
 	}
 	ms.snap = res

@@ -118,7 +118,8 @@ type PassiveWindow struct {
 	// previous window's link sets (1 for the first window).
 	Stability float64
 	// CloseTime is the wall-clock cost of deriving this window at close,
-	// including Materialize once it has been called.
+	// including Materialize once it has been called and any wait for the
+	// copy of the link map the previous Materialize handed off.
 	CloseTime time.Duration
 	// Result is the multilateral-peering inference over the window's
 	// live view. In incremental mode it is nil until Materialize is
@@ -136,7 +137,11 @@ type PassiveWindow struct {
 // mesh on the first call (exactly one MeshState.Snapshot per window) and
 // returning the same pointer on every later one. The snapshot's cost is
 // added to CloseTime, so a consumer that materializes before reading
-// CloseTime sees the whole cost of producing the window. It must be
+// CloseTime sees the whole cost of producing the window. A window whose
+// links moved hands the mesh's link map to its Result, which owns it
+// from then on; the mesh's next private copy is built on another
+// goroutine, and the next window's close waits for it (its CloseTime
+// includes any wait) before the mesh writes a link. It must be
 // called inside the WindowOptions.Stream callback the window was handed
 // to: afterwards the miner has moved on, and a first call then panics
 // rather than pass a later window's mesh off as this one's (and make it
@@ -206,6 +211,10 @@ func RunPassiveWindows(dumps []*mrt.Dump, updates []*mrt.BGP4MPMessage, dict *Di
 
 	store := paths.NewStore()
 	miner := newWindowMiner(dict, store, relation.NewIncremental(store))
+	// A window's Materialize may leave the mesh's next link map being
+	// copied on another goroutine; the replay waits for it before it
+	// returns, so no goroutine outlives the replay.
+	defer miner.mesh.own()
 	// live holds each occupied slot's shape group.
 	live := newLiveTable()
 

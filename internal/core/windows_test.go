@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
@@ -1033,6 +1034,73 @@ func TestLateMaterializePanics(t *testing.T) {
 	}()
 	unasked.Materialize()
 	t.Fatal("late Materialize returned instead of panicking")
+}
+
+// TestMeshHandOff pins the link map's hand-off from the mesh to the
+// Result a Snapshot publishes (MeshState.handOff) over seeded random
+// traces of FuzzWindowMiner's fixture. A consumer that materializes
+// every third window publishes Results whose index equals newLinkIndex
+// over a deep copy, and each still reads its own links after the replay,
+// so the mesh never wrote a map it handed off; a replay whose last
+// window left a copy pending returns with none pending; and a consumer
+// that never materializes starts no copy.
+func TestMeshHandOff(t *testing.T) {
+	fx := newMinerFuzzFixture(t)
+	rng := rand.New(rand.NewSource(20130501))
+	pendingAtEnd := 0
+	for trace := 0; trace < 60; trace++ {
+		data := make([]byte, 400)
+		rng.Read(data)
+		dumps, updates, count := fx.decode(data)
+
+		var mesh *MeshState
+		var results, copies []*Result
+		pending := false
+		every3 := WindowOptions{Start: fx.t0, Window: fx.window, Count: count, Stream: func(pw *PassiveWindow) {
+			mesh = pw.miner.mesh
+			if (pw.miner.epoch-1)%3 == 0 {
+				res := pw.Materialize()
+				if diff := diffLinkIndex(res.linkIndex, newLinkIndex(deepCopyResult(res))); diff != "" {
+					t.Fatalf("trace %d, window %d: published index differs from rebuilt: %s", trace, pw.miner.epoch-1, diff)
+				}
+				results, copies = append(results, res), append(copies, deepCopyResult(res))
+			}
+			pending = mesh.next != nil
+		}}
+		if _, err := RunPassiveWindows(dumps, updates, fx.dict, every3); err != nil {
+			t.Fatal(err)
+		}
+		if mesh.next != nil {
+			t.Fatalf("trace %d: the replay returned with the mesh's link copy still pending", trace)
+		}
+		if pending {
+			pendingAtEnd++
+		}
+		for i, res := range results {
+			if !maps.EqualFunc(res.Links, copies[i].Links, slices.Equal[[]string]) {
+				t.Fatalf("trace %d: published Result %d's links were written after it was published", trace, i)
+			}
+			if diff := diffLinkIndex(res.linkIndex, newLinkIndex(copies[i])); diff != "" {
+				t.Fatalf("trace %d: published Result %d drifted: %s", trace, i, diff)
+			}
+		}
+
+		never := WindowOptions{Start: fx.t0, Window: fx.window, Count: count, Stream: func(pw *PassiveWindow) {
+			mesh = pw.miner.mesh
+			if mesh.next != nil || mesh.snap != nil {
+				t.Fatalf("trace %d, window %d: a consumer that never materializes started a copy", trace, pw.miner.epoch-1)
+			}
+		}}
+		if _, err := RunPassiveWindows(dumps, updates, fx.dict, never); err != nil {
+			t.Fatal(err)
+		}
+		if mesh.next != nil || mesh.snap != nil {
+			t.Fatalf("trace %d: a replay nobody materialized left a copy", trace)
+		}
+	}
+	if pendingAtEnd < 5 {
+		t.Fatalf("only %d of 60 traces ended with a copy pending: the exit join must be exercised", pendingAtEnd)
+	}
 }
 
 // TestResultFingerprint pins the fingerprint contract: equal meshes

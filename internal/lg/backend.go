@@ -67,7 +67,6 @@ func NewRSBackend(rib *propagate.RSRIB, hidden []bgp.ASN) *RSBackend {
 	for _, h := range hidden {
 		b.hidden[h] = true
 	}
-	//mlplint:ordered each member's list is sorted right after the loop
 	for p, es := range rib.Entries {
 		for _, e := range es {
 			b.perMember[e.Member] = append(b.perMember[e.Member], p)

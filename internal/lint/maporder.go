@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 
 	"mlpeering/internal/lint/analysis"
 )
@@ -17,9 +18,11 @@ import (
 // bug class the worker-sweep equivalence tests exist to catch
 // dynamically.
 //
-// Two escapes: appends whose target slice is passed to a sort (or a
+// Three escapes: appends whose target slice is passed to a sort (or a
 // locally-defined *sort*/*canon* helper) after the loop are the
-// sorted-key-extraction idiom and pass; anything deliberate carries
+// sorted-key-extraction idiom and pass; so do appends into the cells of
+// a map that a later loop over that same map sorts cell by cell (`for _,
+// v := range m { slices.Sort(v) }`); anything deliberate carries
 // //mlplint:ordered <reason>.
 var MapOrder = &analysis.Analyzer{
 	Name: "maporder",
@@ -46,7 +49,12 @@ func runMapOrder(pass *analysis.Pass) error {
 }
 
 func rangesOverMap(info *types.Info, rng *ast.RangeStmt) bool {
-	tv, ok := info.Types[rng.X]
+	return isMap(info, rng.X)
+}
+
+// isMap reports whether e's type is a map.
+func isMap(info *types.Info, e ast.Expr) bool {
+	tv, ok := info.Types[e]
 	if !ok || tv.Type == nil {
 		return false
 	}
@@ -70,9 +78,14 @@ var writerMethods = map[string]bool{
 func checkMapRangeBody(pass *analysis.Pass, stack []ast.Node, rng *ast.RangeStmt) {
 	info := pass.TypesInfo
 	// appended maps each outer slice object appended to inside the
-	// loop to the position of the first append, pending the
-	// post-loop sort check.
-	appended := make(map[types.Object]ast.Node)
+	// loop to the position of the first append and the map whose cells
+	// each append went to (nil for an append outside a map cell),
+	// pending the post-loop sort check.
+	type appendSite struct {
+		at    ast.Node
+		cells []ast.Expr
+	}
+	appended := make(map[types.Object]*appendSite)
 
 	walkStack(rng.Body, func(inner []ast.Node, n ast.Node) bool {
 		switch x := n.(type) {
@@ -100,9 +113,12 @@ func checkMapRangeBody(pass *analysis.Pass, stack []ast.Node, rng *ast.RangeStmt
 					continue // per-key cell: commutative across iterations
 				}
 				if !waivedInner(pass, stack, inner, x, ruleOrdered) {
-					if _, dup := appended[obj]; !dup {
-						appended[obj] = x
+					site := appended[obj]
+					if site == nil {
+						site = &appendSite{at: x}
+						appended[obj] = site
 					}
+					site.cells = append(site.cells, cellMap(info, x.Lhs[i]))
 				}
 			}
 		case *ast.CallExpr:
@@ -112,12 +128,55 @@ func checkMapRangeBody(pass *analysis.Pass, stack []ast.Node, rng *ast.RangeStmt
 	})
 
 	fnBody := enclosingFuncBody(stack)
-	for obj, at := range appended {
-		if fnBody != nil && sortedAfter(info, fnBody, obj, rng.End()) {
+	unsorted := func(m ast.Expr) bool { return !cellsSortedAfter(info, fnBody, m, rng.End()) }
+	for obj, site := range appended {
+		if fnBody != nil && (sortedAfter(info, fnBody, obj, rng.End()) || !slices.ContainsFunc(site.cells, unsorted)) {
 			continue
 		}
-		pass.Reportf(at.Pos(), "append to %q inside range over map: element order depends on map iteration; sort %q after the loop, iterate sorted keys, or waive with //mlplint:ordered <reason>", obj.Name(), obj.Name())
+		pass.Reportf(site.at.Pos(), "append to %q inside range over map: element order depends on map iteration; sort %q after the loop, iterate sorted keys, or waive with //mlplint:ordered <reason>", obj.Name(), obj.Name())
 	}
+}
+
+// cellMap returns the map whose cell lhs is, when lhs indexes a map
+// (acc[v], s.cells[v]), and nil otherwise.
+func cellMap(info *types.Info, lhs ast.Expr) ast.Expr {
+	if ix, ok := ast.Unparen(lhs).(*ast.IndexExpr); ok && isMap(info, ix.X) {
+		return ix.X
+	}
+	return nil
+}
+
+// cellsSortedAfter reports whether a range over the map m positioned
+// after pos within body sorts its value — each cell of m — in its body:
+// the per-cell form of the post-loop sort. The map must be the same
+// expression over the same root variable.
+func cellsSortedAfter(info *types.Info, body *ast.BlockStmt, m ast.Expr, pos token.Pos) bool {
+	root := rootIdent(m) // nil for nil m
+	if root == nil {
+		return false
+	}
+	found := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		if found {
+			return false
+		}
+		rng, ok := n.(*ast.RangeStmt)
+		if !ok || rng.Pos() < pos {
+			return true
+		}
+		v, ok := rng.Value.(*ast.Ident)
+		if !ok || types.ExprString(rng.X) != types.ExprString(m) {
+			return true
+		}
+		if r := rootIdent(rng.X); r == nil || objOf(info, r) != objOf(info, root) {
+			return true
+		}
+		if obj := objOf(info, v); obj != nil && sortedAfter(info, rng.Body, obj, rng.Body.Pos()) {
+			found = true
+		}
+		return !found
+	})
+	return found
 }
 
 // indexedByKey reports whether an index along the lvalue chain is the

@@ -9,9 +9,9 @@ import (
 
 func TestMapOrder(t *testing.T) {
 	diags := linttest.Run(t, "testdata", lint.MapOrder, "maporderfix")
-	// The fixture carries four real findings plus one
+	// The fixture carries five real findings plus one
 	// reasonless-waiver report; waived and sorted cases are silent.
-	if got, want := len(diags), 5; got != want {
+	if got, want := len(diags), 6; got != want {
 		t.Errorf("diagnostics = %d, want %d", got, want)
 	}
 }

@@ -50,6 +50,32 @@ func badPerValue(m map[string]string, acc map[string][]string) {
 	}
 }
 
+// cells holds per-key lists filled in map-iteration order.
+type cells struct{ byValue, other map[string][]string }
+
+// goodPerCellSort appends into cells selected by the iteration value,
+// then sorts every cell of that same map after the loop: each cell ends
+// sorted whatever the iteration order.
+func goodPerCellSort(m map[string]string, c *cells) {
+	for k, v := range m {
+		c.byValue[v] = append(c.byValue[v], k)
+	}
+	for _, ks := range c.byValue {
+		sort.Strings(ks)
+	}
+}
+
+// badPerCellSortElsewhere sorts the cells of a different map after the
+// loop, which leaves the appended cells in iteration order.
+func badPerCellSortElsewhere(m map[string]string, c *cells) {
+	for k, v := range m {
+		c.byValue[v] = append(c.byValue[v], k) // want `append to "c" inside range over map`
+	}
+	for _, ks := range c.other {
+		sort.Strings(ks)
+	}
+}
+
 // badPrint emits output in map-iteration order.
 func badPrint(m map[string]int) {
 	for k, v := range m {
