@@ -1,7 +1,9 @@
 package main
 
 import (
+	"crypto/sha256"
 	"errors"
+	"flag"
 	"fmt"
 	"os"
 	"os/exec"
@@ -27,12 +29,20 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
+var update = flag.Bool("update", false, "rewrite the output goldens under testdata from the current code")
+
 // runMain runs main with args in a child process and returns its
 // combined output and whether it exited zero.
 func runMain(t *testing.T, args ...string) (string, bool) {
 	t.Helper()
+	return runMainEnv(t, nil, args...)
+}
+
+// runMainEnv is runMain with env added to the child's environment.
+func runMainEnv(t *testing.T, env []string, args ...string) (string, bool) {
+	t.Helper()
 	cmd := exec.Command(os.Args[0], args...)
-	cmd.Env = append(os.Environ(), "TOPOGEN_RUN_MAIN=1")
+	cmd.Env = append(append(os.Environ(), env...), "TOPOGEN_RUN_MAIN=1")
 	out, err := cmd.CombinedOutput()
 	var exit *exec.ExitError
 	if err != nil && !errors.As(err, &exit) {
@@ -141,5 +151,53 @@ func TestUnknownScenarioRejected(t *testing.T) {
 	out, ok := runMain(t, "-scenario", "nope", "-out", t.TempDir())
 	if ok || !strings.Contains(out, `unknown scenario "nope"`) {
 		t.Errorf("topogen -scenario nope: exit ok=%v, output %q; want a failure naming %q", ok, out, "nope")
+	}
+}
+
+// TestOutputGolden pins every file topogen writes at -scale 0.12 for
+// each scenario, at GOMAXPROCS=1 and at the default core count: the
+// sha256 of each data file and SUMMARY.txt in full. The output is a pure
+// function of the flags and the seed, so a change that must not move the
+// generated world keeps the goldens green without -update, which
+// rewrites them from the default-width run.
+func TestOutputGolden(t *testing.T) {
+	for _, scenario := range topology.ScenarioNames() {
+		path := filepath.Join("testdata", scenario+"_scale0.12.golden")
+		for _, env := range [][]string{nil, {"GOMAXPROCS=1"}} {
+			dir := t.TempDir()
+			if log, ok := runMainEnv(t, env, "-scale", "0.12", "-scenario", scenario, "-out", dir); !ok {
+				t.Fatalf("topogen -scenario %s (env %v) failed: %s", scenario, env, log)
+			}
+			var b strings.Builder
+			for _, name := range []string{"irr.rpsl", "peeringdb.json", "rib.mrt", "updates.mrt"} {
+				data, err := os.ReadFile(filepath.Join(dir, name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				fmt.Fprintf(&b, "%s %x\n", name, sha256.Sum256(data))
+			}
+			summary, err := os.ReadFile(filepath.Join(dir, "SUMMARY.txt"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.WriteString("SUMMARY.txt:\n")
+			b.Write(summary)
+			got := b.String()
+			if *update && env == nil {
+				if err := os.MkdirAll("testdata", 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("%v (run with -update to create it)", err)
+			}
+			if got != string(want) {
+				t.Errorf("topogen -scenario %s -scale 0.12 (env %v) differs from %s:\ngot\n%s\nwant\n%s", scenario, env, path, got, want)
+			}
+		}
 	}
 }

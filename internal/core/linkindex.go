@@ -9,6 +9,7 @@ import (
 	"unicode/utf8"
 
 	"mlpeering/internal/bgp"
+	"mlpeering/internal/par"
 	"mlpeering/internal/topology"
 )
 
@@ -264,13 +265,31 @@ func (x *LinkIndex) encode() {
 // newLinkIndex derives the index of r from nothing but r: one sort,
 // then single passes. It is the base case — a batch Result, a mesh's
 // first window — and the oracle the patched index is tested against.
+// The encoding and the rest of the index read only the sorted array
+// and write disjoint fields, so the encoding is built beside the
+// fingerprint and the rows: on a second goroutine when GOMAXPROCS
+// allows, after them on this one otherwise.
 //
 //mlplint:frozen
 func newLinkIndex(r *Result) *LinkIndex {
 	x := &LinkIndex{Links: sortedLinks(r.Links)}
-	x.Fingerprint = fingerprintLinks(x.Links)
-	x.encode()
+	par.Run(2, func(task int) {
+		if task == 0 {
+			x.encode()
+		} else {
+			x.indexRows(r)
+		}
+	})
+	return x
+}
 
+// indexRows fills everything of a new index but its encoding from its
+// sorted link array: the fingerprint, the IXP names, the multi-IXP
+// count and both CSR adjacencies.
+//
+//mlplint:frozen
+func (x *LinkIndex) indexRows(r *Result) {
+	x.Fingerprint = fingerprintLinks(x.Links)
 	x.IXPs = slices.Sorted(maps.Keys(r.PerIXP))
 
 	// Count pass: every link lands in its two endpoints' rows and in
@@ -337,7 +356,6 @@ func newLinkIndex(r *Result) *LinkIndex {
 		}
 		rows = rows[2+len(l.IXPs):]
 	}
-	return x
 }
 
 // gone is the renumbering of a link the patch removed.

@@ -45,7 +45,9 @@ type MeshState struct {
 	// Jaccard stability counters: prevLinks is the mesh size at the
 	// last CloseStability; changed records, for every link touched
 	// since, whether it was present then (first touch wins, so flaps
-	// that cancel out contribute nothing).
+	// that cancel out contribute nothing). changed is nil until the
+	// first CloseStability: a first window's stability is 1 whatever it
+	// holds, so the close that builds the whole mesh logs none of it.
 	prevLinks int
 	changed   map[topology.LinkKey]bool
 
@@ -65,10 +67,9 @@ func newMeshState(obs *DeltaObservations) *MeshState {
 		x.members = x.entry.Members()
 	}
 	return &MeshState{
-		obs:     obs,
-		links:   make(map[topology.LinkKey][]string),
-		changed: make(map[topology.LinkKey]bool),
-		moved:   make(map[topology.LinkKey]struct{}),
+		obs:   obs,
+		links: make(map[topology.LinkKey][]string),
+		moved: make(map[topology.LinkKey]struct{}),
 	}
 }
 
@@ -128,13 +129,14 @@ func (ms *MeshState) updateSetter(s *setterDelta) {
 
 // touch returns key's attribution list and, on its first touch since
 // the last CloseStability, logs whether the link is present: nothing
-// moved it since that close, so this is its presence then. Every write
-// to links follows a touch, so touch is where the mesh takes links back
-// from the last Result it was handed to.
+// moved it since that close, so this is its presence then. Before the
+// first CloseStability it logs nothing. Every write to links follows a
+// touch, so touch is where the mesh takes links back from the last
+// Result it was handed to.
 func (ms *MeshState) touch(key topology.LinkKey) []string {
 	ms.own()
 	names := ms.links[key]
-	if _, seen := ms.changed[key]; !seen {
+	if _, seen := ms.changed[key]; !seen && ms.changed != nil {
 		ms.changed[key] = len(names) > 0
 	}
 	return names
@@ -193,8 +195,16 @@ func (ms *MeshState) handOff() map[topology.LinkKey][]string {
 // similarity between the mesh at the previous close and now, derived
 // from the links touched since instead of re-walking both link sets,
 // hands those links to the next Snapshot's index patch, and resets the
-// counters for the next window.
+// counters for the next window. The first call returns 1, like a
+// replay's first window, and starts the log; the first Snapshot follows
+// it and builds its index from scratch, so nothing needs the links the
+// first window moved.
 func (ms *MeshState) CloseStability() float64 {
+	if ms.changed == nil {
+		ms.prevLinks = len(ms.links)
+		ms.changed = make(map[topology.LinkKey]bool)
+		return 1
+	}
 	added, removed := 0, 0
 	for key, was := range ms.changed {
 		_, is := ms.links[key]

@@ -15,6 +15,7 @@ import (
 
 	"mlpeering/internal/bgp"
 	"mlpeering/internal/ixp"
+	"mlpeering/internal/par"
 	"mlpeering/internal/paths"
 	"mlpeering/internal/relation"
 	"mlpeering/internal/topology"
@@ -149,10 +150,9 @@ func newDeltaObservations(dict *Dictionary) *DeltaObservations {
 	return o
 }
 
-// add applies one counted observation delta at e, an entry of the
-// store's dictionary.
-func (o *DeltaObservations) add(e *IXPEntry, setter bgp.ASN, prefix bgp.Prefix, key string, cs bgp.Communities, delta int) {
-	x := o.byIXP[e.Name]
+// add applies one counted observation delta at x, one of the store's
+// IXP records.
+func (o *DeltaObservations) add(x *ixpDelta, setter bgp.ASN, prefix bgp.Prefix, key string, cs bgp.Communities, delta int) {
 	s := x.setters[setter]
 	if s == nil {
 		s = &setterDelta{
@@ -242,13 +242,15 @@ func (o *DeltaObservations) CoveredSetters(e *IXPEntry) []CoveredSetter {
 // that finds no live route carrying it. Everything but the
 // relationship-dependent setter is fixed at creation: at is the miner's
 // attribution of the comms set (its ID, the attributor's read-only copy,
-// the IXP and the relevant subset). refs tracks the live routes
+// the IXP and the relevant subset), and x that IXP's record in the
+// miner's observation store. refs tracks the live routes
 // currently carrying the shape, and byPrefix, for a relsDep shape only,
 // their prefixes: a re-pinpoint moves those counts, and nothing else
 // ever reads them.
 type windowGroup struct {
 	path paths.ID
 	at   attribution
+	x    *ixpDelta // nil unless at.entry is set
 
 	bogon, cycle, empty bool
 	relsDep             bool // pinpointing consults the relation oracle
@@ -271,9 +273,9 @@ func (g *windowGroup) mineable() bool {
 func (g *windowGroup) keptPath() bool { return !g.bogon && !g.cycle && !g.empty }
 
 // windowMiner maintains the incremental mining state across a windowed
-// run: the route groups, the refcounted observation store, the live
-// distinct-path counts feeding the relation oracle, and the hygiene
-// drop tallies over the current live table.
+// run: the live table, the route groups, the refcounted observation
+// store, the live distinct-path counts feeding the relation oracle, and
+// the hygiene drop tallies over the current live table.
 type windowMiner struct {
 	dict  *Dictionary
 	store *paths.Store
@@ -293,6 +295,12 @@ type windowMiner struct {
 	obs  *DeltaObservations
 	rel  *relation.Incremental // nil in remineLiveTable's miner
 	mesh *MeshState            // nil in remineLiveTable's miner
+	live *liveTable            // each occupied slot's shape; nil in remineLiveTable's miner
+
+	// tallied is set once obs follows every route delta. The incremental
+	// miner keeps no per-route tally before its first close, which seeds
+	// the empty store in bulk from the live table (tallyLive).
+	tallied bool
 
 	// pathLive counts the live kept routes per path, indexed by the
 	// store's dense IDs and grown as the store grows.
@@ -322,6 +330,9 @@ func newWindowMiner(dict *Dictionary, store *paths.Store, rel *relation.Incremen
 	}
 	if rel != nil {
 		m.mesh = newMeshState(m.obs)
+		m.live = newLiveTable()
+	} else {
+		m.tallied = true
 	}
 	return m
 }
@@ -357,6 +368,9 @@ func (m *windowMiner) shape(path paths.ID, comms bgp.Communities) *windowGroup {
 		return g
 	}
 	g := &windowGroup{path: path, at: at}
+	if at.entry != nil {
+		g.x = m.obs.byIXP[at.entry.Name]
+	}
 	p := m.store.Path(path)
 	g.empty = len(p) == 0
 	g.bogon = hasBogon(p)
@@ -381,6 +395,23 @@ func (m *windowMiner) shape(path paths.ID, comms bgp.Communities) *windowGroup {
 	}
 	m.groups[k] = g
 	return g
+}
+
+// set puts g in the live slot k, applying the withdrawal of the route it
+// replaces and the announce of g.
+func (m *windowMiner) set(k slotKey, g *windowGroup) {
+	prefix := m.live.prefixes[k.pid]
+	if old := m.live.set(k.peer, k.pid, g); old != nil {
+		m.apply(old, prefix, -1)
+	}
+	m.apply(g, prefix, 1)
+}
+
+// del empties the live slot k, applying the withdrawal of its route.
+func (m *windowMiner) del(k slotKey) {
+	if old := m.live.del(k.peer, k.pid); old != nil {
+		m.apply(old, m.live.prefixes[k.pid], -1)
+	}
 }
 
 // apply registers one live-route delta (+1 announce, -1 withdraw) for
@@ -418,8 +449,22 @@ func (m *windowMiner) apply(g *windowGroup, prefix bgp.Prefix, delta int) {
 			}
 		}
 	}
-	if g.mineable() && g.resolved {
-		m.obs.add(g.at.entry, g.setter, prefix, g.at.relKey, g.at.relComms, delta)
+	if m.tallied && g.mineable() && g.resolved {
+		m.obs.add(g.x, g.setter, prefix, g.at.relKey, g.at.relComms, delta)
+	}
+}
+
+// tallyLive seeds the empty observation store in bulk from the live
+// table: +1 for each occupied slot whose shape is mineable and resolved,
+// the counts apply would have made route by route.
+func (m *windowMiner) tallyLive() {
+	for pid, row := range m.live.rows {
+		prefix := m.live.prefixes[pid]
+		for _, s := range row {
+			if g := s.g; g.mineable() && g.resolved {
+				m.obs.add(g.x, g.setter, prefix, g.at.relKey, g.at.relComms, 1)
+			}
+		}
 	}
 }
 
@@ -431,13 +476,13 @@ func (m *windowMiner) moveContributions(g *windowGroup, resolved bool, setter bg
 	}
 	if g.resolved {
 		for p, n := range g.byPrefix {
-			m.obs.add(g.at.entry, g.setter, p, g.at.relKey, g.at.relComms, -n)
+			m.obs.add(g.x, g.setter, p, g.at.relKey, g.at.relComms, -n)
 		}
 	}
 	g.resolved, g.setter = resolved, setter
 	if g.resolved {
 		for p, n := range g.byPrefix {
-			m.obs.add(g.at.entry, g.setter, p, g.at.relKey, g.at.relComms, n)
+			m.obs.add(g.x, g.setter, p, g.at.relKey, g.at.relComms, n)
 		}
 	}
 }
@@ -448,9 +493,27 @@ func (m *windowMiner) moveContributions(g *windowGroup, resolved bool, setter bg
 // to the maintained reciprocity mesh, and read the window's counters
 // off the maintained state. The mesh is not snapshotted here, so the
 // close allocates O(churn), not O(mesh); w.Materialize does that on
-// demand.
+// demand. The first close also seeds the observation store from the
+// live table and applies it to the empty mesh. That tally and Apply
+// touch only the store and the mesh, and the oracle's Commit (its bulk
+// seed) only the oracle, so the two run side by side and join before
+// the re-pinpoint. The re-pinpoint then moves the counts the tally
+// made, and the close's Apply re-derives the records it dirtied, as on
+// any other close.
 func (m *windowMiner) closeWindow(w *PassiveWindow) {
-	m.rel.Commit()
+	if m.tallied {
+		m.rel.Commit()
+	} else {
+		par.Run(2, func(task int) {
+			if task == 0 {
+				m.rel.Commit()
+			} else {
+				m.tallyLive()
+				m.mesh.Apply()
+			}
+		})
+		m.tallied = true
+	}
 	m.sweepDeadShapes()
 	// Re-pinpoint the live rels-dependent shapes. Every listed shape was
 	// pinned against the previous oracle, at the last close or at its

@@ -100,7 +100,7 @@ func TestVoteMatchesTextualReference(t *testing.T) {
 	delta := newDeltaObservations(dict)
 	add := func(setter bgp.ASN, p bgp.Prefix, cs bgp.Communities) {
 		obs.Add(ixpName, setter, p, cs, ObsPassive)
-		delta.add(entry, setter, p, cs.Dedup().String(), cs, 1)
+		delta.add(delta.byIXP[ixpName], setter, p, cs.Dedup().String(), cs, 1)
 	}
 	prefix := func(setter bgp.ASN, i int) bgp.Prefix {
 		return bgp.MustPrefix(fmt.Sprintf("10.%d.%d.0/24", setter%256, i))

@@ -190,8 +190,9 @@ type PassiveWindowsResult struct {
 // base-RIB route costs a probe of the attributor's comms memo, one
 // integer-keyed shape probe and a scan of its prefix's row, and each
 // RIB record's prefix is hashed once.
-// Every event applies as a +/- delta to the refcounted observation store
-// and the incremental relation oracle, so a window close costs
+// Every event applies as a +/- delta to the incremental relation oracle
+// and, once the first close has tallied the live table into it, to the
+// refcounted observation store, so a window close after the first costs
 // O(changes), not O(live table); remine mode additionally rebuilds
 // everything per window and is pinned byte-identical by the equivalence
 // tests. Either way each closed window is handed to one consumer,
@@ -215,21 +216,9 @@ func RunPassiveWindows(dumps []*mrt.Dump, updates []*mrt.BGP4MPMessage, dict *Di
 	// copied on another goroutine; the replay waits for it before it
 	// returns, so no goroutine outlives the replay.
 	defer miner.mesh.own()
-	// live holds each occupied slot's shape group.
-	live := newLiveTable()
-
-	set := func(k slotKey, g *windowGroup) {
-		prefix := live.prefixes[k.pid]
-		if old := live.set(k.peer, k.pid, g); old != nil {
-			miner.apply(old, prefix, -1)
-		}
-		miner.apply(g, prefix, 1)
-	}
-	del := func(k slotKey) {
-		if old := live.del(k.peer, k.pid); old != nil {
-			miner.apply(old, live.prefixes[k.pid], -1)
-		}
-	}
+	// live holds each occupied slot's shape group; miner.set and
+	// miner.del write it.
+	live := miner.live
 
 	// Base state: the stable RIB dumps. Each record's prefix is interned
 	// once, its row sized for the record's entries. A feeder repeats its
@@ -259,7 +248,7 @@ func RunPassiveWindows(dumps []*mrt.Dump, updates []*mrt.BGP4MPMessage, dict *Di
 				if c.attrs != e.Attrs {
 					c.attrs, c.g = e.Attrs, miner.shape(store.InternASPath(e.Attrs.ASPath), e.Attrs.Communities)
 				}
-				set(slotKey{d.Index.Peers[e.PeerIndex].ASN, pid}, c.g)
+				miner.set(slotKey{d.Index.Peers[e.PeerIndex].ASN, pid}, c.g)
 			}
 		}
 	}
@@ -329,9 +318,9 @@ func RunPassiveWindows(dumps []*mrt.Dump, updates []*mrt.BGP4MPMessage, dict *Di
 			was, now := undo[k], live.get(k.peer, k.pid)
 			switch {
 			case was == nil && now != nil:
-				del(k)
+				miner.del(k)
 			case was != nil && (now == nil || now.path != was.path || now.at.id != was.at.id):
-				set(k, miner.shape(was.path, was.at.comms))
+				miner.set(k, miner.shape(was.path, was.at.comms))
 			default:
 				continue
 			}
@@ -351,7 +340,7 @@ func RunPassiveWindows(dumps []*mrt.Dump, updates []*mrt.BGP4MPMessage, dict *Di
 			if pid, ok := live.ids[p]; ok {
 				k := slotKey{u.PeerASN, pid}
 				touch(k)
-				del(k)
+				miner.del(k)
 			}
 		}
 		if count {
@@ -367,7 +356,7 @@ func RunPassiveWindows(dumps []*mrt.Dump, updates []*mrt.BGP4MPMessage, dict *Di
 		for _, p := range upd.NLRI {
 			k := slotKey{u.PeerASN, live.intern(p, 0)}
 			touch(k)
-			set(k, g)
+			miner.set(k, g)
 		}
 		if count {
 			cur.Announced += len(upd.NLRI)

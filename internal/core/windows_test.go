@@ -275,8 +275,10 @@ func TestWindowFlapRestoresObservationState(t *testing.T) {
 	id1 := store.Intern([]bgp.ASN{100, 200})
 	id2 := store.Intern([]bgp.ASN{100, 300})
 
-	m.apply(m.shape(id1, all), p1, 1)
-	m.apply(m.shape(id2, all), p2, 1)
+	k1 := slotKey{100, m.live.intern(p1, 0)}
+	k2 := slotKey{100, m.live.intern(p2, 0)}
+	m.set(k1, m.shape(id1, all))
+	m.set(k2, m.shape(id2, all))
 
 	snapshot := func() string {
 		return fmt.Sprintf("obs=%#v pathLive=%v drops=%d/%d refs=%d/%d",
@@ -284,18 +286,19 @@ func TestWindowFlapRestoresObservationState(t *testing.T) {
 			m.pathLive, m.dropBogon, m.dropCycle,
 			m.shape(id1, all).refs, m.shape(id2, all).refs)
 	}
-	before := snapshot()
 	var w1 PassiveWindow
 	m.closeWindow(&w1)
 	if w1.Materialize().TotalLinks() != 1 {
 		t.Fatalf("pre-flap links = %d, want 1", w1.Result.TotalLinks())
 	}
+	// The first close seeded the observation store from the live table.
+	before := snapshot()
 
 	// Flap: withdraw and re-announce the same routes within the window.
-	m.apply(m.shape(id1, all), p1, -1)
-	m.apply(m.shape(id2, all), p2, -1)
-	m.apply(m.shape(id1, all), p1, 1)
-	m.apply(m.shape(id2, all), p2, 1)
+	m.del(k1)
+	m.del(k2)
+	m.set(k1, m.shape(id1, all))
+	m.set(k2, m.shape(id2, all))
 
 	if got := snapshot(); got != before {
 		t.Fatalf("flap did not restore miner state:\nbefore %s\nafter  %s", before, got)
@@ -308,8 +311,8 @@ func TestWindowFlapRestoresObservationState(t *testing.T) {
 	}
 
 	// Full withdrawal empties the store's live view.
-	m.apply(m.shape(id1, all), p1, -1)
-	m.apply(m.shape(id2, all), p2, -1)
+	m.del(k1)
+	m.del(k2)
 	var w3 PassiveWindow
 	m.closeWindow(&w3)
 	if covered := m.obs.CoveredSetters(m.dict.ByName("DE-CIX")); w3.Materialize().TotalLinks() != 0 || len(covered) != 0 {
@@ -512,7 +515,9 @@ func TestFlapStormShapeSweep(t *testing.T) {
 	id1 := store.Intern([]bgp.ASN{100, 200})
 	relsDep := store.Intern([]bgp.ASN{100, 200, 8359})
 
-	m.apply(m.shape(id1, all), p1, 1)
+	// Each route below sits in a slot of its own at p1.
+	slot := func(peer bgp.ASN) slotKey { return slotKey{peer, m.live.intern(p1, 0)} }
+	m.set(slot(100), m.shape(id1, all))
 	var pw PassiveWindow
 	m.closeWindow(&pw)
 	baseline := len(m.groups)
@@ -523,12 +528,12 @@ func TestFlapStormShapeSweep(t *testing.T) {
 	const stormN = 50
 	for i := 0; i < stormN; i++ {
 		g := m.shape(id1, comms(t, fmt.Sprintf("6695:6695 0:%d", 1000+i)))
-		m.apply(g, p1, 1)
-		m.apply(g, p1, -1)
+		m.set(slot(bgp.ASN(1000+i)), g)
+		m.del(slot(bgp.ASN(1000 + i)))
 	}
 	dep := m.shape(relsDep, all)
-	m.apply(dep, p1, 1)
-	m.apply(dep, p1, -1)
+	m.set(slot(2000), dep)
+	m.del(slot(2000))
 	if got := len(m.groups); got != baseline+stormN+1 {
 		t.Fatalf("mid-storm shape count = %d, want %d", got, baseline+stormN+1)
 	}
@@ -542,7 +547,7 @@ func TestFlapStormShapeSweep(t *testing.T) {
 	if g := m.shape(id1, flapComms); g != flapG {
 		t.Fatal("shape returning before the close lost its group")
 	}
-	m.apply(flapG, p1, 1)
+	m.set(slot(3000), flapG)
 	m.closeWindow(&pw)
 	if got := len(m.groups); got != baseline+1 {
 		t.Fatalf("post-storm shape count = %d, want %d", got, baseline+1)
@@ -553,7 +558,7 @@ func TestFlapStormShapeSweep(t *testing.T) {
 
 	// The close that finds the returned shape dead sweeps it; a route
 	// bringing it back derives it afresh.
-	m.apply(flapG, p1, -1)
+	m.del(slot(3000))
 	m.closeWindow(&pw)
 	if got := len(m.groups); got != baseline {
 		t.Fatalf("shape count = %d after the returned shape died, want baseline %d", got, baseline)
@@ -561,8 +566,8 @@ func TestFlapStormShapeSweep(t *testing.T) {
 	if g := m.shape(id1, flapComms); g == flapG {
 		t.Fatal("swept shape kept its group")
 	} else {
-		m.apply(g, p1, 1)
-		m.apply(g, p1, -1)
+		m.set(slot(3000), g)
+		m.del(slot(3000))
 	}
 	m.closeWindow(&pw)
 	// The live shape survived the storm and the sweeps.

@@ -26,6 +26,7 @@ import (
 	"slices"
 
 	"mlpeering/internal/bgp"
+	"mlpeering/internal/par"
 	"mlpeering/internal/paths"
 	"mlpeering/internal/topology"
 )
@@ -480,31 +481,50 @@ func (inc *Incremental) seed() bool {
 		return false
 	}
 
-	p := runPasses(paths.NewView(inc.store, ids))
+	// The per-AS path index reads only the store and ids, so it is built
+	// beside the batch passes: on a second goroutine when GOMAXPROCS
+	// allows, after them on this one otherwise.
+	var p *passes
+	var byAS map[bgp.ASN]map[paths.ID]bool
+	par.Run(2, func(task int) {
+		if task == 0 {
+			//mlplint:shared each task writes its own result, read only after the join
+			p = runPasses(paths.NewView(inc.store, ids))
+			return
+		}
+		hops := 0
+		for _, id := range ids {
+			hops += len(inc.store.Path(id))
+		}
+		onAS := make([]asPath, 0, hops)
+		for _, id := range ids {
+			for _, a := range inc.store.Path(id) {
+				onAS = append(onAS, packASPath(a, id))
+			}
+		}
+		//mlplint:shared each task writes its own result, read only after the join
+		byAS = buildIndex(onAS)
+	})
 	inc.adj, inc.transit, inc.degree, inc.votes = p.adj, p.transit, p.degree, p.votes
 	inc.clique, inc.cliqueSet = p.clique, p.cliqueSet
+	inc.pathsByAS = byAS
 
-	hops, top := 0, len(inc.voted)-1
+	top := len(inc.voted) - 1
 	for _, id := range ids {
-		hops, top = hops+len(inc.store.Path(id)), max(top, int(id))
+		top = max(top, int(id))
 	}
 	inc.voted = slices.Grow(inc.voted, top+1-len(inc.voted))
 	for len(inc.voted) <= top {
 		inc.voted = append(inc.voted, votedPath{peak: noPeak})
 	}
-	onAS := make([]asPath, 0, hops)
 	onPeak := make([]asPath, 0, len(ids))
 	for i, id := range ids {
-		for _, a := range inc.store.Path(id) {
-			onAS = append(onAS, packASPath(a, id))
-		}
 		pk := p.peaks[i]
 		if pk.peak != noPeak {
 			onPeak = append(onPeak, packASPath(pk.peakAS, id))
 		}
 		inc.voted[id] = pk
 	}
-	inc.pathsByAS = buildIndex(onAS)
 	inc.byPeak = buildIndex(onPeak)
 
 	for key := range inc.adj {
