@@ -760,13 +760,16 @@ func BenchmarkReplayBaseLoad(b *testing.B) {
 	// window's close, MeshState.Snapshot (which builds the first link
 	// index from scratch) and NewSnapshot. This is the
 	// cost every churn-paper cycle and every gateway cold start pays
-	// before its first epoch. Three stages of it overlap, each a
-	// fork-join as wide as GOMAXPROCS allows (up to two): the close runs
-	// the relation oracle's bulk seed beside the observation store's bulk
-	// tally over the live table (the load keeps no per-route tally), the
-	// seed builds its per-AS path index beside its batch passes, and
-	// materialize builds the first index's encoding beside its
-	// fingerprint and rows. A full collection runs, untimed, before
+	// before its first epoch. Four stages of it overlap, each a
+	// fork-join as wide as GOMAXPROCS allows (up to two): inside
+	// load-ms/op the base load derives one block of RIB records' shapes
+	// (path intern, attribution, shape probe) beside the previous
+	// block's fill of the live table, one fork-join per block; the close
+	// runs the relation oracle's bulk seed beside the observation
+	// store's bulk tally over the live table (the load keeps no
+	// per-route tally), the seed builds its per-AS path index beside its
+	// batch passes, and materialize builds the first index's encoding
+	// beside its fingerprint and rows. A full collection runs, untimed, before
 	// each replay and before Materialize, and the collector is on only
 	// around Materialize and NewSnapshot: the load and the close run in
 	// one StreamWindows call, so a collection inside it would land in

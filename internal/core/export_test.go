@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"mlpeering/internal/mrt"
+	"mlpeering/internal/paths"
 )
 
 // PassiveDiffFromReference lets the external scenario test (which needs
@@ -19,6 +21,27 @@ var PassiveDiffFromReference = passiveDiffFromReference
 // store of the miner that closed pw; call it inside the Stream callback.
 func WindowCoveredSetters(pw *PassiveWindow, e *IXPEntry) []CoveredSetter {
 	return pw.miner.obs.CoveredSetters(e)
+}
+
+// WindowLoadLines renders the state the base load builds, as the miner
+// that closed pw holds it: one line per path of the path store, in ID
+// order, then one per live-table row, in prefix-ID order, naming each
+// slot's peer and shape path ID in row order. Call it inside the Stream
+// callback.
+func WindowLoadLines(pw *PassiveWindow) []string {
+	m := pw.miner
+	var lines []string
+	for id := range m.store.Len() {
+		lines = append(lines, fmt.Sprintf("path %d %v", id, m.store.Path(paths.ID(id))))
+	}
+	for pid, row := range m.live.rows {
+		line := fmt.Sprintf("row %d %s", pid, m.live.prefixes[pid])
+		for _, s := range row {
+			line += fmt.Sprintf(" %d/%d", s.peer, s.g.path)
+		}
+		lines = append(lines, line)
+	}
+	return lines
 }
 
 // MinerFuzzReplay is one FuzzWindowMiner seed input decoded by the fuzz

@@ -65,6 +65,7 @@ type MeshState struct {
 func newMeshState(obs *DeltaObservations) *MeshState {
 	for _, x := range obs.ixps {
 		x.members = x.entry.Members()
+		x.alone = []string{x.entry.Name}
 	}
 	return &MeshState{
 		obs:   obs,
@@ -144,9 +145,14 @@ func (ms *MeshState) touch(key topology.LinkKey) []string {
 
 // addLink brings a link up at x: x's IXP joins its sorted attribution
 // list. The list is replaced, not edited: the previous one may be shared
-// with a published Result.
+// with a published Result. A link new to the mesh takes x.alone, which
+// every such link at x shares; its capacity of 1 makes an append copy.
 func (ms *MeshState) addLink(x *ixpDelta, key topology.LinkKey) {
 	names := ms.touch(key)
+	if len(names) == 0 {
+		ms.links[key] = x.alone
+		return
+	}
 	i := sort.SearchStrings(names, x.entry.Name)
 	grown := make([]string, len(names)+1)
 	copy(grown, names[:i])
@@ -157,15 +163,19 @@ func (ms *MeshState) addLink(x *ixpDelta, key topology.LinkKey) {
 
 // removeLink takes a link down at x and withdraws x's attribution,
 // dropping the link entirely when no IXP attributes it anymore.
-// Copy-on-write like addLink.
+// Copy-on-write like addLink; a link left at one IXP takes that IXP's
+// shared list.
 func (ms *MeshState) removeLink(x *ixpDelta, key topology.LinkKey) {
 	names := ms.touch(key)
-	if len(names) == 1 {
-		delete(ms.links, key)
-		return
-	}
 	i := sort.SearchStrings(names, x.entry.Name)
-	ms.links[key] = slices.Delete(slices.Clone(names), i, i+1)
+	switch len(names) {
+	case 1:
+		delete(ms.links, key)
+	case 2:
+		ms.links[key] = ms.obs.byIXP[names[1-i]].alone
+	default:
+		ms.links[key] = slices.Delete(slices.Clone(names), i, i+1)
+	}
 }
 
 // own makes links the mesh's private map again after Snapshot handed it

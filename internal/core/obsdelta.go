@@ -102,6 +102,9 @@ func (s *setterDelta) filter(scheme ixp.Scheme) (f ixp.ExportFilter, ok bool) {
 type ixpDelta struct {
 	entry   *IXPEntry
 	members []bgp.ASN // entry.Members(), cached by newMeshState
+	// alone is {entry.Name} at capacity 1, made by newMeshState: the one
+	// attribution list every link up at this IXP alone shares.
+	alone   []string
 	setters map[bgp.ASN]*setterDelta
 	records []*setterDelta // setters' records in creation order
 	covered []*setterDelta // the records with meshCovered, in no order

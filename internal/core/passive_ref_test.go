@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -290,7 +291,9 @@ func TestHasCycleLongPath(t *testing.T) {
 }
 
 // TestMinersRefuseForeignPeerIndex: an entry naming a peer its dump's
-// table does not hold is an error from both miners, not a panic.
+// table does not hold is an error from both miners, not a panic. The
+// windowed miner's base load meets it in a later block too, at
+// GOMAXPROCS 1 and 2, and returns with no goroutine left running.
 func TestMinersRefuseForeignPeerIndex(t *testing.T) {
 	dumps := handDump(t, []ribRow{{[]bgp.ASN{9, 100}, "", "10.0.0.0/24"}})
 	dumps[0].RIBs[0].Entries[0].PeerIndex = 1
@@ -302,5 +305,31 @@ func TestMinersRefuseForeignPeerIndex(t *testing.T) {
 	opts := WindowOptions{Start: time.Unix(1368000000, 0), Window: time.Minute, Count: 1}
 	if _, err := RunPassiveWindows(dumps, nil, dict, opts); err == nil || !strings.Contains(err.Error(), want) {
 		t.Errorf("RunPassiveWindows: err %v, want one containing %q", err, want)
+	}
+
+	// Record 3,000 of 4,000 sits in the third block, so stage A meets it
+	// beside stage B's fill of the second.
+	rows := make([]ribRow, 4000)
+	for i := range rows {
+		rows[i] = ribRow{[]bgp.ASN{9, 100}, "", fmt.Sprintf("10.%d.%d.0/24", i/256, i%256)}
+	}
+	late := handDump(t, rows)
+	late[0].RIBs[3000].Entries[0].PeerIndex = 1
+	const wantLate = "core: RIB entry for 10.11.184.0/24 names peer 1 outside the 1-peer table"
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, width := range []int{1, 2} {
+		runtime.GOMAXPROCS(width)
+		before := runtime.NumGoroutine()
+		if _, err := RunPassiveWindows(late, nil, dict, opts); err == nil || err.Error() != wantLate {
+			t.Errorf("GOMAXPROCS %d: err %v, want %q", width, err, wantLate)
+		}
+		// A joined worker may still be on its way out after its Done.
+		n := runtime.NumGoroutine()
+		for deadline := time.Now().Add(5 * time.Second); n != before && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+			time.Sleep(time.Millisecond)
+		}
+		if n != before {
+			t.Errorf("GOMAXPROCS %d: %d goroutines after the failed load, %d before", width, n, before)
+		}
 	}
 }

@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"mlpeering/internal/bgp"
 	"mlpeering/internal/mrt"
+	"mlpeering/internal/par"
 	"mlpeering/internal/paths"
 	"mlpeering/internal/relation"
 	"mlpeering/internal/topology"
@@ -220,37 +222,9 @@ func RunPassiveWindows(dumps []*mrt.Dump, updates []*mrt.BGP4MPMessage, dict *Di
 	// miner.del write it.
 	live := miner.live
 
-	// Base state: the stable RIB dumps. Each record's prefix is interned
-	// once, its row sized for the record's entries. A feeder repeats its
-	// attributes record after record and ReadDump shares them, so each
-	// peer keeps its last attributes' shape group: an entry with the same
-	// pointer skips the path intern, the attribution and the shape probe.
-	// No group dies before the first close, so a kept group stays valid.
-	type lastShape struct {
-		attrs *bgp.PathAttrs
-		g     *windowGroup
-	}
-	for _, d := range dumps {
-		if d == nil || d.Index == nil {
-			continue
-		}
-		last := make([]lastShape, len(d.Index.Peers))
-		for _, rib := range d.RIBs {
-			pid := live.intern(rib.Prefix, len(rib.Entries))
-			for _, e := range rib.Entries {
-				if e.Attrs == nil {
-					continue
-				}
-				if int(e.PeerIndex) >= len(last) {
-					return nil, fmt.Errorf("core: RIB entry for %s names peer %d outside the %d-peer table", rib.Prefix, e.PeerIndex, len(last))
-				}
-				c := &last[e.PeerIndex]
-				if c.attrs != e.Attrs {
-					c.attrs, c.g = e.Attrs, miner.shape(store.InternASPath(e.Attrs.ASPath), e.Attrs.Communities)
-				}
-				miner.set(slotKey{d.Index.Peers[e.PeerIndex].ASN, pid}, c.g)
-			}
-		}
+	// Base state: the stable RIB dumps.
+	if err := loadBase(dumps, miner); err != nil {
+		return nil, err
 	}
 
 	res := &PassiveWindowsResult{}
@@ -410,6 +384,128 @@ func RunPassiveWindows(dumps []*mrt.Dump, updates []*mrt.BGP4MPMessage, dict *Di
 		}
 		winIdx = 0
 		cur = PassiveWindow{Start: opts.Start, End: opts.Start.Add(opts.Window), Rewound: rewind()}
+	}
+}
+
+// loadBlock is the number of RIB records in one block of the base load.
+const loadBlock = 1024
+
+// ribBlock is one block of a dump's RIB records, d.RIBs[lo:hi].
+type ribBlock struct {
+	d      *mrt.Dump
+	lo, hi int
+}
+
+// lastShape is a peer's last attributes block and its shape group.
+type lastShape struct {
+	attrs *bgp.PathAttrs
+	g     *windowGroup
+}
+
+// baseLoad is the state of loadBase's two stages.
+type baseLoad struct {
+	m      *windowMiner
+	blocks []ribBlock
+	// slots holds, by block parity, one (peer, group) per entry of the
+	// block stage A derived last; the group is nil for an entry without
+	// attributes.
+	slots [2][]liveSlot
+	// last is stage A's per-peer cache over the dump it is in.
+	last []lastShape
+}
+
+// loadBase fills the miner's empty live table from the base RIB dumps,
+// in two stages over blocks of loadBlock records. Stage A (derive)
+// checks each entry's peer index and finds its shape group. A feeder
+// repeats its attributes record after record and ReadDump shares them,
+// so each peer keeps its last attributes' group: an entry with the same
+// pointer skips the path intern, the attribution and the shape probe.
+// No group dies before the first close, so a kept group stays valid.
+// Stage B (fill) interns each record's prefix once, its row sized for
+// the record's entries, and sets each entry's slot.
+//
+// Each step is one fork-join that runs stage A on block b+1 beside
+// stage B on block b. The two write disjoint state: A the path store,
+// the attributor memo, the shape map and relsDeps, and it reads the
+// relation oracle, which holds nothing before the first Commit; B the
+// live table, the groups' refcounts and byPrefix, pathLive, dying, the
+// drop tallies and the oracle's queue. B reads of a group only what A
+// fixed at its creation, a step earlier. Each stage walks the blocks in
+// order, so path IDs, shapes, the live table and the oracle's queue come
+// out as a one-stage loop makes them, at any GOMAXPROCS.
+func loadBase(dumps []*mrt.Dump, m *windowMiner) error {
+	l := &baseLoad{m: m}
+	for _, d := range dumps {
+		if d == nil || d.Index == nil {
+			continue
+		}
+		for lo := 0; lo < len(d.RIBs); lo += loadBlock {
+			l.blocks = append(l.blocks, ribBlock{d, lo, min(lo+loadBlock, len(d.RIBs))})
+		}
+	}
+	for b := 0; b <= len(l.blocks); b++ {
+		var err error
+		par.Run(2, func(task int) {
+			switch {
+			case task == 0 && b < len(l.blocks):
+				//mlplint:shared only stage A writes err, and it is read after the join
+				err = l.derive(b)
+			case task == 1 && b > 0:
+				l.fill(b - 1)
+			}
+		})
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// derive is stage A on block b: it fills slots[b%2] with each entry's
+// peer and shape group.
+func (l *baseLoad) derive(b int) error {
+	blk := l.blocks[b]
+	peers := blk.d.Index.Peers
+	if blk.lo == 0 {
+		l.last = make([]lastShape, len(peers)) // a dump's first block
+	}
+	recs := blk.d.RIBs[blk.lo:blk.hi]
+	n := 0
+	for _, rib := range recs {
+		n += len(rib.Entries)
+	}
+	out := slices.Grow(l.slots[b%2][:0], n)
+	for _, rib := range recs {
+		for _, e := range rib.Entries {
+			if e.Attrs == nil {
+				out = append(out, liveSlot{})
+				continue
+			}
+			if int(e.PeerIndex) >= len(peers) {
+				return fmt.Errorf("core: RIB entry for %s names peer %d outside the %d-peer table", rib.Prefix, e.PeerIndex, len(peers))
+			}
+			c := &l.last[e.PeerIndex]
+			if c.attrs != e.Attrs {
+				c.attrs, c.g = e.Attrs, l.m.shape(l.m.store.InternASPath(e.Attrs.ASPath), e.Attrs.Communities)
+			}
+			out = append(out, liveSlot{peers[e.PeerIndex].ASN, c.g})
+		}
+	}
+	l.slots[b%2] = out
+	return nil
+}
+
+// fill is stage B on block b: it sets the slots stage A derived.
+func (l *baseLoad) fill(b int) {
+	blk, slots := l.blocks[b], l.slots[b%2]
+	for _, rib := range blk.d.RIBs[blk.lo:blk.hi] {
+		pid := l.m.live.intern(rib.Prefix, len(rib.Entries))
+		for _, s := range slots[:len(rib.Entries)] {
+			if s.g != nil {
+				l.m.set(slotKey{s.peer, pid}, s.g)
+			}
+		}
+		slots = slots[len(rib.Entries):]
 	}
 }
 

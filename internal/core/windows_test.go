@@ -1046,13 +1046,15 @@ func TestLateMaterializePanics(t *testing.T) {
 // traces of FuzzWindowMiner's fixture. A consumer that materializes
 // every third window publishes Results whose index equals newLinkIndex
 // over a deep copy, and each still reads its own links after the replay,
-// so the mesh never wrote a map it handed off; a replay whose last
+// so the mesh never wrote a map or a list it handed off. Every one-name
+// attribution list a Result holds is its IXP's one shared list, of
+// capacity 1, so a consumer's append copies it; a replay whose last
 // window left a copy pending returns with none pending; and a consumer
 // that never materializes starts no copy.
 func TestMeshHandOff(t *testing.T) {
 	fx := newMinerFuzzFixture(t)
 	rng := rand.New(rand.NewSource(20130501))
-	pendingAtEnd := 0
+	pendingAtEnd, shared := 0, 0
 	for trace := 0; trace < 60; trace++ {
 		data := make([]byte, 400)
 		rng.Read(data)
@@ -1067,6 +1069,15 @@ func TestMeshHandOff(t *testing.T) {
 				res := pw.Materialize()
 				if diff := diffLinkIndex(res.linkIndex, newLinkIndex(deepCopyResult(res))); diff != "" {
 					t.Fatalf("trace %d, window %d: published index differs from rebuilt: %s", trace, pw.miner.epoch-1, diff)
+				}
+				for key, names := range res.Links {
+					if len(names) != 1 {
+						continue
+					}
+					shared++
+					if alone := mesh.obs.byIXP[names[0]].alone; cap(names) != 1 || &names[0] != &alone[0] {
+						t.Fatalf("trace %d, window %d: link %v's list %v (capacity %d) is not %s's shared list", trace, pw.miner.epoch-1, key, names, cap(names), names[0])
+					}
 				}
 				results, copies = append(results, res), append(copies, deepCopyResult(res))
 			}
@@ -1105,6 +1116,9 @@ func TestMeshHandOff(t *testing.T) {
 	}
 	if pendingAtEnd < 5 {
 		t.Fatalf("only %d of 60 traces ended with a copy pending: the exit join must be exercised", pendingAtEnd)
+	}
+	if shared == 0 {
+		t.Fatal("no published link was up at one IXP alone: the shared lists went unchecked")
 	}
 }
 

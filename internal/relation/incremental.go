@@ -255,14 +255,19 @@ func (inc *Incremental) addTransit(mid, nbr bgp.ASN, delta int) {
 // whose peak differs from the cached one, in ascending id order; (4)
 // relabel the touched links — those whose votes moved plus those
 // incident to an AS whose move their label can see. On an oracle that
-// holds no live path, everything after the netting gives way to a bulk
-// seed: the batch passes run once over the netted adds and the state
-// is built from their result, equal to what the phases build. After
+// holds no live path, a bulk seed takes the phases' place: it nets the
+// queue itself, the batch passes run once over the netted adds, and the
+// state is built from their result, equal to what the phases build. After
 // Commit, queries answer exactly as a batch Infer over the live set.
 func (inc *Incremental) Commit() (changed bool) {
 	clear(inc.flipped)
 	if len(inc.queue) == 0 {
 		return false
+	}
+
+	if len(inc.pathsByAS) == 0 {
+		// No live path has a hop, so no state is held: seed in bulk.
+		return inc.seed()
 	}
 
 	// Phase 1: net the queued transitions per path id, keeping
@@ -276,10 +281,6 @@ func (inc *Incremental) Commit() (changed bool) {
 		inc.net[d.id] += d.delta
 	}
 	inc.queue = inc.queue[:0]
-	if len(inc.pathsByAS) == 0 {
-		// No live path has a hop, so no state is held: seed in bulk.
-		return inc.seed()
-	}
 	inc.cands = inc.cands[:0]
 	for _, id := range inc.netOrder {
 		delta := inc.net[id]
@@ -467,16 +468,35 @@ func (inc *Incremental) Commit() (changed bool) {
 // built with every per-AS path set made at its final size, and the p2p
 // labels resolved once (each one a flip from the empty state). The
 // result equals applying the adds path by path. Netted removals, which
-// an empty oracle has nothing to take back from, are dropped.
+// an empty oracle has nothing to take back from, are dropped. Path IDs
+// are dense, so the queue nets in a slice indexed by ID rather than in
+// Commit's map, and the adds keep their first-touch order.
 func (inc *Incremental) seed() bool {
-	ids := make([]paths.ID, 0, len(inc.netOrder))
-	for _, id := range inc.netOrder {
-		if inc.net[id] > 0 {
+	span := 0
+	for _, d := range inc.queue {
+		span = max(span, int(d.id)+1)
+	}
+	type netted struct {
+		delta   int32
+		touched bool
+	}
+	net := make([]netted, span)
+	order := make([]paths.ID, 0, len(inc.queue))
+	for _, d := range inc.queue {
+		n := &net[d.id]
+		if !n.touched {
+			n.touched = true
+			order = append(order, d.id)
+		}
+		n.delta += int32(d.delta)
+	}
+	inc.queue = inc.queue[:0]
+	ids := order[:0]
+	for _, id := range order {
+		if net[id].delta > 0 {
 			ids = append(ids, id)
 		}
 	}
-	clear(inc.net)
-	inc.netOrder = inc.netOrder[:0]
 	if len(ids) == 0 {
 		return false
 	}
