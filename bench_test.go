@@ -288,12 +288,12 @@ func BenchmarkAblationReciprocity(b *testing.B) {
 			}
 		}
 		// OR rule: link when either side allows the other.
-		seen := make(map[topology.LinkKey]bool)
+		seen := make(map[bgp.LinkKey]bool)
 		for _, x := range c.Run.Result.PerIXP {
 			for i2, a := range x.Covered {
 				for _, bb := range x.Covered[i2+1:] {
 					if a.Filter.Allows(bb.ASN) || bb.Filter.Allows(a.ASN) {
-						seen[topology.MakeLinkKey(a.ASN, bb.ASN)] = true
+						seen[bgp.MakeLinkKey(a.ASN, bb.ASN)] = true
 					}
 				}
 			}
@@ -517,7 +517,7 @@ func BenchmarkPropagationTree(b *testing.B) {
 }
 
 func BenchmarkAvailableRoutes(b *testing.B) {
-	// The all-paths LG enumeration ASBackend.Lookup drives.
+	// The all-paths LG enumeration the pipeline's asBackend.Lookup drives.
 	c := fixture(b)
 	topo := c.World.Topo
 	engine := c.World.Engine

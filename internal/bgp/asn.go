@@ -9,6 +9,7 @@
 package bgp
 
 import (
+	"cmp"
 	"fmt"
 	"strconv"
 )
@@ -130,4 +131,26 @@ func (m *ASNMapper) Resolve(alias ASN) ASN {
 		return real
 	}
 	return alias
+}
+
+// LinkKey is the canonical unordered AS pair used as a map key when
+// assembling link sets across data sources.
+type LinkKey struct{ A, B ASN }
+
+// MakeLinkKey canonicalizes the pair so that A < B.
+func MakeLinkKey(a, b ASN) LinkKey {
+	if a > b {
+		a, b = b, a
+	}
+	return LinkKey{A: a, B: b}
+}
+
+// CompareLinkKeys orders link keys ascending by (A, B): the canonical
+// order of every walk of a link set (mesh fingerprints, encoded
+// indexes, truth deltas).
+func CompareLinkKeys(a, b LinkKey) int {
+	if c := cmp.Compare(a.A, b.A); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.B, b.B)
 }

@@ -70,7 +70,7 @@ type departed struct {
 // downLink remembers a torn-down bilateral session (and its IXP
 // attribution) so a later epoch can restore it.
 type downLink struct {
-	key  topology.LinkKey
+	key  bgp.LinkKey
 	ixps []string
 }
 
@@ -154,7 +154,7 @@ func (r *Runner) samplePeerFlaps(rng *rand.Rand, d *propagate.Delta) {
 			continue
 		}
 		l := links[rng.Intn(len(links))]
-		key := topology.MakeLinkKey(l.A, l.B)
+		key := bgp.MakeLinkKey(l.A, l.B)
 		if linkScheduled(d, key) {
 			continue
 		}
@@ -170,9 +170,9 @@ func (r *Runner) samplePeerFlaps(rng *rand.Rand, d *propagate.Delta) {
 
 // linkScheduled reports whether the link already has a peer op in this
 // delta.
-func linkScheduled(d *propagate.Delta, key topology.LinkKey) bool {
+func linkScheduled(d *propagate.Delta, key bgp.LinkKey) bool {
 	for _, op := range d.Peers {
-		if topology.MakeLinkKey(op.A, op.B) == key {
+		if bgp.MakeLinkKey(op.A, op.B) == key {
 			return true
 		}
 	}
@@ -467,11 +467,11 @@ type EpochStats struct {
 // mesh, each list ascending. Only route-server joins, leaves and filter
 // edits move the mesh; peer flaps and prefix moves never do.
 type TruthDelta struct {
-	Added, Removed []topology.LinkKey
+	Added, Removed []bgp.LinkKey
 }
 
 // Apply folds the delta into a mesh held as a set.
-func (d *TruthDelta) Apply(mesh map[topology.LinkKey]bool) {
+func (d *TruthDelta) Apply(mesh map[bgp.LinkKey]bool) {
 	for _, l := range d.Removed {
 		delete(mesh, l)
 	}
@@ -491,14 +491,14 @@ type Trace struct {
 	Epochs   []EpochStats
 	// TruthBase is the reciprocal ground-truth ML mesh before epoch 0,
 	// ascending.
-	TruthBase []topology.LinkKey
+	TruthBase []bgp.LinkKey
 	// TruthDeltas[k] is epoch k's change to the mesh.
 	TruthDeltas []TruthDelta
 	// Truth is not filled by Run. Only the benchmark harness's
 	// decomposed trace build writes it, one full mesh per epoch, and
 	// nothing reads it; ROADMAP.md item 1 deletes it together with that
 	// write.
-	Truth []map[topology.LinkKey]bool
+	Truth []map[bgp.LinkKey]bool
 }
 
 // Run generates, applies and streams all configured epochs: for each
@@ -567,7 +567,7 @@ func (r *Runner) Run(w io.Writer, col *collector.Collector, dump *mrt.Dump, star
 // members the delta touches there (a member joining in the same epoch
 // is not an RS member yet). A pair neither of whose ASes an op touches
 // keeps its filters at every IXP, so it keeps its truth.
-func (r *Runner) truthCandidates(d *propagate.Delta) []topology.LinkKey {
+func (r *Runner) truthCandidates(d *propagate.Delta) []bgp.LinkKey {
 	type touch struct {
 		ixp    string
 		member bgp.ASN
@@ -579,22 +579,22 @@ func (r *Runner) truthCandidates(d *propagate.Delta) []topology.LinkKey {
 	for _, op := range d.Filters {
 		touched = append(touched, touch{op.IXP, op.Member})
 	}
-	var cands []topology.LinkKey
+	var cands []bgp.LinkKey
 	for _, t := range touched {
 		if x := r.topo.IXPByName(t.ixp); x != nil {
 			for _, o := range x.RSMembers {
 				if o != t.member {
-					cands = append(cands, topology.MakeLinkKey(t.member, o))
+					cands = append(cands, bgp.MakeLinkKey(t.member, o))
 				}
 			}
 		}
 		for _, u := range touched {
 			if u.ixp == t.ixp && u.member != t.member {
-				cands = append(cands, topology.MakeLinkKey(t.member, u.member))
+				cands = append(cands, bgp.MakeLinkKey(t.member, u.member))
 			}
 		}
 	}
-	slices.SortFunc(cands, topology.CompareLinkKeys)
+	slices.SortFunc(cands, bgp.CompareLinkKeys)
 	return slices.Compact(cands)
 }
 

@@ -209,17 +209,17 @@ func TestPeerFlapsSpanEpochs(t *testing.T) {
 	cfg.Epochs = 6
 	r := NewRunner(eng, cfg)
 
-	initial := make(map[topology.LinkKey]bool)
+	initial := make(map[bgp.LinkKey]bool)
 	for _, l := range topo.BilateralLinks() {
-		initial[topology.MakeLinkKey(l.A, l.B)] = true
+		initial[bgp.MakeLinkKey(l.A, l.B)] = true
 	}
-	downed := make(map[topology.LinkKey]int) // link -> epoch torn down
+	downed := make(map[bgp.LinkKey]int) // link -> epoch torn down
 	restoredAcross := false
 	for k := 0; k < cfg.Epochs; k++ {
 		d := r.NextDelta()
-		seen := make(map[topology.LinkKey]int)
+		seen := make(map[bgp.LinkKey]int)
 		for _, op := range d.Peers {
-			key := topology.MakeLinkKey(op.A, op.B)
+			key := bgp.MakeLinkKey(op.A, op.B)
 			seen[key]++
 			if seen[key] > 1 {
 				t.Fatalf("epoch %d: link %v scheduled twice (self-cancelling flap)", k, key)

@@ -5,6 +5,7 @@ import (
 	"maps"
 	"testing"
 
+	"mlpeering/internal/bgp"
 	"mlpeering/internal/collector"
 	"mlpeering/internal/topology"
 )
@@ -32,7 +33,7 @@ func checkTruthFold(t testing.TB, wcfg topology.Config, cfg Config) {
 	}
 
 	twin, twinEng := buildWorld(t, wcfg)
-	mesh := make(map[topology.LinkKey]bool, len(tr.TruthBase))
+	mesh := make(map[bgp.LinkKey]bool, len(tr.TruthBase))
 	for _, l := range tr.TruthBase {
 		mesh[l] = true
 	}
@@ -86,9 +87,9 @@ func checkTruthFold(t testing.TB, wcfg topology.Config, cfg Config) {
 	}
 }
 
-func strictlyAscending(ls []topology.LinkKey) bool {
+func strictlyAscending(ls []bgp.LinkKey) bool {
 	for i := 1; i < len(ls); i++ {
-		if topology.CompareLinkKeys(ls[i-1], ls[i]) >= 0 {
+		if bgp.CompareLinkKeys(ls[i-1], ls[i]) >= 0 {
 			return false
 		}
 	}

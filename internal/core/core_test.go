@@ -10,7 +10,6 @@ import (
 	"mlpeering/internal/ixp"
 	"mlpeering/internal/paths"
 	"mlpeering/internal/relation"
-	"mlpeering/internal/topology"
 )
 
 func testDict(t testing.TB) *Dictionary {
@@ -275,16 +274,16 @@ func TestPathConfirms(t *testing.T) {
 // reciprocalLinks recomputes x's links from its covered members'
 // filters by the reciprocity rule, ascending: an oracle independent of
 // the Result's attribution map.
-func reciprocalLinks(x *IXPInference) []topology.LinkKey {
-	var out []topology.LinkKey
+func reciprocalLinks(x *IXPInference) []bgp.LinkKey {
+	var out []bgp.LinkKey
 	for i, a := range x.Covered {
 		for _, b := range x.Covered[i+1:] {
 			if a.Filter.Allows(b.ASN) && b.Filter.Allows(a.ASN) {
-				out = append(out, topology.MakeLinkKey(a.ASN, b.ASN))
+				out = append(out, bgp.MakeLinkKey(a.ASN, b.ASN))
 			}
 		}
 	}
-	slices.SortFunc(out, topology.CompareLinkKeys)
+	slices.SortFunc(out, bgp.CompareLinkKeys)
 	return out
 }
 
@@ -326,7 +325,7 @@ func TestInferLinksReciprocity(t *testing.T) {
 	}
 	// 100-200: mutual allow -> link. 100-300: 100 excludes 300 (and 300
 	// includes 100, but not mutual). 200-300: 300 does not include 200.
-	want := []topology.LinkKey{topology.MakeLinkKey(100, 200)}
+	want := []bgp.LinkKey{bgp.MakeLinkKey(100, 200)}
 	if got := reciprocalLinks(x); !slices.Equal(got, want) {
 		t.Fatalf("reciprocity oracle = %v, want %v", got, want)
 	}

@@ -8,9 +8,8 @@ import (
 
 	"mlpeering/internal/collector"
 	"mlpeering/internal/core"
-	"mlpeering/internal/irr"
 	"mlpeering/internal/mrt"
-	"mlpeering/internal/propagate"
+	"mlpeering/internal/pipeline"
 	"mlpeering/internal/topology"
 )
 
@@ -19,12 +18,12 @@ import (
 // as a downloader would, and run only the passive half of the pipeline
 // over them, with no looking-glass query at all.
 func ExampleRunPassive() {
-	cfg := topology.TestConfig()
-	topo, err := topology.Generate(cfg)
+	w, err := pipeline.BuildWorld(topology.TestConfig())
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
+	topo := w.Topo
 	dir, err := os.MkdirTemp("", "mlp-passive")
 	if err != nil {
 		fmt.Println(err)
@@ -33,7 +32,7 @@ func ExampleRunPassive() {
 	defer os.RemoveAll(dir)
 
 	// Archive the collector view: TABLE_DUMP_V2 plus BGP4MP.
-	col := collector.New("rrc00", propagate.NewEngine(topo, 0), nil, 4)
+	col := collector.New("rrc00", w.Engine, nil, 4)
 	ts := time.Date(2013, 5, 1, 0, 0, 0, 0, time.UTC)
 	ribPath := filepath.Join(dir, "bview.20130501.mrt")
 	updPath := filepath.Join(dir, "updates.20130501.mrt")
@@ -66,7 +65,7 @@ func ExampleRunPassive() {
 	fmt.Printf("read %d RIB records from %d collector peers, %d updates\n",
 		len(dump.RIBs), len(dump.Index.Peers), len(updates))
 
-	// The dictionary comes from IXP documentation and the IRR.
+	// The dictionary comes from IXP documentation and the world's IRR.
 	var sites []core.WebsiteData
 	for _, info := range topo.IXPs {
 		s := core.WebsiteData{Name: info.Name, Scheme: info.Scheme, PublishesMemberList: info.PublishesMemberList}
@@ -75,7 +74,7 @@ func ExampleRunPassive() {
 		}
 		sites = append(sites, s)
 	}
-	dict, err := core.BuildDictionary(sites, irr.Build(topo, cfg.Seed+1))
+	dict, err := core.BuildDictionary(sites, w.IRR)
 	if err != nil {
 		fmt.Println(err)
 		return

@@ -6,7 +6,6 @@ import (
 
 	"mlpeering/internal/bgp"
 	"mlpeering/internal/ixp"
-	"mlpeering/internal/topology"
 )
 
 // IXPInference is the per-IXP outcome of steps 4-5: who was covered
@@ -69,7 +68,7 @@ type Result struct {
 	PerIXP map[string]*IXPInference
 	// Links maps every inferred link to the IXPs it was inferred at
 	// (multi-IXP links are the overlap discussed with Table 2).
-	Links map[topology.LinkKey][]string
+	Links map[bgp.LinkKey][]string
 
 	// linkIndex is the index MeshState.Snapshot builds with the Result;
 	// nil on an InferLinks Result.
@@ -107,14 +106,14 @@ func (r *Result) MultiIXPLinks() int {
 // (A, B) order (Table 2's "Links" column is its length); nil for an
 // IXP with none or a name the Result does not know. It walks the whole
 // attribution map.
-func (r *Result) IXPLinks(ixpName string) []topology.LinkKey {
-	var out []topology.LinkKey
+func (r *Result) IXPLinks(ixpName string) []bgp.LinkKey {
+	var out []bgp.LinkKey
 	for k, ixps := range r.Links {
 		if slices.Contains(ixps, ixpName) {
 			out = append(out, k)
 		}
 	}
-	slices.SortFunc(out, topology.CompareLinkKeys)
+	slices.SortFunc(out, bgp.CompareLinkKeys)
 	return out
 }
 
@@ -139,7 +138,7 @@ type ObservationSource interface {
 func InferLinks(dict *Dictionary, obs ObservationSource) *Result {
 	res := &Result{
 		PerIXP: make(map[string]*IXPInference),
-		Links:  make(map[topology.LinkKey][]string),
+		Links:  make(map[bgp.LinkKey][]string),
 	}
 	for _, entry := range dict.Entries {
 		// A setter outside known connectivity is a stray observation.
@@ -148,7 +147,7 @@ func InferLinks(dict *Dictionary, obs ObservationSource) *Result {
 		for i, a := range covered {
 			for _, b := range covered[i+1:] {
 				if reciprocal(a.ASN, a.Filter, b.ASN, b.Filter) {
-					k := topology.MakeLinkKey(a.ASN, b.ASN)
+					k := bgp.MakeLinkKey(a.ASN, b.ASN)
 					res.Links[k] = append(res.Links[k], entry.Name)
 				}
 			}

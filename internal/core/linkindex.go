@@ -10,13 +10,12 @@ import (
 
 	"mlpeering/internal/bgp"
 	"mlpeering/internal/par"
-	"mlpeering/internal/topology"
 )
 
 // IndexedLink is one inferred link with its sorted IXP attribution.
 // IXPs aliases the owning Result's attribution slice.
 type IndexedLink struct {
-	Key  topology.LinkKey
+	Key  bgp.LinkKey
 	IXPs []string
 }
 
@@ -104,7 +103,7 @@ func (x *LinkIndex) EncodedRun(i, j int) []byte {
 // would.
 //
 //mlplint:allocfree
-func AppendLink(dst []byte, key topology.LinkKey, ixps []string) []byte {
+func AppendLink(dst []byte, key bgp.LinkKey, ixps []string) []byte {
 	dst = AppendField(dst, `{"a":`, uint64(key.A))
 	dst = AppendField(dst, `,"b":`, uint64(key.B))
 	dst = append(dst, `,"ixps":`...)
@@ -164,12 +163,12 @@ func appendEscaped(dst []byte, s string) []byte {
 
 // sortedLinks extracts a link map's entries in ascending (A, B) order:
 // the one sort every canonical walk of a mesh derives from.
-func sortedLinks(links map[topology.LinkKey][]string) []IndexedLink {
+func sortedLinks(links map[bgp.LinkKey][]string) []IndexedLink {
 	out := make([]IndexedLink, 0, len(links))
 	for k, ixps := range links {
 		out = append(out, IndexedLink{Key: k, IXPs: ixps})
 	}
-	slices.SortFunc(out, func(a, b IndexedLink) int { return topology.CompareLinkKeys(a.Key, b.Key) })
+	slices.SortFunc(out, func(a, b IndexedLink) int { return bgp.CompareLinkKeys(a.Key, b.Key) })
 	return out
 }
 
@@ -386,7 +385,7 @@ func compareRowEdits[K ~uint32](a, b rowEdit[K]) int {
 //
 //mlplint:allocfree
 //mlplint:frozen
-func patchLinkIndex(base *LinkIndex, keys []topology.LinkKey, links map[topology.LinkKey][]string) *LinkIndex {
+func patchLinkIndex(base *LinkIndex, keys []bgp.LinkKey, links map[bgp.LinkKey][]string) *LinkIndex {
 	old := base.Links
 	//mlplint:allocfree the patched index itself
 	x := &LinkIndex{IXPs: base.IXPs, MultiIXP: base.MultiIXP}
@@ -407,7 +406,7 @@ func patchLinkIndex(base *LinkIndex, keys []topology.LinkKey, links map[topology
 	for ki := 0; ki <= len(keys); ki++ {
 		to := len(old)
 		if ki < len(keys) {
-			n, _ := slices.BinarySearchFunc(old[oi:], keys[ki], func(l IndexedLink, k topology.LinkKey) int { return topology.CompareLinkKeys(l.Key, k) })
+			n, _ := slices.BinarySearchFunc(old[oi:], keys[ki], func(l IndexedLink, k bgp.LinkKey) int { return bgp.CompareLinkKeys(l.Key, k) })
 			to = oi + n
 		}
 		if to > oi {

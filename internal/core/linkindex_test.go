@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"mlpeering/internal/bgp"
-	"mlpeering/internal/topology"
 )
 
 // diffLinkIndex compares two indexes field by field — links, hash, CSR
@@ -89,7 +88,7 @@ func patchedIndexSweep(t *testing.T) {
 	}
 
 	// toggle flips one (link, IXP) attribution the way Apply does.
-	toggle := func(key topology.LinkKey, name string) {
+	toggle := func(key bgp.LinkKey, name string) {
 		x := ms.obs.byIXP[name]
 		x.stale = true
 		if slices.Contains(ms.links[key], name) {
@@ -98,15 +97,15 @@ func patchedIndexSweep(t *testing.T) {
 			ms.addLink(x, key)
 		}
 	}
-	randomKey := func() topology.LinkKey {
+	randomKey := func() bgp.LinkKey {
 		a := rng.Intn(len(asns))
 		b := (a + 1 + rng.Intn(len(asns)-1)) % len(asns)
-		return topology.MakeLinkKey(asns[a], asns[b])
+		return bgp.MakeLinkKey(asns[a], asns[b])
 	}
 
 	type retained struct {
 		res     *Result
-		links   map[topology.LinkKey][]string
+		links   map[bgp.LinkKey][]string
 		index   []IndexedLink
 		encoded []byte
 		fp      uint64
@@ -148,7 +147,7 @@ func patchedIndexSweep(t *testing.T) {
 			t.Fatalf("%s: index fingerprint differs from hash/fnv over the mesh encoding", step)
 		}
 		if len(kept) == 0 || kept[len(kept)-1].res != res {
-			r := retained{res: res, links: make(map[topology.LinkKey][]string), encoded: bytes.Clone(got.Encoded), fp: got.Fingerprint}
+			r := retained{res: res, links: make(map[bgp.LinkKey][]string), encoded: bytes.Clone(got.Encoded), fp: got.Fingerprint}
 			for k, v := range res.Links {
 				r.links[k] = slices.Clone(v)
 			}
@@ -166,14 +165,14 @@ func patchedIndexSweep(t *testing.T) {
 	// Scripted opening: empty mesh, indexed; a first link; links before
 	// the first and after the last position; a move that cancels out.
 	materialize("empty")
-	mid := topology.MakeLinkKey(asns[10], asns[11])
+	mid := bgp.MakeLinkKey(asns[10], asns[11])
 	toggle(mid, "ECIX")
 	materialize("first link")
-	toggle(topology.MakeLinkKey(1, 2), "DE-CIX")
-	toggle(topology.MakeLinkKey(4000000000, 4000000001), "MSK-IX")
+	toggle(bgp.MakeLinkKey(1, 2), "DE-CIX")
+	toggle(bgp.MakeLinkKey(4000000000, 4000000001), "MSK-IX")
 	materialize("front and back inserts")
-	toggle(topology.MakeLinkKey(3, 4), "DE-CIX")
-	toggle(topology.MakeLinkKey(3, 4), "DE-CIX")
+	toggle(bgp.MakeLinkKey(3, 4), "DE-CIX")
+	toggle(bgp.MakeLinkKey(3, 4), "DE-CIX")
 	toggle(mid, "DE-CIX")
 	toggle(mid, "DE-CIX")
 	materialize("cancelled moves")
@@ -223,7 +222,7 @@ func patchedIndexSweep(t *testing.T) {
 // deepCopyResult copies r's links and attribution lists, so an index
 // built over the copy shares nothing with r's.
 func deepCopyResult(r *Result) *Result {
-	c := &Result{PerIXP: r.PerIXP, Links: make(map[topology.LinkKey][]string, len(r.Links))}
+	c := &Result{PerIXP: r.PerIXP, Links: make(map[bgp.LinkKey][]string, len(r.Links))}
 	for k, v := range r.Links {
 		c.Links[k] = slices.Clone(v)
 	}

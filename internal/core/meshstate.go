@@ -16,7 +16,7 @@ import (
 	"slices"
 	"sort"
 
-	"mlpeering/internal/topology"
+	"mlpeering/internal/bgp"
 )
 
 // MeshState is the delta-maintained §4.1 reciprocity mesh over every
@@ -36,11 +36,11 @@ type MeshState struct {
 	// on it belongs to the Result and is read-only, and the mesh reads
 	// it until its first write, which first swaps in the private copy
 	// that next delivers (see own).
-	links map[topology.LinkKey][]string
+	links map[bgp.LinkKey][]string
 	// next delivers the copy of links that the goroutine the last
 	// link-changing Snapshot started is building; nil once the mesh
 	// owns links again.
-	next chan map[topology.LinkKey][]string
+	next chan map[bgp.LinkKey][]string
 
 	// Jaccard stability counters: prevLinks is the mesh size at the
 	// last CloseStability; changed records, for every link touched
@@ -49,7 +49,7 @@ type MeshState struct {
 	// first CloseStability: a first window's stability is 1 whatever it
 	// holds, so the close that builds the whole mesh logs none of it.
 	prevLinks int
-	changed   map[topology.LinkKey]bool
+	changed   map[bgp.LinkKey]bool
 
 	// snap is the Result the last Snapshot returned; moved is the set of
 	// links touched since — what the next Result's index patches into
@@ -58,7 +58,7 @@ type MeshState struct {
 	// windows nobody materialized, and the first Snapshot's index is built
 	// from scratch.
 	snap  *Result
-	moved map[topology.LinkKey]struct{}
+	moved map[bgp.LinkKey]struct{}
 }
 
 // newMeshState returns the mesh over obs, an empty store.
@@ -69,8 +69,8 @@ func newMeshState(obs *DeltaObservations) *MeshState {
 	}
 	return &MeshState{
 		obs:   obs,
-		links: make(map[topology.LinkKey][]string),
-		moved: make(map[topology.LinkKey]struct{}),
+		links: make(map[bgp.LinkKey][]string),
+		moved: make(map[bgp.LinkKey]struct{}),
 	}
 }
 
@@ -116,7 +116,7 @@ func (ms *MeshState) updateSetter(s *setterDelta) {
 		if o == s {
 			continue
 		}
-		key := topology.MakeLinkKey(s.asn, o.asn)
+		key := bgp.MakeLinkKey(s.asn, o.asn)
 		want := covered && reciprocal(s.asn, f, o.asn, o.meshFilter)
 		if want != slices.Contains(ms.links[key], x.entry.Name) {
 			if want {
@@ -134,7 +134,7 @@ func (ms *MeshState) updateSetter(s *setterDelta) {
 // first CloseStability it logs nothing. Every write to links follows a
 // touch, so touch is where the mesh takes links back from the last
 // Result it was handed to.
-func (ms *MeshState) touch(key topology.LinkKey) []string {
+func (ms *MeshState) touch(key bgp.LinkKey) []string {
 	ms.own()
 	names := ms.links[key]
 	if _, seen := ms.changed[key]; !seen && ms.changed != nil {
@@ -147,7 +147,7 @@ func (ms *MeshState) touch(key topology.LinkKey) []string {
 // list. The list is replaced, not edited: the previous one may be shared
 // with a published Result. A link new to the mesh takes x.alone, which
 // every such link at x shares; its capacity of 1 makes an append copy.
-func (ms *MeshState) addLink(x *ixpDelta, key topology.LinkKey) {
+func (ms *MeshState) addLink(x *ixpDelta, key bgp.LinkKey) {
 	names := ms.touch(key)
 	if len(names) == 0 {
 		ms.links[key] = x.alone
@@ -165,7 +165,7 @@ func (ms *MeshState) addLink(x *ixpDelta, key topology.LinkKey) {
 // dropping the link entirely when no IXP attributes it anymore.
 // Copy-on-write like addLink; a link left at one IXP takes that IXP's
 // shared list.
-func (ms *MeshState) removeLink(x *ixpDelta, key topology.LinkKey) {
+func (ms *MeshState) removeLink(x *ixpDelta, key bgp.LinkKey) {
 	names := ms.touch(key)
 	i := sort.SearchStrings(names, x.entry.Name)
 	switch len(names) {
@@ -193,9 +193,9 @@ func (ms *MeshState) own() {
 // that builds the mesh's next private copy from it: the map is frozen
 // from here on, so the copy reads it while the caller publishes, and
 // the next window's events and relation commit run alongside it.
-func (ms *MeshState) handOff() map[topology.LinkKey][]string {
+func (ms *MeshState) handOff() map[bgp.LinkKey][]string {
 	frozen := ms.links
-	next := make(chan map[topology.LinkKey][]string, 1)
+	next := make(chan map[bgp.LinkKey][]string, 1)
 	go func() { next <- maps.Clone(frozen) }()
 	ms.next = next
 	return frozen
@@ -212,7 +212,7 @@ func (ms *MeshState) handOff() map[topology.LinkKey][]string {
 func (ms *MeshState) CloseStability() float64 {
 	if ms.changed == nil {
 		ms.prevLinks = len(ms.links)
-		ms.changed = make(map[topology.LinkKey]bool)
+		ms.changed = make(map[bgp.LinkKey]bool)
 		return 1
 	}
 	added, removed := 0, 0
@@ -278,7 +278,7 @@ func (ms *MeshState) Snapshot() *Result {
 		res.Links = ms.handOff()
 		res.linkIndex = newLinkIndex(res)
 	default:
-		keys := slices.SortedFunc(maps.Keys(ms.moved), topology.CompareLinkKeys)
+		keys := slices.SortedFunc(maps.Keys(ms.moved), bgp.CompareLinkKeys)
 		clear(ms.moved)
 		res.Links = ms.handOff()
 		res.linkIndex = patchLinkIndex(prev.linkIndex, keys, res.Links)

@@ -18,7 +18,6 @@ import (
 	"mlpeering/internal/par"
 	"mlpeering/internal/paths"
 	"mlpeering/internal/relation"
-	"mlpeering/internal/topology"
 )
 
 // obsSet is one counted community set observed for a (setter, prefix).
@@ -379,21 +378,17 @@ func (m *windowMiner) shape(path paths.ID, comms bgp.Communities) *windowGroup {
 	g.bogon = hasBogon(p)
 	g.cycle = hasCycle(p)
 	if g.mineable() {
-		positions := 0
-		for _, a := range p {
-			if at.entry.IsMember(a) {
-				positions++
-			}
-		}
-		g.relsDep = positions > 2
+		var buf [8]int
+		positions := memberPositions(buf[:0], p, at.entry)
+		g.relsDep = len(positions) > 2
 		if g.relsDep {
 			g.byPrefix = make(map[bgp.Prefix]int)
 			m.relsDeps = append(m.relsDeps, g)
 			if m.rel != nil {
-				g.setter, g.resolved = pinpointSetter(p, at.entry, m.rel)
+				g.setter, g.resolved = pinpointAt(p, positions, m.rel)
 			}
 		} else {
-			g.setter, g.resolved = pinpointSetter(p, at.entry, nil)
+			g.setter, g.resolved = pinpointAt(p, positions, nil)
 		}
 	}
 	m.groups[k] = g
@@ -584,7 +579,7 @@ func (m *windowMiner) sweepDeadShapes() {
 // iterator.
 func countP2P(rels relation.Oracle) int {
 	n := 0
-	rels.ForEachLink(func(_ topology.LinkKey, r relation.Rel) bool {
+	rels.ForEachLink(func(_ bgp.LinkKey, r relation.Rel) bool {
 		if r == relation.RelP2P {
 			n++
 		}

@@ -9,7 +9,6 @@ import (
 	"mlpeering/internal/mrt"
 	"mlpeering/internal/paths"
 	"mlpeering/internal/relation"
-	"mlpeering/internal/topology"
 )
 
 // DropStats counts paths removed by the §5 hygiene filters.
@@ -27,7 +26,7 @@ type PassiveResult struct {
 	// interned: each distinct path is stored once in a shared arena.
 	Paths paths.View
 	// Links is the public-view AS link set extracted from Paths.
-	Links map[topology.LinkKey]bool
+	Links map[bgp.LinkKey]bool
 	// PrefixOrigins maps each prefix seen in public data to its origin
 	// AS (used by validation to pick query prefixes).
 	PrefixOrigins map[bgp.Prefix]bgp.ASN
@@ -66,7 +65,7 @@ func (r *PassiveResult) PrefixesByOrigin() map[bgp.ASN][]bgp.Prefix {
 func RunPassive(dumps []*mrt.Dump, updates []*mrt.BGP4MPMessage, dict *Dictionary) (*PassiveResult, error) {
 	res := &PassiveResult{
 		Obs:           NewObservations(),
-		Links:         make(map[topology.LinkKey]bool),
+		Links:         make(map[bgp.LinkKey]bool),
 		PrefixOrigins: make(map[bgp.Prefix]bgp.ASN),
 	}
 
@@ -176,7 +175,7 @@ func RunPassive(dumps []*mrt.Dump, updates []*mrt.BGP4MPMessage, dict *Dictionar
 			seenPath[id] = true
 			kept = append(kept, id)
 			for j := 0; j+1 < len(p); j++ {
-				res.Links[topology.MakeLinkKey(p[j], p[j+1])] = true
+				res.Links[bgp.MakeLinkKey(p[j], p[j+1])] = true
 			}
 		}
 		res.PrefixOrigins[recs.Prefix[i]] = p[len(p)-1]
@@ -276,12 +275,13 @@ func (a *attributor) of(cs bgp.Communities) attribution {
 //  3. more than two: the participant pair with a p2p relationship is the
 //     route-server crossing; the setter is its origin-side AS.
 func pinpointSetter(path []bgp.ASN, entry *IXPEntry, rels relation.Oracle) (bgp.ASN, bool) {
-	var positions []int
-	for i, a := range path {
-		if entry.IsMember(a) {
-			positions = append(positions, i)
-		}
-	}
+	var buf [8]int
+	return pinpointAt(path, memberPositions(buf[:0], path, entry), rels)
+}
+
+// pinpointAt is pinpointSetter over the participant hops of path, as
+// memberPositions lists them.
+func pinpointAt(path []bgp.ASN, positions []int, rels relation.Oracle) (bgp.ASN, bool) {
 	switch {
 	case len(positions) < 2:
 		return 0, false
@@ -302,6 +302,17 @@ func pinpointSetter(path []bgp.ASN, entry *IXPEntry, rels relation.Oracle) (bgp.
 		}
 		return 0, false
 	}
+}
+
+// memberPositions appends to dst the index of each hop of path that is
+// a participant at entry's IXP; callers pass a stack array's slice.
+func memberPositions(dst []int, path []bgp.ASN, entry *IXPEntry) []int {
+	for i, a := range path {
+		if entry.IsMember(a) {
+			dst = append(dst, i)
+		}
+	}
+	return dst
 }
 
 func anySchemeRelevant(dict *Dictionary, cs bgp.Communities) bool {

@@ -12,7 +12,6 @@ import (
 	"mlpeering/internal/mrt"
 	"mlpeering/internal/paths"
 	"mlpeering/internal/relation"
-	"mlpeering/internal/topology"
 )
 
 // runPassiveReference is RunPassive as it stood before attribution was
@@ -22,7 +21,7 @@ import (
 func runPassiveReference(dumps []*mrt.Dump, updates []*mrt.BGP4MPMessage, dict *Dictionary) *PassiveResult {
 	res := &PassiveResult{
 		Obs:           NewObservations(),
-		Links:         make(map[topology.LinkKey]bool),
+		Links:         make(map[bgp.LinkKey]bool),
 		PrefixOrigins: make(map[bgp.Prefix]bgp.ASN),
 	}
 	store := paths.NewStore()
@@ -96,7 +95,7 @@ func runPassiveReference(dumps []*mrt.Dump, updates []*mrt.BGP4MPMessage, dict *
 			seenPath[id] = true
 			kept = append(kept, id)
 			for j := 0; j+1 < len(p); j++ {
-				res.Links[topology.MakeLinkKey(p[j], p[j+1])] = true
+				res.Links[bgp.MakeLinkKey(p[j], p[j+1])] = true
 			}
 		}
 		res.PrefixOrigins[recs.Prefix[i]] = p[len(p)-1]

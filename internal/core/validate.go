@@ -10,7 +10,6 @@ import (
 	"mlpeering/internal/geo"
 	"mlpeering/internal/lg"
 	"mlpeering/internal/relation"
-	"mlpeering/internal/topology"
 )
 
 // ValidationLG is a third-party looking glass used to confirm links.
@@ -107,7 +106,7 @@ func (v *Validator) Validate(ctx context.Context, result *Result) (*ValidationRe
 	out := &ValidationResult{PerIXP: make(map[string]struct{ Tested, Confirmed int })}
 
 	// Deterministic link order.
-	links := slices.SortedFunc(maps.Keys(result.Links), topology.CompareLinkKeys)
+	links := slices.SortedFunc(maps.Keys(result.Links), bgp.CompareLinkKeys)
 
 	perLG := make(map[bgp.ASN]*LGOutcome, len(v.LGs))
 	for _, l := range v.LGs {

@@ -12,7 +12,6 @@ import (
 	"mlpeering/internal/par"
 	"mlpeering/internal/paths"
 	"mlpeering/internal/relation"
-	"mlpeering/internal/topology"
 )
 
 // WindowsMode selects how each window's ML mesh is derived.
@@ -241,7 +240,7 @@ func RunPassiveWindows(dumps []*mrt.Dump, updates []*mrt.BGP4MPMessage, dict *Di
 	// prevRemineLinks carries the previous window's link set for the
 	// remine-mode stability computation; incremental mode derives
 	// stability from the mesh's running counters instead.
-	var prevRemineLinks map[topology.LinkKey][]string
+	var prevRemineLinks map[bgp.LinkKey][]string
 	winIdx := 0
 	closeWindow := func() {
 		//mlplint:clock close-duration telemetry only; never feeds inference or window boundaries
@@ -543,7 +542,7 @@ func remineLiveTable(store *paths.Store, live *liveTable, dict *Dictionary, w *P
 
 // jaccardLinks computes |a∩b| / |a∪b| over link sets (1 when both are
 // empty), iterating only the smaller side.
-func jaccardLinks(a, b map[topology.LinkKey][]string) float64 {
+func jaccardLinks(a, b map[bgp.LinkKey][]string) float64 {
 	if len(a) == 0 && len(b) == 0 {
 		return 1
 	}

@@ -16,7 +16,6 @@ import (
 	"mlpeering/internal/mrt"
 	"mlpeering/internal/paths"
 	"mlpeering/internal/relation"
-	"mlpeering/internal/topology"
 )
 
 func upd(ts time.Time, peer bgp.ASN, path []bgp.ASN, cs bgp.Communities, nlri, withdrawn []bgp.Prefix) *mrt.BGP4MPMessage {
@@ -732,11 +731,11 @@ func TestBatchAndWindowReduceObservationsApart(t *testing.T) {
 	}
 	fromExcluder := entry(1, []bgp.ASN{300, 200}, excl300)
 	fromAllower := entry(0, []bgp.ASN{100, 200}, allowAll)
-	link := map[topology.LinkKey][]string{topology.MakeLinkKey(200, 300): {"DE-CIX"}}
+	link := map[bgp.LinkKey][]string{bgp.MakeLinkKey(200, 300): {"DE-CIX"}}
 	for _, tc := range []struct {
 		name       string
 		dumps      []*mrt.Dump
-		batchLinks map[topology.LinkKey][]string
+		batchLinks map[bgp.LinkKey][]string
 	}{
 		{"allowing set last", dump(fromExcluder, fromAllower), link},
 		{"excluding set last", dump(fromAllower, fromExcluder), nil},
@@ -1278,15 +1277,15 @@ func TestLinkIndexMatchesScan(t *testing.T) {
 			t.Fatalf("links not ascending at %d: %v then %v", i, a, b)
 		}
 	}
-	gather := func(rows []uint32) []topology.LinkKey {
-		out := []topology.LinkKey{}
+	gather := func(rows []uint32) []bgp.LinkKey {
+		out := []bgp.LinkKey{}
 		for _, i := range rows {
 			out = append(out, x.Links[i].Key)
 		}
 		return out
 	}
 	for _, asn := range []bgp.ASN{100, 200, 300, 400, 500, 8359, 600, 1} {
-		want := []topology.LinkKey{}
+		want := []bgp.LinkKey{}
 		for _, l := range x.Links { // already ascending
 			if l.Key.A == asn || l.Key.B == asn {
 				want = append(want, l.Key)

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"mlpeering/internal/bgp"
 	"mlpeering/internal/core"
 	"mlpeering/internal/pipeline"
 	"mlpeering/internal/topology"
@@ -23,7 +24,7 @@ const accuracyGoldenFile = "testdata/accuracy_golden.txt"
 //   - over-permissive setters: covered (IXP, setter) pairs whose
 //     reconstructed export filter allows an RS member the true filter
 //     blocks.
-func accuracyLine(scenario, mode string, topo *topology.Topology, truth map[topology.LinkKey]bool, res *core.Result) string {
+func accuracyLine(scenario, mode string, topo *topology.Topology, truth map[bgp.LinkKey]bool, res *core.Result) string {
 	tp := 0
 	for link := range res.Links {
 		if truth[link] {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"time"
 
+	"mlpeering/internal/bgp"
 	"mlpeering/internal/churn"
 	"mlpeering/internal/collector"
 	"mlpeering/internal/core"
@@ -208,7 +209,7 @@ func (ct *ChurnTrace) Run() (*ChurnResult, error) {
 		return nil, err
 	}
 	trace := ct.Trace
-	truth := make(map[topology.LinkKey]bool, len(trace.TruthBase))
+	truth := make(map[bgp.LinkKey]bool, len(trace.TruthBase))
 	for _, l := range trace.TruthBase {
 		truth[l] = true
 	}

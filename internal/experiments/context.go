@@ -28,10 +28,10 @@ type Context struct {
 	// best paths from a set of traceroute vantages, with route-server
 	// crossings elided (Ark and DIMES "do not infer links across IXP
 	// Route Servers", §5).
-	tracerouteLinks map[topology.LinkKey]bool
+	tracerouteLinks map[bgp.LinkKey]bool
 
 	// publicP2P is the subset of the public BGP view inferred p2p.
-	publicP2P map[topology.LinkKey]bool
+	publicP2P map[bgp.LinkKey]bool
 }
 
 // NewContext builds a world and runs the full pipeline.
@@ -66,11 +66,11 @@ func (c *Context) Validation() (*core.ValidationResult, error) {
 
 // PublicP2PLinks labels the public link set with the relationship
 // inference and returns the p2p subset.
-func (c *Context) PublicP2PLinks() map[topology.LinkKey]bool {
+func (c *Context) PublicP2PLinks() map[bgp.LinkKey]bool {
 	if c.publicP2P != nil {
 		return c.publicP2P
 	}
-	out := make(map[topology.LinkKey]bool)
+	out := make(map[bgp.LinkKey]bool)
 	rels := c.Run.Passive.Rels
 	for link := range c.Run.Passive.Links {
 		if rels.Relationship(link.A, link.B) == relation.RelP2P {
@@ -82,11 +82,11 @@ func (c *Context) PublicP2PLinks() map[topology.LinkKey]bool {
 }
 
 // TracerouteLinks builds the traceroute-derived AS link dataset.
-func (c *Context) TracerouteLinks() map[topology.LinkKey]bool {
+func (c *Context) TracerouteLinks() map[bgp.LinkKey]bool {
 	if c.tracerouteLinks != nil {
 		return c.tracerouteLinks
 	}
-	links := make(map[topology.LinkKey]bool)
+	links := make(map[bgp.LinkKey]bool)
 	topo := c.World.Topo
 
 	// Vantages: a deterministic sample of stubs and transits, like the
@@ -120,7 +120,7 @@ func (c *Context) TracerouteLinks() map[topology.LinkKey]bool {
 					i+2 < len(r.Path)+1 && pathCrossesRSAt(r, i) {
 					continue
 				}
-				links[topology.MakeLinkKey(a, b)] = true
+				links[bgp.MakeLinkKey(a, b)] = true
 			}
 		}
 	})
@@ -137,7 +137,7 @@ func pathCrossesRSAt(r *propagate.VantageRoute, i int) bool {
 
 // incidentCount counts the links of set incident to each AS; an AS no
 // link touches is absent.
-func incidentCount[V any](set map[topology.LinkKey]V) map[bgp.ASN]int {
+func incidentCount[V any](set map[bgp.LinkKey]V) map[bgp.ASN]int {
 	deg := make(map[bgp.ASN]int)
 	for link := range set {
 		deg[link.A]++

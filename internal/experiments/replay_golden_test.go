@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"mlpeering/internal/bgp"
 	"mlpeering/internal/churn"
 	"mlpeering/internal/core"
 	"mlpeering/internal/experiments"
@@ -116,7 +117,7 @@ func bodyPaths(res *core.Result) []string {
 // allow it both ways.
 func checkAttribution(t *testing.T, what string, res *core.Result) {
 	t.Helper()
-	want := make(map[topology.LinkKey][]string)
+	want := make(map[bgp.LinkKey][]string)
 	for _, name := range slices.Sorted(maps.Keys(res.PerIXP)) {
 		x := res.PerIXP[name]
 		for i := 1; i < len(x.Covered); i++ {
@@ -127,7 +128,7 @@ func checkAttribution(t *testing.T, what string, res *core.Result) {
 		for i, a := range x.Covered {
 			for _, b := range x.Covered[i+1:] {
 				if a.Filter.Allows(b.ASN) && b.Filter.Allows(a.ASN) {
-					k := topology.MakeLinkKey(a.ASN, b.ASN)
+					k := bgp.MakeLinkKey(a.ASN, b.ASN)
 					want[k] = append(want[k], name)
 				}
 			}

@@ -68,7 +68,7 @@ func FuzzParsePolicyLine(f *testing.F) {
 		if err != nil {
 			return
 		}
-		for _, format := range []func(bgp.ASN, ixp.ExportFilter) string{formatExportLine, formatImportLine} {
+		for _, format := range []func(bgp.ASN, ixp.ExportFilter) string{FormatExportLine, FormatImportLine} {
 			out := format(pf.Peer, pf.Filter)
 			again, err := parsePolicyLine(out)
 			if err != nil {

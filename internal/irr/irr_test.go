@@ -7,7 +7,6 @@ import (
 
 	"mlpeering/internal/bgp"
 	"mlpeering/internal/ixp"
-	"mlpeering/internal/topology"
 )
 
 const sampleRPSL = `% RIPE-style comment
@@ -158,7 +157,7 @@ func TestPolicyLineRoundTrip(t *testing.T) {
 		ixp.NewExportFilter(ixp.ModeNoneExcept),
 	}
 	for i, f := range cases {
-		line := formatExportLine(6777, f)
+		line := FormatExportLine(6777, f)
 		pf, err := parsePolicyLine(line)
 		if err != nil {
 			t.Fatalf("case %d (%q): %v", i, line, err)
@@ -166,7 +165,7 @@ func TestPolicyLineRoundTrip(t *testing.T) {
 		if pf.Peer != 6777 || !pf.Filter.Equal(f) {
 			t.Fatalf("case %d: %q -> %+v", i, line, pf)
 		}
-		iline := formatImportLine(6777, f)
+		iline := FormatImportLine(6777, f)
 		pf2, err := parsePolicyLine(iline)
 		if err != nil || !pf2.Filter.Equal(f) {
 			t.Fatalf("import case %d: %v", i, err)
@@ -176,80 +175,5 @@ func TestPolicyLineRoundTrip(t *testing.T) {
 		if _, err := parsePolicyLine(bad); err == nil {
 			t.Errorf("parsePolicyLine(%q): expected error", bad)
 		}
-	}
-}
-
-func TestBuildFromTopology(t *testing.T) {
-	topo, err := topology.Generate(topology.TestConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := Build(topo, 42)
-	if reg.Len() == 0 {
-		t.Fatal("empty registry")
-	}
-
-	// Publishing IXPs have expandable as-sets matching ground truth.
-	for _, info := range topo.IXPs {
-		if !info.PublishesMemberList {
-			// LINX-style: no as-set...
-			if _, ok := reg.Lookup("as-set", ASSetName(info.Name)); ok {
-				t.Fatalf("%s published an as-set despite profile", info.Name)
-			}
-			// ...but members are discoverable via aut-num search.
-			found := reg.SearchAutNumsMentioning(info.Scheme.RSASN)
-			if len(found) == 0 {
-				t.Fatalf("%s: no members discoverable via IRR search", info.Name)
-			}
-			for _, m := range found {
-				if !info.IsRSMember(m) {
-					t.Fatalf("%s: search found non-member %s", info.Name, m)
-				}
-			}
-			continue
-		}
-		asns, err := reg.ExpandASSet(ASSetName(info.Name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(asns) != len(info.RSMembers) {
-			t.Fatalf("%s: as-set %d members, truth %d", info.Name, len(asns), len(info.RSMembers))
-		}
-		for _, m := range asns {
-			if !info.IsRSMember(m) {
-				t.Fatalf("%s: as-set contains non-member %s", info.Name, m)
-			}
-		}
-	}
-
-	// §4.4 data: registered members expose filters that match ground
-	// truth, with import never more restrictive than export.
-	checked := 0
-	for _, info := range topo.IXPs {
-		for _, m := range info.SortedRSMembers() {
-			imp, exp, err := reg.RSFilters(m, info.Scheme.RSASN)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if imp == nil || exp == nil {
-				continue // unregistered
-			}
-			checked++
-			truth, _ := topo.Policy(info.Name, m)
-			if !exp.Filter.Equal(truth.Export) || !imp.Filter.Equal(truth.Import) {
-				t.Fatalf("%s member %s: IRR filters diverge from truth", info.Name, m)
-			}
-			for _, other := range info.RSMembers {
-				if other == m {
-					continue
-				}
-				if exp.Filter.Allows(other) && !imp.Filter.Allows(other) {
-					t.Fatalf("%s member %s: IRR import more restrictive than export", info.Name, m)
-				}
-			}
-		}
-	}
-	if checked == 0 {
-		t.Fatal("no registered members with filters")
 	}
 }

@@ -17,21 +17,21 @@ type PolicyFilter struct {
 	Filter ixp.ExportFilter
 }
 
-// formatExportLine renders a member's route-server export policy as an
+// FormatExportLine renders a member's route-server export policy as an
 // RPSL export attribute value. The grammar is a simplified RPSL policy
 // expression:
 //
 //	to AS6777 announce ANY
 //	to AS6777 announce ANY EXCEPT {AS5410, AS8732}
 //	to AS6777 announce ONLY {AS8359, AS8447}
-func formatExportLine(rsASN bgp.ASN, f ixp.ExportFilter) string {
+func FormatExportLine(rsASN bgp.ASN, f ixp.ExportFilter) string {
 	return "to AS" + rsASN.String() + " announce " + formatFilterExpr(f)
 }
 
-// formatImportLine renders the import direction:
+// FormatImportLine renders the import direction:
 //
 //	from AS6777 accept ANY [EXCEPT {...}] / ONLY {...}
-func formatImportLine(rsASN bgp.ASN, f ixp.ExportFilter) string {
+func FormatImportLine(rsASN bgp.ASN, f ixp.ExportFilter) string {
 	return "from AS" + rsASN.String() + " accept " + formatFilterExpr(f)
 }
 
@@ -58,7 +58,7 @@ func formatFilterExpr(f ixp.ExportFilter) string {
 }
 
 // parsePolicyLine parses an import or export attribute value produced
-// by formatImportLine/formatExportLine (and tolerant of spacing).
+// by FormatImportLine/FormatExportLine (and tolerant of spacing).
 func parsePolicyLine(value string) (*PolicyFilter, error) {
 	fields := strings.Fields(value)
 	if len(fields) < 3 {

@@ -1,9 +1,8 @@
 // Package irr models the Internet Routing Registry: RPSL object parsing
-// and serialization, aut-num import/export policies, as-set expansion,
-// and generation of registry contents from the synthetic topology. The
-// inference pipeline uses it for connectivity discovery (AS-SETs, and
-// LINX-style searches for members peering with a route server ASN) and
-// for the reciprocity validation of §4.4.
+// and serialization, aut-num import/export policies and as-set
+// expansion. The inference pipeline uses it for connectivity discovery
+// (AS-SETs, and LINX-style searches for members peering with a route
+// server ASN) and for the reciprocity validation of §4.4.
 package irr
 
 import (
@@ -171,6 +170,22 @@ func (r *Registry) Objects() []*Object { return r.objects }
 
 // Len returns the object count.
 func (r *Registry) Len() int { return len(r.objects) }
+
+// ASSetName returns the canonical as-set name for an IXP's route server
+// members.
+func ASSetName(ixpName string) string {
+	clean := strings.Map(func(r rune) rune {
+		switch {
+		case r >= 'a' && r <= 'z':
+			return r - 32
+		case r >= 'A' && r <= 'Z', r >= '0' && r <= '9':
+			return r
+		default:
+			return '-'
+		}
+	}, ixpName)
+	return "AS-" + clean + "-RSMEMBERS"
+}
 
 // ExpandASSet resolves an as-set name to its member ASNs, following
 // nested sets with cycle protection. Unknown nested sets are skipped

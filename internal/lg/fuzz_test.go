@@ -2,7 +2,6 @@ package lg
 
 import (
 	"net/http/httptest"
-	"net/netip"
 	"reflect"
 	"testing"
 
@@ -47,18 +46,6 @@ Paths: (3 available, best #1)
 `
 )
 
-// textBackend is a Backend that answers with fixed parse results, so a
-// fuzz target can render them the way Server does.
-type textBackend struct {
-	peers []PeerSummary
-}
-
-func (textBackend) RouterID() netip.Addr                            { return netip.MustParseAddr("172.16.0.1") }
-func (textBackend) LocalASN() bgp.ASN                               { return 6695 }
-func (b textBackend) Summary() []PeerSummary                        { return b.peers }
-func (textBackend) NeighborRoutes(netip.Addr) ([]bgp.Prefix, error) { return nil, nil }
-func (textBackend) Lookup(bgp.Prefix) ([]PathInfo, error)           { return nil, nil }
-
 func FuzzParseSummary(f *testing.F) {
 	f.Add(seedSummary)
 	f.Fuzz(func(t *testing.T, text string) {
@@ -67,7 +54,7 @@ func FuzzParseSummary(f *testing.F) {
 			return
 		}
 		rec := httptest.NewRecorder()
-		renderSummary(rec, textBackend{peers: peers})
+		renderSummary(rec, fakeBackend{asn: 6695, peers: peers})
 		again, err := parseSummary(rec.Body.String())
 		if err != nil || !reflect.DeepEqual(again, peers) {
 			t.Fatalf("re-parse of rendered summary = %+v, %v; want %+v", again, err, peers)
@@ -83,7 +70,7 @@ func FuzzParseRoutes(f *testing.F) {
 			return
 		}
 		rec := httptest.NewRecorder()
-		renderRoutes(rec, textBackend{}, prefixes)
+		renderRoutes(rec, fakeBackend{}, prefixes)
 		again, err := parseRoutes(rec.Body.String())
 		if err != nil || !reflect.DeepEqual(again, prefixes) {
 			t.Fatalf("re-parse of rendered routes = %v, %v; want %v", again, err, prefixes)
@@ -100,7 +87,7 @@ func FuzzParsePrefixResponse(f *testing.F) {
 			return
 		}
 		rec := httptest.NewRecorder()
-		renderPrefix(rec, textBackend{}, bgp.MustPrefix("30.1.0.0/16"), paths)
+		renderPrefix(rec, fakeBackend{}, bgp.MustPrefix("30.1.0.0/16"), paths)
 		again, err := parsePrefixResponse(rec.Body.String())
 		if err != nil || !reflect.DeepEqual(again, paths) {
 			t.Fatalf("re-parse of rendered paths = %+v, %v; want %+v", again, err, paths)

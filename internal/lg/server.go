@@ -26,8 +26,8 @@ func NewServer() *Server {
 // Mount registers a backend under the given name. Requests to one
 // looking glass are served one at a time: backend results may alias
 // per-backend buffers that the next query on the same backend recycles
-// (ASBackend's route arena), so the query and its rendering form one
-// critical section. Real LG frontends serialize harder than this —
+// (an AS looking glass's route arena), so the query and its rendering
+// form one critical section. Real LG frontends serialize harder than this —
 // they rate-limit to one query per several seconds.
 func (s *Server) Mount(name string, b Backend) {
 	s.backends[name] = b

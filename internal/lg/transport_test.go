@@ -3,6 +3,7 @@ package lg
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"maps"
 	"net/http"
@@ -20,37 +21,25 @@ import (
 // mounted looking glass.
 type transportProbe struct{ name, command string }
 
-// TestTransportMatchesListener serves a test-scale world's looking
-// glasses the way the pipeline mounts them — every route server, one
-// with a hidden member, and every member and validation AS — and asks
-// each the same questions over a loopback listener and over the
-// in-process transport: summary, neighbor routes of a member, of a
-// hidden member and of an unknown address, a present and a missing
-// prefix, and a malformed command. Status and body must match, and
-// clients driven the same way on both sides count the same queries.
+// TestTransportMatchesListener serves looking glasses the way the
+// pipeline mounts them — route servers, one with a hidden member, and
+// AS looking glasses — and asks each the same questions over a loopback
+// listener and over the in-process transport: summary, neighbor routes
+// of a member, of a hidden member and of an unknown address, a present
+// and a missing prefix, and a malformed command. Status and body must
+// match, and clients driven the same way on both sides count the same
+// queries.
 func TestTransportMatchesListener(t *testing.T) {
-	topo, e, ribs := testWorld(t)
-	owners := topo.PrefixOwners()
 	srv := NewServer()
 	var probes []transportProbe
 	unknown := netip.MustParseAddr("203.0.113.99")
 	missing := bgp.MustPrefix("203.0.113.0/24")
-	hidOne := false
-	for _, info := range topo.IXPs {
-		rib := ribs[info.Name]
-		members := rib.Members()
-		if len(members) < 2 {
-			continue
-		}
-		var hidden []bgp.ASN
-		if !hidOne {
-			hidden, hidOne = members[:1], true
-		}
-		b := NewRSBackend(rib, hidden)
-		name := "rs/" + info.Name
+	for i, hidden := range [][]bgp.ASN{{8359}, nil} {
+		b := testRS(hidden)
+		name := fmt.Sprintf("rs/IX-%d", i)
 		srv.Mount(name, b)
 		shown := b.Summary()[0]
-		present := b.perMember[shown.ASN][0]
+		present := b.routes[shown.Addr][0]
 		probes = append(probes,
 			transportProbe{name, "show ip bgp summary"},
 			transportProbe{name, "show ip bgp neighbors " + shown.Addr.String() + " routes"},
@@ -59,35 +48,16 @@ func TestTransportMatchesListener(t *testing.T) {
 			transportProbe{name, "show ip bgp " + missing.String()},
 			transportProbe{name, "show version"},
 		)
-		if len(hidden) > 0 {
-			addr, _ := info.MemberAddr(hidden[0])
+		for addr := range b.hidden {
 			probes = append(probes, transportProbe{name, "show ip bgp neighbors " + addr.String() + " routes"})
 		}
 	}
-	if !hidOne {
-		t.Fatal("no route server to hide a member at")
-	}
-	prefixes := slices.SortedFunc(maps.Keys(owners), bgp.ComparePrefixes)
-	hosts := slices.Clone(topo.ValidationLGs)
-	for _, name := range slices.Sorted(maps.Keys(topo.MemberLGs)) {
-		hosts = append(hosts, topo.MemberLGs[name]...)
-	}
-	mounted := make(map[bgp.ASN]bool)
-	for _, h := range hosts {
-		if mounted[h.ASN] {
-			continue
-		}
-		mounted[h.ASN] = true
-		b := NewASBackend(e, h.ASN, owners, h.AllPaths)
-		name := "as/" + h.ASN.String()
+	rs := testRS(nil)
+	for _, asn := range []bgp.ASN{8359, 5410} {
+		b := fakeBackend{asn: asn, paths: rs.paths}
+		name := "as/" + asn.String()
 		srv.Mount(name, b)
-		present := prefixes[0]
-		for _, p := range prefixes[:min(len(prefixes), 64)] {
-			if paths, _ := b.Lookup(p); len(paths) > 0 {
-				present = p
-				break
-			}
-		}
+		present := slices.SortedFunc(maps.Keys(b.paths), bgp.ComparePrefixes)[0]
 		probes = append(probes,
 			transportProbe{name, "show ip bgp summary"},
 			transportProbe{name, "show ip bgp neighbors " + unknown.String() + " routes"},
@@ -168,10 +138,9 @@ func (b countingBackend) Lookup(p bgp.Prefix) ([]PathInfo, error) {
 // TestTransportCancelledContext: a request whose context is done comes
 // back as that context's error, and the backend is never asked.
 func TestTransportCancelledContext(t *testing.T) {
-	topo, _, ribs := testWorld(t)
 	var calls atomic.Int64
 	srv := NewServer()
-	srv.Mount("rs", countingBackend{NewRSBackend(ribs[topo.IXPs[0].Name], nil), &calls})
+	srv.Mount("rs", countingBackend{testRS(nil), &calls})
 	c := &Client{BaseURL: "http://lg.invalid/rs", HTTPClient: &http.Client{Transport: srv.Transport()}}
 
 	if _, err := c.Summary(context.Background()); err != nil || calls.Load() != 1 {

@@ -15,8 +15,12 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"net/http"
+	"net/netip"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -182,7 +186,7 @@ func buildWorld(cfg topology.Config, tapRIB func(io.Writer) io.Writer) (*World, 
 		return err
 	})
 	g.Go("irr", func() error {
-		w.IRR = irr.Build(topo, cfg.Seed+1)
+		w.IRR = buildIRR(topo, cfg.Seed+1)
 		return nil
 	})
 	g.Go("registries", func() error {
@@ -234,6 +238,100 @@ func buildPDB(topo *topology.Topology) *peeringdb.Registry {
 	return reg
 }
 
+// registrationFrac is the probability an AS registers an accurate
+// aut-num/as-set in the IRR (drives LINX-style discovery and §4.4
+// reciprocity validation).
+const registrationFrac = 0.77
+
+// buildIRR generates IRR contents from the topology's ground truth:
+//
+//   - an as-set per IXP that publishes its RS member list,
+//   - an aut-num per registered member carrying import/export policy
+//     lines toward each route server it is connected to (the §4.4 data),
+//   - registration is probabilistic (registrationFrac), except that
+//     members of list-publishing IXPs always appear in the as-set (the
+//     set is maintained by the IXP, not the member).
+//
+// IRR contents mirror reality: accurate where generated, but silent for
+// unregistered networks.
+func buildIRR(topo *topology.Topology, seed int64) *irr.Registry {
+	rng := rand.New(rand.NewSource(seed))
+	reg := irr.NewRegistry()
+
+	registered := make(map[bgp.ASN]bool)
+	for _, asn := range topo.Order {
+		if rng.Float64() < registrationFrac {
+			registered[asn] = true
+		}
+	}
+
+	// Per-member policy lines toward each of their route servers.
+	type policyLines struct {
+		imports, exports []string
+	}
+	perMember := make(map[bgp.ASN]*policyLines)
+	for _, info := range topo.IXPs {
+		for _, m := range info.SortedRSMembers() {
+			if !registered[m] {
+				continue
+			}
+			pol, ok := topo.Policy(info.Name, m)
+			if !ok {
+				continue
+			}
+			pl := perMember[m]
+			if pl == nil {
+				pl = &policyLines{}
+				perMember[m] = pl
+			}
+			pl.imports = append(pl.imports, irr.FormatImportLine(info.Scheme.RSASN, pol.Import))
+			pl.exports = append(pl.exports, irr.FormatExportLine(info.Scheme.RSASN, pol.Export))
+		}
+	}
+	for _, asn := range topo.Order {
+		pl, ok := perMember[asn]
+		if !ok {
+			continue
+		}
+		o := &irr.Object{}
+		o.Attrs = append(o.Attrs,
+			irr.Attr{Name: "aut-num", Value: "AS" + asn.String()},
+			irr.Attr{Name: "as-name", Value: topo.ASes[asn].Name},
+		)
+		for _, l := range pl.imports {
+			o.Attrs = append(o.Attrs, irr.Attr{Name: "import", Value: l})
+		}
+		for _, l := range pl.exports {
+			o.Attrs = append(o.Attrs, irr.Attr{Name: "export", Value: l})
+		}
+		o.Attrs = append(o.Attrs, irr.Attr{Name: "source", Value: "SYNTH"})
+		reg.Add(o)
+	}
+
+	// IXP-maintained as-sets.
+	for _, info := range topo.IXPs {
+		if !info.PublishesMemberList {
+			continue
+		}
+		o := &irr.Object{}
+		o.Attrs = append(o.Attrs, irr.Attr{Name: "as-set", Value: irr.ASSetName(info.Name)})
+		var sb strings.Builder
+		for i, m := range info.SortedRSMembers() {
+			if i > 0 {
+				sb.WriteString(", ")
+			}
+			sb.WriteString("AS" + m.String())
+		}
+		o.Attrs = append(o.Attrs,
+			irr.Attr{Name: "members", Value: sb.String()},
+			irr.Attr{Name: "descr", Value: info.Name + " route server members"},
+			irr.Attr{Name: "source", Value: "SYNTH"},
+		)
+		reg.Add(o)
+	}
+	return reg
+}
+
 // buildLGServer mounts every looking glass:
 //
 //	/rs/<ixp-name>   IXP route server LGs (HasLG IXPs)
@@ -246,7 +344,7 @@ func (w *World) buildLGServer() {
 			return
 		}
 		mountedAS[host.ASN] = true
-		srv.Mount("as/"+host.ASN.String(), lg.NewASBackend(w.Engine, host.ASN, w.Owners, host.AllPaths))
+		srv.Mount("as/"+host.ASN.String(), newASBackend(w.Engine, host.ASN, w.Owners, host.AllPaths))
 	}
 	for _, info := range w.Topo.IXPs {
 		if info.HasLG {
@@ -262,7 +360,7 @@ func (w *World) buildLGServer() {
 				}
 				hidden = members[:n]
 			}
-			srv.Mount("rs/"+info.Name, lg.NewRSBackend(w.RSRIBs[info.Name], hidden))
+			srv.Mount("rs/"+info.Name, newRSBackend(w.RSRIBs[info.Name], hidden))
 		}
 		for _, h := range w.Topo.MemberLGs[info.Name] {
 			mountAS(h)
@@ -273,6 +371,201 @@ func (w *World) buildLGServer() {
 	}
 	w.lgServer = srv
 	w.lgHTTP = &http.Client{Transport: srv.Transport()}
+}
+
+// rsBackend exposes an IXP route server's RIB: the view behind DE-CIX-
+// style IXP looking glasses.
+type rsBackend struct {
+	rib       *propagate.RSRIB
+	perMember map[bgp.ASN][]bgp.Prefix
+	members   []lg.PeerSummary
+	// Hidden members do not appear in summary output (DTEL-IX restricts
+	// queries for members who do not wish to disclose connectivity).
+	hidden map[bgp.ASN]bool
+}
+
+// newRSBackend builds a backend over a route server RIB. hidden lists
+// members excluded from the summary output.
+func newRSBackend(rib *propagate.RSRIB, hidden []bgp.ASN) *rsBackend {
+	b := &rsBackend{
+		rib:       rib,
+		perMember: make(map[bgp.ASN][]bgp.Prefix),
+		hidden:    make(map[bgp.ASN]bool, len(hidden)),
+	}
+	for _, h := range hidden {
+		b.hidden[h] = true
+	}
+	for p, es := range rib.Entries {
+		for _, e := range es {
+			b.perMember[e.Member] = append(b.perMember[e.Member], p)
+		}
+	}
+	for _, ps := range b.perMember {
+		slices.SortFunc(ps, bgp.ComparePrefixes)
+	}
+	for _, m := range rib.Members() {
+		if b.hidden[m] {
+			continue
+		}
+		addr, ok := rib.IXP.MemberAddr(m)
+		if !ok {
+			continue
+		}
+		b.members = append(b.members, lg.PeerSummary{Addr: addr, ASN: m, PfxCount: len(b.perMember[m])})
+	}
+	return b
+}
+
+// RouterID implements lg.Backend.
+func (b *rsBackend) RouterID() netip.Addr { return b.rib.IXP.RSAddr }
+
+// LocalASN implements lg.Backend.
+func (b *rsBackend) LocalASN() bgp.ASN { return b.rib.IXP.Scheme.RSASN }
+
+// Summary implements lg.Backend.
+func (b *rsBackend) Summary() []lg.PeerSummary { return b.members }
+
+// NeighborRoutes implements lg.Backend.
+func (b *rsBackend) NeighborRoutes(addr netip.Addr) ([]bgp.Prefix, error) {
+	m, ok := b.rib.IXP.MemberByAddr(addr)
+	if !ok {
+		return nil, fmt.Errorf("lg: %% No such neighbor %s", addr)
+	}
+	if b.hidden[m] {
+		return nil, fmt.Errorf("lg: %% Queries for this neighbor are disabled")
+	}
+	return b.perMember[m], nil
+}
+
+// Lookup implements lg.Backend.
+func (b *rsBackend) Lookup(prefix bgp.Prefix) ([]lg.PathInfo, error) {
+	es, ok := b.rib.Entries[prefix]
+	if !ok {
+		return nil, nil
+	}
+	out := make([]lg.PathInfo, 0, len(es))
+	for i, e := range es {
+		nh, _ := b.rib.IXP.MemberAddr(e.Member)
+		out = append(out, lg.PathInfo{
+			Path:        e.Path,
+			NextHop:     nh,
+			Communities: e.Communities,
+			Best:        i == 0,
+		})
+	}
+	return out, nil
+}
+
+// asBackend exposes one AS's BGP view: the third-party and validation
+// looking glasses of §4.1 and §5.1.
+//
+// Route reconstruction is slab-allocated from a per-backend arena, so a
+// Lookup result is only valid until the next Lookup on the same
+// backend. The LG server renders each response before serving the next
+// query, and the survey/validation clients drive every LG sequentially,
+// so the contract holds for all in-repo consumers.
+type asBackend struct {
+	engine   *propagate.Engine
+	asn      bgp.ASN
+	sweep    *propagate.Vantages // the AS itself: all a Lookup reads
+	owners   map[bgp.Prefix]bgp.ASN
+	allPaths bool
+	routerID netip.Addr
+
+	mu sync.Mutex
+	//mlplint:guardedby mu
+	arena propagate.RouteArena
+	//mlplint:guardedby mu
+	routeBuf []*propagate.VantageRoute
+}
+
+// newASBackend builds a looking glass for the given AS. allPaths
+// selects whether the LG displays every available path or only the
+// best one (Fig. 8's circles vs triangles).
+func newASBackend(engine *propagate.Engine, asn bgp.ASN, owners map[bgp.Prefix]bgp.ASN, allPaths bool) *asBackend {
+	// Router ID derived from the ASN for determinism.
+	id := netip.AddrFrom4([4]byte{10, byte(asn >> 16), byte(asn >> 8), byte(asn)})
+	return &asBackend{
+		engine:   engine,
+		asn:      asn,
+		sweep:    engine.NewVantages([]bgp.ASN{asn}),
+		owners:   owners,
+		allPaths: allPaths,
+		routerID: id,
+	}
+}
+
+// RouterID implements lg.Backend.
+func (b *asBackend) RouterID() netip.Addr { return b.routerID }
+
+// LocalASN implements lg.Backend.
+func (b *asBackend) LocalASN() bgp.ASN { return b.asn }
+
+// Summary implements lg.Backend. An AS LG reports its neighbors; for the
+// inference pipeline only the route-server views matter, so the
+// member's own summary lists nothing.
+func (b *asBackend) Summary() []lg.PeerSummary { return nil }
+
+// NeighborRoutes implements lg.Backend.
+func (b *asBackend) NeighborRoutes(addr netip.Addr) ([]bgp.Prefix, error) {
+	return nil, fmt.Errorf("lg: %% Command not supported on this looking glass")
+}
+
+// Lookup implements lg.Backend. It sweeps the prefix owner's tree over
+// the LG's own AS. The returned PathInfos alias the backend's route
+// arena and are valid until the next Lookup on this backend.
+func (b *asBackend) Lookup(prefix bgp.Prefix) ([]lg.PathInfo, error) {
+	owner, ok := b.owners[prefix]
+	if !ok {
+		return nil, nil
+	}
+	var out []lg.PathInfo
+	b.engine.ForEachTreeOf(b.sweep, []bgp.ASN{owner}, func(tr *propagate.Tree) {
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		out = b.pathsLocked(tr)
+	})
+	return out, nil
+}
+
+// pathsLocked renders the LG's routes in tr into the backend's arena.
+// Caller holds b.mu.
+func (b *asBackend) pathsLocked(tr *propagate.Tree) []lg.PathInfo {
+	b.arena.Reset()
+	topo := b.engine.Topology()
+	var routes []*propagate.VantageRoute
+	if b.allPaths {
+		routes = tr.AvailableRoutesFromArena(b.asn, &b.arena, b.routeBuf)
+		b.routeBuf = routes[:0]
+	} else if r := tr.RouteFromArena(b.asn, &b.arena); r != nil {
+		if cap(b.routeBuf) == 0 {
+			b.routeBuf = make([]*propagate.VantageRoute, 0, 1)
+		}
+		routes = append(b.routeBuf[:0], r)
+	}
+	out := make([]lg.PathInfo, 0, len(routes))
+	for i, r := range routes {
+		// Displayed paths exclude the LG's own ASN, like real routers.
+		path := r.Path
+		if len(path) > 0 && path[0] == b.asn {
+			path = path[1:]
+		}
+		nh := b.routerID
+		if r.ViaIXP != "" {
+			if info := topo.IXPByName(r.ViaIXP); info != nil {
+				if a, ok := info.MemberAddr(r.RSSetter); ok {
+					nh = a
+				}
+			}
+		}
+		out = append(out, lg.PathInfo{
+			Path:        path,
+			NextHop:     nh,
+			Communities: r.Communities,
+			Best:        i == 0,
+		})
+	}
+	return out
 }
 
 // StartLGs also serves all looking glasses on a loopback HTTP listener,

@@ -6,7 +6,9 @@ import (
 	"slices"
 	"testing"
 
+	"mlpeering/internal/bgp"
 	"mlpeering/internal/core"
+	"mlpeering/internal/irr"
 	"mlpeering/internal/topology"
 )
 
@@ -35,12 +37,12 @@ func fixture(t *testing.T) (*World, *Run) {
 // reciprocalLinks recomputes an IXP's links from its covered members'
 // filters by the reciprocity rule: the per-IXP oracle, blind to the
 // Result's attribution map.
-func reciprocalLinks(x *core.IXPInference) map[topology.LinkKey]bool {
-	out := make(map[topology.LinkKey]bool)
+func reciprocalLinks(x *core.IXPInference) map[bgp.LinkKey]bool {
+	out := make(map[bgp.LinkKey]bool)
 	for i, a := range x.Covered {
 		for _, b := range x.Covered[i+1:] {
 			if a.Filter.Allows(b.ASN) && b.Filter.Allows(a.ASN) {
-				out[topology.MakeLinkKey(a.ASN, b.ASN)] = true
+				out[bgp.MakeLinkKey(a.ASN, b.ASN)] = true
 			}
 		}
 	}
@@ -53,7 +55,7 @@ func reciprocalLinks(x *core.IXPInference) map[topology.LinkKey]bool {
 // whose covered filters allow it both ways.
 func TestAttributionMatchesReciprocity(t *testing.T) {
 	_, run := fixture(t)
-	want := make(map[topology.LinkKey][]string)
+	want := make(map[bgp.LinkKey][]string)
 	for _, name := range slices.Sorted(maps.Keys(run.Result.PerIXP)) {
 		x := run.Result.PerIXP[name]
 		for i := 1; i < len(x.Covered); i++ {
@@ -337,5 +339,80 @@ func TestBuildScenarioWorlds(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+func TestBuildFromTopology(t *testing.T) {
+	topo, err := topology.Generate(topology.TestConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := buildIRR(topo, 42)
+	if reg.Len() == 0 {
+		t.Fatal("empty registry")
+	}
+
+	// Publishing IXPs have expandable as-sets matching ground truth.
+	for _, info := range topo.IXPs {
+		if !info.PublishesMemberList {
+			// LINX-style: no as-set...
+			if _, ok := reg.Lookup("as-set", irr.ASSetName(info.Name)); ok {
+				t.Fatalf("%s published an as-set despite profile", info.Name)
+			}
+			// ...but members are discoverable via aut-num search.
+			found := reg.SearchAutNumsMentioning(info.Scheme.RSASN)
+			if len(found) == 0 {
+				t.Fatalf("%s: no members discoverable via IRR search", info.Name)
+			}
+			for _, m := range found {
+				if !info.IsRSMember(m) {
+					t.Fatalf("%s: search found non-member %s", info.Name, m)
+				}
+			}
+			continue
+		}
+		asns, err := reg.ExpandASSet(irr.ASSetName(info.Name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(asns) != len(info.RSMembers) {
+			t.Fatalf("%s: as-set %d members, truth %d", info.Name, len(asns), len(info.RSMembers))
+		}
+		for _, m := range asns {
+			if !info.IsRSMember(m) {
+				t.Fatalf("%s: as-set contains non-member %s", info.Name, m)
+			}
+		}
+	}
+
+	// §4.4 data: registered members expose filters that match ground
+	// truth, with import never more restrictive than export.
+	checked := 0
+	for _, info := range topo.IXPs {
+		for _, m := range info.SortedRSMembers() {
+			imp, exp, err := reg.RSFilters(m, info.Scheme.RSASN)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if imp == nil || exp == nil {
+				continue // unregistered
+			}
+			checked++
+			truth, _ := topo.Policy(info.Name, m)
+			if !exp.Filter.Equal(truth.Export) || !imp.Filter.Equal(truth.Import) {
+				t.Fatalf("%s member %s: IRR filters diverge from truth", info.Name, m)
+			}
+			for _, other := range info.RSMembers {
+				if other == m {
+					continue
+				}
+				if exp.Filter.Allows(other) && !imp.Filter.Allows(other) {
+					t.Fatalf("%s member %s: IRR import more restrictive than export", info.Name, m)
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no registered members with filters")
 	}
 }

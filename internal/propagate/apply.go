@@ -90,9 +90,9 @@ func (d *Delta) ApplyToTopology(topo *topology.Topology) error {
 			err = topo.AddPeerLink(op.A, op.B)
 			if err == nil && len(op.IXPs) > 0 {
 				if topo.BilateralIXP == nil {
-					topo.BilateralIXP = make(map[topology.LinkKey][]string)
+					topo.BilateralIXP = make(map[bgp.LinkKey][]string)
 				}
-				topo.BilateralIXP[topology.MakeLinkKey(op.A, op.B)] = append([]string(nil), op.IXPs...)
+				topo.BilateralIXP[bgp.MakeLinkKey(op.A, op.B)] = append([]string(nil), op.IXPs...)
 			}
 		} else {
 			err = topo.RemovePeerLink(op.A, op.B)

@@ -24,7 +24,7 @@ func buildWorld() *topology.Topology {
 	t := &topology.Topology{
 		ASes:          make(map[bgp.ASN]*topology.AS),
 		RSPolicies:    make(map[string]map[bgp.ASN]topology.RSPolicy),
-		BilateralIXP:  make(map[topology.LinkKey][]string),
+		BilateralIXP:  make(map[bgp.LinkKey][]string),
 		MemberLGs:     make(map[string][]topology.LGHost),
 		PrefixRegions: make(map[bgp.Prefix]ixp.Region),
 	}

@@ -28,7 +28,6 @@ import (
 	"mlpeering/internal/bgp"
 	"mlpeering/internal/par"
 	"mlpeering/internal/paths"
-	"mlpeering/internal/topology"
 )
 
 // votedPath is the per-path vote cache, indexed by path ID: the peak
@@ -65,11 +64,11 @@ type pathDelta struct {
 type Incremental struct {
 	store *paths.Store
 
-	adj     map[topology.LinkKey]int // refcount: paths containing the edge
-	votes   map[topology.LinkKey]*vote
-	touched map[topology.LinkKey]bool // links to relabel at the end of Commit
-	p2p     map[topology.LinkKey]bool
-	flipped map[topology.LinkKey]bool // links whose p2p label the last Commit flipped
+	adj     map[bgp.LinkKey]int // refcount: paths containing the edge
+	votes   map[bgp.LinkKey]*vote
+	touched map[bgp.LinkKey]bool // links to relabel at the end of Commit
+	p2p     map[bgp.LinkKey]bool
+	flipped map[bgp.LinkKey]bool // links whose p2p label the last Commit flipped
 
 	transit    map[transitPair]int           // refcount: paths where mid transits for nbr
 	degree     map[bgp.ASN]int               // distinct transit neighbors (len of live pairs)
@@ -88,8 +87,7 @@ type Incremental struct {
 	revoted int
 
 	// Commit scratch.
-	net       map[paths.ID]int
-	netOrder  []paths.ID
+	netSlot   []int32          // path ID -> 1 + its index in netQueue's result; 0 between calls
 	movedAS   map[bgp.ASN]rank // moved AS -> its rank before the move
 	relabelAS map[bgp.ASN]bool
 	cands     []paths.ID
@@ -100,18 +98,17 @@ type Incremental struct {
 func NewIncremental(store *paths.Store) *Incremental {
 	return &Incremental{
 		store:      store,
-		adj:        make(map[topology.LinkKey]int),
-		votes:      make(map[topology.LinkKey]*vote),
-		touched:    make(map[topology.LinkKey]bool),
-		p2p:        make(map[topology.LinkKey]bool),
-		flipped:    make(map[topology.LinkKey]bool),
+		adj:        make(map[bgp.LinkKey]int),
+		votes:      make(map[bgp.LinkKey]*vote),
+		touched:    make(map[bgp.LinkKey]bool),
+		p2p:        make(map[bgp.LinkKey]bool),
+		flipped:    make(map[bgp.LinkKey]bool),
 		transit:    make(map[transitPair]int),
 		degree:     make(map[bgp.ASN]int),
 		touchedDeg: make(map[bgp.ASN]int),
 		pathsByAS:  make(map[bgp.ASN]map[paths.ID]bool),
 		byPeak:     make(map[bgp.ASN]map[paths.ID]bool),
 		cliqueSet:  make(map[bgp.ASN]bool),
-		net:        make(map[paths.ID]int),
 		movedAS:    make(map[bgp.ASN]rank),
 		relabelAS:  make(map[bgp.ASN]bool),
 	}
@@ -198,7 +195,7 @@ func (inc *Incremental) addVotes(path []bgp.ASN, peak int32, delta int) {
 		return
 	}
 	emitVotesAround(path, int(peak), func(customer, provider bgp.ASN) {
-		key := topology.MakeLinkKey(customer, provider)
+		key := bgp.MakeLinkKey(customer, provider)
 		v := inc.votes[key]
 		if v == nil {
 			v = &vote{}
@@ -259,7 +256,7 @@ func (inc *Incremental) addTransit(mid, nbr bgp.ASN, delta int) {
 // queue itself, the batch passes run once over the netted adds, and the
 // state is built from their result, equal to what the phases build. After
 // Commit, queries answer exactly as a batch Infer over the live set.
-func (inc *Incremental) Commit() (changed bool) {
+func (inc *Incremental) Commit() bool {
 	clear(inc.flipped)
 	if len(inc.queue) == 0 {
 		return false
@@ -274,23 +271,16 @@ func (inc *Incremental) Commit() (changed bool) {
 	// first-touch order, then apply them in that order. A removed path
 	// also takes back the votes it cast around its cached peak; an added
 	// one waits for phase 3.
-	for _, d := range inc.queue {
-		if _, ok := inc.net[d.id]; !ok {
-			inc.netOrder = append(inc.netOrder, d.id)
-		}
-		inc.net[d.id] += d.delta
+	netted := inc.netQueue()
+	if len(netted) == 0 {
+		return false
 	}
-	inc.queue = inc.queue[:0]
 	inc.cands = inc.cands[:0]
-	for _, id := range inc.netOrder {
-		delta := inc.net[id]
-		if delta == 0 {
-			continue
-		}
-		changed = true
+	for _, d := range netted {
+		id, delta := d.id, d.delta
 		path := inc.store.Path(id)
 		for i := 0; i+1 < len(path); i++ {
-			key := topology.MakeLinkKey(path[i], path[i+1])
+			key := bgp.MakeLinkKey(path[i], path[i+1])
 			if c := inc.adj[key] + delta; c == 0 {
 				delete(inc.adj, key)
 			} else {
@@ -318,15 +308,10 @@ func (inc *Incremental) Commit() (changed bool) {
 			inc.setPeak(id, path, noPeak)
 		}
 	}
-	clear(inc.net)
-	inc.netOrder = inc.netOrder[:0]
-	if !changed {
-		return false
-	}
 
 	// Phase 2: re-derive the clique.
 	newClique := greedyClique(inc.degree, func(a, b bgp.ASN) bool {
-		return inc.adj[topology.MakeLinkKey(a, b)] > 0
+		return inc.adj[bgp.MakeLinkKey(a, b)] > 0
 	})
 	newSet := make(map[bgp.ASN]bool, len(newClique))
 	for _, a := range newClique {
@@ -461,6 +446,39 @@ func (inc *Incremental) Commit() (changed bool) {
 	return true
 }
 
+// netQueue nets the queued transitions per path ID and empties the
+// queue: a path that flapped in and out contributes nothing. It returns
+// the paths whose transitions do not cancel, in first-touch order, in
+// the queue's storage (valid until the next AddPath or RemovePath). A
+// path finds its slot through netSlot, indexed by the dense path ID and
+// zeroed again through the result, so netting costs O(queue).
+func (inc *Incremental) netQueue() []pathDelta {
+	span := len(inc.netSlot)
+	for _, d := range inc.queue {
+		span = max(span, int(d.id)+1)
+	}
+	inc.netSlot = slices.Grow(inc.netSlot, span-len(inc.netSlot))[:span]
+	// The result overwrites the queue behind the read: the i-th entry
+	// read adds at most the i-th entry written.
+	order := inc.queue[:0]
+	for _, d := range inc.queue {
+		if inc.netSlot[d.id] == 0 {
+			order = append(order, pathDelta{id: d.id})
+			inc.netSlot[d.id] = int32(len(order))
+		}
+		order[inc.netSlot[d.id]-1].delta += d.delta
+	}
+	kept := order[:0]
+	for _, d := range order {
+		inc.netSlot[d.id] = 0
+		if d.delta != 0 {
+			kept = append(kept, d)
+		}
+	}
+	inc.queue = inc.queue[:0]
+	return kept
+}
+
 // seed is Commit on an oracle that holds no live path: the netted adds
 // go through the batch passes once, and the incremental state is built
 // from their result: the counters, the votes and the clique adopted as
@@ -468,33 +486,14 @@ func (inc *Incremental) Commit() (changed bool) {
 // built with every per-AS path set made at its final size, and the p2p
 // labels resolved once (each one a flip from the empty state). The
 // result equals applying the adds path by path. Netted removals, which
-// an empty oracle has nothing to take back from, are dropped. Path IDs
-// are dense, so the queue nets in a slice indexed by ID rather than in
-// Commit's map, and the adds keep their first-touch order.
+// an empty oracle has nothing to take back from, are dropped; the adds
+// keep their first-touch order.
 func (inc *Incremental) seed() bool {
-	span := 0
-	for _, d := range inc.queue {
-		span = max(span, int(d.id)+1)
-	}
-	type netted struct {
-		delta   int32
-		touched bool
-	}
-	net := make([]netted, span)
-	order := make([]paths.ID, 0, len(inc.queue))
-	for _, d := range inc.queue {
-		n := &net[d.id]
-		if !n.touched {
-			n.touched = true
-			order = append(order, d.id)
-		}
-		n.delta += int32(d.delta)
-	}
-	inc.queue = inc.queue[:0]
-	ids := order[:0]
-	for _, id := range order {
-		if net[id].delta > 0 {
-			ids = append(ids, id)
+	netted := inc.netQueue()
+	ids := make([]paths.ID, 0, len(netted))
+	for _, d := range netted {
+		if d.delta > 0 {
+			ids = append(ids, d.id)
 		}
 	}
 	if len(ids) == 0 {
@@ -621,7 +620,7 @@ func sortByAS(entries []asPath) []asPath {
 // Relationship returns the pair's relationship from a's perspective,
 // resolved on demand from the maintained counters.
 func (inc *Incremental) Relationship(a, b bgp.ASN) Rel {
-	key := topology.MakeLinkKey(a, b)
+	key := bgp.MakeLinkKey(a, b)
 	if inc.adj[key] == 0 {
 		return RelUnknown
 	}
@@ -650,14 +649,14 @@ func (inc *Incremental) P2PCount() int { return len(inc.p2p) }
 
 // P2PFlipped reports whether the last Commit flipped the pair's p2p
 // label.
-func (inc *Incremental) P2PFlipped(a, b bgp.ASN) bool { return inc.flipped[topology.MakeLinkKey(a, b)] }
+func (inc *Incremental) P2PFlipped(a, b bgp.ASN) bool { return inc.flipped[bgp.MakeLinkKey(a, b)] }
 
 // P2PFlips counts the pairs whose p2p label the last Commit flipped.
 func (inc *Incremental) P2PFlips() int { return len(inc.flipped) }
 
 // ForEachLink calls fn for every inferred link until fn returns false,
 // resolving each label on demand. Iteration order is undefined.
-func (inc *Incremental) ForEachLink(fn func(topology.LinkKey, Rel) bool) {
+func (inc *Incremental) ForEachLink(fn func(bgp.LinkKey, Rel) bool) {
 	for key := range inc.adj {
 		if !fn(key, resolveRel(key, inc.votes[key], inc.cliqueSet, inc.degreeOf)) {
 			return

@@ -8,7 +8,6 @@ import (
 
 	"mlpeering/internal/bgp"
 	"mlpeering/internal/paths"
-	"mlpeering/internal/topology"
 )
 
 // synthPaths builds a small hierarchical path population: a clique of
@@ -68,13 +67,13 @@ func assertOracleEquivalence(t *testing.T, step int, store *paths.Store, live ma
 	if batch.LinkCount() != inc.LinkCount() {
 		t.Fatalf("step %d: link counts diverge: batch %d vs incremental %d", step, batch.LinkCount(), inc.LinkCount())
 	}
-	got := make(map[topology.LinkKey]Rel, inc.LinkCount())
-	inc.ForEachLink(func(k topology.LinkKey, r Rel) bool {
+	got := make(map[bgp.LinkKey]Rel, inc.LinkCount())
+	inc.ForEachLink(func(k bgp.LinkKey, r Rel) bool {
 		got[k] = r
 		return true
 	})
 	p2p := 0
-	batch.ForEachLink(func(k topology.LinkKey, want Rel) bool {
+	batch.ForEachLink(func(k bgp.LinkKey, want Rel) bool {
 		if want == RelP2P {
 			p2p++
 		}
@@ -180,8 +179,8 @@ func TestIncrementalFlapIsIdempotent(t *testing.T) {
 	}
 	inc.Commit()
 
-	before := make(map[topology.LinkKey]Rel)
-	inc.ForEachLink(func(k topology.LinkKey, r Rel) bool { before[k] = r; return true })
+	before := make(map[bgp.LinkKey]Rel)
+	inc.ForEachLink(func(k bgp.LinkKey, r Rel) bool { before[k] = r; return true })
 
 	// Flap half the live set inside one commit cycle.
 	i := 0
@@ -194,8 +193,8 @@ func TestIncrementalFlapIsIdempotent(t *testing.T) {
 	}
 	inc.Commit()
 
-	after := make(map[topology.LinkKey]Rel)
-	inc.ForEachLink(func(k topology.LinkKey, r Rel) bool { after[k] = r; return true })
+	after := make(map[bgp.LinkKey]Rel)
+	inc.ForEachLink(func(k bgp.LinkKey, r Rel) bool { after[k] = r; return true })
 	if len(before) != len(after) {
 		t.Fatalf("flap changed link count: %d vs %d", len(before), len(after))
 	}
@@ -219,7 +218,7 @@ func TestInferenceIterators(t *testing.T) {
 		t.Fatalf("LinkCount %d != %d labels", inf.LinkCount(), len(links))
 	}
 	seen := 0
-	inf.ForEachLink(func(k topology.LinkKey, r Rel) bool {
+	inf.ForEachLink(func(k bgp.LinkKey, r Rel) bool {
 		if links[k] != r {
 			t.Fatalf("ForEachLink %v=%v disagrees with the label %v", k, r, links[k])
 		}
@@ -231,7 +230,7 @@ func TestInferenceIterators(t *testing.T) {
 	}
 	// Early exit stops the walk.
 	n := 0
-	inf.ForEachLink(func(topology.LinkKey, Rel) bool { n++; return false })
+	inf.ForEachLink(func(bgp.LinkKey, Rel) bool { n++; return false })
 	if n > 1 {
 		t.Fatalf("ForEachLink ignored early exit (visited %d)", n)
 	}

@@ -14,7 +14,6 @@ import (
 
 	"mlpeering/internal/bgp"
 	"mlpeering/internal/paths"
-	"mlpeering/internal/topology"
 )
 
 // Rel is an inferred relationship for an unordered AS pair (A < B).
@@ -53,12 +52,12 @@ type Oracle interface {
 	LinkCount() int
 	// ForEachLink calls fn for every inferred link until fn returns
 	// false, without materializing a map. Iteration order is undefined.
-	ForEachLink(fn func(topology.LinkKey, Rel) bool)
+	ForEachLink(fn func(bgp.LinkKey, Rel) bool)
 }
 
 // Inference holds the inferred relationship graph.
 type Inference struct {
-	rels      map[topology.LinkKey]Rel
+	rels      map[bgp.LinkKey]Rel
 	customers map[bgp.ASN][]bgp.ASN // provider -> direct customers
 
 	coneScratch map[bgp.ASN]bool // reused by ForEachConeMember
@@ -67,7 +66,7 @@ type Inference struct {
 // Relationship returns the inferred relationship of the pair (a, b),
 // oriented from a's perspective: RelC2P means a is b's customer.
 func (inf *Inference) Relationship(a, b bgp.ASN) Rel {
-	key := topology.MakeLinkKey(a, b)
+	key := bgp.MakeLinkKey(a, b)
 	r, ok := inf.rels[key]
 	if !ok {
 		return RelUnknown
@@ -91,7 +90,7 @@ func (inf *Inference) LinkCount() int { return len(inf.rels) }
 
 // ForEachLink calls fn for every inferred link until fn returns false.
 // It allocates nothing; iteration order is undefined.
-func (inf *Inference) ForEachLink(fn func(topology.LinkKey, Rel) bool) {
+func (inf *Inference) ForEachLink(fn func(bgp.LinkKey, Rel) bool) {
 	for k, v := range inf.rels {
 		if !fn(k, v) {
 			return
@@ -155,7 +154,7 @@ func InferPaths(pp [][]bgp.ASN) *Inference {
 func Infer(v paths.View) *Inference {
 	p := runPasses(v)
 	inf := &Inference{
-		rels:      make(map[topology.LinkKey]Rel, len(p.adj)),
+		rels:      make(map[bgp.LinkKey]Rel, len(p.adj)),
 		customers: make(map[bgp.ASN][]bgp.ASN),
 	}
 
@@ -201,12 +200,12 @@ const noPeak = -1
 // hops). Infer resolves its labels from it; an empty Incremental adopts
 // its maps as its own state.
 type passes struct {
-	adj       map[topology.LinkKey]int
+	adj       map[bgp.LinkKey]int
 	transit   map[transitPair]int
 	degree    map[bgp.ASN]int
 	clique    []bgp.ASN
 	cliqueSet map[bgp.ASN]bool
-	votes     map[topology.LinkKey]*vote
+	votes     map[bgp.LinkKey]*vote
 	peaks     []votedPath
 }
 
@@ -218,15 +217,15 @@ func (p *passes) degreeOf(a bgp.ASN) int { return p.degree[a] }
 // each path's peak and its c2p votes around it.
 func runPasses(v paths.View) *passes {
 	p := &passes{
-		adj:     make(map[topology.LinkKey]int),
+		adj:     make(map[bgp.LinkKey]int),
 		transit: make(map[transitPair]int),
-		votes:   make(map[topology.LinkKey]*vote),
+		votes:   make(map[bgp.LinkKey]*vote),
 		peaks:   make([]votedPath, v.Len()),
 	}
 	for i := 0; i < v.Len(); i++ {
 		path := v.Path(i)
 		for j := 0; j+1 < len(path); j++ {
-			p.adj[topology.MakeLinkKey(path[j], path[j+1])]++
+			p.adj[bgp.MakeLinkKey(path[j], path[j+1])]++
 		}
 		for j := 1; j+1 < len(path); j++ {
 			p.transit[transitPair{path[j], path[j-1]}]++
@@ -239,7 +238,7 @@ func runPasses(v paths.View) *passes {
 	}
 
 	p.clique = greedyClique(p.degree, func(a, b bgp.ASN) bool {
-		return p.adj[topology.MakeLinkKey(a, b)] > 0
+		return p.adj[bgp.MakeLinkKey(a, b)] > 0
 	})
 	p.cliqueSet = make(map[bgp.ASN]bool, len(p.clique))
 	for _, a := range p.clique {
@@ -255,7 +254,7 @@ func runPasses(v paths.View) *passes {
 		peak, cliqueHops := pathPeak(path, p.cliqueSet, p.degreeOf)
 		p.peaks[i] = votedPath{peak: int32(peak), peakAS: path[peak], soleClique: cliqueHops == 1}
 		emitVotesAround(path, peak, func(customer, provider bgp.ASN) {
-			key := topology.MakeLinkKey(customer, provider)
+			key := bgp.MakeLinkKey(customer, provider)
 			vt := p.votes[key]
 			if vt == nil {
 				vt = &vote{}
@@ -273,7 +272,7 @@ type vote struct{ ab, ba int }
 
 // add records n votes (n may be negative for refcounted maintenance)
 // for customer being the customer side of key.
-func (v *vote) add(key topology.LinkKey, customer bgp.ASN, n int) {
+func (v *vote) add(key bgp.LinkKey, customer bgp.ASN, n int) {
 	if key.A == customer {
 		v.ab += n
 	} else {
@@ -374,7 +373,7 @@ func emitVotesAround(path []bgp.ASN, peak int, emit func(customer, provider bgp.
 // votes within a 2x ratio are the peak-adjacent peer link, and
 // single-direction c2p links between comparable high-degree non-clique
 // ASes are refined into p2p. v may be nil (adjacent but never voted).
-func resolveRel(key topology.LinkKey, v *vote, cliqueSet map[bgp.ASN]bool, degree func(bgp.ASN) int) Rel {
+func resolveRel(key bgp.LinkKey, v *vote, cliqueSet map[bgp.ASN]bool, degree func(bgp.ASN) int) Rel {
 	aClique, bClique := cliqueSet[key.A], cliqueSet[key.B]
 	if aClique && bClique {
 		return RelP2P

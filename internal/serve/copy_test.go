@@ -153,7 +153,7 @@ func TestCopiedBodiesMatchOnChurnTrace(t *testing.T) {
 // IXP and an AS without links.
 func TestCopiedBodiesEdges(t *testing.T) {
 	const a, b, empty = "A-IX", hostileName, "EMPTY-IX"
-	attr := map[topology.LinkKey][]string{
+	attr := map[bgp.LinkKey][]string{
 		{A: 1, B: 2}: {a},
 		{A: 1, B: 3}: {a, b},
 		{A: 1, B: 4}: {a},

@@ -6,7 +6,6 @@ import (
 
 	"mlpeering/internal/bgp"
 	"mlpeering/internal/core"
-	"mlpeering/internal/topology"
 )
 
 // The append encoder: every mesh-shaped body (mesh, ixps, ixp, link,
@@ -103,7 +102,7 @@ func asBodySize(rows []uint32) int { return 64 + 64*len(rows) }
 //
 //mlplint:allocfree
 func appendLinkLookup(dst []byte, epoch uint64, r *core.Result, a, b bgp.ASN) []byte {
-	key := topology.MakeLinkKey(a, b)
+	key := bgp.MakeLinkKey(a, b)
 	ixps, present := r.Links[key]
 	dst = core.AppendField(dst, `{"epoch":`, epoch)
 	dst = core.AppendField(dst, `,"a":`, uint64(key.A))

@@ -15,7 +15,6 @@ import (
 	"mlpeering/internal/core"
 	"mlpeering/internal/ixp"
 	"mlpeering/internal/mrt"
-	"mlpeering/internal/topology"
 )
 
 // The oracle: the bodies as the pre-index gateway produced them — a
@@ -28,8 +27,8 @@ type oracleLink struct {
 	IXPs []string `json:"ixps"`
 }
 
-func oracleSortedKeys[V any](links map[topology.LinkKey]V) []topology.LinkKey {
-	keys := make([]topology.LinkKey, 0, len(links))
+func oracleSortedKeys[V any](links map[bgp.LinkKey]V) []bgp.LinkKey {
+	keys := make([]bgp.LinkKey, 0, len(links))
 	for k := range links {
 		keys = append(keys, k)
 	}
@@ -82,7 +81,7 @@ func oracleASJSON(t *testing.T, epoch uint64, asn bgp.ASN, links []oracleLink) s
 }
 
 func oracleLinkLookup(t *testing.T, epoch uint64, r *core.Result, a, b bgp.ASN) string {
-	key := topology.MakeLinkKey(a, b)
+	key := bgp.MakeLinkKey(a, b)
 	ixps, present := r.Links[key]
 	if ixps == nil {
 		ixps = []string{}
@@ -99,12 +98,12 @@ func oracleLinkLookup(t *testing.T, epoch uint64, r *core.Result, a, b bgp.ASN) 
 // reciprocalLinks recomputes an IXP's links from its covered members'
 // filters by the reciprocity rule, ascending: the per-IXP oracle, blind
 // to the Result's attribution map and its index.
-func reciprocalLinks(x *core.IXPInference) []topology.LinkKey {
-	links := make(map[topology.LinkKey]bool)
+func reciprocalLinks(x *core.IXPInference) []bgp.LinkKey {
+	links := make(map[bgp.LinkKey]bool)
 	for _, a := range x.Covered {
 		for _, b := range x.Covered {
 			if a.ASN < b.ASN && a.Filter.Allows(b.ASN) && b.Filter.Allows(a.ASN) {
-				links[topology.MakeLinkKey(a.ASN, b.ASN)] = true
+				links[bgp.MakeLinkKey(a.ASN, b.ASN)] = true
 			}
 		}
 	}

@@ -10,7 +10,6 @@
 package topology
 
 import (
-	"cmp"
 	"sort"
 
 	"mlpeering/internal/bgp"
@@ -145,24 +144,9 @@ func (r Rel) String() string {
 	}
 }
 
-// LinkKey is the canonical unordered AS pair used as a map key when
-// assembling link sets across data sources.
-type LinkKey struct{ A, B bgp.ASN }
+// LinkKey and MakeLinkKey forward to bgp, where the AS pair lives.
+// bench/ is their only user; they go when it names the bgp ones.
+type LinkKey = bgp.LinkKey
 
-// MakeLinkKey canonicalizes the pair so that A < B.
-func MakeLinkKey(a, b bgp.ASN) LinkKey {
-	if a > b {
-		a, b = b, a
-	}
-	return LinkKey{A: a, B: b}
-}
-
-// CompareLinkKeys orders link keys ascending by (A, B): the canonical
-// order of every walk of a link set (mesh fingerprints, encoded
-// indexes, truth deltas).
-func CompareLinkKeys(a, b LinkKey) int {
-	if c := cmp.Compare(a.A, b.A); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.B, b.B)
-}
+// MakeLinkKey forwards to bgp.MakeLinkKey.
+func MakeLinkKey(a, b bgp.ASN) LinkKey { return bgp.MakeLinkKey(a, b) }

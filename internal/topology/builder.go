@@ -49,7 +49,7 @@ type Builder struct {
 	// names.
 	IXPs          []*ixp.Info
 	RSPolicies    map[string]map[bgp.ASN]RSPolicy
-	BilateralIXP  map[LinkKey][]string
+	BilateralIXP  map[bgp.LinkKey][]string
 	Feeders       []Feeder
 	ValidationLGs []LGHost
 	MemberLGs     map[string][]LGHost
@@ -67,7 +67,7 @@ func newBuilder(cfg Config) *Builder {
 		profiles:      PaperIXPProfiles(),
 		byASN:         make(map[bgp.ASN]int32),
 		RSPolicies:    make(map[string]map[bgp.ASN]RSPolicy),
-		BilateralIXP:  make(map[LinkKey][]string),
+		BilateralIXP:  make(map[bgp.LinkKey][]string),
 		MemberLGs:     make(map[string][]LGHost),
 		PrefixRegions: make(map[bgp.Prefix]ixp.Region),
 		nextPrefix:    0x14000000, // 20.0.0.0

@@ -249,7 +249,7 @@ func (b *Builder) addBilateralIXPPeering() {
 		return func() {
 			for _, p := range pairs {
 				b.Peer(p[0], p[1])
-				key := MakeLinkKey(p[0], p[1])
+				key := bgp.MakeLinkKey(p[0], p[1])
 				b.BilateralIXP[key] = append(b.BilateralIXP[key], info.Name)
 			}
 		}

@@ -41,7 +41,7 @@ func (t *Topology) RemovePeerLink(a, b bgp.ASN) error {
 	asA.Peers = removeASN(asA.Peers, b)
 	asB.Peers = removeASN(asB.Peers, a)
 	if t.BilateralIXP != nil {
-		delete(t.BilateralIXP, MakeLinkKey(a, b))
+		delete(t.BilateralIXP, bgp.MakeLinkKey(a, b))
 	}
 	return nil
 }
@@ -148,6 +148,6 @@ func (t *Topology) MovePrefix(p bgp.Prefix, from, to bgp.ASN) error {
 // AllGroundTruthReciprocalLinks unions GroundTruthReciprocalLinks over
 // all IXPs: the per-epoch "best recoverable mesh" the churn experiments
 // score windowed inference against.
-func (t *Topology) AllGroundTruthReciprocalLinks() map[LinkKey]bool {
+func (t *Topology) AllGroundTruthReciprocalLinks() map[bgp.LinkKey]bool {
 	return t.reciprocalLinks(t.IXPs)
 }

@@ -60,7 +60,7 @@ type Topology struct {
 	// BilateralIXP holds bilateral peering links established across IXP
 	// fabrics without the route server; these are invisible to the
 	// paper's method by design (§5.8).
-	BilateralIXP map[LinkKey][]string // link -> IXP names
+	BilateralIXP map[bgp.LinkKey][]string // link -> IXP names
 
 	// Feeders are the collector vantage points.
 	Feeders []Feeder
@@ -121,17 +121,17 @@ func (t *Topology) RouteFlows(ixpName string, from, to bgp.ASN) bool {
 // direction. Links where flow exists in only one direction are the
 // asymmetric peerings the paper's reciprocity assumption knowingly
 // misses.
-func (t *Topology) GroundTruthMLPLinks(ixpName string) map[LinkKey]bool {
+func (t *Topology) GroundTruthMLPLinks(ixpName string) map[bgp.LinkKey]bool {
 	x := t.IXPByName(ixpName)
 	if x == nil {
 		return nil
 	}
-	links := make(map[LinkKey]bool)
+	links := make(map[bgp.LinkKey]bool)
 	members := x.SortedRSMembers()
 	for i, a := range members {
 		for _, b := range members[i+1:] {
 			if t.RouteFlows(ixpName, a, b) || t.RouteFlows(ixpName, b, a) {
-				links[MakeLinkKey(a, b)] = true
+				links[bgp.MakeLinkKey(a, b)] = true
 			}
 		}
 	}
@@ -141,7 +141,7 @@ func (t *Topology) GroundTruthMLPLinks(ixpName string) map[LinkKey]bool {
 // GroundTruthReciprocalLinks returns only the symmetric subset: pairs
 // where routes flow in both directions. This is what the inference
 // algorithm can recover at best.
-func (t *Topology) GroundTruthReciprocalLinks(ixpName string) map[LinkKey]bool {
+func (t *Topology) GroundTruthReciprocalLinks(ixpName string) map[bgp.LinkKey]bool {
 	x := t.IXPByName(ixpName)
 	if x == nil {
 		return nil
@@ -160,9 +160,9 @@ func reciprocal(a bgp.ASN, p *RSPolicy, b bgp.ASN, q *RSPolicy) bool {
 
 // reciprocalLinks returns every pair of RS members with RouteFlows in
 // both directions at one of the given IXPs, as a set.
-func (t *Topology) reciprocalLinks(ixps []*ixp.Info) map[LinkKey]bool {
+func (t *Topology) reciprocalLinks(ixps []*ixp.Info) map[bgp.LinkKey]bool {
 	packed := t.appendReciprocal(nil, ixps)
-	links := make(map[LinkKey]bool, len(packed))
+	links := make(map[bgp.LinkKey]bool, len(packed))
 	for _, k := range packed {
 		links[unpackLinkKey(k)] = true
 	}
@@ -170,11 +170,11 @@ func (t *Topology) reciprocalLinks(ixps []*ixp.Info) map[LinkKey]bool {
 }
 
 // SortedGroundTruthReciprocalLinks returns the keys of
-// AllGroundTruthReciprocalLinks ascending (CompareLinkKeys) from the
+// AllGroundTruthReciprocalLinks ascending (bgp.CompareLinkKeys) from the
 // same scan, without building the set: each IXP's scan is an ascending
 // run of packed keys, and the runs are merged, a link reciprocal at
 // several IXPs kept once.
-func (t *Topology) SortedGroundTruthReciprocalLinks() []LinkKey {
+func (t *Topology) SortedGroundTruthReciprocalLinks() []bgp.LinkKey {
 	var packed []uint64
 	heads := make([]int, len(t.IXPs))
 	ends := make([]int, len(t.IXPs))
@@ -183,7 +183,7 @@ func (t *Topology) SortedGroundTruthReciprocalLinks() []LinkKey {
 		packed = t.appendReciprocal(packed, t.IXPs[i:i+1])
 		ends[i] = len(packed)
 	}
-	links := make([]LinkKey, 0, len(packed))
+	links := make([]bgp.LinkKey, 0, len(packed))
 	var last uint64
 	for {
 		r := -1
@@ -206,7 +206,7 @@ func (t *Topology) SortedGroundTruthReciprocalLinks() []LinkKey {
 
 // appendReciprocal is the one scan of the truth mesh: it appends to dst
 // every reciprocal pair of RS members at each of ixps, packed as
-// A<<32|B so that ascending packed keys are CompareLinkKeys order. It
+// A<<32|B so that ascending packed keys are bgp.CompareLinkKeys order. It
 // walks each IXP's members in ascending ASN order, so each IXP appends
 // an ascending run. A pair reciprocal at several IXPs is appended once
 // per IXP. Each member's record is looked up once instead of per
@@ -236,9 +236,9 @@ func (t *Topology) appendReciprocal(dst []uint64, ixps []*ixp.Info) []uint64 {
 	return dst
 }
 
-func unpackLinkKey(k uint64) LinkKey { return LinkKey{A: bgp.ASN(k >> 32), B: bgp.ASN(k)} }
+func unpackLinkKey(k uint64) bgp.LinkKey { return bgp.LinkKey{A: bgp.ASN(k >> 32), B: bgp.ASN(k)} }
 
-// IsReciprocalLink reports whether MakeLinkKey(a, b) is in
+// IsReciprocalLink reports whether bgp.MakeLinkKey(a, b) is in
 // AllGroundTruthReciprocalLinks: some IXP has both a and b as RS
 // members whose filters let routes flow both ways. It costs a few
 // record lookups per IXP, not a scan of the mesh, so a caller that knows
@@ -256,8 +256,8 @@ func (t *Topology) IsReciprocalLink(a, b bgp.ASN) bool {
 }
 
 // AllGroundTruthMLPLinks unions GroundTruthMLPLinks over all IXPs.
-func (t *Topology) AllGroundTruthMLPLinks() map[LinkKey]bool {
-	links := make(map[LinkKey]bool)
+func (t *Topology) AllGroundTruthMLPLinks() map[bgp.LinkKey]bool {
+	links := make(map[bgp.LinkKey]bool)
 	for _, x := range t.IXPs {
 		for k := range t.GroundTruthMLPLinks(x.Name) {
 			links[k] = true

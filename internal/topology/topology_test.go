@@ -378,10 +378,10 @@ func TestBilateralIXPLinksAreMirrored(t *testing.T) {
 }
 
 func TestMakeLinkKeyCanonical(t *testing.T) {
-	if MakeLinkKey(5, 3) != MakeLinkKey(3, 5) {
+	if bgp.MakeLinkKey(5, 3) != bgp.MakeLinkKey(3, 5) {
 		t.Fatal("link key not canonical")
 	}
-	k := MakeLinkKey(7, 2)
+	k := bgp.MakeLinkKey(7, 2)
 	if k.A != 2 || k.B != 7 {
 		t.Fatalf("key = %+v", k)
 	}
@@ -506,17 +506,17 @@ func TestReciprocalLinksMatchRouteFlows(t *testing.T) {
 		}
 	}
 
-	all := make(map[LinkKey]bool)
+	all := make(map[bgp.LinkKey]bool)
 	for _, info := range topo.IXPs {
-		want := make(map[LinkKey]bool)
+		want := make(map[bgp.LinkKey]bool)
 		members := info.SortedRSMembers()
 		oneWay := 0
 		for i, a := range members {
 			for _, b := range members[i+1:] {
 				ab, ba := topo.RouteFlows(info.Name, a, b), topo.RouteFlows(info.Name, b, a)
 				if ab && ba {
-					want[MakeLinkKey(a, b)] = true
-					all[MakeLinkKey(a, b)] = true
+					want[bgp.MakeLinkKey(a, b)] = true
+					all[bgp.MakeLinkKey(a, b)] = true
 				} else if ab || ba {
 					oneWay++
 				}
@@ -534,7 +534,7 @@ func TestReciprocalLinksMatchRouteFlows(t *testing.T) {
 	}
 	// The sorted list is the same mesh, ascending, each link once (a
 	// link reciprocal at two IXPs is scanned twice).
-	if got, want := topo.SortedGroundTruthReciprocalLinks(), slices.SortedFunc(maps.Keys(all), CompareLinkKeys); !slices.Equal(got, want) {
+	if got, want := topo.SortedGroundTruthReciprocalLinks(), slices.SortedFunc(maps.Keys(all), bgp.CompareLinkKeys); !slices.Equal(got, want) {
 		t.Errorf("all IXPs: sorted list of %d links, per-pair RouteFlows gives %d", len(got), len(want))
 	}
 	// IsReciprocalLink is the same rule asked pair by pair: two-way
@@ -543,13 +543,13 @@ func TestReciprocalLinksMatchRouteFlows(t *testing.T) {
 		members := info.SortedRSMembers()
 		for i, a := range members {
 			for _, b := range members[i+1:] {
-				if got := topo.IsReciprocalLink(a, b); got != all[MakeLinkKey(a, b)] || got != topo.IsReciprocalLink(b, a) {
+				if got := topo.IsReciprocalLink(a, b); got != all[bgp.MakeLinkKey(a, b)] || got != topo.IsReciprocalLink(b, a) {
 					t.Fatalf("%s: IsReciprocalLink(%s, %s) = %v, two-way RouteFlows at some IXP = %v",
-						info.Name, a, b, got, all[MakeLinkKey(a, b)])
+						info.Name, a, b, got, all[bgp.MakeLinkKey(a, b)])
 				}
 			}
 			for _, s := range stray {
-				if got := topo.IsReciprocalLink(a, s); got != all[MakeLinkKey(a, s)] {
+				if got := topo.IsReciprocalLink(a, s); got != all[bgp.MakeLinkKey(a, s)] {
 					t.Fatalf("IsReciprocalLink(%s, %s) = %v: the filters %s holds without an RS session must not count", a, s, got, s)
 				}
 			}
