@@ -1,9 +1,10 @@
-// Command mlplint is the repo's determinism-and-concurrency
-// multichecker. It runs the internal/lint analyzer suite (maporder,
-// rngclock, sharddiscipline, floatorder, frozen, guardedby,
-// allocfree) over the packages matching the given patterns (default
-// ./...) and exits nonzero on any live finding. It is stdlib-only and
-// needs no install step:
+// Command mlplint is the repo's invariant multichecker. It runs the
+// internal/lint analyzer suite (maporder, rngclock, sharddiscipline,
+// floatorder, frozen, guardedby, allocfree, orphans, worldwall)
+// over the packages matching the given patterns (default ./...) and
+// exits nonzero on any live finding. The graph rules judge a package
+// against the import graph of the whole module, whatever the patterns.
+// It is stdlib-only and needs no install step:
 //
 //	go run ./cmd/mlplint ./...
 //	go run ./cmd/mlplint -json ./... > mlplint.json
@@ -25,9 +26,9 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"go/ast"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 
@@ -36,12 +37,6 @@ import (
 	"mlpeering/internal/lint/load"
 )
 
-// moduleSyntax adapts the loaded package set to analysis.ModuleSyntax
-// so annotation-driven analyzers (frozen) see cross-package syntax.
-type moduleSyntax map[string][]*ast.File
-
-func (m moduleSyntax) PackageFiles(path string) []*ast.File { return m[path] }
-
 func main() {
 	listOnly := flag.Bool("list", false, "list the analyzers and exit")
 	jsonOut := flag.Bool("json", false, "emit diagnostics as JSON (includes waived findings)")
@@ -49,7 +44,7 @@ func main() {
 	allocSpans := flag.Bool("allocspans", false, "dump //mlplint:allocfree function spans (file:start:end:name) and exit")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: mlplint [flags] [packages]\n\n")
-		fmt.Fprintf(flag.CommandLine.Output(), "Runs the mlplint determinism analyzers over the given package\npatterns (default ./...).\n\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "Runs the mlplint invariant analyzers over the given package\npatterns (default ./...).\n\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -63,19 +58,15 @@ func main() {
 
 	analyzers := lint.Analyzers
 	if *rulesFlag != "" {
-		byName := make(map[string]*analysis.Analyzer)
-		for _, a := range lint.Analyzers {
-			byName[a.Name] = a
-		}
 		analyzers = nil
 		for _, name := range strings.Split(*rulesFlag, ",") {
 			name = strings.TrimSpace(name)
-			a, ok := byName[name]
-			if !ok {
+			i := slices.IndexFunc(lint.Analyzers, func(a *analysis.Analyzer) bool { return a.Name == name })
+			if i < 0 {
 				fmt.Fprintf(os.Stderr, "mlplint: unknown analyzer %q (see -list)\n", name)
 				os.Exit(2)
 			}
-			analyzers = append(analyzers, a)
+			analyzers = append(analyzers, lint.Analyzers[i])
 		}
 	}
 
@@ -83,7 +74,7 @@ func main() {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	pkgs, err := load.Load(patterns)
+	module, err := load.Load(patterns)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mlplint:", err)
 		os.Exit(2)
@@ -100,17 +91,12 @@ func main() {
 	}
 
 	if *allocSpans {
-		for _, pkg := range pkgs {
+		for _, pkg := range module.Packages {
 			for _, s := range lint.AllocFreeSpans(pkg.Fset, pkg.Files) {
 				fmt.Printf("%s:%d:%d:%s\n", relpath(s.File), s.Start, s.End, s.Name)
 			}
 		}
 		return
-	}
-
-	module := make(moduleSyntax, len(pkgs))
-	for _, pkg := range pkgs {
-		module[pkg.Path] = pkg.Files
 	}
 
 	type diag struct {
@@ -122,7 +108,7 @@ func main() {
 		Waived   bool   `json:"waived"`
 	}
 	var diags []diag
-	for _, pkg := range pkgs {
+	for _, pkg := range module.Packages {
 		for _, a := range analyzers {
 			name := a.Name
 			pass := &analysis.Pass{

@@ -42,7 +42,7 @@ func TestListAnalyzers(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("mlplint -list exited %d: %s", code, out)
 	}
-	want := []string{"maporder", "rngclock", "sharddiscipline", "floatorder", "frozen", "guardedby", "allocfree"}
+	want := []string{"maporder", "rngclock", "sharddiscipline", "floatorder", "frozen", "guardedby", "allocfree", "orphans", "worldwall"}
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	if len(lines) != len(want) {
 		t.Fatalf("mlplint -list prints %d lines, want %d:\n%s", len(lines), len(want), out)
@@ -64,5 +64,14 @@ func TestUnknownRuleRejected(t *testing.T) {
 func TestCleanPackagePasses(t *testing.T) {
 	if out, code := runMain(t, "./internal/bgp"); code != 0 {
 		t.Errorf("mlplint ./internal/bgp exited %d:\n%s", code, out)
+	}
+}
+
+// TestModuleClean runs the whole suite over the module, as CI's lint
+// job does: the world wall and the frozen, memo and orphan rules hold
+// on the tree.
+func TestModuleClean(t *testing.T) {
+	if out, code := runMain(t, "./..."); code != 0 {
+		t.Errorf("mlplint ./... exited %d:\n%s", code, out)
 	}
 }

@@ -72,12 +72,16 @@ type Result struct {
 
 	// linkIndex is the index MeshState.Snapshot builds with the Result;
 	// nil on an InferLinks Result.
+	//
+	//mlplint:memo Snapshot
 	linkIndex *LinkIndex
 }
 
 // BuildIndex returns the link index MeshState.Snapshot built with r or,
 // for an InferLinks Result, a fresh one per call. It writes nothing, so
 // goroutines may call it on a shared Result.
+//
+//mlplint:frozen
 func (r *Result) BuildIndex() *LinkIndex {
 	if r.linkIndex != nil {
 		return r.linkIndex

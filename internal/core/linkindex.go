@@ -44,7 +44,10 @@ type LinkIndex struct {
 	// object: '[', the objects joined by ',', ']'. Riding on the index,
 	// it is shared by every epoch that shares the Result. The serving
 	// tier writes it whole as the /v1/mesh link array and copies runs of
-	// it (EncodedRun) into the /v1/as and /v1/ixp bodies.
+	// it (EncodedRun) into the /v1/as and /v1/ixp bodies. Only the
+	// builders that encode write it.
+	//
+	//mlplint:memo patchLinkIndex,encode,encodeLink,closeEncoded
 	Encoded []byte
 
 	// encOff[i] is where link i's encoding starts in Encoded; every

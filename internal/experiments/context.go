@@ -115,9 +115,9 @@ func (c *Context) TracerouteLinks() map[bgp.LinkKey]bool {
 			for i := 0; i+1 < len(r.Path); i++ {
 				a, b := r.Path[i], r.Path[i+1]
 				// Traceroute does not see the member-member adjacency
-				// across a transparent route server.
-				if r.ViaIXP != "" && b == r.RSSetter &&
-					i+2 < len(r.Path)+1 && pathCrossesRSAt(r, i) {
+				// across a transparent route server: the RS edge is
+				// importer -> exporter, the exporter the RS setter.
+				if r.ViaIXP != "" && b == r.RSSetter {
 					continue
 				}
 				links[bgp.MakeLinkKey(a, b)] = true
@@ -126,13 +126,6 @@ func (c *Context) TracerouteLinks() map[bgp.LinkKey]bool {
 	})
 	c.tracerouteLinks = links
 	return links
-}
-
-// pathCrossesRSAt reports whether the path edge starting at index i is
-// the route-server crossing of the route.
-func pathCrossesRSAt(r *propagate.VantageRoute, i int) bool {
-	// The RS edge is importer->exporter where exporter == RSSetter.
-	return i+1 < len(r.Path) && r.Path[i+1] == r.RSSetter
 }
 
 // incidentCount counts the links of set incident to each AS; an AS no

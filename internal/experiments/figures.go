@@ -143,17 +143,13 @@ func (c *Context) Figure6() *Figure6Result {
 			res.TracerouteOverlap++
 		}
 	}
+	// The links invisible in public BGP are also those the MLP inference
+	// adds to the public AS graph.
 	res.InvisibleFrac = metrics.Ratio(invisible, res.TotalMLPLinks)
+	res.ASLinkIncreasePct = metrics.Ratio(invisible, res.PublicASLinks)
 	if res.PublicPeerLinks > 0 {
 		res.MorePeeringsFrac = float64(res.TotalMLPLinks)/float64(res.PublicPeerLinks) - 1
 	}
-	newLinks := 0
-	for link := range c.Run.Result.Links {
-		if !publicLinks[link] {
-			newLinks++
-		}
-	}
-	res.ASLinkIncreasePct = metrics.Ratio(newLinks, res.PublicASLinks)
 
 	mlpDeg := incidentCount(c.Run.Result.Links)
 	pasvDeg := incidentCount(publicP2P)

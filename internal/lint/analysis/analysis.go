@@ -36,19 +36,24 @@ type Pass struct {
 	// Report delivers one diagnostic. Safe to call multiple times;
 	// the driver orders and deduplicates output.
 	Report func(Diagnostic)
-	// Module, when non-nil, exposes the syntax of other packages in
-	// the same load (the x/tools Facts mechanism's poor cousin).
-	// Analyzers that honor cross-package annotations — frozen's type
-	// markings, notably — consult it for each import; a nil Module or
-	// a nil PackageFiles result degrades to same-package analysis.
-	Module ModuleSyntax
+	// Module, when non-nil, exposes the rest of the load (the x/tools
+	// Facts mechanism's poor cousin). Analyzers that honor
+	// cross-package annotations degrade to same-package analysis
+	// without it; the graph rules need it.
+	Module Module
 }
 
-// ModuleSyntax resolves an import path to the parsed files of that
-// package, or nil when the driver has no syntax for it (dependencies
-// loaded from export data, the standard library).
-type ModuleSyntax interface {
+// Module resolves an import path to the parsed files of that package,
+// or nil when the driver has no syntax for it (dependencies loaded
+// from export data, the standard library), and to its place in the
+// module's import graph.
+type Module interface {
 	PackageFiles(path string) []*ast.File
+	// Imports lists the packages path imports in its non-test files.
+	Imports(path string) []string
+	// Importers lists the other packages of the module whose files,
+	// test files included, import path.
+	Importers(path string) []string
 }
 
 // Reportf reports a formatted diagnostic at pos.

@@ -8,7 +8,7 @@ import (
 )
 
 func TestFloatOrder(t *testing.T) {
-	diags := linttest.Run(t, "testdata", lint.FloatOrder, "floatfix")
+	diags, _ := linttest.Run(t, "testdata", lint.FloatOrder, "floatfix")
 	if got, want := len(diags), 2; got != want {
 		t.Errorf("diagnostics = %d, want %d", got, want)
 	}

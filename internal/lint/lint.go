@@ -1,4 +1,5 @@
-// Package lint hosts mlplint's determinism-and-concurrency analyzers.
+// Package lint hosts mlplint's analyzers, the one checker of the
+// repo's structural invariants.
 //
 // The repo's perf story rests on one invariant: world generation and
 // propagation are byte-identical for any worker count. The dynamic
@@ -16,12 +17,18 @@
 // The second generation covers the concurrency-and-performance half
 // of the same contract, driven by source annotations:
 //
-//   - frozen: //mlplint:frozen types and constructor results are
-//     immutable after publication
+//   - frozen: //mlplint:frozen types are immutable after publication
+//     and born only in their builders, every type an atomic.Pointer
+//     publishes is one, and //mlplint:memo fields are set only where
+//     their annotation says
 //   - guardedby: annotated fields are only touched under their mutex
 //   - allocfree: //mlplint:allocfree hot paths contain no allocating
 //     constructs (cross-checked against compiler escape analysis by
 //     scripts/allocgate.sh)
+//
+// Two read the module's import graph: orphans (every package under
+// internal/ has an importer) and worldwall (no inference package
+// reaches a world package).
 //
 // Deliberate exceptions carry an auditable waiver comment:
 //
@@ -53,6 +60,8 @@ var Analyzers = []*analysis.Analyzer{
 	Frozen,
 	GuardedBy,
 	AllocFree,
+	Orphans,
+	WorldWall,
 }
 
 // waiver rules understood in //mlplint: comments, mapped to the
@@ -69,6 +78,7 @@ const (
 	ruleFrozen     = "frozen"     // frozen
 	ruleGuarded    = "guardedby"  // guardedby
 	ruleAllocFree  = "allocfree"  // allocfree
+	ruleMemo       = "memo"       // frozen (an annotation only)
 )
 
 // waivers indexes the //mlplint: comments of one file.
@@ -99,6 +109,26 @@ func directive(c *ast.Comment) (rule, reason string, ok bool) {
 	}
 	rule, reason, _ = strings.Cut(text, " ")
 	return rule, strings.TrimSpace(reason), true
+}
+
+// directiveArg returns the text after the first //mlplint:<rule>
+// directive of a comment group.
+func directiveArg(cg *ast.CommentGroup, rule string) (string, bool) {
+	if cg != nil {
+		for _, c := range cg.List {
+			if r, arg, ok := directive(c); ok && r == rule {
+				return arg, true
+			}
+		}
+	}
+	return "", false
+}
+
+// hasDirective reports whether a comment group carries an
+// //mlplint:<rule> directive.
+func hasDirective(cg *ast.CommentGroup, rule string) bool {
+	_, ok := directiveArg(cg, rule)
+	return ok
 }
 
 func newWaivers(fset *token.FileSet, file *ast.File) *waivers {
@@ -272,6 +302,19 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	return fn
 }
 
+// builtinName resolves a call to a builtin's name.
+func builtinName(info *types.Info, call *ast.CallExpr) (string, bool) {
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	if !ok {
+		return "", false
+	}
+	b, ok := objOf(info, id).(*types.Builtin)
+	if !ok {
+		return "", false
+	}
+	return b.Name(), true
+}
+
 // isPkgFunc reports whether fn is a package-level function (no
 // receiver) of a package whose import path matches by full path or
 // "/"-suffix. Suffix matching keeps the analyzers working against
@@ -287,9 +330,34 @@ func isPkgFunc(fn *types.Func, pkgPath string) bool {
 	return p == pkgPath || strings.HasSuffix(p, "/"+pkgPath)
 }
 
-// internalPackage reports whether path names a package under an
-// internal/ tree (the determinism contract's jurisdiction); cmd/ and
-// the repo root are exempt.
-func internalPackage(path string) bool {
-	return strings.HasPrefix(path, "internal/") || strings.Contains(path, "/internal/")
+// packageFiles returns the syntax of the package at path: the pass's
+// own files, or another package's through Pass.Module; nil when the
+// load has none.
+func packageFiles(pass *analysis.Pass, path string) []*ast.File {
+	if path == pass.Pkg.Path() {
+		return pass.Files
+	}
+	if pass.Module == nil {
+		return nil
+	}
+	return pass.Module.PackageFiles(path)
+}
+
+// deref returns the element type of a pointer, t itself otherwise.
+func deref(t types.Type) types.Type {
+	if p, ok := t.(*types.Pointer); ok {
+		return p.Elem()
+	}
+	return t
+}
+
+// internalName is path below its internal/ directory ("core" for
+// mlpeering/internal/core), or path itself outside one. Packages under
+// internal/ are the determinism contract's jurisdiction; cmd/ and the
+// repo root are exempt.
+func internalName(path string) string {
+	if i := strings.LastIndex("/"+path, "/internal/"); i >= 0 {
+		return path[i+len("internal/"):]
+	}
+	return path
 }

@@ -14,11 +14,14 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
 	"runtime"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -28,25 +31,11 @@ import (
 )
 
 // Run type-checks testdata/src/<pkgpath>, applies the analyzer, and
-// reports mismatches between live diagnostics and // want
-// expectations via t. It returns the live (non-waived) diagnostics
-// for additional assertions; use RunAll to also see the waived set.
-func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgpath string) []analysis.Diagnostic {
-	t.Helper()
-	all := RunAll(t, testdata, a, pkgpath)
-	live := all[:0:0]
-	for _, d := range all {
-		if !d.Waived {
-			live = append(live, d)
-		}
-	}
-	return live
-}
-
-// RunAll is Run including waived diagnostics in the returned slice.
-// The // want matching still covers only the live findings: a waiver
-// suppresses the diagnostic, it does not rename it.
-func RunAll(t *testing.T, testdata string, a *analysis.Analyzer, pkgpath string) []analysis.Diagnostic {
+// reports via t every mismatch between the live diagnostics and the
+// // want expectations (a waiver suppresses a diagnostic, it does not
+// rename it). It returns the live diagnostics and the waived ones for
+// additional assertions.
+func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgpath string) (live, waived []analysis.Diagnostic) {
 	t.Helper()
 	fset := token.NewFileSet()
 	imp := newFixtureImporter(fset, filepath.Join(testdata, "src"))
@@ -55,7 +44,6 @@ func RunAll(t *testing.T, testdata string, a *analysis.Analyzer, pkgpath string)
 		t.Fatalf("loading fixture %s: %v", pkgpath, err)
 	}
 
-	var diags []analysis.Diagnostic
 	pass := &analysis.Pass{
 		Analyzer:  a,
 		Fset:      fset,
@@ -63,23 +51,22 @@ func RunAll(t *testing.T, testdata string, a *analysis.Analyzer, pkgpath string)
 		Pkg:       pkg,
 		TypesInfo: info,
 		Module:    imp,
-		Report:    func(d analysis.Diagnostic) { diags = append(diags, d) },
+		Report: func(d analysis.Diagnostic) {
+			if d.Waived {
+				waived = append(waived, d)
+			} else {
+				live = append(live, d)
+			}
+		},
 	}
 	if err := a.Run(pass); err != nil {
 		t.Fatalf("%s on %s: %v", a.Name, pkgpath, err)
 	}
-
-	live := diags[:0:0]
-	for _, d := range diags {
-		if !d.Waived {
-			live = append(live, d)
-		}
-	}
 	checkWants(t, fset, files, live)
-	return diags
+	return live, waived
 }
 
-// PackageFiles implements analysis.ModuleSyntax over the fixture
+// PackageFiles implements analysis.Module over the fixture
 // cache: any package under testdata/src that has been loaded —
 // directly or as an import of the package under test — exposes its
 // syntax to annotation-driven analyzers.
@@ -88,6 +75,48 @@ func (fi *fixtureImporter) PackageFiles(path string) []*ast.File {
 		return p.files
 	}
 	return nil
+}
+
+// Imports lists the packages a fixture package's files import.
+func (fi *fixtureImporter) Imports(path string) []string { return fi.graph()[path] }
+
+// Importers lists the other fixture packages with a file that imports
+// path.
+func (fi *fixtureImporter) Importers(path string) []string {
+	var out []string
+	for pkg, imports := range fi.graph() {
+		if pkg != path && slices.Contains(imports, path) {
+			out = append(out, pkg)
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// graph maps every package under the src root to the imports of its
+// files, _test.go files included, read on first use.
+func (fi *fixtureImporter) graph() map[string][]string {
+	if fi.imports != nil {
+		return fi.imports
+	}
+	fi.imports = make(map[string][]string)
+	filepath.WalkDir(fi.root, func(file string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(file, ".go") {
+			return err
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), file, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(fi.root, filepath.Dir(file))
+		pkg := filepath.ToSlash(rel)
+		for _, s := range f.Imports {
+			path, _ := strconv.Unquote(s.Path.Value)
+			fi.imports[pkg] = append(fi.imports[pkg], path)
+		}
+		return nil
+	})
+	return fi.imports
 }
 
 type want struct {
@@ -161,10 +190,11 @@ func checkWants(t *testing.T, fset *token.FileSet, files []*ast.File, diags []an
 // everything else from the standard library. One shared stdlib
 // importer keeps type identity consistent across fixture packages.
 type fixtureImporter struct {
-	fset *token.FileSet
-	root string
-	pkgs map[string]*fixturePkg
-	std  types.Importer
+	fset    *token.FileSet
+	root    string
+	pkgs    map[string]*fixturePkg
+	std     types.Importer
+	imports map[string][]string // see graph
 }
 
 type fixturePkg struct {
@@ -174,24 +204,9 @@ type fixturePkg struct {
 	err   error
 }
 
-var (
-	stdOnce sync.Once
-	stdImp  types.Importer
-)
-
-// stdImporter returns the process-wide stdlib importer: the gc
-// (export data) importer, or the slower source importer as fallback.
-func stdImporter() types.Importer {
-	stdOnce.Do(func() {
-		gc := importer.Default()
-		if _, err := gc.Import("fmt"); err == nil {
-			stdImp = gc
-			return
-		}
-		stdImp = importer.ForCompiler(token.NewFileSet(), "source", nil)
-	})
-	return stdImp
-}
+// stdImporter is the process-wide stdlib importer, shared so that type
+// identity holds across fixture packages.
+var stdImporter = sync.OnceValue(importer.Default)
 
 func newFixtureImporter(fset *token.FileSet, root string) *fixtureImporter {
 	return &fixtureImporter{
@@ -203,9 +218,6 @@ func newFixtureImporter(fset *token.FileSet, root string) *fixtureImporter {
 }
 
 func (fi *fixtureImporter) Import(path string) (*types.Package, error) {
-	if path == "unsafe" {
-		return types.Unsafe, nil
-	}
 	dir := filepath.Join(fi.root, filepath.FromSlash(path))
 	if st, err := os.Stat(dir); err == nil && st.IsDir() {
 		pkg, _, _, err := fi.load(path)

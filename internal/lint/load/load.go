@@ -1,8 +1,9 @@
 // Package load type-checks the packages of this module for the lint
 // analyzers without depending on golang.org/x/tools/go/packages: it
-// shells out to `go list -export -deps -json` for the package graph
-// and compiler export data (produced offline from the build cache),
-// parses the target packages' sources, and resolves every import —
+// shells out to `go list -export -deps -json` for the packages and
+// compiler export data (produced offline from the build cache), and
+// once more, without export data, for the module's import graph; it
+// parses the target packages' sources and resolves every import —
 // stdlib and intra-module alike — through the gc export-data importer
 // so each package type-checks against a self-consistent universe.
 package load
@@ -21,6 +22,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -28,12 +30,27 @@ import (
 // Package is one type-checked target package.
 type Package struct {
 	Path  string
-	Dir   string
 	Fset  *token.FileSet
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
 }
+
+// Module is one load, an analysis.Module: the type-checked target
+// packages, sorted by import path, and the import graph of every
+// package of the main module, whatever the patterns, so that a graph
+// rule sees importers outside them too.
+type Module struct {
+	Packages []*Package
+
+	files              map[string][]*ast.File
+	imports, importers map[string][]string
+}
+
+// PackageFiles, Imports and Importers implement analysis.Module.
+func (m *Module) PackageFiles(path string) []*ast.File { return m.files[path] }
+func (m *Module) Imports(path string) []string         { return m.imports[path] }
+func (m *Module) Importers(path string) []string       { return m.importers[path] }
 
 type listPkg struct {
 	ImportPath string
@@ -43,57 +60,97 @@ type listPkg struct {
 	Standard   bool
 	DepOnly    bool
 	Export     string
+	Module     *struct{ Path string }
 	Error      *struct{ Err string }
+
+	Imports, TestImports, XTestImports []string
 }
 
-// Load lists the packages matching patterns (plus their dependency
-// closure for export data), parses and type-checks every non-dep-only
-// module package, and returns them sorted by import path.
-func Load(patterns []string) ([]*Package, error) {
-	args := append([]string{"list", "-export", "-deps", "-json=ImportPath,Dir,GoFiles,CgoFiles,Standard,DepOnly,Export,Error", "--"}, patterns...)
-	cmd := exec.Command("go", args...)
+// goList runs `go list -json=<fields> <args>` and decodes its output.
+func goList(fields string, args ...string) ([]listPkg, error) {
+	cmd := exec.Command("go", append([]string{"list", "-json=" + fields + ",Error"}, args...)...)
 	var out, errb bytes.Buffer
 	cmd.Stdout = &out
 	cmd.Stderr = &errb
 	if err := cmd.Run(); err != nil {
 		return nil, fmt.Errorf("go list: %v\n%s", err, errb.String())
 	}
-
-	exports := make(map[string]string)
-	var targets []*listPkg
+	var pkgs []listPkg
 	dec := json.NewDecoder(&out)
 	for {
 		var p listPkg
 		if err := dec.Decode(&p); err == io.EOF {
-			break
+			return pkgs, nil
 		} else if err != nil {
 			return nil, fmt.Errorf("go list output: %v", err)
 		}
 		if p.Error != nil {
 			return nil, fmt.Errorf("go list %s: %s", p.ImportPath, p.Error.Err)
 		}
+		pkgs = append(pkgs, p)
+	}
+}
+
+// Load lists the packages matching patterns (plus their dependency
+// closure for export data), parses and type-checks every non-dep-only
+// module package, and lists the main module's import graph.
+func Load(patterns []string) (*Module, error) {
+	listed, err := goList("ImportPath,Dir,GoFiles,CgoFiles,Standard,DepOnly,Export,Module", append([]string{"-export", "-deps", "--"}, patterns...)...)
+	if err != nil {
+		return nil, err
+	}
+	exports := make(map[string]string)
+	for _, p := range listed {
 		if p.Export != "" {
 			exports[p.ImportPath] = p.Export
-		}
-		if !p.DepOnly && !p.Standard {
-			q := p
-			targets = append(targets, &q)
 		}
 	}
 
 	fset := token.NewFileSet()
-	imp := newExportImporter(fset, exports)
-
-	var pkgs []*Package
-	for _, t := range targets {
+	// The gc importer resolves every import, "unsafe" included, from
+	// the export data go list produced.
+	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		file, ok := exports[path]
+		if !ok {
+			return nil, fmt.Errorf("no export data for %q", path)
+		}
+		return os.Open(file)
+	})
+	m := &Module{files: make(map[string][]*ast.File), imports: make(map[string][]string), importers: make(map[string][]string)}
+	modPath := ""
+	for i := range listed {
+		t := &listed[i]
+		if t.DepOnly || t.Standard {
+			continue
+		}
 		pkg, err := check(fset, imp, t)
 		if err != nil {
 			return nil, err
 		}
-		pkgs = append(pkgs, pkg)
+		m.Packages = append(m.Packages, pkg)
+		m.files[pkg.Path] = pkg.Files
+		if t.Module != nil {
+			modPath = t.Module.Path
+		}
 	}
-	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].Path < pkgs[j].Path })
-	return pkgs, nil
+	sort.Slice(m.Packages, func(i, j int) bool { return m.Packages[i].Path < m.Packages[j].Path })
+	if modPath == "" {
+		return m, nil
+	}
+
+	graph, err := goList("ImportPath,Imports,TestImports,XTestImports", "--", modPath+"/...")
+	if err != nil {
+		return nil, err
+	}
+	for _, p := range graph {
+		m.imports[p.ImportPath] = p.Imports
+		for _, dep := range slices.Concat(p.Imports, p.TestImports, p.XTestImports) {
+			if by := m.importers[dep]; dep != p.ImportPath && (len(by) == 0 || by[len(by)-1] != p.ImportPath) {
+				m.importers[dep] = append(by, p.ImportPath)
+			}
+		}
+	}
+	return m, nil
 }
 
 func check(fset *token.FileSet, imp types.Importer, t *listPkg) (*Package, error) {
@@ -124,7 +181,6 @@ func check(fset *token.FileSet, imp types.Importer, t *listPkg) (*Package, error
 	}
 	return &Package{
 		Path:  t.ImportPath,
-		Dir:   t.Dir,
 		Fset:  fset,
 		Files: files,
 		Types: tpkg,
@@ -142,32 +198,4 @@ func NewInfo() *types.Info {
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 		Scopes:     make(map[ast.Node]*types.Scope),
 	}
-}
-
-// exportImporter resolves every import from compiler export data via
-// the gc importer, with "unsafe" special-cased.
-type exportImporter struct {
-	gc      types.ImporterFrom
-	exports map[string]string
-}
-
-func newExportImporter(fset *token.FileSet, exports map[string]string) *exportImporter {
-	lookup := func(path string) (io.ReadCloser, error) {
-		file, ok := exports[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	}
-	return &exportImporter{
-		gc:      importer.ForCompiler(fset, "gc", lookup).(types.ImporterFrom),
-		exports: exports,
-	}
-}
-
-func (e *exportImporter) Import(path string) (*types.Package, error) {
-	if path == "unsafe" {
-		return types.Unsafe, nil
-	}
-	return e.gc.ImportFrom(path, "", 0)
 }

@@ -8,7 +8,7 @@ import (
 )
 
 func TestMapOrder(t *testing.T) {
-	diags := linttest.Run(t, "testdata", lint.MapOrder, "maporderfix")
+	diags, _ := linttest.Run(t, "testdata", lint.MapOrder, "maporderfix")
 	// The fixture carries five real findings plus one
 	// reasonless-waiver report; waived and sorted cases are silent.
 	if got, want := len(diags), 6; got != want {

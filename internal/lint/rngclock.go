@@ -34,7 +34,7 @@ var rngConstructors = map[string]bool{
 }
 
 func runRNGClock(pass *analysis.Pass) error {
-	if !internalPackage(pass.Pkg.Path()) {
+	if internalName(pass.Pkg.Path()) == pass.Pkg.Path() {
 		return nil
 	}
 	for _, file := range pass.Files {

@@ -8,7 +8,7 @@ import (
 )
 
 func TestRNGClock(t *testing.T) {
-	diags := linttest.Run(t, "testdata", lint.RNGClock, "internal/rngfix")
+	diags, _ := linttest.Run(t, "testdata", lint.RNGClock, "internal/rngfix")
 	if got, want := len(diags), 3; got != want {
 		t.Errorf("diagnostics = %d, want %d", got, want)
 	}
@@ -18,7 +18,7 @@ func TestRNGClock(t *testing.T) {
 // under a non-internal path produces no findings (cmd/ timing code is
 // exempt by construction).
 func TestRNGClockOutsideInternal(t *testing.T) {
-	diags := linttest.Run(t, "testdata", lint.RNGClock, "clockexempt")
+	diags, _ := linttest.Run(t, "testdata", lint.RNGClock, "clockexempt")
 	if len(diags) != 0 {
 		t.Errorf("expected no diagnostics outside internal/, got %d", len(diags))
 	}

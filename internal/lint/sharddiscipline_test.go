@@ -8,7 +8,7 @@ import (
 )
 
 func TestShardDiscipline(t *testing.T) {
-	diags := linttest.Run(t, "testdata", lint.ShardDiscipline, "shardfix")
+	diags, _ := linttest.Run(t, "testdata", lint.ShardDiscipline, "shardfix")
 	if got, want := len(diags), 2; got != want {
 		t.Errorf("diagnostics = %d, want %d", got, want)
 	}

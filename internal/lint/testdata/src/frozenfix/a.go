@@ -1,6 +1,7 @@
 // Package frozenfix exercises the frozen analyzer inside one
 // package: annotated type, sanctioned builder, post-publication
-// writes through the value and through aliases, and the waiver forms.
+// writes through the value and through aliases, values born outside a
+// builder, and the waiver forms.
 package frozenfix
 
 // Plan is an immutable snapshot once published.
@@ -60,4 +61,24 @@ func waived(p *Plan) {
 func reasonless(p *Plan) {
 	//mlplint:frozen
 	p.N = 10 // want `//mlplint:frozen waiver requires a reason`
+}
+
+// smuggle makes a Plan outside a builder.
+func smuggle(n int) Plan {
+	return Plan{N: n} // want `new frozenfix.Plan outside a //mlplint:frozen builder`
+}
+
+// forward hands out a builder's Plan without being one, while a
+// closure's result is no declaration's.
+func forward(n int) *Plan {
+	pool := func() any { return NewPlan(n) }
+	_ = pool
+	return NewPlan(n) // want `returns what builder NewPlan makes`
+}
+
+// slot writes a pointer to a Plan, not a Plan.
+func slot(p *Plan) {
+	var q *Plan
+	r := &q
+	*r = p
 }

@@ -1,6 +1,5 @@
 // Package frozentypes declares annotated snapshot types for the
-// cross-package frozen fixture: one frozen by type annotation, one
-// frozen only via its builder's result.
+// cross-package frozen fixture.
 package frozentypes
 
 // Snap is frozen by its type annotation.
@@ -8,7 +7,9 @@ package frozentypes
 //mlplint:frozen
 type Snap struct{ N int }
 
-// View is frozen because NewView, its builder, is annotated.
+// View is frozen too; NewView is its builder.
+//
+//mlplint:frozen
 type View struct{ M map[string]int }
 
 // NewView publishes a View.

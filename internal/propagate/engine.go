@@ -308,6 +308,8 @@ func (e *Engine) buildIXPState(info *ixp.Info) *ixpState {
 }
 
 // newTree allocates a tree with its own backing arrays.
+//
+//mlplint:frozen
 func (e *Engine) newTree() *Tree {
 	return &Tree{
 		e:      e,

@@ -77,9 +77,10 @@ func clearMarks(plane []bool, visited []int32) {
 }
 
 // markCustomerCone marks the dense ids of the customer cone of root
-// (root included) in plane and returns the visited ids appended to
-// visited, for clearing. The builder-side, allocation-free equivalent
-// of Topology.CustomerCone.
+// in plane and returns the visited ids appended to visited, for
+// clearing. The cone is root itself plus everything reachable by
+// repeatedly following customer edges (the definition of [32] used in
+// §5.5); the walk allocates nothing once the scratch has grown.
 func (b *Builder) markCustomerCone(root int32, s *denseScratch, visited []int32) []int32 {
 	stack := append(s.stack[:0], root)
 	plane := s.marks

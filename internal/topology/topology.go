@@ -266,27 +266,6 @@ func (t *Topology) AllGroundTruthMLPLinks() map[bgp.LinkKey]bool {
 	return links
 }
 
-// CustomerCone returns the set of ASNs in asn's customer cone: asn
-// itself plus everything reachable by repeatedly following customer
-// edges (the definition of [32] used in §5.5).
-func (t *Topology) CustomerCone(asn bgp.ASN) map[bgp.ASN]bool {
-	cone := make(map[bgp.ASN]bool)
-	var walk func(a bgp.ASN)
-	walk = func(a bgp.ASN) {
-		if cone[a] {
-			return
-		}
-		cone[a] = true
-		if as := t.ASes[a]; as != nil {
-			for _, c := range as.Customers {
-				walk(c)
-			}
-		}
-	}
-	walk(asn)
-	return cone
-}
-
 // RelationshipOf returns the ground-truth relationship between a and b
 // from a's perspective, and false if they are not adjacent.
 func (t *Topology) RelationshipOf(a, b bgp.ASN) (Rel, bool) {

@@ -223,27 +223,6 @@ func TestGroundTruthLinks(t *testing.T) {
 	}
 }
 
-func TestCustomerCone(t *testing.T) {
-	topo := testTopo(t)
-	// Find a transit AS with customers.
-	for _, asn := range topo.Order {
-		as := topo.ASes[asn]
-		if as.Tier == Tier2 && len(as.Customers) > 0 {
-			cone := topo.CustomerCone(asn)
-			if !cone[asn] {
-				t.Fatal("cone must include self")
-			}
-			for _, c := range as.Customers {
-				if !cone[c] {
-					t.Fatalf("direct customer %s missing from cone of %s", c, asn)
-				}
-			}
-			return
-		}
-	}
-	t.Fatal("no transit AS with customers found")
-}
-
 func TestRelationshipOf(t *testing.T) {
 	topo := testTopo(t)
 	for _, asn := range topo.Order {
